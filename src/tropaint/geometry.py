@@ -1,8 +1,11 @@
 """Exact rational linear algebra, convex hulls, and LP feasibility.
 
-Every quantity is a fractions.Fraction; nothing here ever touches a float.
-Vectors are plain tuples of Fractions, which keeps them hashable and cheap.
-Scale target is "desk scale": tens of points, ambient dimension at most six.
+Exact rationals at the API, integer arithmetic inside, no floats: every
+public function takes and returns fractions.Fraction values, while
+elimination, hulls and the simplex run on Python ints (fraction-free rows,
+points scaled by a common denominator).  Vectors are plain tuples of
+Fractions, which keeps them hashable and cheap.  Scale target is "desk
+scale": tens of points, ambient dimension at most six.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import DegenerateInputError, InputError
 
@@ -51,7 +55,13 @@ def vscale(s, v: Vec) -> Vec:
 
 
 def vdot(u: Vec, v: Vec) -> Fraction:
-    return sum((a * b for a, b in zip(u, v, strict=True)), ZERO)
+    # one running numerator over one denominator: a single normalization
+    num, den = 0, 1
+    for a, b in zip(u, v, strict=True):
+        d = a.denominator * b.denominator
+        num = num * d + a.numerator * b.numerator * den
+        den *= d
+    return Fraction(num, den)
 
 
 def is_zero_vector(v: Vec) -> bool:
@@ -71,52 +81,126 @@ def primitive_vector(v: Vec) -> Vec:
 
 
 # ---------------------------------------------------------------------------
-# Exact Gaussian elimination
+# Fraction-free elimination
+#
+# A working row is a list of ints [numerators..., denominator] standing for
+# the rational row numerators / denominator, the denominator positive.  The
+# numbers stay bounded by the matrix's minors (Edmonds 1967), as in Bareiss
+# (1968) elimination, because every row is kept primitive.
 
 
-def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Row-reduce in place; returns (rows, pivot column indices)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
+def _exact(xs) -> list:
+    """The entries as ints or Fractions, which both carry numerator and denominator."""
+    return [x if isinstance(x, (int, Fraction)) else as_fraction(x) for x in xs]
+
+
+def _int_row(xs) -> list[int]:
+    """The working row of a rational row: numerators over the lcm of its denominators."""
+    fs = _exact(xs)
+    m = lcm(*(f.denominator for f in fs))
+    if m == 1:
+        return [f.numerator for f in fs] + [1]
+    return [f.numerator * (m // f.denominator) for f in fs] + [m]
+
+
+def _integer_points(points) -> tuple[list[tuple[int, ...]], int]:
+    """(integer points, L): the points times the lcm L of all their denominators."""
+    pts = [_exact(p) for p in points]
+    scale = lcm(*(x.denominator for p in pts for x in p))
+    if scale == 1:
+        return [tuple(x.numerator for x in p) for p in pts], 1
+    return [tuple(x.numerator * (scale // x.denominator) for x in p) for p in pts], scale
+
+
+def _pivot(rows: list[list[int]], r: int, c: int, lo: int = 0) -> None:
+    """Clear column c from rows[lo:] except rows[r]; cleared rows are replaced,
+    never mutated, so callers may share row lists.
+
+    Each cleared row becomes the primitive form of |p| row - sgn(p) row[c]
+    rows[r], p = rows[r][c], with the pivot row's denominator read as 0:
+    exactly row - (row[c] / rows[r][c]) rows[r] as a rational row.
+    """
+    prow = rows[r]
+    p = prow[c]
+    q = abs(p)
+    for i in range(lo, len(rows)):
+        row = rows[i]
+        a = row[c]
+        if a and i != r:
+            if p < 0:
+                a = -a
+            new = [q * x - a * y for x, y in zip(row, prow)]
+            new[-1] = q * row[-1]
+            g = gcd(*new)
+            if g > 1:
+                new = [x // g for x in new]
+            rows[i] = new
+
+
+def _echelon(rows: list[list[int]], reduced: bool = True) -> list[int]:
+    """Row-reduce working rows in place; returns the pivot columns.
+
+    Rows past the last pivot end up zero.  When reduced, pivot row r is zero
+    in every pivot column but its own, so rows[r][j] / rows[r][pivots[r]] is
+    the reduced row echelon form; otherwise only the rows below are cleared.
+    """
+    pivots: list[int] = []
+    n = len(rows)
+    if not n:
+        return pivots
     r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
+    for c in range(len(rows[0]) - 1):
+        for i in range(r, n):
+            if rows[i][c]:
+                break
+        else:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        rows[r], rows[i] = rows[i], rows[r]
+        if reduced or r + 1 < n:
+            _pivot(rows, r, c, 0 if reduced else r + 1)
         pivots.append(c)
         r += 1
-        if r == len(rows):
+        if r == n:
             break
-    return rows, pivots
+    return pivots
+
+
+def _rref(rows) -> tuple[list[Vec], list[int]]:
+    """Reduced row echelon form of a rational matrix: (nonzero rows, pivot columns)."""
+    work = [_int_row(row) for row in rows]
+    pivots = _echelon(work)
+    return [tuple(Fraction(x, row[c]) for x in row[:-1]) for row, c in zip(work, pivots)], pivots
+
+
+def _det(rows) -> Fraction:
+    """Determinant of a square rational matrix: the product of the pivots of
+    elimination without row scaling, each pivot read off its working row."""
+    work = [_int_row(row) for row in rows]
+    det = ONE
+    for c in range(len(work)):
+        pivot = next((i for i in range(c, len(work)) if work[i][c]), None)
+        if pivot is None:
+            return ZERO
+        if pivot != c:
+            work[c], work[pivot] = work[pivot], work[c]
+            det = -det
+        det *= Fraction(work[c][c], work[c][-1])
+        _pivot(work, c, c, c + 1)
+    return det
 
 
 def matrix_rank(rows) -> int:
-    work = [list(map(as_fraction, row)) for row in rows]
-    return len(_echelon(work)[1])
+    return len(_echelon([_int_row(row) for row in rows], reduced=False))
 
 
 def solve_square(a_rows, b) -> Vec | None:
     """Solve A x = b for square A; None when A is singular."""
     n = len(a_rows)
-    work = [list(map(as_fraction, row)) + [as_fraction(bi)] for row, bi in zip(a_rows, b, strict=True)]
-    work, pivots = _echelon(work)
-    if pivots and pivots[-1] == n:
-        return None  # inconsistent
-    if len(pivots) < n:
-        return None
-    sol = [ZERO] * n
-    for r, c in enumerate(pivots):
-        sol[c] = work[r][n]
-    return tuple(sol)
+    work = [_int_row(list(row) + [bi]) for row, bi in zip(a_rows, b, strict=True)]
+    pivots = _echelon(work)
+    if pivots != list(range(n)):
+        return None  # singular or inconsistent
+    return tuple(Fraction(row[n], row[r]) for r, row in enumerate(work))
 
 
 def nullspace_vector(rows) -> Vec | None:
@@ -129,30 +213,31 @@ def nullspace_basis(rows) -> list[Vec]:
     """A basis of the kernel of the row matrix (empty rows: empty basis)."""
     if not rows:
         return []
-    ncols = len(rows[0])
-    work = [list(map(as_fraction, row)) for row in rows]
-    work, pivots = _echelon(work)
+    work = [_int_row(row) for row in rows]
+    pivots = _echelon(work)
+    ncols = len(work[0]) - 1
+    pivot_set = set(pivots)
     out = []
     for f in range(ncols):
-        if f in pivots:
+        if f in pivot_set:
             continue
         sol = [ZERO] * ncols
         sol[f] = ONE
-        for r, c in enumerate(pivots):
-            sol[c] = -work[r][f]
+        for row, c in zip(work, pivots):
+            sol[c] = Fraction(-row[f], row[c])
         out.append(tuple(sol))
     return out
 
 
 def affine_rank(points) -> int:
     """Dimension of the affine hull of a nonempty point list."""
-    pts = [vector(p) for p in points]
+    pts, _ = _integer_points(points)
     if not pts:
         raise InputError("affine_rank of an empty point list")
-    d = len(pts[0])
-    if any(len(p) != d for p in pts):
+    base = pts[0]
+    if any(len(p) != len(base) for p in pts):
         raise InputError("points of mixed dimension")
-    return matrix_rank([vsub(p, pts[0]) for p in pts[1:]])
+    return matrix_rank([[a - b for a, b in zip(p, base)] for p in pts[1:]])
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +327,10 @@ def interpolate_affine(points: list[Vec], values: list[Fraction]) -> AffineFunct
 
 # ---------------------------------------------------------------------------
 # Convex hulls (beneath-beyond with exact predicates)
+#
+# The hull works on integer points: the input scaled by the lcm L of all its
+# denominators.  A plane n . P = o there is the plane (L n) . x = o of the
+# input, so facets map back by one primitive scaling.
 
 
 @dataclass(frozen=True)
@@ -253,25 +342,40 @@ class HullFacet:
     members: frozenset[int]
 
 
-def _hyperplane(points: list[Vec]) -> tuple[Vec, Fraction] | None:
-    """Normal and offset of the hyperplane through d affinely independent points."""
+def _dot(u, v) -> int:
+    return sum(map(mul, u, v))
+
+
+def _hyperplane(points: list[tuple[int, ...]]) -> tuple[tuple[int, ...], int] | None:
+    """Integer normal and offset of the hyperplane through d affinely independent
+    integer points."""
     base = points[0]
     if len(points) == 1:
         # 0-dimensional facet of a 1-dimensional hull
         if len(base) != 1:
             return None
-        return (ONE,), base[0]
-    normal = nullspace_vector([vsub(p, base) for p in points[1:]])
-    if normal is None or is_zero_vector(normal):
-        return None
-    return normal, vdot(normal, base)
+        return (1,), base[0]
+    work = [[a - b for a, b in zip(p, base)] + [1] for p in points[1:]]
+    pivots = _echelon(work)
+    free = next(f for f in range(len(base)) if f not in pivots)
+    scale = lcm(*(row[c] for row, c in zip(work, pivots)))
+    normal = [0] * len(base)
+    normal[free] = scale
+    for row, c in zip(work, pivots):
+        normal[c] = -row[free] * (scale // row[c])
+    g = gcd(*normal)
+    normal = tuple(x // g for x in normal)
+    return normal, _dot(normal, base)
 
 
-def _initial_simplex(pts: list[Vec], d: int) -> list[int]:
+def _initial_simplex(pts: list[tuple[int, ...]], d: int) -> list[int]:
     chosen = [0]
+    diffs: list[list[int]] = []
     for i in range(1, len(pts)):
-        if affine_rank([pts[j] for j in chosen] + [pts[i]]) > len(chosen) - 1:
+        diff = [a - b for a, b in zip(pts[i], pts[0])] + [1]
+        if len(_echelon(diffs + [diff], reduced=False)) > len(diffs):
             chosen.append(i)
+            diffs.append(diff)
         if len(chosen) == d + 1:
             return chosen
     raise DegenerateInputError(
@@ -279,27 +383,29 @@ def _initial_simplex(pts: list[Vec], d: int) -> list[int]:
     )
 
 
-def _simplicial_hull(pts: list[Vec], d: int) -> tuple[list[tuple[Vec, Fraction, tuple[int, ...]]], Vec]:
-    """Beneath-beyond insertion; returns simplicial facets and an interior point.
+def _simplicial_hull(pts: list[tuple[int, ...]], d: int):
+    """Beneath-beyond insertion over integer points.
 
-    Facets are (outward normal, offset, vertex index tuple); several simplicial
-    facets may share a supporting hyperplane when the input is degenerate.
+    Returns the simplicial facets (outward normal, offset, vertex index tuple)
+    and the vertex sum of the initial simplex, (d + 1) times an interior
+    point.  Several simplicial facets may share a supporting hyperplane when
+    the input is degenerate.
     """
     seed = _initial_simplex(pts, d)
-    ref = vscale(Fraction(1, d + 1), [sum(pts[i][k] for i in seed) for k in range(d)])
+    ref = [sum(pts[i][k] for i in seed) for k in range(d)]
 
-    facets: list[tuple[Vec, Fraction, tuple[int, ...]]] = []
+    facets: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = []
 
-    def oriented(vert_ids: tuple[int, ...]) -> tuple[Vec, Fraction, tuple[int, ...]]:
+    def oriented(vert_ids: tuple[int, ...]):
         plane = _hyperplane([pts[i] for i in vert_ids])
         if plane is None:
             raise DegenerateInputError("degenerate facet candidate")
         normal, offset = plane
-        side = vdot(normal, ref) - offset
+        side = _dot(normal, ref) - (d + 1) * offset
         if side == 0:
             raise DegenerateInputError("interior reference point lies on a facet plane")
         if side > 0:
-            normal, offset = vscale(-1, normal), -offset
+            normal, offset = tuple(-x for x in normal), -offset
         return normal, offset, vert_ids
 
     for drop in range(d + 1):
@@ -310,7 +416,7 @@ def _simplicial_hull(pts: list[Vec], d: int) -> tuple[list[tuple[Vec, Fraction, 
         if i in in_seed:
             continue
         p = pts[i]
-        visible = [f for f in facets if vdot(f[0], p) > f[1]]
+        visible = [f for f in facets if _dot(f[0], p) > f[1]]
         if not visible:
             continue
         ridge_count: dict[frozenset[int], int] = {}
@@ -333,43 +439,44 @@ def convex_hull_facets(points) -> list[HullFacet]:
     and member sets listing every input point on the facet.  Sorted by member
     set for determinism.
     """
-    pts = [vector(p) for p in points]
+    pts, scale = _integer_points(points)
     if not pts:
         raise InputError("convex hull of an empty point list")
-    d = len(pts[0])
-    simplicial, _ = _simplicial_hull(pts, d)
-    seen: dict[tuple[Vec, Fraction], None] = {}
-    for normal, offset, _ in simplicial:
-        fn = AffineFunctional(normal, offset).primitive()
-        seen[(fn.linear, fn.constant)] = None
+    simplicial, _ = _simplicial_hull(pts, len(pts[0]))
     out = []
-    for normal, offset in seen:
-        members = frozenset(i for i, p in enumerate(pts) if vdot(normal, p) == offset)
-        out.append(HullFacet(normal, offset, members))
+    for normal, offset in dict.fromkeys((normal, offset) for normal, offset, _ in simplicial):
+        members = frozenset(i for i, p in enumerate(pts) if _dot(normal, p) == offset)
+        full = [scale * x for x in normal] + [offset]
+        g = gcd(*full)
+        out.append(
+            HullFacet(tuple(Fraction(x // g) for x in full[:-1]), Fraction(offset // g), members)
+        )
     out.sort(key=lambda f: sorted(f.members))
     return out
 
 
 def hull_volume(points) -> Fraction:
     """Normalized volume (unit simplex = 1) of the convex hull."""
-    pts = [vector(p) for p in points]
+    pts, scale = _integer_points(points)
+    if not pts:
+        raise InputError("volume of an empty point list")
     d = len(pts[0])
     if affine_rank(pts) < d:
         raise DegenerateInputError("volume of a lower-dimensional hull")
     simplicial, ref = _simplicial_hull(pts, d)
     total = ZERO
     for _, _, verts in simplicial:
-        total += abs(_det([vsub(pts[i], ref) for i in verts]))
-    return total
+        total += abs(_det([[(d + 1) * x - r for x, r in zip(pts[i], ref)] for i in verts]))
+    return total / ((d + 1) * scale) ** d
 
 
 def hull_vertex_indices(points) -> frozenset[int]:
     """Indices of points that are vertices of the hull (not merely on a face)."""
-    facets = convex_hull_facets(points)
-    n = len(list(points))
-    d = len(vector(list(points)[0]))
+    pts = [vector(p) for p in points]
+    facets = convex_hull_facets(pts)
+    d = len(pts[0])
     out = set()
-    for i in range(n):
+    for i in range(len(pts)):
         normals = [f.normal for f in facets if i in f.members]
         if len(normals) >= d and matrix_rank(normals) == d:
             out.add(i)
@@ -485,26 +592,6 @@ def face_member_sets(points) -> set[frozenset[int]]:
     return out
 
 
-def _det(rows: list[Vec]) -> Fraction:
-    n = len(rows)
-    work = [list(r) for r in rows]
-    det = ONE
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if work[i][c] != 0), None)
-        if pivot is None:
-            return ZERO
-        if pivot != c:
-            work[c], work[pivot] = work[pivot], work[c]
-            det = -det
-        det *= work[c][c]
-        inv = ONE / work[c][c]
-        for i in range(c + 1, n):
-            if work[i][c] != 0:
-                f = work[i][c] * inv
-                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
-    return det
-
-
 def simplex_normalized_volume(points) -> Fraction:
     """Normalized volume of a d-simplex given by d+1 points (unit simplex = 1)."""
     pts = [vector(p) for p in points]
@@ -557,6 +644,20 @@ def upper_hull_facets(lifted) -> list[tuple[AffineFunctional, frozenset[int]]]:
 
 # ---------------------------------------------------------------------------
 # Exact LP (two-phase primal simplex, Bland's rule)
+#
+# The tableau holds working rows (see _pivot): each row is exact, with its
+# own positive denominator, so signs and ratios are read off the integers.
+
+
+def _pivot_basis(tableau, leave: int, enter: int) -> None:
+    """Pivot on (leave, enter): clear the column, then scale the pivot row to 1 there."""
+    _pivot(tableau, leave, enter)
+    p = tableau[leave][enter]
+    row = tableau[leave][:-1] + [p]
+    if p < 0:
+        row = [-x for x in row]
+    g = gcd(*row)
+    tableau[leave] = [x // g for x in row] if g > 1 else row
 
 
 def _simplex_core(tableau, basis, n_rows, n_cols):
@@ -566,19 +667,22 @@ def _simplex_core(tableau, basis, n_rows, n_cols):
         enter = next((j for j in range(n_cols) if obj[j] > 0), None)
         if enter is None:
             return "optimal"
-        ratios = []
+        # smallest ratio rhs / column entry, ties to the smallest basic index;
+        # both entries share the row's denominator, which cancels
+        leave = None
         for i in range(n_rows):
-            if tableau[i][enter] > 0:
-                ratios.append((tableau[i][n_cols] / tableau[i][enter], basis[i], i))
-        if not ratios:
+            a = tableau[i][enter]
+            if a > 0:
+                b = tableau[i][n_cols]
+                if leave is None:
+                    leave, best_b, best_a = i, b, a
+                    continue
+                cross, best_cross = b * best_a, best_b * a
+                if cross < best_cross or (cross == best_cross and basis[i] < basis[leave]):
+                    leave, best_b, best_a = i, b, a
+        if leave is None:
             return "unbounded"
-        _, _, leave = min(ratios, key=lambda t: (t[0], t[1]))
-        piv = tableau[leave][enter]
-        tableau[leave] = [x / piv for x in tableau[leave]]
-        for i in range(n_rows + 1):
-            if i != leave and tableau[i][enter] != 0:
-                f = tableau[i][enter]
-                tableau[i] = [x - f * y for x, y in zip(tableau[i], tableau[leave])]
+        _pivot_basis(tableau, leave, enter)
         basis[leave] = enter
 
 
@@ -589,34 +693,38 @@ def lp_maximize(objective, ub_rows, ub_consts, eq_rows, eq_consts):
     Fully deterministic: Bland's rule with fixed variable order.
     """
     n = len(objective)
-    rows = [list(map(as_fraction, r)) for r in ub_rows] + [list(map(as_fraction, r)) for r in eq_rows]
-    rhs = [as_fraction(b) for b in ub_consts] + [as_fraction(b) for b in eq_consts]
+    rows = [_int_row(list(r) + [b]) for r, b in zip(ub_rows, ub_consts, strict=True)]
+    rows += [_int_row(list(r) + [b]) for r, b in zip(eq_rows, eq_consts, strict=True)]
     n_ub = len(ub_rows)
     m = len(rows)
-    # columns: x+ (n), x- (n), slacks (n_ub), artificials (m)
+    # columns: x+ (n), x- (n), slacks (n_ub), artificials (m), rhs, denominator
     n_struct = 2 * n + n_ub
     n_cols = n_struct + m
     tableau = []
     basis = []
-    for i in range(m):
-        row = [ZERO] * (n_cols + 1)
-        sign = ONE if rhs[i] >= 0 else -ONE
+    for i, src in enumerate(rows):
+        den = src[-1]
+        sign = 1 if src[n] >= 0 else -1
+        row = [0] * (n_cols + 2)
         for j in range(n):
-            row[j] = sign * rows[i][j]
-            row[n + j] = -sign * rows[i][j]
+            row[j] = sign * src[j]
+            row[n + j] = -sign * src[j]
         if i < n_ub:
-            row[2 * n + i] = sign
-        row[n_struct + i] = ONE
-        row[n_cols] = sign * rhs[i]
+            row[2 * n + i] = sign * den
+        row[n_struct + i] = den
+        row[n_cols] = sign * src[n]
+        row[n_cols + 1] = den
         tableau.append(row)
         basis.append(n_struct + i)
-    # Phase 1: maximize -sum(artificials).
-    obj_row = [ZERO] * (n_cols + 1)
-    for i in range(m):
-        obj_row = [o + t for o, t in zip(obj_row, tableau[i])]
-    for j in range(n_struct, n_cols):
-        obj_row[j] = ZERO
-    tableau.append(obj_row)
+    # Phase 1: maximize -sum(artificials), the sum of the rows over their
+    # common denominator with the artificial columns cleared.
+    common = lcm(*(row[-1] for row in tableau))
+    obj_row = [0] * (n_cols + 1)
+    for row in tableau:
+        f = common // row[-1]
+        obj_row = [o + f * x for o, x in zip(obj_row, row)]
+    obj_row[n_struct:n_cols] = [0] * m
+    tableau.append(obj_row + [common])
     _simplex_core(tableau, basis, m, n_cols)
     if tableau[m][n_cols] != 0:
         return "infeasible", None, None
@@ -625,35 +733,31 @@ def lp_maximize(objective, ub_rows, ub_consts, eq_rows, eq_consts):
         if basis[i] >= n_struct:
             enter = next((j for j in range(n_struct) if tableau[i][j] != 0), None)
             if enter is not None:
-                piv = tableau[i][enter]
-                tableau[i] = [x / piv for x in tableau[i]]
-                for k in range(m + 1):
-                    if k != i and tableau[k][enter] != 0:
-                        f = tableau[k][enter]
-                        tableau[k] = [x - f * y for x, y in zip(tableau[k], tableau[i])]
+                _pivot_basis(tableau, i, enter)
                 basis[i] = enter
     # Rows still carrying an artificial basis variable are redundant; drop them
     # together with every artificial column so phase 2 cannot re-enter one.
     keep = [i for i in range(m) if basis[i] < n_struct]
-    tableau = [tableau[i][:n_struct] + [tableau[i][n_cols]] for i in keep]
+    tableau = [tableau[i][:n_struct] + tableau[i][n_cols:] for i in keep]
     basis = [basis[i] for i in keep]
     m = len(keep)
     n_cols = n_struct
-    # Phase 2 objective.
+    # Phase 2 objective, reduced against the basic columns.
     cvec = [as_fraction(c) for c in objective]
-    obj_row = [ZERO] * (n_cols + 1)
+    cint = _int_row(cvec)
+    obj_row = [0] * (n_cols + 2)
     for j in range(n):
-        obj_row[j] = cvec[j]
-        obj_row[n + j] = -cvec[j]
-    for i in range(m):
-        if obj_row[basis[i]] != 0:
-            f = obj_row[basis[i]]
-            obj_row = [o - f * t for o, t in zip(obj_row, tableau[i])]
+        obj_row[j] = cint[j]
+        obj_row[n + j] = -cint[j]
+    obj_row[-1] = cint[-1]
     tableau.append(obj_row)
+    for i in range(m):
+        if tableau[m][basis[i]] != 0:
+            _pivot(tableau, i, basis[i], m)
     status = _simplex_core(tableau, basis, m, n_cols)
     xs = [ZERO] * n_cols
     for i in range(m):
-        xs[basis[i]] = tableau[i][n_cols]
+        xs[basis[i]] = Fraction(tableau[i][n_cols], tableau[i][-1])
     x = tuple(xs[j] - xs[n + j] for j in range(n))
     if status == "unbounded":
         return "unbounded", x, None

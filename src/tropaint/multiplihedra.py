@@ -45,6 +45,13 @@ UNPAINTED = "unpainted"
 SPLIT = "split"  # a paint change inside the edge, i.e. a bivalent node
 
 
+def _check(condition: bool, message: str) -> None:
+    """An internal invariant, raised as InconsistencyError so that it also
+    holds under python -O, where assert statements are dropped."""
+    if not condition:
+        raise InconsistencyError(message)
+
+
 def ngon_configuration(m: int) -> PointConfiguration:
     """m+1 rational points in convex position, labeled counterclockwise.
 
@@ -198,11 +205,11 @@ def tree_of_complex(p: TropicalComplex) -> RootedPlanarTree:
     for cell in p.cells_of_dim(1):
         owners = [i for i, m in enumerate(markings) if cell.marking < m]
         if cell.rays:
-            assert len(owners) == 1
+            _check(len(owners) == 1, "unbounded 1-cell not on exactly one vertex")
             i = owners[0]
             touching[i].append(("ray", cell.rays[0], cell.marking))
         else:
-            assert len(owners) == 2
+            _check(len(owners) == 2, "bounded 1-cell not between exactly two vertices")
             i, j = owners
             di = tuple(x - y for x, y in zip(positions[j], positions[i]))
             touching[i].append(("edge", di, cell.marking, j))
@@ -334,14 +341,14 @@ def painted_tree_of(pc: PaintedComplex) -> PaintedTree:
         for item in tree.children[i]:
             if item[0] == "leaf":
                 col = kappa[item[1]]
-                assert col != RED, "red leaf ray contradicts the sign pattern"
+                _check(col != RED, "red leaf ray contradicts the sign pattern")
                 out.append((to_state[col], None))
             else:
                 out.append((to_state[kappa[item[1]]], encode(item[2])))
         return tuple(out)
 
     root_col = kappa[tree.root_marking]
-    assert root_col != BLUE, "blue root ray contradicts the sign pattern"
+    _check(root_col != BLUE, "blue root ray contradicts the sign pattern")
     return PaintedTree((to_state[root_col], encode(tree.root)))
 
 
@@ -365,7 +372,7 @@ def _edge_offset(p: TropicalComplex, beta: Vec):
         if cell.rays:
             continue
         pair = [s for m, s in supports.items() if cell.marking < m]
-        assert len(pair) == 2
+        _check(len(pair) == 2, "compact edge not between exactly two maximal cells")
         k, l = pair
         value = (l.constant - vdot(l.linear, beta)) - (
             k.constant - vdot(k.linear, beta)
@@ -403,7 +410,7 @@ def realize_edge_lengths(
             target.lengths[m] / v for m, (_, _, v) in values.items() if v > 0
         ) / 2
         for m, (_, _, v) in values.items():
-            assert v > 0, "zero edge offset despite the diagonal check"
+            _check(v > 0, "zero edge offset despite the diagonal check")
         eta = [lam * x for x in eta]
         # leaf-to-root where depths are known; each step fixes one edge and
         # keeps every other support difference, so any order lands exactly
@@ -414,17 +421,20 @@ def realize_edge_lengths(
             cur, _ = dual_complex(config, eta)
             k, l, v = _edge_offset(cur, beta)[marking]
             t = target.lengths[marking] / v - 1
-            assert t > 0
+            _check(t > 0, "edge correction would not lengthen the edge")
             eta = [
                 e + max(ZERO, t * (l(a) - k(a)))
                 for e, a in zip(eta, config.points)
             ]
     result = Lifting(tuple(eta))
     final, _ = dual_complex(config, result)
-    assert final.subdivision.key == key, "correction left the secondary cone"
+    _check(final.subdivision.key == key, "correction left the secondary cone")
     for m, (_, _, v) in _edge_offset(final, beta).items():
-        assert v == target.lengths[m], "edge target missed"
-    assert secondary_cone(config, p.subdivision).contains_open(result.values)
+        _check(v == target.lengths[m], "edge target missed")
+    _check(
+        secondary_cone(config, p.subdivision).contains_open(result.values),
+        "realizing lifting outside the open secondary cone",
+    )
     return result
 
 
@@ -441,7 +451,7 @@ def _subdivision_of_shape(config: PointConfiguration, shape) -> Subdivision:
         cuts = [lo]
         for child in s:
             cuts.append(cuts[-1] + leaf_count(child))
-        assert cuts[-1] == hi
+        _check(cuts[-1] == hi, "subtree leaves do not fill their interval")
         cells.append(frozenset(cuts))
         for child, a, b in zip(s, cuts, cuts[1:]):
             if child != ():
@@ -475,7 +485,7 @@ def realize_painted_tree(t: PaintedTree, m: int) -> PaintSpec:
     seed = secondary_cone(config, s).interior_point
     p, _ = dual_complex(config, seed)
     tree = tree_of_complex(p)
-    assert tree.shape() == t.shape()
+    _check(tree.shape() == t.shape(), "seed lifting realizes a different tree shape")
 
     def root_value(complex_):
         f = TropicalPolynomial(complex_.config, complex_.eta)
@@ -613,7 +623,7 @@ def multiplihedron_lattice(m: int) -> FaceLattice:
     for shape in _tree_shapes(m):
         trees.extend(_painted_variants(shape, True))
     index = {t: i for i, t in enumerate(trees)}
-    assert len(index) == len(trees)
+    _check(len(index) == len(trees), "painted tree enumeration repeats a tree")
     le = []
     for t in trees:
         for moved in set(_single_moves(t)):

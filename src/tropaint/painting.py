@@ -160,10 +160,7 @@ def paint(p: TropicalComplex, spec: PaintSpec) -> PaintedComplex:
         has_neg = any(x < 0 for x in vals) or any(x < 0 for x in slopes)
         all_zero = all(x == 0 for x in vals) and all(x == 0 for x in slopes)
         colors[marks] = _color_from_flags(has_pos, has_neg, all_zero)
-    kappa = ColorFunction(colors)
-    for marks, cell in p.cells.items():
-        cell.color = kappa[marks]
-    return PaintedComplex(p, kappa, spec)
+    return PaintedComplex(p, ColorFunction(colors), spec)
 
 
 def colors_from_vertices(

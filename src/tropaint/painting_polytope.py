@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, VerificationError
+from .errors import InconsistencyError, InputError, VerificationError
 from .geometry import Vec, vdot, vector
 from .lattice import lattice_isomorphic, poset_to_lattice
 from .painting import (
@@ -62,7 +62,8 @@ def extend(config: PointConfiguration, alpha) -> ExtendedConfiguration:
     ext = build_configuration(pts, labels)
     # the tower points leave the base hyperplane, so full-dimensionality of
     # the base forces it here
-    assert ext.dimension == config.dimension + 1
+    if ext.dimension != config.dimension + 1:
+        raise InconsistencyError("extended configuration is not one dimension up")
     n = len(config.points)
     return ExtendedConfiguration(config, alpha, ext, n, n + 1)
 

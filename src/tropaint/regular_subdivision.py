@@ -19,7 +19,7 @@ from .errors import InconsistencyError, InputError, NoCertificateError, Resource
 from .geometry import (
     AffineFunctional,
     Vec,
-    _echelon,
+    _rref,
     affine_combination,
     affine_rank,
     as_fraction,
@@ -453,7 +453,7 @@ def _extreme_rays(cone: SecondaryCone) -> tuple[Vec, ...]:
     eq_rows = [list(f.linear) for f in cone.equalities]
     all_rows = eq_rows + [list(f.linear) for f in cone.stricts]
     lin = nullspace_basis(all_rows if all_rows else [[ZERO] * n])
-    lrows, lpiv = _echelon([list(v) for v in lin])
+    lrows, lpiv = _rref(lin)
     e = matrix_rank(eq_rows) if eq_rows else 0
     s0 = n - len(lin) - 1 - e
     if s0 < 0:

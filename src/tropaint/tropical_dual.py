@@ -49,17 +49,16 @@ class TropicalCell:
     The cell is the convex hull of vertices plus the nonnegative span of
     rays.  marking lists the configuration indices whose affine pieces all
     attain the minimum everywhere on the cell; on the relative interior no
-    other index does.  color stays None until a painting assigns one.
+    other index does.  Colors live on a PaintedComplex, not on the cell.
     """
 
-    __slots__ = ("vertices", "rays", "marking", "dimension", "color")
+    __slots__ = ("vertices", "rays", "marking", "dimension")
 
     def __init__(self, vertices, rays, marking, dimension):
         self.vertices = tuple(sorted(vertices))
         self.rays = tuple(sorted(rays))
         self.marking = frozenset(marking)
         self.dimension = dimension
-        self.color = None
 
     def is_compact(self) -> bool:
         return not self.rays

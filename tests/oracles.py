@@ -4,6 +4,11 @@ These deliberately avoid the library's algorithms: the upper-hull oracle
 enumerates candidate hyperplanes exhaustively, the LP oracle is
 Fourier-Motzkin elimination, polygon subdivisions are enumerated as
 non-crossing diagonal sets, and tree counts come from direct recursion.
+
+The Fraction kernel (elimination, determinants, beneath-beyond hulls and the
+two-phase simplex) is the arithmetic tropaint.geometry used before it moved
+to integers; it stays here, unchanged in its choices, as the differential
+reference for the integer kernel.
 """
 
 from __future__ import annotations
@@ -11,12 +16,17 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+from tropaint.errors import DegenerateInputError, InputError
 from tropaint.geometry import (
     AffineFunctional,
+    HullFacet,
     affine_rank,
     interpolate_affine,
     vector,
 )
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def upper_hull_oracle(lifted):
@@ -190,3 +200,295 @@ def painted_binary_tree_count(m: int) -> int:
         return 1 + labelings(shape[0]) * labelings(shape[1])
 
     return sum(labelings(s) for s in shapes(m))
+
+
+# ---------------------------------------------------------------------------
+# Fraction kernel
+
+
+def echelon_oracle(rows):
+    """Gauss-Jordan over Fractions in place; returns (rows, pivot columns)."""
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def matrix_rank_oracle(rows) -> int:
+    return len(echelon_oracle([[Fraction(x) for x in row] for row in rows])[1])
+
+
+def solve_square_oracle(a_rows, b):
+    n = len(a_rows)
+    work = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(a_rows, b)]
+    work, pivots = echelon_oracle(work)
+    if pivots and pivots[-1] == n:
+        return None
+    if len(pivots) < n:
+        return None
+    sol = [ZERO] * n
+    for r, c in enumerate(pivots):
+        sol[c] = work[r][n]
+    return tuple(sol)
+
+
+def nullspace_basis_oracle(rows):
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    work, pivots = echelon_oracle([[Fraction(x) for x in row] for row in rows])
+    out = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        sol = [ZERO] * ncols
+        sol[f] = ONE
+        for r, c in enumerate(pivots):
+            sol[c] = -work[r][f]
+        out.append(tuple(sol))
+    return out
+
+
+def det_oracle(rows) -> Fraction:
+    n = len(rows)
+    work = [[Fraction(x) for x in r] for r in rows]
+    det = ONE
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if work[i][c] != 0), None)
+        if pivot is None:
+            return ZERO
+        if pivot != c:
+            work[c], work[pivot] = work[pivot], work[c]
+            det = -det
+        det *= work[c][c]
+        inv = ONE / work[c][c]
+        for i in range(c + 1, n):
+            if work[i][c] != 0:
+                f = work[i][c] * inv
+                work[i] = [x - f * y for x, y in zip(work[i], work[c])]
+    return det
+
+
+def _dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), ZERO)
+
+
+def _hyperplane_oracle(points):
+    base = points[0]
+    if len(points) == 1:
+        if len(base) != 1:
+            return None
+        return (ONE,), base[0]
+    basis = nullspace_basis_oracle([[a - b for a, b in zip(p, base)] for p in points[1:]])
+    if not basis or all(x == 0 for x in basis[0]):
+        return None
+    return basis[0], _dot(basis[0], base)
+
+
+def _initial_simplex_oracle(pts, d):
+    chosen = [0]
+    for i in range(1, len(pts)):
+        cand = [pts[j] for j in chosen] + [pts[i]]
+        diffs = [[a - b for a, b in zip(p, cand[0])] for p in cand[1:]]
+        if matrix_rank_oracle(diffs) > len(chosen) - 1:
+            chosen.append(i)
+        if len(chosen) == d + 1:
+            return chosen
+    raise DegenerateInputError(
+        f"points span only {len(chosen) - 1} dimensions, need {d} for a full hull"
+    )
+
+
+def simplicial_hull_oracle(pts, d):
+    """Beneath-beyond over Fractions: (simplicial facets, interior point)."""
+    seed = _initial_simplex_oracle(pts, d)
+    ref = tuple(sum(pts[i][k] for i in seed) / (d + 1) for k in range(d))
+    facets = []
+
+    def oriented(vert_ids):
+        plane = _hyperplane_oracle([pts[i] for i in vert_ids])
+        if plane is None:
+            raise DegenerateInputError("degenerate facet candidate")
+        normal, offset = plane
+        side = _dot(normal, ref) - offset
+        if side == 0:
+            raise DegenerateInputError("interior reference point lies on a facet plane")
+        if side > 0:
+            normal, offset = tuple(-x for x in normal), -offset
+        return normal, offset, vert_ids
+
+    for drop in range(d + 1):
+        facets.append(oriented(tuple(seed[j] for j in range(d + 1) if j != drop)))
+    in_seed = set(seed)
+    for i in range(len(pts)):
+        if i in in_seed:
+            continue
+        p = pts[i]
+        visible = [f for f in facets if _dot(f[0], p) > f[1]]
+        if not visible:
+            continue
+        ridge_count = {}
+        for _, _, verts in visible:
+            for drop in range(d):
+                r = frozenset(verts[:drop] + verts[drop + 1 :])
+                ridge_count[r] = ridge_count.get(r, 0) + 1
+        horizon = [r for r, cnt in ridge_count.items() if cnt == 1]
+        visible_set = {f[2] for f in visible}
+        facets = [f for f in facets if f[2] not in visible_set]
+        for r in sorted(horizon, key=sorted):
+            facets.append(oriented(tuple(sorted(r)) + (i,)))
+    return facets, ref
+
+
+def convex_hull_facets_oracle(points):
+    pts = [vector(p) for p in points]
+    if not pts:
+        raise InputError("convex hull of an empty point list")
+    simplicial, _ = simplicial_hull_oracle(pts, len(pts[0]))
+    seen = {}
+    for normal, offset, _ in simplicial:
+        fn = AffineFunctional(tuple(normal), offset).primitive()
+        seen[(fn.linear, fn.constant)] = None
+    out = []
+    for normal, offset in seen:
+        members = frozenset(i for i, p in enumerate(pts) if _dot(normal, p) == offset)
+        out.append(HullFacet(normal, offset, members))
+    out.sort(key=lambda f: sorted(f.members))
+    return out
+
+
+def hull_volume_oracle(points) -> Fraction:
+    pts = [vector(p) for p in points]
+    d = len(pts[0])
+    simplicial, ref = simplicial_hull_oracle(pts, d)
+    total = ZERO
+    for _, _, verts in simplicial:
+        total += abs(det_oracle([[a - b for a, b in zip(pts[i], ref)] for i in verts]))
+    return total
+
+
+def upper_hull_facets_oracle(lifted):
+    """Compact upper-hull facets read off the Fraction beneath-beyond hull."""
+    base = [vector(p) for (p, _) in lifted]
+    heights = [Fraction(h) for (_, h) in lifted]
+    d = len(base[0])
+    pts = [b + (h,) for b, h in zip(base, heights)]
+    if matrix_rank_oracle([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]) == d:
+        return [(interpolate_affine(base, heights), frozenset(range(len(pts))))]
+    out = []
+    for facet in convex_hull_facets_oracle(pts):
+        w_h = facet.normal[-1]
+        if w_h <= 0:
+            continue
+        linear = tuple(-w / w_h for w in facet.normal[:-1])
+        out.append((AffineFunctional(linear, -facet.offset / w_h), facet.members))
+    out.sort(key=lambda pair: sorted(pair[1]))
+    return out
+
+
+def _simplex_core_oracle(tableau, basis, n_rows, n_cols):
+    while True:
+        obj = tableau[n_rows]
+        enter = next((j for j in range(n_cols) if obj[j] > 0), None)
+        if enter is None:
+            return "optimal"
+        ratios = []
+        for i in range(n_rows):
+            if tableau[i][enter] > 0:
+                ratios.append((tableau[i][n_cols] / tableau[i][enter], basis[i], i))
+        if not ratios:
+            return "unbounded"
+        _, _, leave = min(ratios, key=lambda t: (t[0], t[1]))
+        piv = tableau[leave][enter]
+        tableau[leave] = [x / piv for x in tableau[leave]]
+        for i in range(n_rows + 1):
+            if i != leave and tableau[i][enter] != 0:
+                f = tableau[i][enter]
+                tableau[i] = [x - f * y for x, y in zip(tableau[i], tableau[leave])]
+        basis[leave] = enter
+
+
+def lp_maximize_oracle(objective, ub_rows, ub_consts, eq_rows, eq_consts):
+    """Two-phase simplex over Fractions, Bland's rule: (status, x, value)."""
+    n = len(objective)
+    rows = [[Fraction(x) for x in r] for r in ub_rows] + [[Fraction(x) for x in r] for r in eq_rows]
+    rhs = [Fraction(b) for b in ub_consts] + [Fraction(b) for b in eq_consts]
+    n_ub = len(ub_rows)
+    m = len(rows)
+    n_struct = 2 * n + n_ub
+    n_cols = n_struct + m
+    tableau = []
+    basis = []
+    for i in range(m):
+        row = [ZERO] * (n_cols + 1)
+        sign = ONE if rhs[i] >= 0 else -ONE
+        for j in range(n):
+            row[j] = sign * rows[i][j]
+            row[n + j] = -sign * rows[i][j]
+        if i < n_ub:
+            row[2 * n + i] = sign
+        row[n_struct + i] = ONE
+        row[n_cols] = sign * rhs[i]
+        tableau.append(row)
+        basis.append(n_struct + i)
+    obj_row = [ZERO] * (n_cols + 1)
+    for i in range(m):
+        obj_row = [o + t for o, t in zip(obj_row, tableau[i])]
+    for j in range(n_struct, n_cols):
+        obj_row[j] = ZERO
+    tableau.append(obj_row)
+    _simplex_core_oracle(tableau, basis, m, n_cols)
+    if tableau[m][n_cols] != 0:
+        return "infeasible", None, None
+    for i in range(m):
+        if basis[i] >= n_struct:
+            enter = next((j for j in range(n_struct) if tableau[i][j] != 0), None)
+            if enter is not None:
+                piv = tableau[i][enter]
+                tableau[i] = [x / piv for x in tableau[i]]
+                for k in range(m + 1):
+                    if k != i and tableau[k][enter] != 0:
+                        f = tableau[k][enter]
+                        tableau[k] = [x - f * y for x, y in zip(tableau[k], tableau[i])]
+                basis[i] = enter
+    keep = [i for i in range(m) if basis[i] < n_struct]
+    tableau = [tableau[i][:n_struct] + [tableau[i][n_cols]] for i in keep]
+    basis = [basis[i] for i in keep]
+    m = len(keep)
+    n_cols = n_struct
+    cvec = [Fraction(c) for c in objective]
+    obj_row = [ZERO] * (n_cols + 1)
+    for j in range(n):
+        obj_row[j] = cvec[j]
+        obj_row[n + j] = -cvec[j]
+    for i in range(m):
+        if obj_row[basis[i]] != 0:
+            f = obj_row[basis[i]]
+            obj_row = [o - f * t for o, t in zip(obj_row, tableau[i])]
+    tableau.append(obj_row)
+    status = _simplex_core_oracle(tableau, basis, m, n_cols)
+    xs = [ZERO] * n_cols
+    for i in range(m):
+        xs[basis[i]] = tableau[i][n_cols]
+    x = tuple(xs[j] - xs[n + j] for j in range(n))
+    if status == "unbounded":
+        return "unbounded", x, None
+    value = sum((c * xi for c, xi in zip(cvec, x)), ZERO)
+    return "optimal", x, value

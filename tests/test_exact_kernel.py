@@ -1,0 +1,194 @@
+"""Differential tests: the integer kernel of tropaint.geometry against the
+Fraction kernel kept in oracles.py.
+
+Inputs mix denominators and carry zero rows, duplicate rows, rank
+deficiency, non-integer coordinates and coplanar or collinear boundary
+points, which is where a fraction-free rewrite could drift.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from tropaint.errors import DegenerateInputError, InputError
+from tropaint.geometry import (
+    _det,
+    _rref,
+    convex_hull_facets,
+    face_member_sets,
+    hull_vertex_indices,
+    hull_volume,
+    lp_maximize,
+    matrix_rank,
+    nullspace_basis,
+    polytope_vertex_indices,
+    solve_square,
+    upper_hull_facets,
+)
+
+from oracles import (
+    convex_hull_facets_oracle,
+    det_oracle,
+    echelon_oracle,
+    hull_volume_oracle,
+    lp_maximize_oracle,
+    matrix_rank_oracle,
+    nullspace_basis_oracle,
+    solve_square_oracle,
+    upper_hull_facets_oracle,
+)
+
+F = Fraction
+
+entries = st.fractions(min_value=-6, max_value=6, max_denominator=7)
+
+
+@st.composite
+def matrices(draw, square=False):
+    """Rows drawn as zero rows, duplicates, or rational combinations of a few
+    generators, so rank deficiency is common."""
+    ncols = draw(st.integers(1, 5))
+    nrows = ncols if square else draw(st.integers(0, 6))
+    gens = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols), min_size=1, max_size=ncols))
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["gen", "combo", "zero", "dup"]))
+        if kind == "zero":
+            rows.append([F(0)] * ncols)
+        elif kind == "dup" and rows:
+            rows.append(list(draw(st.sampled_from(rows))))
+        elif kind == "combo":
+            coeffs = draw(st.lists(entries, min_size=len(gens), max_size=len(gens)))
+            rows.append([sum((c * g[j] for c, g in zip(coeffs, gens)), F(0)) for j in range(ncols)])
+        else:
+            rows.append(list(draw(st.sampled_from(gens))))
+    return rows
+
+
+@given(matrices())
+@settings(deadline=None, max_examples=300)
+@example([[0, 0], [0, 0]])
+@example([[F(1, 2), F(1, 3)], [F(3, 2), 1], [0, 0]])
+def test_rank_nullspace_rref_match_oracle(rows):
+    assert matrix_rank(rows) == matrix_rank_oracle(rows)
+    assert nullspace_basis(rows) == nullspace_basis_oracle(rows)
+    want_rows, want_pivots = echelon_oracle([list(map(F, r)) for r in rows])
+    got_rows, got_pivots = _rref(rows)
+    assert got_pivots == want_pivots
+    assert got_rows == [tuple(r) for r in want_rows[: len(want_pivots)]]
+
+
+@st.composite
+def square_systems(draw):
+    rows = draw(matrices(square=True))
+    return rows, draw(st.lists(entries, min_size=len(rows), max_size=len(rows)))
+
+
+@given(square_systems())
+@settings(deadline=None, max_examples=300)
+@example(([[1, 2], [2, 4]], [1, 2]))
+@example(([[1, 2], [2, 4]], [1, 3]))
+@example(([[F(1, 2), 0], [0, F(2, 3)]], [F(1, 3), 5]))
+def test_det_and_solve_match_oracle(system):
+    rows, b = system
+    assert _det(rows) == det_oracle(rows)
+    got = solve_square(rows, b)
+    assert got == solve_square_oracle(rows, b)
+    if got is not None:
+        assert all(isinstance(x, Fraction) for x in got)
+
+
+@st.composite
+def point_sets(draw, dims=(1, 2, 3)):
+    """Points on a small rational grid plus midpoints and duplicates, so
+    facets carry collinear and coplanar boundary points."""
+    d = draw(st.sampled_from(dims))
+    q = draw(st.sampled_from([1, 2, 3, 6]))
+    coord = st.integers(-2, 2).map(lambda k: F(k, q))
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=d + 1, max_size=9))
+    for _ in range(draw(st.integers(0, 3))):
+        a, b = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+        pts.append(tuple((x + y) / 2 for x, y in zip(a, b)))
+    return pts
+
+
+def _hull_or_error(fn, pts):
+    try:
+        return fn(pts)
+    except DegenerateInputError as e:
+        return ("degenerate", str(e))
+
+
+@given(point_sets())
+@settings(deadline=None, max_examples=250)
+@example([(0, 0), (2, 0), (2, 2), (0, 2), (1, 0), (1, 1)])
+@example([(F(1, 2), 0, 0), (0, F(1, 3), 0), (0, 0, F(1, 5)), (0, 0, 0), (F(1, 4), F(1, 6), 0)])
+@example([(0, 0), (1, 1), (2, 2)])
+def test_convex_hull_matches_oracle(pts):
+    got = _hull_or_error(convex_hull_facets, pts)
+    assert got == _hull_or_error(convex_hull_facets_oracle, pts)
+    if isinstance(got, list):
+        assert all(isinstance(x, Fraction) for f in got for x in f.normal + (f.offset,))
+        assert hull_volume(pts) == hull_volume_oracle(pts)
+
+
+@given(point_sets(dims=(1, 2)), st.data())
+@settings(deadline=None, max_examples=200)
+def test_upper_hull_matches_oracle(pts, data):
+    base = list(dict.fromkeys(pts))
+    if matrix_rank_oracle([[a - b for a, b in zip(p, base[0])] for p in base[1:]]) < len(base[0]):
+        return
+    heights = data.draw(st.lists(entries, min_size=len(base), max_size=len(base)))
+    lifted = list(zip(base, heights))
+    got = upper_hull_facets(lifted)
+    want = upper_hull_facets_oracle(lifted)
+    assert [(fn.linear, fn.constant, m) for fn, m in got] == [
+        (fn.linear, fn.constant, m) for fn, m in want
+    ]
+
+
+@st.composite
+def linear_programs(draw):
+    """Small LPs; repeated coefficients and repeated rows make ratio-test ties
+    common, so the tie-breaking of Bland's rule decides the returned point."""
+    n = draw(st.integers(1, 3))
+    coeff = st.one_of(st.sampled_from([-2, -1, 0, 1, 2, F(1, 2)]), entries)
+    row = st.lists(coeff, min_size=n, max_size=n)
+    ub = draw(st.lists(row, max_size=4))
+    if ub:
+        ub += draw(st.lists(st.sampled_from(ub), max_size=2))
+    eq = draw(st.lists(row, max_size=2))
+    return (
+        draw(row),
+        ub,
+        draw(st.lists(coeff, min_size=len(ub), max_size=len(ub))),
+        eq,
+        draw(st.lists(coeff, min_size=len(eq), max_size=len(eq))),
+    )
+
+
+@given(linear_programs())
+@settings(deadline=None, max_examples=400)
+@example(([1], [[1], [-1]], [-1, -1], [], []))  # infeasible
+@example(([1], [], [], [], []))  # unbounded
+@example(([1, -1], [[-1, 0]], [F(-1, 2)], [], []))  # unbounded after phase 1
+@example(([1, 1], [[1, 0]], [F(7, 2)], [[1, -1], [2, -2]], [0, 0]))  # redundant equality
+@example(([0, 1], [[1, 1], [-1, 1]], [0, 0], [[1, 0]], [0]))  # degenerate vertex
+@example(([1, 0], [[1, 1], [-2, -1], [1, 1], [0, 1]], [-1, 2, F(1, 2), 1], [[1, 0]], [F(1, 2)]))  # ratio tie
+@example(([-2, 2], [[F(1, 2), 0], [F(1, 2), -1], [F(1, 2), -1], [1, 0]], [0, -1, 0, 0], [], []))  # ratio tie
+@example(([1, -2], [[1, 1], [0, 1], [-2, -2], [0, 1]], [F(1, 2), 0, 0, 0], [], []))  # ratio tie
+def test_lp_maximize_matches_oracle(lp):
+    assert lp_maximize(*lp) == lp_maximize_oracle(*lp)
+
+
+def test_hull_functions_accept_a_generator():
+    square = [(0, 0), (1, 0), (1, 1), (0, 1), (F(1, 2), 0)]
+    assert hull_vertex_indices(p for p in [(0, 0), (1, 0), (0, 1)]) == frozenset({0, 1, 2})
+    assert hull_vertex_indices(p for p in square) == frozenset({0, 1, 2, 3})
+    assert convex_hull_facets(p for p in square) == convex_hull_facets(square)
+    assert hull_volume(p for p in square) == 2
+    assert polytope_vertex_indices(p for p in square) == frozenset({0, 1, 2, 3})
+    assert face_member_sets(p for p in square) == face_member_sets(square)
+    with pytest.raises(InputError):
+        convex_hull_facets(iter(()))

@@ -130,6 +130,16 @@ def test_level_sweep_patterns():
     assert len(seen) == 7
 
 
+def test_painting_one_complex_twice_keeps_both_colorings():
+    # paint() reads the complex and writes nothing onto its shared cells
+    p, _ = dual_complex(QUAD, STAR)
+    low = paint(p, PaintSpec.of(QUAD, STAR, F(-2), ALPHA))
+    high = paint(p, PaintSpec.of(QUAD, STAR, F(0), ALPHA))
+    assert low.kappa.key() != high.kappa.key()
+    assert low.kappa.key() == star_painted(F(-2)).kappa.key()
+    assert all(not hasattr(cell, "color") for cell in p.cells.values())
+
+
 def test_paint_rejects_foreign_lifting():
     p, _ = dual_complex(QUAD, STAR)
     spec = PaintSpec.of(QUAD, [-1, 1, 0, 2, 0], F(0), ALPHA)
