@@ -48,21 +48,6 @@ DEFAULT_MAX_TRIANGULATIONS = 4096
 DEFAULT_MAX_CELLS = 65536
 
 
-def _worker_cap() -> int:
-    """Validate TROPAINT_THREADS.  The pipeline runs a single worker, so the
-    cap is honored trivially; a bad value still fails loudly."""
-    raw = os.environ.get("TROPAINT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InputError(f"TROPAINT_THREADS must be a positive integer, got {raw!r}")
-    if n < 1:
-        raise InputError(f"TROPAINT_THREADS must be at least 1, got {n}")
-    return n
-
-
 def _read_input(path):
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -345,7 +330,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        _worker_cap()
         primary, artifacts = args.func(args)
         if args.out:
             _write_artifacts(args.out, artifacts)

@@ -203,12 +203,6 @@ def solve_square(a_rows, b) -> Vec | None:
     return tuple(Fraction(row[n], row[r]) for r, row in enumerate(work))
 
 
-def nullspace_vector(rows) -> Vec | None:
-    """One nonzero kernel vector of the row matrix, or None when trivial."""
-    basis = nullspace_basis(rows)
-    return basis[0] if basis else None
-
-
 def nullspace_basis(rows) -> list[Vec]:
     """A basis of the kernel of the row matrix (empty rows: empty basis)."""
     if not rows:

@@ -10,7 +10,7 @@ import json
 from fractions import Fraction
 
 from .errors import InputError
-from .geometry import Vec
+from .geometry import Vec, as_fraction
 from .lattice import FaceLattice
 from .point_config import PointConfiguration, build_configuration
 
@@ -31,7 +31,7 @@ def parse_rational(value) -> Fraction:
 
 
 def rational_str(value: Fraction) -> str:
-    return str(Fraction(value))
+    return str(as_fraction(value))
 
 
 def vector_json(v: Vec) -> list:

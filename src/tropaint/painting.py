@@ -21,17 +21,17 @@ from .geometry import (
     Vec,
     affine_combination,
     as_fraction,
-    lp_feasible_strict,
     vadd,
     vdot,
     vector,
+    vsub,
 )
 from .lattice import Poset
 from .point_config import PointConfiguration, SignVector, sign_vector
 from .regular_subdivision import (
     Lifting,
     SecondaryCone,
-    _extreme_rays,
+    _certify_cone,
     _spanning_marks,
     enumerate_regular_triangulations,
     secondary_cone,
@@ -133,11 +133,21 @@ def _color_from_flags(has_pos: bool, has_neg: bool, all_zero: bool) -> str:
     raise InconsistencyError("sign flags admit no color")
 
 
+def _comparison(config: PointConfiguration, spec: PaintSpec, marks) -> AffineFunctional:
+    """g on the dual cell of a marking: u -> u.a + eta(a) - u.alpha - c.
+
+    Every mark a of the cell gives the same function there; the least one is
+    used.  The linear part a - alpha is g's slope along any direction.
+    """
+    a = min(marks)
+    return AffineFunctional(vsub(config.points[a], spec.alpha), spec.c - spec.eta[a])
+
+
 def paint(p: TropicalComplex, spec: PaintSpec) -> PaintedComplex:
     """Color every cell of p by the exact sign behavior of g on it.
 
-    g restricted to a cell is affine with linear part a - alpha for any mark a
-    of the cell, so vertex values plus ray slopes determine the color.
+    g restricted to a cell is affine, so vertex values plus ray slopes
+    determine the color.
     """
     config = p.config
     if len(spec.alpha) != config.dimension:
@@ -149,13 +159,9 @@ def paint(p: TropicalComplex, spec: PaintSpec) -> PaintedComplex:
         raise InputError("lifting does not induce the given complex")
     colors = {}
     for marks, cell in p.cells.items():
-        a0 = min(marks)
-        pt = config.points[a0]
-        vals = [
-            vdot(v, pt) + spec.eta[a0] - vdot(v, spec.alpha) - spec.c
-            for v in cell.vertices
-        ]
-        slopes = [vdot(r, pt) - vdot(r, spec.alpha) for r in cell.rays]
+        g = _comparison(config, spec, marks)
+        vals = [g(v) for v in cell.vertices]
+        slopes = [vdot(r, g.linear) for r in cell.rays]
         has_pos = any(x > 0 for x in vals) or any(x > 0 for x in slopes)
         has_neg = any(x < 0 for x in vals) or any(x < 0 for x in slopes)
         all_zero = all(x == 0 for x in vals) and all(x == 0 for x in slopes)
@@ -243,7 +249,10 @@ def painting_cone(painted: PaintedComplex, alpha) -> SecondaryCone:
 
     H-representation in (lifting, level) space: the secondary cone of the
     underlying subdivision, plus one sign constraint per 0-cell whose
-    orientation follows its color (positive g-value means red).
+    orientation follows its color (positive g-value means red).  The
+    interior point is the (lifting, level) pair of painted.spec when an exact
+    check puts it in the open cone, as it does for every complex paint()
+    returns; otherwise a strict-feasibility LP finds one.
     """
     config = painted.complex.config
     s = painted.subdivision
@@ -259,11 +268,11 @@ def painting_cone(painted: PaintedComplex, alpha) -> SecondaryCone:
             sts.append(fn.scaled(-1))
         else:
             eqs.append(fn)
-    n = len(config.points)
-    sample = lp_feasible_strict(sts, [], eqs, n + 1)
-    if sample is None:
+    spec = painted.spec
+    cone = _certify_cone(eqs, sts, len(config.points) + 1, spec.eta.values + (spec.c,))
+    if cone is None:
         raise NoCertificateError("painting admits no realizing lifting and level")
-    return SecondaryCone(tuple(eqs), tuple(sts), n + 1, sample)
+    return cone
 
 
 def _paint_at(config, alpha, point) -> PaintedComplex:
@@ -282,7 +291,7 @@ def enumerate_painted_complexes(
     Chambers of the painting fan sit over triangulation cones: one per
     realizable all-strict color pattern of the 0-cell functionals.  Every
     other painted complex lives on a proper face of some chamber, found, as
-    with subdivisions, by intersecting ray incidences.  The partial order
+    with subdivisions, among the chamber's face samples.  The partial order
     puts a complex below another when the other's cone lies in the closure of
     its own (painted chambers at the bottom, the coarsest paintings on top).
     """
@@ -314,32 +323,10 @@ def enumerate_painted_complexes(
                 fn if s > 0 else fn.scaled(-1)
                 for fn, s in zip(constraints, pattern)
             ]
-            sample = lp_feasible_strict(sts, [], list(eqs_base), n + 1)
-            if sample is None:
-                continue
-            chamber = SecondaryCone(eqs_base, tuple(sts), n + 1, sample)
-            rays = _extreme_rays(chamber)
-            inc = [
-                sum(1 << j for j, r in enumerate(rays) if fn(r) == 0)
-                for fn in chamber.stricts
-            ]
-            full = (1 << len(rays)) - 1
-            seen = {full}
-            queue = [full]
-            while queue:
-                mask = queue.pop()
-                for im in inc:
-                    child = mask & im
-                    if child not in seen:
-                        seen.add(child)
-                        queue.append(child)
-            zero = (ZERO,) * (n + 1)
-            for mask in sorted(seen):
-                point = zero
-                for j, r in enumerate(rays):
-                    if mask >> j & 1:
-                        point = vadd(point, r)
-                record(point)
+            chamber = _certify_cone(eqs_base, sts, n + 1, None)
+            if chamber is not None:
+                for point in chamber.face_samples():
+                    record(point)
 
     keys = sorted(found)
     elements = tuple(found[k][0] for k in keys)

@@ -21,6 +21,7 @@ from .painting import (
     PURPLE,
     PaintedComplex,
     PaintSpec,
+    _comparison,
     enumerate_painted_complexes,
     painting_cone,
 )
@@ -74,10 +75,21 @@ def embed_lifting(spec: PaintSpec) -> Lifting:
     return Lifting(tuple(spec.eta.values) + (spec.c, spec.c))
 
 
-def _g_at(config, spec: PaintSpec, marking, u: Vec) -> Fraction:
-    a = min(marking)
-    pt = config.points[a]
-    return vdot(u, pt) + spec.eta[a] - vdot(u, spec.alpha) - spec.c
+def _lift(ext: ExtendedConfiguration, spec: PaintSpec, u: Vec, marking):
+    """The extended 0-cell over a base 0-cell u with this marking.
+
+    The comparison value g at u decides it: g > 0 gives height g and rho,
+    g = 0 gives height 0 and both tower points, g < 0 gives height g/2 and
+    beta.
+    """
+    g = _comparison(ext.base, spec, marking)(u)
+    if g > 0:
+        d, gain = g, {ext.rho}
+    elif g == 0:
+        d, gain = ZERO, {ext.rho, ext.beta}
+    else:
+        d, gain = g / 2, {ext.beta}
+    return u + (d,), frozenset(marking) | gain
 
 
 def lifted_vertex(ext: ExtendedConfiguration, u, spec: PaintSpec):
@@ -99,53 +111,37 @@ def lifted_vertex(ext: ExtendedConfiguration, u, spec: PaintSpec):
             break
     if marking is None:
         raise InputError(f"{u} is not a 0-cell of the dual complex")
-    g = _g_at(ext.base, spec, marking, u)
-    if g > 0:
-        d, gain = g, {ext.rho}
-    elif g == 0:
-        d, gain = ZERO, {ext.rho, ext.beta}
-    else:
-        d, gain = g / 2, {ext.beta}
-    return u + (d,), frozenset(marking) | gain
+    return _lift(ext, spec, u, marking)
 
 
 def _expected_extended_vertices(ext: ExtendedConfiguration, painted: PaintedComplex):
     """All 0-cells the extended dual complex must have, as (position, marking).
 
-    One per base 0-cell via lifted_vertex, plus one per purple 1-cell whose
-    comparison function is not identically zero: there the unique interior
-    zero lifts to height 0 with both tower points marked.  Purple 1-cells
-    with rays count too; only the identically-zero ones contribute a 1-cell
-    upstairs instead.
+    One per base 0-cell by the lifted-vertex rule, plus one per purple 1-cell
+    whose comparison function is not identically zero: there the unique
+    interior zero lifts to height 0 with both tower points marked.  Purple
+    1-cells with rays count too; only the identically-zero ones contribute a
+    1-cell upstairs instead.
     """
     spec = painted.spec
     config = ext.base
     both = frozenset({ext.rho, ext.beta})
     out = set()
     for cell in painted.complex.cells_of_dim(0):
-        u = cell.vertices[0]
-        g = _g_at(config, spec, cell.marking, u)
-        if g > 0:
-            d, gain = g, frozenset({ext.rho})
-        elif g == 0:
-            d, gain = ZERO, both
-        else:
-            d, gain = g / 2, frozenset({ext.beta})
-        out.add((u + (d,), frozenset(cell.marking) | gain))
+        out.add(_lift(ext, spec, cell.vertices[0], cell.marking))
     for cell in painted.complex.cells_of_dim(1):
         if painted.kappa[cell.marking] != PURPLE:
             continue
-        a = min(cell.marking)
-        pt = config.points[a]
+        g = _comparison(config, spec, cell.marking)
         v0 = cell.vertices[0]
         if cell.rays:
             direction = cell.rays[0]
         else:
             direction = tuple(x - y for x, y in zip(cell.vertices[1], v0))
-        slope = vdot(direction, pt) - vdot(direction, spec.alpha)
+        slope = vdot(direction, g.linear)
         if slope == 0:
             continue  # identically zero along the cell
-        t = -_g_at(config, spec, cell.marking, v0) / slope
+        t = -g(v0) / slope
         star = tuple(x + t * y for x, y in zip(v0, direction))
         out.add((star + (ZERO,), frozenset(cell.marking) | both))
     return out

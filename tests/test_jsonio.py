@@ -29,6 +29,9 @@ def test_parse_rational_rejections(bad):
 def test_rational_str_round_trip():
     for v in [F(0), F(3), F(-5, 7), F(22, 4)]:
         assert jsonio.parse_rational(jsonio.rational_str(v)) == v
+    assert jsonio.rational_str(3) == "3" and jsonio.rational_str(F(22, 4)) == "11/2"
+    with pytest.raises(InputError):
+        jsonio.rational_str(0.5)
 
 
 def test_loads_reports_line_and_column():

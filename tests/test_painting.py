@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropaint import painting
 from tropaint.errors import InconsistencyError, InputError, NoCertificateError
 from tropaint.geometry import vdot
 from tropaint.painting import (
@@ -215,6 +216,62 @@ def test_painting_cone_infeasible_coloring():
         painting_cone(fake, ALPHA)
 
 
+def repaint_key(config, alpha, point):
+    p, _ = dual_complex(config, list(point[:-1]))
+    return paint(p, PaintSpec.of(config, list(point[:-1]), point[-1], alpha)).key()
+
+
+@pytest.mark.parametrize(
+    "config, alpha", [(QUAD, ALPHA), (BIPYRAMID, ALPHA3)], ids=["quad", "bipyramid"]
+)
+def test_witness_painting_cone_matches_lp_cone(config, alpha, lp_calls, monkeypatch):
+    real = painting.painting_cone
+    cone_lps = []
+
+    def counting(painted, a):
+        before = len(lp_calls)
+        cone = real(painted, a)
+        cone_lps.append(len(lp_calls) - before)
+        return cone
+
+    monkeypatch.setattr(painting, "painting_cone", counting)
+    poset = enumerate_painted_complexes(config, alpha)
+    # every enumerated cone is certified by the point that painted it; only
+    # the chamber sign patterns solve LPs
+    assert len(cone_lps) == len(poset) and sum(cone_lps) == 0
+    assert lp_calls
+    elements = poset.elements
+    for i, pc in enumerate(elements):
+        lp_calls.clear()
+        fast = real(pc, alpha)
+        assert lp_calls == []
+        point = pc.spec.eta.values + (pc.spec.c,)
+        assert fast.interior_point == point
+        # the spec of another painted complex lies in another open cone
+        other = elements[(i + 1) % len(elements)].spec
+        slow = real(PaintedComplex(pc.complex, pc.kappa, other), alpha)
+        assert len(lp_calls) == 1
+        assert not slow.contains_open(other.eta.values + (other.c,))
+        assert fast.equalities == slow.equalities and fast.stricts == slow.stricts
+        assert fast == slow and hash(fast) == hash(slow)
+        for cone in (fast, slow):
+            assert cone.contains_open(cone.interior_point)
+            assert repaint_key(config, alpha, cone.interior_point) == pc.key()
+
+
+def test_painting_cone_foreign_coloring_falls_back_to_lp(lp_calls):
+    painted = star_painted(F(-1))
+    other = star_painted(F(0))  # same complex, another realizable coloring
+    assert other.subdivision == painted.subdivision
+    assert other.kappa != painted.kappa
+    mixed = PaintedComplex(painted.complex, painted.kappa, other.spec)
+    cone = painting_cone(mixed, ALPHA)
+    assert len(lp_calls) == 1
+    assert not cone.contains_open(other.spec.eta.values + (other.spec.c,))
+    assert cone == painting_cone(painted, ALPHA)
+    assert repaint_key(QUAD, ALPHA, cone.interior_point) == painted.key()
+
+
 def test_segment_poset():
     poset = enumerate_painted_complexes(SEGMENT, (F(1, 2),))
     assert len(poset) == 3
@@ -300,10 +357,7 @@ def test_cone_membership_matches_key(eta, c):
     point = tuple(F(v) for v in eta) + (F(c),)
     assert cone.contains_open(point)
     # repainting at the cone's own certificate reproduces the painting
-    sample = cone.interior_point
-    p2, _ = dual_complex(QUAD, list(sample[:-1]))
-    painted2 = paint(p2, PaintSpec.of(QUAD, list(sample[:-1]), sample[-1], ALPHA))
-    assert painted2.key() == painted.key()
+    assert repaint_key(QUAD, ALPHA, cone.interior_point) == painted.key()
 
 
 _POSET_CACHE = {}

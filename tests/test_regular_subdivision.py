@@ -251,20 +251,6 @@ def test_random_liftings_bipyramid(eta_vals):
     assert cone.contains_open(eta)
 
 
-@pytest.fixture
-def lp_calls(monkeypatch):
-    """Every strict-feasibility LP solved by regular_subdivision, in order."""
-    calls = []
-    real = regular_subdivision.lp_feasible_strict
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(regular_subdivision, "lp_feasible_strict", counting)
-    return calls
-
-
 @pytest.mark.parametrize(
     "config",
     [QUAD, BIPYRAMID, ngon_configuration(4)],
