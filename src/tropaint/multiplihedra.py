@@ -24,7 +24,7 @@ from .errors import (
 )
 from .geometry import Vec, as_fraction, vdot, vector
 from .lattice import FaceLattice, Poset, graded_lattice, lattice_isomorphic
-from .painting import BLUE, PURPLE, RED, PaintedComplex, PaintSpec, paint
+from .painting import BLUE, PURPLE, RED, PaintedComplex, PaintSpec
 from .painting_polytope import extend
 from .point_config import PointConfiguration, build_configuration, sign_vector
 from .regular_subdivision import (
@@ -353,14 +353,12 @@ def painted_tree_of(pc: PaintedComplex) -> PaintedTree:
 
 
 class EdgeLengthTarget:
-    """Positive length per compact edge, keyed by chord marking, with the
-    hop count of each edge's parent node from the root vertex."""
+    """Positive length per compact edge, keyed by chord marking."""
 
-    def __init__(self, lengths, depths=None):
+    def __init__(self, lengths):
         self.lengths = {frozenset(k): as_fraction(v) for k, v in lengths.items()}
         if any(v <= 0 for v in self.lengths.values()):
             raise InputError("edge length targets must be positive")
-        self.depths = {frozenset(k): int(v) for k, v in (depths or {}).items()}
 
 
 def _edge_offset(p: TropicalComplex, beta: Vec):
@@ -387,11 +385,13 @@ def realize_edge_lengths(
     """A lifting with the same combinatorial type whose compact edges all
     achieve the prescribed offsets at beta, exactly.
 
-    First shrink the seed lifting so every offset falls below its target,
-    then per edge add the one-sided correction supported on the far side of
-    the edge's chord: it scales that edge's offset and leaves every other
-    edge's difference of supports untouched, so the order of edges does not
-    matter.
+    First scale the seed lifting by lam so every offset falls below its
+    target, then per edge add the one-sided correction max(0, t * (l - k))
+    built from the supports k, l of its two cells, which lifts the offset
+    to its target.  One pass over p's own supports is exact: scaling scales
+    every support by lam, and each correction is affine on the cells of any
+    other edge, which lie on one side of its chord because the dual graph is
+    a tree, so it leaves their difference of supports untouched.
     """
     config = p.config
     beta = vector(beta)
@@ -409,18 +409,10 @@ def realize_edge_lengths(
         lam = min(
             target.lengths[m] / v for m, (_, _, v) in values.items() if v > 0
         ) / 2
-        for m, (_, _, v) in values.items():
-            _check(v > 0, "zero edge offset despite the diagonal check")
         eta = [lam * x for x in eta]
-        # leaf-to-root where depths are known; each step fixes one edge and
-        # keeps every other support difference, so any order lands exactly
-        order = sorted(
-            values, key=lambda m: (-target.depths.get(m, 0), sorted(m))
-        )
-        for marking in order:
-            cur, _ = dual_complex(config, eta)
-            k, l, v = _edge_offset(cur, beta)[marking]
-            t = target.lengths[marking] / v - 1
+        for marking, (k, l, v) in values.items():
+            _check(v > 0, "zero edge offset despite the diagonal check")
+            t = target.lengths[marking] / v - lam
             _check(t > 0, "edge correction would not lengthen the edge")
             eta = [
                 e + max(ZERO, t * (l(a) - k(a)))
@@ -502,7 +494,6 @@ def realize_painted_tree(t: PaintedTree, m: int) -> PaintSpec:
         return PaintSpec(Lifting(seed), root_value(p), alpha)
 
     lengths = {}
-    depths = {}
 
     def assign(node, entries, depth):
         for item, entry in zip(tree.children[node], entries):
@@ -518,11 +509,10 @@ def realize_painted_tree(t: PaintedTree, m: int) -> PaintSpec:
             else:
                 value = Fraction(2)
             lengths[item[1]] = value
-            depths[item[1]] = depth
             assign(item[2], sub, depth + 1)
 
     assign(tree.root, children, 0)
-    eta = realize_edge_lengths(p, alpha, EdgeLengthTarget(lengths, depths))
+    eta = realize_edge_lengths(p, alpha, EdgeLengthTarget(lengths))
     realized, _ = dual_complex(config, eta)
     return PaintSpec(eta, root_value(realized) - 1, alpha)
 

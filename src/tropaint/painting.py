@@ -27,7 +27,7 @@ from .geometry import (
     vsub,
 )
 from .lattice import Poset
-from .point_config import PointConfiguration, SignVector, sign_vector
+from .point_config import PointConfiguration, SignVector
 from .regular_subdivision import (
     Lifting,
     SecondaryCone,
@@ -147,16 +147,16 @@ def paint(p: TropicalComplex, spec: PaintSpec) -> PaintedComplex:
     """Color every cell of p by the exact sign behavior of g on it.
 
     g restricted to a cell is affine, so vertex values plus ray slopes
-    determine the color.
+    determine the color.  p must be the dual complex of spec.eta itself:
+    the vertices are read off p, so the heights must be the ones that built
+    it.  A lifting that only induces the same subdivision moves the vertices
+    and would color them for another function, so it raises InputError.
     """
     config = p.config
     if len(spec.alpha) != config.dimension:
         raise InputError("alpha dimension mismatch")
-    if len(spec.eta) != len(config.points):
-        raise InputError("lifting length mismatch")
-    check, _ = dual_complex(config, spec.eta)
-    if check.subdivision.key != p.subdivision.key:
-        raise InputError("lifting does not induce the given complex")
+    if spec.eta.values != p.eta.values:
+        raise InputError("lifting is not the one that built the given complex")
     colors = {}
     for marks, cell in p.cells.items():
         g = _comparison(config, spec, marks)

@@ -26,11 +26,7 @@ from .painting import (
     painting_cone,
 )
 from .point_config import PointConfiguration, build_configuration
-from .regular_subdivision import (
-    Lifting,
-    enumerate_coherent_subdivisions,
-    induce_subdivision,
-)
+from .regular_subdivision import Lifting, enumerate_coherent_subdivisions
 from .secondary_polytope import secondary_polytope_vertices, subdivision_rank
 from .tropical_dual import dual_complex
 
@@ -197,7 +193,6 @@ def verify_main_theorem(config: PointConfiguration, alpha) -> MainTheoremReport:
             f"{len(ppos)} painted complexes vs {len(spos)} extended subdivisions"
         )
     n = len(config.points)
-    d = config.dimension
     pranks = [
         (n + 1) - painting_cone(pc, alpha).dim() for pc in ppos.elements
     ]
@@ -210,9 +205,9 @@ def verify_main_theorem(config: PointConfiguration, alpha) -> MainTheoremReport:
 
     skey = {s.key: j for j, s in enumerate(spos.elements)}
     cmap = []
+    checks = 0
     for i, pc in enumerate(ppos.elements):
-        xi = embed_lifting(pc.spec)
-        sbar = induce_subdivision(ext.extended, xi)
+        pext, sbar = dual_complex(ext.extended, embed_lifting(pc.spec))
         j = skey.get(sbar.key)
         if j is None:
             raise VerificationError(
@@ -222,19 +217,6 @@ def verify_main_theorem(config: PointConfiguration, alpha) -> MainTheoremReport:
         if sranks[j] != pranks[i]:
             raise VerificationError(f"rank mismatch at painted complex {i}")
         cmap.append(j)
-    if len(set(cmap)) != len(cmap):
-        raise VerificationError("embedding map is not injective")
-    for i1 in range(len(ppos)):
-        for i2 in range(len(ppos)):
-            if ppos.le(i1, i2) != spos.le(cmap[i1], cmap[i2]):
-                raise VerificationError(
-                    f"order mismatch between painted complexes {i1} and {i2}"
-                )
-
-    checks = 0
-    for i, pc in enumerate(ppos.elements):
-        xi = embed_lifting(pc.spec)
-        pext, _ = dual_complex(ext.extended, xi)
         actual = {
             (cell.vertices[0], cell.marking) for cell in pext.cells_of_dim(0)
         }
@@ -246,6 +228,14 @@ def verify_main_theorem(config: PointConfiguration, alpha) -> MainTheoremReport:
                 f"missing {sorted(expected - actual)}"
             )
         checks += len(actual)
+    if len(set(cmap)) != len(cmap):
+        raise VerificationError("embedding map is not injective")
+    for i1 in range(len(ppos)):
+        for i2 in range(len(ppos)):
+            if ppos.le(i1, i2) != spos.le(cmap[i1], cmap[i2]):
+                raise VerificationError(
+                    f"order mismatch between painted complexes {i1} and {i2}"
+                )
 
     verts = secondary_polytope_vertices(ext.extended, spos)
     if len(verts) != pranks.count(0):

@@ -257,11 +257,15 @@ def validate_subdivision(s: Subdivision) -> None:
         rebuilt = _make_cell(config, marks)
         if rebuilt.vertices != cell.vertices:
             raise InconsistencyError(f"cell {sorted(marks)} polytope mismatch")
+    # faces come from the hulls, not from s.cells, which is what is checked
+    faces_of = {}
     for mc in s.maximal:
         order = sorted(mc.marks)
         pts = [config.points[i] for i in order]
-        for mem in face_member_sets(pts):
-            marks = frozenset(order[j] for j in mem)
+        faces_of[mc.marks] = {
+            frozenset(order[j] for j in mem) for mem in face_member_sets(pts)
+        }
+        for marks in faces_of[mc.marks]:
             if marks not in s.cells:
                 raise InconsistencyError(f"missing face {sorted(marks)}")
     total = sum(
@@ -271,15 +275,9 @@ def validate_subdivision(s: Subdivision) -> None:
     if total != config.hull_volume():
         raise InconsistencyError("maximal cells do not tile the polytope")
     hreps = {}
-    faces_of = {}
     for mc in s.maximal:
-        order = sorted(mc.marks)
-        pts = [config.points[i] for i in order]
-        _, ineqs = polytope_hrep(pts)
+        _, ineqs = polytope_hrep([config.points[i] for i in sorted(mc.marks)])
         hreps[mc.marks] = ineqs
-        faces_of[mc.marks] = {
-            frozenset(order[j] for j in mem) for mem in face_member_sets(pts)
-        }
     maximal = list(s.maximal)
     for i, ca in enumerate(maximal):
         for cb in maximal[i + 1 :]:

@@ -1,5 +1,7 @@
 """Fixtures shared by several test modules."""
 
+import sys
+
 import pytest
 
 from tropaint import regular_subdivision
@@ -21,3 +23,29 @@ def lp_calls(monkeypatch):
 
     monkeypatch.setattr(regular_subdivision, "lp_feasible_strict", counting)
     return calls
+
+
+@pytest.fixture
+def calls_to(monkeypatch):
+    """Count calls of a tropaint function through every module's binding.
+
+    Modules import functions by name, so calling the returned install(fn)
+    replaces each binding of fn in every loaded tropaint module.  install
+    returns the list of calls, each recorded as (calling module, args).
+    """
+
+    def install(real):
+        calls = []
+
+        def counting(*args):
+            calls.append((sys._getframe(1).f_globals.get("__name__"), args))
+            return real(*args)
+
+        for name, module in sorted(sys.modules.items()):
+            if name.partition(".")[0] == "tropaint":
+                for attr, obj in list(vars(module).items()):
+                    if obj is real:
+                        monkeypatch.setattr(module, attr, counting)
+        return calls
+
+    return install

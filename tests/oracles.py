@@ -9,6 +9,11 @@ The Fraction kernel (elimination, determinants, beneath-beyond hulls and the
 two-phase simplex) is the arithmetic tropaint.geometry used before it moved
 to integers; it stays here, unchanged in its choices, as the differential
 reference for the integer kernel.
+
+The sequential edge-length realization rebuilds the dual complex before each
+edge's correction, as multiplihedra.realize_edge_lengths did before it read
+every correction off its input complex; it is the reference for that one-pass
+form.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ from tropaint.geometry import (
     interpolate_affine,
     vector,
 )
+from tropaint.multiplihedra import _edge_offset
+from tropaint.tropical_dual import dual_complex
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -492,3 +499,27 @@ def lp_maximize_oracle(objective, ub_rows, ub_consts, eq_rows, eq_consts):
         return "unbounded", x, None
     value = sum((c * xi for c, xi in zip(cvec, x)), ZERO)
     return "optimal", x, value
+
+
+def realize_edge_lengths_sequential(p, beta, target, order=None):
+    """Lifting values that realize target's edge offsets at beta.
+
+    Shrink p's lifting so every offset falls below its target, then correct
+    one edge at a time, in order (default: sorted markings): rebuild the dual
+    complex, re-read that edge's supports k, l and offset v, and add
+    max(0, t * (l - k)) with t = target / v - 1.
+    """
+    config = p.config
+    beta = vector(beta)
+    offsets = _edge_offset(p, beta)
+    eta = list(p.eta.values)
+    if not offsets:
+        return tuple(eta)
+    lam = min(target.lengths[m] / v for m, (_, _, v) in offsets.items()) / 2
+    eta = [lam * x for x in eta]
+    for marking in order or sorted(offsets, key=sorted):
+        cur, _ = dual_complex(config, eta)
+        k, l, v = _edge_offset(cur, beta)[marking]
+        t = target.lengths[marking] / v - 1
+        eta = [e + max(ZERO, t * (l(a) - k(a))) for e, a in zip(eta, config.points)]
+    return tuple(eta)

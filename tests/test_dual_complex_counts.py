@@ -1,0 +1,63 @@
+"""Each lifting gets one dual complex: painting reads the complex it is
+given, edge-length realization corrects every edge from one complex, and the
+main-theorem check builds each extended complex once."""
+
+from fractions import Fraction
+
+from tropaint import regular_subdivision, tropical_dual
+from tropaint.multiplihedra import (
+    EdgeLengthTarget,
+    _edge_offset,
+    admissible_alpha,
+    ngon_configuration,
+    realize_edge_lengths,
+)
+from tropaint.painting import PaintSpec, paint
+from tropaint.painting_polytope import embed_lifting, extend, verify_main_theorem
+from tropaint.point_config import build_configuration
+from tropaint.tropical_dual import dual_complex
+
+F = Fraction
+QUAD = build_configuration([(0, 0), (1, 0), (0, 1), (-1, 0), (-1, -1)])
+ALPHA = (F(1, 3), F(1, 3))
+
+
+def test_paint_builds_no_dual_complex(calls_to):
+    p, _ = dual_complex(QUAD, [-1, 1, 0, 2, 0])
+    calls = calls_to(tropical_dual.dual_complex)
+    for c in (F(-2), F(0), F(1, 2)):
+        paint(p, PaintSpec.of(QUAD, [-1, 1, 0, 2, 0], c, ALPHA))
+    assert calls == []
+
+
+def test_realize_edge_lengths_builds_one_dual_complex(calls_to):
+    config = ngon_configuration(5)
+    beta = admissible_alpha(config)
+    # a triangulation of the hexagon: three compact edges
+    p, _ = dual_complex(config, [0, 7, -3, 5, -2, 9])
+    edges = _edge_offset(p, beta)
+    assert len(edges) == 3
+    target = EdgeLengthTarget({m: F(5, k + 2) for k, m in enumerate(edges)})
+    calls = calls_to(tropical_dual.dual_complex)
+    realize_edge_lengths(p, beta, target)
+    assert len(calls) == 1
+
+
+def test_verify_main_theorem_builds_each_extended_complex_once(calls_to):
+    ext = extend(QUAD, ALPHA).extended
+    complexes = calls_to(tropical_dual.dual_complex)
+    induced = calls_to(regular_subdivision.induce_subdivision)
+    report = verify_main_theorem(QUAD, ALPHA)
+    embedded = {embed_lifting(pc.spec) for pc in report.painted_poset.elements}
+    upstairs = [args for _, args in complexes if args[0] == ext]
+    assert len(upstairs) == len(report.painted_poset)
+    assert {args[1] for args in upstairs} == embedded
+    # the enumerator of extended subdivisions may meet an embedded lifting
+    # on its own; the check itself induces them only inside dual_complex
+    assert not [
+        caller
+        for caller, (config, eta) in induced
+        if config == ext
+        and eta in embedded
+        and caller not in ("tropaint.tropical_dual", "tropaint.regular_subdivision")
+    ]

@@ -1,11 +1,13 @@
 """Tree duals of polygon subdivisions, painted trees, and multiplihedra."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tropaint import multiplihedra
 from tropaint.errors import InputError, ResourceCapError
 from tropaint.lattice import lattice_isomorphic
 from tropaint.multiplihedra import (
@@ -34,7 +36,11 @@ from tropaint.point_config import build_configuration, sign_vector
 from tropaint.regular_subdivision import Lifting, secondary_cone
 from tropaint.tropical_dual import TropicalPolynomial, dual_complex, evaluate
 
-from oracles import painted_binary_tree_count, polygon_subdivisions
+from oracles import (
+    painted_binary_tree_count,
+    polygon_subdivisions,
+    realize_edge_lengths_sequential,
+)
 
 ZERO = Fraction(0)
 
@@ -278,6 +284,44 @@ def test_realize_edge_lengths_random_targets(data, shape):
     assert got == lengths
     assert p2.subdivision.key == p.subdivision.key
     assert secondary_cone(config, p.subdivision).contains_open(eta.values)
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_realize_edge_lengths_matches_sequential_oracle(m):
+    rng = random.Random(m)
+    config = ngon_configuration(m)
+    beta = admissible_alpha(config)
+    for _ in range(12):
+        p, _ = dual_complex(config, [rng.randint(-30, 30) for _ in config.points])
+        target = EdgeLengthTarget(
+            {
+                mk: Fraction(rng.randint(1, 60), rng.randint(1, 12))
+                for mk in _edge_offset(p, beta)
+            }
+        )
+        eta = realize_edge_lengths(p, beta, target)
+        assert eta.values == realize_edge_lengths_sequential(p, beta, target)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_painted_tree_targets_match_sequential_oracle(m, monkeypatch):
+    calls = []
+    real = multiplihedra.realize_edge_lengths
+
+    def recording(p, beta, target):
+        eta = real(p, beta, target)
+        calls.append((p, beta, target, eta))
+        return eta
+
+    monkeypatch.setattr(multiplihedra, "realize_edge_lengths", recording)
+    for t in all_painted_trees(m):
+        realize_painted_tree(t, m)
+    assert calls
+    for p, beta, target, eta in calls:
+        # leaf to root, the order the targets were once corrected in
+        depth = {mk: d for _, _, mk, d in tree_of_complex(p).compact_edges()}
+        order = sorted(depth, key=lambda mk: (-depth[mk], sorted(mk)))
+        assert eta.values == realize_edge_lengths_sequential(p, beta, target, order)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

@@ -143,9 +143,12 @@ def test_painting_one_complex_twice_keeps_both_colorings():
 
 def test_paint_rejects_foreign_lifting():
     p, _ = dual_complex(QUAD, STAR)
-    spec = PaintSpec.of(QUAD, [-1, 1, 0, 2, 0], F(0), ALPHA)
-    with pytest.raises(InputError):
-        paint(p, spec)
+    # the second lifting induces STAR's subdivision, but it moves the
+    # vertices, so its colors differ from those of its own complex
+    for eta, c in (([-1, 1, 0, 2, 0], F(0)), ([-3, 0, 0, 0, 0], F(-1))):
+        spec = PaintSpec.of(QUAD, eta, c, ALPHA)
+        with pytest.raises(InputError):
+            paint(p, spec)
 
 
 def test_reconstruction_requires_total_vertex_colors():
