@@ -201,8 +201,7 @@ def _painting_polytope_pieces(path):
         report.ranks,
         payload=[_painted_label(pc) for pc in report.painted_poset.elements],
     )
-    subdivision_lat = face_lattice_from_poset(ext.extended, report.subdivision_poset)
-    return config, alpha, report, ext, painted_lat, subdivision_lat
+    return config, alpha, report, ext, painted_lat, report.subdivision_lattice
 
 
 def cmd_painting_polytope(args):

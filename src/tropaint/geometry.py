@@ -464,19 +464,6 @@ def hull_volume(points) -> Fraction:
     return total / ((d + 1) * scale) ** d
 
 
-def hull_vertex_indices(points) -> frozenset[int]:
-    """Indices of points that are vertices of the hull (not merely on a face)."""
-    pts = [vector(p) for p in points]
-    facets = convex_hull_facets(pts)
-    d = len(pts[0])
-    out = set()
-    for i in range(len(pts)):
-        normals = [f.normal for f in facets if i in f.members]
-        if len(normals) >= d and matrix_rank(normals) == d:
-            out.add(i)
-    return frozenset(out)
-
-
 def point_in_hull(facets: list[HullFacet], x) -> bool:
     xv = vector(x)
     return all(vdot(f.normal, xv) <= f.offset for f in facets)
@@ -556,34 +543,44 @@ def polytope_hrep(points) -> tuple[list[AffineFunctional], list[AffineFunctional
     return equalities, inequalities
 
 
-def polytope_vertex_indices(points) -> frozenset[int]:
-    """Vertices of conv(points); the span may be lower-dimensional."""
-    pts = [vector(p) for p in points]
-    coords = affine_coordinates(pts)
-    if len(coords[0]) == 0:
-        return frozenset({0})
-    return hull_vertex_indices(coords)
+def intersection_closure(top, parts) -> set:
+    """top together with every intersection of top with some of parts.
+
+    Works alike on frozensets and on int bitmasks.  Every proper face of a
+    polytope or a pointed cone is the intersection of the facets containing
+    it, so closing the facets' incidence sets this way yields every face.
+    """
+    parts = tuple(parts)
+    seen = {top}
+    queue = [top]
+    while queue:
+        face = queue.pop()
+        for part in parts:
+            child = face & part
+            if child not in seen:
+                seen.add(child)
+                queue.append(child)
+    return seen
 
 
 def face_member_sets(points) -> set[frozenset[int]]:
-    """Index sets of points on each nonempty face of conv(points), the hull included."""
-    pts = [vector(p) for p in points]
-    out: set[frozenset[int]] = set()
+    """Index sets of points on each nonempty face of conv(points), the hull included.
 
-    def recurse(idx: tuple[int, ...]):
-        key = frozenset(idx)
-        if key in out:
-            return
-        out.add(key)
-        sub = [pts[i] for i in idx]
-        coords = affine_coordinates(sub)
-        if len(coords[0]) == 0:
-            return
-        for facet in convex_hull_facets(coords):
-            recurse(tuple(idx[j] for j in sorted(facet.members)))
+    One hull in coordinates of the points' span gives the facets; the faces
+    are the closure of the facets' member sets under intersection.
+    """
+    coords = affine_coordinates(points)
+    top = frozenset(range(len(coords)))
+    if not coords[0]:
+        return {top}
+    facets = convex_hull_facets(coords)
+    return {face for face in intersection_closure(top, (f.members for f in facets)) if face}
 
-    recurse(tuple(range(len(pts))))
-    return out
+
+def polytope_vertex_indices(points) -> frozenset[int]:
+    """Vertices of conv(points), the points whose singleton is a face; the
+    span may be lower-dimensional."""
+    return frozenset(i for face in face_member_sets(points) if len(face) == 1 for i in face)
 
 
 def simplex_normalized_volume(points) -> Fraction:

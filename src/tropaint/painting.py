@@ -301,8 +301,14 @@ def enumerate_painted_complexes(
     n = len(config.points)
     tris = enumerate_regular_triangulations(config)
     found: dict[tuple, tuple[PaintedComplex, SecondaryCone]] = {}
+    # rays are canonical modulo lineality, so a face shared by two chambers
+    # gives both the same sample
+    seen: set[Vec] = set()
 
     def record(point) -> None:
+        if point in seen:
+            return
+        seen.add(point)
         painted = _paint_at(config, alpha, point)
         key = painted.key()
         if key not in found:

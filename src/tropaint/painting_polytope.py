@@ -27,7 +27,7 @@ from .painting import (
 )
 from .point_config import PointConfiguration, build_configuration
 from .regular_subdivision import Lifting, enumerate_coherent_subdivisions
-from .secondary_polytope import secondary_polytope_vertices, subdivision_rank
+from .secondary_polytope import face_lattice_from_poset, secondary_polytope_vertices
 from .tropical_dual import dual_complex
 
 ZERO = Fraction(0)
@@ -150,6 +150,7 @@ class MainTheoremReport:
         self,
         painted_poset,
         subdivision_poset,
+        subdivision_lattice,
         constructive_map,
         lattice_match,
         ranks,
@@ -159,6 +160,7 @@ class MainTheoremReport:
     ):
         self.painted_poset = painted_poset
         self.subdivision_poset = subdivision_poset
+        self.subdivision_lattice = subdivision_lattice
         self.constructive_map = tuple(constructive_map)
         self.lattice_match = tuple(lattice_match)
         self.ranks = tuple(ranks)
@@ -196,10 +198,9 @@ def verify_main_theorem(config: PointConfiguration, alpha) -> MainTheoremReport:
     pranks = [
         (n + 1) - painting_cone(pc, alpha).dim() for pc in ppos.elements
     ]
-    sranks = [subdivision_rank(ext.extended, s) for s in spos.elements]
-    match = lattice_isomorphic(
-        poset_to_lattice(ppos, pranks), poset_to_lattice(spos, sranks)
-    )
+    slat = face_lattice_from_poset(ext.extended, spos)
+    sranks = slat.ranks
+    match = lattice_isomorphic(poset_to_lattice(ppos, pranks), slat)
     if match is None:
         raise VerificationError("posets admit no rank-preserving isomorphism")
 
@@ -245,6 +246,7 @@ def verify_main_theorem(config: PointConfiguration, alpha) -> MainTheoremReport:
     return MainTheoremReport(
         ppos,
         spos,
+        slat,
         cmap,
         match,
         pranks,

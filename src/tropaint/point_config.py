@@ -16,7 +16,7 @@ from .geometry import (
     affine_rank,
     convex_hull_facets,
     hull_volume,
-    matrix_rank,
+    intersection_closure,
     vdot,
     vector,
 )
@@ -63,20 +63,12 @@ class PointConfiguration:
     def __repr__(self):
         return f"PointConfiguration({len(self.points)} points, dim {self.dimension})"
 
-    def index_of(self, point) -> int:
-        p = vector(point)
-        try:
-            return self.points.index(p)
-        except ValueError:
-            raise InputError(f"{p} is not a configuration point") from None
-
     def vertex_indices(self) -> frozenset[int]:
-        out = set()
-        for i in range(len(self.points)):
-            normals = [f.normal for f in self.facets if i in f.members]
-            if len(normals) >= self.dimension and matrix_rank(normals) == self.dimension:
-                out.add(i)
-        return frozenset(out)
+        """The points whose singleton is a face of the hull."""
+        faces = intersection_closure(
+            frozenset(range(len(self.points))), (f.members for f in self.facets)
+        )
+        return frozenset(i for face in faces if len(face) == 1 for i in face)
 
     def contains(self, x) -> bool:
         xv = vector(x)

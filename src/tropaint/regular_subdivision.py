@@ -24,6 +24,7 @@ from .geometry import (
     as_fraction,
     face_member_sets,
     hull_volume,
+    intersection_closure,
     is_zero_vector,
     lp_feasible_strict,
     lp_maximize,
@@ -60,13 +61,6 @@ class Lifting:
             )
         return Lifting(vals)
 
-    @staticmethod
-    def from_label_map(config: PointConfiguration, mapping) -> "Lifting":
-        missing = [lb for lb in config.labels if lb not in mapping]
-        if missing:
-            raise InputError(f"lifting misses labels {missing}")
-        return Lifting(tuple(as_fraction(mapping[lb]) for lb in config.labels))
-
     def __getitem__(self, i: int) -> Fraction:
         return self.values[i]
 
@@ -81,9 +75,10 @@ _FACE_SETS_CACHE_SIZE = 256
 
 @lru_cache(maxsize=_FACE_SETS_CACHE_SIZE)
 def _face_sets(points: tuple[Vec, ...]) -> frozenset[frozenset[int]]:
-    # Hull face enumeration is the enumeration hot spot and the same cell
-    # shows up in many subdivisions and across liftings, so cache per point
-    # tuple rather than per subdivision.
+    # The same cell recurs across subdivisions and liftings: a seed-0
+    # perfbench liftings pass, checks included, asks for the faces of 62
+    # distinct cells 1365 times, and an edge_lengths pass of 20 cells 3780
+    # times.  Each miss builds a hull, so cache per point tuple.
     return frozenset(face_member_sets(points))
 
 
@@ -380,38 +375,49 @@ class SecondaryCone:
                 rays.add(primitive_vector(tuple(-x for x in cand)))
         return tuple(sorted(rays))
 
+    @cached_property
+    def _tight_masks(self) -> tuple[int, ...]:
+        """Per strict, the bitmask of the rays on which it vanishes."""
+        rays = self.rays
+        return tuple(
+            sum(1 << j for j, r in enumerate(rays) if fn(r) == 0) for fn in self.stricts
+        )
+
+    def _ray_sum(self, mask: int) -> Vec:
+        sample = (ZERO,) * self.ambient_dim
+        for j, r in enumerate(self.rays):
+            if mask >> j & 1:
+                sample = vadd(sample, r)
+        return sample
+
     def face_samples(self) -> list[Vec]:
         """One relative-interior point per face, modulo lineality.
 
         A face is the set of rays on which some collection of stricts is
-        tight, so the faces are the closure of the stricts' ray-incidence
-        masks under intersection, starting from all rays.  Each sample is the
-        sum of its face's rays; samples come in sorted-mask order, so the
-        last one, over all rays, lies in the open cone itself.
+        tight, so the faces are the intersection closure of the stricts' ray
+        masks, starting from all rays.  Each sample is the sum of its face's
+        rays; samples come in sorted-mask order, so the last one, over all
+        rays, lies in the open cone itself.
         """
-        rays = self.rays
-        inc = [
-            sum(1 << j for j, r in enumerate(rays) if fn(r) == 0)
-            for fn in self.stricts
-        ]
-        full = (1 << len(rays)) - 1
-        seen = {full}
-        queue = [full]
-        while queue:
-            mask = queue.pop()
-            for im in inc:
-                child = mask & im
-                if child not in seen:
-                    seen.add(child)
-                    queue.append(child)
-        zero = (ZERO,) * self.ambient_dim
+        faces = intersection_closure((1 << len(self.rays)) - 1, self._tight_masks)
+        return [self._ray_sum(mask) for mask in sorted(faces)]
+
+    def walls(self) -> list[tuple[AffineFunctional, Vec]]:
+        """(wall functional, relative-interior wall sample) per facet, in strict order.
+
+        Facets are the maximal proper faces and each one is cut by some
+        strict, so a strict cuts a facet exactly when no other strict's ray
+        mask strictly contains its own.  The sum of the facet's rays samples
+        its relative interior (the lineality part stays at zero).
+        """
+        full = (1 << len(self.rays)) - 1
+        proper = {m for m in self._tight_masks if m != full}
+        facets = {m for m in proper if not any(o != m and o & m == m for o in proper)}
         out = []
-        for mask in sorted(seen):
-            sample = zero
-            for j, r in enumerate(rays):
-                if mask >> j & 1:
-                    sample = vadd(sample, r)
-            out.append(sample)
+        for fn, mask in zip(self.stricts, self._tight_masks):
+            if mask in facets:
+                facets.discard(mask)  # one wall per facet: the first strict cutting it
+                out.append((fn, self._ray_sum(mask)))
         return out
 
 
@@ -528,31 +534,6 @@ def _mod_reduce(echelon_rows, pivots, v):
     return tuple(w)
 
 
-def _cone_walls(cone: SecondaryCone):
-    """(wall functional, relative-interior wall sample) per facet of the cone.
-
-    A strict cuts a facet exactly when the rays it kills span one dimension
-    below all rays together; the sum of those rays samples the facet's
-    relative interior (the lineality part stays at zero).
-    """
-    rays = cone.rays
-    total = matrix_rank(rays) if rays else 0
-    zero = (ZERO,) * cone.ambient_dim
-    out = []
-    seen = set()
-    for fn in cone.stricts:
-        tight = tuple(r for r in rays if fn(r) == 0)
-        if tight in seen:
-            continue
-        if (matrix_rank(tight) if tight else 0) == total - 1:
-            seen.add(tight)
-            sample = zero
-            for r in tight:
-                sample = vadd(sample, r)
-            out.append((fn, sample))
-    return out
-
-
 def _cross_wall(config, t: Subdivision, cone: SecondaryCone, wall_sample: Vec):
     """The triangulation on the far side of the wall through wall_sample."""
     direction = vsub(wall_sample, cone.interior_point)
@@ -579,7 +560,7 @@ def enumerate_regular_triangulations(config: PointConfiguration, max_count=4096)
     while frontier:
         key = frontier.pop()
         t, cone = found[key]
-        for _, wall_sample in _cone_walls(cone):
+        for _, wall_sample in cone.walls():
             s2, c2 = _cross_wall(config, t, cone, wall_sample)
             if s2.key not in found:
                 if len(found) >= max_count:
@@ -598,10 +579,16 @@ def enumerate_coherent_subdivisions(config: PointConfiguration, max_count=4096):
     """
     tris = enumerate_regular_triangulations(config, max_count)
     subs: dict[frozenset, Subdivision] = {k: t for k, (t, _) in tris.items()}
+    # rays are canonical modulo lineality, so a face shared by two cones
+    # gives both the same sample
+    seen: set[Vec] = set()
     for key in sorted(tris, key=sorted):
         _, cone = tris[key]
         # the last face sample is the triangulation's own interior
         for sample in cone.face_samples()[:-1]:
+            if sample in seen:
+                continue
+            seen.add(sample)
             s = induce_subdivision(config, Lifting(sample))
             if s.key not in subs:
                 if len(subs) >= max_count:

@@ -10,6 +10,11 @@ two-phase simplex) is the arithmetic tropaint.geometry used before it moved
 to integers; it stays here, unchanged in its choices, as the differential
 reference for the integer kernel.
 
+The recursive face enumeration builds one hull per face and recurses into
+its facets, and the vertex and wall tests are rank tests on facet normals and
+on rays; tropaint derives all three from one intersection closure of facet
+incidences, and these are the references for it.
+
 The sequential edge-length realization rebuilds the dual complex before each
 edge's correction, as multiplihedra.realize_edge_lengths did before it read
 every correction off its input complex; it is the reference for that one-pass
@@ -25,7 +30,9 @@ from tropaint.errors import DegenerateInputError, InputError
 from tropaint.geometry import (
     AffineFunctional,
     HullFacet,
+    affine_coordinates,
     affine_rank,
+    convex_hull_facets,
     interpolate_affine,
     vector,
 )
@@ -523,3 +530,66 @@ def realize_edge_lengths_sequential(p, beta, target, order=None):
         t = target.lengths[marking] / v - 1
         eta = [e + max(ZERO, t * (l(a) - k(a))) for e, a in zip(eta, config.points)]
     return tuple(eta)
+
+
+# ---------------------------------------------------------------------------
+# Faces, vertices and walls before the intersection closure
+
+
+def face_member_sets_recursive(points):
+    """Index sets of points on each nonempty face of conv(points), by
+    recursion: the hull of every face in its own affine frame, then each of
+    its facets in turn."""
+    pts = [vector(p) for p in points]
+    out = set()
+
+    def recurse(idx):
+        key = frozenset(idx)
+        if key in out:
+            return
+        out.add(key)
+        coords = affine_coordinates([pts[i] for i in idx])
+        if len(coords[0]) == 0:
+            return
+        for facet in convex_hull_facets(coords):
+            recurse(tuple(idx[j] for j in sorted(facet.members)))
+
+    recurse(tuple(range(len(pts))))
+    return out
+
+
+def polytope_vertex_indices_by_rank(points):
+    """Vertices of conv(points): the points where the normals of the facets
+    through them span the points' span (a rank-0 span has point 0)."""
+    coords = affine_coordinates(points)
+    d = len(coords[0])
+    if d == 0:
+        return frozenset({0})
+    facets = convex_hull_facets(coords)
+    out = set()
+    for i in range(len(coords)):
+        normals = [f.normal for f in facets if i in f.members]
+        if len(normals) >= d and matrix_rank_oracle(normals) == d:
+            out.add(i)
+    return frozenset(out)
+
+
+def cone_walls_by_rank(cone):
+    """(wall functional, wall sample) per facet of a SecondaryCone, in strict
+    order: a strict cuts a facet when the rays it vanishes on span one
+    dimension less than all rays, and the sum of those rays is the sample."""
+    rays = cone.rays
+    total = matrix_rank_oracle(rays) if rays else 0
+    out = []
+    seen = set()
+    for fn in cone.stricts:
+        tight = tuple(r for r in rays if fn(r) == 0)
+        if tight in seen:
+            continue
+        if (matrix_rank_oracle(tight) if tight else 0) == total - 1:
+            seen.add(tight)
+            sample = (ZERO,) * cone.ambient_dim
+            for r in tight:
+                sample = tuple(a + b for a, b in zip(sample, r))
+            out.append((fn, sample))
+    return out

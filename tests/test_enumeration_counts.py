@@ -1,0 +1,64 @@
+"""The enumerators visit each face sample once, and the main-theorem check
+builds the extended subdivision lattice once for its ranks and the CLI."""
+
+import pathlib
+from fractions import Fraction
+
+import pytest
+
+from tropaint import cli, painting, regular_subdivision, secondary_polytope
+from tropaint.multiplihedra import admissible_alpha, ngon_configuration
+from tropaint.painting import enumerate_painted_complexes
+from tropaint.painting_polytope import extend
+from tropaint.point_config import build_configuration
+from tropaint.regular_subdivision import (
+    enumerate_coherent_subdivisions,
+    enumerate_regular_triangulations,
+)
+
+F = Fraction
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+QUAD = build_configuration([(0, 0), (1, 0), (0, 1), (-1, 0), (-1, -1)])
+BIPYRAMID = build_configuration(
+    [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)]
+)
+
+
+@pytest.mark.parametrize(
+    "config, alpha, count",
+    [
+        (QUAD, (F(1, 3), F(1, 3)), 45),
+        (BIPYRAMID, (F(1, 2), F(1, 3), F(1, 2)), 15),
+    ],
+    ids=["quad", "bipyramid"],
+)
+def test_painted_enumeration_paints_each_sample_once(calls_to, config, alpha, count):
+    calls = calls_to(painting._paint_at)
+    poset = enumerate_painted_complexes(config, alpha)
+    points = [args[2] for _, args in calls]
+    assert len(points) == len(set(points)) == count
+    # here every face of the painting fan has its own painted complex
+    assert len(poset) == count
+
+
+def test_coherent_enumeration_induces_each_face_sample_once(calls_to):
+    config = ngon_configuration(4)
+    ext = extend(config, admissible_alpha(config)).extended
+    calls = calls_to(regular_subdivision.induce_subdivision)
+    tris = enumerate_regular_triangulations(ext)
+    walk = len(calls)
+    enumerate_coherent_subdivisions(ext)
+    # the second enumeration repeats the same walk, then induces face samples
+    face_calls = len(calls) - 2 * walk
+    samples = {s for _, cone in tris.values() for s in cone.face_samples()[:-1]}
+    assert face_calls == len(samples) == 46
+
+
+def test_painting_polytope_ranks_each_extended_subdivision_once(calls_to):
+    calls = calls_to(secondary_polytope.subdivision_rank)
+    _, _, report, _, _, subdivision_lat = cli._painting_polytope_pieces(
+        str(GOLDEN / "bipyramid.json")
+    )
+    assert len(calls) == len(report.subdivision_poset) == 15
+    assert subdivision_lat is report.subdivision_lattice
+    assert [subdivision_lat.ranks[j] for j in report.constructive_map] == list(report.ranks)

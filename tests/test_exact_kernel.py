@@ -17,7 +17,6 @@ from tropaint.geometry import (
     _rref,
     convex_hull_facets,
     face_member_sets,
-    hull_vertex_indices,
     hull_volume,
     lp_maximize,
     matrix_rank,
@@ -184,8 +183,7 @@ def test_lp_maximize_matches_oracle(lp):
 
 def test_hull_functions_accept_a_generator():
     square = [(0, 0), (1, 0), (1, 1), (0, 1), (F(1, 2), 0)]
-    assert hull_vertex_indices(p for p in [(0, 0), (1, 0), (0, 1)]) == frozenset({0, 1, 2})
-    assert hull_vertex_indices(p for p in square) == frozenset({0, 1, 2, 3})
+    assert polytope_vertex_indices(p for p in [(0, 0), (1, 0), (0, 1)]) == frozenset({0, 1, 2})
     assert convex_hull_facets(p for p in square) == convex_hull_facets(square)
     assert hull_volume(p for p in square) == 2
     assert polytope_vertex_indices(p for p in square) == frozenset({0, 1, 2, 3})

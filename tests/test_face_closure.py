@@ -1,0 +1,155 @@
+"""Faces, vertices and cone walls all come from one intersection closure of
+facet incidences; the recursive face enumeration and the rank tests it
+replaced stay in oracles.py as references."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tropaint import geometry
+from tropaint.geometry import (
+    AffineFunctional,
+    face_member_sets,
+    intersection_closure,
+    polytope_vertex_indices,
+)
+from tropaint.multiplihedra import admissible_alpha, ngon_configuration
+from tropaint.painting_polytope import extend
+from tropaint.point_config import build_configuration
+from tropaint.regular_subdivision import SecondaryCone, enumerate_regular_triangulations
+
+from oracles import (
+    cone_walls_by_rank,
+    face_member_sets_recursive,
+    polytope_vertex_indices_by_rank,
+)
+
+F = Fraction
+
+QUAD = build_configuration([(0, 0), (1, 0), (0, 1), (-1, 0), (-1, -1)])
+BIPYRAMID = build_configuration(
+    [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)]
+)
+QUAD_ALPHA = (F(1, 3), F(1, 3))
+BIPYRAMID_ALPHA = (F(1, 2), F(1, 3), F(1, 2))
+
+
+def test_closure_works_on_sets_and_masks():
+    sets = intersection_closure(frozenset({0, 1, 2}), [frozenset({0, 1}), frozenset({1, 2})])
+    assert sets == {frozenset({0, 1, 2}), frozenset({0, 1}), frozenset({1, 2}), frozenset({1})}
+    masks = intersection_closure(0b111, [0b011, 0b110, 0b100])
+    assert masks == {0b111, 0b011, 0b110, 0b100, 0b010, 0b000}
+    assert intersection_closure(0b1, []) == {0b1}
+
+
+coordinate = st.integers(-3, 3)
+
+
+@st.composite
+def point_sets(draw):
+    """Distinct points whose span has dimension 0 to 4 inside R^1 to R^4,
+    with extra points on segments and triangles between drawn points, so
+    they land on facets, edges and in the interior."""
+    ambient = draw(st.integers(1, 4))
+    span = draw(st.integers(0, ambient))
+    gens = draw(
+        st.lists(st.tuples(*[coordinate] * span), min_size=1, max_size=span + 4)
+    )
+    embed = draw(st.lists(st.tuples(*[coordinate] * span), min_size=ambient, max_size=ambient))
+    shift = draw(st.tuples(*[coordinate] * ambient))
+    pts = [
+        tuple(F(s + sum(a * x for a, x in zip(row, g))) for row, s in zip(embed, shift))
+        for g in gens
+    ]
+    combos = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, len(pts) - 1), min_size=2, max_size=3),
+                st.sampled_from([F(1, 2), F(1, 3), F(2, 3)]),
+            ),
+            max_size=3,
+        )
+    )
+    for idx, t in combos:
+        weights = [t, 1 - t] if len(idx) == 2 else [t, (1 - t) / 2, (1 - t) / 2]
+        pts.append(
+            tuple(sum(w * pts[i][k] for w, i in zip(weights, idx)) for k in range(ambient))
+        )
+    return list(dict.fromkeys(pts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_sets())
+def test_faces_and_vertices_match_the_recursive_oracle(pts):
+    assert face_member_sets(pts) == face_member_sets_recursive(pts)
+    assert polytope_vertex_indices(pts) == polytope_vertex_indices_by_rank(pts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_sets())
+def test_configuration_vertices_match_the_rank_oracle(pts):
+    d = len(pts[0])
+    if len(pts) <= d or geometry.affine_rank(pts) < d:
+        return
+    config = build_configuration(pts)
+    assert config.vertex_indices() == polytope_vertex_indices_by_rank(pts)
+
+
+def test_face_member_sets_builds_one_hull(calls_to):
+    cube = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    inputs = [
+        cube,
+        cube + [(F(1, 2), F(1, 2), 0), (F(1, 2), 0, 0)],
+        [(0, 0), (2, 0), (2, 2), (0, 2), (1, 0)],
+        [(0, 0, 1), (1, 1, 1), (2, 2, 1), (1, 0, 1)],
+        [(0, 0, 0), (1, 1, 1), (3, 3, 3)],
+    ]
+    hulls = calls_to(geometry.convex_hull_facets)
+    for pts in inputs:
+        face_member_sets(pts)
+    assert len(hulls) == len(inputs)
+
+
+def _triangulation_cones():
+    configs = {"quad": QUAD, "bipyramid": BIPYRAMID}
+    configs["quad_ext"] = extend(QUAD, QUAD_ALPHA).extended
+    configs["bipyramid_ext"] = extend(BIPYRAMID, BIPYRAMID_ALPHA).extended
+    for m in (2, 3, 4):
+        config = ngon_configuration(m)
+        configs[f"m{m}_ext"] = extend(config, admissible_alpha(config)).extended
+    for name, config in configs.items():
+        for _, cone in enumerate_regular_triangulations(config).values():
+            yield name, cone
+
+
+def test_walls_match_the_rank_oracle_on_triangulation_cones():
+    count = 0
+    for name, cone in _triangulation_cones():
+        assert cone.walls() == cone_walls_by_rank(cone), name
+        count += 1
+    assert count == 56
+
+
+def _fn(*coefficients):
+    return AffineFunctional(tuple(F(c) for c in coefficients), F(0))
+
+
+@pytest.mark.parametrize(
+    "cone, wall_count",
+    [
+        # one ray, (1, 0, 0), over the lineality line of the last axis; the
+        # doubled strict cuts the same facet, the apex
+        (SecondaryCone((_fn(0, 1, 0),), (_fn(1, 0, 0), _fn(2, 0, 0)), 3, (1, 0, 0)), 1),
+        # one ray in the plane, no lineality
+        (SecondaryCone((_fn(1, -1),), (_fn(1, 1),), 2, (1, 1)), 1),
+        # lineality only, with and without equalities
+        (SecondaryCone((_fn(1, 0),), (), 2, (0, 0)), 0),
+        (SecondaryCone((), (), 2, (0, 0)), 0),
+        # a quadrant: two rays, two walls
+        (SecondaryCone((), (_fn(1, 0), _fn(0, 1), _fn(1, 1)), 2, (1, 1)), 2),
+    ],
+)
+def test_walls_match_the_rank_oracle_on_hand_built_cones(cone, wall_count):
+    assert cone.walls() == cone_walls_by_rank(cone)
+    assert len(cone.walls()) == wall_count

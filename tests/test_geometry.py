@@ -9,12 +9,12 @@ from tropaint.geometry import (
     affine_rank,
     as_fraction,
     convex_hull_facets,
-    hull_vertex_indices,
     hull_volume,
     lp_feasible_strict,
     lp_maximize,
     matrix_rank,
     point_in_hull,
+    polytope_vertex_indices,
     primitive_vector,
     simplex_normalized_volume,
     upper_hull_facets,
@@ -100,7 +100,7 @@ def test_hull_with_collinear_boundary_point():
     assert len(facets) == 4
     bottom = next(f for f in facets if 4 in f.members)
     assert bottom.members == frozenset({0, 1, 4})
-    assert hull_vertex_indices(pts) == frozenset({0, 1, 2, 3})
+    assert polytope_vertex_indices(pts) == frozenset({0, 1, 2, 3})
 
 
 def test_hull_cube_merges_coplanar_facets():
@@ -115,7 +115,7 @@ def test_hull_bipyramid():
     pts = [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)]
     facets = convex_hull_facets(pts)
     assert len(facets) == 6
-    assert hull_vertex_indices(pts) == frozenset(range(5))
+    assert polytope_vertex_indices(pts) == frozenset(range(5))
 
 
 def test_hull_rejects_flat_input():
@@ -271,7 +271,7 @@ def test_one_dimensional_hull():
     member_sets = {f.members for f in facets}
     assert member_sets == {frozenset({0}), frozenset({1})}
     assert hull_volume(pts) == 5
-    assert hull_vertex_indices(pts) == frozenset({0, 1})
+    assert polytope_vertex_indices(pts) == frozenset({0, 1})
 
 
 def test_upper_hull_one_dimensional_base():
@@ -292,8 +292,6 @@ def test_affine_coordinates_lower_dimensional():
 
 
 def test_polytope_vertex_indices_segment_in_plane():
-    from tropaint.geometry import polytope_vertex_indices
-
     assert polytope_vertex_indices([(0, 0), (2, 2), (1, 1)]) == frozenset({0, 1})
     assert polytope_vertex_indices([(3, 4)]) == frozenset({0})
 
@@ -306,7 +304,6 @@ def test_face_member_sets_square_with_edge_midpoint():
     assert frozenset(range(5)) in faces              # the square itself
     assert frozenset({0, 1, 4}) in faces             # bottom edge with midpoint
     assert frozenset({0}) in faces and frozenset({4}) not in faces
-    dims = {}
     # 4 vertices, 4 edges, 1 two-face
     assert len(faces) == 9
 
