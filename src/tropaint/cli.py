@@ -27,7 +27,7 @@ from .errors import (
 from .lattice import poset_to_lattice
 from .multiplihedra import multiplihedron_lattice, verify_multiplihedron_theorem
 from .painting import PaintSpec, paint
-from .painting_polytope import extend, verify_main_theorem
+from .painting_polytope import verify_main_theorem
 from .regular_subdivision import (
     Lifting,
     enumerate_coherent_subdivisions,
@@ -154,7 +154,7 @@ def cmd_paint(args):
     eta = _parse_eta(config, args.eta)
     level = jsonio.parse_rational(args.level)
     spec = PaintSpec.of(config, eta.values, level, alpha)
-    p, s = dual_complex(config, spec.eta)
+    p, _ = dual_complex(config, spec.eta)
     _cell_cap(len(p.cells), args.max_cells)
     pc = paint(p, spec)
     primary = jsonio.dumps(
@@ -192,32 +192,29 @@ def cmd_secondary(args):
 
 
 def _painting_polytope_pieces(path):
+    """The main-theorem report of a configuration file and its painted lattice."""
     config, alpha = _read_input(path)
-    alpha = _require_alpha(alpha, path)
-    report = verify_main_theorem(config, alpha)
-    ext = extend(config, alpha)
+    report = verify_main_theorem(config, _require_alpha(alpha, path))
     painted_lat = poset_to_lattice(
         report.painted_poset,
         report.ranks,
         payload=[_painted_label(pc) for pc in report.painted_poset.elements],
     )
-    return config, alpha, report, ext, painted_lat, report.subdivision_lattice
+    return report, painted_lat
 
 
 def cmd_painting_polytope(args):
-    _, alpha, report, ext, painted_lat, subdivision_lat = _painting_polytope_pieces(
-        args.input
-    )
+    report, painted_lat = _painting_polytope_pieces(args.input)
     report_text = jsonio.dumps(_main_report_json(report))
     artifacts = {
         "report.json": report_text,
         "extended_configuration.json": jsonio.dumps(
-            jsonio.configuration_json(ext.extended)
+            jsonio.configuration_json(report.extension.extended)
         ),
         "painted_hasse.json": jsonio.dumps(jsonio.lattice_json(painted_lat)),
         "painted_hasse.dot": jsonio.lattice_dot(painted_lat, name="painted"),
-        "subdivision_hasse.json": jsonio.dumps(jsonio.lattice_json(subdivision_lat)),
-        "subdivision_hasse.dot": jsonio.lattice_dot(subdivision_lat, name="extended"),
+        "subdivision_hasse.json": jsonio.dumps(jsonio.lattice_json(report.subdivision_lattice)),
+        "subdivision_hasse.dot": jsonio.lattice_dot(report.subdivision_lattice, name="extended"),
     }
     return report_text, artifacts
 
@@ -239,7 +236,7 @@ def cmd_verify(args):
     if args.target == "painting-polytope":
         if args.input is None:
             raise InputError("verify painting-polytope needs an input configuration")
-        _, _, report, _, _, _ = _painting_polytope_pieces(args.input)
+        report, _ = _painting_polytope_pieces(args.input)
         primary = jsonio.dumps(_main_report_json(report))
     else:
         if args.m is None:

@@ -86,7 +86,10 @@ def primitive_vector(v: Vec) -> Vec:
 # A working row is a list of ints [numerators..., denominator] standing for
 # the rational row numerators / denominator, the denominator positive.  The
 # numbers stay bounded by the matrix's minors (Edmonds 1967), as in Bareiss
-# (1968) elimination, because every row is kept primitive.
+# (1968) elimination, because every row is kept primitive.  One pivot step,
+# _pivot, serves every routine: _echelon brings a whole matrix to reduced
+# echelon form, and independent_rows reduces one row at a time against the
+# rows it has kept, which is all a rank or a greedy basis needs.
 
 
 def _exact(xs) -> list:
@@ -137,12 +140,13 @@ def _pivot(rows: list[list[int]], r: int, c: int, lo: int = 0) -> None:
             rows[i] = new
 
 
-def _echelon(rows: list[list[int]], reduced: bool = True) -> list[int]:
-    """Row-reduce working rows in place; returns the pivot columns.
+def _echelon(rows: list[list[int]]) -> list[int]:
+    """Bring working rows in place to reduced echelon form; returns the pivot
+    columns.
 
-    Rows past the last pivot end up zero.  When reduced, pivot row r is zero
-    in every pivot column but its own, so rows[r][j] / rows[r][pivots[r]] is
-    the reduced row echelon form; otherwise only the rows below are cleared.
+    Rows past the last pivot end up zero, and pivot row r is zero in every
+    pivot column but its own, so rows[r][j] / rows[r][pivots[r]] is the
+    reduced row echelon form.
     """
     pivots: list[int] = []
     n = len(rows)
@@ -156,13 +160,39 @@ def _echelon(rows: list[list[int]], reduced: bool = True) -> list[int]:
         else:
             continue
         rows[r], rows[i] = rows[i], rows[r]
-        if reduced or r + 1 < n:
-            _pivot(rows, r, c, 0 if reduced else r + 1)
+        _pivot(rows, r, c)
         pivots.append(c)
         r += 1
         if r == n:
             break
     return pivots
+
+
+def independent_rows(rows) -> list[int]:
+    """Indices of the lexicographically first maximal linearly independent
+    subset of the rows, the one a greedy pass picks.
+
+    Each working row is reduced against the rows kept so far, in the order
+    kept: each is zero in the pivot columns of those before it, so one sweep
+    clears the candidate, which is kept when anything is left.
+    """
+    kept: list[list[int]] = []
+    pivots: list[int] = []
+    out: list[int] = []
+    for i, row in enumerate(rows):
+        kept.append(_int_row(row))
+        for r, c in enumerate(pivots):
+            _pivot(kept, r, c, len(pivots))
+        work = kept[-1]
+        c = next((j for j in range(len(work) - 1) if work[j]), None)
+        if c is None:
+            kept.pop()
+            continue
+        pivots.append(c)
+        out.append(i)
+        if len(pivots) == len(work) - 1:
+            break  # full column rank: every later row is dependent
+    return out
 
 
 def _rref(rows) -> tuple[list[Vec], list[int]]:
@@ -190,7 +220,7 @@ def _det(rows) -> Fraction:
 
 
 def matrix_rank(rows) -> int:
-    return len(_echelon([_int_row(row) for row in rows], reduced=False))
+    return len(independent_rows(rows))
 
 
 def solve_square(a_rows, b) -> Vec | None:
@@ -201,6 +231,21 @@ def solve_square(a_rows, b) -> Vec | None:
     if pivots != list(range(n)):
         return None  # singular or inconsistent
     return tuple(Fraction(row[n], row[r]) for r, row in enumerate(work))
+
+
+def _solve_unique(rows, rhs, n: int) -> Vec | None:
+    """The unique solution of A x = b in n unknowns; None when there is none
+    or more than one.  An overdetermined system is solved on its first
+    independent rows and checked on the others."""
+    if len(rows) == n:
+        return solve_square(rows, rhs)
+    ids = independent_rows(rows)
+    if len(ids) < n:
+        return None
+    sol = solve_square([rows[i] for i in ids], [rhs[i] for i in ids])
+    if all(vdot(row, sol) == b for row, b in zip(rows, rhs, strict=True)):
+        return sol
+    return None
 
 
 def nullspace_basis(rows) -> list[Vec]:
@@ -264,34 +309,12 @@ class AffineFunctional:
 def affine_combination(basis: list[Vec], target: Vec) -> tuple[Fraction, ...] | None:
     """Coefficients b with sum(b) = 1 and sum(b_i basis_i) = target.
 
-    basis must be affinely independent; None when the (square) system has no
-    unique solution, so callers should pass exactly rank+1 spanning points.
+    basis must be affinely independent; None when the system has no unique
+    solution, so callers should pass exactly rank+1 spanning points.
     """
     k = len(basis)
     rows = [[ONE] * k] + [[basis[j][i] for j in range(k)] for i in range(len(target))]
-    rhs = [ONE] + list(target)
-    if len(rows) != k:
-        # Overdetermined: solve on an independent square subsystem, verify rest.
-        sq_rows, sq_rhs, used = [], [], []
-        for row, b in zip(rows, rhs):
-            if matrix_rank(sq_rows + [row]) > len(sq_rows):
-                sq_rows.append(row)
-                sq_rhs.append(b)
-                used.append(True)
-            else:
-                used.append(False)
-            if len(sq_rows) == k:
-                break
-        if len(sq_rows) < k:
-            return None
-        sol = solve_square(sq_rows, sq_rhs)
-        if sol is None:
-            return None
-        for row, b in zip(rows, rhs):
-            if sum(r * s for r, s in zip(row, sol)) != b:
-                return None
-        return sol
-    return solve_square(rows, rhs)
+    return _solve_unique(rows, [ONE] + list(target), k)
 
 
 def interpolate_affine(points: list[Vec], values: list[Fraction]) -> AffineFunctional | None:
@@ -302,21 +325,10 @@ def interpolate_affine(points: list[Vec], values: list[Fraction]) -> AffineFunct
     """
     d = len(points[0])
     rows = [list(p) + [ONE] for p in points]
-    sq_rows, sq_rhs = [], []
-    for row, v in zip(rows, values, strict=True):
-        if len(sq_rows) < d + 1 and matrix_rank(sq_rows + [row]) > len(sq_rows):
-            sq_rows.append(row)
-            sq_rhs.append(as_fraction(v))
-    if len(sq_rows) < d + 1:
-        return None
-    sol = solve_square(sq_rows, sq_rhs)
+    sol = _solve_unique(rows, [as_fraction(v) for v in values], d + 1)
     if sol is None:
         return None
-    fn = AffineFunctional(tuple(sol[:d]), -sol[d])
-    for p, v in zip(points, values, strict=True):
-        if fn(p) != v:
-            return None
-    return fn
+    return AffineFunctional(tuple(sol[:d]), -sol[d])
 
 
 # ---------------------------------------------------------------------------
@@ -363,18 +375,14 @@ def _hyperplane(points: list[tuple[int, ...]]) -> tuple[tuple[int, ...], int] | 
 
 
 def _initial_simplex(pts: list[tuple[int, ...]], d: int) -> list[int]:
-    chosen = [0]
-    diffs: list[list[int]] = []
-    for i in range(1, len(pts)):
-        diff = [a - b for a, b in zip(pts[i], pts[0])] + [1]
-        if len(_echelon(diffs + [diff], reduced=False)) > len(diffs):
-            chosen.append(i)
-            diffs.append(diff)
-        if len(chosen) == d + 1:
-            return chosen
-    raise DegenerateInputError(
-        f"points span only {len(chosen) - 1} dimensions, need {d} for a full hull"
-    )
+    # points are affinely independent exactly when the rows (point, 1) are
+    # linearly independent
+    chosen = independent_rows(p + (1,) for p in pts)
+    if len(chosen) < d + 1:
+        raise DegenerateInputError(
+            f"points span only {len(chosen) - 1} dimensions, need {d} for a full hull"
+        )
+    return chosen
 
 
 def _simplicial_hull(pts: list[tuple[int, ...]], d: int):
@@ -479,22 +487,13 @@ def _affine_frame(pts: list[Vec]):
     """
     base = pts[0]
     diffs = [vsub(p, base) for p in pts]
-    frame: list[Vec] = []
-    for dv in diffs:
-        if matrix_rank(frame + [dv]) > len(frame):
-            frame.append(dv)
+    frame = [diffs[i] for i in independent_rows(diffs)]
     r = len(frame)
     if r == 0:
         return [() for _ in pts], base, [], []
-    rows: list[list[Fraction]] = []
-    row_ids: list[int] = []
-    for i in range(len(base)):
-        cand = [frame[j][i] for j in range(r)]
-        if matrix_rank(rows + [cand]) > len(rows):
-            rows.append(cand)
-            row_ids.append(i)
-        if len(rows) == r:
-            break
+    columns = list(zip(*frame))
+    row_ids = independent_rows(columns)
+    rows = [columns[i] for i in row_ids]
     coords = [solve_square(rows, [dv[i] for i in row_ids]) for dv in diffs]
     return coords, base, row_ids, rows
 
@@ -530,7 +529,7 @@ def polytope_hrep(points) -> tuple[list[AffineFunctional], list[AffineFunctional
     if r == 0:
         return equalities, []
     inequalities = []
-    rows_t = [[rows[i][j] for i in range(r)] for j in range(r)]
+    rows_t = list(zip(*rows))
     for facet in convex_hull_facets(coords):
         # facet: w . c <= offset in coordinate space; pull back via
         # c(x) = rows^-1 (x - base) restricted to row_ids

@@ -177,7 +177,6 @@ def lattice_isomorphic(l1: FaceLattice, l2: FaceLattice):
     if count1 != count2:
         return None
     n = len(l1)
-    cov1 = {(i, j) for i, j in l1.covers}
     cov2 = {(i, j) for i, j in l2.covers}
     up1 = l1.up_adjacency()
     down1 = l1.down_adjacency()

@@ -197,7 +197,6 @@ def tree_of_complex(p: TropicalComplex) -> RootedPlanarTree:
     root_marking = frozenset({0, n - 1})
 
     zero_cells = sorted(p.cells_of_dim(0), key=lambda c: sorted(c.marking))
-    index = {c.marking: i for i, c in enumerate(zero_cells)}
     positions = [c.vertices[0] for c in zero_cells]
     markings = [c.marking for c in zero_cells]
 

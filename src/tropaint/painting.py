@@ -105,16 +105,24 @@ class ColorFunction:
 class PaintedComplex:
     """A dual complex with a realizable coloring and the witness that realizes it."""
 
-    __slots__ = ("complex", "kappa", "spec")
+    __slots__ = ("complex", "kappa", "spec", "_cone")
 
     def __init__(self, complex: TropicalComplex, kappa: ColorFunction, spec: PaintSpec):
         self.complex = complex
         self.kappa = kappa
         self.spec = spec
+        self._cone = None
 
     @property
     def subdivision(self):
         return self.complex.subdivision
+
+    @property
+    def cone(self) -> SecondaryCone:
+        """The painting cone, certified on first use and kept."""
+        if self._cone is None:
+            self._cone = painting_cone(self)
+        return self._cone
 
     def key(self) -> tuple:
         return (self.subdivision.key, self.kappa.key())
@@ -244,23 +252,23 @@ def _extend_functional(fn: AffineFunctional) -> AffineFunctional:
     return AffineFunctional(fn.linear + (ZERO,), fn.constant)
 
 
-def painting_cone(painted: PaintedComplex, alpha) -> SecondaryCone:
+def painting_cone(painted: PaintedComplex) -> SecondaryCone:
     """Liftings-with-level reproducing the painted complex exactly.
 
-    H-representation in (lifting, level) space: the secondary cone of the
-    underlying subdivision, plus one sign constraint per 0-cell whose
-    orientation follows its color (positive g-value means red).  The
-    interior point is the (lifting, level) pair of painted.spec when an exact
-    check puts it in the open cone, as it does for every complex paint()
-    returns; otherwise a strict-feasibility LP finds one.
+    H-representation in (lifting, level) space, for painted.spec.alpha: the
+    secondary cone of the underlying subdivision, plus one sign constraint
+    per 0-cell whose orientation follows its color (positive g-value means
+    red).  The interior point is the (lifting, level) pair of painted.spec
+    when an exact check puts it in the open cone, as it does for every
+    complex paint() returns; otherwise a strict-feasibility LP finds one.
     """
     config = painted.complex.config
-    s = painted.subdivision
-    base = secondary_cone(config, s)
+    spec = painted.spec
+    base = secondary_cone(config, painted.subdivision)
     eqs = [_extend_functional(f) for f in base.equalities]
     sts = [_extend_functional(f) for f in base.stricts]
     for cell in painted.complex.cells_of_dim(0):
-        fn = painting_constraint(config, cell.marking, alpha).functional
+        fn = painting_constraint(config, cell.marking, spec.alpha).functional
         col = painted.kappa[cell.marking]
         if col == RED:
             sts.append(fn)
@@ -268,7 +276,6 @@ def painting_cone(painted: PaintedComplex, alpha) -> SecondaryCone:
             sts.append(fn.scaled(-1))
         else:
             eqs.append(fn)
-    spec = painted.spec
     cone = _certify_cone(eqs, sts, len(config.points) + 1, spec.eta.values + (spec.c,))
     if cone is None:
         raise NoCertificateError("painting admits no realizing lifting and level")
@@ -300,7 +307,7 @@ def enumerate_painted_complexes(
         raise InputError("alpha dimension mismatch")
     n = len(config.points)
     tris = enumerate_regular_triangulations(config)
-    found: dict[tuple, tuple[PaintedComplex, SecondaryCone]] = {}
+    found: dict[tuple, PaintedComplex] = {}
     # rays are canonical modulo lineality, so a face shared by two chambers
     # gives both the same sample
     seen: set[Vec] = set()
@@ -314,7 +321,7 @@ def enumerate_painted_complexes(
         if key not in found:
             if len(found) >= max_count:
                 raise ResourceCapError(f"more than {max_count} painted complexes")
-            found[key] = (painted, painting_cone(painted, alpha))
+            found[key] = painted
 
     for key in sorted(tris, key=sorted):
         t, cone = tris[key]
@@ -334,9 +341,11 @@ def enumerate_painted_complexes(
                 for point in chamber.face_samples():
                     record(point)
 
-    keys = sorted(found)
-    elements = tuple(found[k][0] for k in keys)
-    cones = [found[k][1] for k in keys]
+    # keys hold frozensets, which compare by inclusion: the sort is not
+    # total, so most elements keep their discovery order, and the goldens
+    # encode that order
+    elements = tuple(found[k] for k in sorted(found))
+    cones = [pc.cone for pc in elements]
     le = []
     for i in range(len(elements)):
         for j in range(len(elements)):

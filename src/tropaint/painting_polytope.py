@@ -23,7 +23,6 @@ from .painting import (
     PaintSpec,
     _comparison,
     enumerate_painted_complexes,
-    painting_cone,
 )
 from .point_config import PointConfiguration, build_configuration
 from .regular_subdivision import Lifting, enumerate_coherent_subdivisions
@@ -149,6 +148,7 @@ class MainTheoremReport:
     def __init__(
         self,
         painted_poset,
+        extension,
         subdivision_poset,
         subdivision_lattice,
         constructive_map,
@@ -159,6 +159,7 @@ class MainTheoremReport:
         vertex_checks,
     ):
         self.painted_poset = painted_poset
+        self.extension = extension
         self.subdivision_poset = subdivision_poset
         self.subdivision_lattice = subdivision_lattice
         self.constructive_map = tuple(constructive_map)
@@ -195,9 +196,7 @@ def verify_main_theorem(config: PointConfiguration, alpha) -> MainTheoremReport:
             f"{len(ppos)} painted complexes vs {len(spos)} extended subdivisions"
         )
     n = len(config.points)
-    pranks = [
-        (n + 1) - painting_cone(pc, alpha).dim() for pc in ppos.elements
-    ]
+    pranks = [(n + 1) - pc.cone.dim() for pc in ppos.elements]
     slat = face_lattice_from_poset(ext.extended, spos)
     sranks = slat.ranks
     match = lattice_isomorphic(poset_to_lattice(ppos, pranks), slat)
@@ -245,6 +244,7 @@ def verify_main_theorem(config: PointConfiguration, alpha) -> MainTheoremReport:
         )
     return MainTheoremReport(
         ppos,
+        ext,
         spos,
         slat,
         cmap,

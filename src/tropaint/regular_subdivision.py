@@ -24,6 +24,7 @@ from .geometry import (
     as_fraction,
     face_member_sets,
     hull_volume,
+    independent_rows,
     intersection_closure,
     is_zero_vector,
     lp_feasible_strict,
@@ -320,8 +321,6 @@ class SecondaryCone:
     interior_point: Vec = field(compare=False)
 
     def dim(self) -> int:
-        if not self.equalities:
-            return self.ambient_dim
         return self.ambient_dim - matrix_rank([f.linear for f in self.equalities])
 
     def contains_open(self, eta) -> bool:
@@ -351,14 +350,14 @@ class SecondaryCone:
         all_rows = eq_rows + [list(f.linear) for f in self.stricts]
         lin = nullspace_basis(all_rows if all_rows else [[ZERO] * n])
         lrows, lpiv = _rref(lin)
-        e = matrix_rank(eq_rows) if eq_rows else 0
+        e = matrix_rank(eq_rows)
         s0 = n - len(lin) - 1 - e
         if s0 < 0:
             return ()
         rays = set()
         for sub in combinations(range(len(self.stricts)), s0):
             rows = eq_rows + [list(self.stricts[i].linear) for i in sub]
-            if matrix_rank(rows if rows else [[ZERO] * n]) != n - len(lin) - 1:
+            if matrix_rank(rows) != n - len(lin) - 1:
                 continue
             cand = None
             for v in nullspace_basis(rows if rows else [[ZERO] * n]):
@@ -442,18 +441,11 @@ def _eta_vec(eta) -> Vec:
 
 
 def _spanning_marks(config: PointConfiguration, marks) -> list[int]:
-    """Lexicographically first affinely independent spanning subset of the marks."""
-    chosen_idx: list[int] = []
-    chosen_pts: list[Vec] = []
-    target = affine_rank([config.points[i] for i in sorted(marks)]) + 1
-    for i in sorted(marks):
-        p = config.points[i]
-        if not chosen_pts or affine_rank(chosen_pts + [p]) == len(chosen_pts):
-            chosen_idx.append(i)
-            chosen_pts.append(p)
-        if len(chosen_idx) == target:
-            break
-    return chosen_idx
+    """Lexicographically first affinely independent spanning subset of the
+    marks, as linearly independent rows (point, 1)."""
+    ordered = sorted(marks)
+    ids = independent_rows(config.points[i] + (ONE,) for i in ordered)
+    return [ordered[j] for j in ids]
 
 
 def cone_constraint(config: PointConfiguration, basis_idx, a: int) -> AffineFunctional:
@@ -594,8 +586,10 @@ def enumerate_coherent_subdivisions(config: PointConfiguration, max_count=4096):
                 if len(subs) >= max_count:
                     raise ResourceCapError(f"more than {max_count} subdivisions")
                 subs[s.key] = s
-    keys = sorted(subs, key=sorted)
-    elements = tuple(subs[k] for k in keys)
+    # the sort keys are lists of frozensets, which compare by inclusion: the
+    # sort is not total, so most elements keep their discovery order, and
+    # the goldens encode that order
+    elements = tuple(subs[k] for k in sorted(subs, key=sorted))
     le = []
     for i, s1 in enumerate(elements):
         for j, s2 in enumerate(elements):

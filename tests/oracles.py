@@ -15,6 +15,13 @@ its facets, and the vertex and wall tests are rank tests on facet normals and
 on rays; tropaint derives all three from one intersection closure of facet
 incidences, and these are the references for it.
 
+The greedy independence reference recomputes a rank from scratch for every
+candidate, as the six selection loops of tropaint.geometry and
+regular_subdivision did (spanning marks, overdetermined affine combinations,
+interpolation rows, both loops of the affine frame, the initial simplex of a
+hull) before geometry.independent_rows replaced them with one incremental
+elimination.
+
 The sequential edge-length realization rebuilds the dual complex before each
 edge's correction, as multiplihedra.realize_edge_lengths did before it read
 every correction off its input complex; it is the reference for that one-pass
@@ -247,6 +254,29 @@ def echelon_oracle(rows):
 
 def matrix_rank_oracle(rows) -> int:
     return len(echelon_oracle([[Fraction(x) for x in row] for row in rows])[1])
+
+
+def affine_rank_oracle(points) -> int:
+    """Dimension of the affine hull; -1 for no points."""
+    if not points:
+        return -1
+    return matrix_rank_oracle([[a - b for a, b in zip(p, points[0])] for p in points[1:]])
+
+
+def greedy_by_rank(items, rank=matrix_rank_oracle):
+    """Indices of the items a greedy pass keeps: an item is kept exactly when
+    it raises the rank of the items kept before it, recomputed from scratch.
+
+    With the matrix rank this is the lexicographically first maximal linearly
+    independent subset of rows; with affine_rank_oracle, of affinely
+    independent points.
+    """
+    kept, out = [], []
+    for i, item in enumerate(items):
+        if rank(kept + [item]) > rank(kept):
+            kept.append(item)
+            out.append(i)
+    return out
 
 
 def solve_square_oracle(a_rows, b):

@@ -211,7 +211,7 @@ def test_criterion_06_main_theorem_three_examples():
             brute = sum(
                 1
                 for pc in rep.painted_poset.elements
-                if painting_cone(pc, alpha).dim() == full_dim
+                if painting_cone(pc).dim() == full_dim
             )
             assert rep.polytope_vertex_count == brute == 7
             # heptagon outline: seven vertices, seven edges, one 2-face

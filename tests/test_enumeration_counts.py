@@ -1,15 +1,16 @@
 """The enumerators visit each face sample once, and the main-theorem check
-builds the extended subdivision lattice once for its ranks and the CLI."""
+certifies each painting cone once and builds the extended configuration and
+its subdivision lattice once for its ranks and the CLI."""
 
 import pathlib
 from fractions import Fraction
 
 import pytest
 
-from tropaint import cli, painting, regular_subdivision, secondary_polytope
+from tropaint import cli, painting, painting_polytope, regular_subdivision, secondary_polytope
 from tropaint.multiplihedra import admissible_alpha, ngon_configuration
 from tropaint.painting import enumerate_painted_complexes
-from tropaint.painting_polytope import extend
+from tropaint.painting_polytope import extend, verify_main_theorem
 from tropaint.point_config import build_configuration
 from tropaint.regular_subdivision import (
     enumerate_coherent_subdivisions,
@@ -56,9 +57,27 @@ def test_coherent_enumeration_induces_each_face_sample_once(calls_to):
 
 def test_painting_polytope_ranks_each_extended_subdivision_once(calls_to):
     calls = calls_to(secondary_polytope.subdivision_rank)
-    _, _, report, _, _, subdivision_lat = cli._painting_polytope_pieces(
-        str(GOLDEN / "bipyramid.json")
-    )
+    extends = calls_to(painting_polytope.extend)
+    report, _ = cli._painting_polytope_pieces(str(GOLDEN / "bipyramid.json"))
     assert len(calls) == len(report.subdivision_poset) == 15
-    assert subdivision_lat is report.subdivision_lattice
+    assert len(extends) == 1
+    assert report.extension.extended == report.subdivision_poset.elements[0].config
+    subdivision_lat = report.subdivision_lattice
     assert [subdivision_lat.ranks[j] for j in report.constructive_map] == list(report.ranks)
+
+
+@pytest.mark.parametrize(
+    "config, alpha, count",
+    [
+        (QUAD, (F(1, 3), F(1, 3)), 45),
+        (BIPYRAMID, (F(1, 2), F(1, 3), F(1, 2)), 15),
+    ],
+    ids=["quad", "bipyramid"],
+)
+def test_main_theorem_certifies_each_painting_cone_once(calls_to, config, alpha, count):
+    calls = calls_to(painting.painting_cone)
+    report = verify_main_theorem(config, alpha)
+    painted = [args[0] for _, args in calls]
+    assert len(painted) == len({id(pc) for pc in painted}) == len(report.painted_poset) == count
+    assert all(pc.cone is not None for pc in report.painted_poset.elements)
+    assert len(calls) == count

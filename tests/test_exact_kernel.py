@@ -7,29 +7,49 @@ points, which is where a fraction-free rewrite could drift.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tropaint import geometry
 from tropaint.errors import DegenerateInputError, InputError
 from tropaint.geometry import (
+    _affine_frame,
     _det,
+    _initial_simplex,
+    _integer_points,
     _rref,
+    affine_combination,
     convex_hull_facets,
     face_member_sets,
     hull_volume,
+    independent_rows,
+    interpolate_affine,
     lp_maximize,
     matrix_rank,
     nullspace_basis,
     polytope_vertex_indices,
     solve_square,
     upper_hull_facets,
+    vdot,
+    vsub,
+)
+from tropaint.multiplihedra import admissible_alpha, ngon_configuration
+from tropaint.painting_polytope import extend
+from tropaint.point_config import build_configuration
+from tropaint.regular_subdivision import (
+    _spanning_marks,
+    enumerate_regular_triangulations,
+    secondary_cone,
 )
 
 from oracles import (
+    affine_rank_oracle,
     convex_hull_facets_oracle,
     det_oracle,
     echelon_oracle,
+    greedy_by_rank,
     hull_volume_oracle,
     lp_maximize_oracle,
     matrix_rank_oracle,
@@ -44,8 +64,8 @@ entries = st.fractions(min_value=-6, max_value=6, max_denominator=7)
 
 
 @st.composite
-def matrices(draw, square=False):
-    """Rows drawn as zero rows, duplicates, or rational combinations of a few
+def matrices(draw, square=False, entries=entries):
+    """Rows drawn as zero rows, duplicates, or combinations of a few
     generators, so rank deficiency is common."""
     ncols = draw(st.integers(1, 5))
     nrows = ncols if square else draw(st.integers(0, 6))
@@ -76,6 +96,17 @@ def test_rank_nullspace_rref_match_oracle(rows):
     got_rows, got_pivots = _rref(rows)
     assert got_pivots == want_pivots
     assert got_rows == [tuple(r) for r in want_rows[: len(want_pivots)]]
+
+
+@given(st.one_of(matrices(), matrices(entries=st.integers(-6, 6))))
+@settings(deadline=None, max_examples=300)
+@example([])
+@example([[0, 0], [1, 2], [2, 4], [0, 0], [0, 1], [1, 0]])
+@example([[F(1, 2), F(1, 3)], [F(3, 2), 1], [0, 0]])
+def test_independent_rows_match_greedy_by_rank(rows):
+    got = independent_rows(rows)
+    assert got == greedy_by_rank(rows)
+    assert matrix_rank(rows) == len(got)
 
 
 @st.composite
@@ -190,3 +221,99 @@ def test_hull_functions_accept_a_generator():
     assert face_member_sets(p for p in square) == face_member_sets(square)
     with pytest.raises(InputError):
         convex_hull_facets(iter(()))
+
+
+QUAD = build_configuration([(0, 0), (1, 0), (0, 1), (-1, 0), (-1, -1)])
+BIPYRAMID = build_configuration([(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)])
+
+
+def _golden_configurations():
+    """The configurations behind tests/golden: the quad, the bipyramid, the
+    m = 2 and m = 3 polygons, and the extension of each by its alpha."""
+    cases = [(QUAD, (F(1, 3), F(1, 3))), (BIPYRAMID, (F(1, 2), F(1, 3), F(1, 2)))]
+    for m in (2, 3):
+        config = ngon_configuration(m)
+        cases.append((config, admissible_alpha(config)))
+    out = []
+    for config, alpha in cases:
+        out += [config, extend(config, alpha).extended]
+    return out
+
+
+GOLDEN_CONFIGS = _golden_configurations()
+
+
+def _subsets(n):
+    for k in range(1, n + 1):
+        yield from combinations(range(n), k)
+
+
+@pytest.mark.parametrize("config", GOLDEN_CONFIGS, ids=lambda c: f"{len(c.points)}pts")
+def test_selections_match_greedy_by_rank_on_golden_configurations(config):
+    """Spanning marks, affine frames and initial simplices pick, on every
+    point subset, what the former rank-per-candidate loops picked."""
+    d = config.dimension
+    ints, _ = _integer_points(config.points)
+    for subset in _subsets(len(config.points)):
+        pts = [config.points[i] for i in subset]
+        want = [subset[j] for j in greedy_by_rank(pts, affine_rank_oracle)]
+        assert _spanning_marks(config, frozenset(subset)) == want
+        diffs = [vsub(p, pts[0]) for p in pts]
+        frame = [diffs[j] for j in greedy_by_rank(diffs)]
+        coords, base, row_ids, rows = _affine_frame(pts)
+        assert base == pts[0]
+        if frame:
+            columns = list(zip(*frame))
+            assert row_ids == greedy_by_rank(columns)
+            assert rows == [columns[i] for i in row_ids]
+            assert coords == [solve_square_oracle(rows, [dv[i] for i in row_ids]) for dv in diffs]
+        else:
+            assert coords == [()] * len(pts) and row_ids == rows == []
+        sub_ints = [ints[i] for i in subset]
+        if len(want) == d + 1:
+            assert _initial_simplex(sub_ints, d) == greedy_by_rank(sub_ints, affine_rank_oracle)
+        else:
+            with pytest.raises(DegenerateInputError):
+                _initial_simplex(sub_ints, d)
+
+
+@pytest.mark.parametrize("config", GOLDEN_CONFIGS, ids=lambda c: f"{len(c.points)}pts")
+def test_affine_combination_and_interpolation_on_golden_configurations(config):
+    """Square and overdetermined systems alike: a spanning basis expresses
+    exactly the points of its span, and an affine functional is recovered
+    from its values exactly when the points span the space."""
+    n, d = len(config.points), config.dimension
+    slope = tuple(F(k + 2, k + 1) for k in range(d))
+    for subset in _subsets(n):
+        pts = [config.points[i] for i in subset]
+        basis = [config.points[i] for i in _spanning_marks(config, subset)]
+        rank = affine_rank_oracle(pts)
+        for p in config.points:
+            coeffs = affine_combination(basis, p)
+            if affine_rank_oracle(pts + [p]) == rank:
+                assert sum(coeffs) == 1
+                assert tuple(sum(c * b[k] for c, b in zip(coeffs, basis)) for k in range(d)) == p
+            else:
+                assert coeffs is None
+        values = [vdot(slope, p) - 1 for p in pts]
+        fn = interpolate_affine(pts, values)
+        if rank < d:
+            assert fn is None
+            continue
+        assert fn.linear == slope and fn.constant == 1
+        values[-1] += 1
+        fn = interpolate_affine(pts, values)
+        if affine_rank_oracle(pts[:-1]) == d:
+            assert fn is None
+        else:
+            assert [fn(p) for p in pts] == values
+
+
+def test_secondary_cone_of_a_triangulation_computes_no_rank(calls_to):
+    ext = extend(QUAD, (F(1, 3), F(1, 3))).extended
+    tris = enumerate_regular_triangulations(ext)
+    affine_ranks = calls_to(geometry.affine_rank)
+    matrix_ranks = calls_to(geometry.matrix_rank)
+    for t, cone in tris.values():
+        assert secondary_cone(ext, t) == cone
+    assert affine_ranks == [] and matrix_ranks == []

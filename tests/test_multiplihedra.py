@@ -209,7 +209,7 @@ def test_rank_formula_matches_cone_dimension():
         spec = realize_painted_tree(t, m)
         p, _ = dual_complex(config, spec.eta)
         pc = paint(p, spec)
-        cone = painting_cone(pc, spec.alpha)
+        cone = painting_cone(pc)
         assert (n + 1) - cone.dim() == _tree_rank(t.encoding)
 
 

@@ -200,7 +200,7 @@ def test_ray_sign_with_explicit_bound():
 
 def test_painting_cone_contains_witness():
     painted = star_painted(F(-1))
-    cone = painting_cone(painted, ALPHA)
+    cone = painting_cone(painted)
     point = tuple(painted.spec.eta.values) + (painted.spec.c,)
     assert cone.contains_open(point)
     assert cone.ambient_dim == 6
@@ -216,7 +216,7 @@ def test_painting_cone_infeasible_coloring():
     # four purple vertices force an affine lifting, which cannot induce
     # the star triangulation
     with pytest.raises(NoCertificateError):
-        painting_cone(fake, ALPHA)
+        painting_cone(fake)
 
 
 def repaint_key(config, alpha, point):
@@ -231,9 +231,9 @@ def test_witness_painting_cone_matches_lp_cone(config, alpha, lp_calls, monkeypa
     real = painting.painting_cone
     cone_lps = []
 
-    def counting(painted, a):
+    def counting(painted):
         before = len(lp_calls)
-        cone = real(painted, a)
+        cone = real(painted)
         cone_lps.append(len(lp_calls) - before)
         return cone
 
@@ -246,13 +246,13 @@ def test_witness_painting_cone_matches_lp_cone(config, alpha, lp_calls, monkeypa
     elements = poset.elements
     for i, pc in enumerate(elements):
         lp_calls.clear()
-        fast = real(pc, alpha)
+        fast = real(pc)
         assert lp_calls == []
         point = pc.spec.eta.values + (pc.spec.c,)
         assert fast.interior_point == point
         # the spec of another painted complex lies in another open cone
         other = elements[(i + 1) % len(elements)].spec
-        slow = real(PaintedComplex(pc.complex, pc.kappa, other), alpha)
+        slow = real(PaintedComplex(pc.complex, pc.kappa, other))
         assert len(lp_calls) == 1
         assert not slow.contains_open(other.eta.values + (other.c,))
         assert fast.equalities == slow.equalities and fast.stricts == slow.stricts
@@ -268,10 +268,10 @@ def test_painting_cone_foreign_coloring_falls_back_to_lp(lp_calls):
     assert other.subdivision == painted.subdivision
     assert other.kappa != painted.kappa
     mixed = PaintedComplex(painted.complex, painted.kappa, other.spec)
-    cone = painting_cone(mixed, ALPHA)
+    cone = painting_cone(mixed)
     assert len(lp_calls) == 1
     assert not cone.contains_open(other.spec.eta.values + (other.spec.c,))
-    assert cone == painting_cone(painted, ALPHA)
+    assert cone == painting_cone(painted)
     assert repaint_key(QUAD, ALPHA, cone.interior_point) == painted.key()
 
 
@@ -297,7 +297,7 @@ def test_quad_poset_counts():
     assert len(poset) == 45
     dims = {}
     for pc in poset.elements:
-        d = painting_cone(pc, ALPHA).dim()
+        d = painting_cone(pc).dim()
         dims[d] = dims.get(d, 0) + 1
     # pointed dimensions 3,2,1,0 over a 3-dimensional lineality
     assert dims == {6: 14, 5: 21, 4: 9, 3: 1}
@@ -320,7 +320,7 @@ def test_bipyramid_poset_is_heptagon():
     assert len(poset) == 15
     dims = {}
     for pc in poset.elements:
-        d = painting_cone(pc, ALPHA3).dim()
+        d = painting_cone(pc).dim()
         dims[d] = dims.get(d, 0) + 1
     assert dims == {6: 7, 5: 7, 4: 1}
     assert len(poset.covers()) == 21
@@ -356,7 +356,7 @@ def test_sampled_paintings_are_enumerated(eta, c):
 def test_cone_membership_matches_key(eta, c):
     p, _ = dual_complex(QUAD, eta)
     painted = paint(p, PaintSpec.of(QUAD, eta, c, ALPHA))
-    cone = painting_cone(painted, ALPHA)
+    cone = painting_cone(painted)
     point = tuple(F(v) for v in eta) + (F(c),)
     assert cone.contains_open(point)
     # repainting at the cone's own certificate reproduces the painting
