@@ -24,7 +24,7 @@ from .errors import (
     ResourceCapError,
     VerificationError,
 )
-from .lattice import poset_to_lattice
+from .lattice import graded_lattice
 from .multiplihedra import multiplihedron_lattice, verify_multiplihedron_theorem
 from .painting import PaintSpec, paint
 from .painting_polytope import verify_main_theorem
@@ -195,9 +195,9 @@ def _painting_polytope_pieces(path):
     """The main-theorem report of a configuration file and its painted lattice."""
     config, alpha = _read_input(path)
     report = verify_main_theorem(config, _require_alpha(alpha, path))
-    painted_lat = poset_to_lattice(
-        report.painted_poset,
+    painted_lat = graded_lattice(
         report.ranks,
+        report.painted_poset.covers(),
         payload=[_painted_label(pc) for pc in report.painted_poset.elements],
     )
     return report, painted_lat

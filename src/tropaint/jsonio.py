@@ -111,11 +111,11 @@ def subdivision_json(subdivision) -> dict:
 
     config = subdivision.config
     cells = []
-    for cell in sorted(subdivision.maximal, key=lambda c: sorted(c.marks)):
+    for mc in sorted(subdivision.maximal, key=lambda c: sorted(c.marks)):
         cells.append(
             {
-                "marks": _marks_labels(config, cell.marks),
-                "vertices": [vector_json(v) for v in cell.vertices],
+                "marks": _marks_labels(config, mc.marks),
+                "vertices": [vector_json(v) for v in subdivision.cells[mc.marks].vertices],
             }
         )
     return {"cells": cells, "is_triangulation": is_triangulation(subdivision)}

@@ -129,11 +129,6 @@ def graded_lattice(ranks, covers, payload=None) -> FaceLattice:
     return FaceLattice(ranks, covers, tuple(payload))
 
 
-def poset_to_lattice(poset: Poset, ranks, payload=None) -> FaceLattice:
-    covers = poset.covers()
-    return graded_lattice(ranks, covers, payload)
-
-
 def _refined_colors(lat: FaceLattice) -> list[int]:
     """Stable iterated neighborhood coloring; isomorphism-invariant classes."""
     up = lat.up_adjacency()
@@ -188,6 +183,8 @@ def lattice_isomorphic(l1: FaceLattice, l2: FaceLattice):
     def ok(i: int, j: int) -> bool:
         # forward cover consistency; with exact per-element cover degrees this
         # forces covers to map bijectively onto covers once the match is total
+        if used[j] or len(up1[i]) != updeg2[j] or len(down1[i]) != downdeg2[j]:
+            return False
         for k in up1[i]:
             if match[k] != -1 and (j, match[k]) not in cov2:
                 return False
@@ -202,25 +199,28 @@ def lattice_isomorphic(l1: FaceLattice, l2: FaceLattice):
         updeg2[a] += 1
         downdeg2[b] += 1
 
-    def backtrack(pos: int) -> bool:
-        if pos == n:
-            return True
+    # depth-first search with an explicit stack: tried[pos] counts the
+    # candidates of order[pos] already tried, so a lattice of any size
+    # searches in the same order without deep recursion
+    tried = [0] * n
+    pos = 0
+    while pos < n:
         i = order[pos]
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            if len(up1[i]) != updeg2[j] or len(down1[i]) != downdeg2[j]:
-                continue
-            if not ok(i, j):
-                continue
-            match[i] = j
-            used[j] = True
-            if backtrack(pos + 1):
-                return True
-            match[i] = -1
-            used[j] = False
-        return False
-
-    if not backtrack(0):
-        return None
+        cands = candidates[i]
+        while tried[pos] < len(cands):
+            j = cands[tried[pos]]
+            tried[pos] += 1
+            if ok(i, j):
+                match[i] = j
+                used[j] = True
+                pos += 1
+                break
+        else:
+            tried[pos] = 0
+            pos -= 1
+            if pos < 0:
+                return None
+            prev = order[pos]
+            used[match[prev]] = False
+            match[prev] = -1
     return match

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import InconsistencyError, InputError, VerificationError
 from .geometry import Vec, vdot, vector
-from .lattice import lattice_isomorphic, poset_to_lattice
+from .lattice import graded_lattice, lattice_isomorphic
 from .painting import (
     PURPLE,
     PaintedComplex,
@@ -199,7 +199,7 @@ def verify_main_theorem(config: PointConfiguration, alpha) -> MainTheoremReport:
     pranks = [(n + 1) - pc.cone.dim() for pc in ppos.elements]
     slat = face_lattice_from_poset(ext.extended, spos)
     sranks = slat.ranks
-    match = lattice_isomorphic(poset_to_lattice(ppos, pranks), slat)
+    match = lattice_isomorphic(graded_lattice(pranks, ppos.covers()), slat)
     if match is None:
         raise VerificationError("posets admit no rank-preserving isomorphism")
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 
 from .errors import InconsistencyError, InputError, NoCertificateError, ResourceCapError
@@ -20,7 +20,6 @@ from .geometry import (
     Vec,
     _rref,
     affine_combination,
-    affine_rank,
     as_fraction,
     face_member_sets,
     hull_volume,
@@ -69,50 +68,26 @@ class Lifting:
         return len(self.values)
 
 
-# Bounded so the cache cannot grow for the life of the process.  The largest
-# perfbench workload meets 62 distinct cells and hits 98% of its lookups.
-_FACE_SETS_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=_FACE_SETS_CACHE_SIZE)
-def _face_sets(points: tuple[Vec, ...]) -> frozenset[frozenset[int]]:
-    # The same cell recurs across subdivisions and liftings: a seed-0
-    # perfbench liftings pass, checks included, asks for the faces of 62
-    # distinct cells 1365 times, and an edge_lengths pass of 20 cells 3780
-    # times.  Each miss builds a hull, so cache per point tuple.
-    return frozenset(face_member_sets(points))
-
-
 class MarkedCell:
     """A subdivision cell: marks, their points, and (if maximal) the support.
 
-    The cell polytope is the convex hull of the marked points; its vertex set
-    is only computed on first use.  support, when present, is the affine
-    functional cut out by the corresponding upper-hull facet:
-    support(a) >= -eta(a) for every configuration point, with equality exactly
-    on the marks.
+    The cell polytope is the convex hull of the marked points.  support, when
+    present, is the affine functional cut out by the corresponding upper-hull
+    facet: support(a) >= -eta(a) for every configuration point, with equality
+    exactly on the marks.  dimension and vertices (the vertex points, sorted)
+    are set only on the cells of Subdivision.cells, which reads both off the
+    subdivision's incidences; the cells of Subdivision.maximal carry neither.
     """
 
-    __slots__ = ("marks", "points", "support", "_vertices", "_dim")
+    __slots__ = ("marks", "points", "support", "dimension", "vertices")
 
     def __init__(self, points, marks, support=None):
         self.points = tuple(points)  # marked points, in mark order
         self.marks = frozenset(marks)
         self.support = support
-        self._vertices = None
-        self._dim = None
-
-    @property
-    def vertices(self) -> tuple[Vec, ...]:
-        if self._vertices is None:
-            vidx = polytope_vertex_indices(self.points)
-            self._vertices = tuple(sorted(self.points[j] for j in vidx))
-        return self._vertices
 
     def dim(self) -> int:
-        if self._dim is None:
-            self._dim = affine_rank(self.points)
-        return self._dim
+        return self.dimension
 
     def __eq__(self, other):
         return (
@@ -137,9 +112,19 @@ class Subdivision:
     """Cells of a polyhedral subdivision, closed under faces.
 
     Identity is the set of maximal marked cells; two liftings in the same open
-    secondary cone produce equal Subdivision values.  The face closure is
-    computed lazily, on first access of .cells.  witness, when present, is the
-    lifting that induced the subdivision; it takes no part in identity.
+    secondary cone produce equal Subdivision values.  witness, when present,
+    is the lifting that induced the subdivision; it takes no part in identity.
+
+    .cells is built on first access, with no geometry.  Cells meet in common
+    faces, and every face of a cell is the intersection of the cell's facets
+    containing it, each of which is shared with another maximal cell or lies
+    on a facet of the configuration.  So each maximal cell's faces are the
+    intersection closure of its marks with the other maximal cells' marks and
+    the configuration's facet member sets, the empty set dropped.  A face
+    poset is graded: a single mark has dimension 0, any other cell one more
+    than the largest cell strictly inside it, and a cell's vertices are the
+    single-mark cells inside it.  validate_subdivision checks the result
+    against hulls.
     """
 
     def __init__(
@@ -157,13 +142,26 @@ class Subdivision:
     @property
     def cells(self) -> dict[frozenset[int], MarkedCell]:
         if self._cells is None:
-            cells: dict[frozenset[int], MarkedCell] = {c.marks: c for c in self.maximal}
+            config = self.config
+            outer = [mc.marks for mc in self.maximal] + [f.members for f in config.facets]
+            dims: dict[frozenset[int], int] = {}
             for mc in self.maximal:
-                order = sorted(mc.marks)
-                for mem in _face_sets(mc.points):
-                    marks = frozenset(order[j] for j in mem)
-                    if marks not in cells:
-                        cells[marks] = _make_cell(self.config, marks)
+                parts = {mc.marks & o for o in outer} - {mc.marks, frozenset()}
+                faces = intersection_closure(mc.marks, parts) - {frozenset()}
+                # a face's facets are among its intersections with single
+                # parts, all smaller than the face, so they are graded first
+                for face in sorted(faces, key=len):
+                    if face not in dims:
+                        below = {face & p for p in parts} - {face, frozenset()}
+                        dims[face] = 1 + max((dims[c] for c in below), default=-1)
+            vertex_marks = {i for face in dims if len(face) == 1 for i in face}
+            supports = {mc.marks: mc.support for mc in self.maximal}
+            cells: dict[frozenset[int], MarkedCell] = {}
+            for marks, dim in dims.items():
+                cell = _make_cell(config, marks, supports.get(marks))
+                cell.dimension = dim
+                cell.vertices = tuple(sorted(config.points[i] for i in marks & vertex_marks))
+                cells[marks] = cell
             self._cells = cells
         return self._cells
 
@@ -204,9 +202,9 @@ def induce_subdivision(config: PointConfiguration, eta: Lifting) -> Subdivision:
 
 
 def is_triangulation(s: Subdivision) -> bool:
-    # Faces of a marked simplex are again marked simplices, so checking the
-    # maximal cells settles the whole face closure.
-    return all(c.dim() == len(c.marks) - 1 for c in s.maximal)
+    # Every maximal cell is d-dimensional, so it is a marked simplex exactly
+    # when it has d + 1 marks; faces of marked simplices are marked simplices.
+    return all(len(c.marks) == s.config.dimension + 1 for c in s.maximal)
 
 
 def refines(s1: Subdivision, s2: Subdivision) -> bool:
@@ -244,26 +242,26 @@ def _lp_min(objective, ineqs: list[AffineFunctional], dim: int):
 def validate_subdivision(s: Subdivision) -> None:
     """Exact check of the defining conditions; raises InconsistencyError.
 
-    Checks: marks' hulls match stored polytopes, faces of cells are cells,
-    maximal-cell volumes add up to the full polytope volume, and every
-    pairwise intersection of maximal cells is a face of each.
+    Checks: each cell's vertices are the vertices of its marks' hull, the
+    cells are exactly the faces of the maximal cells' hulls, maximal-cell
+    volumes add up to the full polytope volume, and every pairwise
+    intersection of maximal cells is a face of each.
     """
     config = s.config
     for marks, cell in s.cells.items():
-        rebuilt = _make_cell(config, marks)
-        if rebuilt.vertices != cell.vertices:
+        hull_vertices = sorted(cell.points[j] for j in polytope_vertex_indices(cell.points))
+        if tuple(hull_vertices) != cell.vertices:
             raise InconsistencyError(f"cell {sorted(marks)} polytope mismatch")
     # faces come from the hulls, not from s.cells, which is what is checked
     faces_of = {}
     for mc in s.maximal:
         order = sorted(mc.marks)
-        pts = [config.points[i] for i in order]
         faces_of[mc.marks] = {
-            frozenset(order[j] for j in mem) for mem in face_member_sets(pts)
+            frozenset(order[j] for j in mem) for mem in face_member_sets(mc.points)
         }
-        for marks in faces_of[mc.marks]:
-            if marks not in s.cells:
-                raise InconsistencyError(f"missing face {sorted(marks)}")
+    differ = set().union(*faces_of.values()) ^ s.cells.keys()
+    if differ:
+        raise InconsistencyError(f"cells and hull faces differ on {sorted(map(sorted, differ))}")
     total = sum(
         (hull_volume([config.points[i] for i in sorted(mc.marks)]) for mc in s.maximal),
         ZERO,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InputError, NotIsotopicError
-from .geometry import Vec, affine_rank, vadd, vdot, vector
+from .geometry import Vec, vadd, vdot, vector
 from .point_config import PointConfiguration
 from .regular_subdivision import Lifting, Subdivision, induce_subdivision
 
@@ -115,21 +115,20 @@ def dual_complex(config: PointConfiguration, eta) -> tuple[TropicalComplex, Subd
 
     Each subdivision cell contributes one dual cell: its vertices are the
     slopes of the supports of the maximal cells containing it, its rays the
-    inward normals of the polytope facets containing it.  Dimensions are
-    complementary and compactness matches interiority, both checked by the
-    test suite rather than assumed here.
+    inward normals of the polytope facets containing it.  Its dimension is
+    the complement of the subdivision cell's, which Subdivision.cells derives
+    from incidences; the test suite checks both dimensions against affine
+    ranks, and that compactness matches interiority.
     """
     if not isinstance(eta, Lifting):
         eta = Lifting.of(config, eta)
     s = induce_subdivision(config, eta)
     supports = [(mc.marks, mc.support) for mc in s.maximal]
     cells: dict[frozenset[int], TropicalCell] = {}
-    for marks in s.cells:
+    for marks, cell in s.cells.items():
         verts = {sup.linear for m, sup in supports if marks <= m}
         rays = [f.normal for f in config.facets if marks <= f.members]
-        base = next(iter(verts))
-        span = list(verts) + [vadd(base, r) for r in rays]
-        cells[marks] = TropicalCell(verts, rays, marks, affine_rank(span))
+        cells[marks] = TropicalCell(verts, rays, marks, config.dimension - cell.dimension)
     return TropicalComplex(config, eta, s, cells), s
 
 

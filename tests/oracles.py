@@ -22,6 +22,12 @@ interpolation rows, both loops of the affine frame, the initial simplex of a
 hull) before geometry.independent_rows replaced them with one incremental
 elimination.
 
+The per-cell subdivision geometry builds one hull per maximal cell for its
+faces, then one rank and one hull per face for its dimension and vertices,
+as regular_subdivision.Subdivision.cells and MarkedCell did before the cells
+were read off the subdivision's own incidences; the dual-cell rank is the
+span computation tropical_dual.dual_complex used for dual dimensions.
+
 The sequential edge-length realization rebuilds the dual complex before each
 edge's correction, as multiplihedra.realize_edge_lengths did before it read
 every correction off its input complex; it is the reference for that one-pass
@@ -40,7 +46,10 @@ from tropaint.geometry import (
     affine_coordinates,
     affine_rank,
     convex_hull_facets,
+    face_member_sets,
     interpolate_affine,
+    polytope_vertex_indices,
+    vadd,
     vector,
 )
 from tropaint.multiplihedra import _edge_offset
@@ -623,3 +632,29 @@ def cone_walls_by_rank(cone):
                 sample = tuple(a + b for a, b in zip(sample, r))
             out.append((fn, sample))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Subdivision cells and dual dimensions before they were read off incidences
+
+
+def subdivision_cells_by_hull(s):
+    """{marks: (dimension, vertices)} for every cell of a Subdivision: the
+    faces of each maximal cell by face_member_sets, each face's dimension by
+    affine_rank and its vertices, sorted, by polytope_vertex_indices."""
+    points = s.config.points
+    out = {}
+    for mc in s.maximal:
+        order = sorted(mc.marks)
+        for mem in face_member_sets([points[i] for i in order]):
+            pts = [points[order[j]] for j in sorted(mem)]
+            vertices = tuple(sorted(pts[j] for j in polytope_vertex_indices(pts)))
+            out[frozenset(order[j] for j in mem)] = (affine_rank(pts), vertices)
+    return out
+
+
+def dual_cell_rank(cell) -> int:
+    """Affine rank of a TropicalCell's vertices together with one vertex
+    pushed along each of its rays."""
+    base = cell.vertices[0]
+    return affine_rank(list(cell.vertices) + [vadd(base, r) for r in cell.rays])

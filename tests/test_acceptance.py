@@ -12,7 +12,7 @@ import time
 from fractions import Fraction as F
 
 from cli_cases import CASES, INPUT_FILES
-from oracles import painted_binary_tree_count, polygon_subdivisions
+from oracles import dual_cell_rank, painted_binary_tree_count, polygon_subdivisions
 from tropaint.lattice import graded_lattice, lattice_isomorphic
 from tropaint.multiplihedra import (
     EdgeLengthTarget,
@@ -43,7 +43,7 @@ from tropaint.secondary_polytope import (
     secondary_polytope_vertices,
 )
 from tropaint.tropical_dual import TropicalPolynomial, dual_complex, evaluate
-from tropaint.geometry import vdot
+from tropaint.geometry import affine_rank, vdot
 
 QUAD = build_configuration([(0, 0), (1, 0), (0, 1), (-1, 0), (-1, -1)])
 BIPYRAMID = build_configuration(
@@ -95,6 +95,9 @@ def test_criterion_02_duality_suite():
             assert set(p.cells) == set(s.cells)
             for marks, cell in p.cells.items():
                 assert cell.dimension + s.cells[marks].dim() == config.dimension
+                # both dimensions are derived from incidences; check each by a rank
+                assert s.cells[marks].dim() == affine_rank(s.cells[marks].points)
+                assert cell.dimension == dual_cell_rank(cell)
             assert set(p.face_pairs()) == {(b, a) for a, b in s.face_pairs()}
             # the lifted support value is attained at the dual vertex, exactly
             for mc in s.maximal:

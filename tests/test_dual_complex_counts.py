@@ -1,10 +1,11 @@
 """Each lifting gets one dual complex: painting reads the complex it is
 given, edge-length realization corrects every edge from one complex, and the
-main-theorem check builds each extended complex once."""
+main-theorem check builds each extended complex once.  A dual complex builds
+one hull, and its cells read their dimensions and vertices off incidences."""
 
 from fractions import Fraction
 
-from tropaint import regular_subdivision, tropical_dual
+from tropaint import geometry, regular_subdivision, tropical_dual
 from tropaint.multiplihedra import (
     EdgeLengthTarget,
     _edge_offset,
@@ -15,6 +16,7 @@ from tropaint.multiplihedra import (
 from tropaint.painting import PaintSpec, paint
 from tropaint.painting_polytope import embed_lifting, extend, verify_main_theorem
 from tropaint.point_config import build_configuration
+from tropaint.regular_subdivision import is_triangulation
 from tropaint.tropical_dual import dual_complex
 
 F = Fraction
@@ -61,3 +63,25 @@ def test_verify_main_theorem_builds_each_extended_complex_once(calls_to):
         and eta in embedded
         and caller not in ("tropaint.tropical_dual", "tropaint.regular_subdivision")
     ]
+
+
+def test_dual_complex_builds_one_hull_per_lifting(calls_to):
+    ext = extend(QUAD, ALPHA).extended
+    liftings = [
+        [-1, 1, 0, 2, 0, 0, 0],
+        [-1, 1, 0, 2, 0, 1, 1],
+        [0, 0, 0, 0, 0, -1, 3],
+        [3, -2, 5, 1, 7, F(1, 2), F(1, 2)],
+    ]
+    hulls = calls_to(geometry.convex_hull_facets)
+    ranks = calls_to(geometry.affine_rank)
+    triangulations = 0
+    for eta in liftings:
+        p, s = dual_complex(ext, eta)
+        for marks, cell in s.cells.items():
+            assert p.cells[marks].dimension == ext.dimension - cell.dim()
+            assert cell.vertices
+        triangulations += is_triangulation(s)
+    assert 0 < triangulations < len(liftings)
+    assert len(hulls) == len(liftings)
+    assert {caller for caller, _ in ranks} == {"tropaint.geometry"}

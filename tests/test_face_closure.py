@@ -1,7 +1,9 @@
 """Faces, vertices and cone walls all come from one intersection closure of
-facet incidences; the recursive face enumeration and the rank tests it
-replaced stay in oracles.py as references."""
+facet incidences, and so do the cells of a subdivision with their dimensions
+and vertices; the recursive face enumeration, the rank tests and the per-cell
+hulls and ranks they replaced stay in oracles.py as references."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,12 +19,19 @@ from tropaint.geometry import (
 from tropaint.multiplihedra import admissible_alpha, ngon_configuration
 from tropaint.painting_polytope import extend
 from tropaint.point_config import build_configuration
-from tropaint.regular_subdivision import SecondaryCone, enumerate_regular_triangulations
+from tropaint.regular_subdivision import (
+    Lifting,
+    SecondaryCone,
+    enumerate_coherent_subdivisions,
+    enumerate_regular_triangulations,
+    induce_subdivision,
+)
 
 from oracles import (
     cone_walls_by_rank,
     face_member_sets_recursive,
     polytope_vertex_indices_by_rank,
+    subdivision_cells_by_hull,
 )
 
 F = Fraction
@@ -111,14 +120,19 @@ def test_face_member_sets_builds_one_hull(calls_to):
     assert len(hulls) == len(inputs)
 
 
-def _triangulation_cones():
+def _golden_configs():
+    """The golden quad and bipyramid, their extensions and the extended m <= 4 polygons."""
     configs = {"quad": QUAD, "bipyramid": BIPYRAMID}
     configs["quad_ext"] = extend(QUAD, QUAD_ALPHA).extended
     configs["bipyramid_ext"] = extend(BIPYRAMID, BIPYRAMID_ALPHA).extended
     for m in (2, 3, 4):
         config = ngon_configuration(m)
         configs[f"m{m}_ext"] = extend(config, admissible_alpha(config)).extended
-    for name, config in configs.items():
+    return configs
+
+
+def _triangulation_cones():
+    for name, config in _golden_configs().items():
         for _, cone in enumerate_regular_triangulations(config).values():
             yield name, cone
 
@@ -129,6 +143,49 @@ def test_walls_match_the_rank_oracle_on_triangulation_cones():
         assert cone.walls() == cone_walls_by_rank(cone), name
         count += 1
     assert count == 56
+
+
+def _cells_match_the_hull_oracle(s):
+    assert {m: (c.dim(), c.vertices) for m, c in s.cells.items()} == subdivision_cells_by_hull(s)
+
+
+def test_subdivision_cells_match_the_hull_oracle_on_enumerated_subdivisions():
+    count = 0
+    for config in _golden_configs().values():
+        for s in enumerate_coherent_subdivisions(config).elements:
+            _cells_match_the_hull_oracle(s)
+            count += 1
+    assert count == 155
+
+
+def _seeded_configuration(rng, d):
+    """d + 2 integer points spanning R^d, three midpoints of pairs of them
+    and one centroid of a triple, so that marked points land inside cells,
+    on facets and on edges."""
+    while True:
+        pts = [tuple(F(rng.randint(-2, 2)) for _ in range(d)) for _ in range(d + 2)]
+        extra = [
+            tuple((x + y) / 2 for x, y in zip(*rng.sample(pts, 2))) for _ in range(3)
+        ]
+        extra.append(tuple(sum(xs) / 3 for xs in zip(*rng.sample(pts, 3))))
+        pts = list(dict.fromkeys(pts + extra))
+        if geometry.affine_rank(pts) == d:
+            return build_configuration(pts)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_subdivision_cells_match_the_hull_oracle_on_coarse_liftings(d):
+    # mostly zero heights: coarse subdivisions with marks inside their cells
+    rng = random.Random(d)
+    inner_marks = 0
+    for _ in range(3):
+        config = _seeded_configuration(rng, d)
+        for _ in range(8):
+            eta = [rng.choice((0, 0, 0, 0, 1, -1, 2)) for _ in config.points]
+            s = induce_subdivision(config, Lifting.of(config, eta))
+            _cells_match_the_hull_oracle(s)
+            inner_marks += sum(len(c.marks) - len(c.vertices) for c in s.cells.values())
+    assert inner_marks > 0
 
 
 def _fn(*coefficients):

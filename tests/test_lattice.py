@@ -6,7 +6,6 @@ from tropaint.lattice import (
     Poset,
     graded_lattice,
     lattice_isomorphic,
-    poset_to_lattice,
 )
 
 
@@ -45,7 +44,7 @@ def test_graded_lattice_validation():
 
 def test_chain_lattice_from_poset():
     p = Poset(("x", "y", "z"), [(0, 1), (1, 2)])
-    lat = poset_to_lattice(p, [0, 1, 2])
+    lat = graded_lattice([0, 1, 2], p.covers())
     assert lat.covers == frozenset({(0, 1), (1, 2)})
 
 
@@ -76,3 +75,24 @@ def test_non_isomorphic_same_profile():
     la = graded_lattice(ranks, covers_a)
     lb = graded_lattice(ranks, covers_b)
     assert lattice_isomorphic(la, lb) is None
+
+
+def boolean_lattice(k, reverse=False):
+    """The subsets of a k-set under inclusion, as bitmasks, listed in
+    increasing order or, reversed, in decreasing order."""
+    n = 1 << k
+    index = (lambda s: n - 1 - s) if reverse else (lambda s: s)
+    ranks = [0] * n
+    for s in range(n):
+        ranks[index(s)] = bin(s).count("1")
+    covers = [(index(s), index(s | 1 << b)) for s in range(n) for b in range(k) if not s >> b & 1]
+    return graded_lattice(ranks, covers)
+
+
+def test_isomorphism_of_a_lattice_with_more_than_a_thousand_elements():
+    b10 = boolean_lattice(10)
+    for other in (b10, boolean_lattice(10, reverse=True)):
+        m = lattice_isomorphic(b10, other)
+        assert m is not None and sorted(m) == list(range(len(b10)))
+        assert all(b10.ranks[i] == other.ranks[m[i]] for i in range(len(b10)))
+        assert {(m[i], m[j]) for i, j in b10.covers} == set(other.covers)

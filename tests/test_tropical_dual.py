@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropaint.errors import NotIsotopicError
-from tropaint.geometry import lp_maximize, primitive_vector
+from tropaint.geometry import affine_rank, lp_maximize, primitive_vector
 from tropaint.point_config import build_configuration
 from tropaint.regular_subdivision import Lifting, induce_subdivision
 from tropaint.tropical_dual import (
@@ -15,7 +15,7 @@ from tropaint.tropical_dual import (
     isotopy_map,
 )
 
-from oracles import dual_vertex_oracle
+from oracles import dual_cell_rank, dual_vertex_oracle
 
 F = Fraction
 
@@ -137,6 +137,9 @@ def test_duality_properties_random_lifts(vals):
     boundary = [fs.members for fs in QUAD.facets]
     for marks, cell in p.cells.items():
         assert cell.dimension + s.cells[marks].dim() == QUAD.dimension
+        # both dimensions are derived from incidences; check each by a rank
+        assert s.cells[marks].dim() == affine_rank(s.cells[marks].points)
+        assert cell.dimension == dual_cell_rank(cell)
         on_boundary = any(marks <= mem for mem in boundary)
         assert cell.is_compact() == (not on_boundary)
         for r in cell.rays:
