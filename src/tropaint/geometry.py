@@ -611,11 +611,15 @@ def upper_hull_facets(lifted) -> list[tuple[AffineFunctional, frozenset[int]]]:
     if not base:
         raise InputError("upper hull of an empty point list")
     d = len(base[0])
-    if affine_rank(base) < d:
-        raise DegenerateInputError("base points do not span; upper hull undefined")
     pts = [b + (h,) for b, h in zip(base, heights)]
-    if affine_rank(pts) == d:
-        # All lifted points on one non-vertical hyperplane: a single facet.
+    # projecting drops the rank by at most one, so one rank of the lifted
+    # points settles whether the base spans
+    rank = affine_rank(pts)
+    if rank < d:
+        raise DegenerateInputError("base points do not span; upper hull undefined")
+    if rank == d:
+        # All lifted points on one hyperplane: a single facet when it is not
+        # vertical, which is when the base spans.
         fn = interpolate_affine(base, heights)
         if fn is None:
             raise DegenerateInputError("degenerate lifted configuration")

@@ -260,7 +260,7 @@ def painting_cone(painted: PaintedComplex) -> SecondaryCone:
     per 0-cell whose orientation follows its color (positive g-value means
     red).  The interior point is the (lifting, level) pair of painted.spec
     when an exact check puts it in the open cone, as it does for every
-    complex paint() returns; otherwise a strict-feasibility LP finds one.
+    complex paint() returns; otherwise it is the sum of the cone's rays.
     """
     config = painted.complex.config
     spec = painted.spec
@@ -282,12 +282,16 @@ def painting_cone(painted: PaintedComplex) -> SecondaryCone:
     return cone
 
 
-def _paint_at(config, alpha, point) -> PaintedComplex:
-    """Paint the complex induced by a point of (lifting, level) space."""
+def _paint_at(config, alpha, point, complexes: dict) -> PaintedComplex:
+    """Paint the complex induced by a point of (lifting, level) space.
+
+    complexes maps each lifting met so far to its dual complex: face samples
+    at different levels often share their lifting.
+    """
     eta = Lifting(tuple(point[:-1]))
-    spec = PaintSpec(eta, point[-1], vector(alpha))
-    p, _ = dual_complex(config, eta)
-    return paint(p, spec)
+    if eta.values not in complexes:
+        complexes[eta.values], _ = dual_complex(config, eta)
+    return paint(complexes[eta.values], PaintSpec(eta, point[-1], vector(alpha)))
 
 
 def enumerate_painted_complexes(
@@ -311,12 +315,13 @@ def enumerate_painted_complexes(
     # rays are canonical modulo lineality, so a face shared by two chambers
     # gives both the same sample
     seen: set[Vec] = set()
+    complexes: dict[Vec, TropicalComplex] = {}
 
     def record(point) -> None:
         if point in seen:
             return
         seen.add(point)
-        painted = _paint_at(config, alpha, point)
+        painted = _paint_at(config, alpha, point, complexes)
         key = painted.key()
         if key not in found:
             if len(found) >= max_count:

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 
 from .errors import InconsistencyError, InputError, NoCertificateError, ResourceCapError
 from .geometry import (
@@ -21,12 +20,12 @@ from .geometry import (
     _rref,
     affine_combination,
     as_fraction,
+    convex_hull_facets,
     face_member_sets,
     hull_volume,
     independent_rows,
     intersection_closure,
     is_zero_vector,
-    lp_feasible_strict,
     lp_maximize,
     matrix_rank,
     nullspace_basis,
@@ -35,6 +34,7 @@ from .geometry import (
     primitive_vector,
     upper_hull_facets,
     vadd,
+    vdot,
     vector,
     vscale,
     vsub,
@@ -305,7 +305,7 @@ class SecondaryCone:
     The closure (weak inequalities) is the union of the cones of all
     coarsenings.  interior_point is a certified strictly feasible point, found
     by _certify_cone: the builder's witness once it passes an exact
-    membership check, otherwise the solution of a strict-feasibility LP.
+    membership check, otherwise the sum of the cone's rays.
     secondary_cone offers the subdivision's inducing lifting as the witness
     and painting_cone the (lifting, level) pair that painted the complex.
     interior_point takes no part in equality, so cones compare and hash by
@@ -338,39 +338,13 @@ class SecondaryCone:
         """Extreme rays of the cone modulo its lineality space.
 
         Canonical primitive representatives (zero on the lineality pivot
-        coordinates), sorted.  Brute force over strict subsets: a ray is a
-        face one dimension above the lineality, so it is cut out by some
-        strict subset of complementary rank.  Desk-scale cones keep the
-        subset count small.
+        coordinates), sorted, from one hull by _cone_rays.  A cone whose open
+        cone is empty has no such rays, and no certified cone is one.
         """
-        n = self.ambient_dim
-        eq_rows = [list(f.linear) for f in self.equalities]
-        all_rows = eq_rows + [list(f.linear) for f in self.stricts]
-        lin = nullspace_basis(all_rows if all_rows else [[ZERO] * n])
-        lrows, lpiv = _rref(lin)
-        e = matrix_rank(eq_rows)
-        s0 = n - len(lin) - 1 - e
-        if s0 < 0:
-            return ()
-        rays = set()
-        for sub in combinations(range(len(self.stricts)), s0):
-            rows = eq_rows + [list(self.stricts[i].linear) for i in sub]
-            if matrix_rank(rows) != n - len(lin) - 1:
-                continue
-            cand = None
-            for v in nullspace_basis(rows if rows else [[ZERO] * n]):
-                w = _mod_reduce(lrows, lpiv, v)
-                if not is_zero_vector(w):
-                    cand = w
-                    break
-            if cand is None:
-                continue
-            vals = [fn(cand) for fn in self.stricts]
-            if all(x >= 0 for x in vals):
-                rays.add(primitive_vector(cand))
-            elif all(x <= 0 for x in vals):
-                rays.add(primitive_vector(tuple(-x for x in cand)))
-        return tuple(sorted(rays))
+        rays = _cone_rays(self.equalities, self.stricts, self.ambient_dim)
+        if rays is None:
+            raise InconsistencyError("a certified cone has an empty open cone")
+        return rays
 
     @cached_property
     def _tight_masks(self) -> tuple[int, ...]:
@@ -418,20 +392,65 @@ class SecondaryCone:
         return out
 
 
+def _cone_rays(equalities, stricts, n: int) -> tuple[Vec, ...] | None:
+    """Canonical extreme rays of {equalities = 0, stricts >= 0} in R^n modulo
+    its lineality, or None when the open cone {equalities = 0, stricts > 0}
+    is empty.
+
+    By polarity (Gordan's theorem; Ziegler, Lectures on Polytopes, ch. 1-2),
+    in a frame of ker(equalities) modulo the lineality the stricts span the
+    dual space, the open cone is nonempty exactly when no strict vanishes
+    there and the origin is a vertex of conv({0} and the stricts), and then
+    the extreme rays are the inner normals of that hull's facets through the
+    origin.  The frame vectors are reduced modulo the lineality, so the rays
+    come out zero on its pivot coordinates.
+    """
+    eq_rows = [f.linear for f in equalities]
+    all_rows = eq_rows + [f.linear for f in stricts]
+    lrows, lpiv = _rref(nullspace_basis(all_rows or [[ZERO] * n]))
+    kernel = [_mod_reduce(lrows, lpiv, v) for v in nullspace_basis(eq_rows or [[ZERO] * n])]
+    frame = [kernel[i] for i in independent_rows(kernel)]
+    if not frame:
+        return None if stricts else ()
+    duals = [tuple(vdot(f.linear, w) for w in frame) for f in stricts]
+    if any(is_zero_vector(a) for a in duals):
+        return None
+    through = [f for f in convex_hull_facets([(ZERO,) * len(frame)] + duals) if 0 in f.members]
+    if not through or frozenset.intersection(*(f.members for f in through)) != {0}:
+        return None  # the origin is not a vertex of the hull
+    rays = []
+    for f in through:
+        ray = (ZERO,) * n
+        for y, w in zip(f.normal, frame):
+            ray = vsub(ray, vscale(y, w))
+        rays.append(primitive_vector(ray))
+    return tuple(sorted(rays))
+
+
 def _certify_cone(equalities, stricts, dim: int, witness) -> SecondaryCone | None:
     """The cone {stricts > 0, equalities = 0} in R^dim with a certified
     interior point, or None when the open cone is empty.
 
     witness, when given, becomes the interior point if an exact check puts it
-    in the open cone; otherwise a strict-feasibility LP finds one.
+    in the open cone.  Otherwise _cone_rays decides emptiness, and the sum of
+    the rays, checked exactly, is the interior point: every strict is
+    nonnegative on each ray and vanishes on all of them only if it vanishes
+    on the whole cone.  The cone then keeps the rays that certified it.
     """
     cone = SecondaryCone(tuple(equalities), tuple(stricts), dim, witness)
     if witness is not None and cone.contains_open(witness):
         return cone
-    sample = lp_feasible_strict(cone.stricts, [], cone.equalities, dim)
-    if sample is None:
+    rays = _cone_rays(cone.equalities, cone.stricts, dim)
+    if rays is None:
         return None
-    return SecondaryCone(cone.equalities, cone.stricts, dim, sample)
+    sample = (ZERO,) * dim
+    for r in rays:
+        sample = vadd(sample, r)
+    cone = SecondaryCone(cone.equalities, cone.stricts, dim, sample)
+    if not cone.contains_open(sample):
+        raise InconsistencyError("the ray sum of a cone misses its open cone")
+    cone.__dict__["rays"] = rays  # fills the cached property
+    return cone
 
 
 def _eta_vec(eta) -> Vec:
@@ -468,7 +487,7 @@ def secondary_cone(config: PointConfiguration, s: Subdivision) -> SecondaryCone:
     """H-representation of the liftings inducing s; raises when there are none.
 
     The interior point is s.witness when an exact check puts it in the open
-    cone; otherwise a strict-feasibility LP finds one.
+    cone; otherwise it is the sum of the cone's rays (see _certify_cone).
     """
     n = len(config.points)
     eqs: dict[tuple, AffineFunctional] = {}

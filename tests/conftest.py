@@ -4,24 +4,35 @@ import sys
 
 import pytest
 
-from tropaint import regular_subdivision
+from tropaint import geometry, regular_subdivision
 
 
 @pytest.fixture
-def lp_calls(monkeypatch):
-    """Every strict-feasibility LP solved to certify a cone, in order.
+def lp_calls(calls_to):
+    """Every exact LP solved, in order, as (calling module, args).
 
-    Secondary cones, painting cones and painting chambers all certify
-    through regular_subdivision, so this one binding sees every such LP.
+    Every LP is a geometry.lp_maximize call: lp_feasible_strict makes one
+    inside geometry and _lp_min one in regular_subdivision.  calls_to
+    replaces its binding in every tropaint module, so this one list sees
+    them all.
     """
+    return calls_to(geometry.lp_maximize)
+
+
+@pytest.fixture
+def fallback_certifications(monkeypatch):
+    """Every cone certified without its witness, in order: the arguments of
+    each _cone_rays call that _certify_cone makes.  Ray computations of
+    already certified cones are not counted."""
     calls = []
-    real = regular_subdivision.lp_feasible_strict
+    real = regular_subdivision._cone_rays
 
     def counting(*args):
-        calls.append(args)
+        if sys._getframe(1).f_code.co_name == "_certify_cone":
+            calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(regular_subdivision, "lp_feasible_strict", counting)
+    monkeypatch.setattr(regular_subdivision, "_cone_rays", counting)
     return calls
 
 

@@ -32,6 +32,10 @@ The sequential edge-length realization rebuilds the dual complex before each
 edge's correction, as multiplihedra.realize_edge_lengths did before it read
 every correction off its input complex; it is the reference for that one-pass
 form.
+
+The cone ray search tries every subset of stricts of complementary rank, as
+regular_subdivision.SecondaryCone.rays did before it read the rays off one
+hull by polarity.
 """
 
 from __future__ import annotations
@@ -43,16 +47,22 @@ from tropaint.errors import DegenerateInputError, InputError
 from tropaint.geometry import (
     AffineFunctional,
     HullFacet,
+    _rref,
     affine_coordinates,
     affine_rank,
     convex_hull_facets,
     face_member_sets,
     interpolate_affine,
+    is_zero_vector,
+    matrix_rank,
+    nullspace_basis,
     polytope_vertex_indices,
+    primitive_vector,
     vadd,
     vector,
 )
 from tropaint.multiplihedra import _edge_offset
+from tropaint.regular_subdivision import _mod_reduce
 from tropaint.tropical_dual import dual_complex
 
 ZERO = Fraction(0)
@@ -658,3 +668,42 @@ def dual_cell_rank(cell) -> int:
     pushed along each of its rays."""
     base = cell.vertices[0]
     return affine_rank(list(cell.vertices) + [vadd(base, r) for r in cell.rays])
+
+
+# ---------------------------------------------------------------------------
+# Cone rays before polarity
+
+
+def cone_rays_brute_force(cone):
+    """Extreme rays of a SecondaryCone modulo its lineality, canonical and
+    sorted, by brute force over strict subsets: a ray is a face one dimension
+    above the lineality, so it is cut out by some strict subset of
+    complementary rank."""
+    n = cone.ambient_dim
+    eq_rows = [list(f.linear) for f in cone.equalities]
+    all_rows = eq_rows + [list(f.linear) for f in cone.stricts]
+    lin = nullspace_basis(all_rows if all_rows else [[ZERO] * n])
+    lrows, lpiv = _rref(lin)
+    e = matrix_rank(eq_rows)
+    s0 = n - len(lin) - 1 - e
+    if s0 < 0:
+        return ()
+    rays = set()
+    for sub in combinations(range(len(cone.stricts)), s0):
+        rows = eq_rows + [list(cone.stricts[i].linear) for i in sub]
+        if matrix_rank(rows) != n - len(lin) - 1:
+            continue
+        cand = None
+        for v in nullspace_basis(rows if rows else [[ZERO] * n]):
+            w = _mod_reduce(lrows, lpiv, v)
+            if not is_zero_vector(w):
+                cand = w
+                break
+        if cand is None:
+            continue
+        vals = [fn(cand) for fn in cone.stricts]
+        if all(x >= 0 for x in vals):
+            rays.add(primitive_vector(cand))
+        elif all(x <= 0 for x in vals):
+            rays.add(primitive_vector(tuple(-x for x in cand)))
+    return tuple(sorted(rays))

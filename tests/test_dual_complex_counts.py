@@ -1,6 +1,8 @@
 """Each lifting gets one dual complex: painting reads the complex it is
-given, edge-length realization corrects every edge from one complex, and the
-main-theorem check builds each extended complex once.  A dual complex builds
+given, the painted enumeration builds one per lifting it meets, edge-length
+realization corrects every edge from one complex and hands it back to the
+painted-tree realization, and the main-theorem check builds each extended
+complex once.  A dual complex builds
 one hull, and its cells read their dimensions and vertices off incidences."""
 
 from fractions import Fraction
@@ -8,12 +10,16 @@ from fractions import Fraction
 from tropaint import geometry, regular_subdivision, tropical_dual
 from tropaint.multiplihedra import (
     EdgeLengthTarget,
+    PaintedTree,
     _edge_offset,
+    _painted_variants,
+    _tree_shapes,
     admissible_alpha,
     ngon_configuration,
     realize_edge_lengths,
+    realize_painted_tree,
 )
-from tropaint.painting import PaintSpec, paint
+from tropaint.painting import PaintSpec, enumerate_painted_complexes, paint
 from tropaint.painting_polytope import embed_lifting, extend, verify_main_theorem
 from tropaint.point_config import build_configuration
 from tropaint.regular_subdivision import is_triangulation
@@ -43,6 +49,23 @@ def test_realize_edge_lengths_builds_one_dual_complex(calls_to):
     calls = calls_to(tropical_dual.dual_complex)
     realize_edge_lengths(p, beta, target)
     assert len(calls) == 1
+
+
+def test_painted_enumeration_builds_one_dual_complex_per_lifting(calls_to):
+    calls = calls_to(tropical_dual.dual_complex)
+    enumerate_painted_complexes(QUAD, ALPHA)
+    liftings = [args[1].values for _, args in calls]
+    # 45 face samples, several at one lifting with different levels
+    assert len(liftings) == len(set(liftings)) == 27
+
+
+def test_painted_tree_realization_builds_each_complex_once(calls_to):
+    trees = [PaintedTree(e) for s in _tree_shapes(4) for e in _painted_variants(s, True)]
+    calls = calls_to(tropical_dual.dual_complex)
+    for t in trees:
+        realize_painted_tree(t, 4)
+    # a seed complex per tree, and a realized complex per edge-length realization
+    assert len(trees) == 67 and len(calls) == 112
 
 
 def test_verify_main_theorem_builds_each_extended_complex_once(calls_to):

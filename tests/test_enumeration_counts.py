@@ -1,14 +1,26 @@
 """The enumerators visit each face sample once, and the main-theorem check
 certifies each painting cone once and builds the extended configuration and
-its subdivision lattice once for its ranks and the CLI."""
+its subdivision lattice once for its ranks and the CLI.  The verifications
+solve no LP, and each upper hull takes one rank."""
 
 import pathlib
 from fractions import Fraction
 
 import pytest
 
-from tropaint import cli, painting, painting_polytope, regular_subdivision, secondary_polytope
-from tropaint.multiplihedra import admissible_alpha, ngon_configuration
+from tropaint import (
+    cli,
+    geometry,
+    painting,
+    painting_polytope,
+    regular_subdivision,
+    secondary_polytope,
+)
+from tropaint.multiplihedra import (
+    admissible_alpha,
+    ngon_configuration,
+    verify_multiplihedron_theorem,
+)
 from tropaint.painting import enumerate_painted_complexes
 from tropaint.painting_polytope import extend, verify_main_theorem
 from tropaint.point_config import build_configuration
@@ -81,3 +93,31 @@ def test_main_theorem_certifies_each_painting_cone_once(calls_to, config, alpha,
     assert len(painted) == len({id(pc) for pc in painted}) == len(report.painted_poset) == count
     assert all(pc.cone is not None for pc in report.painted_poset.elements)
     assert len(calls) == count
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: verify_main_theorem(QUAD, (F(1, 3), F(1, 3))),
+        lambda: verify_main_theorem(BIPYRAMID, (F(1, 2), F(1, 3), F(1, 2))),
+        lambda: verify_multiplihedron_theorem(4),
+        lambda: cli.main(["secondary", str(GOLDEN / "quad.json")]),
+    ],
+    ids=["main-theorem-quad", "main-theorem-bipyramid", "multiplihedron-4", "secondary-quad"],
+)
+def test_verifications_solve_no_lp(lp_calls, capsys, run):
+    # cones are certified by a witness or by polarity; the LP is left only
+    # to validate_subdivision
+    run()
+    capsys.readouterr()
+    assert lp_calls == []
+
+
+def test_upper_hull_takes_one_rank(calls_to):
+    hulls = calls_to(geometry.upper_hull_facets)
+    ranks = calls_to(geometry.affine_rank)
+    verify_main_theorem(QUAD, (F(1, 3), F(1, 3)))
+    from_hulls = [caller for caller, _ in ranks if caller == "tropaint.geometry"]
+    assert len(from_hulls) == len(hulls) <= 219
+    # the one other rank checks the extended configuration as it is built
+    assert len(ranks) - len(from_hulls) == 1

@@ -196,7 +196,7 @@ def test_multiplihedron_lattice_counts():
     lat5 = multiplihedron_lattice(5)
     assert lat5.rank_counts() == {0: 80, 1: 165, 2: 110, 3: 25, 4: 1}
     assert 80 - 165 + 110 - 25 == 0
-    with pytest.raises(ResourceCapError):
+    with pytest.raises(ResourceCapError, match="at most 5 leaves"):
         multiplihedron_lattice(6)
 
 
@@ -306,14 +306,14 @@ def test_realize_edge_lengths_matches_sequential_oracle(m):
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_painted_tree_targets_match_sequential_oracle(m, monkeypatch):
     calls = []
-    real = multiplihedra.realize_edge_lengths
+    real = multiplihedra._realize_edge_lengths
 
     def recording(p, beta, target):
-        eta = real(p, beta, target)
+        eta, realized = real(p, beta, target)
         calls.append((p, beta, target, eta))
-        return eta
+        return eta, realized
 
-    monkeypatch.setattr(multiplihedra, "realize_edge_lengths", recording)
+    monkeypatch.setattr(multiplihedra, "_realize_edge_lengths", recording)
     for t in all_painted_trees(m):
         realize_painted_tree(t, m)
     assert calls
@@ -416,5 +416,5 @@ def test_verify_multiplihedron_theorem_small():
     assert rep2.face_count == 3 and rep2.vertex_count == 2
     rep3 = verify_multiplihedron_theorem(3)
     assert rep3.face_count == 13 and rep3.vertex_count == 6
-    with pytest.raises(ResourceCapError):
-        verify_multiplihedron_theorem(5)
+    with pytest.raises(ResourceCapError, match="at most 5 leaves"):
+        verify_multiplihedron_theorem(6)

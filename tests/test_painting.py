@@ -227,33 +227,35 @@ def repaint_key(config, alpha, point):
 @pytest.mark.parametrize(
     "config, alpha", [(QUAD, ALPHA), (BIPYRAMID, ALPHA3)], ids=["quad", "bipyramid"]
 )
-def test_witness_painting_cone_matches_lp_cone(config, alpha, lp_calls, monkeypatch):
+def test_witness_painting_cone_matches_lp_cone(
+    config, alpha, lp_calls, fallback_certifications, monkeypatch
+):
     real = painting.painting_cone
-    cone_lps = []
+    cone_fallbacks = []
 
     def counting(painted):
-        before = len(lp_calls)
+        before = len(fallback_certifications)
         cone = real(painted)
-        cone_lps.append(len(lp_calls) - before)
+        cone_fallbacks.append(len(fallback_certifications) - before)
         return cone
 
     monkeypatch.setattr(painting, "painting_cone", counting)
     poset = enumerate_painted_complexes(config, alpha)
     # every enumerated cone is certified by the point that painted it; only
-    # the chamber sign patterns solve LPs
-    assert len(cone_lps) == len(poset) and sum(cone_lps) == 0
-    assert lp_calls
+    # the chamber sign patterns fall back, and none of them solves an LP
+    assert len(cone_fallbacks) == len(poset) and sum(cone_fallbacks) == 0
+    assert fallback_certifications and lp_calls == []
     elements = poset.elements
     for i, pc in enumerate(elements):
-        lp_calls.clear()
+        fallback_certifications.clear()
         fast = real(pc)
-        assert lp_calls == []
+        assert fallback_certifications == []
         point = pc.spec.eta.values + (pc.spec.c,)
         assert fast.interior_point == point
         # the spec of another painted complex lies in another open cone
         other = elements[(i + 1) % len(elements)].spec
         slow = real(PaintedComplex(pc.complex, pc.kappa, other))
-        assert len(lp_calls) == 1
+        assert len(fallback_certifications) == 1 and lp_calls == []
         assert not slow.contains_open(other.eta.values + (other.c,))
         assert fast.equalities == slow.equalities and fast.stricts == slow.stricts
         assert fast == slow and hash(fast) == hash(slow)
@@ -262,14 +264,14 @@ def test_witness_painting_cone_matches_lp_cone(config, alpha, lp_calls, monkeypa
             assert repaint_key(config, alpha, cone.interior_point) == pc.key()
 
 
-def test_painting_cone_foreign_coloring_falls_back_to_lp(lp_calls):
+def test_painting_cone_foreign_coloring_falls_back_to_lp(lp_calls, fallback_certifications):
     painted = star_painted(F(-1))
     other = star_painted(F(0))  # same complex, another realizable coloring
     assert other.subdivision == painted.subdivision
     assert other.kappa != painted.kappa
     mixed = PaintedComplex(painted.complex, painted.kappa, other.spec)
     cone = painting_cone(mixed)
-    assert len(lp_calls) == 1
+    assert len(fallback_certifications) == 1 and lp_calls == []
     assert not cone.contains_open(other.spec.eta.values + (other.spec.c,))
     assert cone == painting_cone(painted)
     assert repaint_key(QUAD, ALPHA, cone.interior_point) == painted.key()

@@ -256,17 +256,18 @@ def test_random_liftings_bipyramid(eta_vals):
     [QUAD, BIPYRAMID, ngon_configuration(4)],
     ids=["quad", "bipyramid", "ngon4"],
 )
-def test_witness_cone_matches_lp_cone(config, lp_calls):
+def test_witness_cone_matches_lp_cone(config, lp_calls, fallback_certifications):
     poset = enumerate_coherent_subdivisions(config)
-    assert lp_calls == []  # every enumerated cone was certified by its witness
+    # every enumerated cone was certified by its witness
+    assert fallback_certifications == [] and lp_calls == []
     for s in poset.elements:
         assert s.witness is not None
         fast = secondary_cone(config, s)
-        assert lp_calls == []
+        assert fallback_certifications == []
         assert fast.interior_point == s.witness
         slow = secondary_cone(config, Subdivision(config, s.maximal))
-        assert len(lp_calls) == 1
-        lp_calls.clear()
+        assert len(fallback_certifications) == 1 and lp_calls == []
+        fallback_certifications.clear()
         assert fast.equalities == slow.equalities
         assert fast.stricts == slow.stricts
         assert fast.ambient_dim == slow.ambient_dim
@@ -277,14 +278,14 @@ def test_witness_cone_matches_lp_cone(config, lp_calls):
             assert induce_subdivision(config, Lifting(cone.interior_point)) == s
 
 
-def test_witness_outside_open_cone_falls_back_to_lp(lp_calls):
+def test_witness_outside_open_cone_falls_back_to_lp(lp_calls, fallback_certifications):
     t1 = induce_subdivision(SQUARE, Lifting.of(SQUARE, [0, 1, 0, 1]))
     other = Lifting.of(SQUARE, [1, 0, 1, 0])  # induces the other triangulation
     for w in (other.values, vector([0, 0, 0, 0])):  # far side, and the wall
         s = Subdivision(SQUARE, t1.maximal, witness=w)
         cone = secondary_cone(SQUARE, s)
-        assert len(lp_calls) == 1
-        lp_calls.clear()
+        assert len(fallback_certifications) == 1 and lp_calls == []
+        fallback_certifications.clear()
         assert not cone.contains_open(w)
         assert cone.contains_open(cone.interior_point)
         assert induce_subdivision(SQUARE, Lifting(cone.interior_point)) == t1
