@@ -379,7 +379,10 @@ class SecondaryCone:
         Facets are the maximal proper faces and each one is cut by some
         strict, so a strict cuts a facet exactly when no other strict's ray
         mask strictly contains its own.  The sum of the facet's rays samples
-        its relative interior (the lineality part stays at zero).
+        its relative interior (the lineality part stays at zero).  Each
+        strict compares a point with the affine span of a cell's spanning
+        marks, so a wall's functional is the affine dependence of the circuit
+        they form, and _flip crosses the wall by flipping that circuit.
         """
         full = (1 << len(self.rays)) - 1
         proper = {m for m in self._tight_masks if m != full}
@@ -543,24 +546,40 @@ def _mod_reduce(echelon_rows, pivots, v):
     return tuple(w)
 
 
-def _cross_wall(config, t: Subdivision, cone: SecondaryCone, wall_sample: Vec):
-    """The triangulation on the far side of the wall through wall_sample."""
-    direction = vsub(wall_sample, cone.interior_point)
-    step = ONE
-    for _ in range(128):
-        eta = Lifting(vadd(wall_sample, vscale(step, direction)))
-        s = induce_subdivision(config, eta)
-        if is_triangulation(s) and s.key != t.key:
-            c2 = secondary_cone(config, s)
-            if c2.contains_closed(wall_sample):
-                return s, c2
-        step /= 2
-    raise ResourceCapError("wall crossing did not converge")
+def _flip(config: PointConfiguration, t: Subdivision, wall: AffineFunctional) -> Subdivision:
+    """The triangulation across the wall of t's cone cut out by wall.
+
+    A wall functional is the affine dependence of a circuit Z, positive on
+    t's cone, so t triangulates Z by the cells Z - {z} for z in Z+, its
+    positive coefficients.  Crossing the wall is the bistellar flip on Z (De
+    Loera, Rambau & Santos, Triangulations, ch. 2 and 5).  The links are the
+    marks outside Z of t's cells that miss exactly one point of Z, a point
+    of Z+; the flip replaces the cells (Z - {z}) | link for z in Z+ with
+    those for z in Z-.
+    """
+    plus = frozenset(i for i, c in enumerate(wall.linear) if c > 0)
+    circuit = plus | {i for i, c in enumerate(wall.linear) if c < 0}
+    links = {
+        mc.marks - circuit
+        for mc in t.maximal
+        if len(circuit - mc.marks) == 1 and circuit - mc.marks <= plus
+    }
+    old = {(circuit - {z}) | link for z in plus for link in links}
+    if not old <= t.key:
+        raise InconsistencyError(f"circuit {sorted(circuit)} is not flippable")
+    new = {(circuit - {z}) | link for z in circuit - plus for link in links}
+    return Subdivision(config, tuple(_make_cell(config, m) for m in (t.key - old) | new))
 
 
 def enumerate_regular_triangulations(config: PointConfiguration, max_count=4096):
-    """All coherent triangulations, found by crossing secondary-cone walls
-    outward from a seed triangulation.  Returns {key: (Subdivision, cone)}."""
+    """All coherent triangulations, found by flips across secondary-cone walls
+    outward from a seed triangulation.  Returns {key: (Subdivision, cone)}.
+
+    A known neighbour costs no hull: its cone's closure must contain the wall
+    sample.  A new one is certified by its rays, induced once at their sum
+    (which must give it back, with supports and witness) and must contain
+    the wall sample in its closure.
+    """
     seed = _placing_lifting(config)
     found: dict[frozenset, tuple[Subdivision, SecondaryCone]] = {
         seed.key: (seed, secondary_cone(config, seed))
@@ -569,22 +588,29 @@ def enumerate_regular_triangulations(config: PointConfiguration, max_count=4096)
     while frontier:
         key = frontier.pop()
         t, cone = found[key]
-        for _, wall_sample in cone.walls():
-            s2, c2 = _cross_wall(config, t, cone, wall_sample)
-            if s2.key not in found:
-                if len(found) >= max_count:
-                    raise ResourceCapError(f"more than {max_count} triangulations")
-                found[s2.key] = (s2, c2)
-                frontier.append(s2.key)
+        for wall, wall_sample in cone.walls():
+            flipped = _flip(config, t, wall)
+            if flipped.key in found:
+                if flipped.key == key or not found[flipped.key][1].contains_closed(wall_sample):
+                    raise InconsistencyError("a flip lands off its wall")
+                continue
+            if len(found) >= max_count:
+                raise ResourceCapError(f"more than {max_count} triangulations")
+            c2 = secondary_cone(config, flipped)
+            s2 = induce_subdivision(config, Lifting(c2.interior_point))
+            if s2.key != flipped.key or not c2.contains_closed(wall_sample):
+                raise InconsistencyError("a flip lands off its wall")
+            found[s2.key] = (s2, c2)
+            frontier.append(s2.key)
     return found
 
 
 def enumerate_coherent_subdivisions(config: PointConfiguration, max_count=4096):
     """Poset of all coherent subdivisions under refinement (finer below coarser).
 
-    Triangulations come from wall crossing.  Every other coherent subdivision
-    then shows up on a proper face of some triangulation cone, and the cone's
-    face samples induce them all.
+    Triangulations come from flips across secondary-cone walls.  Every other
+    coherent subdivision then shows up on a proper face of some triangulation
+    cone, and the cone's face samples induce them all.
     """
     tris = enumerate_regular_triangulations(config, max_count)
     subs: dict[frozenset, Subdivision] = {k: t for k, (t, _) in tris.items()}

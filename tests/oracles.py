@@ -36,6 +36,12 @@ form.
 The cone ray search tries every subset of stricts of complementary rank, as
 regular_subdivision.SecondaryCone.rays did before it read the rays off one
 hull by polarity.
+
+The wall crossing by bisection steps from a wall sample away from the cone,
+halving the step until the induced subdivision is a triangulation whose cone
+holds the wall, as regular_subdivision.enumerate_regular_triangulations did
+before it flipped the wall's circuit; the walk it drives is the reference for
+the flips and their discovery order.
 """
 
 from __future__ import annotations
@@ -60,9 +66,18 @@ from tropaint.geometry import (
     primitive_vector,
     vadd,
     vector,
+    vscale,
+    vsub,
 )
 from tropaint.multiplihedra import _edge_offset
-from tropaint.regular_subdivision import _mod_reduce
+from tropaint.regular_subdivision import (
+    Lifting,
+    _mod_reduce,
+    _placing_lifting,
+    induce_subdivision,
+    is_triangulation,
+    secondary_cone,
+)
 from tropaint.tropical_dual import dual_complex
 
 ZERO = Fraction(0)
@@ -707,3 +722,45 @@ def cone_rays_brute_force(cone):
         elif all(x <= 0 for x in vals):
             rays.add(primitive_vector(tuple(-x for x in cand)))
     return tuple(sorted(rays))
+
+
+# ---------------------------------------------------------------------------
+# Wall crossing before flips
+
+
+def cross_wall_by_bisection(config, t, cone, wall_sample):
+    """(Subdivision, SecondaryCone) of the triangulation on the far side of
+    the wall of t's cone through wall_sample: step from the wall away from
+    the cone's interior point, halving the step until the induced
+    triangulation differs from t and its cone's closure holds the wall."""
+    direction = vsub(wall_sample, cone.interior_point)
+    step = ONE
+    for _ in range(128):
+        eta = Lifting(vadd(wall_sample, vscale(step, direction)))
+        s = induce_subdivision(config, eta)
+        if is_triangulation(s) and s.key != t.key:
+            c2 = secondary_cone(config, s)
+            if c2.contains_closed(wall_sample):
+                return s, c2
+        step /= 2
+    raise AssertionError("wall crossing did not converge")
+
+
+def triangulations_by_bisection(config):
+    """The walk of enumerate_regular_triangulations with every wall crossed
+    by bisection: ({key: (Subdivision, SecondaryCone)} in discovery order,
+    [(triangulation, wall functional, neighbour key)] for every wall of
+    every triangulation cone)."""
+    seed = _placing_lifting(config)
+    found = {seed.key: (seed, secondary_cone(config, seed))}
+    crossings = []
+    frontier = [seed.key]
+    while frontier:
+        t, cone = found[frontier.pop()]
+        for wall, wall_sample in cone.walls():
+            s2, c2 = cross_wall_by_bisection(config, t, cone, wall_sample)
+            crossings.append((t, wall, s2.key))
+            if s2.key not in found:
+                found[s2.key] = (s2, c2)
+                frontier.append(s2.key)
+    return found, crossings

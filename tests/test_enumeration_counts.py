@@ -1,7 +1,9 @@
-"""The enumerators visit each face sample once, and the main-theorem check
-certifies each painting cone once and builds the extended configuration and
-its subdivision lattice once for its ranks and the CLI.  The verifications
-solve no LP, and each upper hull takes one rank."""
+"""The triangulation walk induces and certifies each triangulation once and
+stops at its cap before certifying more, the enumerators visit each face
+sample once, and the main-theorem check certifies each painting cone once
+and builds the extended configuration and its subdivision lattice once for
+its ranks and the CLI.  The verifications solve no LP, and each upper hull
+takes one rank."""
 
 import pathlib
 from fractions import Fraction
@@ -10,6 +12,7 @@ import pytest
 
 from tropaint import (
     cli,
+    errors,
     geometry,
     painting,
     painting_polytope,
@@ -54,9 +57,34 @@ def test_painted_enumeration_paints_each_sample_once(calls_to, config, alpha, co
     assert len(poset) == count
 
 
-def test_coherent_enumeration_induces_each_face_sample_once(calls_to):
+def _extended_ngon4():
     config = ngon_configuration(4)
-    ext = extend(config, admissible_alpha(config)).extended
+    return extend(config, admissible_alpha(config)).extended
+
+
+@pytest.mark.parametrize(
+    "config, count",
+    [(_extended_ngon4(), 21), (extend(QUAD, (F(1, 3), F(1, 3))).extended, 14)],
+    ids=["ngon4-extended", "quad-extended"],
+)
+def test_triangulation_walk_induces_each_triangulation_once(calls_to, config, count):
+    induces = calls_to(regular_subdivision.induce_subdivision)
+    cones = calls_to(regular_subdivision.secondary_cone)
+    tris = enumerate_regular_triangulations(config)
+    # the seed's placing lifting, then one ray sum per flipped triangulation
+    assert len(induces) == len(tris) == count
+    assert len(cones) <= len(tris)
+
+
+def test_triangulation_cap_stops_before_certifying_more(calls_to):
+    cones = calls_to(regular_subdivision.secondary_cone)
+    with pytest.raises(errors.ResourceCapError, match="more than 5 triangulations"):
+        enumerate_regular_triangulations(_extended_ngon4(), max_count=5)
+    assert len(cones) <= 5
+
+
+def test_coherent_enumeration_induces_each_face_sample_once(calls_to):
+    ext = _extended_ngon4()
     calls = calls_to(regular_subdivision.induce_subdivision)
     tris = enumerate_regular_triangulations(ext)
     walk = len(calls)
