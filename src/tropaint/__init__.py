@@ -51,7 +51,6 @@ from .regular_subdivision import (
 from .secondary_polytope import (
     face_lattice_from_poset,
     secondary_polytope_vertices,
-    subdivision_rank,
 )
 from .tropical_dual import TropicalComplex, TropicalPolynomial, dual_complex, evaluate
 
@@ -102,7 +101,6 @@ __all__ = [
     "secondary_polytope_vertices",
     "sign_vector",
     "simplex_normalized_volume",
-    "subdivision_rank",
     "upper_hull_facets",
     "verify_main_theorem",
     "verify_multiplihedron_theorem",

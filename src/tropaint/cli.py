@@ -176,7 +176,7 @@ def cmd_secondary(args):
     config, _ = _read_input(args.input)
     poset = enumerate_coherent_subdivisions(config, max_count=args.max_triangulations)
     vertices = secondary_polytope_vertices(config, poset)
-    lat = face_lattice_from_poset(config, poset)
+    lat = face_lattice_from_poset(poset)
     primary = jsonio.dumps(
         {
             "configuration": jsonio.configuration_json(config),

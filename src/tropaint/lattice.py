@@ -12,10 +12,12 @@ class Poset:
 
     le_pairs may be any relation whose reflexive-transitive closure is the
     intended order; the closure is computed here.  Antisymmetry is checked.
+    ranks are face-lattice ranks where an enumerator read them off a fan.
     """
 
-    def __init__(self, elements, le_pairs):
+    def __init__(self, elements, le_pairs, ranks=None):
         self.elements = tuple(elements)
+        self.ranks = None if ranks is None else tuple(ranks)
         n = len(self.elements)
         up = [1 << i for i in range(n)]
         for i, j in le_pairs:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .errors import InconsistencyError, InputError, NoCertificateError, ResourceCapError
+from .errors import InconsistencyError, InputError, NoCertificateError
 from .geometry import (
     AffineFunctional,
     Vec,
@@ -32,6 +32,7 @@ from .regular_subdivision import (
     Lifting,
     SecondaryCone,
     _certify_cone,
+    _fan_poset,
     _spanning_marks,
     enumerate_regular_triangulations,
     secondary_cone,
@@ -105,24 +106,16 @@ class ColorFunction:
 class PaintedComplex:
     """A dual complex with a realizable coloring and the witness that realizes it."""
 
-    __slots__ = ("complex", "kappa", "spec", "_cone")
+    __slots__ = ("complex", "kappa", "spec")
 
     def __init__(self, complex: TropicalComplex, kappa: ColorFunction, spec: PaintSpec):
         self.complex = complex
         self.kappa = kappa
         self.spec = spec
-        self._cone = None
 
     @property
     def subdivision(self):
         return self.complex.subdivision
-
-    @property
-    def cone(self) -> SecondaryCone:
-        """The painting cone, certified on first use and kept."""
-        if self._cone is None:
-            self._cone = painting_cone(self)
-        return self._cone
 
     def key(self) -> tuple:
         return (self.subdivision.key, self.kappa.key())
@@ -297,63 +290,40 @@ def _paint_at(config, alpha, point, complexes: dict) -> PaintedComplex:
 def enumerate_painted_complexes(
     config: PointConfiguration, alpha, max_count: int = 4096
 ) -> Poset:
-    """Poset of all painted complexes of (config, alpha) under the fan order.
+    """Poset of all painted complexes of (config, alpha) under the fan order,
+    ranked as faces of the painting polytope (painted chambers 0).
 
     Chambers of the painting fan sit over triangulation cones: one per
     realizable all-strict color pattern of the 0-cell functionals.  Every
-    other painted complex lives on a proper face of some chamber, found, as
-    with subdivisions, among the chamber's face samples.  The partial order
-    puts a complex below another when the other's cone lies in the closure of
-    its own (painted chambers at the bottom, the coarsest paintings on top).
+    other painted complex lies on a proper face of some chamber, below the
+    complexes of the faces of its own cone: as with subdivisions, _fan_poset
+    paints the face samples chamber by chamber and reads the order and the
+    ranks off the face masks.
     """
     alpha = vector(alpha)
     if len(alpha) != config.dimension:
         raise InputError("alpha dimension mismatch")
     n = len(config.points)
     tris = enumerate_regular_triangulations(config)
-    found: dict[tuple, PaintedComplex] = {}
-    # rays are canonical modulo lineality, so a face shared by two chambers
-    # gives both the same sample
-    seen: set[Vec] = set()
+
+    def chambers():
+        for key in sorted(tris, key=sorted):
+            t, cone = tris[key]
+            eqs = tuple(_extend_functional(f) for f in cone.equalities)
+            sts = [_extend_functional(f) for f in cone.stricts]
+            signed = [painting_constraint(config, mc.marks, alpha).functional for mc in t.maximal]
+            for pattern in product((1, -1), repeat=len(signed)):
+                flips = [fn if s > 0 else fn.scaled(-1) for fn, s in zip(signed, pattern)]
+                chamber = _certify_cone(eqs, sts + flips, n + 1, None)
+                if chamber is not None:
+                    yield chamber
+
     complexes: dict[Vec, TropicalComplex] = {}
 
-    def record(point) -> None:
-        if point in seen:
-            return
-        seen.add(point)
+    def induce(point):
         painted = _paint_at(config, alpha, point, complexes)
-        key = painted.key()
-        if key not in found:
-            if len(found) >= max_count:
-                raise ResourceCapError(f"more than {max_count} painted complexes")
-            found[key] = painted
-
-    for key in sorted(tris, key=sorted):
-        t, cone = tris[key]
-        eqs_base = tuple(_extend_functional(f) for f in cone.equalities)
-        sts_base = [_extend_functional(f) for f in cone.stricts]
-        constraints = [
-            painting_constraint(config, mc.marks, alpha).functional
-            for mc in t.maximal
-        ]
-        for pattern in product((1, -1), repeat=len(constraints)):
-            sts = sts_base + [
-                fn if s > 0 else fn.scaled(-1)
-                for fn, s in zip(constraints, pattern)
-            ]
-            chamber = _certify_cone(eqs_base, sts, n + 1, None)
-            if chamber is not None:
-                for point in chamber.face_samples():
-                    record(point)
+        return painted.key(), painted
 
     # keys hold frozensets, which compare by inclusion: the sort is not
-    # total, so most elements keep their discovery order, and the goldens
-    # encode that order
-    elements = tuple(found[k] for k in sorted(found))
-    cones = [pc.cone for pc in elements]
-    le = []
-    for i in range(len(elements)):
-        for j in range(len(elements)):
-            if i != j and cones[i].contains_closed(cones[j].interior_point):
-                le.append((i, j))
-    return Poset(elements, le)
+    # total, so most elements keep their discovery order, as the goldens do
+    return _fan_poset(chambers(), {}, {}, induce, None, max_count, "painted complexes")

@@ -195,9 +195,8 @@ def verify_main_theorem(config: PointConfiguration, alpha) -> MainTheoremReport:
         raise VerificationError(
             f"{len(ppos)} painted complexes vs {len(spos)} extended subdivisions"
         )
-    n = len(config.points)
-    pranks = [(n + 1) - pc.cone.dim() for pc in ppos.elements]
-    slat = face_lattice_from_poset(ext.extended, spos)
+    pranks = list(ppos.ranks)
+    slat = face_lattice_from_poset(spos)
     sranks = slat.ranks
     match = lattice_isomorphic(graded_lattice(pranks, ppos.covers()), slat)
     if match is None:

@@ -361,17 +361,24 @@ class SecondaryCone:
                 sample = vadd(sample, r)
         return sample
 
-    def face_samples(self) -> list[Vec]:
-        """One relative-interior point per face, modulo lineality.
+    def graded_faces(self) -> list[tuple[int, int, Vec]]:
+        """(ray mask, grade, relative-interior sample) per face, modulo lineality.
 
         A face is the set of rays on which some collection of stricts is
         tight, so the faces are the intersection closure of the stricts' ray
-        masks, starting from all rays.  Each sample is the sum of its face's
-        rays; samples come in sorted-mask order, so the last one, over all
-        rays, lies in the open cone itself.
-        """
-        faces = intersection_closure((1 << len(self.rays)) - 1, self._tight_masks)
-        return [self._ray_sum(mask) for mask in sorted(faces)]
+        masks, starting from all rays.  Grades are dimensions modulo the
+        lineality, graded as in Subdivision.cells: 0 for no rays, otherwise
+        one more than the largest grade strictly inside.  A mask inside
+        another is the smaller integer, so sorted-mask order grades the faces
+        inside a face first and ends with the cone.  Samples sum the rays."""
+        grades: dict[int, int] = {}
+        for mask in sorted(intersection_closure((1 << len(self.rays)) - 1, self._tight_masks)):
+            grades[mask] = 1 + max((g for m, g in grades.items() if m & mask == m), default=-1)
+        return [(mask, g, self._ray_sum(mask)) for mask, g in grades.items()]
+
+    def face_samples(self) -> list[Vec]:
+        """One relative-interior point per face, in graded_faces order."""
+        return [sample for _, _, sample in self.graded_faces()]
 
     def walls(self) -> list[tuple[AffineFunctional, Vec]]:
         """(wall functional, relative-interior wall sample) per facet, in strict order.
@@ -605,37 +612,61 @@ def enumerate_regular_triangulations(config: PointConfiguration, max_count=4096)
     return found
 
 
-def enumerate_coherent_subdivisions(config: PointConfiguration, max_count=4096):
-    """Poset of all coherent subdivisions under refinement (finer below coarser).
+def _fan_poset(cones, found: dict, keys: dict, induce, sort_key, max_count: int, noun: str) -> Poset:
+    """The faces of a complete fan, ordered and ranked off its maximal cones' face masks.
 
-    Triangulations come from flips across secondary-cone walls.  Every other
-    coherent subdivision then shows up on a proper face of some triangulation
-    cone, and the cone's face samples induce them all.
+    found maps keys met so far to elements and keys samples to keys; induce
+    gives a new sample's (key, element).  Rays are canonical modulo the
+    lineality, so a face shared by two cones has one sample.  Two faces one
+    below the other lie in a common maximal cone, where the coarser one's
+    mask lies inside the finer one's.  A face's rank, the same in every
+    cone, is its cone's top grade minus its own.  The stable sort by
+    sort_key keeps the discovery order of keys it does not order."""
+    ranks: dict = {}
+    le = []
+    for cone in cones:
+        faces = cone.graded_faces()
+        top = faces[-1][1]
+        masks = []
+        for mask, grade, sample in faces:
+            key = keys.get(sample)
+            if key is None:
+                key, element = induce(sample)
+                keys[sample] = key
+                if key not in found:
+                    if len(found) >= max_count:
+                        raise ResourceCapError(f"more than {max_count} {noun}")
+                    found[key] = element
+            if ranks.setdefault(key, top - grade) != top - grade:
+                raise InconsistencyError("two maximal cones give one face different ranks")
+            masks.append((mask, key))
+        le += [(k1, k2) for m1, k1 in masks for m2, k2 in masks if m2 != m1 and m1 & m2 == m2]
+    order = sorted(found, key=sort_key)
+    index = {k: i for i, k in enumerate(order)}
+    pairs = [(index[a], index[b]) for a, b in le]
+    return Poset((found[k] for k in order), pairs, [ranks[k] for k in order])
+
+
+def enumerate_coherent_subdivisions(config: PointConfiguration, max_count=4096):
+    """Poset of all coherent subdivisions under refinement (finer below
+    coarser), ranked as faces of the secondary polytope (triangulations 0).
+
+    Triangulations come first, in walk order, from flips across
+    secondary-cone walls.  Every other one lies on a proper face of some
+    triangulation cone: _fan_poset induces the face samples and reads the
+    order and the ranks off the face masks.
     """
     tris = enumerate_regular_triangulations(config, max_count)
-    subs: dict[frozenset, Subdivision] = {k: t for k, (t, _) in tris.items()}
-    # rays are canonical modulo lineality, so a face shared by two cones
-    # gives both the same sample
-    seen: set[Vec] = set()
-    for key in sorted(tris, key=sorted):
-        _, cone = tris[key]
-        # the last face sample is the triangulation's own interior
-        for sample in cone.face_samples()[:-1]:
-            if sample in seen:
-                continue
-            seen.add(sample)
-            s = induce_subdivision(config, Lifting(sample))
-            if s.key not in subs:
-                if len(subs) >= max_count:
-                    raise ResourceCapError(f"more than {max_count} subdivisions")
-                subs[s.key] = s
+    found = {k: t for k, (t, _) in tris.items()}
+    # each triangulation is its cone's top face, whose sample sums all rays
+    keys = {cone._ray_sum((1 << len(cone.rays)) - 1): k for k, (_, cone) in tris.items()}
+
+    def induce(sample):
+        s = induce_subdivision(config, Lifting(sample))
+        return s.key, s
+
     # the sort keys are lists of frozensets, which compare by inclusion: the
-    # sort is not total, so most elements keep their discovery order, and
-    # the goldens encode that order
-    elements = tuple(subs[k] for k in sorted(subs, key=sorted))
-    le = []
-    for i, s1 in enumerate(elements):
-        for j, s2 in enumerate(elements):
-            if i != j and refines(s1, s2):
-                le.append((i, j))
-    return Poset(elements, le)
+    # sort is not total, so most elements keep their discovery order, as the
+    # goldens do
+    cones = [tris[k][1] for k in sorted(tris, key=sorted)]
+    return _fan_poset(cones, found, keys, induce, sorted, max_count, "subdivisions")

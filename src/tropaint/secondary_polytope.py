@@ -4,7 +4,8 @@ Each triangulation T gets the vector whose coordinate at a point a is the
 total normalized volume of the simplices of T having a as a mark.  These
 vectors are the vertices of a polytope whose face lattice mirrors the
 refinement poset of all coherent subdivisions; the lattice is assembled here
-straight from that poset, with ranks read off secondary-cone dimensions.
+straight from that poset, with the ranks its enumerator read off the face
+masks of the secondary fan.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .regular_subdivision import (
     Subdivision,
     enumerate_coherent_subdivisions,
     is_triangulation,
-    secondary_cone,
 )
 from .geometry import simplex_normalized_volume
 
@@ -63,16 +63,14 @@ def secondary_polytope_vertices(config: PointConfiguration, poset: Poset | None 
     return out
 
 
-def subdivision_rank(config: PointConfiguration, s: Subdivision) -> int:
-    """Height of s in the face lattice: 0 for triangulations, maximal for the
-    trivial subdivision; computed as cone codimension complemented."""
-    return len(config.points) - secondary_cone(config, s).dim()
-
-
-def face_lattice_from_poset(config: PointConfiguration, poset: Poset) -> FaceLattice:
-    ranks = [subdivision_rank(config, s) for s in poset.elements]
+def face_lattice_from_poset(poset: Poset) -> FaceLattice:
+    """The poset's Hasse diagram graded by the ranks that
+    enumerate_coherent_subdivisions read off the secondary fan; InputError
+    for a poset without ranks."""
+    if poset.ranks is None:
+        raise InputError("the poset carries no ranks; enumerate_coherent_subdivisions gives them")
     payload = [
         "|".join(",".join(str(i) for i in sorted(m)) for m in sorted(s.key, key=sorted))
         for s in poset.elements
     ]
-    return graded_lattice(ranks, poset.covers(), payload)
+    return graded_lattice(poset.ranks, poset.covers(), payload)

@@ -42,6 +42,14 @@ halving the step until the induced subdivision is a triangulation whose cone
 holds the wall, as regular_subdivision.enumerate_regular_triangulations did
 before it flipped the wall's circuit; the walk it drives is the reference for
 the flips and their discovery order.
+
+The fan orders test every pair of elements, with refines for subdivisions
+and with contains_closed on painting cones for painted complexes, and rank
+each element by certifying its own cone: subdivision_rank and the painting
+rank are the cone codimensions complemented.  This is how
+enumerate_coherent_subdivisions, enumerate_painted_complexes,
+face_lattice_from_poset and verify_main_theorem built the order and the
+ranks before reading both off the fans' face masks.
 """
 
 from __future__ import annotations
@@ -70,12 +78,14 @@ from tropaint.geometry import (
     vsub,
 )
 from tropaint.multiplihedra import _edge_offset
+from tropaint.painting import painting_cone
 from tropaint.regular_subdivision import (
     Lifting,
     _mod_reduce,
     _placing_lifting,
     induce_subdivision,
     is_triangulation,
+    refines,
     secondary_cone,
 )
 from tropaint.tropical_dual import dual_complex
@@ -764,3 +774,37 @@ def triangulations_by_bisection(config):
                 found[s2.key] = (s2, c2)
                 frontier.append(s2.key)
     return found, crossings
+
+
+# ---------------------------------------------------------------------------
+# Fan orders and ranks before face masks
+
+
+def subdivision_rank(config, s) -> int:
+    """Height of s in the face lattice: 0 for triangulations, maximal for the
+    trivial subdivision; computed as cone codimension complemented."""
+    return len(config.points) - secondary_cone(config, s).dim()
+
+
+def refinement_pairs(elements) -> set:
+    """(i, j) for every i != j whose subdivision refines j's, by refines."""
+    return {
+        (i, j)
+        for i, s1 in enumerate(elements)
+        for j, s2 in enumerate(elements)
+        if i != j and refines(s1, s2)
+    }
+
+
+def painted_pairs_and_ranks(elements):
+    """(i, j) for every i != j whose painting cone's closure holds j's, by
+    contains_closed on the interior points, and each complex's rank, (n + 1)
+    minus its painting cone's dimension."""
+    cones = [painting_cone(pc) for pc in elements]
+    pairs = {
+        (i, j)
+        for i, c1 in enumerate(cones)
+        for j, c2 in enumerate(cones)
+        if i != j and c1.contains_closed(c2.interior_point)
+    }
+    return pairs, [c.ambient_dim - c.dim() for c in cones]

@@ -133,7 +133,7 @@ def test_criterion_03_associahedron_counts():
         poset = enumerate_coherent_subdivisions(config)
         vertices = secondary_polytope_vertices(config, poset)
         assert len(vertices) == count
-        lat = face_lattice_from_poset(config, poset)
+        lat = face_lattice_from_poset(poset)
         oracle = _oracle_polygon_lattice(m + 1)
         assert lattice_isomorphic(oracle, lat) is not None
     _passed(3, started, "2/5/14 vertices, oracle lattices match", bound=10)

@@ -1,9 +1,11 @@
 """The triangulation walk induces and certifies each triangulation once and
-stops at its cap before certifying more, the enumerators visit each face
-sample once, and the main-theorem check certifies each painting cone once
-and builds the extended configuration and its subdivision lattice once for
-its ranks and the CLI.  The verifications solve no LP, and each upper hull
-takes one rank."""
+stops at its cap before certifying more, and the enumerators visit each face
+sample once.  The verifications read both posets' order and ranks off the
+fans' face masks: they call no refines and certify no painting cone, and
+every secondary cone they build is a triangulation cone of the walk.  The
+main-theorem check builds the extended configuration and its subdivision
+lattice once for its ranks and the CLI.  The verifications solve no LP, and
+each upper hull takes one rank."""
 
 import pathlib
 from fractions import Fraction
@@ -17,14 +19,13 @@ from tropaint import (
     painting,
     painting_polytope,
     regular_subdivision,
-    secondary_polytope,
 )
 from tropaint.multiplihedra import (
     admissible_alpha,
     ngon_configuration,
     verify_multiplihedron_theorem,
 )
-from tropaint.painting import enumerate_painted_complexes
+from tropaint.painting import enumerate_painted_complexes, painting_cone
 from tropaint.painting_polytope import extend, verify_main_theorem
 from tropaint.point_config import build_configuration
 from tropaint.regular_subdivision import (
@@ -38,6 +39,15 @@ QUAD = build_configuration([(0, 0), (1, 0), (0, 1), (-1, 0), (-1, -1)])
 BIPYRAMID = build_configuration(
     [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)]
 )
+
+
+VERIFICATIONS = [
+    lambda: verify_main_theorem(QUAD, (F(1, 3), F(1, 3))),
+    lambda: verify_main_theorem(BIPYRAMID, (F(1, 2), F(1, 3), F(1, 2))),
+    lambda: verify_multiplihedron_theorem(4),
+    lambda: cli.main(["secondary", str(GOLDEN / "quad.json")]),
+]
+VERIFICATION_IDS = ["main-theorem-quad", "main-theorem-bipyramid", "multiplihedron-4", "secondary-quad"]
 
 
 @pytest.mark.parametrize(
@@ -96,10 +106,15 @@ def test_coherent_enumeration_induces_each_face_sample_once(calls_to):
 
 
 def test_painting_polytope_ranks_each_extended_subdivision_once(calls_to):
-    calls = calls_to(secondary_polytope.subdivision_rank)
+    cones = calls_to(regular_subdivision.secondary_cone)
     extends = calls_to(painting_polytope.extend)
     report, _ = cli._painting_polytope_pieces(str(GOLDEN / "bipyramid.json"))
-    assert len(calls) == len(report.subdivision_poset) == 15
+    built = len(cones)
+    # every secondary cone is a triangulation cone of one of the two walks:
+    # the ranks are read off their faces, with no cone per subdivision
+    walked = len(enumerate_regular_triangulations(BIPYRAMID))
+    walked += len(enumerate_regular_triangulations(report.extension.extended))
+    assert built == walked and len(report.subdivision_poset) == 15
     assert len(extends) == 1
     assert report.extension.extended == report.subdivision_poset.elements[0].config
     subdivision_lat = report.subdivision_lattice
@@ -117,28 +132,33 @@ def test_painting_polytope_ranks_each_extended_subdivision_once(calls_to):
 def test_main_theorem_certifies_each_painting_cone_once(calls_to, config, alpha, count):
     calls = calls_to(painting.painting_cone)
     report = verify_main_theorem(config, alpha)
-    painted = [args[0] for _, args in calls]
-    assert len(painted) == len({id(pc) for pc in painted}) == len(report.painted_poset) == count
-    assert all(pc.cone is not None for pc in report.painted_poset.elements)
-    assert len(calls) == count
+    assert calls == [] and len(report.painted_poset) == count
+    # the ranks read off the chambers' faces are the painting cones' own
+    n = len(config.points)
+    elements = report.painted_poset.elements
+    assert [(n + 1) - painting_cone(pc).dim() for pc in elements] == list(report.ranks)
 
 
-@pytest.mark.parametrize(
-    "run",
-    [
-        lambda: verify_main_theorem(QUAD, (F(1, 3), F(1, 3))),
-        lambda: verify_main_theorem(BIPYRAMID, (F(1, 2), F(1, 3), F(1, 2))),
-        lambda: verify_multiplihedron_theorem(4),
-        lambda: cli.main(["secondary", str(GOLDEN / "quad.json")]),
-    ],
-    ids=["main-theorem-quad", "main-theorem-bipyramid", "multiplihedron-4", "secondary-quad"],
-)
+@pytest.mark.parametrize("run", VERIFICATIONS, ids=VERIFICATION_IDS)
 def test_verifications_solve_no_lp(lp_calls, capsys, run):
     # cones are certified by a witness or by polarity; the LP is left only
     # to validate_subdivision
     run()
     capsys.readouterr()
     assert lp_calls == []
+
+
+@pytest.mark.parametrize("run", VERIFICATIONS, ids=VERIFICATION_IDS)
+def test_verifications_read_order_and_ranks_off_the_fans(calls_to, capsys, run):
+    refines = calls_to(regular_subdivision.refines)
+    painting_cones = calls_to(painting.painting_cone)
+    cones = calls_to(regular_subdivision.secondary_cone)
+    run()
+    capsys.readouterr()
+    assert refines == [] and painting_cones == []
+    # no secondary cone is built to rank a subdivision: every one of them is
+    # a triangulation cone of the walk
+    assert cones and {caller for caller, _ in cones} == {"tropaint.regular_subdivision"}
 
 
 def test_upper_hull_takes_one_rank(calls_to):

@@ -15,8 +15,9 @@ from tropaint.secondary_polytope import (
     face_lattice_from_poset,
     gkz_vector,
     secondary_polytope_vertices,
-    subdivision_rank,
 )
+
+from oracles import subdivision_rank
 
 SQUARE = build_configuration([(0, 0), (1, 0), (1, 1), (0, 1)])
 QUAD = build_configuration([(0, 0), (1, 0), (0, 1), (-1, 0), (-1, -1)])
@@ -79,7 +80,7 @@ def test_normal_fan_min_convention():
 
 def test_face_lattice_square_is_a_segment():
     poset = enumerate_coherent_subdivisions(SQUARE)
-    lat = face_lattice_from_poset(SQUARE, poset)
+    lat = face_lattice_from_poset(poset)
     assert sorted(lat.ranks) == [0, 0, 1]
     assert len(lat.covers) == 2
 
@@ -87,7 +88,7 @@ def test_face_lattice_square_is_a_segment():
 def test_face_lattice_pentagon():
     config = polygon(5)
     poset = enumerate_coherent_subdivisions(config)
-    lat = face_lattice_from_poset(config, poset)
+    lat = face_lattice_from_poset(poset)
     counts = lat.rank_counts()
     assert counts == {0: 5, 1: 5, 2: 1}
     # pentagon boundary: every vertex under exactly two edges
