@@ -385,15 +385,15 @@ def _initial_simplex(pts: list[tuple[int, ...]], d: int) -> list[int]:
     return chosen
 
 
-def _simplicial_hull(pts: list[tuple[int, ...]], d: int):
-    """Beneath-beyond insertion over integer points.
+def _simplicial_hull(pts: list[tuple[int, ...]], seed: list[int]):
+    """Beneath-beyond insertion over integer points from the initial simplex seed.
 
     Returns the simplicial facets (outward normal, offset, vertex index tuple)
     and the vertex sum of the initial simplex, (d + 1) times an interior
     point.  Several simplicial facets may share a supporting hyperplane when
     the input is degenerate.
     """
-    seed = _initial_simplex(pts, d)
+    d = len(seed) - 1
     ref = [sum(pts[i][k] for i in seed) for k in range(d)]
 
     facets: list[tuple[tuple[int, ...], int, tuple[int, ...]]] = []
@@ -444,7 +444,12 @@ def convex_hull_facets(points) -> list[HullFacet]:
     pts, scale = _integer_points(points)
     if not pts:
         raise InputError("convex hull of an empty point list")
-    simplicial, _ = _simplicial_hull(pts, len(pts[0]))
+    return _hull_facets(pts, scale, _initial_simplex(pts, len(pts[0])))
+
+
+def _hull_facets(pts: list[tuple[int, ...]], scale: int, seed: list[int]) -> list[HullFacet]:
+    """convex_hull_facets of the points pts / scale, from the initial simplex seed."""
+    simplicial, _ = _simplicial_hull(pts, seed)
     out = []
     for normal, offset in dict.fromkeys((normal, offset) for normal, offset, _ in simplicial):
         members = frozenset(i for i, p in enumerate(pts) if _dot(normal, p) == offset)
@@ -463,9 +468,7 @@ def hull_volume(points) -> Fraction:
     if not pts:
         raise InputError("volume of an empty point list")
     d = len(pts[0])
-    if affine_rank(pts) < d:
-        raise DegenerateInputError("volume of a lower-dimensional hull")
-    simplicial, ref = _simplicial_hull(pts, d)
+    simplicial, ref = _simplicial_hull(pts, _initial_simplex(pts, d))
     total = ZERO
     for _, _, verts in simplicial:
         total += abs(_det([[(d + 1) * x - r for x, r in zip(pts[i], ref)] for i in verts]))
@@ -611,21 +614,23 @@ def upper_hull_facets(lifted) -> list[tuple[AffineFunctional, frozenset[int]]]:
     if not base:
         raise InputError("upper hull of an empty point list")
     d = len(base[0])
-    pts = [b + (h,) for b, h in zip(base, heights)]
-    # projecting drops the rank by at most one, so one rank of the lifted
-    # points settles whether the base spans
-    rank = affine_rank(pts)
-    if rank < d:
+    if any(len(b) != d for b in base):
+        raise InputError("points of mixed dimension")
+    pts, scale = _integer_points(b + (h,) for b, h in zip(base, heights))
+    # projecting drops the rank by at most one, so one greedy pass over the
+    # rows (point, 1) settles whether the base spans, and seeds the hull
+    seed = independent_rows(p + (1,) for p in pts)
+    if len(seed) <= d:
         raise DegenerateInputError("base points do not span; upper hull undefined")
-    if rank == d:
-        # All lifted points on one hyperplane: a single facet when it is not
-        # vertical, which is when the base spans.
-        fn = interpolate_affine(base, heights)
+    if len(seed) == d + 1:
+        # All lifted points on the hyperplane through the seed: a single
+        # facet when it is not vertical, which is when the base spans.
+        fn = interpolate_affine([base[i] for i in seed], [heights[i] for i in seed])
         if fn is None:
             raise DegenerateInputError("degenerate lifted configuration")
         return [(fn, frozenset(range(len(pts))))]
     out = []
-    for facet in convex_hull_facets(pts):
+    for facet in _hull_facets(pts, scale, seed):
         w_h = facet.normal[-1]
         if w_h <= 0:
             continue

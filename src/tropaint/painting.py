@@ -2,8 +2,11 @@
 
 Fix a distinguished point alpha inside the configuration's span and a level c.
 On each cell of the dual complex the min-plus function is affine, so the sign
-of g = f(u) - u(alpha) - c over a cell is decided exactly by its values at
-the cell's vertices and its slopes along the cell's rays.  A cell is red when
+of g = f(u) - u(alpha) - c over a cell is decided exactly by its signs at the
+cell's vertices, which are 0-cells, and its slopes along the cell's rays,
+which are inward normals of the configuration's facets.  Along the normal of a
+facet F the slope has the sign of alpha against F, F's entry of sign_vector,
+so g is evaluated once per 0-cell, never per cell.  A cell is red when
 g stays positive on the relative interior, blue when negative, purple when g
 vanishes somewhere inside.  Zeros attained only on a proper face do not count:
 an edge with one purple and one red endpoint is red.
@@ -22,12 +25,11 @@ from .geometry import (
     affine_combination,
     as_fraction,
     vadd,
-    vdot,
     vector,
     vsub,
 )
 from .lattice import Poset
-from .point_config import PointConfiguration, SignVector
+from .point_config import PointConfiguration, SignVector, sign_vector
 from .regular_subdivision import (
     Lifting,
     SecondaryCone,
@@ -124,16 +126,6 @@ class PaintedComplex:
         return f"PaintedComplex({len(self.complex.cells)} cells)"
 
 
-def _color_from_flags(has_pos: bool, has_neg: bool, all_zero: bool) -> str:
-    if all_zero or (has_pos and has_neg):
-        return PURPLE
-    if has_pos:
-        return RED
-    if has_neg:
-        return BLUE
-    raise InconsistencyError("sign flags admit no color")
-
-
 def _comparison(config: PointConfiguration, spec: PaintSpec, marks) -> AffineFunctional:
     """g on the dual cell of a marking: u -> u.a + eta(a) - u.alpha - c.
 
@@ -147,8 +139,9 @@ def _comparison(config: PointConfiguration, spec: PaintSpec, marks) -> AffineFun
 def paint(p: TropicalComplex, spec: PaintSpec) -> PaintedComplex:
     """Color every cell of p by the exact sign behavior of g on it.
 
-    g restricted to a cell is affine, so vertex values plus ray slopes
-    determine the color.  p must be the dual complex of spec.eta itself:
+    g is evaluated once at each 0-cell's vertex, and its slope signs along
+    the rays are sign_vector(config, alpha); colors_from_vertices extends
+    both to every cell.  p must be the dual complex of spec.eta itself:
     the vertices are read off p, so the heights must be the ones that built
     it.  A lifting that only induces the same subdivision moves the vertices
     and would color them for another function, so it raises InputError.
@@ -158,16 +151,12 @@ def paint(p: TropicalComplex, spec: PaintSpec) -> PaintedComplex:
         raise InputError("alpha dimension mismatch")
     if spec.eta.values != p.eta.values:
         raise InputError("lifting is not the one that built the given complex")
-    colors = {}
-    for marks, cell in p.cells.items():
-        g = _comparison(config, spec, marks)
-        vals = [g(v) for v in cell.vertices]
-        slopes = [vdot(r, g.linear) for r in cell.rays]
-        has_pos = any(x > 0 for x in vals) or any(x > 0 for x in slopes)
-        has_neg = any(x < 0 for x in vals) or any(x < 0 for x in slopes)
-        all_zero = all(x == 0 for x in vals) and all(x == 0 for x in slopes)
-        colors[marks] = _color_from_flags(has_pos, has_neg, all_zero)
-    return PaintedComplex(p, ColorFunction(colors), spec)
+    vertex_colors = {}
+    for cell in p.cells_of_dim(0):
+        g = _comparison(config, spec, cell.marking)(cell.vertices[0])
+        vertex_colors[cell.marking] = RED if g > 0 else BLUE if g < 0 else PURPLE
+    kappa = colors_from_vertices(p, vertex_colors, sign_vector(config, spec.alpha))
+    return PaintedComplex(p, kappa, spec)
 
 
 def colors_from_vertices(
@@ -175,29 +164,28 @@ def colors_from_vertices(
 ) -> ColorFunction:
     """Extend a coloring of the 0-cells to the whole complex.
 
-    The 0-cell colors encode the sign of g at each vertex, and the sign
-    vector gives the slope sign along every ray, so the same flag rule used
-    by paint() applies without knowing g itself.
+    The 0-cell colors are g's signs at the vertices, and the sign vector,
+    which needs one entry per facet, gives g's slope sign along each facet's
+    normal.  A cell is red or blue when its vertices and rays show that sign
+    and not the other, purple otherwise.
     """
-    zero_cells = [c for c in p.cells.values() if c.dimension == 0]
-    for c in zero_cells:
-        if c.marking not in vertex_colors:
-            raise InconsistencyError(f"no color for 0-cell {sorted(c.marking)}")
-        if vertex_colors[c.marking] not in COLORS:
-            raise InconsistencyError(f"bad color {vertex_colors[c.marking]!r}")
-    slope_sign = {f.normal: s for f, s in zip(p.config.facets, sign.signs)}
+    facets = p.config.facets
+    if len(sign.signs) != len(facets):
+        raise InputError(f"{len(sign.signs)} signs for {len(facets)} facets")
+    zero_cells = [c.marking for c in p.cells.values() if c.dimension == 0]
+    for m in zero_cells:
+        if m not in vertex_colors:
+            raise InconsistencyError(f"no color for 0-cell {sorted(m)}")
+        if vertex_colors[m] not in COLORS:
+            raise InconsistencyError(f"bad color {vertex_colors[m]!r}")
+    color_of = {1: RED, 0: PURPLE, -1: BLUE}
+    ray_colors = [(f.members, color_of[s]) for f, s in zip(facets, sign.signs)]
     colors = {}
-    for marks, cell in p.cells.items():
-        vcols = [
-            vertex_colors[c.marking] for c in zero_cells if marks <= c.marking
-        ]
-        ray_signs = [slope_sign[r] for r in cell.rays]
-        has_pos = RED in vcols or any(s > 0 for s in ray_signs)
-        has_neg = BLUE in vcols or any(s < 0 for s in ray_signs)
-        all_zero = all(col == PURPLE for col in vcols) and all(
-            s == 0 for s in ray_signs
-        )
-        colors[marks] = _color_from_flags(has_pos, has_neg, all_zero)
+    for marks in p.cells:
+        cols = {vertex_colors[m] for m in zero_cells if marks <= m}
+        cols.update(col for m, col in ray_colors if marks <= m)
+        cols.discard(PURPLE)
+        colors[marks] = cols.pop() if len(cols) == 1 else PURPLE  # both signs or none
     return ColorFunction(colors)
 
 

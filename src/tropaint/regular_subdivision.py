@@ -154,13 +154,14 @@ class Subdivision:
                     if face not in dims:
                         below = {face & p for p in parts} - {face, frozenset()}
                         dims[face] = 1 + max((dims[c] for c in below), default=-1)
-            vertex_marks = {i for face in dims if len(face) == 1 for i in face}
+            # in the order of their points, so each cell lists its vertices sorted
+            vertex_marks = sorted((min(f) for f in dims if len(f) == 1), key=config.points.__getitem__)
             supports = {mc.marks: mc.support for mc in self.maximal}
             cells: dict[frozenset[int], MarkedCell] = {}
             for marks, dim in dims.items():
                 cell = _make_cell(config, marks, supports.get(marks))
                 cell.dimension = dim
-                cell.vertices = tuple(sorted(config.points[i] for i in marks & vertex_marks))
+                cell.vertices = tuple(config.points[i] for i in vertex_marks if i in marks)
                 cells[marks] = cell
             self._cells = cells
         return self._cells

@@ -47,16 +47,17 @@ class TropicalCell:
     """One cell of the dual complex, in V-representation.
 
     The cell is the convex hull of vertices plus the nonnegative span of
-    rays.  marking lists the configuration indices whose affine pieces all
-    attain the minimum everywhere on the cell; on the relative interior no
-    other index does.  Colors live on a PaintedComplex, not on the cell.
+    rays, both kept in the order given.  marking lists the configuration
+    indices whose affine pieces all attain the minimum everywhere on the
+    cell; on the relative interior no other index does.  Colors live on a
+    PaintedComplex, not on the cell.
     """
 
     __slots__ = ("vertices", "rays", "marking", "dimension")
 
     def __init__(self, vertices, rays, marking, dimension):
-        self.vertices = tuple(sorted(vertices))
-        self.rays = tuple(sorted(rays))
+        self.vertices = tuple(vertices)
+        self.rays = tuple(rays)
         self.marking = frozenset(marking)
         self.dimension = dimension
 
@@ -118,16 +119,18 @@ def dual_complex(config: PointConfiguration, eta) -> tuple[TropicalComplex, Subd
     inward normals of the polytope facets containing it.  Its dimension is
     the complement of the subdivision cell's, which Subdivision.cells derives
     from incidences; the test suite checks both dimensions against affine
-    ranks, and that compactness matches interiority.
+    ranks, and that compactness matches interiority.  Slopes and normals are
+    sorted once, so each cell lists both in lexicographic order.
     """
     if not isinstance(eta, Lifting):
         eta = Lifting.of(config, eta)
     s = induce_subdivision(config, eta)
-    supports = [(mc.marks, mc.support) for mc in s.maximal]
+    slopes = sorted((mc.support.linear, mc.marks) for mc in s.maximal)
+    normals = sorted((f.normal, f.members) for f in config.facets)
     cells: dict[frozenset[int], TropicalCell] = {}
     for marks, cell in s.cells.items():
-        verts = {sup.linear for m, sup in supports if marks <= m}
-        rays = [f.normal for f in config.facets if marks <= f.members]
+        verts = [u for u, m in slopes if marks <= m]
+        rays = [r for r, m in normals if marks <= m]
         cells[marks] = TropicalCell(verts, rays, marks, config.dimension - cell.dimension)
     return TropicalComplex(config, eta, s, cells), s
 

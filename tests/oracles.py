@@ -50,6 +50,11 @@ rank are the cone codimensions complemented.  This is how
 enumerate_coherent_subdivisions, enumerate_painted_complexes,
 face_lattice_from_poset and verify_main_theorem built the order and the
 ranks before reading both off the fans' face masks.
+
+The per-cell painting rebuilds g on every cell from the cell's least mark and
+reads its values at the cell's vertices and its slopes along the cell's
+rays, as painting.paint did before it evaluated g once per 0-cell and took
+the slope signs from the sign vector.
 """
 
 from __future__ import annotations
@@ -75,10 +80,11 @@ from tropaint.geometry import (
     vadd,
     vector,
     vscale,
+    vdot,
     vsub,
 )
 from tropaint.multiplihedra import _edge_offset
-from tropaint.painting import painting_cone
+from tropaint.painting import BLUE, PURPLE, RED, ColorFunction, painting_cone
 from tropaint.regular_subdivision import (
     Lifting,
     _mod_reduce,
@@ -808,3 +814,26 @@ def painted_pairs_and_ranks(elements):
         if i != j and c1.contains_closed(c2.interior_point)
     }
     return pairs, [c.ambient_dim - c.dim() for c in cones]
+
+
+# ---------------------------------------------------------------------------
+# Painting cell by cell
+
+
+def paint_per_cell(p, spec) -> ColorFunction:
+    """The coloring of p by spec: on each cell g(u) = u . (a - alpha) +
+    eta(a) - c for the cell's least mark a, evaluated at every vertex of the
+    cell and differentiated along every ray."""
+    colors = {}
+    for marks, cell in p.cells.items():
+        a = min(marks)
+        slope = vsub(p.config.points[a], spec.alpha)
+        vals = [vdot(v, slope) + spec.eta[a] - spec.c for v in cell.vertices]
+        slopes = [vdot(r, slope) for r in cell.rays]
+        has_pos = any(x > 0 for x in vals + slopes)
+        has_neg = any(x < 0 for x in vals + slopes)
+        if (has_pos and has_neg) or not (has_pos or has_neg):
+            colors[marks] = PURPLE
+        else:
+            colors[marks] = RED if has_pos else BLUE
+    return ColorFunction(colors)

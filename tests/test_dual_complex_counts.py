@@ -2,12 +2,13 @@
 given, the painted enumeration builds one per lifting it meets, edge-length
 realization corrects every edge from one complex and hands it back to the
 painted-tree realization, and the main-theorem check builds each extended
-complex once.  A dual complex builds
-one hull, and its cells read their dimensions and vertices off incidences."""
+complex once.  A dual complex builds one hull with one rank pass, and its
+cells read their dimensions and vertices off incidences.  Painting evaluates
+g once per 0-cell."""
 
 from fractions import Fraction
 
-from tropaint import geometry, regular_subdivision, tropical_dual
+from tropaint import geometry, painting, regular_subdivision, tropical_dual
 from tropaint.multiplihedra import (
     EdgeLengthTarget,
     PaintedTree,
@@ -96,8 +97,8 @@ def test_dual_complex_builds_one_hull_per_lifting(calls_to):
         [0, 0, 0, 0, 0, -1, 3],
         [3, -2, 5, 1, 7, F(1, 2), F(1, 2)],
     ]
-    hulls = calls_to(geometry.convex_hull_facets)
-    ranks = calls_to(geometry.affine_rank)
+    hulls = calls_to(geometry._simplicial_hull)
+    ranks = calls_to(geometry.independent_rows)
     triangulations = 0
     for eta in liftings:
         p, s = dual_complex(ext, eta)
@@ -106,5 +107,29 @@ def test_dual_complex_builds_one_hull_per_lifting(calls_to):
             assert cell.vertices
         triangulations += is_triangulation(s)
     assert 0 < triangulations < len(liftings)
-    assert len(hulls) == len(liftings)
-    assert {caller for caller, _ in ranks} == {"tropaint.geometry"}
+    # one beneath-beyond hull and one rank pass per lifting; the cells take
+    # neither
+    assert len(hulls) == len(ranks) == len(liftings)
+
+
+def test_upper_hull_takes_one_rank_pass(calls_to):
+    # the last lifting is flat
+    liftings = [[-1, 1, 0, 2, 0], [3, -2, 5, 1, 7], [0, 0, 0, 0, F(1, 2)], [0, 1, 2, -1, -3]]
+    ranks = calls_to(geometry.independent_rows)
+    affine = calls_to(geometry.affine_rank)
+    for eta in liftings:
+        geometry.upper_hull_facets([(a, -h) for a, h in zip(QUAD.points, eta)])
+    # the pass that settles the rank is the hull's initial simplex, or the
+    # flat lifting's interpolation points
+    assert len(ranks) == len(liftings) and affine == []
+
+
+def test_paint_evaluates_g_once_per_vertex(calls_to):
+    comparisons = calls_to(painting._comparison)
+    vertices = 0
+    for eta in ([-1, 1, 0, 2, 0], [-1, 0, 0, 0, 0], [3, -2, 5, 1, 7]):
+        p, _ = dual_complex(QUAD, eta)
+        for c in (F(-2), F(0), F(1, 2)):
+            paint(p, PaintSpec.of(QUAD, eta, c, ALPHA))
+        vertices += 3 * len(p.cells_of_dim(0))
+    assert len(comparisons) == vertices

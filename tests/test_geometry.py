@@ -167,6 +167,13 @@ def test_upper_hull_flat_lift_single_facet():
     assert fn.linear == vector([0, 0]) and fn.constant == 0
 
 
+def test_upper_hull_rejects_bad_bases():
+    with pytest.raises(InputError):
+        upper_hull_facets([((0, 0), 0), ((1, 0), 0), ((0, 1, 0), 0), ((1, 1), 1)])
+    with pytest.raises(DegenerateInputError):
+        upper_hull_facets([((0, 0), 0), ((1, 1), 5), ((2, 2), -1)])
+
+
 @given(
     st.lists(st.integers(-4, 4), min_size=5, max_size=5),
 )

@@ -1,5 +1,6 @@
 """Cell coloring, vertex-color reconstruction, and painting cones."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -22,8 +23,11 @@ from tropaint.painting import (
     painting_cone,
     painting_constraint,
 )
-from tropaint.point_config import build_configuration, sign_vector
+from tropaint.multiplihedra import admissible_alpha, ngon_configuration
+from tropaint.point_config import SignVector, build_configuration, sign_vector
 from tropaint.tropical_dual import dual_complex
+
+from oracles import paint_per_cell
 
 QUAD = build_configuration([(0, 0), (1, 0), (0, 1), (-1, 0), (-1, -1)])
 BIPYRAMID = build_configuration(
@@ -35,6 +39,12 @@ ALPHA3 = (F(1, 2), F(1, 3), F(1, 2))
 STAR = [-1, 0, 0, 0, 0]
 
 CRANK = {RED: 2, PURPLE: 1, BLUE: 0}
+
+# the configurations of the liftings benchmark, each with the alpha it is painted at there
+LIFTING_CASES = {"quad": (QUAD, ALPHA), "bipyramid": (BIPYRAMID, ALPHA3)}
+for _m in (4, 5, 6):
+    _config = ngon_configuration(_m)
+    LIFTING_CASES[f"ngon{_m}"] = (_config, admissible_alpha(_config))
 
 
 def star_painted(c):
@@ -164,6 +174,55 @@ def test_reconstruction_requires_total_vertex_colors():
     bad[frozenset({0, 1, 2})] = "green"
     with pytest.raises(InconsistencyError):
         colors_from_vertices(p, bad, sv)
+
+
+@pytest.mark.parametrize("signs", [(-1,), (-1,) * 7], ids=["short", "long"])
+def test_reconstruction_rejects_sign_vector_of_wrong_length(signs):
+    painted = star_painted(F(-1))
+    p = painted.complex
+    colors = {c.marking: painted.kappa[c.marking] for c in p.cells_of_dim(0)}
+    assert len(QUAD.facets) == 4
+    with pytest.raises(InputError):
+        colors_from_vertices(p, colors, SignVector(signs))
+
+
+def _centroid(points):
+    return tuple(sum(xs, F(0)) / len(points) for xs in zip(*points))
+
+
+def _alphas(config):
+    """The centroid, strictly inside, a point on a facet hyperplane and one
+    beyond it."""
+    inside = _centroid(config.points)
+    on = _centroid([config.points[i] for i in config.facets[0].members])
+    beyond = tuple(2 * x - y for x, y in zip(on, inside))
+    assert set(sign_vector(config, inside).signs) == {-1}
+    assert 0 in sign_vector(config, on).signs and 1 in sign_vector(config, beyond).signs
+    return inside, on, beyond
+
+
+def _vertex_levels(p, alpha):
+    """The levels that put g = 0 at some 0-cell: f(u) - u . alpha there."""
+    levels = set()
+    for cell in p.cells_of_dim(0):
+        (u,) = cell.vertices
+        a = min(cell.marking)
+        levels.add(vdot(u, p.config.points[a]) + p.eta[a] - vdot(u, alpha))
+    return sorted(levels)
+
+
+@pytest.mark.parametrize("name", sorted(LIFTING_CASES))
+def test_paint_matches_per_cell_oracle(name):
+    config, alpha = LIFTING_CASES[name]
+    rng = random.Random(f"paint:{name}")
+    for alpha in (alpha,) + _alphas(config):
+        for _ in range(6):
+            eta = [rng.randint(-9, 9) for _ in config.points]
+            p, _ = dual_complex(config, eta)
+            levels = _vertex_levels(p, alpha) + [F(rng.randint(-16, 16), 2)]
+            for c in levels:
+                spec = PaintSpec.of(config, eta, c, alpha)
+                assert paint(p, spec).kappa == paint_per_cell(p, spec)
 
 
 def test_ray_sign_with_explicit_bound():

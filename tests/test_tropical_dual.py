@@ -1,10 +1,17 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropaint.errors import NotIsotopicError
-from tropaint.geometry import affine_rank, lp_maximize, primitive_vector
+from tropaint.geometry import (
+    affine_rank,
+    lp_maximize,
+    polytope_vertex_indices,
+    primitive_vector,
+)
+from tropaint.multiplihedra import ngon_configuration
 from tropaint.point_config import build_configuration
 from tropaint.regular_subdivision import Lifting, induce_subdivision
 from tropaint.tropical_dual import (
@@ -167,3 +174,26 @@ def test_cells_cover_dual_space(vals, upt):
     _, argmin = evaluate(f, u)
     assert argmin in p.cells
     assert _in_vrep(p.cells[argmin], u)
+
+@pytest.mark.parametrize(
+    "config",
+    [QUAD, BIPYRAMID] + [ngon_configuration(m) for m in (4, 5, 6)],
+    ids=["quad", "bipyramid", "ngon4", "ngon5", "ngon6"],
+)
+def test_cells_list_vertices_and_rays_in_lexicographic_order(config):
+    rng = random.Random(f"order:{config.points}")
+    for _ in range(10):
+        eta = [rng.randint(-9, 9) for _ in config.points]
+        p, s = dual_complex(config, eta)
+        for marks, cell in p.cells.items():
+            slopes = {
+                dual_vertex_oracle(config.points, eta, mc.marks)
+                for mc in s.maximal
+                if marks <= mc.marks
+            }
+            normals = {f.normal for f in config.facets if marks <= f.members}
+            assert cell.vertices == tuple(sorted(slopes))
+            assert cell.rays == tuple(sorted(normals))
+            sub = s.cells[marks]
+            corners = {sub.points[i] for i in polytope_vertex_indices(sub.points)}
+            assert sub.vertices == tuple(sorted(corners))
