@@ -202,21 +202,45 @@ def _rref(rows) -> tuple[list[Vec], list[int]]:
     return [tuple(Fraction(x, row[c]) for x in row[:-1]) for row, c in zip(work, pivots)], pivots
 
 
+def _int_det(rows) -> int:
+    """Determinant of a square integer matrix by Bareiss (1968) elimination:
+    after step k every entry left is a (k + 1)-minor, so each division is
+    exact and the last entry is the determinant."""
+    m = [list(row) for row in rows]
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            i = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if i is None:
+                return 0
+            m[k], m[i] = m[i], m[k]
+            sign = -sign
+        pk = m[k]
+        p = pk[k]
+        for row in m[k + 1 :]:
+            a = row[k]
+            for j in range(k + 1, n):
+                row[j] = (p * row[j] - a * pk[j]) // prev
+        prev = p
+    return sign * m[-1][-1] if n else 1
+
+
+def _circuit_dependence(rows) -> list[int]:
+    """A linear dependence of k + 1 integer vectors in Z^k: their signed
+    maximal minors, (-1)^j times the determinant of all rows but row j.  It
+    is zero only when every k of the rows are dependent."""
+    return [(-1) ** j * _int_det(rows[:j] + rows[j + 1 :]) for j in range(len(rows))]
+
+
 def _det(rows) -> Fraction:
-    """Determinant of a square rational matrix: the product of the pivots of
-    elimination without row scaling, each pivot read off its working row."""
+    """Determinant of a square rational matrix: that of its rows' numerators
+    over the product of their denominators."""
     work = [_int_row(row) for row in rows]
-    det = ONE
-    for c in range(len(work)):
-        pivot = next((i for i in range(c, len(work)) if work[i][c]), None)
-        if pivot is None:
-            return ZERO
-        if pivot != c:
-            work[c], work[pivot] = work[pivot], work[c]
-            det = -det
-        det *= Fraction(work[c][c], work[c][-1])
-        _pivot(work, c, c, c + 1)
-    return det
+    den = 1
+    for row in work:
+        den *= row[-1]
+    return Fraction(_int_det([row[:-1] for row in work]), den)
 
 
 def matrix_rank(rows) -> int:

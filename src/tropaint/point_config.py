@@ -9,10 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import DegenerateInputError, InputError
 from .geometry import (
     Vec,
+    _integer_points,
     affine_rank,
     convex_hull_facets,
     hull_volume,
@@ -78,8 +80,19 @@ class PointConfiguration:
         xv = vector(x)
         return all(f.value(xv) > f.threshold for f in self.facets)
 
-    def hull_volume(self) -> Fraction:
+    @cached_property
+    def volume(self) -> Fraction:
+        """Normalized volume of the hull (unit simplex = 1)."""
         return hull_volume(self.points)
+
+    @cached_property
+    def integer_points(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """(rows, L): each point times the lcm L of all their denominators,
+        followed by a 1.  The linear dependences of these rows are the
+        points' affine dependences, and the determinant of d + 1 of them is
+        L^d times the normalized volume of their simplex, up to sign."""
+        pts, scale = _integer_points(self.points)
+        return tuple(p + (1,) for p in pts), scale
 
 
 def build_configuration(points, labels=None) -> PointConfiguration:

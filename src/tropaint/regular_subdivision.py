@@ -12,11 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
 from .errors import InconsistencyError, InputError, NoCertificateError, ResourceCapError
 from .geometry import (
     AffineFunctional,
     Vec,
+    _circuit_dependence,
+    _int_det,
     _rref,
     affine_combination,
     as_fraction,
@@ -267,7 +270,7 @@ def validate_subdivision(s: Subdivision) -> None:
         (hull_volume([config.points[i] for i in sorted(mc.marks)]) for mc in s.maximal),
         ZERO,
     )
-    if total != config.hull_volume():
+    if total != config.volume:
         raise InconsistencyError("maximal cells do not tile the polytope")
     hreps = {}
     for mc in s.maximal:
@@ -304,8 +307,12 @@ class SecondaryCone:
     """Liftings inducing one subdivision: {strict > 0, equalities = 0} in lifting space.
 
     The closure (weak inequalities) is the union of the cones of all
-    coarsenings.  interior_point is a certified strictly feasible point, found
-    by _certify_cone: the builder's witness once it passes an exact
+    coarsenings.  A triangulation's cone, as secondary_cone builds it, is in
+    its local folding form: no equalities, and one strict per interior ridge
+    and per unused point, each the primitive affine dependence of a circuit,
+    built only once the cells are certified to triangulate the
+    configuration.  interior_point is a certified strictly feasible point,
+    found by _certify_cone: the builder's witness once it passes an exact
     membership check, otherwise the sum of the cone's rays.
     secondary_cone offers the subdivision's inducing lifting as the witness
     and painting_cone the (lifting, level) pair that painted the complex.
@@ -388,9 +395,11 @@ class SecondaryCone:
         strict, so a strict cuts a facet exactly when no other strict's ray
         mask strictly contains its own.  The sum of the facet's rays samples
         its relative interior (the lineality part stays at zero).  Each
-        strict compares a point with the affine span of a cell's spanning
-        marks, so a wall's functional is the affine dependence of the circuit
-        they form, and _flip crosses the wall by flipping that circuit.
+        strict is the affine dependence of a circuit, so a wall's functional
+        is one too, and _flip crosses the wall by flipping that circuit.  A
+        triangulation cone is full-dimensional, so each facet has one
+        primitive normal: any sorted stricts that cut the cone out give the
+        same walls in the same order.
         """
         full = (1 << len(self.rays)) - 1
         proper = {m for m in self._tight_masks if m != full}
@@ -494,32 +503,114 @@ def cone_constraint(config: PointConfiguration, basis_idx, a: int) -> AffineFunc
     return AffineFunctional(tuple(coef), ZERO)
 
 
+def _folding_stricts(config: PointConfiguration, s: Subdivision) -> tuple[AffineFunctional, ...]:
+    """The local folding form of a triangulation's cone, once s is certified
+    to be a triangulation of config; raises NoCertificateError otherwise.
+
+    Full-dimensional simplices triangulate a configuration exactly when each
+    ridge lies in one of them and on a facet of the configuration, or in two
+    on opposite sides of it, and their normalized volumes add up to the
+    configuration's (De Loera, Rambau & Santos, Triangulations, 2010, ch. 4).
+    A lifting then induces s exactly when it folds strictly across every
+    interior ridge and lifts every unused point strictly below a simplex
+    containing it (ibid., ch. 5); the first cell in which the point has no
+    negative barycentric coordinate serves, and any other gives the same
+    functional.  Each strict is the primitive affine dependence of a circuit,
+    positive on the far vertices or on the unused point, read off the signed
+    maximal minors of the rows (L p, 1): integers, with no system solved.
+    """
+    rows, scale = config.integer_points
+    n = len(rows)
+    cells = [sorted(mc.marks) for mc in s.maximal]
+
+    def dependence(ids):
+        dep = _circuit_dependence([rows[i] for i in ids])
+        return dep if dep[-1] > 0 else [-c for c in dep]
+
+    found: set[tuple[int, ...]] = set()
+
+    def add(ids, dep):
+        g = gcd(*dep)
+        coef = [0] * n
+        for i, c in zip(ids, dep):
+            coef[i] = c // g
+        found.add(tuple(coef))
+
+    total = 0
+    far: dict[frozenset[int], list[int]] = {}
+    for cell in cells:
+        det = _int_det([rows[i] for i in cell])
+        if not det:
+            raise NoCertificateError(f"cell {cell} is not full-dimensional")
+        total += abs(det)
+        marks = frozenset(cell)
+        for v in cell:
+            far.setdefault(marks - {v}, []).append(v)
+    if total != config.volume * scale**config.dimension:
+        raise NoCertificateError("the cells' volumes do not add up to the configuration's")
+    for ridge, ends in far.items():
+        if len(ends) == 1:
+            if not any(ridge <= f.members for f in config.facets):
+                raise NoCertificateError(f"ridge {sorted(ridge)} lies in one cell and on no facet")
+            continue
+        if len(ends) > 2:
+            raise NoCertificateError(f"ridge {sorted(ridge)} lies in {len(ends)} cells")
+        ids = sorted(ridge) + ends
+        dep = dependence(ids)
+        if dep[-2] <= 0:
+            raise NoCertificateError(f"the two cells on ridge {sorted(ridge)} lie on one side of it")
+        add(ids, dep)
+    used = {i for cell in cells for i in cell}
+    for a in range(n):
+        if a in used:
+            continue
+        for cell in cells:
+            dep = dependence(cell + [a])
+            if max(dep[:-1]) <= 0:
+                add(cell + [a], dep)
+                break
+        else:
+            raise InconsistencyError(f"point {a} lies in no cell of a certified triangulation")
+    return tuple(AffineFunctional(tuple(map(Fraction, coef)), ZERO) for coef in sorted(found))
+
+
 def secondary_cone(config: PointConfiguration, s: Subdivision) -> SecondaryCone:
     """H-representation of the liftings inducing s; raises when there are none.
 
-    The interior point is s.witness when an exact check puts it in the open
+    A triangulation's cone is built in its local folding form: no
+    equalities, one strict per interior ridge and one per unused point, after
+    a certificate that s is a triangulation of config (see _folding_stricts).
+    A subdivision with a non-simplex cell gets, per maximal cell, one
+    equality per other mark and one strict per point off the cell, each
+    comparing the point with the span of the cell's spanning marks.  The
+    interior point is s.witness when an exact check puts it in the open
     cone; otherwise it is the sum of the cone's rays (see _certify_cone).
     """
+    if s.config != config:
+        raise InputError("the subdivision belongs to another configuration")
     n = len(config.points)
-    eqs: dict[tuple, AffineFunctional] = {}
-    sts: dict[tuple, AffineFunctional] = {}
-    for cell in s.maximal:
-        basis_idx = _spanning_marks(config, cell.marks)
-        in_basis = set(basis_idx)
-        for a in range(n):
-            if a in in_basis:
-                continue
-            fn = cone_constraint(config, basis_idx, a).primitive()
-            key = (fn.linear, fn.constant)
-            if a in cell.marks:
-                eqs[key] = fn
-            else:
-                sts[key] = fn
-    if any(k in eqs for k in sts):
-        # a functional required both zero and positive: nothing induces s
-        raise NoCertificateError("subdivision is not induced by any lifting")
-    equalities = tuple(eqs[k] for k in sorted(eqs))
-    stricts = tuple(fn for _, fn in sorted(sts.items()))
+    if is_triangulation(s):
+        equalities, stricts = (), _folding_stricts(config, s)
+    else:
+        eqs: dict[tuple, AffineFunctional] = {}
+        sts: dict[tuple, AffineFunctional] = {}
+        for cell in s.maximal:
+            basis_idx = _spanning_marks(config, cell.marks)
+            in_basis = set(basis_idx)
+            for a in range(n):
+                if a in in_basis:
+                    continue
+                fn = cone_constraint(config, basis_idx, a).primitive()
+                key = (fn.linear, fn.constant)
+                if a in cell.marks:
+                    eqs[key] = fn
+                else:
+                    sts[key] = fn
+        if any(k in eqs for k in sts):
+            # a functional required both zero and positive: nothing induces s
+            raise NoCertificateError("subdivision is not induced by any lifting")
+        equalities = tuple(eqs[k] for k in sorted(eqs))
+        stricts = tuple(fn for _, fn in sorted(sts.items()))
     cone = _certify_cone(equalities, stricts, n, s.witness)
     if cone is None:
         raise NoCertificateError("subdivision is not induced by any lifting")
@@ -583,8 +674,10 @@ def enumerate_regular_triangulations(config: PointConfiguration, max_count=4096)
     """All coherent triangulations, found by flips across secondary-cone walls
     outward from a seed triangulation.  Returns {key: (Subdivision, cone)}.
 
-    A known neighbour costs no hull: its cone's closure must contain the wall
-    sample.  A new one is certified by its rays, induced once at their sum
+    Each cone is built in its local folding form (see secondary_cone), which
+    first certifies that the flipped cells triangulate the configuration; its
+    walls are the folding constraints that are facets.  A known neighbour
+    costs no hull: its cone's closure must contain the wall sample.  A new one is certified by its rays, induced once at their sum
     (which must give it back, with supports and witness) and must contain
     the wall sample in its closure.
     """

@@ -43,6 +43,12 @@ holds the wall, as regular_subdivision.enumerate_regular_triangulations did
 before it flipped the wall's circuit; the walk it drives is the reference for
 the flips and their discovery order.
 
+The per-cell secondary cone writes one constraint per maximal cell and
+point off the cell's spanning marks, each from an affine combination solved
+in Fractions, as regular_subdivision.secondary_cone did for every
+subdivision before it built triangulation cones from their folding
+constraints in integer arithmetic.
+
 The fan orders test every pair of elements, with refines for subdivisions
 and with contains_closed on painting cones for painted complexes, and rank
 each element by certifying its own cone: subdivision_rank and the painting
@@ -62,7 +68,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from tropaint.errors import DegenerateInputError, InputError
+from tropaint.errors import DegenerateInputError, InputError, NoCertificateError
 from tropaint.geometry import (
     AffineFunctional,
     HullFacet,
@@ -87,8 +93,11 @@ from tropaint.multiplihedra import _edge_offset
 from tropaint.painting import BLUE, PURPLE, RED, ColorFunction, painting_cone
 from tropaint.regular_subdivision import (
     Lifting,
+    _certify_cone,
     _mod_reduce,
     _placing_lifting,
+    _spanning_marks,
+    cone_constraint,
     induce_subdivision,
     is_triangulation,
     refines,
@@ -780,6 +789,40 @@ def triangulations_by_bisection(config):
                 found[s2.key] = (s2, c2)
                 frontier.append(s2.key)
     return found, crossings
+
+
+# ---------------------------------------------------------------------------
+# Secondary cones cell by cell
+
+
+def secondary_cone_per_cell(config, s):
+    """The secondary cone of s with one constraint per maximal cell and
+    point off the cell's spanning marks: an equality for a mark, a strict for
+    any other point, as regular_subdivision.secondary_cone built every cone
+    before it built triangulation cones from their folding constraints."""
+    n = len(config.points)
+    eqs = {}
+    sts = {}
+    for cell in s.maximal:
+        basis_idx = _spanning_marks(config, cell.marks)
+        in_basis = set(basis_idx)
+        for a in range(n):
+            if a in in_basis:
+                continue
+            fn = cone_constraint(config, basis_idx, a).primitive()
+            key = (fn.linear, fn.constant)
+            if a in cell.marks:
+                eqs[key] = fn
+            else:
+                sts[key] = fn
+    if any(k in eqs for k in sts):
+        raise NoCertificateError("subdivision is not induced by any lifting")
+    equalities = tuple(eqs[k] for k in sorted(eqs))
+    stricts = tuple(fn for _, fn in sorted(sts.items()))
+    cone = _certify_cone(equalities, stricts, n, s.witness)
+    if cone is None:
+        raise NoCertificateError("subdivision is not induced by any lifting")
+    return cone
 
 
 # ---------------------------------------------------------------------------

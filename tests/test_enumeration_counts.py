@@ -1,6 +1,8 @@
 """The triangulation walk induces and certifies each triangulation once and
 stops at its cap before certifying more, and the enumerators visit each face
-sample once.  The verifications read both posets' order and ranks off the
+sample once.  A triangulation cone has no equalities and one strict per
+interior ridge and unused point at most, read off integer minors without
+solving a system.  The verifications read both posets' order and ranks off the
 fans' face masks: they call no refines and certify no painting cone, and
 every secondary cone they build is a triangulation cone of the walk.  The
 main-theorem check builds the extended configuration and its subdivision
@@ -10,6 +12,7 @@ each upper hull takes one rank."""
 import pathlib
 import sys
 import traceback
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -33,6 +36,7 @@ from tropaint.point_config import build_configuration
 from tropaint.regular_subdivision import (
     enumerate_coherent_subdivisions,
     enumerate_regular_triangulations,
+    secondary_cone,
 )
 
 F = Fraction
@@ -86,6 +90,39 @@ def test_triangulation_walk_induces_each_triangulation_once(calls_to, config, co
     # the seed's placing lifting, then one ray sum per flipped triangulation
     assert len(induces) == len(tris) == count
     assert len(cones) <= len(tris)
+
+
+@pytest.mark.parametrize(
+    "config",
+    [_extended_ngon4(), extend(QUAD, (F(1, 3), F(1, 3))).extended],
+    ids=["ngon4-extended", "quad-extended"],
+)
+def test_triangulation_cones_take_one_strict_per_interior_ridge_and_unused_point(config):
+    for t, cone in enumerate_regular_triangulations(config).values():
+        ridges = Counter(mc.marks - {v} for mc in t.maximal for v in mc.marks)
+        interior = sum(1 for count in ridges.values() if count == 2)
+        unused = len(config.points) - len(frozenset().union(*t.key))
+        assert cone.equalities == () and len(cone.stricts) <= interior + unused
+
+
+def test_extended_pentagon_cones_have_500_stricts():
+    config = ngon_configuration(5)
+    ext = extend(config, admissible_alpha(config)).extended
+    tris = enumerate_regular_triangulations(ext)
+    assert len(tris) == 80
+    # one strict per cell and point off it gave 1626
+    assert sum(len(cone.stricts) for _, cone in tris.values()) == 500
+
+
+def test_triangulation_cone_solves_no_system(calls_to):
+    config = ngon_configuration(5)
+    tris = [t for t, _ in enumerate_regular_triangulations(config).values()]
+    combinations = calls_to(geometry.affine_combination)
+    solves = calls_to(geometry.solve_square)
+    for t in tris:
+        assert frozenset().union(*t.key) == frozenset(range(len(config.points)))
+        secondary_cone(config, t)
+    assert len(tris) == 14 and combinations == [] and solves == []
 
 
 def test_triangulation_cap_stops_before_certifying_more(calls_to):

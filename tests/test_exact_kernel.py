@@ -16,6 +16,7 @@ from tropaint import geometry
 from tropaint.errors import DegenerateInputError, InputError
 from tropaint.geometry import (
     _affine_frame,
+    _circuit_dependence,
     _det,
     _initial_simplex,
     _integer_points,
@@ -107,6 +108,25 @@ def test_independent_rows_match_greedy_by_rank(rows):
     got = independent_rows(rows)
     assert got == greedy_by_rank(rows)
     assert matrix_rank(rows) == len(got)
+
+
+@st.composite
+def integer_families(draw):
+    """k + 1 integer rows of length k, often of rank below k."""
+    square = draw(matrices(square=True, entries=st.integers(-6, 6)))
+    extra = draw(st.lists(st.integers(-6, 6), min_size=len(square), max_size=len(square)))
+    return [tuple(map(int, r)) for r in square] + [tuple(extra)]
+
+
+@given(integer_families())
+@settings(deadline=None, max_examples=300)
+@example([(1, 2), (2, 4), (1, 1)])
+def test_circuit_dependence_is_the_signed_minors(rows):
+    k = len(rows) - 1
+    dependence = _circuit_dependence(rows)
+    assert dependence[-1] == (-1) ** k * det_oracle(rows[:-1])
+    assert all(sum(c * r[j] for c, r in zip(dependence, rows)) == 0 for j in range(k))
+    assert any(dependence) == (matrix_rank_oracle(rows) == k)
 
 
 @st.composite

@@ -38,7 +38,7 @@ def test_bipyramid_configuration():
     config = build_configuration(BIPYRAMID)
     assert config.vertex_indices() == frozenset(range(5))
     assert len(config.facets) == 6
-    assert config.hull_volume() == 6
+    assert config.volume == 6
 
 
 def test_triangle_three_facets():

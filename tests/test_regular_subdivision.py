@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropaint import regular_subdivision
-from tropaint.errors import NoCertificateError
+from tropaint.errors import InputError, NoCertificateError
 from tropaint.geometry import vector
 from tropaint.multiplihedra import ngon_configuration
 from tropaint.point_config import build_configuration
@@ -151,6 +151,47 @@ def test_secondary_cone_rejects_incoherent_marking():
     for w in ((0, 1, 0, 1), (1, 0, 1, 0), (0, 0, 0, 0)):
         with pytest.raises(NoCertificateError):
             secondary_cone(SQUARE, Subdivision(SQUARE, bad.maximal, witness=vector(w)))
+
+
+# Families of triangles that are not triangulations, each caught by one
+# part of the certificate alone: a ridge in one cell and on no facet, a
+# double cover whose volumes add up to twice the square's, and a fold whose
+# cells on two ridges lie on one side of them.
+NOT_TRIANGULATIONS = {
+    "hanging-vertex": (
+        [(0, 0), (2, 0), (1, 2), (1, -2), (1, 0)],
+        [{0, 1, 2}, {0, 4, 3}, {4, 1, 3}],
+    ),
+    "double-cover": (
+        [(0, 0), (2, 0), (2, 2), (0, 2), (1, 0), (2, 1), (1, 2), (0, 1)],
+        [{0, 4, 7}, {1, 5, 4}, {2, 6, 5}, {3, 7, 6}, {4, 5, 6}, {4, 6, 7}, {0, 1, 2}, {0, 2, 3}],
+    ),
+    "fold": (
+        [(0, 0), (1, 0), (2, 0), (1, 1), (1, 2)],
+        [{0, 1, 3}, {1, 2, 3}, {0, 2, 3}],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_TRIANGULATIONS))
+def test_secondary_cone_certifies_triangulations(name):
+    points, cells = NOT_TRIANGULATIONS[name]
+    config = build_configuration(points)
+    maximal = tuple(_make_cell(config, frozenset(c)) for c in cells)
+    n = len(points)
+    # a witness does not bypass the certificate
+    for w in (None, (0,) * n, tuple(2**i for i in range(n))):
+        s = Subdivision(config, maximal, witness=None if w is None else vector(w))
+        assert is_triangulation(s)
+        with pytest.raises(NoCertificateError):
+            secondary_cone(config, s)
+
+
+def test_secondary_cone_rejects_another_configuration():
+    s = induce_subdivision(SQUARE, Lifting.of(SQUARE, [0, 1, 0, 1]))
+    moved = build_configuration([(0, 0), (2, 0), (2, 2), (0, 2)])
+    with pytest.raises(InputError, match="another configuration"):
+        secondary_cone(moved, s)
 
 
 def test_square_cones_share_the_trivial_facet():

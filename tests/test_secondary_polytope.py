@@ -52,7 +52,7 @@ def test_gkz_rejects_non_triangulation():
 
 def test_gkz_sum_invariant():
     for config in (SQUARE, QUAD, BIPYRAMID):
-        vol = config.hull_volume()
+        vol = config.volume
         d = config.dimension
         for vec, _ in secondary_polytope_vertices(config):
             assert vec.total() == (d + 1) * vol
