@@ -359,8 +359,11 @@ def interpolate_affine(points: list[Vec], values: list[Fraction]) -> AffineFunct
 # Convex hulls (beneath-beyond with exact predicates)
 #
 # The hull works on integer points: the input scaled by the lcm L of all its
-# denominators.  A plane n . P = o there is the plane (L n) . x = o of the
-# input, so facets map back by one primitive scaling.
+# denominators.  Each facet candidate's normal is a vector of signed minors,
+# so no elimination and no Fraction runs inside the hull.  A plane n . P = o
+# there is the plane (L n) . x = o of the input: convex_hull_facets maps a
+# facet back by one primitive scaling into a HullFacet, and upper_hull_facets
+# maps an upper facet straight to its support, one Fraction per coordinate.
 
 
 @dataclass(frozen=True)
@@ -377,23 +380,25 @@ def _dot(u, v) -> int:
 
 
 def _hyperplane(points: list[tuple[int, ...]]) -> tuple[tuple[int, ...], int] | None:
-    """Integer normal and offset of the hyperplane through d affinely independent
-    integer points."""
+    """Primitive integer normal and offset of the hyperplane through d integer
+    points in Z^d; None when they are affinely dependent.
+
+    The normal is the signed maximal minors of the d - 1 difference rows,
+    (-1)^k times the determinant without column k, over their gcd: the
+    circuit dependence of the d columns, orthogonal to every row and zero
+    exactly when the rows are dependent.  For d = 3 the minors are the cross
+    product.  The sign is arbitrary; _simplicial_hull orients it.
+    """
     base = points[0]
-    if len(points) == 1:
-        # 0-dimensional facet of a 1-dimensional hull
-        if len(base) != 1:
-            return None
-        return (1,), base[0]
-    work = [[a - b for a, b in zip(p, base)] + [1] for p in points[1:]]
-    pivots = _echelon(work)
-    free = next(f for f in range(len(base)) if f not in pivots)
-    scale = lcm(*(row[c] for row, c in zip(work, pivots)))
-    normal = [0] * len(base)
-    normal[free] = scale
-    for row, c in zip(work, pivots):
-        normal[c] = -row[free] * (scale // row[c])
+    rows = [[a - b for a, b in zip(p, base)] for p in points[1:]]
+    if len(base) == 3:
+        (u0, u1, u2), (v0, v1, v2) = rows
+        normal = (u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0)
+    else:
+        normal = _circuit_dependence([[row[k] for row in rows] for k in range(len(base))])
     g = gcd(*normal)
+    if not g:
+        return None
     normal = tuple(x // g for x in normal)
     return normal, _dot(normal, base)
 
@@ -468,21 +473,29 @@ def convex_hull_facets(points) -> list[HullFacet]:
     pts, scale = _integer_points(points)
     if not pts:
         raise InputError("convex hull of an empty point list")
-    return _hull_facets(pts, scale, _initial_simplex(pts, len(pts[0])))
-
-
-def _hull_facets(pts: list[tuple[int, ...]], scale: int, seed: list[int]) -> list[HullFacet]:
-    """convex_hull_facets of the points pts / scale, from the initial simplex seed."""
-    simplicial, _ = _simplicial_hull(pts, seed)
     out = []
-    for normal, offset in dict.fromkeys((normal, offset) for normal, offset, _ in simplicial):
-        members = frozenset(i for i, p in enumerate(pts) if _dot(normal, p) == offset)
+    for normal, offset, members in _hull_facets(pts, _initial_simplex(pts, len(pts[0]))):
         full = [scale * x for x in normal] + [offset]
         g = gcd(*full)
         out.append(
             HullFacet(tuple(Fraction(x // g) for x in full[:-1]), Fraction(offset // g), members)
         )
-    out.sort(key=lambda f: sorted(f.members))
+    return out
+
+
+def _hull_facets(
+    pts: list[tuple[int, ...]], seed: list[int]
+) -> list[tuple[tuple[int, ...], int, frozenset[int]]]:
+    """Facets of the hull of the integer points pts, from the initial simplex
+    seed, as (normal, offset, members): normal . p <= offset on every point,
+    with equality exactly on members.  Normals are primitive and outward;
+    sorted by member set."""
+    simplicial, _ = _simplicial_hull(pts, seed)
+    out = []
+    for normal, offset in dict.fromkeys((normal, offset) for normal, offset, _ in simplicial):
+        members = frozenset(i for i, p in enumerate(pts) if _dot(normal, p) == offset)
+        out.append((normal, offset, members))
+    out.sort(key=lambda f: sorted(f[2]))
     return out
 
 
@@ -631,7 +644,14 @@ def upper_hull_facets(lifted) -> list[tuple[AffineFunctional, frozenset[int]]]:
     Returns (functional, members) pairs where functional(a) >= height(a) for
     every lifted point, with equality exactly on members, and each member set
     spans the base space.  Facets with vertical supporting hyperplanes are
-    discarded.  The base points must affinely span their space.
+    discarded.  The base points must affinely span their space.  Sorted by
+    member set.
+
+    The hull runs on the lifted points times L, the lcm of their
+    denominators.  An integer facet n . P <= o with n_h > 0 is the plane
+    height = -(n' / n_h) . a + o / (L n_h), n' the base part of n, so its
+    functional is read off the integers with one Fraction per coordinate,
+    and its members are the integer points on it.
     """
     base = [vector(p) for (p, _) in lifted]
     heights = [as_fraction(h) for (_, h) in lifted]
@@ -649,19 +669,20 @@ def upper_hull_facets(lifted) -> list[tuple[AffineFunctional, frozenset[int]]]:
     if len(seed) == d + 1:
         # All lifted points on the hyperplane through the seed: a single
         # facet when it is not vertical, which is when the base spans.
-        fn = interpolate_affine([base[i] for i in seed], [heights[i] for i in seed])
-        if fn is None:
+        normal, offset = _hyperplane([pts[i] for i in seed])
+        if not normal[-1]:
             raise DegenerateInputError("degenerate lifted configuration")
-        return [(fn, frozenset(range(len(pts))))]
+        if normal[-1] < 0:
+            normal, offset = tuple(-x for x in normal), -offset
+        facets = [(normal, offset, frozenset(range(len(pts))))]
+    else:
+        facets = _hull_facets(pts, seed)
     out = []
-    for facet in _hull_facets(pts, scale, seed):
-        w_h = facet.normal[-1]
-        if w_h <= 0:
-            continue
-        linear = tuple(-w / w_h for w in facet.normal[:-1])
-        fn = AffineFunctional(linear, -facet.offset / w_h)
-        out.append((fn, facet.members))
-    out.sort(key=lambda pair: sorted(pair[1]))
+    for normal, offset, members in facets:
+        n_h = normal[-1]
+        if n_h > 0:
+            linear = tuple(Fraction(-w, n_h) for w in normal[:-1])
+            out.append((AffineFunctional(linear, Fraction(-offset, scale * n_h)), members))
     return out
 
 

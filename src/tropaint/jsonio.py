@@ -8,6 +8,7 @@ on hash order.
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .errors import InputError
 from .geometry import Vec, as_fraction
@@ -55,7 +56,58 @@ def loads(text: str):
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """obj as a JSON document: the bytes of json.dumps(obj, indent=2,
+    sort_keys=True) plus a newline.
+
+    With an indent json.dumps runs its pure-Python encoder, so this emits
+    the same text directly.  It takes dicts with str keys, lists, tuples
+    (written as lists), str, int, bool and None; anything else, floats
+    included, raises TypeError.
+    """
+    out: list[str] = []
+    _emit(obj, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit(obj, newline: str, out: list[str]) -> None:
+    """Append obj's JSON text to out; newline starts each of its lines."""
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _emit(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _emit(obj[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def read_configuration(text: str):

@@ -94,6 +94,11 @@ class PointConfiguration:
         pts, scale = _integer_points(self.points)
         return tuple(p + (1,) for p in pts), scale
 
+    @cached_property
+    def facet_masks(self) -> tuple[int, ...]:
+        """Each facet's members as an int bitmask, bit i for point i."""
+        return tuple(sum(1 << i for i in f.members) for f in self.facets)
+
 
 def build_configuration(points, labels=None) -> PointConfiguration:
     """Validate and package a point list, computing hull facet data.

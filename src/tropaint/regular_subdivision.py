@@ -144,28 +144,39 @@ class Subdivision:
 
     @property
     def cells(self) -> dict[frozenset[int], MarkedCell]:
+        """Every cell, keyed by its marks.
+
+        The closure and the grading run on int bitmasks, bit i for point i,
+        with the configuration's facet_masks; each face becomes a frozenset
+        once, when its MarkedCell is made.
+        """
         if self._cells is None:
             config = self.config
-            outer = [mc.marks for mc in self.maximal] + [f.members for f in config.facets]
-            dims: dict[frozenset[int], int] = {}
-            for mc in self.maximal:
-                parts = {mc.marks & o for o in outer} - {mc.marks, frozenset()}
-                faces = intersection_closure(mc.marks, parts) - {frozenset()}
+            points = config.points
+            tops = [sum(1 << i for i in mc.marks) for mc in self.maximal]
+            outer = tops + list(config.facet_masks)
+            dims: dict[int, int] = {}
+            for top in tops:
+                parts = {top & o for o in outer} - {top, 0}
+                faces = intersection_closure(top, parts) - {0}
                 # a face's facets are among its intersections with single
                 # parts, all smaller than the face, so they are graded first
-                for face in sorted(faces, key=len):
+                for face in sorted(faces, key=int.bit_count):
                     if face not in dims:
-                        below = {face & p for p in parts} - {face, frozenset()}
+                        below = {face & p for p in parts} - {face, 0}
                         dims[face] = 1 + max((dims[c] for c in below), default=-1)
             # in the order of their points, so each cell lists its vertices sorted
-            vertex_marks = sorted((min(f) for f in dims if len(f) == 1), key=config.points.__getitem__)
-            supports = {mc.marks: mc.support for mc in self.maximal}
+            vertex_marks = sorted(
+                (f.bit_length() - 1 for f in dims if f.bit_count() == 1), key=points.__getitem__
+            )
+            supports = {top: mc.support for top, mc in zip(tops, self.maximal)}
             cells: dict[frozenset[int], MarkedCell] = {}
-            for marks, dim in dims.items():
-                cell = _make_cell(config, marks, supports.get(marks))
+            for mask, dim in dims.items():
+                marks = [i for i in range(mask.bit_length()) if mask >> i & 1]
+                cell = MarkedCell((points[i] for i in marks), marks, supports.get(mask))
                 cell.dimension = dim
-                cell.vertices = tuple(config.points[i] for i in vertex_marks if i in marks)
-                cells[marks] = cell
+                cell.vertices = tuple(points[i] for i in vertex_marks if mask >> i & 1)
+                cells[cell.marks] = cell
             self._cells = cells
         return self._cells
 

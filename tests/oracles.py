@@ -10,6 +10,13 @@ two-phase simplex) is the arithmetic tropaint.geometry used before it moved
 to integers; it stays here, unchanged in its choices, as the differential
 reference for the integer kernel.
 
+The echelon hyperplane reads a facet candidate's normal off the reduced
+echelon form of its difference rows, and the upper hull by hull facets reads
+each upper facet's support off the rational HullFacets of
+convex_hull_facets, as geometry._hyperplane and geometry.upper_hull_facets
+did before the first took signed minors and the second mapped the integer
+facets straight to supports.
+
 The recursive face enumeration builds one hull per face and recurses into
 its facets, and the vertex and wall tests are rank tests on facet normals and
 on rays; tropaint derives all three from one intersection closure of facet
@@ -67,11 +74,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 
 from tropaint.errors import DegenerateInputError, InputError, NoCertificateError
 from tropaint.geometry import (
     AffineFunctional,
     HullFacet,
+    _echelon,
     _rref,
     affine_coordinates,
     affine_rank,
@@ -405,6 +414,30 @@ def _hyperplane_oracle(points):
     return basis[0], _dot(basis[0], base)
 
 
+def hyperplane_by_echelon(points):
+    """Integer normal and offset of the hyperplane through d affinely
+    independent integer points in Z^d, from the reduced echelon form of the
+    difference rows: the free column's entry is the lcm of the pivots and
+    the pivot columns solve for it."""
+    base = points[0]
+    if len(points) == 1:
+        # 0-dimensional facet of a 1-dimensional hull
+        if len(base) != 1:
+            return None
+        return (1,), base[0]
+    work = [[a - b for a, b in zip(p, base)] + [1] for p in points[1:]]
+    pivots = _echelon(work)
+    free = next(f for f in range(len(base)) if f not in pivots)
+    scale = lcm(*(row[c] for row, c in zip(work, pivots)))
+    normal = [0] * len(base)
+    normal[free] = scale
+    for row, c in zip(work, pivots):
+        normal[c] = -row[free] * (scale // row[c])
+    g = gcd(*normal)
+    normal = tuple(x // g for x in normal)
+    return normal, sum(a * b for a, b in zip(normal, base))
+
+
 def _initial_simplex_oracle(pts, d):
     chosen = [0]
     for i in range(1, len(pts)):
@@ -489,6 +522,16 @@ def hull_volume_oracle(points) -> Fraction:
 
 def upper_hull_facets_oracle(lifted):
     """Compact upper-hull facets read off the Fraction beneath-beyond hull."""
+    return _upper_facets_of_hull(lifted, convex_hull_facets_oracle)
+
+
+def upper_hull_facets_by_hull_facets(lifted):
+    """Compact upper-hull facets read off the rational HullFacets of
+    convex_hull_facets, one division per coordinate of each primitive normal."""
+    return _upper_facets_of_hull(lifted, convex_hull_facets)
+
+
+def _upper_facets_of_hull(lifted, hull):
     base = [vector(p) for (p, _) in lifted]
     heights = [Fraction(h) for (_, h) in lifted]
     d = len(base[0])
@@ -496,7 +539,7 @@ def upper_hull_facets_oracle(lifted):
     if matrix_rank_oracle([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]) == d:
         return [(interpolate_affine(base, heights), frozenset(range(len(pts))))]
     out = []
-    for facet in convex_hull_facets_oracle(pts):
+    for facet in hull(pts):
         w_h = facet.normal[-1]
         if w_h <= 0:
             continue

@@ -2,8 +2,9 @@
 given, the painted enumeration builds one per lifting it meets, edge-length
 realization corrects every edge from one complex and hands it back to the
 painted-tree realization, and the main-theorem check builds each extended
-complex once.  A dual complex builds one hull with one rank pass, and its
-cells read their dimensions and vertices off incidences.  Painting evaluates
+complex once.  A dual complex builds one hull with one rank pass, in
+integers from the lifted points to the supports, and its cells read their
+dimensions and vertices off incidences.  Painting evaluates
 g once per 0-cell."""
 
 from fractions import Fraction
@@ -89,27 +90,45 @@ def test_verify_main_theorem_builds_each_extended_complex_once(calls_to):
     ]
 
 
+# liftings of the extended quad, some inducing triangulations and some not
+EXTENDED_LIFTINGS = [
+    [-1, 1, 0, 2, 0, 0, 0],
+    [-1, 1, 0, 2, 0, 1, 1],
+    [0, 0, 0, 0, 0, -1, 3],
+    [3, -2, 5, 1, 7, F(1, 2), F(1, 2)],
+]
+
+
 def test_dual_complex_builds_one_hull_per_lifting(calls_to):
     ext = extend(QUAD, ALPHA).extended
-    liftings = [
-        [-1, 1, 0, 2, 0, 0, 0],
-        [-1, 1, 0, 2, 0, 1, 1],
-        [0, 0, 0, 0, 0, -1, 3],
-        [3, -2, 5, 1, 7, F(1, 2), F(1, 2)],
-    ]
     hulls = calls_to(geometry._simplicial_hull)
     ranks = calls_to(geometry.independent_rows)
     triangulations = 0
-    for eta in liftings:
+    for eta in EXTENDED_LIFTINGS:
         p, s = dual_complex(ext, eta)
         for marks, cell in s.cells.items():
             assert p.cells[marks].dimension == ext.dimension - cell.dim()
             assert cell.vertices
         triangulations += is_triangulation(s)
-    assert 0 < triangulations < len(liftings)
+    assert 0 < triangulations < len(EXTENDED_LIFTINGS)
     # one beneath-beyond hull and one rank pass per lifting; the cells take
     # neither
-    assert len(hulls) == len(ranks) == len(liftings)
+    assert len(hulls) == len(ranks) == len(EXTENDED_LIFTINGS)
+
+
+def test_dual_complex_stays_in_integers(calls_to):
+    ext = extend(QUAD, ALPHA).extended
+    echelons = calls_to(geometry._echelon)
+    hull_facets = calls_to(geometry.HullFacet)
+    for eta in EXTENDED_LIFTINGS:
+        p, s = dual_complex(ext, eta)
+        # the cells run on bitmasks inside; their keys stay frozensets
+        assert all(type(marks) is frozenset for marks in s.cells)
+        assert all(type(cell.marks) is frozenset for cell in s.cells.values())
+        assert set(p.cells) == set(s.cells)
+    # facet normals are signed minors, supports come straight off the
+    # integer hull
+    assert echelons == [] and hull_facets == []
 
 
 def test_upper_hull_takes_one_rank_pass(calls_to):

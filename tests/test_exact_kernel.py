@@ -6,6 +6,7 @@ deficiency, non-integer coordinates and coplanar or collinear boundary
 points, which is where a fraction-free rewrite could drift.
 """
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -52,10 +53,12 @@ from oracles import (
     echelon_oracle,
     greedy_by_rank,
     hull_volume_oracle,
+    hyperplane_by_echelon,
     lp_maximize_oracle,
     matrix_rank_oracle,
     nullspace_basis_oracle,
     solve_square_oracle,
+    upper_hull_facets_by_hull_facets,
     upper_hull_facets_oracle,
 )
 
@@ -196,6 +199,76 @@ def test_upper_hull_matches_oracle(pts, data):
     assert [(fn.linear, fn.constant, m) for fn, m in got] == [
         (fn.linear, fn.constant, m) for fn, m in want
     ]
+
+
+@st.composite
+def hyperplane_points(draw):
+    """d integer points in Z^d, d = 1..5, often affinely dependent."""
+    d = draw(st.integers(1, 5))
+    coord = st.integers(-6, 6)
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=d, max_size=d))
+    if d > 2 and draw(st.booleans()):
+        # a repeated difference: dependent rows
+        a, b = pts[0], pts[1]
+        pts[-1] = tuple(2 * y - x for x, y in zip(a, b))
+    return pts
+
+
+@given(hyperplane_points())
+@settings(deadline=None, max_examples=400)
+@example([(3,)])
+@example([(1, 2, 3), (2, 4, 6), (0, 0, 0)])
+@example([(1, 0, 0, 0), (0, 2, 0, 0), (0, 0, 3, 0), (0, 0, 0, 5)])
+def test_hyperplane_by_minors_matches_echelon(pts):
+    got = geometry._hyperplane(pts)
+    if matrix_rank_oracle([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]) < len(pts) - 1:
+        assert got is None
+        return
+    normal, offset = hyperplane_by_echelon(pts)
+    flipped = (tuple(-x for x in normal), -offset)
+    assert got in ((normal, offset), flipped)
+    assert all(geometry._dot(got[0], p) == got[1] for p in pts)
+
+
+def _seeded_lifting(seed):
+    """A rational configuration spanning R^d, d = 1 + seed % 4, with its
+    centroid added and lifted below the rest, so the centroid is never
+    marked; every fifth lifting is flat, an affine function of the points."""
+    rng = random.Random(seed)
+    d = 1 + seed % 4
+    q = rng.choice([1, 2, 3])
+    while True:
+        pts = list(dict.fromkeys(
+            tuple(F(rng.randint(-3, 3), q) for _ in range(d))
+            for _ in range(d + 2 + rng.randint(0, 4))
+        ))
+        if affine_rank_oracle(pts) == d:
+            break
+    if seed % 5 == 0:
+        slope = [F(rng.randint(-4, 4), rng.choice([1, 2, 7])) for _ in range(d)]
+        shift = F(rng.randint(-4, 4), 3)
+        heights = [vdot(slope, p) + shift for p in pts]
+    else:
+        heights = [F(rng.randint(-9, 9), rng.choice([1, 2, 5])) for _ in pts]
+    centroid = tuple(sum(c) / len(pts) for c in zip(*pts))
+    if centroid not in pts:
+        pts.append(centroid)
+        heights.append(min(heights) - 1 if seed % 5 else vdot(slope, centroid) + shift)
+    return list(zip(pts, heights))
+
+
+def test_upper_hull_matches_route_through_hull_facets():
+    flat = unmarked = 0
+    for seed in range(60):
+        lifted = _seeded_lifting(seed)
+        got = upper_hull_facets(lifted)
+        want = upper_hull_facets_by_hull_facets(lifted)
+        assert [(fn.linear, fn.constant, m) for fn, m in got] == [
+            (fn.linear, fn.constant, m) for fn, m in want
+        ], seed
+        flat += len(got) == 1 and len(got[0][1]) == len(lifted)
+        unmarked += len(frozenset().union(*(m for _, m in got))) < len(lifted)
+    assert flat >= 10 and unmarked >= 10
 
 
 @st.composite

@@ -1,8 +1,10 @@
 """Rational-safe JSON reading and writing."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tropaint import jsonio, svgout
 from tropaint.errors import InputError
@@ -38,6 +40,32 @@ def test_loads_reports_line_and_column():
     with pytest.raises(InputError) as exc:
         jsonio.loads('{\n  "points": [}')
     assert "line 2 column 14" in str(exc.value)
+
+
+documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    ),
+    max_leaves=25,
+)
+
+
+@given(documents)
+@settings(deadline=None, max_examples=300)
+@example({"": [], "b": {}, "a": ()})
+@example(["caf\u00e9", '"quoted" \\ back', "tab\tnew\nline\x00\x1f\x7f", "\u2028", "\U0001f600"])
+@example({"\u00e9": {"\"": [[], [True, False, None, -12345678901234567890]]}})
+def test_dumps_matches_json_dumps(doc):
+    assert jsonio.dumps(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("bad", [0.5, [1, 2.0], {"a": (F(1, 2),)}, {1: "a"}, {"a": {1, 2}}])
+def test_dumps_rejects_other_types(bad):
+    with pytest.raises(TypeError):
+        jsonio.dumps(bad)
 
 
 def test_configuration_rejects_bad_shapes():
