@@ -257,21 +257,6 @@ def solve_square(a_rows, b) -> Vec | None:
     return tuple(Fraction(row[n], row[r]) for r, row in enumerate(work))
 
 
-def _solve_unique(rows, rhs, n: int) -> Vec | None:
-    """The unique solution of A x = b in n unknowns; None when there is none
-    or more than one.  An overdetermined system is solved on its first
-    independent rows and checked on the others."""
-    if len(rows) == n:
-        return solve_square(rows, rhs)
-    ids = independent_rows(rows)
-    if len(ids) < n:
-        return None
-    sol = solve_square([rows[i] for i in ids], [rhs[i] for i in ids])
-    if all(vdot(row, sol) == b for row, b in zip(rows, rhs, strict=True)):
-        return sol
-    return None
-
-
 def nullspace_basis(rows) -> list[Vec]:
     """A basis of the kernel of the row matrix (empty rows: empty basis)."""
     if not rows:
@@ -320,39 +305,6 @@ class AffineFunctional:
     def scaled(self, s) -> "AffineFunctional":
         s = as_fraction(s)
         return AffineFunctional(vscale(s, self.linear), s * self.constant)
-
-    def primitive(self) -> "AffineFunctional":
-        """Canonical integer form; orientation is preserved."""
-        full = self.linear + (self.constant,)
-        if is_zero_vector(full):
-            return self
-        prim = primitive_vector(full)
-        return AffineFunctional(prim[:-1], prim[-1])
-
-
-def affine_combination(basis: list[Vec], target: Vec) -> tuple[Fraction, ...] | None:
-    """Coefficients b with sum(b) = 1 and sum(b_i basis_i) = target.
-
-    basis must be affinely independent; None when the system has no unique
-    solution, so callers should pass exactly rank+1 spanning points.
-    """
-    k = len(basis)
-    rows = [[ONE] * k] + [[basis[j][i] for j in range(k)] for i in range(len(target))]
-    return _solve_unique(rows, [ONE] + list(target), k)
-
-
-def interpolate_affine(points: list[Vec], values: list[Fraction]) -> AffineFunctional | None:
-    """The affine functional taking the given values, if one exists.
-
-    Points must affinely span their ambient space for uniqueness; extra points
-    are used as consistency checks.
-    """
-    d = len(points[0])
-    rows = [list(p) + [ONE] for p in points]
-    sol = _solve_unique(rows, [as_fraction(v) for v in values], d + 1)
-    if sol is None:
-        return None
-    return AffineFunctional(tuple(sol[:d]), -sol[d])
 
 
 # ---------------------------------------------------------------------------

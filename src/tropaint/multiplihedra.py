@@ -22,7 +22,7 @@ from .errors import (
     ResourceCapError,
     VerificationError,
 )
-from .geometry import Vec, as_fraction, vdot, vector
+from .geometry import AffineFunctional, Vec, as_fraction, vdot, vector, vsub
 from .lattice import FaceLattice, Poset, graded_lattice, lattice_isomorphic
 from .painting import BLUE, PURPLE, RED, PaintedComplex, PaintSpec
 from .painting_polytope import extend
@@ -421,10 +421,8 @@ def _realize_edge_lengths(
             _check(v > 0, "zero edge offset despite the diagonal check")
             t = target.lengths[marking] / v - lam
             _check(t > 0, "edge correction would not lengthen the edge")
-            eta = [
-                e + max(ZERO, t * (l(a) - k(a)))
-                for e, a in zip(eta, config.points)
-            ]
+            diff = AffineFunctional(vsub(l.linear, k.linear), l.constant - k.constant)
+            eta = [e + max(ZERO, t * diff(a)) for e, a in zip(eta, config.points)]
     result = Lifting(tuple(eta))
     final, _ = dual_complex(config, result)
     _check(final.subdivision.key == key, "correction left the secondary cone")

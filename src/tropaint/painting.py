@@ -17,14 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 from .errors import InconsistencyError, InputError, NoCertificateError
 from .geometry import (
     AffineFunctional,
     Vec,
-    affine_combination,
+    _circuit_dependence,
     as_fraction,
-    vadd,
     vector,
     vsub,
 )
@@ -42,7 +42,6 @@ from .regular_subdivision import (
 from .tropical_dual import TropicalComplex, dual_complex
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 RED = "red"
 PURPLE = "purple"
@@ -189,44 +188,36 @@ def colors_from_vertices(
     return ColorFunction(colors)
 
 
-@dataclass(frozen=True)
-class PaintingConstraint:
-    """The affine functional in (lifting, level) space attached to a 0-cell.
+def painting_constraint(config: PointConfiguration, marking, alpha) -> AffineFunctional:
+    """The functional in (lifting, level) space attached to a 0-cell: its
+    sign at (eta, c) is the sign of g at that 0-cell's vertex, so its color.
 
-    coefficients express alpha as an affine combination of the basis points
-    chosen inside the 0-cell's marking; the functional evaluates the would-be
-    g-value at that 0-cell, so its sign is the cell's color.
+    Writing alpha = sum_j b_j p_j over the marking's spanning marks, g there
+    is sum_j b_j eta(p_j) - c.  Up to a positive factor, that is the affine
+    dependence of the spanning marks and alpha: the signed maximal minors of
+    their rows (L p, 1) and alpha's row, scaled by alpha's denominator D to
+    integers, with no system solved.  alpha's coefficient, times D, goes to
+    the level and is made negative; it is a maximal minor of the marks'
+    rows, nonzero exactly when they span.
     """
-
-    marking: frozenset[int]
-    basis: tuple[int, ...]
-    coefficients: tuple[Fraction, ...]
-    functional: AffineFunctional
-
-
-def painting_constraint(
-    config: PointConfiguration, marking, alpha
-) -> PaintingConstraint:
+    rows, scale = config.integer_points
     alpha = vector(alpha)
-    basis = tuple(_spanning_marks(config, marking))
-    coeffs = affine_combination([config.points[i] for i in basis], alpha)
-    if coeffs is None:
+    basis = _spanning_marks(config, marking)
+    if len(basis) <= config.dimension:
         raise InputError("marking does not span the distinguished point")
-    if sum(coeffs, ZERO) != 1:
-        raise InconsistencyError("coefficients are not affine")
-    combo = [ZERO] * config.dimension
-    for i, b in zip(basis, coeffs):
-        combo = vadd(tuple(combo), tuple(b * x for x in config.points[i]))
-    if tuple(combo) != alpha:
-        raise InconsistencyError("coefficients miss the distinguished point")
-    n = len(config.points)
-    linear = [ZERO] * (n + 1)
-    for i, b in zip(basis, coeffs):
-        linear[i] += b
-    linear[n] = -ONE
-    return PaintingConstraint(
-        frozenset(marking), basis, tuple(coeffs), AffineFunctional(tuple(linear), ZERO)
-    )
+    den = lcm(*(x.denominator for x in alpha))
+    circuit = [rows[i] for i in basis]
+    circuit.append(tuple(x.numerator * (scale * den // x.denominator) for x in alpha) + (den,))
+    dep = _circuit_dependence(circuit)
+    if any(sum(c * row[k] for c, row in zip(dep, circuit)) for k in range(len(circuit[0]))):
+        raise InconsistencyError("the dependence misses the distinguished point")
+    level = dep[-1] * den
+    g = gcd(level, *dep[:-1]) if level < 0 else -gcd(level, *dep[:-1])
+    linear = [ZERO] * (len(rows) + 1)
+    for i, c in zip(basis, dep):
+        linear[i] = Fraction(c // g)
+    linear[-1] = Fraction(level // g)
+    return AffineFunctional(tuple(linear), ZERO)
 
 
 def _extend_functional(fn: AffineFunctional) -> AffineFunctional:
@@ -249,7 +240,7 @@ def painting_cone(painted: PaintedComplex) -> SecondaryCone:
     eqs = [_extend_functional(f) for f in base.equalities]
     sts = [_extend_functional(f) for f in base.stricts]
     for cell in painted.complex.cells_of_dim(0):
-        fn = painting_constraint(config, cell.marking, spec.alpha).functional
+        fn = painting_constraint(config, cell.marking, spec.alpha)
         col = painted.kappa[cell.marking]
         if col == RED:
             sts.append(fn)
@@ -299,7 +290,7 @@ def enumerate_painted_complexes(
             t, cone = tris[key]
             eqs = tuple(_extend_functional(f) for f in cone.equalities)
             sts = [_extend_functional(f) for f in cone.stricts]
-            signed = [painting_constraint(config, mc.marks, alpha).functional for mc in t.maximal]
+            signed = [painting_constraint(config, mc.marks, alpha) for mc in t.maximal]
             for pattern in product((1, -1), repeat=len(signed)):
                 flips = [fn if s > 0 else fn.scaled(-1) for fn, s in zip(signed, pattern)]
                 chamber = _certify_cone(eqs, sts + flips, n + 1, None)

@@ -21,7 +21,6 @@ from .geometry import (
     _circuit_dependence,
     _int_det,
     _rref,
-    affine_combination,
     as_fraction,
     convex_hull_facets,
     face_member_sets,
@@ -46,7 +45,6 @@ from .lattice import Poset
 from .point_config import PointConfiguration
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -490,31 +488,35 @@ def _eta_vec(eta) -> Vec:
 
 def _spanning_marks(config: PointConfiguration, marks) -> list[int]:
     """Lexicographically first affinely independent spanning subset of the
-    marks, as linearly independent rows (point, 1)."""
+    marks, as linearly independent integer rows (L p, 1)."""
+    rows, _ = config.integer_points
     ordered = sorted(marks)
-    ids = independent_rows(config.points[i] + (ONE,) for i in ordered)
-    return [ordered[j] for j in ids]
+    return [ordered[j] for j in independent_rows(rows[i] for i in ordered)]
 
 
-def cone_constraint(config: PointConfiguration, basis_idx, a: int) -> AffineFunctional:
-    """The lifting-space functional comparing point a against the affine span
-    of a basis of marks: eta(a) - sum_j coeff_j eta(basis_j).
+def _circuit(config: PointConfiguration, ids) -> tuple[int, ...]:
+    """The primitive affine dependence of the d + 2 points ids, one integer
+    coefficient per configuration point, positive on the last id.
 
-    Vanishes exactly when the lifted point a lands on the affine hull of the
-    lifted basis; positive when a is lifted strictly below it.
+    It is read off the signed maximal minors of their rows (L p, 1), with no
+    system solved.  When the other ids are affinely independent, it vanishes
+    on a lifting exactly when the lifted last point lands on the affine hull
+    of the others, and is positive when it lies strictly below it.
     """
-    basis_pts = [config.points[j] for j in basis_idx]
-    coeffs = affine_combination(basis_pts, config.points[a])
-    if coeffs is None:
-        raise InputError("basis does not span the configuration point")
-    coef = [ZERO] * len(config.points)
-    coef[a] = ONE
-    for j, cj in zip(basis_idx, coeffs):
-        coef[j] -= cj
-    return AffineFunctional(tuple(coef), ZERO)
+    rows, _ = config.integer_points
+    dep = _circuit_dependence([rows[i] for i in ids])
+    g = gcd(*dep) if dep[-1] > 0 else -gcd(*dep)
+    coef = [0] * len(rows)
+    for i, c in zip(ids, dep):
+        coef[i] = c // g
+    return tuple(coef)
 
 
-def _folding_stricts(config: PointConfiguration, s: Subdivision) -> tuple[AffineFunctional, ...]:
+def _functional(coef) -> AffineFunctional:
+    return AffineFunctional(tuple(map(Fraction, coef)), ZERO)
+
+
+def _folding_stricts(config: PointConfiguration, s: Subdivision) -> list[tuple[int, ...]]:
     """The local folding form of a triangulation's cone, once s is certified
     to be a triangulation of config; raises NoCertificateError otherwise.
 
@@ -526,27 +528,12 @@ def _folding_stricts(config: PointConfiguration, s: Subdivision) -> tuple[Affine
     interior ridge and lifts every unused point strictly below a simplex
     containing it (ibid., ch. 5); the first cell in which the point has no
     negative barycentric coordinate serves, and any other gives the same
-    functional.  Each strict is the primitive affine dependence of a circuit,
-    positive on the far vertices or on the unused point, read off the signed
-    maximal minors of the rows (L p, 1): integers, with no system solved.
+    functional.  Each strict is a _circuit, positive on the far vertices or
+    on the unused point; they come sorted.
     """
     rows, scale = config.integer_points
-    n = len(rows)
     cells = [sorted(mc.marks) for mc in s.maximal]
-
-    def dependence(ids):
-        dep = _circuit_dependence([rows[i] for i in ids])
-        return dep if dep[-1] > 0 else [-c for c in dep]
-
     found: set[tuple[int, ...]] = set()
-
-    def add(ids, dep):
-        g = gcd(*dep)
-        coef = [0] * n
-        for i, c in zip(ids, dep):
-            coef[i] = c // g
-        found.add(tuple(coef))
-
     total = 0
     far: dict[frozenset[int], list[int]] = {}
     for cell in cells:
@@ -566,23 +553,22 @@ def _folding_stricts(config: PointConfiguration, s: Subdivision) -> tuple[Affine
             continue
         if len(ends) > 2:
             raise NoCertificateError(f"ridge {sorted(ridge)} lies in {len(ends)} cells")
-        ids = sorted(ridge) + ends
-        dep = dependence(ids)
-        if dep[-2] <= 0:
+        coef = _circuit(config, sorted(ridge) + ends)
+        if coef[ends[0]] <= 0:
             raise NoCertificateError(f"the two cells on ridge {sorted(ridge)} lie on one side of it")
-        add(ids, dep)
+        found.add(coef)
     used = {i for cell in cells for i in cell}
-    for a in range(n):
+    for a in range(len(rows)):
         if a in used:
             continue
         for cell in cells:
-            dep = dependence(cell + [a])
-            if max(dep[:-1]) <= 0:
-                add(cell + [a], dep)
+            coef = _circuit(config, cell + [a])
+            if max(coef[i] for i in cell) <= 0:
+                found.add(coef)
                 break
         else:
             raise InconsistencyError(f"point {a} lies in no cell of a certified triangulation")
-    return tuple(AffineFunctional(tuple(map(Fraction, coef)), ZERO) for coef in sorted(found))
+    return sorted(found)
 
 
 def secondary_cone(config: PointConfiguration, s: Subdivision) -> SecondaryCone:
@@ -591,9 +577,12 @@ def secondary_cone(config: PointConfiguration, s: Subdivision) -> SecondaryCone:
     A triangulation's cone is built in its local folding form: no
     equalities, one strict per interior ridge and one per unused point, after
     a certificate that s is a triangulation of config (see _folding_stricts).
-    A subdivision with a non-simplex cell gets, per maximal cell, one
-    equality per other mark and one strict per point off the cell, each
-    comparing the point with the span of the cell's spanning marks.  The
+    A subdivision with a non-simplex cell must have full-dimensional cells
+    whose volumes add up to the configuration's; it then gets, per maximal
+    cell, one equality per other mark and one strict per point off the cell,
+    each the _circuit of the cell's spanning marks and the point.  Every
+    point of the open cone then induces a subdivision with each cell among
+    its maximal cells, and the volumes leave room for no other.  The
     interior point is s.witness when an exact check puts it in the open
     cone; otherwise it is the sum of the cone's rays (see _certify_cone).
     """
@@ -601,28 +590,26 @@ def secondary_cone(config: PointConfiguration, s: Subdivision) -> SecondaryCone:
         raise InputError("the subdivision belongs to another configuration")
     n = len(config.points)
     if is_triangulation(s):
-        equalities, stricts = (), _folding_stricts(config, s)
+        equalities, stricts = [], _folding_stricts(config, s)
     else:
-        eqs: dict[tuple, AffineFunctional] = {}
-        sts: dict[tuple, AffineFunctional] = {}
-        for cell in s.maximal:
-            basis_idx = _spanning_marks(config, cell.marks)
-            in_basis = set(basis_idx)
+        eqs: set[tuple[int, ...]] = set()
+        sts: set[tuple[int, ...]] = set()
+        total = ZERO
+        for marks in s.key:
+            basis = _spanning_marks(config, marks)
+            if len(basis) <= config.dimension:
+                raise InputError("basis does not span the configuration point")
+            total += hull_volume([config.points[i] for i in sorted(marks)])
             for a in range(n):
-                if a in in_basis:
-                    continue
-                fn = cone_constraint(config, basis_idx, a).primitive()
-                key = (fn.linear, fn.constant)
-                if a in cell.marks:
-                    eqs[key] = fn
-                else:
-                    sts[key] = fn
-        if any(k in eqs for k in sts):
+                if a not in basis:
+                    (eqs if a in marks else sts).add(_circuit(config, basis + [a]))
+        if total != config.volume:
+            raise NoCertificateError("the cells' volumes do not add up to the configuration's")
+        if eqs & sts:
             # a functional required both zero and positive: nothing induces s
             raise NoCertificateError("subdivision is not induced by any lifting")
-        equalities = tuple(eqs[k] for k in sorted(eqs))
-        stricts = tuple(fn for _, fn in sorted(sts.items()))
-    cone = _certify_cone(equalities, stricts, n, s.witness)
+        equalities, stricts = sorted(eqs), sorted(sts)
+    cone = _certify_cone(map(_functional, equalities), map(_functional, stricts), n, s.witness)
     if cone is None:
         raise NoCertificateError("subdivision is not induced by any lifting")
     return cone

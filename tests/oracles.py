@@ -54,7 +54,10 @@ The per-cell secondary cone writes one constraint per maximal cell and
 point off the cell's spanning marks, each from an affine combination solved
 in Fractions, as regular_subdivision.secondary_cone did for every
 subdivision before it built triangulation cones from their folding
-constraints in integer arithmetic.
+constraints in integer arithmetic.  The painting constraint writes alpha as
+such a combination of a 0-cell's spanning marks, and the interpolation
+oracle solves for an affine functional the same way: tropaint reads all
+three off integer signed minors and solves no system for them.
 
 The fan orders test every pair of elements, with refines for subdivisions
 and with contains_closed on painting cones for painted complexes, and rank
@@ -86,7 +89,6 @@ from tropaint.geometry import (
     affine_rank,
     convex_hull_facets,
     face_member_sets,
-    interpolate_affine,
     is_zero_vector,
     matrix_rank,
     nullspace_basis,
@@ -106,7 +108,6 @@ from tropaint.regular_subdivision import (
     _mod_reduce,
     _placing_lifting,
     _spanning_marks,
-    cone_constraint,
     induce_subdivision,
     is_triangulation,
     refines,
@@ -133,7 +134,7 @@ def upper_hull_oracle(lifted):
         pts = [base[i] for i in subset]
         if affine_rank(pts) < d:
             continue
-        fn = interpolate_affine(pts, [heights[i] for i in subset])
+        fn = interpolate_oracle(pts, [heights[i] for i in subset])
         if fn is None:
             continue
         if any(fn(p) < h for p, h in zip(base, heights)):
@@ -361,6 +362,39 @@ def solve_square_oracle(a_rows, b):
     return tuple(sol)
 
 
+def primitive_functional(fn):
+    """The functional scaled to coprime integers, orientation kept."""
+    full = fn.linear + (fn.constant,)
+    if is_zero_vector(full):
+        return fn
+    prim = primitive_vector(full)
+    return AffineFunctional(prim[:-1], prim[-1])
+
+
+def interpolate_oracle(points, values):
+    """The affine functional taking the given values, solved in Fractions on
+    the first affinely spanning points and checked on the others; None when
+    the points do not span or the values are not affine on them."""
+    d = len(points[0])
+    ids = greedy_by_rank(points, affine_rank_oracle)
+    if len(ids) != d + 1:
+        return None
+    sol = solve_square_oracle([list(points[i]) + [ONE] for i in ids], [values[i] for i in ids])
+    fn = AffineFunctional(tuple(sol[:d]), -sol[d])
+    return fn if all(fn(p) == v for p, v in zip(points, values)) else None
+
+
+def affine_combination_oracle(basis, target):
+    """Coefficients b with sum(b) = 1 and sum(b_j basis_j) = target, solved
+    in Fractions for an affinely spanning basis of d + 1 points; None when
+    the basis does not span."""
+    k = len(basis)
+    if k != len(target) + 1:
+        return None
+    rows = [[ONE] * k] + [[p[i] for p in basis] for i in range(len(target))]
+    return solve_square_oracle(rows, [ONE] + list(target))
+
+
 def nullspace_basis_oracle(rows):
     if not rows:
         return []
@@ -500,7 +534,7 @@ def convex_hull_facets_oracle(points):
     simplicial, _ = simplicial_hull_oracle(pts, len(pts[0]))
     seen = {}
     for normal, offset, _ in simplicial:
-        fn = AffineFunctional(tuple(normal), offset).primitive()
+        fn = primitive_functional(AffineFunctional(tuple(normal), offset))
         seen[(fn.linear, fn.constant)] = None
     out = []
     for normal, offset in seen:
@@ -537,7 +571,7 @@ def _upper_facets_of_hull(lifted, hull):
     d = len(base[0])
     pts = [b + (h,) for b, h in zip(base, heights)]
     if matrix_rank_oracle([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]) == d:
-        return [(interpolate_affine(base, heights), frozenset(range(len(pts))))]
+        return [(interpolate_oracle(base, heights), frozenset(range(len(pts))))]
     out = []
     for facet in hull(pts):
         w_h = facet.normal[-1]
@@ -838,6 +872,36 @@ def triangulations_by_bisection(config):
 # Secondary cones cell by cell
 
 
+def cone_constraint_oracle(config, basis_idx, a):
+    """The lifting-space functional eta(a) - sum_j b_j eta(basis_j), with
+    point a written as the affine combination b of the basis in Fractions:
+    zero when lifted a lands on the affine hull of the lifted basis, positive
+    when it lies strictly below."""
+    coeffs = affine_combination_oracle([config.points[j] for j in basis_idx], config.points[a])
+    if coeffs is None:
+        raise InputError("basis does not span the configuration point")
+    coef = [ZERO] * len(config.points)
+    coef[a] = ONE
+    for j, cj in zip(basis_idx, coeffs):
+        coef[j] -= cj
+    return AffineFunctional(tuple(coef), ZERO)
+
+
+def painting_constraint_oracle(config, marking, alpha):
+    """The (lifting, level) functional sum_j b_j eta(basis_j) - c of a
+    0-cell, with alpha written as the affine combination b of the marking's
+    spanning marks in Fractions, as painting.painting_constraint solved it."""
+    basis = _spanning_marks(config, marking)
+    coeffs = affine_combination_oracle([config.points[i] for i in basis], vector(alpha))
+    if coeffs is None:
+        raise InputError("marking does not span the distinguished point")
+    linear = [ZERO] * (len(config.points) + 1)
+    for i, b in zip(basis, coeffs):
+        linear[i] = b
+    linear[-1] = -ONE
+    return AffineFunctional(tuple(linear), ZERO)
+
+
 def secondary_cone_per_cell(config, s):
     """The secondary cone of s with one constraint per maximal cell and
     point off the cell's spanning marks: an equality for a mark, a strict for
@@ -852,7 +916,7 @@ def secondary_cone_per_cell(config, s):
         for a in range(n):
             if a in in_basis:
                 continue
-            fn = cone_constraint(config, basis_idx, a).primitive()
+            fn = primitive_functional(cone_constraint_oracle(config, basis_idx, a))
             key = (fn.linear, fn.constant)
             if a in cell.marks:
                 eqs[key] = fn

@@ -83,7 +83,7 @@ def test_every_chamber_sign_pattern_matches_oracles(config, alpha):
 
     outcomes = []
     for t, cone in enumerate_regular_triangulations(config).values():
-        constraints = [painting_constraint(config, mc.marks, alpha).functional for mc in t.maximal]
+        constraints = [painting_constraint(config, mc.marks, alpha) for mc in t.maximal]
         for pattern in product((1, -1, 0), repeat=len(constraints)):
             eqs = [extended(f) for f in cone.equalities]
             sts = [extended(f) for f in cone.stricts]

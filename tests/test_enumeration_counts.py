@@ -73,14 +73,14 @@ def test_painted_enumeration_paints_each_sample_once(calls_to, config, alpha, co
     assert len(poset) == count
 
 
-def _extended_ngon4():
-    config = ngon_configuration(4)
+def _extended_ngon(m):
+    config = ngon_configuration(m)
     return extend(config, admissible_alpha(config)).extended
 
 
 @pytest.mark.parametrize(
     "config, count",
-    [(_extended_ngon4(), 21), (extend(QUAD, (F(1, 3), F(1, 3))).extended, 14)],
+    [(_extended_ngon(4), 21), (extend(QUAD, (F(1, 3), F(1, 3))).extended, 14)],
     ids=["ngon4-extended", "quad-extended"],
 )
 def test_triangulation_walk_induces_each_triangulation_once(calls_to, config, count):
@@ -94,7 +94,7 @@ def test_triangulation_walk_induces_each_triangulation_once(calls_to, config, co
 
 @pytest.mark.parametrize(
     "config",
-    [_extended_ngon4(), extend(QUAD, (F(1, 3), F(1, 3))).extended],
+    [_extended_ngon(4), extend(QUAD, (F(1, 3), F(1, 3))).extended],
     ids=["ngon4-extended", "quad-extended"],
 )
 def test_triangulation_cones_take_one_strict_per_interior_ridge_and_unused_point(config):
@@ -114,26 +114,32 @@ def test_extended_pentagon_cones_have_500_stricts():
     assert sum(len(cone.stricts) for _, cone in tris.values()) == 500
 
 
-def test_triangulation_cone_solves_no_system(calls_to):
-    config = ngon_configuration(5)
-    tris = [t for t, _ in enumerate_regular_triangulations(config).values()]
-    combinations = calls_to(geometry.affine_combination)
+def test_no_cone_or_painting_constraint_solves_a_system(calls_to):
+    """Every cone and painting constraint is an integer circuit dependence:
+    secondary cones of triangulations and of coarser subdivisions, painting
+    cones and painting chambers solve no linear system."""
+    ext = _extended_ngon(3)
+    subdivisions = enumerate_coherent_subdivisions(ext).elements
+    painted = enumerate_painted_complexes(QUAD, (F(1, 3), F(1, 3))).elements
     solves = calls_to(geometry.solve_square)
-    for t in tris:
-        assert frozenset().union(*t.key) == frozenset(range(len(config.points)))
-        secondary_cone(config, t)
-    assert len(tris) == 14 and combinations == [] and solves == []
+    for s in subdivisions:
+        secondary_cone(ext, s)
+    for pc in painted:
+        painting_cone(pc)
+    enumerate_painted_complexes(QUAD, (F(1, 3), F(1, 3)))
+    assert any(not regular_subdivision.is_triangulation(s) for s in subdivisions)
+    assert len(painted) == 45 and solves == []
 
 
 def test_triangulation_cap_stops_before_certifying_more(calls_to):
     cones = calls_to(regular_subdivision.secondary_cone)
     with pytest.raises(errors.ResourceCapError, match="more than 5 triangulations"):
-        enumerate_regular_triangulations(_extended_ngon4(), max_count=5)
+        enumerate_regular_triangulations(_extended_ngon(4), max_count=5)
     assert len(cones) <= 5
 
 
 def test_coherent_enumeration_induces_each_face_sample_once(calls_to):
-    ext = _extended_ngon4()
+    ext = _extended_ngon(4)
     calls = calls_to(regular_subdivision.induce_subdivision)
     tris = enumerate_regular_triangulations(ext)
     walk = len(calls)

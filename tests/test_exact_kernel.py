@@ -16,18 +16,17 @@ from hypothesis import example, given, settings, strategies as st
 from tropaint import geometry
 from tropaint.errors import DegenerateInputError, InputError
 from tropaint.geometry import (
+    AffineFunctional,
     _affine_frame,
     _circuit_dependence,
     _det,
     _initial_simplex,
     _integer_points,
     _rref,
-    affine_combination,
     convex_hull_facets,
     face_member_sets,
     hull_volume,
     independent_rows,
-    interpolate_affine,
     lp_maximize,
     matrix_rank,
     nullspace_basis,
@@ -41,12 +40,14 @@ from tropaint.multiplihedra import admissible_alpha, ngon_configuration
 from tropaint.painting_polytope import extend
 from tropaint.point_config import build_configuration
 from tropaint.regular_subdivision import (
+    _circuit,
     _spanning_marks,
     enumerate_regular_triangulations,
     secondary_cone,
 )
 
 from oracles import (
+    affine_combination_oracle,
     affine_rank_oracle,
     convex_hull_facets_oracle,
     det_oracle,
@@ -54,6 +55,7 @@ from oracles import (
     greedy_by_rank,
     hull_volume_oracle,
     hyperplane_by_echelon,
+    interpolate_oracle,
     lp_maximize_oracle,
     matrix_rank_oracle,
     nullspace_basis_oracle,
@@ -372,34 +374,36 @@ def test_selections_match_greedy_by_rank_on_golden_configurations(config):
 
 @pytest.mark.parametrize("config", GOLDEN_CONFIGS, ids=lambda c: f"{len(c.points)}pts")
 def test_affine_combination_and_interpolation_on_golden_configurations(config):
-    """Square and overdetermined systems alike: a spanning basis expresses
-    exactly the points of its span, and an affine functional is recovered
-    from its values exactly when the points span the space."""
+    """The circuit of a spanning basis and a point writes the point as the
+    affine combination the Fraction oracle solves, and the upper hull of
+    flat heights is the single facet the oracle interpolates, exactly when
+    the points span and the heights are affine on them."""
     n, d = len(config.points), config.dimension
     slope = tuple(F(k + 2, k + 1) for k in range(d))
     for subset in _subsets(n):
         pts = [config.points[i] for i in subset]
-        basis = [config.points[i] for i in _spanning_marks(config, subset)]
-        rank = affine_rank_oracle(pts)
-        for p in config.points:
-            coeffs = affine_combination(basis, p)
-            if affine_rank_oracle(pts + [p]) == rank:
-                assert sum(coeffs) == 1
-                assert tuple(sum(c * b[k] for c, b in zip(coeffs, basis)) for k in range(d)) == p
-            else:
-                assert coeffs is None
+        basis = _spanning_marks(config, subset)
+        if len(basis) == d + 1:
+            for a in set(range(n)) - set(basis):
+                coef = _circuit(config, basis + [a])
+                want = affine_combination_oracle([config.points[i] for i in basis], config.points[a])
+                assert coef[a] > 0 and tuple(F(-coef[i], coef[a]) for i in basis) == want
+                assert all(coef[i] == 0 for i in range(n) if i != a and i not in basis)
         values = [vdot(slope, p) - 1 for p in pts]
-        fn = interpolate_affine(pts, values)
-        if rank < d:
-            assert fn is None
-            continue
-        assert fn.linear == slope and fn.constant == 1
-        values[-1] += 1
-        fn = interpolate_affine(pts, values)
-        if affine_rank_oracle(pts[:-1]) == d:
-            assert fn is None
-        else:
-            assert [fn(p) for p in pts] == values
+        bumped = values[:-1] + [values[-1] + 1]
+        for heights in (values, bumped):
+            if len(basis) <= d:
+                with pytest.raises(DegenerateInputError):
+                    upper_hull_facets(list(zip(pts, heights)))
+                continue
+            fn = interpolate_oracle(pts, heights)
+            facets = upper_hull_facets(list(zip(pts, heights)))
+            if fn is None:
+                assert heights is bumped and all(len(m) < len(pts) for _, m in facets)
+            else:
+                assert facets == [(fn, frozenset(range(len(pts))))]
+        if len(basis) == d + 1:
+            assert interpolate_oracle(pts, values) == AffineFunctional(slope, F(1))
 
 
 def test_secondary_cone_of_a_triangulation_computes_no_rank(calls_to):

@@ -104,13 +104,15 @@ def test_constraint_coefficients_and_thresholds():
         (0, 1, 4): F(-4, 3),
     }
     for marks, want in expected.items():
-        pc = painting_constraint(QUAD, frozenset(marks), ALPHA)
-        assert sum(pc.coefficients) == 1
-        t = sum(b * eta[i] for i, b in zip(pc.basis, pc.coefficients))
-        assert t == want
-        # the functional computes the sign quantity directly
-        point = tuple(eta) + (t,)
-        assert pc.functional(point) == 0
+        fn = painting_constraint(QUAD, frozenset(marks), ALPHA)
+        *coefficients, level = fn.linear
+        # affine: the marks' coefficients add up to minus the level's
+        assert level < 0 and sum(coefficients) == -level
+        assert {i for i, b in enumerate(coefficients) if b} <= set(marks)
+        # the functional vanishes at the threshold level and has g's sign
+        point = tuple(eta) + (want,)
+        assert fn(point) == 0
+        assert fn(tuple(eta) + (want - 1,)) > 0 > fn(tuple(eta) + (want + 1,))
 
 
 def test_level_sweep_patterns():

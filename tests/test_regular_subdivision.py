@@ -153,6 +153,24 @@ def test_secondary_cone_rejects_incoherent_marking():
             secondary_cone(SQUARE, Subdivision(SQUARE, bad.maximal, witness=vector(w)))
 
 
+def test_secondary_cone_rejects_cells_that_do_not_cover():
+    # one quadrilateral cell leaves point 2 uncovered; each per-cell
+    # constraint holds on an open cone, but the liftings there induce a
+    # second maximal cell, so no lifting induces this one alone
+    cell = _make_cell(QUAD, frozenset({0, 1, 3, 4}))
+    inside = vector((0, 0, 0, 0, 1))
+    assert marks_of(induce_subdivision(QUAD, Lifting(inside))) == {
+        frozenset({0, 1, 2, 3}),
+        frozenset({0, 1, 3, 4}),
+    }
+    # a witness does not bypass the certificate
+    for witness in (None, inside):
+        s = Subdivision(QUAD, (cell,), witness=witness)
+        assert not is_triangulation(s)
+        with pytest.raises(NoCertificateError, match="volumes do not add up"):
+            secondary_cone(QUAD, s)
+
+
 # Families of triangles that are not triangulations, each caught by one
 # part of the certificate alone: a ridge in one cell and on no facet, a
 # double cover whose volumes add up to twice the square's, and a fold whose
