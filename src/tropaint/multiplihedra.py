@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import product
+from math import lcm
 
 from .errors import (
     InconsistencyError,
@@ -22,7 +23,7 @@ from .errors import (
     ResourceCapError,
     VerificationError,
 )
-from .geometry import AffineFunctional, Vec, as_fraction, vdot, vector, vsub
+from .geometry import Vec, as_fraction, vdot, vector, vsub
 from .lattice import FaceLattice, Poset, graded_lattice, lattice_isomorphic
 from .painting import BLUE, PURPLE, RED, PaintedComplex, PaintSpec
 from .painting_polytope import extend
@@ -32,12 +33,12 @@ from .regular_subdivision import (
     Subdivision,
     _make_cell,
     enumerate_coherent_subdivisions,
+    induce_subdivision,
     secondary_cone,
 )
 from .secondary_polytope import face_lattice_from_poset
 from .tropical_dual import TropicalComplex, TropicalPolynomial, dual_complex, evaluate
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 PAINTED = "painted"
@@ -63,23 +64,25 @@ def ngon_configuration(m: int) -> PointConfiguration:
     return build_configuration([(k, k * k) for k in range(m + 1)])
 
 
-def _diagonal_pairs(config: PointConfiguration):
-    n = len(config.points)
-    boundary = {frozenset(f.members) for f in config.facets}
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if frozenset({i, j}) not in boundary:
-                out.append((i, j))
-    return out
+def _on_some_diagonal(config: PointConfiguration, beta: Vec) -> bool:
+    """Whether beta lies on the line through two points that share no
+    boundary edge, decided in integers.
 
-
-def _on_some_diagonal(config, beta: Vec) -> bool:
-    for i, j in _diagonal_pairs(config):
-        a, b = config.points[i], config.points[j]
-        det = (b[0] - a[0]) * (beta[1] - a[1]) - (b[1] - a[1]) * (beta[0] - a[0])
-        if det == 0:
-            return True
+    With a = P / L for the rows (P, 1) of config.integer_points and
+    beta = B / D, D the lcm of beta's denominators, beta lies on the line
+    through a_i and a_j exactly when (P_j - P_i) x (L B - D P_i) = 0.
+    """
+    rows, scale = config.integer_points
+    den = lcm(*(x.denominator for x in beta))
+    bx, by = (x.numerator * (den // x.denominator) * scale for x in beta)
+    boundary = set(config.facet_masks)
+    for i, (xi, yi, _) in enumerate(rows):
+        u, v = bx - den * xi, by - den * yi
+        for j in range(i + 1, len(rows)):
+            if (1 << i | 1 << j) not in boundary:
+                xj, yj, _ = rows[j]
+                if (xj - xi) * v == (yj - yi) * u:
+                    return True
     return False
 
 
@@ -360,22 +363,26 @@ class EdgeLengthTarget:
             raise InputError("edge length targets must be positive")
 
 
+def _edge_supports(maximal, marking, beta: Vec):
+    """The supports k, l of the two maximal cells whose marks contain a
+    compact edge's marking, and the edge's offset at beta: the root-to-leaf
+    difference of the two supports there, unsigned."""
+    pair = [mc.support for mc in maximal if marking < mc.marks]
+    _check(len(pair) == 2, "compact edge not between exactly two maximal cells")
+    k, l = pair
+    value = (l.constant - vdot(l.linear, beta)) - (k.constant - vdot(k.linear, beta))
+    return k, l, abs(value)
+
+
 def _edge_offset(p: TropicalComplex, beta: Vec):
     """Per compact edge: the two adjacent maximal-cell supports and the edge's
-    current offset value at beta (the root-to-leaf difference, unsigned)."""
-    out = {}
-    supports = {mc.marks: mc.support for mc in p.subdivision.maximal}
-    for cell in p.cells_of_dim(1):
-        if cell.rays:
-            continue
-        pair = [s for m, s in supports.items() if cell.marking < m]
-        _check(len(pair) == 2, "compact edge not between exactly two maximal cells")
-        k, l = pair
-        value = (l.constant - vdot(l.linear, beta)) - (
-            k.constant - vdot(k.linear, beta)
-        )
-        out[cell.marking] = (k, l, abs(value))
-    return out
+    current offset value at beta."""
+    maximal = p.subdivision.maximal
+    return {
+        cell.marking: _edge_supports(maximal, cell.marking, beta)
+        for cell in p.cells_of_dim(1)
+        if not cell.rays
+    }
 
 
 def realize_edge_lengths(
@@ -384,23 +391,28 @@ def realize_edge_lengths(
     """A lifting with the same combinatorial type whose compact edges all
     achieve the prescribed offsets at beta, exactly.
 
-    First scale the seed lifting by lam so every offset falls below its
-    target, then per edge add the one-sided correction max(0, t * (l - k))
-    built from the supports k, l of its two cells, which lifts the offset
-    to its target.  One pass over p's own supports is exact: scaling scales
-    every support by lam, and each correction is affine on the cells of any
-    other edge, which lie on one side of its chord because the dual graph is
-    a tree, so it leaves their difference of supports untouched.
+    p must be a polygon subdivision's complex with no compact 2-cell, that
+    is no interior vertex, so its compact edges form a tree.  First scale
+    the seed lifting by lam so every offset falls below its target, then per
+    edge add the one-sided correction max(0, t * (l - k)) built from the
+    supports k, l of its two cells, which lifts the offset to its target.
+    One pass over p's own supports is exact: scaling scales every support
+    by lam, and each correction is affine on the cells of any other edge,
+    which lie on one side of its chord because the dual graph is a tree, so
+    it leaves their difference of supports untouched.
+
+    The result is certified by one hull: the subdivision it induces has p's
+    cells, so p's compact-edge markings are its compact edges, and the
+    offset read off each edge's two new supports equals the target; and
+    p's open secondary cone contains it.
     """
-    return _realize_edge_lengths(p, beta, target)[0]
-
-
-def _realize_edge_lengths(
-    p: TropicalComplex, beta, target: EdgeLengthTarget
-) -> tuple[Lifting, TropicalComplex]:
-    """realize_edge_lengths, together with the dual complex of the lifting,
-    which its postcondition builds."""
     config = p.config
+    if config.dimension != 2 or any(
+        c.dimension == 2 and not c.rays for c in p.cells.values()
+    ):
+        raise InputError(
+            "edge lengths are realized on polygon subdivisions with no interior vertex"
+        )
     beta = vector(beta)
     if len(beta) != config.dimension:
         raise InputError("beta dimension mismatch")
@@ -410,7 +422,6 @@ def _realize_edge_lengths(
     missing = [m for m in values if frozenset(m) not in target.lengths]
     if missing:
         raise InputError(f"no target for edges {sorted(sorted(m) for m in missing)}")
-    key = p.subdivision.key
     eta = list(p.eta.values)
     if values:
         lam = min(
@@ -421,18 +432,25 @@ def _realize_edge_lengths(
             _check(v > 0, "zero edge offset despite the diagonal check")
             t = target.lengths[marking] / v - lam
             _check(t > 0, "edge correction would not lengthen the edge")
-            diff = AffineFunctional(vsub(l.linear, k.linear), l.constant - k.constant)
-            eta = [e + max(ZERO, t * diff(a)) for e, a in zip(eta, config.points)]
+            # l - k, evaluated once per point
+            linear, constant = vsub(l.linear, k.linear), l.constant - k.constant
+            for i, a in enumerate(config.points):
+                d = vdot(linear, a) - constant
+                if d > 0:
+                    eta[i] += t * d
     result = Lifting(tuple(eta))
-    final, _ = dual_complex(config, result)
-    _check(final.subdivision.key == key, "correction left the secondary cone")
-    for m, (_, _, v) in _edge_offset(final, beta).items():
-        _check(v == target.lengths[m], "edge target missed")
+    s = induce_subdivision(config, result)
+    _check(s.key == p.subdivision.key, "correction left the secondary cone")
+    for marking in values:
+        _check(
+            _edge_supports(s.maximal, marking, beta)[2] == target.lengths[marking],
+            "edge target missed",
+        )
     _check(
         secondary_cone(config, p.subdivision).contains_open(result.values),
         "realizing lifting outside the open secondary cone",
     )
-    return result, final
+    return result
 
 
 def _subdivision_of_shape(config: PointConfiguration, shape) -> Subdivision:
@@ -517,7 +535,8 @@ def realize_painted_tree(t: PaintedTree, m: int) -> PaintSpec:
             assign(item[2], sub, depth + 1)
 
     assign(tree.root, children, 0)
-    eta, realized = _realize_edge_lengths(p, alpha, EdgeLengthTarget(lengths))
+    eta = realize_edge_lengths(p, alpha, EdgeLengthTarget(lengths))
+    realized, _ = dual_complex(config, eta)
     return PaintSpec(eta, root_value(realized) - 1, alpha)
 
 

@@ -3,10 +3,37 @@
 Each case names a command line (INPUT is replaced by the input file path),
 the golden file for stdout, the golden file per --out artifact, and the
 PYTHONHASHSEED values to run under.  Seeds differ per case so hash-order
-leaks into any output would show up as byte drift.
+leaks into any output would show up as byte drift.  run_cli runs one
+command line in a child interpreter.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+
+import tropaint
+
 GOLDEN_DIR_NAME = "golden"
+
+
+def run_cli(args, seed=None, out_dir=None):
+    """Run python -m tropaint.cli with args in a child interpreter.
+
+    pytest's pythonpath setting does not reach child processes, so the
+    directory holding the tropaint this process imported (src/ in a plain
+    checkout) goes first on the child's PYTHONPATH: the child runs the code
+    under test.  seed, when given, sets PYTHONHASHSEED.
+    """
+    src = str(pathlib.Path(tropaint.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    if seed is not None:
+        env["PYTHONHASHSEED"] = seed
+    cmd = [sys.executable, "-m", "tropaint.cli", *args]
+    if out_dir is not None:
+        cmd += ["--out", str(out_dir)]
+    return subprocess.run(cmd, capture_output=True, env=env)
 
 # name, input key or None, argv after prog, stdout golden,
 # {artifact name: golden name}, seeds

@@ -38,7 +38,9 @@ span computation tropical_dual.dual_complex used for dual dimensions.
 The sequential edge-length realization rebuilds the dual complex before each
 edge's correction, as multiplihedra.realize_edge_lengths did before it read
 every correction off its input complex; it is the reference for that one-pass
-form.
+form.  The Fraction diagonal test takes a 2 x 2 determinant per pair of
+points off a common boundary edge, as multiplihedra._on_some_diagonal did
+before it read the same test off the configuration's integer rows.
 
 The cone ray search tries every subset of stricts of complementary rank, as
 regular_subdivision.SecondaryCone.rays did before it read the rays off one
@@ -696,6 +698,21 @@ def realize_edge_lengths_sequential(p, beta, target, order=None):
         t = target.lengths[marking] / v - 1
         eta = [e + max(ZERO, t * (l(a) - k(a))) for e, a in zip(eta, config.points)]
     return tuple(eta)
+
+
+def on_some_diagonal_oracle(config, beta) -> bool:
+    """Whether beta lies on the line through two points of the polygon that
+    share no boundary edge, by a Fraction 2 x 2 determinant per pair."""
+    n = len(config.points)
+    boundary = {frozenset(f.members) for f in config.facets}
+    for i, j in combinations(range(n), 2):
+        if frozenset({i, j}) in boundary:
+            continue
+        a, b = config.points[i], config.points[j]
+        det = (b[0] - a[0]) * (beta[1] - a[1]) - (b[1] - a[1]) * (beta[0] - a[0])
+        if det == 0:
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,10 @@ summary with its timing.  Random sampling is seeded so reruns are identical.
 
 import pathlib
 import random
-import subprocess
-import sys
 import time
 from fractions import Fraction as F
 
-from cli_cases import CASES, INPUT_FILES
+from cli_cases import CASES, INPUT_FILES, run_cli
 from oracles import dual_cell_rank, painted_binary_tree_count, polygon_subdivisions
 from tropaint.lattice import graded_lattice, lattice_isomorphic
 from tropaint.multiplihedra import (
@@ -331,8 +329,7 @@ def test_criterion_10_cli_determinism():
             a if a != "INPUT" else str(GOLDEN / INPUT_FILES[input_key])
             for a in argv
         ]
-        cmd = [sys.executable, "-m", "tropaint.cli"] + args
-        proc = subprocess.run(cmd, capture_output=True)
+        proc = run_cli(args)
         assert proc.returncode == 0, f"{name}: {proc.stderr.decode()}"
         assert proc.stdout == (GOLDEN / stdout_golden).read_bytes(), name
     _passed(10, started, f"{len(CASES)} commands byte-identical to goldens")

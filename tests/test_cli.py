@@ -1,26 +1,15 @@
 """Command line surface: golden bytes, exit codes, round trips."""
 
 import json
-import os
 import pathlib
-import subprocess
-import sys
 
 import pytest
 
-from cli_cases import CASES, INPUT_FILES
+from cli_cases import CASES, INPUT_FILES, run_cli
 from tropaint import jsonio
 from tropaint.cli import main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
-
-
-def run_cli(args, seed="0", out_dir=None):
-    env = dict(os.environ, PYTHONHASHSEED=seed)
-    cmd = [sys.executable, "-m", "tropaint.cli"] + list(args)
-    if out_dir is not None:
-        cmd += ["--out", str(out_dir)]
-    return subprocess.run(cmd, capture_output=True, env=env)
 
 
 @pytest.mark.parametrize("case", CASES, ids=[c[0] for c in CASES])
@@ -98,7 +87,7 @@ def test_verify_needs_its_argument(capsys):
 
 def test_stdout_matches_report_artifact(tmp_path):
     args = ["verify", "multiplihedron", "-m", "2"]
-    proc = run_cli(args, out_dir=tmp_path)
+    proc = run_cli(args, seed="0", out_dir=tmp_path)
     assert proc.returncode == 0
     assert (tmp_path / "report.json").read_bytes() == proc.stdout
     json.loads(proc.stdout)

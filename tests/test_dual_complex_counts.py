@@ -1,10 +1,11 @@
 """Each lifting gets one dual complex: painting reads the complex it is
 given, the painted enumeration builds one per lifting it meets, edge-length
-realization corrects every edge from one complex and hands it back to the
-painted-tree realization, and the main-theorem check builds each extended
-complex once.  A dual complex builds one hull with one rank pass, in
-integers from the lifted points to the supports, and its cells read their
-dimensions and vertices off incidences.  Painting evaluates
+realization corrects every edge from its input complex and certifies the
+result with one induced subdivision and no dual complex, the painted-tree
+realization builds the realized complex itself, and the main-theorem check
+builds each extended complex once.  A dual complex builds one hull with one
+rank pass, in integers from the lifted points to the supports, and its cells
+read their dimensions and vertices off incidences.  Painting evaluates
 g once per 0-cell."""
 
 from fractions import Fraction
@@ -40,7 +41,7 @@ def test_paint_builds_no_dual_complex(calls_to):
     assert calls == []
 
 
-def test_realize_edge_lengths_builds_one_dual_complex(calls_to):
+def test_realize_edge_lengths_builds_no_dual_complex(calls_to):
     config = ngon_configuration(5)
     beta = admissible_alpha(config)
     # a triangulation of the hexagon: three compact edges
@@ -48,9 +49,12 @@ def test_realize_edge_lengths_builds_one_dual_complex(calls_to):
     edges = _edge_offset(p, beta)
     assert len(edges) == 3
     target = EdgeLengthTarget({m: F(5, k + 2) for k, m in enumerate(edges)})
-    calls = calls_to(tropical_dual.dual_complex)
+    complexes = calls_to(tropical_dual.dual_complex)
+    induced = calls_to(regular_subdivision.induce_subdivision)
     realize_edge_lengths(p, beta, target)
-    assert len(calls) == 1
+    # the postcondition's one hull, of the realized lifting
+    assert complexes == []
+    assert [caller for caller, _ in induced] == ["tropaint.multiplihedra"]
 
 
 def test_painted_enumeration_builds_one_dual_complex_per_lifting(calls_to):
@@ -66,7 +70,8 @@ def test_painted_tree_realization_builds_each_complex_once(calls_to):
     calls = calls_to(tropical_dual.dual_complex)
     for t in trees:
         realize_painted_tree(t, 4)
-    # a seed complex per tree, and a realized complex per edge-length realization
+    # a seed complex per tree, and a realized complex per edge-length
+    # realization, built for the root value
     assert len(trees) == 67 and len(calls) == 112
 
 

@@ -17,6 +17,7 @@ from tropaint.multiplihedra import (
     EdgeLengthTarget,
     PaintedTree,
     _edge_offset,
+    _on_some_diagonal,
     _painted_variants,
     _subdivision_of_shape,
     _tree_label,
@@ -37,6 +38,7 @@ from tropaint.regular_subdivision import Lifting, secondary_cone
 from tropaint.tropical_dual import TropicalPolynomial, dual_complex, evaluate
 
 from oracles import (
+    on_some_diagonal_oracle,
     painted_binary_tree_count,
     polygon_subdivisions,
     realize_edge_lengths_sequential,
@@ -264,6 +266,60 @@ def test_realize_edge_lengths_rejections():
         realize_edge_lengths(p, alpha, EdgeLengthTarget({}))
 
 
+def test_realize_edge_lengths_rejects_inputs_off_its_domain():
+    # an interior vertex: the centre of the square is a vertex of all four
+    # cells, so the compact edges form a cycle around its compact 2-cell
+    square_with_center = build_configuration([(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)])
+    p, _ = dual_complex(square_with_center, [0, 1, 3, 0, -2])
+    assert len(p.subdivision.maximal) == 4
+    beta = (Fraction(1, 3), Fraction(-1, 7))
+    target = EdgeLengthTarget({mk: Fraction(1) for mk in _edge_offset(p, beta)})
+    with pytest.raises(InputError, match="no interior vertex"):
+        realize_edge_lengths(p, beta, target)
+    # a 3-dimensional configuration
+    bipyramid = build_configuration(
+        [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)]
+    )
+    p, _ = dual_complex(bipyramid, [1, 0, 2, 0, 1])
+    beta = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 2))
+    target = EdgeLengthTarget({mk: Fraction(1) for mk in _edge_offset(p, beta)})
+    with pytest.raises(InputError, match="no interior vertex"):
+        realize_edge_lengths(p, beta, target)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_on_some_diagonal_matches_fraction_oracle(m):
+    config = ngon_configuration(m)
+    points = config.points
+    boundary = {frozenset(f.members) for f in config.facets}
+    rng = random.Random(m)
+    alpha = admissible_alpha(config)
+    cases = [(alpha, False)]
+    for i in range(len(points)):
+        for j in range(i + 1, len(points)):
+            # a rational point on the line through a_i and a_j, inside the
+            # segment and beyond it
+            for t in (Fraction(1, 3), Fraction(-5, 4)):
+                beta = tuple(a + t * (b - a) for a, b in zip(points[i], points[j]))
+                on_diagonal = frozenset({i, j}) not in boundary
+                cases.append((beta, on_diagonal or None))
+    # seeded points around the polygon, on a grid fine enough to meet
+    # diagonals now and then
+    for _ in range(300):
+        x = Fraction(rng.randint(-2, 2 * m + 2), rng.randint(1, 2))
+        y = Fraction(rng.randint(-2, m * m + 2), rng.randint(1, 2))
+        cases.append(((x, y), None))
+    hits = 0
+    for beta, expected in cases:
+        got = _on_some_diagonal(config, beta)
+        assert got == on_some_diagonal_oracle(config, beta)
+        if expected is not None:
+            assert got == expected
+        elif got:
+            hits += 1
+    assert hits > 0 or m == 2  # the triangle has no diagonal
+
+
 @settings(deadline=None, max_examples=25)
 @given(
     data=st.data(),
@@ -306,14 +362,14 @@ def test_realize_edge_lengths_matches_sequential_oracle(m):
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_painted_tree_targets_match_sequential_oracle(m, monkeypatch):
     calls = []
-    real = multiplihedra._realize_edge_lengths
+    real = multiplihedra.realize_edge_lengths
 
     def recording(p, beta, target):
-        eta, realized = real(p, beta, target)
+        eta = real(p, beta, target)
         calls.append((p, beta, target, eta))
-        return eta, realized
+        return eta
 
-    monkeypatch.setattr(multiplihedra, "_realize_edge_lengths", recording)
+    monkeypatch.setattr(multiplihedra, "realize_edge_lengths", recording)
     for t in all_painted_trees(m):
         realize_painted_tree(t, m)
     assert calls
