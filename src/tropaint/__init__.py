@@ -13,7 +13,6 @@ from .errors import (
 from .geometry import (
     AffineFunctional,
     affine_rank,
-    lp_feasible_strict,
     simplex_normalized_volume,
     upper_hull_facets,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "induce_subdivision",
     "is_triangulation",
     "lattice_isomorphic",
-    "lp_feasible_strict",
     "multiplihedron_lattice",
     "ngon_configuration",
     "paint",

@@ -1,11 +1,11 @@
-"""Exact rational linear algebra, convex hulls, and LP feasibility.
+"""Exact rational linear algebra and convex hulls.
 
 Exact rationals at the API, integer arithmetic inside, no floats: every
 public function takes and returns fractions.Fraction values, while
-elimination, hulls and the simplex run on Python ints (fraction-free rows,
-points scaled by a common denominator).  Vectors are plain tuples of
-Fractions, which keeps them hashable and cheap.  Scale target is "desk
-scale": tens of points, ambient dimension at most six.
+elimination and hulls run on Python ints (fraction-free rows, points scaled
+by a common denominator).  Vectors are plain tuples of Fractions, which
+keeps them hashable and cheap.  Scale target is "desk scale": tens of
+points, ambient dimension at most six.
 """
 
 from __future__ import annotations
@@ -247,16 +247,6 @@ def matrix_rank(rows) -> int:
     return len(independent_rows(rows))
 
 
-def solve_square(a_rows, b) -> Vec | None:
-    """Solve A x = b for square A; None when A is singular."""
-    n = len(a_rows)
-    work = [_int_row(list(row) + [bi]) for row, bi in zip(a_rows, b, strict=True)]
-    pivots = _echelon(work)
-    if pivots != list(range(n)):
-        return None  # singular or inconsistent
-    return tuple(Fraction(row[n], row[r]) for r, row in enumerate(work))
-
-
 def nullspace_basis(rows) -> list[Vec]:
     """A basis of the kernel of the row matrix (empty rows: empty basis)."""
     if not rows:
@@ -464,76 +454,6 @@ def hull_volume(points) -> Fraction:
     return total / ((d + 1) * scale) ** d
 
 
-def point_in_hull(facets: list[HullFacet], x) -> bool:
-    xv = vector(x)
-    return all(vdot(f.normal, xv) <= f.offset for f in facets)
-
-
-def _affine_frame(pts: list[Vec]):
-    """Shared machinery for span coordinates: (coords, base, row_ids, rows).
-
-    coords are exact coordinates of each point in a greedy affine frame; rows
-    is the invertible r x r matrix of frame components at the selected
-    coordinate positions row_ids, so that coords(x) solves
-    rows . c = (x - base) restricted to row_ids.
-    """
-    base = pts[0]
-    diffs = [vsub(p, base) for p in pts]
-    frame = [diffs[i] for i in independent_rows(diffs)]
-    r = len(frame)
-    if r == 0:
-        return [() for _ in pts], base, [], []
-    columns = list(zip(*frame))
-    row_ids = independent_rows(columns)
-    rows = [columns[i] for i in row_ids]
-    coords = [solve_square(rows, [dv[i] for i in row_ids]) for dv in diffs]
-    return coords, base, row_ids, rows
-
-
-def affine_coordinates(points) -> list[Vec]:
-    """Coordinates of each point in an affine frame of the points' span.
-
-    The first point maps to the origin; frame vectors are picked greedily from
-    the input differences, so collinear or coplanar inputs get exact
-    coordinates of the right lower dimension.  Rank-0 input maps every point
-    to the empty tuple.
-    """
-    pts = [vector(p) for p in points]
-    return _affine_frame(pts)[0]
-
-
-def polytope_hrep(points) -> tuple[list[AffineFunctional], list[AffineFunctional]]:
-    """Ambient H-representation of conv(points), span may be lower-dimensional.
-
-    Returns (equalities, inequalities): x lies in the hull iff every equality
-    functional vanishes at x and every inequality functional is >= 0 at x.
-    """
-    pts = [vector(p) for p in points]
-    base = pts[0]
-    equalities = []
-    for n in nullspace_basis([vsub(p, base) for p in pts[1:]] or [[ZERO] * len(base)]):
-        equalities.append(AffineFunctional(n, vdot(n, base)))
-    if len(pts) == 1:
-        # single point: the nullspace above was of a zero row, giving all axes
-        return equalities, []
-    coords, _, row_ids, rows = _affine_frame(pts)
-    r = len(coords[0])
-    if r == 0:
-        return equalities, []
-    inequalities = []
-    rows_t = list(zip(*rows))
-    for facet in convex_hull_facets(coords):
-        # facet: w . c <= offset in coordinate space; pull back via
-        # c(x) = rows^-1 (x - base) restricted to row_ids
-        y = solve_square(rows_t, facet.normal)
-        linear = [ZERO] * len(base)
-        for i, idx in enumerate(row_ids):
-            linear[idx] = -y[i]
-        constant = -(facet.offset + vdot(y, tuple(base[i] for i in row_ids)))
-        inequalities.append(AffineFunctional(tuple(linear), constant))
-    return equalities, inequalities
-
-
 def intersection_closure(top, parts) -> set:
     """top together with every intersection of top with some of parts.
 
@@ -552,26 +472,6 @@ def intersection_closure(top, parts) -> set:
                 seen.add(child)
                 queue.append(child)
     return seen
-
-
-def face_member_sets(points) -> set[frozenset[int]]:
-    """Index sets of points on each nonempty face of conv(points), the hull included.
-
-    One hull in coordinates of the points' span gives the facets; the faces
-    are the closure of the facets' member sets under intersection.
-    """
-    coords = affine_coordinates(points)
-    top = frozenset(range(len(coords)))
-    if not coords[0]:
-        return {top}
-    facets = convex_hull_facets(coords)
-    return {face for face in intersection_closure(top, (f.members for f in facets)) if face}
-
-
-def polytope_vertex_indices(points) -> frozenset[int]:
-    """Vertices of conv(points), the points whose singleton is a face; the
-    span may be lower-dimensional."""
-    return frozenset(i for face in face_member_sets(points) if len(face) == 1 for i in face)
 
 
 def simplex_normalized_volume(points) -> Fraction:
@@ -636,155 +536,3 @@ def upper_hull_facets(lifted) -> list[tuple[AffineFunctional, frozenset[int]]]:
             linear = tuple(Fraction(-w, n_h) for w in normal[:-1])
             out.append((AffineFunctional(linear, Fraction(-offset, scale * n_h)), members))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Exact LP (two-phase primal simplex, Bland's rule)
-#
-# The tableau holds working rows (see _pivot): each row is exact, with its
-# own positive denominator, so signs and ratios are read off the integers.
-
-
-def _pivot_basis(tableau, leave: int, enter: int) -> None:
-    """Pivot on (leave, enter): clear the column, then scale the pivot row to 1 there."""
-    _pivot(tableau, leave, enter)
-    p = tableau[leave][enter]
-    row = tableau[leave][:-1] + [p]
-    if p < 0:
-        row = [-x for x in row]
-    g = gcd(*row)
-    tableau[leave] = [x // g for x in row] if g > 1 else row
-
-
-def _simplex_core(tableau, basis, n_rows, n_cols):
-    """Maximize the objective encoded in the last tableau row; Bland's rule."""
-    while True:
-        obj = tableau[n_rows]
-        enter = next((j for j in range(n_cols) if obj[j] > 0), None)
-        if enter is None:
-            return "optimal"
-        # smallest ratio rhs / column entry, ties to the smallest basic index;
-        # both entries share the row's denominator, which cancels
-        leave = None
-        for i in range(n_rows):
-            a = tableau[i][enter]
-            if a > 0:
-                b = tableau[i][n_cols]
-                if leave is None:
-                    leave, best_b, best_a = i, b, a
-                    continue
-                cross, best_cross = b * best_a, best_b * a
-                if cross < best_cross or (cross == best_cross and basis[i] < basis[leave]):
-                    leave, best_b, best_a = i, b, a
-        if leave is None:
-            return "unbounded"
-        _pivot_basis(tableau, leave, enter)
-        basis[leave] = enter
-
-
-def lp_maximize(objective, ub_rows, ub_consts, eq_rows, eq_consts):
-    """max objective . x  s.t.  ub_rows x <= ub_consts, eq_rows x = eq_consts, x free.
-
-    Returns (status, x, value); status in {"optimal", "unbounded", "infeasible"}.
-    Fully deterministic: Bland's rule with fixed variable order.
-    """
-    n = len(objective)
-    rows = [_int_row(list(r) + [b]) for r, b in zip(ub_rows, ub_consts, strict=True)]
-    rows += [_int_row(list(r) + [b]) for r, b in zip(eq_rows, eq_consts, strict=True)]
-    n_ub = len(ub_rows)
-    m = len(rows)
-    # columns: x+ (n), x- (n), slacks (n_ub), artificials (m), rhs, denominator
-    n_struct = 2 * n + n_ub
-    n_cols = n_struct + m
-    tableau = []
-    basis = []
-    for i, src in enumerate(rows):
-        den = src[-1]
-        sign = 1 if src[n] >= 0 else -1
-        row = [0] * (n_cols + 2)
-        for j in range(n):
-            row[j] = sign * src[j]
-            row[n + j] = -sign * src[j]
-        if i < n_ub:
-            row[2 * n + i] = sign * den
-        row[n_struct + i] = den
-        row[n_cols] = sign * src[n]
-        row[n_cols + 1] = den
-        tableau.append(row)
-        basis.append(n_struct + i)
-    # Phase 1: maximize -sum(artificials), the sum of the rows over their
-    # common denominator with the artificial columns cleared.
-    common = lcm(*(row[-1] for row in tableau))
-    obj_row = [0] * (n_cols + 1)
-    for row in tableau:
-        f = common // row[-1]
-        obj_row = [o + f * x for o, x in zip(obj_row, row)]
-    obj_row[n_struct:n_cols] = [0] * m
-    tableau.append(obj_row + [common])
-    _simplex_core(tableau, basis, m, n_cols)
-    if tableau[m][n_cols] != 0:
-        return "infeasible", None, None
-    # Pivot lingering artificials out of the basis where possible.
-    for i in range(m):
-        if basis[i] >= n_struct:
-            enter = next((j for j in range(n_struct) if tableau[i][j] != 0), None)
-            if enter is not None:
-                _pivot_basis(tableau, i, enter)
-                basis[i] = enter
-    # Rows still carrying an artificial basis variable are redundant; drop them
-    # together with every artificial column so phase 2 cannot re-enter one.
-    keep = [i for i in range(m) if basis[i] < n_struct]
-    tableau = [tableau[i][:n_struct] + tableau[i][n_cols:] for i in keep]
-    basis = [basis[i] for i in keep]
-    m = len(keep)
-    n_cols = n_struct
-    # Phase 2 objective, reduced against the basic columns.
-    cvec = [as_fraction(c) for c in objective]
-    cint = _int_row(cvec)
-    obj_row = [0] * (n_cols + 2)
-    for j in range(n):
-        obj_row[j] = cint[j]
-        obj_row[n + j] = -cint[j]
-    obj_row[-1] = cint[-1]
-    tableau.append(obj_row)
-    for i in range(m):
-        if tableau[m][basis[i]] != 0:
-            _pivot(tableau, i, basis[i], m)
-    status = _simplex_core(tableau, basis, m, n_cols)
-    xs = [ZERO] * n_cols
-    for i in range(m):
-        xs[basis[i]] = Fraction(tableau[i][n_cols], tableau[i][-1])
-    x = tuple(xs[j] - xs[n + j] for j in range(n))
-    if status == "unbounded":
-        return "unbounded", x, None
-    value = sum((c * xi for c, xi in zip(cvec, x)), ZERO)
-    return "optimal", x, value
-
-
-def lp_feasible_strict(strict, weak, equalities, dim) -> Vec | None:
-    """A rational point with fn(x) > 0 (strict), fn(x) >= 0 (weak), fn(x) = 0 (eqs).
-
-    Functionals are AffineFunctionals on R^dim.  Returns None when no such
-    point exists.  Implemented by maximizing a shared slack below the strict
-    constraints, capped at 1 so the LP stays bounded.
-    """
-    strict = list(strict)
-    weak = list(weak)
-    equalities = list(equalities)
-    # Variables (x, t): maximize t.
-    ub_rows, ub_consts = [], []
-    for fn in strict:
-        ub_rows.append([-c for c in fn.linear] + [ONE])  # t - fn.linear.x <= -constant
-        ub_consts.append(-fn.constant)
-    for fn in weak:
-        ub_rows.append([-c for c in fn.linear] + [ZERO])
-        ub_consts.append(-fn.constant)
-    ub_rows.append([ZERO] * dim + [ONE])
-    ub_consts.append(ONE)
-    eq_rows = [list(fn.linear) + [ZERO] for fn in equalities]
-    eq_consts = [fn.constant for fn in equalities]
-    objective = [ZERO] * dim + [ONE]
-    status, x, value = lp_maximize(objective, ub_rows, ub_consts, eq_rows, eq_consts)
-    if status != "optimal" or value <= 0:
-        return None
-    return x[:dim]

@@ -37,7 +37,7 @@ from .regular_subdivision import (
     secondary_cone,
 )
 from .secondary_polytope import face_lattice_from_poset
-from .tropical_dual import TropicalComplex, TropicalPolynomial, dual_complex, evaluate
+from .tropical_dual import TropicalComplex, dual_complex
 
 ONE = Fraction(1)
 
@@ -488,7 +488,10 @@ def realize_painted_tree(t: PaintedTree, m: int) -> PaintSpec:
     offsets are prescribed so that red paths from the root stay short of 1,
     the path into each split-at-node point telescopes to exactly 1, and blue
     edges overshoot; the level one below the root value then paints every
-    cell as the tree demands.
+    cell as the tree demands.  The root vertex is the slope of the support k
+    of the one maximal cell containing the root edge, where the tropical
+    polynomial equals k's constant, so the root value is read off the
+    supports.
     """
     if not isinstance(t, PaintedTree):
         t = PaintedTree(t)
@@ -502,19 +505,18 @@ def realize_painted_tree(t: PaintedTree, m: int) -> PaintSpec:
     tree = tree_of_complex(p)
     _check(tree.shape() == t.shape(), "seed lifting realizes a different tree shape")
 
-    def root_value(complex_):
-        f = TropicalPolynomial(complex_.config, complex_.eta)
-        for cell in complex_.cells_of_dim(0):
-            if tree.root_marking < cell.marking:
-                u = cell.vertices[0]
-                return evaluate(f, u)[0] - vdot(u, alpha)
+    def root_value(maximal):
+        for mc in maximal:
+            if tree.root_marking < mc.marks:
+                k = mc.support
+                return k.constant - vdot(k.linear, alpha)
         raise InconsistencyError("no root vertex")
 
     state, children = t.encoding
     if state == SPLIT:
-        return PaintSpec(Lifting(seed), root_value(p) + 1, alpha)
+        return PaintSpec(Lifting(seed), root_value(p.subdivision.maximal) + 1, alpha)
     if all(c[0] == UNPAINTED for c in children):
-        return PaintSpec(Lifting(seed), root_value(p), alpha)
+        return PaintSpec(Lifting(seed), root_value(p.subdivision.maximal), alpha)
 
     lengths = {}
 
@@ -536,8 +538,7 @@ def realize_painted_tree(t: PaintedTree, m: int) -> PaintSpec:
 
     assign(tree.root, children, 0)
     eta = realize_edge_lengths(p, alpha, EdgeLengthTarget(lengths))
-    realized, _ = dual_complex(config, eta)
-    return PaintSpec(eta, root_value(realized) - 1, alpha)
+    return PaintSpec(eta, root_value(induce_subdivision(config, eta).maximal) - 1, alpha)
 
 
 def _tree_shapes(m: int):

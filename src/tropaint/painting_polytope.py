@@ -87,32 +87,10 @@ def _lift(ext: ExtendedConfiguration, spec: PaintSpec, u: Vec, marking):
     return u + (d,), frozenset(marking) | gain
 
 
-def lifted_vertex(ext: ExtendedConfiguration, u, spec: PaintSpec):
-    """The unique 0-cell of the extended dual complex over a 0-cell u.
-
-    Returns its position in one higher dimension and its marking in the
-    extended configuration.  The last coordinate is the comparison value at u
-    when nonnegative and half of it when negative; the marking gains rho,
-    both tower points, or beta as that value is positive, zero, or negative.
-    """
-    u = vector(u)
-    if spec.alpha != vector(ext.alpha):
-        raise InputError("spec and extension disagree on alpha")
-    p, _ = dual_complex(ext.base, spec.eta)
-    marking = None
-    for cell in p.cells_of_dim(0):
-        if cell.vertices[0] == u:
-            marking = cell.marking
-            break
-    if marking is None:
-        raise InputError(f"{u} is not a 0-cell of the dual complex")
-    return _lift(ext, spec, u, marking)
-
-
 def _expected_extended_vertices(ext: ExtendedConfiguration, painted: PaintedComplex):
     """All 0-cells the extended dual complex must have, as (position, marking).
 
-    One per base 0-cell by the lifted-vertex rule, plus one per purple 1-cell
+    One per base 0-cell by the rule of _lift, plus one per purple 1-cell
     whose comparison function is not identically zero: there the unique
     interior zero lifts to height 0 with both tower points marked.  Purple
     1-cells with rays count too; only the identically-zero ones contribute a

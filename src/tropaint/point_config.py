@@ -147,9 +147,3 @@ def sign_vector(config: PointConfiguration, alpha) -> SignVector:
         signs.append(-1 if v > f.threshold else 0 if v == f.threshold else 1)
     return SignVector(tuple(signs))
 
-
-def is_marked_simplex(cell_points, marks) -> bool:
-    """A marked cell is a simplex when its dimension is one less than its mark count."""
-    pts = [vector(p) for p in cell_points]
-    mk = list(marks)
-    return affine_rank(pts) == len(mk) - 1

@@ -23,16 +23,12 @@ from .geometry import (
     _rref,
     as_fraction,
     convex_hull_facets,
-    face_member_sets,
     hull_volume,
     independent_rows,
     intersection_closure,
     is_zero_vector,
-    lp_maximize,
     matrix_rank,
     nullspace_basis,
-    polytope_hrep,
-    polytope_vertex_indices,
     primitive_vector,
     upper_hull_facets,
     vadd,
@@ -124,8 +120,8 @@ class Subdivision:
     the configuration's facet member sets, the empty set dropped.  A face
     poset is graded: a single mark has dimension 0, any other cell one more
     than the largest cell strictly inside it, and a cell's vertices are the
-    single-mark cells inside it.  validate_subdivision checks the result
-    against hulls.
+    single-mark cells inside it.  The test suite's subdivision validator,
+    in tests/oracles.py, checks the result against hulls and exact LPs.
     """
 
     def __init__(
@@ -218,97 +214,6 @@ def is_triangulation(s: Subdivision) -> bool:
     # Every maximal cell is d-dimensional, so it is a marked simplex exactly
     # when it has d + 1 marks; faces of marked simplices are marked simplices.
     return all(len(c.marks) == s.config.dimension + 1 for c in s.maximal)
-
-
-def refines(s1: Subdivision, s2: Subdivision) -> bool:
-    """True iff every maximal cell of s1 sits inside a maximal cell of s2 with
-    its marks contained in that cell's marks.
-
-    Mark containment already forces geometric containment (hulls are monotone
-    in the marks), and maximal-cell containment propagates to all faces.
-    """
-    if s1.config != s2.config:
-        raise InputError("subdivisions of different configurations")
-    return all(
-        any(c1.marks <= c2.marks for c2 in s2.maximal) for c1 in s1.maximal
-    )
-
-
-def _lp_min(objective, ineqs: list[AffineFunctional], dim: int):
-    """Exact minimum of objective . x over {fn >= 0 for fn in ineqs}.
-
-    Returns None when the region is empty; raises on an unbounded minimum
-    (callers only use this over compact regions).
-    """
-    ub_rows = [[-c for c in fn.linear] for fn in ineqs]
-    ub_consts = [-fn.constant for fn in ineqs]
-    status, _, value = lp_maximize(
-        [-c for c in objective], ub_rows, ub_consts, [], []
-    )
-    if status == "infeasible":
-        return None
-    if status == "unbounded":
-        raise InputError("unbounded region in a compactness-only check")
-    return -value
-
-
-def validate_subdivision(s: Subdivision) -> None:
-    """Exact check of the defining conditions; raises InconsistencyError.
-
-    Checks: each cell's vertices are the vertices of its marks' hull, the
-    cells are exactly the faces of the maximal cells' hulls, maximal-cell
-    volumes add up to the full polytope volume, and every pairwise
-    intersection of maximal cells is a face of each.
-    """
-    config = s.config
-    for marks, cell in s.cells.items():
-        hull_vertices = sorted(cell.points[j] for j in polytope_vertex_indices(cell.points))
-        if tuple(hull_vertices) != cell.vertices:
-            raise InconsistencyError(f"cell {sorted(marks)} polytope mismatch")
-    # faces come from the hulls, not from s.cells, which is what is checked
-    faces_of = {}
-    for mc in s.maximal:
-        order = sorted(mc.marks)
-        faces_of[mc.marks] = {
-            frozenset(order[j] for j in mem) for mem in face_member_sets(mc.points)
-        }
-    differ = set().union(*faces_of.values()) ^ s.cells.keys()
-    if differ:
-        raise InconsistencyError(f"cells and hull faces differ on {sorted(map(sorted, differ))}")
-    total = sum(
-        (hull_volume([config.points[i] for i in sorted(mc.marks)]) for mc in s.maximal),
-        ZERO,
-    )
-    if total != config.volume:
-        raise InconsistencyError("maximal cells do not tile the polytope")
-    hreps = {}
-    for mc in s.maximal:
-        _, ineqs = polytope_hrep([config.points[i] for i in sorted(mc.marks)])
-        hreps[mc.marks] = ineqs
-    maximal = list(s.maximal)
-    for i, ca in enumerate(maximal):
-        for cb in maximal[i + 1 :]:
-            joint = hreps[ca.marks] + hreps[cb.marks]
-            dim = config.dimension
-            if _lp_min([ZERO] * dim, joint, dim) is None:
-                if ca.marks & cb.marks:
-                    raise InconsistencyError("shared marks but empty intersection")
-                continue
-            common = ca.marks & cb.marks
-            if common not in faces_of[ca.marks] or common not in faces_of[cb.marks]:
-                raise InconsistencyError(
-                    f"{sorted(ca.marks)} meets {sorted(cb.marks)} off a face"
-                )
-            eqs, ineqs = polytope_hrep([config.points[k] for k in sorted(common)])
-            for fn in eqs:
-                lo = _lp_min(fn.linear, joint, dim)
-                hi = -_lp_min([-c for c in fn.linear], joint, dim)
-                if lo != fn.constant or hi != fn.constant:
-                    raise InconsistencyError("intersection leaves the common face")
-            for fn in ineqs:
-                lo = _lp_min(fn.linear, joint, dim)
-                if lo < fn.constant:
-                    raise InconsistencyError("intersection leaves the common face")
 
 
 @dataclass(frozen=True)

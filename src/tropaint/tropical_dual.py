@@ -150,12 +150,3 @@ def isotopy_map(p1: TropicalComplex, p2: TropicalComplex):
         m: (p1.cells[m], p2.cells[m]) for m in sorted(p1.cells, key=sorted)
     }
 
-
-def hypersurface(p: TropicalComplex) -> list[TropicalCell]:
-    """The corner locus: cells below top dimension marked by at least two points."""
-    out = [
-        c
-        for c in p.cells.values()
-        if c.dimension < p.dimension and len(c.marking) >= 2
-    ]
-    return sorted(out, key=lambda c: (c.dimension, sorted(c.marking)))

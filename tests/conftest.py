@@ -4,19 +4,7 @@ import sys
 
 import pytest
 
-from tropaint import geometry, regular_subdivision
-
-
-@pytest.fixture
-def lp_calls(calls_to):
-    """Every exact LP solved, in order, as (calling module, args).
-
-    Every LP is a geometry.lp_maximize call: lp_feasible_strict makes one
-    inside geometry and _lp_min one in regular_subdivision.  calls_to
-    replaces its binding in every tropaint module, so this one list sees
-    them all.
-    """
-    return calls_to(geometry.lp_maximize)
+from tropaint import regular_subdivision
 
 
 @pytest.fixture

@@ -8,7 +8,8 @@ non-crossing diagonal sets, and tree counts come from direct recursion.
 The Fraction kernel (elimination, determinants, beneath-beyond hulls and the
 two-phase simplex) is the arithmetic tropaint.geometry used before it moved
 to integers; it stays here, unchanged in its choices, as the differential
-reference for the integer kernel.
+reference for the integer kernel, and its simplex and square solve are the
+ones the subdivision validator below runs.
 
 The echelon hyperplane reads a facet candidate's normal off the reduced
 echelon form of its difference rows, and the upper hull by hull facets reads
@@ -61,10 +62,11 @@ such a combination of a 0-cell's spanning marks, and the interpolation
 oracle solves for an affine functional the same way: tropaint reads all
 three off integer signed minors and solves no system for them.
 
-The fan orders test every pair of elements, with refines for subdivisions
-and with contains_closed on painting cones for painted complexes, and rank
-each element by certifying its own cone: subdivision_rank and the painting
-rank are the cone codimensions complemented.  This is how
+The fan orders test every pair of elements, with mark containment of the
+maximal cells for subdivisions and with contains_closed on painting cones
+for painted complexes, and rank each element by certifying its own cone:
+subdivision_rank and the painting rank are the cone codimensions
+complemented.  This is how
 enumerate_coherent_subdivisions, enumerate_painted_complexes,
 face_lattice_from_poset and verify_main_theorem built the order and the
 ranks before reading both off the fans' face masks.
@@ -73,6 +75,20 @@ The per-cell painting rebuilds g on every cell from the cell's least mark and
 reads its values at the cell's vertices and its slopes along the cell's
 rays, as painting.paint did before it evaluated g once per 0-cell and took
 the slope signs from the sign vector.
+
+The subdivision validator checks a Subdivision against hulls and exact LPs:
+each cell's vertices against its marks' hull, the cells against the faces of
+the maximal cells' hulls, the cells' volumes against the configuration's,
+and every pairwise intersection of maximal cells against their common face,
+through H-representations in an affine frame of each cell's span.  It lived
+in tropaint.regular_subdivision, and its LP, affine frame and
+H-representation in tropaint.geometry, though no library path called any of
+them; they moved here as they were, except that the faces come from the
+recursive face enumeration, the vertices from the rank test, and every LP
+and square system from the Fraction simplex and solve above.  The painted
+tree level by dual complex evaluates the tropical polynomial at the root
+vertex of the lifting's dual complex, as multiplihedra.realize_painted_tree
+did before it read the root value off the supports.
 """
 
 from __future__ import annotations
@@ -81,20 +97,24 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
-from tropaint.errors import DegenerateInputError, InputError, NoCertificateError
+from tropaint.errors import (
+    DegenerateInputError,
+    InconsistencyError,
+    InputError,
+    NoCertificateError,
+)
 from tropaint.geometry import (
     AffineFunctional,
     HullFacet,
     _echelon,
     _rref,
-    affine_coordinates,
     affine_rank,
     convex_hull_facets,
-    face_member_sets,
+    hull_volume,
+    independent_rows,
     is_zero_vector,
     matrix_rank,
     nullspace_basis,
-    polytope_vertex_indices,
     primitive_vector,
     vadd,
     vector,
@@ -102,7 +122,13 @@ from tropaint.geometry import (
     vdot,
     vsub,
 )
-from tropaint.multiplihedra import _edge_offset
+from tropaint.multiplihedra import (
+    SPLIT,
+    UNPAINTED,
+    _edge_offset,
+    admissible_alpha,
+    ngon_configuration,
+)
 from tropaint.painting import BLUE, PURPLE, RED, ColorFunction, painting_cone
 from tropaint.regular_subdivision import (
     Lifting,
@@ -112,10 +138,9 @@ from tropaint.regular_subdivision import (
     _spanning_marks,
     induce_subdivision,
     is_triangulation,
-    refines,
     secondary_cone,
 )
-from tropaint.tropical_dual import dual_complex
+from tropaint.tropical_dual import TropicalPolynomial, dual_complex, evaluate
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -716,6 +741,147 @@ def on_some_diagonal_oracle(config, beta) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Affine frames, H-representations and subdivision validation
+
+
+def _affine_frame(pts):
+    """Shared machinery for span coordinates: (coords, base, row_ids, rows).
+
+    coords are exact coordinates of each point in a greedy affine frame; rows
+    is the invertible r x r matrix of frame components at the selected
+    coordinate positions row_ids, so that coords(x) solves
+    rows . c = (x - base) restricted to row_ids.
+    """
+    base = pts[0]
+    diffs = [vsub(p, base) for p in pts]
+    frame = [diffs[i] for i in independent_rows(diffs)]
+    if not frame:
+        return [() for _ in pts], base, [], []
+    columns = list(zip(*frame))
+    row_ids = independent_rows(columns)
+    rows = [columns[i] for i in row_ids]
+    coords = [solve_square_oracle(rows, [dv[i] for i in row_ids]) for dv in diffs]
+    return coords, base, row_ids, rows
+
+
+def affine_coordinates(points):
+    """Coordinates of each point in an affine frame of the points' span.
+
+    The first point maps to the origin; frame vectors are picked greedily from
+    the input differences, so collinear or coplanar inputs get exact
+    coordinates of the right lower dimension.  Rank-0 input maps every point
+    to the empty tuple.
+    """
+    return _affine_frame([vector(p) for p in points])[0]
+
+
+def polytope_hrep(points):
+    """Ambient H-representation of conv(points), span may be lower-dimensional.
+
+    Returns (equalities, inequalities): x lies in the hull iff every equality
+    functional vanishes at x and every inequality functional is >= 0 at x.
+    """
+    pts = [vector(p) for p in points]
+    base = pts[0]
+    equalities = []
+    for n in nullspace_basis([vsub(p, base) for p in pts[1:]] or [[ZERO] * len(base)]):
+        equalities.append(AffineFunctional(n, vdot(n, base)))
+    if len(pts) == 1:
+        # single point: the nullspace above was of a zero row, giving all axes
+        return equalities, []
+    coords, _, row_ids, rows = _affine_frame(pts)
+    if not coords[0]:
+        return equalities, []
+    inequalities = []
+    rows_t = list(zip(*rows))
+    for facet in convex_hull_facets(coords):
+        # facet: w . c <= offset in coordinate space; pull back via
+        # c(x) = rows^-1 (x - base) restricted to row_ids
+        y = solve_square_oracle(rows_t, facet.normal)
+        linear = [ZERO] * len(base)
+        for i, idx in enumerate(row_ids):
+            linear[idx] = -y[i]
+        constant = -(facet.offset + vdot(y, tuple(base[i] for i in row_ids)))
+        inequalities.append(AffineFunctional(tuple(linear), constant))
+    return equalities, inequalities
+
+
+def _lp_min(objective, ineqs, dim):
+    """Exact minimum of objective . x over {fn >= 0 for fn in ineqs}.
+
+    Returns None when the region is empty; raises on an unbounded minimum
+    (callers only use this over compact regions).
+    """
+    ub_rows = [[-c for c in fn.linear] for fn in ineqs]
+    ub_consts = [-fn.constant for fn in ineqs]
+    status, _, value = lp_maximize_oracle([-c for c in objective], ub_rows, ub_consts, [], [])
+    if status == "infeasible":
+        return None
+    if status == "unbounded":
+        raise InputError("unbounded region in a compactness-only check")
+    return -value
+
+
+def validate_subdivision(s) -> None:
+    """Exact check of the defining conditions; raises InconsistencyError.
+
+    Checks: each cell's vertices are the vertices of its marks' hull, the
+    cells are exactly the faces of the maximal cells' hulls, maximal-cell
+    volumes add up to the full polytope volume, and every pairwise
+    intersection of maximal cells is a face of each.
+    """
+    config = s.config
+    for marks, cell in s.cells.items():
+        hull_vertices = sorted(cell.points[j] for j in polytope_vertex_indices_by_rank(cell.points))
+        if tuple(hull_vertices) != cell.vertices:
+            raise InconsistencyError(f"cell {sorted(marks)} polytope mismatch")
+    # faces come from the hulls, not from s.cells, which is what is checked
+    faces_of = {}
+    for mc in s.maximal:
+        order = sorted(mc.marks)
+        faces_of[mc.marks] = {
+            frozenset(order[j] for j in mem) for mem in face_member_sets_recursive(mc.points)
+        }
+    differ = set().union(*faces_of.values()) ^ s.cells.keys()
+    if differ:
+        raise InconsistencyError(f"cells and hull faces differ on {sorted(map(sorted, differ))}")
+    total = sum(
+        (hull_volume([config.points[i] for i in sorted(mc.marks)]) for mc in s.maximal),
+        ZERO,
+    )
+    if total != config.volume:
+        raise InconsistencyError("maximal cells do not tile the polytope")
+    hreps = {}
+    for mc in s.maximal:
+        _, ineqs = polytope_hrep([config.points[i] for i in sorted(mc.marks)])
+        hreps[mc.marks] = ineqs
+    maximal = list(s.maximal)
+    dim = config.dimension
+    for i, ca in enumerate(maximal):
+        for cb in maximal[i + 1 :]:
+            joint = hreps[ca.marks] + hreps[cb.marks]
+            if _lp_min([ZERO] * dim, joint, dim) is None:
+                if ca.marks & cb.marks:
+                    raise InconsistencyError("shared marks but empty intersection")
+                continue
+            common = ca.marks & cb.marks
+            if common not in faces_of[ca.marks] or common not in faces_of[cb.marks]:
+                raise InconsistencyError(
+                    f"{sorted(ca.marks)} meets {sorted(cb.marks)} off a face"
+                )
+            eqs, ineqs = polytope_hrep([config.points[k] for k in sorted(common)])
+            for fn in eqs:
+                lo = _lp_min(fn.linear, joint, dim)
+                hi = -_lp_min([-c for c in fn.linear], joint, dim)
+                if lo != fn.constant or hi != fn.constant:
+                    raise InconsistencyError("intersection leaves the common face")
+            for fn in ineqs:
+                lo = _lp_min(fn.linear, joint, dim)
+                if lo < fn.constant:
+                    raise InconsistencyError("intersection leaves the common face")
+
+
+# ---------------------------------------------------------------------------
 # Faces, vertices and walls before the intersection closure
 
 
@@ -784,15 +950,16 @@ def cone_walls_by_rank(cone):
 
 def subdivision_cells_by_hull(s):
     """{marks: (dimension, vertices)} for every cell of a Subdivision: the
-    faces of each maximal cell by face_member_sets, each face's dimension by
-    affine_rank and its vertices, sorted, by polytope_vertex_indices."""
+    faces of each maximal cell by face_member_sets_recursive, each face's
+    dimension by affine_rank and its vertices, sorted, by
+    polytope_vertex_indices_by_rank."""
     points = s.config.points
     out = {}
     for mc in s.maximal:
         order = sorted(mc.marks)
-        for mem in face_member_sets([points[i] for i in order]):
+        for mem in face_member_sets_recursive([points[i] for i in order]):
             pts = [points[order[j]] for j in sorted(mem)]
-            vertices = tuple(sorted(pts[j] for j in polytope_vertex_indices(pts)))
+            vertices = tuple(sorted(pts[j] for j in polytope_vertex_indices_by_rank(pts)))
             out[frozenset(order[j] for j in mem)] = (affine_rank(pts), vertices)
     return out
 
@@ -960,12 +1127,13 @@ def subdivision_rank(config, s) -> int:
 
 
 def refinement_pairs(elements) -> set:
-    """(i, j) for every i != j whose subdivision refines j's, by refines."""
+    """(i, j) for every i != j whose subdivision refines j's: each maximal
+    cell's marks lie inside some maximal cell's marks of the other."""
     return {
         (i, j)
         for i, s1 in enumerate(elements)
         for j, s2 in enumerate(elements)
-        if i != j and refines(s1, s2)
+        if i != j and all(any(c1.marks <= c2.marks for c2 in s2.maximal) for c1 in s1.maximal)
     }
 
 
@@ -1004,3 +1172,27 @@ def paint_per_cell(p, spec) -> ColorFunction:
         else:
             colors[marks] = RED if has_pos else BLUE
     return ColorFunction(colors)
+
+
+# ---------------------------------------------------------------------------
+# Painted tree levels by the dual complex
+
+
+def painted_tree_level_by_dual_complex(t, eta, m):
+    """The level realize_painted_tree pairs with the lifting eta for the
+    painted tree t: the root value, the tropical polynomial at the root
+    vertex of eta's dual complex minus its pairing with alpha, plus 1 when
+    the root splits, unchanged when every child of the root is unpainted,
+    and minus 1 otherwise."""
+    config = ngon_configuration(m)
+    alpha = admissible_alpha(config)
+    p, _ = dual_complex(config, eta)
+    f = TropicalPolynomial(config, p.eta)
+    (u,) = [c.vertices[0] for c in p.cells_of_dim(0) if frozenset({0, m}) < c.marking]
+    root = evaluate(f, u)[0] - vdot(u, alpha)
+    state, children = t.encoding
+    if state == SPLIT:
+        return root + 1
+    if all(c[0] == UNPAINTED for c in children):
+        return root
+    return root - 1

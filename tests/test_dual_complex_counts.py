@@ -2,7 +2,7 @@
 given, the painted enumeration builds one per lifting it meets, edge-length
 realization corrects every edge from its input complex and certifies the
 result with one induced subdivision and no dual complex, the painted-tree
-realization builds the realized complex itself, and the main-theorem check
+realization builds only each tree's seed complex, and the main-theorem check
 builds each extended complex once.  A dual complex builds one hull with one
 rank pass, in integers from the lifted points to the supports, and its cells
 read their dimensions and vertices off incidences.  Painting evaluates
@@ -70,9 +70,9 @@ def test_painted_tree_realization_builds_each_complex_once(calls_to):
     calls = calls_to(tropical_dual.dual_complex)
     for t in trees:
         realize_painted_tree(t, 4)
-    # a seed complex per tree, and a realized complex per edge-length
-    # realization, built for the root value
-    assert len(trees) == 67 and len(calls) == 112
+    # a seed complex per tree; each realized lifting's root value is read
+    # off its supports, with no complex
+    assert len(trees) == 67 and len(calls) == 67
 
 
 def test_verify_main_theorem_builds_each_extended_complex_once(calls_to):

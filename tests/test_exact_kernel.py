@@ -17,21 +17,16 @@ from tropaint import geometry
 from tropaint.errors import DegenerateInputError, InputError
 from tropaint.geometry import (
     AffineFunctional,
-    _affine_frame,
     _circuit_dependence,
     _det,
     _initial_simplex,
     _integer_points,
     _rref,
     convex_hull_facets,
-    face_member_sets,
     hull_volume,
     independent_rows,
-    lp_maximize,
     matrix_rank,
     nullspace_basis,
-    polytope_vertex_indices,
-    solve_square,
     upper_hull_facets,
     vdot,
     vsub,
@@ -47,6 +42,7 @@ from tropaint.regular_subdivision import (
 )
 
 from oracles import (
+    _affine_frame,
     affine_combination_oracle,
     affine_rank_oracle,
     convex_hull_facets_oracle,
@@ -56,7 +52,6 @@ from oracles import (
     hull_volume_oracle,
     hyperplane_by_echelon,
     interpolate_oracle,
-    lp_maximize_oracle,
     matrix_rank_oracle,
     nullspace_basis_oracle,
     solve_square_oracle,
@@ -147,11 +142,14 @@ def square_systems(draw):
 @example(([[F(1, 2), 0], [0, F(2, 3)]], [F(1, 3), 5]))
 def test_det_and_solve_match_oracle(system):
     rows, b = system
-    assert _det(rows) == det_oracle(rows)
-    got = solve_square(rows, b)
-    assert got == solve_square_oracle(rows, b)
+    det = _det(rows)
+    assert det == det_oracle(rows)
+    # the Fraction solve the subdivision validator runs: a solution exactly
+    # when the determinant is nonzero, and then it solves the system
+    got = solve_square_oracle(rows, b)
+    assert (got is None) == (det == 0)
     if got is not None:
-        assert all(isinstance(x, Fraction) for x in got)
+        assert [sum(a * x for a, x in zip(row, got)) for row in rows] == list(b)
 
 
 @st.composite
@@ -273,47 +271,10 @@ def test_upper_hull_matches_route_through_hull_facets():
     assert flat >= 10 and unmarked >= 10
 
 
-@st.composite
-def linear_programs(draw):
-    """Small LPs; repeated coefficients and repeated rows make ratio-test ties
-    common, so the tie-breaking of Bland's rule decides the returned point."""
-    n = draw(st.integers(1, 3))
-    coeff = st.one_of(st.sampled_from([-2, -1, 0, 1, 2, F(1, 2)]), entries)
-    row = st.lists(coeff, min_size=n, max_size=n)
-    ub = draw(st.lists(row, max_size=4))
-    if ub:
-        ub += draw(st.lists(st.sampled_from(ub), max_size=2))
-    eq = draw(st.lists(row, max_size=2))
-    return (
-        draw(row),
-        ub,
-        draw(st.lists(coeff, min_size=len(ub), max_size=len(ub))),
-        eq,
-        draw(st.lists(coeff, min_size=len(eq), max_size=len(eq))),
-    )
-
-
-@given(linear_programs())
-@settings(deadline=None, max_examples=400)
-@example(([1], [[1], [-1]], [-1, -1], [], []))  # infeasible
-@example(([1], [], [], [], []))  # unbounded
-@example(([1, -1], [[-1, 0]], [F(-1, 2)], [], []))  # unbounded after phase 1
-@example(([1, 1], [[1, 0]], [F(7, 2)], [[1, -1], [2, -2]], [0, 0]))  # redundant equality
-@example(([0, 1], [[1, 1], [-1, 1]], [0, 0], [[1, 0]], [0]))  # degenerate vertex
-@example(([1, 0], [[1, 1], [-2, -1], [1, 1], [0, 1]], [-1, 2, F(1, 2), 1], [[1, 0]], [F(1, 2)]))  # ratio tie
-@example(([-2, 2], [[F(1, 2), 0], [F(1, 2), -1], [F(1, 2), -1], [1, 0]], [0, -1, 0, 0], [], []))  # ratio tie
-@example(([1, -2], [[1, 1], [0, 1], [-2, -2], [0, 1]], [F(1, 2), 0, 0, 0], [], []))  # ratio tie
-def test_lp_maximize_matches_oracle(lp):
-    assert lp_maximize(*lp) == lp_maximize_oracle(*lp)
-
-
 def test_hull_functions_accept_a_generator():
     square = [(0, 0), (1, 0), (1, 1), (0, 1), (F(1, 2), 0)]
-    assert polytope_vertex_indices(p for p in [(0, 0), (1, 0), (0, 1)]) == frozenset({0, 1, 2})
     assert convex_hull_facets(p for p in square) == convex_hull_facets(square)
     assert hull_volume(p for p in square) == 2
-    assert polytope_vertex_indices(p for p in square) == frozenset({0, 1, 2, 3})
-    assert face_member_sets(p for p in square) == face_member_sets(square)
     with pytest.raises(InputError):
         convex_hull_facets(iter(()))
 
@@ -361,7 +322,6 @@ def test_selections_match_greedy_by_rank_on_golden_configurations(config):
             columns = list(zip(*frame))
             assert row_ids == greedy_by_rank(columns)
             assert rows == [columns[i] for i in row_ids]
-            assert coords == [solve_square_oracle(rows, [dv[i] for i in row_ids]) for dv in diffs]
         else:
             assert coords == [()] * len(pts) and row_ids == rows == []
         sub_ints = [ints[i] for i in subset]

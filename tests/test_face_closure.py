@@ -10,12 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropaint import geometry
-from tropaint.geometry import (
-    AffineFunctional,
-    face_member_sets,
-    intersection_closure,
-    polytope_vertex_indices,
-)
+from tropaint.geometry import AffineFunctional, intersection_closure
 from tropaint.multiplihedra import admissible_alpha, ngon_configuration
 from tropaint.painting_polytope import extend
 from tropaint.point_config import build_configuration
@@ -28,6 +23,7 @@ from tropaint.regular_subdivision import (
 )
 
 from oracles import (
+    affine_coordinates,
     cone_walls_by_rank,
     face_member_sets_recursive,
     polytope_vertex_indices_by_rank,
@@ -91,8 +87,16 @@ def point_sets(draw):
 @settings(max_examples=300, deadline=None)
 @given(point_sets())
 def test_faces_and_vertices_match_the_recursive_oracle(pts):
-    assert face_member_sets(pts) == face_member_sets_recursive(pts)
-    assert polytope_vertex_indices(pts) == polytope_vertex_indices_by_rank(pts)
+    # the flat lifting of the points, in coordinates of their span, induces
+    # one cell, whose faces are the cells of its subdivision
+    coords = affine_coordinates(pts)
+    if not coords[0]:
+        return
+    config = build_configuration(coords)
+    s = induce_subdivision(config, Lifting.of(config, [0] * len(coords)))
+    assert set(s.cells) == face_member_sets_recursive(pts)
+    vertices = {i for marks, cell in s.cells.items() if cell.dim() == 0 for i in marks}
+    assert vertices == polytope_vertex_indices_by_rank(pts)
 
 
 @settings(max_examples=60, deadline=None)
@@ -103,21 +107,6 @@ def test_configuration_vertices_match_the_rank_oracle(pts):
         return
     config = build_configuration(pts)
     assert config.vertex_indices() == polytope_vertex_indices_by_rank(pts)
-
-
-def test_face_member_sets_builds_one_hull(calls_to):
-    cube = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
-    inputs = [
-        cube,
-        cube + [(F(1, 2), F(1, 2), 0), (F(1, 2), 0, 0)],
-        [(0, 0), (2, 0), (2, 2), (0, 2), (1, 0)],
-        [(0, 0, 1), (1, 1, 1), (2, 2, 1), (1, 0, 1)],
-        [(0, 0, 0), (1, 1, 1), (3, 3, 3)],
-    ]
-    hulls = calls_to(geometry.convex_hull_facets)
-    for pts in inputs:
-        face_member_sets(pts)
-    assert len(hulls) == len(inputs)
 
 
 def _golden_configs():

@@ -10,18 +10,21 @@ from tropaint.geometry import (
     as_fraction,
     convex_hull_facets,
     hull_volume,
-    lp_feasible_strict,
-    lp_maximize,
     matrix_rank,
-    point_in_hull,
-    polytope_vertex_indices,
     primitive_vector,
     simplex_normalized_volume,
     upper_hull_facets,
     vector,
 )
 
-from oracles import fourier_motzkin_feasible, upper_hull_oracle
+from oracles import (
+    affine_coordinates,
+    face_member_sets_recursive,
+    fourier_motzkin_feasible,
+    lp_maximize_oracle,
+    polytope_vertex_indices_by_rank,
+    upper_hull_oracle,
+)
 
 F = Fraction
 
@@ -100,7 +103,7 @@ def test_hull_with_collinear_boundary_point():
     assert len(facets) == 4
     bottom = next(f for f in facets if 4 in f.members)
     assert bottom.members == frozenset({0, 1, 4})
-    assert polytope_vertex_indices(pts) == frozenset({0, 1, 2, 3})
+    assert polytope_vertex_indices_by_rank(pts) == frozenset({0, 1, 2, 3})
 
 
 def test_hull_cube_merges_coplanar_facets():
@@ -115,19 +118,12 @@ def test_hull_bipyramid():
     pts = [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)]
     facets = convex_hull_facets(pts)
     assert len(facets) == 6
-    assert polytope_vertex_indices(pts) == frozenset(range(5))
+    assert polytope_vertex_indices_by_rank(pts) == frozenset(range(5))
 
 
 def test_hull_rejects_flat_input():
     with pytest.raises(DegenerateInputError):
         convex_hull_facets([(0, 0), (1, 1), (2, 2)])
-
-
-def test_point_in_hull():
-    facets = convex_hull_facets([(0, 0), (4, 0), (0, 4)])
-    assert point_in_hull(facets, (1, 1))
-    assert point_in_hull(facets, (0, 0))
-    assert not point_in_hull(facets, (3, 3))
 
 
 QUAD = [(0, 0), (1, 0), (0, 1), (-1, 0), (-1, -1)]
@@ -216,31 +212,35 @@ def _fn(linear, constant=0):
     return AffineFunctional(vector(linear), as_fraction(constant))
 
 
+# The exact LP left the library with its only caller, the subdivision
+# validator in oracles.py; these pin the Fraction simplex it runs on, and
+# Fourier-Motzkin elimination, the feasibility reference for cones.
+
+
 def test_lp_feasible_strict_basics():
     # 0 < x < 1
-    x = lp_feasible_strict([_fn([1]), _fn([-1], -1)], [], [], 1)
-    assert x is not None and 0 < x[0] < 1
+    assert fourier_motzkin_feasible([_fn([1]), _fn([-1], -1)], [], [], 1)
     # x > 0 and -x > 0 has no solution
-    assert lp_feasible_strict([_fn([1]), _fn([-1])], [], [], 1) is None
+    assert not fourier_motzkin_feasible([_fn([1]), _fn([-1])], [], [], 1)
     # equality x = 0 with weak x >= 0 is feasible at 0
-    x = lp_feasible_strict([], [_fn([1])], [_fn([1])], 1)
-    assert x == (0,)
+    assert fourier_motzkin_feasible([], [_fn([1])], [_fn([1])], 1)
     # strict x > 0 with equality x = 0 infeasible
-    assert lp_feasible_strict([_fn([1])], [], [_fn([1])], 1) is None
+    assert not fourier_motzkin_feasible([_fn([1])], [], [_fn([1])], 1)
 
 
 def test_lp_unbounded_direction_is_fine():
-    # x > 5 alone: feasible, certificate returned
-    x = lp_feasible_strict([_fn([1], 5)], [], [], 1)
-    assert x is not None and x[0] > 5
+    # x > 5 alone is feasible, and maximizing x over x >= 5 is unbounded
+    assert fourier_motzkin_feasible([_fn([1], 5)], [], [], 1)
+    status, x, value = lp_maximize_oracle([1], [[-1]], [-5], [], [])
+    assert status == "unbounded" and x[0] >= 5 and value is None
 
 
 def test_lp_maximize_simple():
-    status, x, value = lp_maximize([1], [[1]], [7], [], [])
+    status, x, value = lp_maximize_oracle([1], [[1]], [7], [], [])
     assert status == "optimal" and value == 7
-    status, _, _ = lp_maximize([1], [], [], [], [])
+    status, _, _ = lp_maximize_oracle([1], [], [], [], [])
     assert status == "unbounded"
-    status, _, _ = lp_maximize([1], [[1], [-1]], [-1, -1], [], [])
+    status, _, _ = lp_maximize_oracle([1], [[1], [-1]], [-1, -1], [], [])
     assert status == "infeasible"
 
 
@@ -250,7 +250,7 @@ def test_lp_maximize_simple():
         st.tuples(
             st.lists(st.integers(-3, 3), min_size=3, max_size=3),
             st.integers(-4, 4),
-            st.sampled_from([">", ">=", "="]),
+            st.sampled_from([">=", "="]),
         ),
         min_size=1,
         max_size=6,
@@ -258,17 +258,20 @@ def test_lp_maximize_simple():
 )
 @settings(deadline=None, max_examples=150)
 def test_lp_agrees_with_fourier_motzkin(dim, rows):
-    strict, weak, eqs = [], [], []
+    # the weak and equality constraints the validator's LPs solve over
+    weak, eqs = [], []
     for lin, c, kind in rows:
-        fn = _fn(lin[:dim], c)
-        (strict if kind == ">" else weak if kind == ">=" else eqs).append(fn)
-    got = lp_feasible_strict(strict, weak, eqs, dim)
-    expected = fourier_motzkin_feasible(strict, weak, eqs, dim)
-    assert (got is not None) == expected
-    if got is not None:
-        assert all(fn(got) > 0 for fn in strict)
-        assert all(fn(got) >= 0 for fn in weak)
-        assert all(fn(got) == 0 for fn in eqs)
+        (weak if kind == ">=" else eqs).append(_fn(lin[:dim], c))
+    status, x, _ = lp_maximize_oracle(
+        [0] * dim,
+        [[-a for a in fn.linear] for fn in weak],
+        [-fn.constant for fn in weak],
+        [fn.linear for fn in eqs],
+        [fn.constant for fn in eqs],
+    )
+    assert (status != "infeasible") == fourier_motzkin_feasible([], weak, eqs, dim)
+    if status != "infeasible":
+        assert all(fn(x) >= 0 for fn in weak) and all(fn(x) == 0 for fn in eqs)
 
 
 def test_one_dimensional_hull():
@@ -278,7 +281,7 @@ def test_one_dimensional_hull():
     member_sets = {f.members for f in facets}
     assert member_sets == {frozenset({0}), frozenset({1})}
     assert hull_volume(pts) == 5
-    assert polytope_vertex_indices(pts) == frozenset({0, 1})
+    assert polytope_vertex_indices_by_rank(pts) == frozenset({0, 1})
 
 
 def test_upper_hull_one_dimensional_base():
@@ -288,8 +291,6 @@ def test_upper_hull_one_dimensional_base():
 
 
 def test_affine_coordinates_lower_dimensional():
-    from tropaint.geometry import affine_coordinates
-
     pts = [(0, 0, 1), (1, 1, 1), (2, 2, 1), (1, 0, 1)]
     coords = affine_coordinates(pts)
     assert len(coords[0]) == 2
@@ -299,15 +300,13 @@ def test_affine_coordinates_lower_dimensional():
 
 
 def test_polytope_vertex_indices_segment_in_plane():
-    assert polytope_vertex_indices([(0, 0), (2, 2), (1, 1)]) == frozenset({0, 1})
-    assert polytope_vertex_indices([(3, 4)]) == frozenset({0})
+    assert polytope_vertex_indices_by_rank([(0, 0), (2, 2), (1, 1)]) == frozenset({0, 1})
+    assert polytope_vertex_indices_by_rank([(3, 4)]) == frozenset({0})
 
 
 def test_face_member_sets_square_with_edge_midpoint():
-    from tropaint.geometry import face_member_sets
-
     pts = [(0, 0), (2, 0), (2, 2), (0, 2), (1, 0)]
-    faces = face_member_sets(pts)
+    faces = face_member_sets_recursive(pts)
     assert frozenset(range(5)) in faces              # the square itself
     assert frozenset({0, 1, 4}) in faces             # bottom edge with midpoint
     assert frozenset({0}) in faces and frozenset({4}) not in faces
@@ -316,7 +315,5 @@ def test_face_member_sets_square_with_edge_midpoint():
 
 
 def test_face_member_sets_triangle():
-    from tropaint.geometry import face_member_sets
-
-    faces = face_member_sets([(0, 0), (1, 0), (0, 1)])
+    faces = face_member_sets_recursive([(0, 0), (1, 0), (0, 1)])
     assert len(faces) == 7  # 3 vertices + 3 edges + 1 triangle

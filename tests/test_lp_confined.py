@@ -1,94 +1,66 @@
-"""The exact LP stays where it is needed.  Cones are certified by polarity, so
-outside geometry.py only validate_subdivision's _lp_min solves an LP
-(lp_maximize), and lp_feasible_strict is only re-exported by __init__.py."""
+"""No library module solves an LP or a square system.  Cones are certified by
+a witness or by polarity and every constraint is an integer circuit, so the
+exact simplex, the square solve, the subdivision validator built on them and
+the refinement test it came with live only in tests/oracles.py.  This lint
+fails when any module under src/ defines, imports or names one of them."""
 
 import ast
 import pathlib
 
 import tropaint
 
-SRC = pathlib.Path(tropaint.__file__).resolve().parent
-LP_NAMES = ("lp_feasible_strict", "lp_maximize")
-# (file, routine) -> where the file may mention it: "import" for the import
-# that brings it in, "export" for a string naming it (an __all__ entry), or
-# the name of the function whose body may use it
-ALLOWED = {
-    ("__init__.py", "lp_feasible_strict"): {"import", "export"},
-    ("regular_subdivision.py", "lp_maximize"): {"import", "_lp_min"},
-}
+SRC = pathlib.Path(tropaint.__file__).resolve().parent.parent
+BANNED = ("lp_maximize", "lp_feasible_strict", "solve_square", "validate_subdivision", "refines")
 
 
-def _lp_references(tree) -> list[tuple[str, str, int]]:
-    """(routine, where, line) for every mention of an LP routine: where is
-    "import", "export", or the innermost enclosing function ("module" at
-    top level).  Names an import binds to a routine count as the routine."""
-    aliases = {name: name for name in LP_NAMES}
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                name = alias.name.rpartition(".")[2]
-                if name in LP_NAMES and alias.asname:
-                    aliases[alias.asname] = name
+def _banned_mentions(tree) -> list[tuple[str, int]]:
+    """(name, line) for every definition, import, name, attribute or string
+    that is one of the banned routines."""
     out = []
-
-    def visit(node, where):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            where = node.name
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                name = alias.name.rpartition(".")[2]
-                if name in LP_NAMES:
-                    out.append((name, "import", node.lineno))
-        elif isinstance(node, ast.Name) and node.id in aliases:
-            out.append((aliases[node.id], where, node.lineno))
-        elif isinstance(node, ast.Attribute) and node.attr in LP_NAMES:
-            out.append((node.attr, where, node.lineno))
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in LP_NAMES:
-            out.append((node.value, "export", node.lineno))
-        for child in ast.iter_child_nodes(node):
-            visit(child, where)
-
-    visit(tree, "module")
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [n for a in node.names for n in (a.name.rpartition(".")[2], a.asname)]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names = [node.value]
+        else:
+            continue
+        out += [(name, node.lineno) for name in names if name in BANNED]
     return out
 
 
-def _stray(name: str, tree) -> list[str]:
-    return [
-        f"{name}:{line} {routine} ({where})"
-        for routine, where, line in _lp_references(tree)
-        if where not in ALLOWED.get((name, routine), ())
-    ]
-
-
 def test_lp_routines_stay_confined():
-    found = []
-    for path in sorted(SRC.glob("*.py")):
-        if path.name != "geometry.py":
-            found += _stray(path.name, ast.parse(path.read_text(), filename=str(path)))
-    assert not found, "LP routines used outside their places: " + ", ".join(found)
+    found = [
+        f"{path.relative_to(SRC)}:{line} {name}"
+        for path in sorted(SRC.rglob("*.py"))
+        for name, line in _banned_mentions(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not found, "LP routines named in the library: " + ", ".join(found)
 
 
 def test_detector_flags_each_reference_form():
-    stray = [
-        ("painting.py", "from .geometry import lp_maximize"),
-        ("painting.py", "from . import geometry\ndef f(): return geometry.lp_maximize"),
-        ("painting.py", "import tropaint.geometry.lp_feasible_strict"),
-        ("painting.py", "getattr(geometry, 'lp_feasible_strict')"),
-        ("regular_subdivision.py", "from .geometry import lp_feasible_strict"),
-        ("regular_subdivision.py", "def _certify_cone(): return lp_maximize()"),
-        ("regular_subdivision.py", "from .geometry import lp_maximize as solve\ndef f(): solve()"),
-        ("__init__.py", "def f(): return lp_feasible_strict()"),
-        ("__init__.py", "from .geometry import lp_maximize"),
+    flagged = [
+        "def lp_maximize(objective): pass",
+        "class refines: pass",
+        "from .geometry import lp_maximize",
+        "from .geometry import solve_square as solve",
+        "import tropaint.geometry.lp_feasible_strict",
+        "from . import geometry\ndef f(): return geometry.lp_maximize",
+        "getattr(geometry, 'lp_feasible_strict')",
+        "__all__ = ['validate_subdivision']",
+        "def f(s1, s2): return refines(s1, s2)",
     ]
     allowed = [
-        ("__init__.py", "from .geometry import lp_feasible_strict\n__all__ = ['lp_feasible_strict']"),
-        (
-            "regular_subdivision.py",
-            "from .geometry import lp_maximize\ndef _lp_min(): return lp_maximize()",
-        ),
-        ("painting.py", "def f(lp):\n    return lp.maximize"),
+        "def f(lp): return lp.maximize",
+        "def refine(s): return s",
+        "'''A triangulation refines every coarsening of it.'''",
     ]
-    for name, text in stray:
-        assert _stray(name, ast.parse(text)), text
-    for name, text in allowed:
-        assert not _stray(name, ast.parse(text)), text
+    for text in flagged:
+        assert _banned_mentions(ast.parse(text)), text
+    for text in allowed:
+        assert not _banned_mentions(ast.parse(text)), text

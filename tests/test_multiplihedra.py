@@ -32,7 +32,7 @@ from tropaint.multiplihedra import (
     tree_of_complex,
     verify_multiplihedron_theorem,
 )
-from tropaint.painting import RED, enumerate_painted_complexes, paint, painting_cone
+from tropaint.painting import RED, PaintSpec, enumerate_painted_complexes, paint, painting_cone
 from tropaint.point_config import build_configuration, sign_vector
 from tropaint.regular_subdivision import Lifting, secondary_cone
 from tropaint.tropical_dual import TropicalPolynomial, dual_complex, evaluate
@@ -40,6 +40,7 @@ from tropaint.tropical_dual import TropicalPolynomial, dual_complex, evaluate
 from oracles import (
     on_some_diagonal_oracle,
     painted_binary_tree_count,
+    painted_tree_level_by_dual_complex,
     polygon_subdivisions,
     realize_edge_lengths_sequential,
 )
@@ -378,6 +379,18 @@ def test_painted_tree_targets_match_sequential_oracle(m, monkeypatch):
         depth = {mk: d for _, _, mk, d in tree_of_complex(p).compact_edges()}
         order = sorted(depth, key=lambda mk: (-depth[mk], sorted(mk)))
         assert eta.values == realize_edge_lengths_sequential(p, beta, target, order)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_painted_tree_levels_match_the_dual_complex_route(m):
+    # the root value read off the supports is the tropical polynomial at
+    # the root vertex of the lifting's dual complex
+    alpha = admissible_alpha(ngon_configuration(m))
+    trees = all_painted_trees(m)
+    for t in trees:
+        spec = realize_painted_tree(t, m)
+        assert spec == PaintSpec(spec.eta, painted_tree_level_by_dual_complex(t, spec.eta, m), alpha)
+    assert len(trees) == {2: 3, 3: 13, 4: 67}[m]
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

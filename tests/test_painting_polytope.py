@@ -10,9 +10,9 @@ from tropaint.errors import InputError
 from tropaint.painting import BLUE, PURPLE, RED, PaintSpec, paint
 from tropaint.painting_polytope import (
     _expected_extended_vertices,
+    _lift,
     embed_lifting,
     extend,
-    lifted_vertex,
     verify_main_theorem,
 )
 from tropaint.point_config import build_configuration
@@ -55,17 +55,21 @@ def test_embed_lifting_values():
 def test_lifted_vertex_by_color():
     ext = extend(QUAD, ALPHA)
     spec = PaintSpec.of(QUAD, STAR, F(-1), ALPHA)
-    pos, marking = lifted_vertex(ext, (-1, -1), spec)
+    p, _ = dual_complex(QUAD, STAR)
+    zero_cells = {c.vertices[0]: c.marking for c in p.cells_of_dim(0)}
+
+    def lifted(u):
+        return _lift(ext, spec, u, zero_cells[u])
+
+    pos, marking = lifted((F(-1), F(-1)))
     assert pos == (F(-1), F(-1), F(2, 3))
     assert marking == frozenset({0, 1, 2, ext.rho})
-    pos, marking = lifted_vertex(ext, (1, -1), spec)
+    pos, marking = lifted((F(1), F(-1)))
     assert pos == (F(1), F(-1), F(0))
     assert marking == frozenset({0, 2, 3, ext.rho, ext.beta})
-    pos, marking = lifted_vertex(ext, (1, 0), spec)
+    pos, marking = lifted((F(1), F(0)))
     assert pos == (F(1), F(0), F(-1, 6))
     assert marking == frozenset({0, 3, 4, ext.beta})
-    with pytest.raises(InputError):
-        lifted_vertex(ext, (5, 5), spec)
 
 
 @settings(max_examples=20, deadline=None)
@@ -90,7 +94,7 @@ def test_lifted_height_sign_matches_color(eta, c):
     p, _ = dual_complex(QUAD, eta)
     painted = paint(p, spec)
     for cell in p.cells_of_dim(0):
-        pos, marking = lifted_vertex(ext, cell.vertices[0], spec)
+        pos, marking = _lift(ext, spec, cell.vertices[0], cell.marking)
         d = pos[-1]
         col = painted.kappa[cell.marking]
         assert (d > 0) == (col == RED)

@@ -3,11 +3,7 @@ from fractions import Fraction
 import pytest
 
 from tropaint.errors import DegenerateInputError, InputError
-from tropaint.point_config import (
-    build_configuration,
-    is_marked_simplex,
-    sign_vector,
-)
+from tropaint.point_config import build_configuration, sign_vector
 
 QUAD = [(0, 0), (1, 0), (0, 1), (-1, 0), (-1, -1)]
 BIPYRAMID = [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)]
@@ -84,11 +80,3 @@ def test_sign_vector_of_a_vertex():
         assert 1 not in sv.signs
         assert sum(1 for s in sv.signs if s == 0) >= 2
 
-
-def test_is_marked_simplex():
-    tri = [(0, 0), (1, 0), (0, 1)]
-    assert is_marked_simplex(tri, [0, 1, 2])
-    assert not is_marked_simplex(tri + [(Fraction(1, 4), Fraction(1, 4))], [0, 1, 2, 3])
-    seg = [(0,), (2,), (1,)]
-    assert not is_marked_simplex(seg, [0, 1, 2])
-    assert is_marked_simplex([(0,), (2,)], [0, 1])

@@ -5,12 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropaint.errors import NotIsotopicError
-from tropaint.geometry import (
-    affine_rank,
-    lp_maximize,
-    polytope_vertex_indices,
-    primitive_vector,
-)
+from tropaint.geometry import affine_rank, primitive_vector
 from tropaint.multiplihedra import ngon_configuration
 from tropaint.point_config import build_configuration
 from tropaint.regular_subdivision import Lifting, induce_subdivision
@@ -18,11 +13,15 @@ from tropaint.tropical_dual import (
     TropicalPolynomial,
     dual_complex,
     evaluate,
-    hypersurface,
     isotopy_map,
 )
 
-from oracles import dual_cell_rank, dual_vertex_oracle
+from oracles import (
+    dual_cell_rank,
+    dual_vertex_oracle,
+    lp_maximize_oracle,
+    polytope_vertex_indices_by_rank,
+)
 
 F = Fraction
 
@@ -62,9 +61,14 @@ def test_star_dual_vertices_match_elimination_oracle():
     assert positions == {(-1, -1), (1, -1), (1, 0), (-1, 2)}
 
 
+def _corner_locus(p):
+    """The cells below top dimension marked by at least two points."""
+    return [c for c in p.cells.values() if c.dimension < p.dimension and len(c.marking) >= 2]
+
+
 def test_star_hypersurface_edge_and_ray_count():
     p, _ = dual_complex(QUAD, STAR)
-    hyp = hypersurface(p)
+    hyp = _corner_locus(p)
     edges = [c for c in hyp if c.dimension == 1]
     assert len([c for c in edges if c.is_compact()]) == 4
     assert len([c for c in edges if not c.is_compact()]) == 4
@@ -86,7 +90,7 @@ def test_trivial_lift_gives_translated_normal_fan():
 
 def test_bipyramid_single_compact_edge():
     p, _ = dual_complex(BIPYRAMID, Lifting.of(BIPYRAMID, [0, 0, 0, 1, 1]))
-    hyp = hypersurface(p)
+    hyp = _corner_locus(p)
     compact_edges = [c for c in hyp if c.dimension == 1 and c.is_compact()]
     assert len(compact_edges) == 1
     assert compact_edges[0].marking == frozenset({0, 1, 2})
@@ -128,7 +132,7 @@ def _in_vrep(cell, u):
         row = [F(0)] * (nv + nr)
         row[j] = F(-1)
         ub_rows.append(row)
-    status, _, _ = lp_maximize(
+    status, _, _ = lp_maximize_oracle(
         [F(0)] * (nv + nr), ub_rows, [F(0)] * (nv + nr), eq_rows, eq_consts
     )
     return status == "optimal"
@@ -195,5 +199,5 @@ def test_cells_list_vertices_and_rays_in_lexicographic_order(config):
             assert cell.vertices == tuple(sorted(slopes))
             assert cell.rays == tuple(sorted(normals))
             sub = s.cells[marks]
-            corners = {sub.points[i] for i in polytope_vertex_indices(sub.points)}
+            corners = {sub.points[i] for i in polytope_vertex_indices_by_rank(sub.points)}
             assert sub.vertices == tuple(sorted(corners))
