@@ -20,7 +20,6 @@ from .errors import DegenerateInputError, InputError
 Vec = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def as_fraction(x) -> Fraction:
@@ -49,11 +48,6 @@ def vsub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
-def vscale(s, v: Vec) -> Vec:
-    s = as_fraction(s)
-    return tuple(s * a for a in v)
-
-
 def vdot(u: Vec, v: Vec) -> Fraction:
     # one running numerator over one denominator: a single normalization
     num, den = 0, 1
@@ -64,22 +58,6 @@ def vdot(u: Vec, v: Vec) -> Fraction:
     return Fraction(num, den)
 
 
-def is_zero_vector(v: Vec) -> bool:
-    return all(a == 0 for a in v)
-
-
-def primitive_vector(v: Vec) -> Vec:
-    """Scale a nonzero rational vector to coprime integers, keeping direction."""
-    if is_zero_vector(v):
-        raise DegenerateInputError("zero vector has no primitive form")
-    mult = lcm(*(a.denominator for a in v))
-    ints = [int(a * mult) for a in v]
-    g = 0
-    for a in ints:
-        g = gcd(g, abs(a))
-    return tuple(Fraction(a, g) for a in ints)
-
-
 # ---------------------------------------------------------------------------
 # Fraction-free elimination
 #
@@ -88,8 +66,9 @@ def primitive_vector(v: Vec) -> Vec:
 # numbers stay bounded by the matrix's minors (Edmonds 1967), as in Bareiss
 # (1968) elimination, because every row is kept primitive.  One pivot step,
 # _pivot, serves every routine: _echelon brings a whole matrix to reduced
-# echelon form, and independent_rows reduces one row at a time against the
-# rows it has kept, which is all a rank or a greedy basis needs.
+# echelon form, which _kernel reads a kernel basis off, and independent_rows
+# reduces one row at a time against the rows it has kept, which is all a
+# rank or a greedy basis needs.
 
 
 def _exact(xs) -> list:
@@ -195,13 +174,6 @@ def independent_rows(rows) -> list[int]:
     return out
 
 
-def _rref(rows) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form of a rational matrix: (nonzero rows, pivot columns)."""
-    work = [_int_row(row) for row in rows]
-    pivots = _echelon(work)
-    return [tuple(Fraction(x, row[c]) for x in row[:-1]) for row, c in zip(work, pivots)], pivots
-
-
 def _int_det(rows) -> int:
     """Determinant of a square integer matrix by Bareiss (1968) elimination:
     after step k every entry left is a (k + 1)-minor, so each division is
@@ -247,23 +219,23 @@ def matrix_rank(rows) -> int:
     return len(independent_rows(rows))
 
 
-def nullspace_basis(rows) -> list[Vec]:
-    """A basis of the kernel of the row matrix (empty rows: empty basis)."""
-    if not rows:
-        return []
-    work = [_int_row(row) for row in rows]
+def _kernel(rows, n: int) -> list[tuple[int, ...]]:
+    """A basis of the kernel of integer rows of length n: per free column f
+    of their echelon form, the primitive integer vector that is positive in
+    f and zero in the other free columns."""
+    work = [list(row) + [1] for row in rows]
     pivots = _echelon(work)
-    ncols = len(work[0]) - 1
-    pivot_set = set(pivots)
     out = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        sol = [ZERO] * ncols
-        sol[f] = ONE
+    for f in sorted(set(range(n)) - set(pivots)):
+        # x_f = den and x_c = -row[f] den / row[c] per pivot row, exact
+        # because den is the lcm of the pivots of the rows with row[f] != 0
+        den = lcm(*(row[c] for row, c in zip(work, pivots) if row[f]))
+        sol = [0] * n
+        sol[f] = den
         for row, c in zip(work, pivots):
-            sol[c] = Fraction(-row[f], row[c])
-        out.append(tuple(sol))
+            sol[c] = -row[f] * den // row[c]
+        g = gcd(*sol)
+        out.append(tuple(x // g for x in sol))
     return out
 
 
@@ -291,10 +263,6 @@ class AffineFunctional:
 
     def __call__(self, x) -> Fraction:
         return vdot(self.linear, vector(x)) - self.constant
-
-    def scaled(self, s) -> "AffineFunctional":
-        s = as_fraction(s)
-        return AffineFunctional(vscale(s, self.linear), s * self.constant)
 
 
 # ---------------------------------------------------------------------------

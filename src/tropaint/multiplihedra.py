@@ -25,7 +25,7 @@ from .errors import (
 )
 from .geometry import Vec, as_fraction, vdot, vector, vsub
 from .lattice import FaceLattice, Poset, graded_lattice, lattice_isomorphic
-from .painting import BLUE, PURPLE, RED, PaintedComplex, PaintSpec
+from .painting import BLUE, PURPLE, RED, PaintedComplex, PaintSpec, painting_constraint
 from .painting_polytope import extend
 from .point_config import PointConfiguration, build_configuration, sign_vector
 from .regular_subdivision import (
@@ -488,10 +488,11 @@ def realize_painted_tree(t: PaintedTree, m: int) -> PaintSpec:
     offsets are prescribed so that red paths from the root stay short of 1,
     the path into each split-at-node point telescopes to exactly 1, and blue
     edges overshoot; the level one below the root value then paints every
-    cell as the tree demands.  The root vertex is the slope of the support k
-    of the one maximal cell containing the root edge, where the tropical
-    polynomial equals k's constant, so the root value is read off the
-    supports.
+    cell as the tree demands.  The root vertex is dual to the one maximal
+    cell R containing the root edge.  The painting constraint of R's marks
+    takes the value lam (r - c) at (eta, c), r the root value and lam > 0
+    minus its level coefficient, so r is read off eta with no hull, for
+    every eta whose subdivision has the cell R.
     """
     if not isinstance(t, PaintedTree):
         t = PaintedTree(t)
@@ -504,19 +505,18 @@ def realize_painted_tree(t: PaintedTree, m: int) -> PaintSpec:
     p, _ = dual_complex(config, seed)
     tree = tree_of_complex(p)
     _check(tree.shape() == t.shape(), "seed lifting realizes a different tree shape")
+    root_cell = next((mc.marks for mc in s.maximal if tree.root_marking < mc.marks), None)
+    _check(root_cell is not None, "no root vertex")
+    *fn, level = painting_constraint(config, root_cell, alpha)
 
-    def root_value(maximal):
-        for mc in maximal:
-            if tree.root_marking < mc.marks:
-                k = mc.support
-                return k.constant - vdot(k.linear, alpha)
-        raise InconsistencyError("no root vertex")
+    def root_value(eta):
+        return sum(c * x for c, x in zip(fn, eta, strict=True)) / -level
 
     state, children = t.encoding
     if state == SPLIT:
-        return PaintSpec(Lifting(seed), root_value(p.subdivision.maximal) + 1, alpha)
+        return PaintSpec(Lifting(seed), root_value(seed) + 1, alpha)
     if all(c[0] == UNPAINTED for c in children):
-        return PaintSpec(Lifting(seed), root_value(p.subdivision.maximal), alpha)
+        return PaintSpec(Lifting(seed), root_value(seed), alpha)
 
     lengths = {}
 
@@ -538,7 +538,7 @@ def realize_painted_tree(t: PaintedTree, m: int) -> PaintSpec:
 
     assign(tree.root, children, 0)
     eta = realize_edge_lengths(p, alpha, EdgeLengthTarget(lengths))
-    return PaintSpec(eta, root_value(induce_subdivision(config, eta).maximal) - 1, alpha)
+    return PaintSpec(eta, root_value(eta.values) - 1, alpha)
 
 
 def _tree_shapes(m: int):

@@ -41,8 +41,6 @@ from .regular_subdivision import (
 )
 from .tropical_dual import TropicalComplex, dual_complex
 
-ZERO = Fraction(0)
-
 RED = "red"
 PURPLE = "purple"
 BLUE = "blue"
@@ -188,9 +186,10 @@ def colors_from_vertices(
     return ColorFunction(colors)
 
 
-def painting_constraint(config: PointConfiguration, marking, alpha) -> AffineFunctional:
-    """The functional in (lifting, level) space attached to a 0-cell: its
-    sign at (eta, c) is the sign of g at that 0-cell's vertex, so its color.
+def painting_constraint(config: PointConfiguration, marking, alpha) -> tuple[int, ...]:
+    """The linear form on (lifting, level) space attached to a 0-cell, as
+    its integer coefficients: its sign at (eta, c) is the sign of g at that
+    0-cell's vertex, so its color.
 
     Writing alpha = sum_j b_j p_j over the marking's spanning marks, g there
     is sum_j b_j eta(p_j) - c.  Up to a positive factor, that is the affine
@@ -213,15 +212,11 @@ def painting_constraint(config: PointConfiguration, marking, alpha) -> AffineFun
         raise InconsistencyError("the dependence misses the distinguished point")
     level = dep[-1] * den
     g = gcd(level, *dep[:-1]) if level < 0 else -gcd(level, *dep[:-1])
-    linear = [ZERO] * (len(rows) + 1)
+    linear = [0] * (len(rows) + 1)
     for i, c in zip(basis, dep):
-        linear[i] = Fraction(c // g)
-    linear[-1] = Fraction(level // g)
-    return AffineFunctional(tuple(linear), ZERO)
-
-
-def _extend_functional(fn: AffineFunctional) -> AffineFunctional:
-    return AffineFunctional(fn.linear + (ZERO,), fn.constant)
+        linear[i] = c // g
+    linear[-1] = level // g
+    return tuple(linear)
 
 
 def painting_cone(painted: PaintedComplex) -> SecondaryCone:
@@ -237,15 +232,15 @@ def painting_cone(painted: PaintedComplex) -> SecondaryCone:
     config = painted.complex.config
     spec = painted.spec
     base = secondary_cone(config, painted.subdivision)
-    eqs = [_extend_functional(f) for f in base.equalities]
-    sts = [_extend_functional(f) for f in base.stricts]
+    eqs = [f + (0,) for f in base.equalities]
+    sts = [f + (0,) for f in base.stricts]
     for cell in painted.complex.cells_of_dim(0):
         fn = painting_constraint(config, cell.marking, spec.alpha)
         col = painted.kappa[cell.marking]
         if col == RED:
             sts.append(fn)
         elif col == BLUE:
-            sts.append(fn.scaled(-1))
+            sts.append(tuple(-x for x in fn))
         else:
             eqs.append(fn)
     cone = _certify_cone(eqs, sts, len(config.points) + 1, spec.eta.values + (spec.c,))
@@ -260,10 +255,10 @@ def _paint_at(config, alpha, point, complexes: dict) -> PaintedComplex:
     complexes maps each lifting met so far to its dual complex: face samples
     at different levels often share their lifting.
     """
-    eta = Lifting(tuple(point[:-1]))
+    eta = Lifting.of(config, point[:-1])
     if eta.values not in complexes:
         complexes[eta.values], _ = dual_complex(config, eta)
-    return paint(complexes[eta.values], PaintSpec(eta, point[-1], vector(alpha)))
+    return paint(complexes[eta.values], PaintSpec.of(config, eta, point[-1], alpha))
 
 
 def enumerate_painted_complexes(
@@ -288,12 +283,12 @@ def enumerate_painted_complexes(
     def chambers():
         for key in sorted(tris, key=sorted):
             t, cone = tris[key]
-            eqs = tuple(_extend_functional(f) for f in cone.equalities)
-            sts = [_extend_functional(f) for f in cone.stricts]
+            # a triangulation cone has no equalities
+            sts = [f + (0,) for f in cone.stricts]
             signed = [painting_constraint(config, mc.marks, alpha) for mc in t.maximal]
             for pattern in product((1, -1), repeat=len(signed)):
-                flips = [fn if s > 0 else fn.scaled(-1) for fn, s in zip(signed, pattern)]
-                chamber = _certify_cone(eqs, sts + flips, n + 1, None)
+                flips = [tuple(s * x for x in fn) for fn, s in zip(signed, pattern)]
+                chamber = _certify_cone((), sts + flips, n + 1, None)
                 if chamber is not None:
                     yield chamber
 

@@ -16,26 +16,22 @@ from math import gcd
 
 from .errors import InconsistencyError, InputError, NoCertificateError, ResourceCapError
 from .geometry import (
-    AffineFunctional,
     Vec,
     _circuit_dependence,
+    _dot,
+    _echelon,
+    _hull_facets,
+    _initial_simplex,
     _int_det,
-    _rref,
+    _int_row,
+    _kernel,
     as_fraction,
-    convex_hull_facets,
     hull_volume,
     independent_rows,
     intersection_closure,
-    is_zero_vector,
     matrix_rank,
-    nullspace_basis,
-    primitive_vector,
     upper_hull_facets,
-    vadd,
-    vdot,
     vector,
-    vscale,
-    vsub,
 )
 from .lattice import Poset
 from .point_config import PointConfiguration
@@ -220,6 +216,12 @@ def is_triangulation(s: Subdivision) -> bool:
 class SecondaryCone:
     """Liftings inducing one subdivision: {strict > 0, equalities = 0} in lifting space.
 
+    Every constraint is a linear form with no constant, stored as the int
+    tuple of its coefficients, primitive in every cone the builders make;
+    rays and the face and wall samples are int tuples too.  Only
+    interior_point holds Fractions, as the liftings that callers hand to
+    induce_subdivision and paint do.
+
     The closure (weak inequalities) is the union of the cones of all
     coarsenings.  A triangulation's cone, as secondary_cone builds it, is in
     its local folding form: no equalities, and one strict per interior ridge
@@ -235,28 +237,36 @@ class SecondaryCone:
     painting chambers, one dimension up in (lifting, level) space.
     """
 
-    equalities: tuple[AffineFunctional, ...]
-    stricts: tuple[AffineFunctional, ...]
+    equalities: tuple[tuple[int, ...], ...]
+    stricts: tuple[tuple[int, ...], ...]
     ambient_dim: int
     interior_point: Vec = field(compare=False)
 
     def dim(self) -> int:
-        return self.ambient_dim - matrix_rank([f.linear for f in self.equalities])
+        return self.ambient_dim - matrix_rank(self.equalities)
+
+    def _scaled(self, eta) -> list[int]:
+        """The point times the lcm of its denominators, which keeps every
+        constraint's sign."""
+        v = eta.values if isinstance(eta, Lifting) else tuple(eta)
+        if len(v) != self.ambient_dim:
+            raise InputError(f"a point with {len(v)} coordinates for a cone in R^{self.ambient_dim}")
+        return _int_row(v)[:-1]
 
     def contains_open(self, eta) -> bool:
-        v = _eta_vec(eta)
-        return all(f(v) == 0 for f in self.equalities) and all(
-            f(v) > 0 for f in self.stricts
+        v = self._scaled(eta)
+        return all(_dot(f, v) == 0 for f in self.equalities) and all(
+            _dot(f, v) > 0 for f in self.stricts
         )
 
     def contains_closed(self, eta) -> bool:
-        v = _eta_vec(eta)
-        return all(f(v) == 0 for f in self.equalities) and all(
-            f(v) >= 0 for f in self.stricts
+        v = self._scaled(eta)
+        return all(_dot(f, v) == 0 for f in self.equalities) and all(
+            _dot(f, v) >= 0 for f in self.stricts
         )
 
     @cached_property
-    def rays(self) -> tuple[Vec, ...]:
+    def rays(self) -> tuple[tuple[int, ...], ...]:
         """Extreme rays of the cone modulo its lineality space.
 
         Canonical primitive representatives (zero on the lineality pivot
@@ -273,17 +283,14 @@ class SecondaryCone:
         """Per strict, the bitmask of the rays on which it vanishes."""
         rays = self.rays
         return tuple(
-            sum(1 << j for j, r in enumerate(rays) if fn(r) == 0) for fn in self.stricts
+            sum(1 << j for j, r in enumerate(rays) if not _dot(fn, r)) for fn in self.stricts
         )
 
-    def _ray_sum(self, mask: int) -> Vec:
-        sample = (ZERO,) * self.ambient_dim
-        for j, r in enumerate(self.rays):
-            if mask >> j & 1:
-                sample = vadd(sample, r)
-        return sample
+    def _ray_sum(self, mask: int) -> tuple[int, ...]:
+        chosen = (r for j, r in enumerate(self.rays) if mask >> j & 1)
+        return tuple(map(sum, zip((0,) * self.ambient_dim, *chosen)))
 
-    def graded_faces(self) -> list[tuple[int, int, Vec]]:
+    def graded_faces(self) -> list[tuple[int, int, tuple[int, ...]]]:
         """(ray mask, grade, relative-interior sample) per face, modulo lineality.
 
         A face is the set of rays on which some collection of stricts is
@@ -298,11 +305,7 @@ class SecondaryCone:
             grades[mask] = 1 + max((g for m, g in grades.items() if m & mask == m), default=-1)
         return [(mask, g, self._ray_sum(mask)) for mask, g in grades.items()]
 
-    def face_samples(self) -> list[Vec]:
-        """One relative-interior point per face, in graded_faces order."""
-        return [sample for _, _, sample in self.graded_faces()]
-
-    def walls(self) -> list[tuple[AffineFunctional, Vec]]:
+    def walls(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """(wall functional, relative-interior wall sample) per facet, in strict order.
 
         Facets are the maximal proper faces and each one is cut by some
@@ -326,44 +329,47 @@ class SecondaryCone:
         return out
 
 
-def _cone_rays(equalities, stricts, n: int) -> tuple[Vec, ...] | None:
+def _cone_rays(equalities, stricts, n: int) -> tuple[tuple[int, ...], ...] | None:
     """Canonical extreme rays of {equalities = 0, stricts >= 0} in R^n modulo
     its lineality, or None when the open cone {equalities = 0, stricts > 0}
-    is empty.
+    is empty.  Constraints and rays are int tuples.
 
     By polarity (Gordan's theorem; Ziegler, Lectures on Polytopes, ch. 1-2),
     in a frame of ker(equalities) modulo the lineality the stricts span the
     dual space, the open cone is nonempty exactly when no strict vanishes
     there and the origin is a vertex of conv({0} and the stricts), and then
     the extreme rays are the inner normals of that hull's facets through the
-    origin.  The frame vectors are reduced modulo the lineality, so the rays
-    come out zero on its pivot coordinates.
+    origin.  The lineality is the integer kernel of all rows.  Its echelon
+    form is the identity on its pivot columns, so the vectors vanishing
+    there complement it, and the frame is the integer kernel of the
+    equalities and the unit rows at those pivots: the rays come out zero on
+    the lineality's pivot coordinates.
     """
-    eq_rows = [f.linear for f in equalities]
-    all_rows = eq_rows + [f.linear for f in stricts]
-    lrows, lpiv = _rref(nullspace_basis(all_rows or [[ZERO] * n]))
-    kernel = [_mod_reduce(lrows, lpiv, v) for v in nullspace_basis(eq_rows or [[ZERO] * n])]
-    frame = [kernel[i] for i in independent_rows(kernel)]
+    lineality = [list(v) + [1] for v in _kernel(equalities + stricts, n)]
+    units = [tuple(int(j == c) for j in range(n)) for c in _echelon(lineality)]
+    frame = _kernel(equalities + tuple(units), n)
     if not frame:
         return None if stricts else ()
-    duals = [tuple(vdot(f.linear, w) for w in frame) for f in stricts]
-    if any(is_zero_vector(a) for a in duals):
+    duals = [tuple(_dot(f, w) for w in frame) for f in stricts]
+    if not all(any(a) for a in duals):
         return None
-    through = [f for f in convex_hull_facets([(ZERO,) * len(frame)] + duals) if 0 in f.members]
-    if not through or frozenset.intersection(*(f.members for f in through)) != {0}:
+    pts = [(0,) * len(frame)] + duals
+    facets = _hull_facets(pts, _initial_simplex(pts, len(frame)))
+    through = [(normal, members) for normal, offset, members in facets if not offset]
+    if not through or frozenset.intersection(*(m for _, m in through)) != {0}:
         return None  # the origin is not a vertex of the hull
     rays = []
-    for f in through:
-        ray = (ZERO,) * n
-        for y, w in zip(f.normal, frame):
-            ray = vsub(ray, vscale(y, w))
-        rays.append(primitive_vector(ray))
+    for normal, _ in through:
+        ray = [-_dot(normal, column) for column in zip(*frame)]
+        g = gcd(*ray)
+        rays.append(tuple(x // g for x in ray))
     return tuple(sorted(rays))
 
 
 def _certify_cone(equalities, stricts, dim: int, witness) -> SecondaryCone | None:
     """The cone {stricts > 0, equalities = 0} in R^dim with a certified
-    interior point, or None when the open cone is empty.
+    interior point, or None when the open cone is empty.  The constraints
+    are int tuples.
 
     witness, when given, becomes the interior point if an exact check puts it
     in the open cone.  Otherwise _cone_rays decides emptiness, and the sum of
@@ -377,18 +383,12 @@ def _certify_cone(equalities, stricts, dim: int, witness) -> SecondaryCone | Non
     rays = _cone_rays(cone.equalities, cone.stricts, dim)
     if rays is None:
         return None
-    sample = (ZERO,) * dim
-    for r in rays:
-        sample = vadd(sample, r)
+    sample = tuple(Fraction(sum(column)) for column in zip((0,) * dim, *rays))
     cone = SecondaryCone(cone.equalities, cone.stricts, dim, sample)
     if not cone.contains_open(sample):
         raise InconsistencyError("the ray sum of a cone misses its open cone")
     cone.__dict__["rays"] = rays  # fills the cached property
     return cone
-
-
-def _eta_vec(eta) -> Vec:
-    return eta.values if isinstance(eta, Lifting) else vector(eta)
 
 
 def _spanning_marks(config: PointConfiguration, marks) -> list[int]:
@@ -415,10 +415,6 @@ def _circuit(config: PointConfiguration, ids) -> tuple[int, ...]:
     for i, c in zip(ids, dep):
         coef[i] = c // g
     return tuple(coef)
-
-
-def _functional(coef) -> AffineFunctional:
-    return AffineFunctional(tuple(map(Fraction, coef)), ZERO)
 
 
 def _folding_stricts(config: PointConfiguration, s: Subdivision) -> list[tuple[int, ...]]:
@@ -514,7 +510,7 @@ def secondary_cone(config: PointConfiguration, s: Subdivision) -> SecondaryCone:
             # a functional required both zero and positive: nothing induces s
             raise NoCertificateError("subdivision is not induced by any lifting")
         equalities, stricts = sorted(eqs), sorted(sts)
-    cone = _certify_cone(map(_functional, equalities), map(_functional, stricts), n, s.witness)
+    cone = _certify_cone(equalities, stricts, n, s.witness)
     if cone is None:
         raise NoCertificateError("subdivision is not induced by any lifting")
     return cone
@@ -538,17 +534,7 @@ def _placing_lifting(config: PointConfiguration):
     raise ResourceCapError("found no triangulation-inducing lifting")
 
 
-def _mod_reduce(echelon_rows, pivots, v):
-    """Reduce v modulo the row space of a reduced echelon basis."""
-    w = list(v)
-    for row, c in zip(echelon_rows, pivots):
-        if w[c] != 0:
-            f = w[c]
-            w = [x - f * y for x, y in zip(w, row)]
-    return tuple(w)
-
-
-def _flip(config: PointConfiguration, t: Subdivision, wall: AffineFunctional) -> Subdivision:
+def _flip(config: PointConfiguration, t: Subdivision, wall: tuple[int, ...]) -> Subdivision:
     """The triangulation across the wall of t's cone cut out by wall.
 
     A wall functional is the affine dependence of a circuit Z, positive on
@@ -559,8 +545,8 @@ def _flip(config: PointConfiguration, t: Subdivision, wall: AffineFunctional) ->
     of Z+; the flip replaces the cells (Z - {z}) | link for z in Z+ with
     those for z in Z-.
     """
-    plus = frozenset(i for i, c in enumerate(wall.linear) if c > 0)
-    circuit = plus | {i for i, c in enumerate(wall.linear) if c < 0}
+    plus = frozenset(i for i, c in enumerate(wall) if c > 0)
+    circuit = plus | {i for i, c in enumerate(wall) if c < 0}
     links = {
         mc.marks - circuit
         for mc in t.maximal
@@ -659,7 +645,7 @@ def enumerate_coherent_subdivisions(config: PointConfiguration, max_count=4096):
     keys = {cone._ray_sum((1 << len(cone.rays)) - 1): k for k, (_, cone) in tris.items()}
 
     def induce(sample):
-        s = induce_subdivision(config, Lifting(sample))
+        s = induce_subdivision(config, Lifting.of(config, sample))
         return s.key, s
 
     # the sort keys are lists of frozensets, which compare by inclusion: the

@@ -47,6 +47,14 @@ The cone ray search tries every subset of stricts of complementary rank, as
 regular_subdivision.SecondaryCone.rays did before it read the rays off one
 hull by polarity.
 
+The Fraction cone rays read the rays off the same hull by polarity, but
+take the lineality as a Fraction nullspace, reduce a Fraction kernel of the
+equalities modulo its reduced echelon form for the frame, and scale each ray
+to a primitive Fraction vector, as regular_subdivision._cone_rays did before
+cones kept their constraints and rays as int tuples; the reduced echelon
+form, the reduction and the primitive scaling are the geometry and
+regular_subdivision helpers that route used.
+
 The wall crossing by bisection steps from a wall sample away from the cone,
 halving the step until the induced subdivision is a triangulation whose cone
 holds the wall, as regular_subdivision.enumerate_regular_triangulations did
@@ -107,18 +115,13 @@ from tropaint.geometry import (
     AffineFunctional,
     HullFacet,
     _echelon,
-    _rref,
     affine_rank,
     convex_hull_facets,
     hull_volume,
     independent_rows,
-    is_zero_vector,
     matrix_rank,
-    nullspace_basis,
-    primitive_vector,
     vadd,
     vector,
-    vscale,
     vdot,
     vsub,
 )
@@ -133,7 +136,6 @@ from tropaint.painting import BLUE, PURPLE, RED, ColorFunction, painting_cone
 from tropaint.regular_subdivision import (
     Lifting,
     _certify_cone,
-    _mod_reduce,
     _placing_lifting,
     _spanning_marks,
     induce_subdivision,
@@ -389,6 +391,21 @@ def solve_square_oracle(a_rows, b):
     return tuple(sol)
 
 
+def is_zero_vector(v) -> bool:
+    return all(a == 0 for a in v)
+
+
+def primitive_vector(v):
+    """A nonzero rational vector scaled to coprime integers, as Fractions,
+    direction kept."""
+    if is_zero_vector(v):
+        raise DegenerateInputError("zero vector has no primitive form")
+    mult = lcm(*(Fraction(a).denominator for a in v))
+    ints = [int(a * mult) for a in v]
+    g = gcd(*ints)
+    return tuple(Fraction(a, g) for a in ints)
+
+
 def primitive_functional(fn):
     """The functional scaled to coprime integers, orientation kept."""
     full = fn.linear + (fn.constant,)
@@ -437,6 +454,23 @@ def nullspace_basis_oracle(rows):
             sol[c] = -work[r][f]
         out.append(tuple(sol))
     return out
+
+
+def rref_oracle(rows):
+    """Reduced row echelon form of a rational matrix: (nonzero rows, pivot
+    columns)."""
+    work, pivots = echelon_oracle([[Fraction(x) for x in row] for row in rows])
+    return [tuple(row) for row in work[: len(pivots)]], pivots
+
+
+def mod_reduce(echelon_rows, pivots, v):
+    """Reduce v modulo the row space of a reduced echelon basis."""
+    w = list(v)
+    for row, c in zip(echelon_rows, pivots):
+        if w[c] != 0:
+            f = w[c]
+            w = [x - f * y for x, y in zip(w, row)]
+    return tuple(w)
 
 
 def det_oracle(rows) -> Fraction:
@@ -784,7 +818,7 @@ def polytope_hrep(points):
     pts = [vector(p) for p in points]
     base = pts[0]
     equalities = []
-    for n in nullspace_basis([vsub(p, base) for p in pts[1:]] or [[ZERO] * len(base)]):
+    for n in nullspace_basis_oracle([vsub(p, base) for p in pts[1:]] or [[ZERO] * len(base)]):
         equalities.append(AffineFunctional(n, vdot(n, base)))
     if len(pts) == 1:
         # single point: the nullspace above was of a zero row, giving all axes
@@ -932,7 +966,7 @@ def cone_walls_by_rank(cone):
     out = []
     seen = set()
     for fn in cone.stricts:
-        tight = tuple(r for r in rays if fn(r) == 0)
+        tight = tuple(r for r in rays if _dot(fn, r) == 0)
         if tight in seen:
             continue
         if (matrix_rank_oracle(tight) if tight else 0) == total - 1:
@@ -981,32 +1015,62 @@ def cone_rays_brute_force(cone):
     above the lineality, so it is cut out by some strict subset of
     complementary rank."""
     n = cone.ambient_dim
-    eq_rows = [list(f.linear) for f in cone.equalities]
-    all_rows = eq_rows + [list(f.linear) for f in cone.stricts]
-    lin = nullspace_basis(all_rows if all_rows else [[ZERO] * n])
-    lrows, lpiv = _rref(lin)
+    eq_rows = [list(f) for f in cone.equalities]
+    all_rows = eq_rows + [list(f) for f in cone.stricts]
+    lin = nullspace_basis_oracle(all_rows if all_rows else [[ZERO] * n])
+    lrows, lpiv = rref_oracle(lin)
     e = matrix_rank(eq_rows)
     s0 = n - len(lin) - 1 - e
     if s0 < 0:
         return ()
     rays = set()
     for sub in combinations(range(len(cone.stricts)), s0):
-        rows = eq_rows + [list(cone.stricts[i].linear) for i in sub]
+        rows = eq_rows + [list(cone.stricts[i]) for i in sub]
         if matrix_rank(rows) != n - len(lin) - 1:
             continue
         cand = None
-        for v in nullspace_basis(rows if rows else [[ZERO] * n]):
-            w = _mod_reduce(lrows, lpiv, v)
+        for v in nullspace_basis_oracle(rows if rows else [[ZERO] * n]):
+            w = mod_reduce(lrows, lpiv, v)
             if not is_zero_vector(w):
                 cand = w
                 break
         if cand is None:
             continue
-        vals = [fn(cand) for fn in cone.stricts]
+        vals = [_dot(fn, cand) for fn in cone.stricts]
         if all(x >= 0 for x in vals):
             rays.add(primitive_vector(cand))
         elif all(x <= 0 for x in vals):
             rays.add(primitive_vector(tuple(-x for x in cand)))
+    return tuple(sorted(rays))
+
+
+def cone_rays_fraction(equalities, stricts, n: int):
+    """Canonical extreme rays of {equalities = 0, stricts >= 0} in R^n
+    modulo its lineality, or None when the open cone is empty, by polarity
+    in Fractions: the lineality is a Fraction nullspace of all rows, the
+    frame a Fraction kernel of the equalities reduced modulo the lineality's
+    reduced echelon form and thinned by a greedy pass, and each ray the
+    primitive form of a facet normal of convex_hull_facets through the
+    origin, mapped back through the frame."""
+    eq_rows = [list(f) for f in equalities]
+    all_rows = eq_rows + [list(f) for f in stricts]
+    lrows, lpiv = rref_oracle(nullspace_basis_oracle(all_rows or [[ZERO] * n]))
+    kernel = [mod_reduce(lrows, lpiv, v) for v in nullspace_basis_oracle(eq_rows or [[ZERO] * n])]
+    frame = [kernel[i] for i in independent_rows(kernel)]
+    if not frame:
+        return None if stricts else ()
+    duals = [tuple(_dot(f, w) for w in frame) for f in stricts]
+    if any(is_zero_vector(a) for a in duals):
+        return None
+    through = [f for f in convex_hull_facets([(ZERO,) * len(frame)] + duals) if 0 in f.members]
+    if not through or frozenset.intersection(*(f.members for f in through)) != {0}:
+        return None
+    rays = []
+    for f in through:
+        ray = (ZERO,) * n
+        for y, w in zip(f.normal, frame):
+            ray = vsub(ray, tuple(y * x for x in w))
+        rays.append(primitive_vector(ray))
     return tuple(sorted(rays))
 
 
@@ -1022,7 +1086,7 @@ def cross_wall_by_bisection(config, t, cone, wall_sample):
     direction = vsub(wall_sample, cone.interior_point)
     step = ONE
     for _ in range(128):
-        eta = Lifting(vadd(wall_sample, vscale(step, direction)))
+        eta = Lifting(vadd(wall_sample, tuple(step * x for x in direction)))
         s = induce_subdivision(config, eta)
         if is_triangulation(s) and s.key != t.key:
             c2 = secondary_cone(config, s)
@@ -1090,10 +1154,12 @@ def secondary_cone_per_cell(config, s):
     """The secondary cone of s with one constraint per maximal cell and
     point off the cell's spanning marks: an equality for a mark, a strict for
     any other point, as regular_subdivision.secondary_cone built every cone
-    before it built triangulation cones from their folding constraints."""
+    before it built triangulation cones from their folding constraints.
+    Each constraint has constant 0 and is kept, as the library's cones keep
+    theirs, as the int tuple of its primitive coefficients."""
     n = len(config.points)
-    eqs = {}
-    sts = {}
+    eqs = set()
+    sts = set()
     for cell in s.maximal:
         basis_idx = _spanning_marks(config, cell.marks)
         in_basis = set(basis_idx)
@@ -1101,16 +1167,10 @@ def secondary_cone_per_cell(config, s):
             if a in in_basis:
                 continue
             fn = primitive_functional(cone_constraint_oracle(config, basis_idx, a))
-            key = (fn.linear, fn.constant)
-            if a in cell.marks:
-                eqs[key] = fn
-            else:
-                sts[key] = fn
-    if any(k in eqs for k in sts):
+            (eqs if a in cell.marks else sts).add(tuple(map(int, fn.linear)))
+    if eqs & sts:
         raise NoCertificateError("subdivision is not induced by any lifting")
-    equalities = tuple(eqs[k] for k in sorted(eqs))
-    stricts = tuple(fn for _, fn in sorted(sts.items()))
-    cone = _certify_cone(equalities, stricts, n, s.witness)
+    cone = _certify_cone(sorted(eqs), sorted(sts), n, s.witness)
     if cone is None:
         raise NoCertificateError("subdivision is not induced by any lifting")
     return cone

@@ -20,7 +20,6 @@ from tropaint.point_config import build_configuration
 from tropaint.regular_subdivision import (
     Subdivision,
     _circuit,
-    _functional,
     _make_cell,
     _spanning_marks,
     enumerate_coherent_subdivisions,
@@ -68,7 +67,7 @@ def test_per_cell_cones_match_the_fraction_oracle(config, alpha):
             basis = _spanning_marks(config, mc.marks)
             for a in sorted(set(range(n)) - set(basis)):
                 want = primitive_functional(cone_constraint_oracle(config, basis, a))
-                assert _functional(_circuit(config, basis + [a])) == want
+                assert want.constant == 0 and _circuit(config, basis + [a]) == want.linear
         if not is_triangulation(s):
             coarse += 1
             fast, slow = secondary_cone(config, s), secondary_cone_per_cell(config, s)
@@ -89,9 +88,9 @@ def test_painting_constraints_are_positive_multiples_of_the_fraction_oracle(conf
         for marks in sorted(markings, key=sorted):
             fn = painting_constraint(config, marks, a)
             want = painting_constraint_oracle(config, marks, a)
-            scale = -fn.linear[-1]
-            assert scale > 0 and fn.constant == want.constant == 0
-            assert fn.linear == tuple(scale * x for x in want.linear)
+            scale = -fn[-1]
+            assert scale > 0 and want.constant == 0
+            assert fn == tuple(scale * x for x in want.linear)
 
 
 def test_secondary_cone_rejects_a_cell_that_does_not_span():

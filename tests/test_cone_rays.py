@@ -1,7 +1,9 @@
 """Cone rays and cone certification both come from one hull by polarity:
 the rays of every secondary cone, painting chamber and seeded random cone
-match the subset search in oracles.py, and a cone is certified exactly when
-Fourier-Motzkin elimination finds its open cone nonempty."""
+match the subset search and the Fraction route in oracles.py, and a cone is
+certified exactly when Fourier-Motzkin elimination finds its open cone
+nonempty.  Constraints, rays and samples are int tuples; only interior
+points are Fractions."""
 
 import random
 from fractions import Fraction
@@ -12,7 +14,7 @@ import pytest
 from tropaint.errors import InconsistencyError
 from tropaint.geometry import AffineFunctional
 from tropaint.multiplihedra import admissible_alpha, ngon_configuration
-from tropaint.painting import painting_constraint
+from tropaint.painting import enumerate_painted_complexes, painting_cone, painting_constraint
 from tropaint.painting_polytope import extend
 from tropaint.point_config import build_configuration
 from tropaint.regular_subdivision import (
@@ -24,7 +26,7 @@ from tropaint.regular_subdivision import (
     secondary_cone,
 )
 
-from oracles import cone_rays_brute_force, fourier_motzkin_feasible
+from oracles import cone_rays_brute_force, cone_rays_fraction, fourier_motzkin_feasible
 
 F = Fraction
 
@@ -36,12 +38,17 @@ QUAD_ALPHA = (F(1, 3), F(1, 3))
 BIPYRAMID_ALPHA = (F(1, 2), F(1, 3), F(1, 2))
 
 
+def _functionals(rows):
+    return [AffineFunctional(tuple(map(F, row)), F(0)) for row in rows]
+
+
 def check_cone(equalities, stricts, n) -> bool:
-    """Compare one cone with both oracles; True when its open cone is nonempty."""
+    """Compare one cone with the oracles; True when its open cone is nonempty."""
     equalities, stricts = tuple(equalities), tuple(stricts)
     rays = _cone_rays(equalities, stricts, n)
+    assert rays == cone_rays_fraction(equalities, stricts, n)
     cone = _certify_cone(equalities, stricts, n, None)
-    feasible = fourier_motzkin_feasible(stricts, [], equalities, n)
+    feasible = fourier_motzkin_feasible(_functionals(stricts), [], _functionals(equalities), n)
     assert (rays is not None) == (cone is not None) == feasible
     if feasible:
         assert rays == cone.rays == cone_rays_brute_force(cone)
@@ -77,19 +84,15 @@ def test_subdivision_cone_rays_match_subset_search(config):
 )
 def test_every_chamber_sign_pattern_matches_oracles(config, alpha):
     n = len(config.points)
-
-    def extended(fn):
-        return AffineFunctional(fn.linear + (F(0),), fn.constant)
-
     outcomes = []
     for t, cone in enumerate_regular_triangulations(config).values():
         constraints = [painting_constraint(config, mc.marks, alpha) for mc in t.maximal]
         for pattern in product((1, -1, 0), repeat=len(constraints)):
-            eqs = [extended(f) for f in cone.equalities]
-            sts = [extended(f) for f in cone.stricts]
+            eqs = [f + (0,) for f in cone.equalities]
+            sts = [f + (0,) for f in cone.stricts]
             for fn, sign in zip(constraints, pattern):
                 if sign:
-                    sts.append(fn.scaled(sign))
+                    sts.append(tuple(sign * x for x in fn))
                 else:
                     eqs.append(fn)
             outcomes.append(check_cone(eqs, sts, n + 1))
@@ -104,14 +107,13 @@ def _random_cone(rng):
     free = rng.sample(range(n), rng.randint(0, min(2, n - 1)))
 
     def row():
-        return tuple(F(0) if j in free else F(rng.randint(-3, 3)) for j in range(n))
+        return tuple(0 if j in free else rng.randint(-3, 3) for j in range(n))
 
-    eqs = [AffineFunctional(row(), F(0)) for _ in range(rng.randint(0, 2))]
-    sts = [AffineFunctional(row(), F(0)) for _ in range(rng.randint(0, 6))]
+    eqs = [row() for _ in range(rng.randint(0, 2))]
+    sts = [row() for _ in range(rng.randint(0, 6))]
     if sts and rng.random() < 0.25:
         picked = rng.sample(sts, rng.randint(1, len(sts)))
-        total = tuple(-sum(col, F(0)) for col in zip(*(f.linear for f in picked)))
-        sts.append(AffineFunctional(total, F(0)))
+        sts.append(tuple(-sum(col) for col in zip(*picked)))
     return eqs, sts, n
 
 
@@ -122,14 +124,72 @@ def test_random_cones_match_oracles():
 
 
 def test_cone_without_frame():
-    x = AffineFunctional((F(1), F(0)), F(0))
-    y = AffineFunctional((F(0), F(1)), F(0))
+    x, y = (1, 0), (0, 1)
     # the equalities leave only the lineality: no rays, and a strict there is empty
     assert _cone_rays((x, y), (), 2) == ()
-    assert _cone_rays((x,), (y.scaled(0),), 2) is None
+    assert _cone_rays((x,), ((0, 0),), 2) is None
     assert _cone_rays((), (), 2) == ()
     # a strict that vanishes on ker(equalities) but not everywhere
     assert _cone_rays((x,), (x,), 2) is None
-    cone = SecondaryCone((), (x, x.scaled(-1)), 2, None)
+    cone = SecondaryCone((), (x, (-1, 0)), 2, None)
     with pytest.raises(InconsistencyError):
         cone.rays
+
+
+def _chambers(config, alpha):
+    """Every all-strict sign pattern of the 0-cell constraints over each
+    triangulation cone, certified or not: (equalities, stricts, dimension)."""
+    n = len(config.points)
+    for t, cone in enumerate_regular_triangulations(config).values():
+        signed = [painting_constraint(config, mc.marks, alpha) for mc in t.maximal]
+        for pattern in product((1, -1), repeat=len(signed)):
+            flips = [tuple(sign * x for x in fn) for fn, sign in zip(signed, pattern)]
+            yield (), tuple(f + (0,) for f in cone.stricts) + tuple(flips), n + 1
+
+
+@pytest.fixture(scope="module")
+def enumerated_cones():
+    """Every triangulation cone of the quad, the bipyramid, the m = 3-5
+    polygons and their extensions, every coherent-subdivision cone of the
+    quad, the bipyramid and the m = 3 polygon, and every painting cone of
+    the quad, as the enumerators and builders give them; and (equalities,
+    stricts, dimension) of every painting chamber of the quad, the bipyramid
+    and the m = 3 and 4 polygons."""
+    golden = [("quad", QUAD, QUAD_ALPHA), ("bipyramid", BIPYRAMID, BIPYRAMID_ALPHA)]
+    polygons = [(f"ngon{m}", ngon_configuration(m)) for m in (3, 4, 5)]
+    polygons = [(name, config, admissible_alpha(config)) for name, config in polygons]
+    cones = []
+    for _, config, alpha in golden + polygons:
+        for c in (config, extend(config, alpha).extended):
+            cones += [cone for _, cone in enumerate_regular_triangulations(c).values()]
+    for config in (QUAD, BIPYRAMID, ngon_configuration(3)):
+        cones += [secondary_cone(config, s) for s in enumerate_coherent_subdivisions(config).elements]
+    cones += [painting_cone(pc) for pc in enumerate_painted_complexes(QUAD, QUAD_ALPHA).elements]
+    chambers = [c for _, config, alpha in golden + polygons[:2] for c in _chambers(config, alpha)]
+    return cones, chambers
+
+
+def test_integer_rays_match_the_fraction_route(enumerated_cones):
+    cones, chambers = enumerated_cones
+    hrep = [(cone.equalities, cone.stricts, cone.ambient_dim) for cone in cones] + chambers
+    rays = [_cone_rays(*cone) for cone in hrep]
+    assert rays == [cone_rays_fraction(*cone) for cone in hrep]
+    # 155 triangulation cones, 15 coherent-subdivision cones, 45 painting
+    # cones and 100 chambers, 52 of them empty
+    assert len(rays) == 315 and rays.count(None) == 52
+
+
+def _is_int_tuple(v) -> bool:
+    return type(v) is tuple and all(type(x) is int for x in v)
+
+
+def test_cones_keep_integers_from_constraint_to_sample(enumerated_cones):
+    cones, chambers = enumerated_cones
+    certified = [_certify_cone(*chamber, None) for chamber in chambers]
+    cones = cones + [cone for cone in certified if cone is not None]
+    for cone in cones:
+        assert all(map(_is_int_tuple, cone.equalities + cone.stricts + cone.rays))
+        assert all(_is_int_tuple(sample) for _, _, sample in cone.graded_faces())
+        assert all(_is_int_tuple(fn) and _is_int_tuple(sample) for fn, sample in cone.walls())
+        assert all(type(x) is Fraction for x in cone.interior_point)
+    assert len(cones) == 263

@@ -2,7 +2,8 @@
 given, the painted enumeration builds one per lifting it meets, edge-length
 realization corrects every edge from its input complex and certifies the
 result with one induced subdivision and no dual complex, the painted-tree
-realization builds only each tree's seed complex, and the main-theorem check
+realization builds only each tree's seed complex and induces each realized
+lifting once, and the main-theorem check
 builds each extended complex once.  A dual complex builds one hull with one
 rank pass, in integers from the lifted points to the supports, and its cells
 read their dimensions and vertices off incidences.  Painting evaluates
@@ -68,11 +69,15 @@ def test_painted_enumeration_builds_one_dual_complex_per_lifting(calls_to):
 def test_painted_tree_realization_builds_each_complex_once(calls_to):
     trees = [PaintedTree(e) for s in _tree_shapes(4) for e in _painted_variants(s, True)]
     calls = calls_to(tropical_dual.dual_complex)
+    induced = calls_to(regular_subdivision.induce_subdivision)
     for t in trees:
         realize_painted_tree(t, 4)
     # a seed complex per tree; each realized lifting's root value is read
-    # off its supports, with no complex
+    # off a circuit, with no complex and no hull
     assert len(trees) == 67 and len(calls) == 67
+    # one hull per realized lifting: the certificate of realize_edge_lengths
+    realized = [args[1].values for caller, args in induced if caller == "tropaint.multiplihedra"]
+    assert len(realized) == len(set(realized)) == 45
 
 
 def test_verify_main_theorem_builds_each_extended_complex_once(calls_to):

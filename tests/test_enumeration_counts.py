@@ -126,8 +126,7 @@ def test_no_cone_or_painting_constraint_solves_a_system():
     cones += [painting_cone(pc) for pc in painted]
     for cone in cones:
         for fn in cone.equalities + cone.stricts:
-            coef = fn.linear + (fn.constant,)
-            assert all(x.denominator == 1 for x in coef) and gcd(*map(int, coef)) == 1
+            assert all(type(x) is int for x in fn) and gcd(*fn) == 1
     assert any(not regular_subdivision.is_triangulation(s) for s in subdivisions)
     assert len(painted) == 45
 
@@ -147,7 +146,7 @@ def test_coherent_enumeration_induces_each_face_sample_once(calls_to):
     enumerate_coherent_subdivisions(ext)
     # the second enumeration repeats the same walk, then induces face samples
     face_calls = len(calls) - 2 * walk
-    samples = {s for _, cone in tris.values() for s in cone.face_samples()[:-1]}
+    samples = {s for _, cone in tris.values() for _, _, s in cone.graded_faces()[:-1]}
     assert face_calls == len(samples) == 46
 
 

@@ -20,13 +20,14 @@ from tropaint.geometry import (
     _circuit_dependence,
     _det,
     _initial_simplex,
+    _echelon,
+    _int_row,
     _integer_points,
-    _rref,
+    _kernel,
     convex_hull_facets,
     hull_volume,
     independent_rows,
     matrix_rank,
-    nullspace_basis,
     upper_hull_facets,
     vdot,
     vsub,
@@ -54,6 +55,7 @@ from oracles import (
     interpolate_oracle,
     matrix_rank_oracle,
     nullspace_basis_oracle,
+    primitive_vector,
     solve_square_oracle,
     upper_hull_facets_by_hull_facets,
     upper_hull_facets_oracle,
@@ -92,10 +94,17 @@ def matrices(draw, square=False, entries=entries):
 @example([[F(1, 2), F(1, 3)], [F(3, 2), 1], [0, 0]])
 def test_rank_nullspace_rref_match_oracle(rows):
     assert matrix_rank(rows) == matrix_rank_oracle(rows)
-    assert nullspace_basis(rows) == nullspace_basis_oracle(rows)
+    # the integer kernel of the rows scaled to integers is the Fraction
+    # kernel, each vector scaled to coprime integers
+    ncols = len(rows[0]) if rows else 0
+    kernel = _kernel([_int_row(r)[:-1] for r in rows], ncols)
+    assert kernel == [primitive_vector(v) for v in nullspace_basis_oracle(rows)]
+    assert all(type(x) is int for v in kernel for x in v)
     want_rows, want_pivots = echelon_oracle([list(map(F, r)) for r in rows])
-    got_rows, got_pivots = _rref(rows)
+    work = [_int_row(r) for r in rows]
+    got_pivots = _echelon(work)
     assert got_pivots == want_pivots
+    got_rows = [tuple(F(x, row[c]) for x in row[:-1]) for row, c in zip(work, got_pivots)]
     assert got_rows == [tuple(r) for r in want_rows[: len(want_pivots)]]
 
 

@@ -79,7 +79,7 @@ def test_seeded_circuits_include_several_links():
         config = _seeded_configuration(seed)
         for t, cone in enumerate_regular_triangulations(config).values():
             for wall, _ in cone.walls():
-                circuit = {i for i, c in enumerate(wall.linear) if c != 0}
+                circuit = {i for i, c in enumerate(wall) if c != 0}
                 links = {mc.marks - circuit for mc in t.maximal if len(circuit - mc.marks) == 1}
                 several += len(links) > 1
     assert several > 0

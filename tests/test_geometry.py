@@ -11,7 +11,6 @@ from tropaint.geometry import (
     convex_hull_facets,
     hull_volume,
     matrix_rank,
-    primitive_vector,
     simplex_normalized_volume,
     upper_hull_facets,
     vector,
@@ -23,6 +22,7 @@ from oracles import (
     fourier_motzkin_feasible,
     lp_maximize_oracle,
     polytope_vertex_indices_by_rank,
+    primitive_vector,
     upper_hull_oracle,
 )
 

@@ -1,6 +1,7 @@
-"""Every function, method and class defined in the library is referenced
-somewhere in the library, the tests or the demos.  Dunder methods are left
-out: Python calls them."""
+"""Every function, method and class defined in the library, and every name
+a module assigns at its top level, is referenced somewhere in the library,
+the tests or the demos.  Dunder methods and __all__ are left out: Python
+reads them."""
 
 import ast
 import pathlib
@@ -12,20 +13,38 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SCANNED = ("src", "tests", "demos")
 
 
+def _assigned(node) -> list[ast.Name]:
+    """The names a top-level statement assigns."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
 def _definitions(tree) -> list[tuple[str, int]]:
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    return [
+    out = [
         (node.name, node.lineno)
         for node in ast.walk(tree)
         if isinstance(node, kinds)
         and not (node.name.startswith("__") and node.name.endswith("__"))
     ]
+    out += [
+        (name.id, name.lineno)
+        for node in tree.body
+        for name in _assigned(node)
+        if name.id != "__all__"
+    ]
+    return out
 
 
 def _references(tree) -> set[str]:
     out = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
@@ -71,12 +90,21 @@ def test_detector_sees_each_reference_form():
         "class C:\n"
         "    def m(self): pass\n"
         "    def __repr__(self): return ''\n"
+        "    K = 1\n"
+        "ONE = 1\n"
+        "A, B = 2, 3\n"
+        "T: int = 4\n"
+        "__all__ = ['f']\n"
     )
     assert _unreferenced({"lib.py": ast.parse(defined)}, []) == [
         "lib.py:1 f",
         "lib.py:2 g",
         "lib.py:3 C",
         "lib.py:4 m",
+        "lib.py:7 ONE",
+        "lib.py:8 A",
+        "lib.py:8 B",
+        "lib.py:9 T",
     ]
-    users = ["f()\nx = C\ny.m", "from lib import f as h, g\nC().m()"]
+    users = ["f()\nx = C\ny.m\nONE + A + B", "from lib import f as h, g, T\nC().m()"]
     assert _unreferenced({"lib.py": ast.parse(defined)}, [ast.parse(u) for u in users]) == []

@@ -105,14 +105,17 @@ def test_constraint_coefficients_and_thresholds():
     }
     for marks, want in expected.items():
         fn = painting_constraint(QUAD, frozenset(marks), ALPHA)
-        *coefficients, level = fn.linear
+        *coefficients, level = fn
+
+        def value(c):
+            return sum(b * x for b, x in zip(fn, tuple(eta) + (c,), strict=True))
+
         # affine: the marks' coefficients add up to minus the level's
         assert level < 0 and sum(coefficients) == -level
         assert {i for i, b in enumerate(coefficients) if b} <= set(marks)
         # the functional vanishes at the threshold level and has g's sign
-        point = tuple(eta) + (want,)
-        assert fn(point) == 0
-        assert fn(tuple(eta) + (want - 1,)) > 0 > fn(tuple(eta) + (want + 1,))
+        assert value(want) == 0
+        assert value(want - 1) > 0 > value(want + 1)
 
 
 def test_level_sweep_patterns():

@@ -141,6 +141,15 @@ def test_secondary_cone_membership_roundtrip():
     assert s2 == s
 
 
+@pytest.mark.parametrize("eta", [[-1, 0, 0, 0], [-1, 0, 0, 0, 0, 0]], ids=["short", "long"])
+def test_secondary_cone_membership_rejects_a_point_of_another_length(eta):
+    s = induce_subdivision(QUAD, Lifting.of(QUAD, [-1, 0, 0, 0, 0]))
+    cone = secondary_cone(QUAD, s)
+    for contains in (cone.contains_open, cone.contains_closed):
+        with pytest.raises(InputError, match=f"{len(eta)} coordinates .* R\\^5"):
+            contains(eta)
+
+
 def test_secondary_cone_rejects_incoherent_marking():
     # the two-triangle split of the square with the diagonal marked on one
     # side only cannot come from a lifting: the unmarked side forces strictness
@@ -232,7 +241,7 @@ def test_square_cones_share_the_trivial_facet():
     c1 = secondary_cone(SQUARE, t1)
     c2 = secondary_cone(SQUARE, t2)
     assert len(c1.stricts) == 1 and len(c2.stricts) == 1
-    assert c1.stricts[0].linear == tuple(-x for x in c2.stricts[0].linear)
+    assert c1.stricts[0] == tuple(-x for x in c2.stricts[0])
 
 
 def test_enumerate_square():

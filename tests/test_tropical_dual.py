@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropaint.errors import NotIsotopicError
-from tropaint.geometry import affine_rank, primitive_vector
+from tropaint.geometry import affine_rank
 from tropaint.multiplihedra import ngon_configuration
 from tropaint.point_config import build_configuration
 from tropaint.regular_subdivision import Lifting, induce_subdivision
@@ -21,6 +21,7 @@ from oracles import (
     dual_vertex_oracle,
     lp_maximize_oracle,
     polytope_vertex_indices_by_rank,
+    primitive_vector,
 )
 
 F = Fraction
