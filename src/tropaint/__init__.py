@@ -13,7 +13,6 @@ from .errors import (
 from .geometry import (
     AffineFunctional,
     affine_rank,
-    simplex_normalized_volume,
     upper_hull_facets,
 )
 from .lattice import FaceLattice, Poset, graded_lattice, lattice_isomorphic
@@ -98,7 +97,6 @@ __all__ = [
     "secondary_cone",
     "secondary_polytope_vertices",
     "sign_vector",
-    "simplex_normalized_volume",
     "upper_hull_facets",
     "verify_main_theorem",
     "verify_multiplihedron_theorem",

@@ -19,8 +19,6 @@ from .errors import DegenerateInputError, InputError
 
 Vec = tuple[Fraction, ...]
 
-ZERO = Fraction(0)
-
 
 def as_fraction(x) -> Fraction:
     """Coerce int / str ("p/q") / Fraction to Fraction. Floats are refused."""
@@ -203,16 +201,6 @@ def _circuit_dependence(rows) -> list[int]:
     maximal minors, (-1)^j times the determinant of all rows but row j.  It
     is zero only when every k of the rows are dependent."""
     return [(-1) ** j * _int_det(rows[:j] + rows[j + 1 :]) for j in range(len(rows))]
-
-
-def _det(rows) -> Fraction:
-    """Determinant of a square rational matrix: that of its rows' numerators
-    over the product of their denominators."""
-    work = [_int_row(row) for row in rows]
-    den = 1
-    for row in work:
-        den *= row[-1]
-    return Fraction(_int_det([row[:-1] for row in work]), den)
 
 
 def matrix_rank(rows) -> int:
@@ -416,10 +404,11 @@ def hull_volume(points) -> Fraction:
         raise InputError("volume of an empty point list")
     d = len(pts[0])
     simplicial, ref = _simplicial_hull(pts, _initial_simplex(pts, d))
-    total = ZERO
-    for _, _, verts in simplicial:
-        total += abs(_det([[(d + 1) * x - r for x, r in zip(pts[i], ref)] for i in verts]))
-    return total / ((d + 1) * scale) ** d
+    total = sum(
+        abs(_int_det([[(d + 1) * x - r for x, r in zip(pts[i], ref)] for i in verts]))
+        for _, _, verts in simplicial
+    )
+    return Fraction(total, ((d + 1) * scale) ** d)
 
 
 def intersection_closure(top, parts) -> set:
@@ -440,18 +429,6 @@ def intersection_closure(top, parts) -> set:
                 seen.add(child)
                 queue.append(child)
     return seen
-
-
-def simplex_normalized_volume(points) -> Fraction:
-    """Normalized volume of a d-simplex given by d+1 points (unit simplex = 1)."""
-    pts = [vector(p) for p in points]
-    d = len(pts[0])
-    if len(pts) != d + 1:
-        raise InputError(f"a {d}-simplex needs {d + 1} points, got {len(pts)}")
-    vol = abs(_det([vsub(p, pts[0]) for p in pts[1:]]))
-    if vol == 0:
-        raise DegenerateInputError("affinely dependent simplex points")
-    return vol
 
 
 # ---------------------------------------------------------------------------

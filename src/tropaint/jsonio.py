@@ -14,6 +14,7 @@ from .errors import InputError
 from .geometry import Vec, as_fraction
 from .lattice import FaceLattice
 from .point_config import PointConfiguration, build_configuration
+from .regular_subdivision import is_triangulation
 
 
 def parse_rational(value) -> Fraction:
@@ -159,8 +160,6 @@ def _marks_labels(config, marks) -> list:
 
 
 def subdivision_json(subdivision) -> dict:
-    from .regular_subdivision import is_triangulation
-
     config = subdivision.config
     cells = []
     for mc in sorted(subdivision.maximal, key=lambda c: sorted(c.marks)):

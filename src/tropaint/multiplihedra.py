@@ -1,19 +1,20 @@
 """Polygon duals as rooted planar trees, painted trees, and multiplihedra.
 
-For a convex polygon configuration the 0- and 1-dimensional dual cells form a
-rooted planar tree: the root is the ray dual to the edge from the last vertex
-back to the first, and leaves are the remaining rays in counterclockwise
-boundary order.  With the distinguished point just outside the root edge,
-painting colors the root side red and the leaf tips blue, so each painted
-complex turns into a classical painted tree.  Edge-length prescription makes
-every painted tree realizable, and the painted-tree contraction lattice is
-checked against the secondary polytope of the extended configuration.
+For a convex polygon configuration the dual complex is a rooted planar tree,
+fixed by the subdivision alone and read off its cells' marks: a node per
+cell, a compact edge per chord, the root ray dual to the edge from the last
+vertex back to the first, and the remaining rays as leaves in
+counterclockwise boundary order.  With the distinguished point just outside
+the root edge, painting colors the root side red and the leaf tips blue, so
+each painted complex turns into a classical painted tree.  Edge-length
+prescription makes every painted tree realizable, and the painted-tree
+contraction lattice is checked against the secondary polytope of the
+extended configuration.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cmp_to_key
 from itertools import product
 from math import lcm
 
@@ -23,7 +24,7 @@ from .errors import (
     ResourceCapError,
     VerificationError,
 )
-from .geometry import Vec, as_fraction, vdot, vector, vsub
+from .geometry import Vec, _int_det, as_fraction, vdot, vector, vsub
 from .lattice import FaceLattice, Poset, graded_lattice, lattice_isomorphic
 from .painting import BLUE, PURPLE, RED, PaintedComplex, PaintSpec, painting_constraint
 from .painting_polytope import extend
@@ -118,142 +119,39 @@ def admissible_alpha(config: PointConfiguration) -> Vec:
     raise InconsistencyError("no admissible point found")  # unreachable
 
 
-class RootedPlanarTree:
-    """The 0/1-skeleton of a polygon dual complex as a rooted planar tree.
+def _planar_tree(s: Subdivision):
+    """A polygon subdivision's dual tree, read off its cells' marks.
 
-    children[i] lists node i's outgoing items in planar order; an item is
-    ("edge", chord marking, child node index) or ("leaf", ray marking).
+    For points in counterclockwise convex position, a cell with sorted marks
+    c0 < ... < ck has the edges {c_j, c_j+1} and {c0, ck} (De Loera, Rambau
+    & Santos, Triangulations, 2010, ch. 2).  A node is (cell marks, items),
+    with one item per edge {a, b} = {c_j, c_j+1} in boundary order: (marking,
+    None) for the leaf ray of a boundary edge, b = a + 1, and (chord marking,
+    child node) otherwise, the child being the other cell whose least and
+    greatest marks are a and b.  The root is the cell holding {0, n - 1}.
     """
-
-    def __init__(self, markings, positions, children, root, root_marking, leaves):
-        self.markings = tuple(markings)
-        self.positions = tuple(positions)
-        self.children = tuple(tuple(c) for c in children)
-        self.root = root
-        self.root_marking = root_marking
-        self.leaves = tuple(leaves)
-
-    def shape(self):
-        def walk(i):
-            out = []
-            for item in self.children[i]:
-                if item[0] == "leaf":
-                    out.append(())
-                else:
-                    out.append(walk(item[2]))
-            return tuple(out)
-
-        return walk(self.root)
-
-    def compact_edges(self):
-        """(parent, child, chord marking, depth of parent) per tree edge."""
-        out = []
-
-        def walk(i, depth):
-            for item in self.children[i]:
-                if item[0] == "edge":
-                    out.append((i, item[2], item[1], depth))
-                    walk(item[2], depth + 1)
-
-        walk(self.root, 0)
-        return out
-
-
-def _ccw_from(reference: Vec, items):
-    """Sort (direction, payload) counterclockwise starting after reference."""
-
-    def half(v):
-        c = reference[0] * v[1] - reference[1] * v[0]
-        if c > 0:
-            return 0
-        if c < 0:
-            return 2
-        d = reference[0] * v[0] + reference[1] * v[1]
-        if d < 0:
-            return 1
-        raise InconsistencyError("repeated direction at a tree node")
-
-    def cmp(x, y):
-        hx, hy = half(x[0]), half(y[0])
-        if hx != hy:
-            return -1 if hx < hy else 1
-        c = x[0][0] * y[0][1] - x[0][1] * y[0][0]
-        if c > 0:
-            return -1
-        if c < 0:
-            return 1
-        raise InconsistencyError("repeated direction at a tree node")
-
-    return sorted(items, key=cmp_to_key(cmp))
-
-
-def tree_of_complex(p: TropicalComplex) -> RootedPlanarTree:
-    """Read the dual complex of a polygon subdivision as a rooted planar tree."""
-    config = p.config
-    if config.dimension != 2:
-        raise InputError("tree structure requires a planar configuration")
+    config = s.config
     n = len(config.points)
-    boundary = {frozenset(f.members) for f in config.facets}
-    expected = {frozenset({i, i + 1}) for i in range(n - 1)} | {frozenset({0, n - 1})}
-    if boundary != expected:
+    if (
+        config.dimension != 2
+        or set(config.facet_masks) != {1 << i | 1 << (i + 1) % n for i in range(n)}
+        or _int_det(config.integer_points[0][:3]) < 0
+    ):
         raise InputError("points must form a counterclockwise convex polygon")
-    root_marking = frozenset({0, n - 1})
+    under = {(min(mc.marks), max(mc.marks)): mc.marks for mc in s.maximal}
+    _check(len(under) == len(s.maximal), "two cells under one chord")
 
-    zero_cells = sorted(p.cells_of_dim(0), key=lambda c: sorted(c.marking))
-    positions = [c.vertices[0] for c in zero_cells]
-    markings = [c.marking for c in zero_cells]
+    def node(a, b):
+        marks = under.pop((a, b), None)
+        _check(marks is not None, f"no cell under the chord {{{a}, {b}}}")
+        cs = sorted(marks)
+        return marks, tuple(
+            (frozenset({c, d}), None if d == c + 1 else node(c, d)) for c, d in zip(cs, cs[1:])
+        )
 
-    touching: list[list] = [[] for _ in zero_cells]
-    for cell in p.cells_of_dim(1):
-        owners = [i for i, m in enumerate(markings) if cell.marking < m]
-        if cell.rays:
-            _check(len(owners) == 1, "unbounded 1-cell not on exactly one vertex")
-            i = owners[0]
-            touching[i].append(("ray", cell.rays[0], cell.marking))
-        else:
-            _check(len(owners) == 2, "bounded 1-cell not between exactly two vertices")
-            i, j = owners
-            di = tuple(x - y for x, y in zip(positions[j], positions[i]))
-            touching[i].append(("edge", di, cell.marking, j))
-            touching[j].append(("edge", tuple(-x for x in di), cell.marking, i))
-
-    root = None
-    for i, items in enumerate(touching):
-        for item in items:
-            if item[0] == "ray" and item[2] == root_marking:
-                root = i
-    if root is None:
-        raise InconsistencyError("no ray dual to the root edge")
-
-    children: list[list] = [[] for _ in zero_cells]
-    leaves = []
-
-    def build(i, incoming: Vec, from_node):
-        ordered = []
-        for item in touching[i]:
-            if item[0] == "ray" and item[2] == root_marking:
-                continue
-            if item[0] == "edge" and item[3] == from_node:
-                continue
-            ordered.append((item[1], item))
-        for _, item in _ccw_from(incoming, ordered):
-            if item[0] == "ray":
-                children[i].append(("leaf", item[2]))
-                leaves.append(item[2])
-            else:
-                children[i].append(("edge", item[2], item[3]))
-                build(item[3], tuple(-x for x in item[1]), i)
-
-    root_dir = None
-    for item in touching[root]:
-        if item[0] == "ray" and item[2] == root_marking:
-            root_dir = item[1]
-    build(root, root_dir, None)
-    tree = RootedPlanarTree(markings, positions, children, root, root_marking, leaves)
-    want = [frozenset({i, i + 1}) for i in range(n - 1)]
-    if list(tree.leaves) != want:
-        raise InconsistencyError("leaf order does not follow the boundary")
-    return tree
+    root = node(0, n - 1)
+    _check(not under, "a cell hangs under no chord")
+    return root
 
 
 class PaintedTree:
@@ -334,24 +232,21 @@ def painted_tree_of(pc: PaintedComplex) -> PaintedTree:
     The sign pattern of an admissible distinguished point guarantees the
     root side is painted and every leaf tip is not.
     """
-    tree = tree_of_complex(pc.complex)
+    root = _planar_tree(pc.complex.subdivision)
     kappa = pc.kappa
     to_state = {RED: PAINTED, BLUE: UNPAINTED, PURPLE: SPLIT}
 
-    def encode(i):
+    def encode(node):
         out = []
-        for item in tree.children[i]:
-            if item[0] == "leaf":
-                col = kappa[item[1]]
-                _check(col != RED, "red leaf ray contradicts the sign pattern")
-                out.append((to_state[col], None))
-            else:
-                out.append((to_state[kappa[item[1]]], encode(item[2])))
+        for marking, child in node[1]:
+            col = kappa[marking]
+            _check(child is not None or col != RED, "red leaf ray contradicts the sign pattern")
+            out.append((to_state[col], None if child is None else encode(child)))
         return tuple(out)
 
-    root_col = kappa[tree.root_marking]
+    root_col = kappa[frozenset({0, len(pc.complex.config.points) - 1})]
     _check(root_col != BLUE, "blue root ray contradicts the sign pattern")
-    return PaintedTree((to_state[root_col], encode(tree.root)))
+    return PaintedTree((to_state[root_col], encode(root)))
 
 
 class EdgeLengthTarget:
@@ -503,11 +398,9 @@ def realize_painted_tree(t: PaintedTree, m: int) -> PaintSpec:
     s = _subdivision_of_shape(config, t.shape())
     seed = secondary_cone(config, s).interior_point
     p, _ = dual_complex(config, seed)
-    tree = tree_of_complex(p)
-    _check(tree.shape() == t.shape(), "seed lifting realizes a different tree shape")
-    root_cell = next((mc.marks for mc in s.maximal if tree.root_marking < mc.marks), None)
-    _check(root_cell is not None, "no root vertex")
-    *fn, level = painting_constraint(config, root_cell, alpha)
+    _check(p.subdivision.key == s.key, "seed lifting realizes a different subdivision")
+    root = _planar_tree(s)
+    *fn, level = painting_constraint(config, root[0], alpha)
 
     def root_value(eta):
         return sum(c * x for c, x in zip(fn, eta, strict=True)) / -level
@@ -521,10 +414,9 @@ def realize_painted_tree(t: PaintedTree, m: int) -> PaintSpec:
     lengths = {}
 
     def assign(node, entries, depth):
-        for item, entry in zip(tree.children[node], entries):
-            if item[0] == "leaf":
+        for (marking, child), (st, sub) in zip(node[1], entries):
+            if child is None:
                 continue
-            st, sub = entry
             if st == PAINTED:
                 value = (
                     Fraction(1, m)
@@ -533,10 +425,10 @@ def realize_painted_tree(t: PaintedTree, m: int) -> PaintSpec:
                 )
             else:
                 value = Fraction(2)
-            lengths[item[1]] = value
-            assign(item[2], sub, depth + 1)
+            lengths[marking] = value
+            assign(child, sub, depth + 1)
 
-    assign(tree.root, children, 0)
+    assign(root, children, 0)
     eta = realize_edge_lengths(p, alpha, EdgeLengthTarget(lengths))
     return PaintSpec(eta, root_value(eta.values) - 1, alpha)
 

@@ -278,7 +278,8 @@ def enumerate_painted_complexes(
     if len(alpha) != config.dimension:
         raise InputError("alpha dimension mismatch")
     n = len(config.points)
-    tris = enumerate_regular_triangulations(config)
+    # every triangulation has a chamber, so the cap bounds the walk too
+    tris = enumerate_regular_triangulations(config, max_count)
 
     def chambers():
         for key in sorted(tris, key=sorted):

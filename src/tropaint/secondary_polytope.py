@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import DegenerateInputError, InputError
+from .geometry import _int_det
 from .lattice import FaceLattice, Poset, graded_lattice
 from .point_config import PointConfiguration
 from .regular_subdivision import (
@@ -21,7 +22,6 @@ from .regular_subdivision import (
     enumerate_coherent_subdivisions,
     is_triangulation,
 )
-from .geometry import simplex_normalized_volume
 
 ZERO = Fraction(0)
 
@@ -32,16 +32,20 @@ class GKZVector:
 
     coordinates: tuple[Fraction, ...]
 
-    def total(self) -> Fraction:
-        return sum(self.coordinates, ZERO)
-
 
 def gkz_vector(config: PointConfiguration, t: Subdivision) -> GKZVector:
     if not is_triangulation(t):
         raise InputError("volume vector requires a triangulation")
+    # d + 1 integer rows (L p, 1) have determinant L^d times their simplex's
+    # normalized volume, up to sign
+    rows, scale = config.integer_points
+    den = scale**config.dimension
     coords = [ZERO] * len(config.points)
     for cell in t.maximal:
-        vol = simplex_normalized_volume([config.points[i] for i in sorted(cell.marks)])
+        det = _int_det([rows[i] for i in sorted(cell.marks)])
+        if not det:
+            raise DegenerateInputError(f"cell {sorted(cell.marks)} is not full-dimensional")
+        vol = Fraction(abs(det), den)
         for i in cell.marks:
             coords[i] += vol
     return GKZVector(tuple(coords))

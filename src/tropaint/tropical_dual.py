@@ -31,9 +31,6 @@ class TropicalPolynomial:
     def __call__(self, u) -> Fraction:
         return evaluate(self, u)[0]
 
-    def argmin(self, u) -> frozenset[int]:
-        return evaluate(self, u)[1]
-
 
 def evaluate(f: TropicalPolynomial, u) -> tuple[Fraction, frozenset[int]]:
     """Minimum value at u together with the set of indices attaining it."""
@@ -98,9 +95,6 @@ class TropicalComplex:
             (c for c in self.cells.values() if c.dimension == k),
             key=lambda c: sorted(c.marking),
         )
-
-    def vertices(self) -> list[TropicalCell]:
-        return self.cells_of_dim(0)
 
     def face_pairs(self) -> list[tuple[frozenset[int], frozenset[int]]]:
         """(face marking, cell marking) pairs; face iff marking strictly grows."""

@@ -97,11 +97,17 @@ and square system from the Fraction simplex and solve above.  The painted
 tree level by dual complex evaluates the tropical polynomial at the root
 vertex of the lifting's dual complex, as multiplihedra.realize_painted_tree
 did before it read the root value off the supports.
+
+The polygon tree by angles walks a polygon complex's 0- and 1-cells from the
+root ray, sorting each node's outgoing edges and rays counterclockwise, as
+multiplihedra.tree_of_complex did before multiplihedra._planar_tree read the
+same tree off the cells' marks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
 from math import gcd, lcm
 
@@ -1256,3 +1262,89 @@ def painted_tree_level_by_dual_complex(t, eta, m):
     if all(c[0] == UNPAINTED for c in children):
         return root
     return root - 1
+
+
+# ---------------------------------------------------------------------------
+# Polygon trees by angles
+
+
+def _ccw_from(reference, items):
+    """Sort (direction, payload) counterclockwise starting after reference."""
+
+    def half(v):
+        c = reference[0] * v[1] - reference[1] * v[0]
+        if c > 0:
+            return 0
+        if c < 0:
+            return 2
+        if reference[0] * v[0] + reference[1] * v[1] < 0:
+            return 1
+        raise InconsistencyError("repeated direction at a tree node")
+
+    def cmp(x, y):
+        hx, hy = half(x[0]), half(y[0])
+        if hx != hy:
+            return -1 if hx < hy else 1
+        c = x[0][0] * y[0][1] - x[0][1] * y[0][0]
+        if c == 0:
+            raise InconsistencyError("repeated direction at a tree node")
+        return -1 if c > 0 else 1
+
+    return sorted(items, key=cmp_to_key(cmp))
+
+
+def planar_tree_by_angles(p):
+    """The dual tree of a polygon complex p in multiplihedra._planar_tree's
+    nested form, read off the geometry of its 0- and 1-cells: each node's
+    outgoing edges and rays sorted counterclockwise from the edge it is
+    entered by, starting at the 0-cell on the root ray, with the leaves
+    checked to come out in boundary order."""
+    config = p.config
+    if config.dimension != 2:
+        raise InputError("tree structure requires a planar configuration")
+    n = len(config.points)
+    boundary = {frozenset(f.members) for f in config.facets}
+    if boundary != {frozenset({i, (i + 1) % n}) for i in range(n)}:
+        raise InputError("points must form a counterclockwise convex polygon")
+    root_marking = frozenset({0, n - 1})
+    zero_cells = p.cells_of_dim(0)
+    positions = [c.vertices[0] for c in zero_cells]
+    markings = [c.marking for c in zero_cells]
+    touching = [[] for _ in zero_cells]  # (direction, marking, other node or None)
+    for cell in p.cells_of_dim(1):
+        owners = [i for i, m in enumerate(markings) if cell.marking < m]
+        if cell.rays:
+            if len(owners) != 1:
+                raise InconsistencyError("unbounded 1-cell not on exactly one vertex")
+            touching[owners[0]].append((cell.rays[0], cell.marking, None))
+        else:
+            if len(owners) != 2:
+                raise InconsistencyError("bounded 1-cell not between exactly two vertices")
+            i, j = owners
+            d = vsub(positions[j], positions[i])
+            touching[i].append((d, cell.marking, j))
+            touching[j].append((tuple(-x for x in d), cell.marking, i))
+    (root, root_dir), = [
+        (i, d) for i, items in enumerate(touching) for d, mk, _ in items if mk == root_marking
+    ]
+    leaves = []
+
+    def build(i, incoming, parent):
+        ordered = [
+            (d, (mk, j))
+            for d, mk, j in touching[i]
+            if mk != root_marking and (j is None or j != parent)
+        ]
+        items = []
+        for _, (mk, j) in _ccw_from(incoming, ordered):
+            if j is None:
+                leaves.append(mk)
+                items.append((mk, None))
+            else:
+                items.append((mk, build(j, vsub(positions[i], positions[j]), i)))
+        return markings[i], tuple(items)
+
+    tree = build(root, root_dir, None)
+    if leaves != [frozenset({i, i + 1}) for i in range(n - 1)]:
+        raise InconsistencyError("leaf order does not follow the boundary")
+    return tree

@@ -9,6 +9,7 @@ points, which is where a fraction-free rewrite could drift.
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,9 +19,9 @@ from tropaint.errors import DegenerateInputError, InputError
 from tropaint.geometry import (
     AffineFunctional,
     _circuit_dependence,
-    _det,
     _initial_simplex,
     _echelon,
+    _int_det,
     _int_row,
     _integer_points,
     _kernel,
@@ -151,8 +152,10 @@ def square_systems(draw):
 @example(([[F(1, 2), 0], [0, F(2, 3)]], [F(1, 3), 5]))
 def test_det_and_solve_match_oracle(system):
     rows, b = system
-    det = _det(rows)
-    assert det == det_oracle(rows)
+    det = det_oracle(rows)
+    # each row scaled by the lcm of its denominators scales the determinant
+    work = [_int_row(row) for row in rows]
+    assert _int_det([row[:-1] for row in work]) == det * prod(row[-1] for row in work)
     # the Fraction solve the subdivision validator runs: a solution exactly
     # when the determinant is nonzero, and then it solves the system
     got = solve_square_oracle(rows, b)

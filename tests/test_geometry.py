@@ -11,10 +11,12 @@ from tropaint.geometry import (
     convex_hull_facets,
     hull_volume,
     matrix_rank,
-    simplex_normalized_volume,
     upper_hull_facets,
     vector,
 )
+from tropaint.point_config import build_configuration
+from tropaint.regular_subdivision import Lifting, Subdivision, _make_cell, induce_subdivision
+from tropaint.secondary_polytope import gkz_vector
 
 from oracles import (
     affine_coordinates,
@@ -70,14 +72,25 @@ def test_affine_rank_translation_invariant(pts, shift):
     assert affine_rank(pts) == affine_rank(shifted)
 
 
+def simplex_volume(points):
+    """The normalized volume of a simplex, read off the volume vector of the
+    one triangulation of its vertices."""
+    config = build_configuration(points)
+    t = induce_subdivision(config, Lifting.of(config, [0] * len(points)))
+    (vol,) = set(gkz_vector(config, t).coordinates)
+    return vol
+
+
 def test_simplex_volume_examples():
-    assert simplex_normalized_volume([(0, 0), (1, 0), (-1, -1)]) == 1
-    assert simplex_normalized_volume([(0, 0), (1, 0), (0, 1)]) == 1
-    assert simplex_normalized_volume([(0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 1)]) == 6
+    assert simplex_volume([(0, 0), (1, 0), (-1, -1)]) == 1
+    assert simplex_volume([(0, 0), (1, 0), (0, 1)]) == 1
+    assert simplex_volume([(0, 0, 0), (2, 0, 0), (0, 3, 0), (0, 0, 1)]) == 6
+    assert simplex_volume([(0, 0), (F(1, 2), 0), (0, F(1, 3))]) == F(1, 6)
+    # a cell of three collinear points
+    line = build_configuration([(0, 0), (1, 0), (2, 0), (0, 1)])
+    cells = [_make_cell(line, {0, 1, 2}), _make_cell(line, {0, 2, 3})]
     with pytest.raises(DegenerateInputError):
-        simplex_normalized_volume([(0, 0), (1, 1), (2, 2)])
-    with pytest.raises(InputError):
-        simplex_normalized_volume([(0, 0), (1, 0)])
+        gkz_vector(line, Subdivision(line, cells))
 
 
 @given(st.permutations(range(4)))
@@ -85,7 +98,7 @@ def test_simplex_volume_examples():
 def test_simplex_volume_permutation_invariant(perm):
     pts = [(0, 0, 0), (1, 0, 0), (1, 2, 0), (0, 1, 5)]
     reordered = [pts[i] for i in perm]
-    assert simplex_normalized_volume(reordered) == simplex_normalized_volume(pts)
+    assert simplex_volume(reordered) == simplex_volume(pts) == 10
 
 
 def test_hull_square():

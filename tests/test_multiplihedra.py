@@ -19,6 +19,7 @@ from tropaint.multiplihedra import (
     _edge_offset,
     _on_some_diagonal,
     _painted_variants,
+    _planar_tree,
     _subdivision_of_shape,
     _tree_label,
     _tree_rank,
@@ -29,7 +30,6 @@ from tropaint.multiplihedra import (
     painted_tree_of,
     realize_edge_lengths,
     realize_painted_tree,
-    tree_of_complex,
     verify_multiplihedron_theorem,
 )
 from tropaint.painting import RED, PaintSpec, enumerate_painted_complexes, paint, painting_cone
@@ -41,6 +41,7 @@ from oracles import (
     on_some_diagonal_oracle,
     painted_binary_tree_count,
     painted_tree_level_by_dual_complex,
+    planar_tree_by_angles,
     polygon_subdivisions,
     realize_edge_lengths_sequential,
 )
@@ -95,35 +96,78 @@ def test_admissible_alpha_sign_pattern(m):
             assert alpha[1] != (i + j) * alpha[0] - i * j
 
 
+def tree_shape(node):
+    return tuple(() if child is None else tree_shape(child) for _, child in node[1])
+
+
+def tree_leaves(node):
+    out = []
+    for marking, child in node[1]:
+        out += [marking] if child is None else tree_leaves(child)
+    return out
+
+
+def tree_edges(node, depth=0):
+    """(parent, child, chord marking, depth of parent) per compact edge."""
+    out = []
+    for marking, child in node[1]:
+        if child is not None:
+            out.append((node, child, marking, depth))
+            out += tree_edges(child, depth + 1)
+    return out
+
+
 def test_tree_of_snake_square():
     config, p = complex_of_shape(3, ((), ((), ())))
-    tree = tree_of_complex(p)
-    assert tree.shape() == ((), ((), ()))
-    assert len(tree.markings) == 2
-    assert tree.leaves == tuple(frozenset({i, i + 1}) for i in range(3))
-    edges = tree.compact_edges()
+    root = _planar_tree(p.subdivision)
+    assert tree_shape(root) == ((), ((), ()))
+    assert root[0] == frozenset({0, 1, 3})
+    assert tree_leaves(root) == [frozenset({i, i + 1}) for i in range(3)]
+    edges = tree_edges(root)
     assert len(edges) == 1
-    _, _, marking, depth = edges[0]
+    _, child, marking, depth = edges[0]
+    assert child[0] == frozenset({1, 2, 3})
     assert marking == frozenset({1, 3}) and depth == 0
 
 
 def test_tree_of_trivial_triangle():
     config, p = complex_of_shape(2, ((), ()))
-    tree = tree_of_complex(p)
-    assert tree.shape() == ((), ())
-    assert len(tree.markings) == 1
-    assert tree.compact_edges() == []
+    root = _planar_tree(p.subdivision)
+    assert tree_shape(root) == ((), ())
+    assert root[0] == frozenset({0, 1, 2})
+    assert tree_edges(root) == []
 
 
 @pytest.mark.parametrize("m", [3, 4])
 def test_tree_shape_round_trip(m):
     for shape in _tree_shapes(m):
         config, p = complex_of_shape(m, shape)
-        tree = tree_of_complex(p)
-        assert tree.shape() == shape
-        assert tree.leaves == tuple(frozenset({i, i + 1}) for i in range(m))
-        # internal node count equals polygon cell count
-        assert len(tree.markings) == len(p.subdivision.maximal)
+        root = _planar_tree(p.subdivision)
+        assert tree_shape(root) == shape
+        assert tree_leaves(root) == [frozenset({i, i + 1}) for i in range(m)]
+        # one node per polygon cell
+        assert len(tree_edges(root)) + 1 == len(p.subdivision.maximal)
+
+
+def polygon_complexes():
+    """150 seeded random liftings of each polygon with 3 to 8 vertices, and
+    the seed lifting of every tree shape with at most 5 leaves."""
+    for m in range(2, 8):
+        config = ngon_configuration(m)
+        rng = random.Random(m)
+        for _ in range(150):
+            yield dual_complex(config, [Fraction(rng.randint(-20, 20)) for _ in range(m + 1)])[0]
+    for m in range(2, 6):
+        for shape in _tree_shapes(m):
+            yield complex_of_shape(m, shape)[1]
+
+
+def test_planar_tree_matches_tree_by_angles():
+    count = 0
+    for p in polygon_complexes():
+        assert _planar_tree(p.subdivision) == planar_tree_by_angles(p)
+        count += 1
+    assert count == 960
 
 
 def test_tree_rejects_non_polygon():
@@ -133,7 +177,13 @@ def test_tree_rejects_non_polygon():
     eta = Lifting((ZERO, ZERO, ZERO, ZERO, Fraction(-1)))
     p, _ = dual_complex(square_with_center, eta)
     with pytest.raises(InputError):
-        tree_of_complex(p)
+        _planar_tree(p.subdivision)
+    with pytest.raises(InputError):
+        planar_tree_by_angles(p)
+    clockwise = build_configuration([(k, -k * k) for k in range(5)])
+    p, _ = dual_complex(clockwise, [Fraction(k) for k in (3, -1, 0, 2, 1)])
+    with pytest.raises(InputError, match="counterclockwise"):
+        _planar_tree(p.subdivision)
 
 
 def test_shape_counts_match_polygon_subdivision_oracle():
@@ -376,7 +426,7 @@ def test_painted_tree_targets_match_sequential_oracle(m, monkeypatch):
     assert calls
     for p, beta, target, eta in calls:
         # leaf to root, the order the targets were once corrected in
-        depth = {mk: d for _, _, mk, d in tree_of_complex(p).compact_edges()}
+        depth = {mk: d for _, _, mk, d in tree_edges(_planar_tree(p.subdivision))}
         order = sorted(depth, key=lambda mk: (-depth[mk], sorted(mk)))
         assert eta.values == realize_edge_lengths_sequential(p, beta, target, order)
 
@@ -427,10 +477,12 @@ def test_purple_depth_two_telescopes():
     config = ngon_configuration(m)
     p, _ = dual_complex(config, spec.eta)
     f = TropicalPolynomial(config, spec.eta)
-    tree = tree_of_complex(p)
+    root = _planar_tree(p.subdivision)
+    nodes = [root] + [child for _, child, _, _ in tree_edges(root)]
+    positions = [p.cells[node[0]].vertices[0] for node in nodes]
     values = sorted(
         evaluate(f, pos)[0] - sum(a * b for a, b in zip(pos, spec.alpha))
-        for pos in tree.positions
+        for pos in positions
     )
     c = spec.c
     assert values == [c, c + Fraction(3, 4), c + 1]
@@ -447,14 +499,13 @@ def test_monotone_toward_leaves(m, raw):
     alpha = admissible_alpha(config)
     eta = Lifting(tuple(Fraction(x) for x in raw[: m + 1]))
     p, _ = dual_complex(config, eta)
-    tree = tree_of_complex(p)
     f = TropicalPolynomial(config, eta)
 
-    def value(i):
-        pos = tree.positions[i]
+    def value(node):
+        pos = p.cells[node[0]].vertices[0]
         return evaluate(f, pos)[0] - sum(a * b for a, b in zip(pos, alpha))
 
-    for parent, child, _, _ in tree.compact_edges():
+    for parent, child, _, _ in tree_edges(_planar_tree(p.subdivision)):
         assert value(parent) > value(child)
 
 

@@ -24,16 +24,25 @@ def _assigned(node) -> list[ast.Name]:
     return [n for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
 
 
-def _definitions(tree) -> list[tuple[str, int]]:
+def _definitions(tree) -> list[tuple[str, int, bool]]:
+    """(name, line, whether it is a method) per definition; a method is a
+    def directly in a class body."""
     kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    methods = {
+        node
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
     out = [
-        (node.name, node.lineno)
+        (node.name, node.lineno, node in methods)
         for node in ast.walk(tree)
         if isinstance(node, kinds)
         and not (node.name.startswith("__") and node.name.endswith("__"))
     ]
     out += [
-        (name.id, name.lineno)
+        (name.id, name.lineno, False)
         for node in tree.body
         for name in _assigned(node)
         if name.id != "__all__"
@@ -41,29 +50,33 @@ def _definitions(tree) -> list[tuple[str, int]]:
     return out
 
 
-def _references(tree) -> set[str]:
-    out = set()
+def _references(tree) -> tuple[set[str], set[str]]:
+    """(bare names read, attribute and import names).  A method is reached
+    only through the second: a bare name of its name is some other binding."""
+    names, attributes = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            out.add(node.id)
+            names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            attributes.add(node.attr)
         elif isinstance(node, ast.alias):
-            out.update(node.name.split("."))
+            attributes.update(node.name.split("."))
             if node.asname:
-                out.add(node.asname)
-    return out
+                attributes.add(node.asname)
+    return names, attributes
 
 
 def _unreferenced(library: dict[str, ast.AST], others: list[ast.AST]) -> list[str]:
-    used = set()
+    names, attributes = set(), set()
     for tree in list(library.values()) + others:
-        used |= _references(tree)
+        n, a = _references(tree)
+        names |= n
+        attributes |= a
     return [
         f"{name}:{line} {defined}"
         for name, tree in sorted(library.items())
-        for defined, line in _definitions(tree)
-        if defined not in used
+        for defined, line, is_method in _definitions(tree)
+        if defined not in attributes and (is_method or defined not in names)
     ]
 
 
@@ -108,3 +121,8 @@ def test_detector_sees_each_reference_form():
     ]
     users = ["f()\nx = C\ny.m\nONE + A + B", "from lib import f as h, g, T\nC().m()"]
     assert _unreferenced({"lib.py": ast.parse(defined)}, [ast.parse(u) for u in users]) == []
+    # a local named like the method is some other binding
+    shadowing = ["f()\nx = C\nm = 0\nprint(m + ONE + A + B)", "from lib import g, T"]
+    assert _unreferenced({"lib.py": ast.parse(defined)}, [ast.parse(u) for u in shadowing]) == [
+        "lib.py:4 m"
+    ]

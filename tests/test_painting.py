@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropaint import painting
-from tropaint.errors import InconsistencyError, InputError, NoCertificateError
+from tropaint.errors import (
+    InconsistencyError,
+    InputError,
+    NoCertificateError,
+    ResourceCapError,
+)
 from tropaint.geometry import vdot
 from tropaint.painting import (
     BLUE,
@@ -348,6 +353,18 @@ def test_segment_poset():
     assert len(top) == 1 and kappas[top[0]] == wall
     assert sorted(kappas[i][(0, 1)] for i in poset.minimal()) == [BLUE, RED]
     assert len(poset.covers()) == 2
+
+
+def test_painted_walk_stops_at_the_cap(monkeypatch):
+    # the pentagon has 5 triangulations, each under at least one chamber, so
+    # a cap of 3 painted complexes stops the triangulation walk before any paint
+    def no_paint(*args):
+        raise AssertionError("painted before the cap")
+
+    monkeypatch.setattr(painting, "_paint_at", no_paint)
+    pentagon = ngon_configuration(4)
+    with pytest.raises(ResourceCapError, match="more than 3 triangulations"):
+        enumerate_painted_complexes(pentagon, admissible_alpha(pentagon), max_count=3)
 
 
 def test_quad_poset_counts():

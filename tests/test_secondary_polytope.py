@@ -55,7 +55,7 @@ def test_gkz_sum_invariant():
         vol = config.volume
         d = config.dimension
         for vec, _ in secondary_polytope_vertices(config):
-            assert vec.total() == (d + 1) * vol
+            assert sum(vec.coordinates) == (d + 1) * vol
 
 
 def test_bipyramid_vertices():

@@ -49,7 +49,7 @@ def test_evaluate_zero_point_picks_zero_heights():
 
 def test_star_dual_vertices_match_elimination_oracle():
     p, s = dual_complex(QUAD, STAR)
-    verts = {c.marking: c for c in p.vertices()}
+    verts = {c.marking: c for c in p.cells_of_dim(0)}
     assert set(verts) == {
         frozenset({0, 1, 2}),
         frozenset({0, 2, 3}),
