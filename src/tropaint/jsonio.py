@@ -162,7 +162,7 @@ def _marks_labels(config, marks) -> list:
 def subdivision_json(subdivision) -> dict:
     config = subdivision.config
     cells = []
-    for mc in sorted(subdivision.maximal, key=lambda c: sorted(c.marks)):
+    for mc in subdivision.maximal:
         cells.append(
             {
                 "marks": _marks_labels(config, mc.marks),
@@ -217,12 +217,7 @@ def gkz_json(config, vertices) -> dict:
         rows.append(
             {
                 "coordinates": vector_json(vec.coordinates),
-                "triangulation": [
-                    _marks_labels(config, marks)
-                    for marks in sorted(
-                        (cell.marks for cell in tri.maximal), key=sorted
-                    )
-                ],
+                "triangulation": [_marks_labels(config, cell.marks) for cell in tri.maximal],
             }
         )
     return {"labels": list(config.labels), "vertices": rows}

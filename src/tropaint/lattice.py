@@ -36,8 +36,8 @@ class Poset:
                     up[i] = acc
                     changed = True
         for i in range(n):
-            for j in range(i + 1, n):
-                if up[i] >> j & 1 and up[j] >> i & 1:
+            for j in _bits(up[i] >> (i + 1) << (i + 1)):
+                if up[j] >> i & 1:
                     raise InputError(f"antisymmetry violated between {i} and {j}")
         self._up = up
 
@@ -48,15 +48,16 @@ class Poset:
         return bool(self._up[i] >> j & 1)
 
     def covers(self) -> list[tuple[int, int]]:
-        """Pairs (i, j) with j covering i: i < j with nothing strictly between."""
-        n = len(self.elements)
+        """Pairs (i, j) with j covering i: i < j with nothing strictly between,
+        that is j in i's strict up-set and in no strict up-set of its members."""
+        strict = [u & ~(1 << i) for i, u in enumerate(self._up)]
         out = []
-        for i in range(n):
-            strict = self._up[i] & ~(1 << i)
-            for j in _bits(strict):
-                if not any(k != j and self._up[k] >> j & 1 for k in _bits(strict)):
-                    out.append((i, j))
-        return sorted(out)
+        for i, s in enumerate(strict):
+            above = 0
+            for k in _bits(s):
+                above |= strict[k]
+            out += [(i, j) for j in _bits(s & ~above)]
+        return out
 
     def maximal(self) -> list[int]:
         return [i for i in range(len(self.elements)) if self._up[i] == 1 << i]

@@ -159,11 +159,11 @@ def verify_main_theorem(config: PointConfiguration, alpha) -> MainTheoremReport:
     """Check that painted complexes match coherent subdivisions upstairs.
 
     The check is threefold: the two posets admit a rank-preserving order
-    isomorphism; the explicit lifting embedding realizes one (bijective and
-    order-preserving both ways); and for every painted complex the 0-cells
-    of the extended dual complex are exactly the predicted ones, position
-    and marking alike.  Any failure raises VerificationError naming the
-    offending element.
+    isomorphism; the explicit lifting embedding realizes one, a bijection
+    carrying covers exactly onto covers; and for every painted complex the
+    0-cells of the extended dual complex are exactly the predicted ones,
+    position and marking alike.  Any failure raises VerificationError
+    naming the offending element.
     """
     alpha = vector(alpha)
     ppos = enumerate_painted_complexes(config, alpha)
@@ -176,7 +176,8 @@ def verify_main_theorem(config: PointConfiguration, alpha) -> MainTheoremReport:
     pranks = list(ppos.ranks)
     slat = face_lattice_from_poset(spos)
     sranks = slat.ranks
-    match = lattice_isomorphic(graded_lattice(pranks, ppos.covers()), slat)
+    plat = graded_lattice(pranks, ppos.covers())
+    match = lattice_isomorphic(plat, slat)
     if match is None:
         raise VerificationError("posets admit no rank-preserving isomorphism")
 
@@ -207,12 +208,10 @@ def verify_main_theorem(config: PointConfiguration, alpha) -> MainTheoremReport:
         checks += len(actual)
     if len(set(cmap)) != len(cmap):
         raise VerificationError("embedding map is not injective")
-    for i1 in range(len(ppos)):
-        for i2 in range(len(ppos)):
-            if ppos.le(i1, i2) != spos.le(cmap[i1], cmap[i2]):
-                raise VerificationError(
-                    f"order mismatch between painted complexes {i1} and {i2}"
-                )
+    mapped = {(cmap[i], cmap[j]) for i, j in plat.covers}
+    if mapped != slat.covers:
+        a, b = min(mapped ^ slat.covers)
+        raise VerificationError(f"covers differ at extended subdivisions {a} and {b}")
 
     verts = secondary_polytope_vertices(ext.extended, spos)
     if len(verts) != pranks.count(0):

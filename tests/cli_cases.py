@@ -4,7 +4,8 @@ Each case names a command line (INPUT is replaced by the input file path),
 the golden file for stdout, the golden file per --out artifact, and the
 PYTHONHASHSEED values to run under.  Seeds differ per case so hash-order
 leaks into any output would show up as byte drift.  run_cli runs one
-command line in a child interpreter.
+command line in a child interpreter that child_env points at the code
+under test.
 """
 
 import os
@@ -17,17 +18,22 @@ import tropaint
 GOLDEN_DIR_NAME = "golden"
 
 
-def run_cli(args, seed=None, out_dir=None):
-    """Run python -m tropaint.cli with args in a child interpreter.
+def child_env():
+    """The environment for a child interpreter that runs the code under test.
 
     pytest's pythonpath setting does not reach child processes, so the
     directory holding the tropaint this process imported (src/ in a plain
-    checkout) goes first on the child's PYTHONPATH: the child runs the code
-    under test.  seed, when given, sets PYTHONHASHSEED.
+    checkout) goes first on the child's PYTHONPATH.
     """
     src = str(pathlib.Path(tropaint.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + path if path else src)
+
+
+def run_cli(args, seed=None, out_dir=None):
+    """Run python -m tropaint.cli with args in a child interpreter set up by
+    child_env.  seed, when given, sets PYTHONHASHSEED."""
+    env = child_env()
     if seed is not None:
         env["PYTHONHASHSEED"] = seed
     cmd = [sys.executable, "-m", "tropaint.cli", *args]

@@ -79,6 +79,12 @@ enumerate_coherent_subdivisions, enumerate_painted_complexes,
 face_lattice_from_poset and verify_main_theorem built the order and the
 ranks before reading both off the fans' face masks.
 
+The poset oracle closes a relation by Warshall's algorithm on a boolean
+matrix, names the first pair i < j comparable both ways, and tests each
+comparable pair for a cover against every other element, as lattice.Poset
+found antisymmetry violations and covers pair by pair before it read both
+off its up-set bitmasks.
+
 The per-cell painting rebuilds g on every cell from the cell's least mark and
 reads its values at the cell's vertices and its slopes along the cell's
 rays, as painting.paint did before it evaluated g once per 0-cell and took
@@ -1348,3 +1354,31 @@ def planar_tree_by_angles(p):
     if leaves != [frozenset({i, i + 1}) for i in range(n - 1)]:
         raise InconsistencyError("leaf order does not follow the boundary")
     return tree
+
+
+# ---------------------------------------------------------------------------
+# Posets pair by pair
+
+
+def poset_oracle(n: int, pairs):
+    """The reflexive-transitive closure of pairs on 0..n-1 as a boolean
+    matrix, its first pair i < j comparable both ways or None, and its
+    covers: i < j with no k strictly between, in sorted order."""
+    le = [[i == j for j in range(n)] for i in range(n)]
+    for i, j in pairs:
+        le[i][j] = True
+    for k in range(n):
+        for i in range(n):
+            if le[i][k]:
+                for j in range(n):
+                    le[i][j] = le[i][j] or le[k][j]
+    clash = next(((i, j) for i in range(n) for j in range(i + 1, n) if le[i][j] and le[j][i]), None)
+    covers = [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if i != j
+        and le[i][j]
+        and not any(k not in (i, j) and le[i][k] and le[k][j] for k in range(n))
+    ]
+    return le, clash, covers

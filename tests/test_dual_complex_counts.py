@@ -2,8 +2,8 @@
 given, the painted enumeration builds one per lifting it meets, edge-length
 realization corrects every edge from its input complex and certifies the
 result with one induced subdivision and no dual complex, the painted-tree
-realization builds only each tree's seed complex and induces each realized
-lifting once, and the main-theorem check
+realization builds a tree's seed complex only when it corrects edge lengths
+and induces each realized lifting once, and the main-theorem check
 builds each extended complex once.  A dual complex builds one hull with one
 rank pass, in integers from the lifted points to the supports, and its cells
 read their dimensions and vertices off incidences.  Painting evaluates
@@ -72,9 +72,10 @@ def test_painted_tree_realization_builds_each_complex_once(calls_to):
     induced = calls_to(regular_subdivision.induce_subdivision)
     for t in trees:
         realize_painted_tree(t, 4)
-    # a seed complex per tree; each realized lifting's root value is read
-    # off a circuit, with no complex and no hull
-    assert len(trees) == 67 and len(calls) == 67
+    # a seed complex per tree whose paint reaches below the root vertex, the
+    # 22 others return the seed itself; each realized lifting's root value is
+    # read off a circuit, with no complex and no hull
+    assert len(trees) == 67 and len(calls) == 45
     # one hull per realized lifting: the certificate of realize_edge_lengths
     realized = [args[1].values for caller, args in induced if caller == "tropaint.multiplihedra"]
     assert len(realized) == len(set(realized)) == 45

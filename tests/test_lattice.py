@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from tropaint.errors import InconsistencyError, InputError
@@ -7,6 +9,8 @@ from tropaint.lattice import (
     graded_lattice,
     lattice_isomorphic,
 )
+
+from oracles import poset_oracle
 
 
 def square_lattice(rotate=0):
@@ -33,6 +37,30 @@ def test_poset_closure_and_covers():
 def test_poset_antisymmetry_rejected():
     with pytest.raises(InputError):
         Poset(("a", "b"), [(0, 1), (1, 0)])
+
+
+def test_poset_matches_pairwise_oracle():
+    # random relations on up to 12 elements: about half are acyclic, drawn
+    # along a shuffled order, and the rest may hold cycles
+    rng = random.Random(20)
+    clashes = 0
+    for trial in range(600):
+        n = rng.randint(0, 12)
+        rank = list(range(n))
+        rng.shuffle(rank)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+        if trial % 2:
+            pairs = [(i, j) for i, j in pairs if rank[i] <= rank[j]]
+        le, clash, covers = poset_oracle(n, pairs)
+        if clash is not None:
+            clashes += 1
+            with pytest.raises(InputError, match=f"between {clash[0]} and {clash[1]}$"):
+                Poset(range(n), pairs)
+            continue
+        p = Poset(range(n), pairs)
+        assert [[p.le(i, j) for j in range(n)] for i in range(n)] == le
+        assert p.covers() == covers
+    assert 50 < clashes < 300
 
 
 def test_graded_lattice_validation():

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropaint import multiplihedra
-from tropaint.errors import InputError, ResourceCapError
-from tropaint.lattice import lattice_isomorphic
+from tropaint import geometry, multiplihedra
+from tropaint.errors import InconsistencyError, InputError, ResourceCapError
+from tropaint.lattice import Poset, lattice_isomorphic
 from tropaint.multiplihedra import (
     PAINTED,
     SPLIT,
@@ -20,6 +20,7 @@ from tropaint.multiplihedra import (
     _on_some_diagonal,
     _painted_variants,
     _planar_tree,
+    _single_moves,
     _subdivision_of_shape,
     _tree_label,
     _tree_rank,
@@ -251,6 +252,43 @@ def test_multiplihedron_lattice_counts():
     assert 80 - 165 + 110 - 25 == 0
     with pytest.raises(ResourceCapError, match="at most 5 leaves"):
         multiplihedron_lattice(6)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_single_moves_are_the_covers_of_their_closure(m):
+    # m = 6 lies past the lattice's leaf cap, so its trees come straight
+    # from the shapes; there are 2, 18, 141, 1079 and 8252 moves
+    trees = [t for s in _tree_shapes(m) for t in _painted_variants(s, True)]
+    index = {t: i for i, t in enumerate(trees)}
+    moves = {(index[t], index[u]) for t in trees for u in _single_moves(t)}
+    assert len(moves) == {2: 2, 3: 18, 4: 141, 5: 1079, 6: 8252}[m]
+    assert all(_tree_rank(trees[j]) == _tree_rank(trees[i]) + 1 for i, j in moves)
+    assert set(Poset(trees, moves).covers()) == moves
+    if m <= 5:
+        assert multiplihedron_lattice(m).covers == moves
+
+
+def test_a_move_that_skips_a_rank_is_refused(monkeypatch):
+    trees = [t for s in _tree_shapes(3) for t in _painted_variants(s, True)]
+    bottom = next(t for t in trees if _tree_rank(t) == 0)
+    top = max(trees, key=_tree_rank)
+    real = multiplihedra._single_moves
+
+    def with_a_jump(entry):
+        return real(entry) + ([top] if entry == bottom else [])
+
+    monkeypatch.setattr(multiplihedra, "_single_moves", with_a_jump)
+    with pytest.raises(InconsistencyError, match="jumps rank 0->2"):
+        multiplihedron_lattice(3)
+
+
+def test_theorem_cap_refuses_before_any_hull(calls_to):
+    hulls = calls_to(geometry.upper_hull_facets)
+    with pytest.raises(ResourceCapError, match="at most 5 leaves"):
+        verify_multiplihedron_theorem(6)
+    assert hulls == []
+    with pytest.raises(InputError, match="at least two leaves"):
+        verify_multiplihedron_theorem(1)
 
 
 def test_rank_formula_matches_cone_dimension():
