@@ -295,7 +295,7 @@ def enumerate_painted_complexes(
 
     complexes: dict[Vec, TropicalComplex] = {}
 
-    def induce(point):
+    def induce(point, _cone, _mask):
         painted = _paint_at(config, alpha, point, complexes)
         return painted.key(), painted
 

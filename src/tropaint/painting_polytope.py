@@ -7,6 +7,9 @@ the height-1 point when red, the height-2 point when blue, both when purple,
 and purple 1-cells with a sign change contribute one extra 0-cell each at the
 zero of the comparison function.  verify_main_theorem checks that this
 correspondence is a poset isomorphism and reproduces every 0-cell upstairs.
+The 0-cells upstairs are dual to the maximal cells of the induced
+subdivision, at the slopes of their supports with their marks as markings,
+so they are read off that one hull with no dual complex.
 """
 
 from __future__ import annotations
@@ -25,9 +28,8 @@ from .painting import (
     enumerate_painted_complexes,
 )
 from .point_config import PointConfiguration, build_configuration
-from .regular_subdivision import Lifting, enumerate_coherent_subdivisions
+from .regular_subdivision import Lifting, enumerate_coherent_subdivisions, induce_subdivision
 from .secondary_polytope import face_lattice_from_poset, secondary_polytope_vertices
-from .tropical_dual import dual_complex
 
 ZERO = Fraction(0)
 
@@ -162,7 +164,9 @@ def verify_main_theorem(config: PointConfiguration, alpha) -> MainTheoremReport:
     isomorphism; the explicit lifting embedding realizes one, a bijection
     carrying covers exactly onto covers; and for every painted complex the
     0-cells of the extended dual complex are exactly the predicted ones,
-    position and marking alike.  Any failure raises VerificationError
+    position and marking alike.  Those 0-cells are read off the subdivision
+    the embedded lifting induces: one per maximal cell, at its support's
+    slope, marked by its marks.  Any failure raises VerificationError
     naming the offending element.
     """
     alpha = vector(alpha)
@@ -185,7 +189,7 @@ def verify_main_theorem(config: PointConfiguration, alpha) -> MainTheoremReport:
     cmap = []
     checks = 0
     for i, pc in enumerate(ppos.elements):
-        pext, sbar = dual_complex(ext.extended, embed_lifting(pc.spec))
+        sbar = induce_subdivision(ext.extended, embed_lifting(pc.spec))
         j = skey.get(sbar.key)
         if j is None:
             raise VerificationError(
@@ -195,9 +199,7 @@ def verify_main_theorem(config: PointConfiguration, alpha) -> MainTheoremReport:
         if sranks[j] != pranks[i]:
             raise VerificationError(f"rank mismatch at painted complex {i}")
         cmap.append(j)
-        actual = {
-            (cell.vertices[0], cell.marking) for cell in pext.cells_of_dim(0)
-        }
+        actual = {(mc.support.linear, mc.marks) for mc in sbar.maximal}
         expected = _expected_extended_vertices(ext, pc)
         if actual != expected:
             raise VerificationError(

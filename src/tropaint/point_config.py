@@ -18,7 +18,6 @@ from .geometry import (
     affine_rank,
     convex_hull_facets,
     hull_volume,
-    intersection_closure,
     vdot,
     vector,
 )
@@ -64,13 +63,6 @@ class PointConfiguration:
 
     def __repr__(self):
         return f"PointConfiguration({len(self.points)} points, dim {self.dimension})"
-
-    def vertex_indices(self) -> frozenset[int]:
-        """The points whose singleton is a face of the hull."""
-        faces = intersection_closure(
-            frozenset(range(len(self.points))), (f.members for f in self.facets)
-        )
-        return frozenset(i for face in faces if len(face) == 1 for i in face)
 
     def contains(self, x) -> bool:
         xv = vector(x)

@@ -106,7 +106,12 @@ class Subdivision:
 
     Identity is the set of maximal marked cells; two liftings in the same open
     secondary cone produce equal Subdivision values.  witness, when present,
-    is the lifting that induced the subdivision; it takes no part in identity.
+    is a lifting inducing the subdivision; it takes no part in identity.
+    induce_subdivision gives its own lifting as the witness and maximal
+    cells with supports.  A non-triangulation that
+    enumerate_coherent_subdivisions reads off a triangulation cone's face
+    has the face sample as its witness, and its maximal cells carry no
+    supports.
 
     .cells is built on first access, with no geometry.  Cells meet in common
     faces, and every face of a cell is the intersection of the cell's facets
@@ -417,7 +422,7 @@ def _circuit(config: PointConfiguration, ids) -> tuple[int, ...]:
     return tuple(coef)
 
 
-def _folding_stricts(config: PointConfiguration, s: Subdivision) -> list[tuple[int, ...]]:
+def _folding_stricts(config: PointConfiguration, s: Subdivision) -> dict[tuple[int, ...], list]:
     """The local folding form of a triangulation's cone, once s is certified
     to be a triangulation of config; raises NoCertificateError otherwise.
 
@@ -430,21 +435,28 @@ def _folding_stricts(config: PointConfiguration, s: Subdivision) -> list[tuple[i
     containing it (ibid., ch. 5); the first cell in which the point has no
     negative barycentric coordinate serves, and any other gives the same
     functional.  Each strict is a _circuit, positive on the far vertices or
-    on the unused point; they come sorted.
+    on the unused point.
+
+    Maps each strict to what it came from, as (point, cells) pairs of
+    indices into s.maximal: (None, its two cells) per interior ridge, as
+    several ridges can share one circuit, and (a, the cells containing a)
+    per unused point a.  The point lies in the relative interior of the face
+    spanned by its circuit's other points, so the cells containing it are
+    those holding that face.
     """
     rows, scale = config.integer_points
     cells = [sorted(mc.marks) for mc in s.maximal]
-    found: set[tuple[int, ...]] = set()
+    found: dict[tuple[int, ...], list] = {}
     total = 0
-    far: dict[frozenset[int], list[int]] = {}
-    for cell in cells:
+    far: dict[frozenset[int], list[tuple[int, int]]] = {}
+    for k, cell in enumerate(cells):
         det = _int_det([rows[i] for i in cell])
         if not det:
             raise NoCertificateError(f"cell {cell} is not full-dimensional")
         total += abs(det)
         marks = frozenset(cell)
         for v in cell:
-            far.setdefault(marks - {v}, []).append(v)
+            far.setdefault(marks - {v}, []).append((v, k))
     if total != config.volume * scale**config.dimension:
         raise NoCertificateError("the cells' volumes do not add up to the configuration's")
     for ridge, ends in far.items():
@@ -454,10 +466,11 @@ def _folding_stricts(config: PointConfiguration, s: Subdivision) -> list[tuple[i
             continue
         if len(ends) > 2:
             raise NoCertificateError(f"ridge {sorted(ridge)} lies in {len(ends)} cells")
-        coef = _circuit(config, sorted(ridge) + ends)
-        if coef[ends[0]] <= 0:
+        (v, i), (w, j) = ends
+        coef = _circuit(config, sorted(ridge) + [v, w])
+        if coef[v] <= 0:
             raise NoCertificateError(f"the two cells on ridge {sorted(ridge)} lie on one side of it")
-        found.add(coef)
+        found.setdefault(coef, []).append((None, (i, j)))
     used = {i for cell in cells for i in cell}
     for a in range(len(rows)):
         if a in used:
@@ -465,11 +478,50 @@ def _folding_stricts(config: PointConfiguration, s: Subdivision) -> list[tuple[i
         for cell in cells:
             coef = _circuit(config, cell + [a])
             if max(coef[i] for i in cell) <= 0:
-                found.add(coef)
+                face = {i for i in cell if coef[i]}
+                found[coef] = [(a, tuple(k for k, mc in enumerate(s.maximal) if face <= mc.marks))]
                 break
         else:
             raise InconsistencyError(f"point {a} lies in no cell of a certified triangulation")
-    return sorted(found)
+    return found
+
+
+def _face_subdivision(t: Subdivision, sources: dict, cone: SecondaryCone, mask: int, sample):
+    """The subdivision induced on the face of t's cone whose rays are the
+    bits of mask, read off t's folding form with no hull.  sources are the
+    stricts' origins from _folding_stricts; sample, in the face's relative
+    interior, becomes the witness.  The maximal cells carry no supports.
+
+    The faces of a triangulation's cone are the subdivisions it refines (De
+    Loera, Rambau & Santos, Triangulations, 2010, ch. 5).  A strict vanishes
+    on the face exactly when its tight mask holds the face's rays.  A ridge
+    whose strict vanishes is folded flat, so cells joined by a chain of such
+    ridges lie in one cell of the face; an unused point whose strict
+    vanishes is lifted onto the hull, so it marks each merged cell that
+    holds a simplex containing it.
+    """
+    root = list(range(len(t.maximal)))
+
+    def find(i):
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    marks = [set(mc.marks) for mc in t.maximal]
+    for fn, tight in zip(cone.stricts, cone._tight_masks):
+        if tight & mask == mask:
+            for point, cells in sources[fn]:
+                if point is None:
+                    root[find(cells[0])] = find(cells[1])
+                else:
+                    for k in cells:
+                        marks[k].add(point)
+    merged: dict[int, set[int]] = {}
+    for k, m in enumerate(marks):
+        merged.setdefault(find(k), set()).update(m)
+    maximal = tuple(_make_cell(t.config, m) for m in merged.values())
+    return Subdivision(t.config, maximal, witness=vector(sample))
 
 
 def secondary_cone(config: PointConfiguration, s: Subdivision) -> SecondaryCone:
@@ -491,7 +543,7 @@ def secondary_cone(config: PointConfiguration, s: Subdivision) -> SecondaryCone:
         raise InputError("the subdivision belongs to another configuration")
     n = len(config.points)
     if is_triangulation(s):
-        equalities, stricts = [], _folding_stricts(config, s)
+        equalities, stricts = [], sorted(_folding_stricts(config, s))
     else:
         eqs: set[tuple[int, ...]] = set()
         sts: set[tuple[int, ...]] = set()
@@ -598,8 +650,9 @@ def enumerate_regular_triangulations(config: PointConfiguration, max_count=4096)
 def _fan_poset(cones, found: dict, keys: dict, induce, sort_key, max_count: int, noun: str) -> Poset:
     """The faces of a complete fan, ordered and ranked off its maximal cones' face masks.
 
-    found maps keys met so far to elements and keys samples to keys; induce
-    gives a new sample's (key, element).  Rays are canonical modulo the
+    found maps keys met so far to elements and keys samples to keys;
+    induce(sample, cone, mask) gives the (key, element) of a new sample, met
+    as the face of cone with ray mask mask.  Rays are canonical modulo the
     lineality, so a face shared by two cones has one sample.  Two faces one
     below the other lie in a common maximal cone, where the coarser one's
     mask lies inside the finer one's.  A face's rank, the same in every
@@ -614,7 +667,7 @@ def _fan_poset(cones, found: dict, keys: dict, induce, sort_key, max_count: int,
         for mask, grade, sample in faces:
             key = keys.get(sample)
             if key is None:
-                key, element = induce(sample)
+                key, element = induce(sample, cone, mask)
                 keys[sample] = key
                 if key not in found:
                     if len(found) >= max_count:
@@ -635,17 +688,22 @@ def enumerate_coherent_subdivisions(config: PointConfiguration, max_count=4096):
     coarser), ranked as faces of the secondary polytope (triangulations 0).
 
     Triangulations come first, in walk order, from flips across
-    secondary-cone walls.  Every other one lies on a proper face of some
-    triangulation cone: _fan_poset induces the face samples and reads the
-    order and the ranks off the face masks.
+    secondary-cone walls, each with the supports and witness of its one
+    induced hull.  Every other one lies on a proper face of some
+    triangulation cone: _fan_poset reads the order and the ranks off the
+    face masks, and _face_subdivision reads each new face's cells off the
+    cone's folding form, with no hull.  Its witness is the face sample and
+    its maximal cells carry no supports.
     """
     tris = enumerate_regular_triangulations(config, max_count)
     found = {k: t for k, (t, _) in tris.items()}
     # each triangulation is its cone's top face, whose sample sums all rays
     keys = {cone._ray_sum((1 << len(cone.rays)) - 1): k for k, (_, cone) in tris.items()}
+    folds = {cone: (t, _folding_stricts(config, t)) for t, cone in tris.values()}
 
-    def induce(sample):
-        s = induce_subdivision(config, Lifting.of(config, sample))
+    def induce(sample, cone, mask):
+        t, sources = folds[cone]
+        s = _face_subdivision(t, sources, cone, mask, sample)
         return s.key, s
 
     # the sort keys are lists of frozensets, which compare by inclusion: the

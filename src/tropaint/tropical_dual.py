@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InputError, NotIsotopicError
-from .geometry import Vec, vadd, vdot, vector
+from .geometry import vdot, vector
 from .point_config import PointConfiguration
 from .regular_subdivision import Lifting, Subdivision, induce_subdivision
 
@@ -60,17 +60,6 @@ class TropicalCell:
 
     def is_compact(self) -> bool:
         return not self.rays
-
-    def relint_sample(self) -> Vec:
-        """Average of the vertices pushed by the sum of the rays."""
-        n = len(self.vertices)
-        acc = self.vertices[0]
-        for v in self.vertices[1:]:
-            acc = vadd(acc, v)
-        acc = tuple(x / n for x in acc)
-        for r in self.rays:
-            acc = vadd(acc, r)
-        return acc
 
     def __repr__(self):
         return f"TropicalCell(dim {self.dimension}, marking {sorted(self.marking)})"

@@ -108,6 +108,11 @@ The polygon tree by angles walks a polygon complex's 0- and 1-cells from the
 root ray, sorting each node's outgoing edges and rays counterclockwise, as
 multiplihedra.tree_of_complex did before multiplihedra._planar_tree read the
 same tree off the cells' marks.
+
+The relative-interior sample of a dual cell and the vertex indices of a
+configuration were the methods TropicalCell.relint_sample and
+PointConfiguration.vertex_indices, which only the tests called; they moved
+here as they were.
 """
 
 from __future__ import annotations
@@ -131,6 +136,7 @@ from tropaint.geometry import (
     convex_hull_facets,
     hull_volume,
     independent_rows,
+    intersection_closure,
     matrix_rank,
     vadd,
     vector,
@@ -1382,3 +1388,23 @@ def poset_oracle(n: int, pairs):
         and not any(k not in (i, j) and le[i][k] and le[k][j] for k in range(n))
     ]
     return le, clash, covers
+
+
+def relint_sample(cell):
+    """Average of a dual cell's vertices pushed by the sum of its rays."""
+    n = len(cell.vertices)
+    acc = cell.vertices[0]
+    for v in cell.vertices[1:]:
+        acc = vadd(acc, v)
+    acc = tuple(x / n for x in acc)
+    for r in cell.rays:
+        acc = vadd(acc, r)
+    return acc
+
+
+def vertex_indices(config) -> frozenset[int]:
+    """The points whose singleton is a face of the configuration's hull."""
+    faces = intersection_closure(
+        frozenset(range(len(config.points))), (f.members for f in config.facets)
+    )
+    return frozenset(i for face in faces if len(face) == 1 for i in face)

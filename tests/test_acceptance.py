@@ -10,7 +10,7 @@ import time
 from fractions import Fraction as F
 
 from cli_cases import CASES, INPUT_FILES, run_cli
-from oracles import dual_cell_rank, painted_binary_tree_count, polygon_subdivisions
+from oracles import dual_cell_rank, painted_binary_tree_count, polygon_subdivisions, relint_sample
 from tropaint.lattice import graded_lattice, lattice_isomorphic
 from tropaint.multiplihedra import (
     EdgeLengthTarget,
@@ -172,7 +172,7 @@ def test_criterion_05_ray_coloring():
                     facet, s = by_normal[r]
                     a = min(cell.marking)
                     pt = config.points[a]
-                    u0 = cell.relint_sample()
+                    u0 = relint_sample(cell)
 
                     def g(u):
                         return vdot(u, pt) + spec.eta[a] - vdot(u, spec.alpha) - spec.c

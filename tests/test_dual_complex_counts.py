@@ -4,10 +4,10 @@ realization corrects every edge from its input complex and certifies the
 result with one induced subdivision and no dual complex, the painted-tree
 realization builds a tree's seed complex only when it corrects edge lengths
 and induces each realized lifting once, and the main-theorem check
-builds each extended complex once.  A dual complex builds one hull with one
-rank pass, in integers from the lifted points to the supports, and its cells
-read their dimensions and vertices off incidences.  Painting evaluates
-g once per 0-cell."""
+induces each extended subdivision once, with no dual complex.  A dual
+complex builds one hull with one rank pass, in integers from the lifted
+points to the supports, and its cells read their dimensions and vertices
+off incidences.  Painting evaluates g once per 0-cell."""
 
 from fractions import Fraction
 
@@ -86,19 +86,13 @@ def test_verify_main_theorem_builds_each_extended_complex_once(calls_to):
     complexes = calls_to(tropical_dual.dual_complex)
     induced = calls_to(regular_subdivision.induce_subdivision)
     report = verify_main_theorem(QUAD, ALPHA)
-    embedded = {embed_lifting(pc.spec) for pc in report.painted_poset.elements}
-    upstairs = [args for _, args in complexes if args[0] == ext]
-    assert len(upstairs) == len(report.painted_poset)
-    assert {args[1] for args in upstairs} == embedded
-    # the enumerator of extended subdivisions may meet an embedded lifting
-    # on its own; the check itself induces them only inside dual_complex
-    assert not [
-        caller
-        for caller, (config, eta) in induced
-        if config == ext
-        and eta in embedded
-        and caller not in ("tropaint.tropical_dual", "tropaint.regular_subdivision")
-    ]
+    embedded = [embed_lifting(pc.spec) for pc in report.painted_poset.elements]
+    # no extended dual complex: the 0-cells upstairs are read off the
+    # supports of one induced subdivision per painted complex, at its
+    # embedded lifting
+    assert not [args for _, args in complexes if args[0] == ext]
+    checked = [args for caller, args in induced if caller == "tropaint.painting_polytope"]
+    assert checked == [(ext, eta) for eta in embedded] and len(checked) == 45
 
 
 # liftings of the extended quad, some inducing triangulations and some not

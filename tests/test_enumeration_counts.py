@@ -1,12 +1,13 @@
 """The triangulation walk induces and certifies each triangulation once and
 stops at its cap before certifying more, and the enumerators visit each face
-sample once.  A triangulation cone has no equalities and one strict per
-interior ridge and unused point at most, read off integer minors without
-solving a system.  The verifications read both posets' order and ranks off the
-fans' face masks: they certify no painting cone, and every secondary cone
-they build is a triangulation cone of the walk.  The main-theorem check
-builds the extended configuration and its subdivision lattice once for its
-ranks and the CLI.  Each upper hull takes one rank."""
+sample once, the coherent one with no hull.  A triangulation cone has no
+equalities and one strict per interior ridge and unused point at most, read
+off integer minors without solving a system.  The verifications read both
+posets' order and ranks off the fans' face masks: they certify no painting
+cone, and every secondary cone they build is a triangulation cone of the
+walk.  The main-theorem check builds the extended configuration and its
+subdivision lattice once for its ranks and the CLI.  Each upper hull takes
+one rank."""
 
 import pathlib
 import sys
@@ -138,16 +139,18 @@ def test_triangulation_cap_stops_before_certifying_more(calls_to):
     assert len(cones) <= 5
 
 
-def test_coherent_enumeration_induces_each_face_sample_once(calls_to):
+def test_coherent_enumeration_induces_no_face_sample(calls_to):
     ext = _extended_ngon(4)
     calls = calls_to(regular_subdivision.induce_subdivision)
+    faces = calls_to(regular_subdivision._face_subdivision)
     tris = enumerate_regular_triangulations(ext)
     walk = len(calls)
     enumerate_coherent_subdivisions(ext)
-    # the second enumeration repeats the same walk, then induces face samples
-    face_calls = len(calls) - 2 * walk
+    # the second enumeration repeats the same walk and induces nothing more:
+    # each face sample's subdivision is read off its cone once, with no hull
+    assert len(calls) == 2 * walk
     samples = {s for _, cone in tris.values() for _, _, s in cone.graded_faces()[:-1]}
-    assert face_calls == len(samples) == 46
+    assert len(faces) == len(samples) == 46
 
 
 def test_painting_polytope_ranks_each_extended_subdivision_once(calls_to):

@@ -28,6 +28,7 @@ from oracles import (
     face_member_sets_recursive,
     polytope_vertex_indices_by_rank,
     subdivision_cells_by_hull,
+    vertex_indices,
 )
 
 F = Fraction
@@ -106,7 +107,7 @@ def test_configuration_vertices_match_the_rank_oracle(pts):
     if len(pts) <= d or geometry.affine_rank(pts) < d:
         return
     config = build_configuration(pts)
-    assert config.vertex_indices() == polytope_vertex_indices_by_rank(pts)
+    assert vertex_indices(config) == polytope_vertex_indices_by_rank(pts)
 
 
 def _golden_configs():

@@ -1,0 +1,71 @@
+"""The coherent enumeration reads each non-triangulation off a face of a
+triangulation cone, with no hull: cells merge across the ridges whose folding
+strict is tight on the face, and tight unused points become marks.  On every
+face sample of every triangulation cone that gives the subdivision the sample
+induces, on the goldens, the polygons, their extensions, a grid whose faces
+mark unused points, and the seeded corpus (corpus.py)."""
+
+from fractions import Fraction as F
+
+import pytest
+
+from tropaint.multiplihedra import admissible_alpha, ngon_configuration
+from tropaint.painting_polytope import extend
+from tropaint.point_config import build_configuration
+from tropaint.regular_subdivision import (
+    Lifting,
+    _face_subdivision,
+    _folding_stricts,
+    enumerate_regular_triangulations,
+    induce_subdivision,
+)
+
+from corpus import CASES, CONFIGURATIONS
+
+QUAD = build_configuration([(0, 0), (1, 0), (0, 1), (-1, 0), (-1, -1)])
+BIPYRAMID = build_configuration(
+    [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)]
+)
+GRID = build_configuration([(i, j) for i in range(3) for j in range(3)])
+
+
+def _inputs():
+    bases = [
+        ("quad", QUAD, (F(1, 3), F(1, 3))),
+        ("bipyramid", BIPYRAMID, (F(1, 2), F(1, 3), F(1, 2))),
+    ]
+    for m in (3, 4, 5):
+        config = ngon_configuration(m)
+        bases.append((f"ngon{m}", config, admissible_alpha(config)))
+    out = [pytest.param(GRID, id="grid")]
+    for name, config, alpha in bases:
+        out.append(pytest.param(config, id=name))
+        out.append(pytest.param(extend(config, alpha).extended, id=f"{name}-extended"))
+    out += [pytest.param(config, id=f"corpus{k}") for k, config in enumerate(CONFIGURATIONS)]
+    out += [
+        pytest.param(extend(config, alpha).extended, id=f"{name}-extended")
+        for name, config, alpha in CASES
+        if name.endswith("-generic")
+    ]
+    return out
+
+
+@pytest.mark.parametrize("config", _inputs())
+def test_face_subdivisions_match_induced(config):
+    induced = {}  # a face shared by two cones has one sample: induce it once
+    new_marks = 0
+    for t, cone in enumerate_regular_triangulations(config).values():
+        sources = _folding_stricts(config, t)
+        assert sorted(sources) == list(cone.stricts)
+        unused = set(range(len(config.points))).difference(*(mc.marks for mc in t.maximal))
+        for mask, _, sample in cone.graded_faces():
+            s = _face_subdivision(t, sources, cone, mask, sample)
+            if sample not in induced:
+                induced[sample] = induce_subdivision(config, Lifting.of(config, sample)).key
+            assert s.key == induced[sample]
+            assert s.witness == Lifting.of(config, sample).values
+            assert all(mc.support is None for mc in s.maximal)
+            # faces short of the lineality that mark a point t leaves unused
+            new_marks += len(s.maximal) > 1 and any(mc.marks & unused for mc in s.maximal)
+    if config == GRID:
+        assert new_marks

@@ -64,11 +64,12 @@ def test_painted_order_and_ranks_match_oracles(config, alpha):
 def test_subdivision_cap_stops_before_storing_more(calls_to):
     tris = enumerate_regular_triangulations(QUAD)
     induces = calls_to(regular_subdivision.induce_subdivision)
+    faces = calls_to(regular_subdivision._face_subdivision)
     with pytest.raises(errors.ResourceCapError, match=f"more than {len(tris)} subdivisions"):
         enumerate_coherent_subdivisions(QUAD, max_count=len(tris))
     # the walk induces one subdivision per triangulation, and the first face
-    # sample gives a new subdivision
-    assert len(induces) == len(tris) + 1
+    # sample, read off its cone with no hull, gives a new subdivision
+    assert len(induces) == len(tris) and len(faces) == 1
 
 
 def test_painted_cap_stops_before_storing_more(calls_to):
@@ -94,7 +95,7 @@ def test_fan_poset_rejects_cones_that_rank_one_face_differently():
     first = _FakeCone([(0, 0, "a"), (1, 1, "b"), (3, 2, "c")])
     second = _FakeCone([(0, 0, "b"), (1, 1, "d"), (3, 2, "e")])
     with pytest.raises(errors.InconsistencyError, match="different ranks"):
-        _fan_poset([first, second], {}, {}, lambda x: (x, x), None, 10, "faces")
+        _fan_poset([first, second], {}, {}, lambda x, cone, mask: (x, x), None, 10, "faces")
 
 
 def test_face_lattice_needs_ranks():

@@ -1,4 +1,5 @@
-"""Extended configurations, the lifting embedding, and main-theorem checks."""
+"""Extended configurations, the lifting embedding, and main-theorem checks,
+on the goldens, the polygons and the seeded corpus (corpus.py)."""
 
 from fractions import Fraction as F
 
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropaint.errors import InputError
-from tropaint.painting import BLUE, PURPLE, RED, PaintSpec, paint
+from tropaint.multiplihedra import admissible_alpha, ngon_configuration
+from tropaint.painting import BLUE, PURPLE, RED, PaintSpec, enumerate_painted_complexes, paint
 from tropaint.painting_polytope import (
     _expected_extended_vertices,
     _lift,
@@ -16,7 +18,10 @@ from tropaint.painting_polytope import (
     verify_main_theorem,
 )
 from tropaint.point_config import build_configuration
+from tropaint.regular_subdivision import induce_subdivision
 from tropaint.tropical_dual import dual_complex
+
+from corpus import CASES
 
 QUAD = build_configuration([(0, 0), (1, 0), (0, 1), (-1, 0), (-1, -1)])
 BIPYRAMID = build_configuration(
@@ -129,3 +134,40 @@ def test_verify_bipyramid():
     counts = {r: rep.ranks.count(r) for r in set(rep.ranks)}
     # a heptagon: seven vertices, seven edges, one polygon
     assert counts == {0: 7, 1: 7, 2: 1}
+
+
+@pytest.mark.parametrize(
+    "config, alpha", [case[1:] for case in CASES], ids=[case[0] for case in CASES]
+)
+def test_verify_corpus(config, alpha):
+    # raises VerificationError at the first part of the check that fails
+    verify_main_theorem(config, alpha)
+
+
+def _vertex_inputs():
+    out = [
+        pytest.param(QUAD, ALPHA, id="quad"),
+        pytest.param(BIPYRAMID, ALPHA3, id="bipyramid"),
+    ]
+    for m in (3, 4, 5):
+        config = ngon_configuration(m)
+        out.append(pytest.param(config, admissible_alpha(config), id=f"ngon{m}"))
+    out += [
+        pytest.param(config, alpha, id=name)
+        for name, config, alpha in CASES
+        if name.endswith("-generic")
+    ]
+    return out
+
+
+@pytest.mark.parametrize("config, alpha", _vertex_inputs())
+def test_extended_zero_cells_read_off_supports(config, alpha):
+    # verify_main_theorem reads the 0-cells upstairs off the maximal cells of
+    # one induced subdivision: the extended dual complex has the same ones
+    ext = extend(config, alpha).extended
+    for pc in enumerate_painted_complexes(config, alpha).elements:
+        eta = embed_lifting(pc.spec)
+        pext, _ = dual_complex(ext, eta)
+        expected = {(cell.vertices[0], cell.marking) for cell in pext.cells_of_dim(0)}
+        sbar = induce_subdivision(ext, eta)
+        assert {(mc.support.linear, mc.marks) for mc in sbar.maximal} == expected

@@ -5,6 +5,8 @@ import pytest
 from tropaint.errors import DegenerateInputError, InputError
 from tropaint.point_config import build_configuration, sign_vector
 
+from oracles import vertex_indices
+
 QUAD = [(0, 0), (1, 0), (0, 1), (-1, 0), (-1, -1)]
 BIPYRAMID = [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)]
 
@@ -14,7 +16,7 @@ def test_quadrilateral_configuration():
     assert config.dimension == 2
     assert config.labels == ("a0", "a1", "a2", "a3", "a4")
     # (0,0) is interior: a quadrilateral with 4 hull vertices
-    assert config.vertex_indices() == frozenset({1, 2, 3, 4})
+    assert vertex_indices(config) == frozenset({1, 2, 3, 4})
     assert len(config.facets) == 4
     assert config.strictly_contains((0, 0))
     assert config.contains((1, 0)) and not config.strictly_contains((1, 0))
@@ -32,7 +34,7 @@ def test_facets_are_inward_inequalities():
 
 def test_bipyramid_configuration():
     config = build_configuration(BIPYRAMID)
-    assert config.vertex_indices() == frozenset(range(5))
+    assert vertex_indices(config) == frozenset(range(5))
     assert len(config.facets) == 6
     assert config.volume == 6
 
@@ -75,7 +77,7 @@ def test_sign_vector_bipyramid_outside_one_facet():
 
 def test_sign_vector_of_a_vertex():
     config = build_configuration(QUAD)
-    for i in config.vertex_indices():
+    for i in vertex_indices(config):
         sv = sign_vector(config, config.points[i])
         assert 1 not in sv.signs
         assert sum(1 for s in sv.signs if s == 0) >= 2

@@ -22,6 +22,7 @@ from oracles import (
     lp_maximize_oracle,
     polytope_vertex_indices_by_rank,
     primitive_vector,
+    relint_sample,
 )
 
 F = Fraction
@@ -157,7 +158,7 @@ def test_duality_properties_random_lifts(vals):
         for r in cell.rays:
             assert r == primitive_vector(r)
             assert any(r == fs.normal and marks <= fs.members for fs in QUAD.facets)
-        value, argmin = evaluate(f, cell.relint_sample())
+        value, argmin = evaluate(f, relint_sample(cell))
         assert argmin == marks
     for mc in s.maximal:
         value, argmin = evaluate(f, mc.support.linear)
