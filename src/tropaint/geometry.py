@@ -260,8 +260,11 @@ class AffineFunctional:
 # denominators.  Each facet candidate's normal is a vector of signed minors,
 # so no elimination and no Fraction runs inside the hull.  A plane n . P = o
 # there is the plane (L n) . x = o of the input: convex_hull_facets maps a
-# facet back by one primitive scaling into a HullFacet, and upper_hull_facets
-# maps an upper facet straight to its support, one Fraction per coordinate.
+# facet back by one primitive scaling into a HullFacet.  Upper hulls scale
+# the base and the height apart, the base by L and the heights by the lcm D
+# of theirs, so that induce_subdivision can hand the core its
+# configuration's integer rows as they are; _upper_hull maps each upper
+# facet straight to its support, one Fraction per coordinate.
 
 
 @dataclass(frozen=True)
@@ -382,15 +385,19 @@ def convex_hull_facets(points) -> list[HullFacet]:
 
 
 def _hull_facets(
-    pts: list[tuple[int, ...]], seed: list[int]
+    pts: list[tuple[int, ...]], seed: list[int], upper: bool = False
 ) -> list[tuple[tuple[int, ...], int, frozenset[int]]]:
     """Facets of the hull of the integer points pts, from the initial simplex
     seed, as (normal, offset, members): normal . p <= offset on every point,
     with equality exactly on members.  Normals are primitive and outward;
-    sorted by member set."""
+    sorted by member set, so the output does not depend on the seed.  upper
+    keeps only the facets whose normal's last coordinate is positive, and
+    finds members for those alone."""
     simplicial, _ = _simplicial_hull(pts, seed)
     out = []
     for normal, offset in dict.fromkeys((normal, offset) for normal, offset, _ in simplicial):
+        if upper and normal[-1] <= 0:
+            continue
         members = frozenset(i for i, p in enumerate(pts) if _dot(normal, p) == offset)
         out.append((normal, offset, members))
     out.sort(key=lambda f: sorted(f[2]))
@@ -435,6 +442,38 @@ def intersection_closure(top, parts) -> set:
 # Upper hulls of lifted point sets
 
 
+def _upper_hull(
+    pts: list[tuple[int, ...]], base: tuple[int, ...], base_scale: int, height_scale: int
+) -> list[tuple[AffineFunctional, frozenset[int]]]:
+    """Compact upper-hull facets of integer lifted points, as supports with
+    their member sets, sorted by member set.
+
+    Each point of pts is (L a, D h) for a base point a and a height h, with
+    L = base_scale and D = height_scale.  base indexes d + 1 points whose
+    base points are affinely independent, so their lifted points span a
+    hyperplane that is not vertical.  When every point lies on it, that is
+    the single facet; otherwise the first point off it completes the initial
+    simplex of the hull.  An integer facet n . P <= o with n_h > 0 is the
+    plane h = -(L n' / (D n_h)) . a + o / (D n_h), n' the base part of n,
+    so its support is read off the integers with one Fraction per
+    coordinate; facets with n_h <= 0 get neither support nor members.
+    """
+    normal, offset = _hyperplane([pts[i] for i in base])
+    off = next((i for i, p in enumerate(pts) if _dot(normal, p) != offset), None)
+    if off is None:
+        if normal[-1] < 0:
+            normal, offset = tuple(-x for x in normal), -offset
+        facets = [(normal, offset, frozenset(range(len(pts))))]
+    else:
+        facets = _hull_facets(pts, [*base, off], upper=True)
+    out = []
+    for normal, offset, members in facets:
+        den = height_scale * normal[-1]
+        linear = tuple(Fraction(-base_scale * w, den) for w in normal[:-1])
+        out.append((AffineFunctional(linear, Fraction(-offset, den)), members))
+    return out
+
+
 def upper_hull_facets(lifted) -> list[tuple[AffineFunctional, frozenset[int]]]:
     """Compact upper-hull facets of lifted points (point, height).
 
@@ -444,11 +483,11 @@ def upper_hull_facets(lifted) -> list[tuple[AffineFunctional, frozenset[int]]]:
     discarded.  The base points must affinely span their space.  Sorted by
     member set.
 
-    The hull runs on the lifted points times L, the lcm of their
-    denominators.  An integer facet n . P <= o with n_h > 0 is the plane
-    height = -(n' / n_h) . a + o / (L n_h), n' the base part of n, so its
-    functional is read off the integers with one Fraction per coordinate,
-    and its members are the integer points on it.
+    The lifted points are scaled by L, the lcm of all their denominators,
+    and handed to _upper_hull with L as both scales; one greedy pass over the
+    rows (point, 1) checks that the base spans and picks the base simplex.
+    induce_subdivision calls _upper_hull itself, on its configuration's
+    integer rows.
     """
     base = [vector(p) for (p, _) in lifted]
     heights = [as_fraction(h) for (_, h) in lifted]
@@ -458,26 +497,7 @@ def upper_hull_facets(lifted) -> list[tuple[AffineFunctional, frozenset[int]]]:
     if any(len(b) != d for b in base):
         raise InputError("points of mixed dimension")
     pts, scale = _integer_points(b + (h,) for b, h in zip(base, heights))
-    # projecting drops the rank by at most one, so one greedy pass over the
-    # rows (point, 1) settles whether the base spans, and seeds the hull
-    seed = independent_rows(p + (1,) for p in pts)
-    if len(seed) <= d:
+    simplex = independent_rows(p[:-1] + (1,) for p in pts)
+    if len(simplex) <= d:
         raise DegenerateInputError("base points do not span; upper hull undefined")
-    if len(seed) == d + 1:
-        # All lifted points on the hyperplane through the seed: a single
-        # facet when it is not vertical, which is when the base spans.
-        normal, offset = _hyperplane([pts[i] for i in seed])
-        if not normal[-1]:
-            raise DegenerateInputError("degenerate lifted configuration")
-        if normal[-1] < 0:
-            normal, offset = tuple(-x for x in normal), -offset
-        facets = [(normal, offset, frozenset(range(len(pts))))]
-    else:
-        facets = _hull_facets(pts, seed)
-    out = []
-    for normal, offset, members in facets:
-        n_h = normal[-1]
-        if n_h > 0:
-            linear = tuple(Fraction(-w, n_h) for w in normal[:-1])
-            out.append((AffineFunctional(linear, Fraction(-offset, scale * n_h)), members))
-    return out
+    return _upper_hull(pts, tuple(simplex), scale, scale)

@@ -18,6 +18,7 @@ from .geometry import (
     affine_rank,
     convex_hull_facets,
     hull_volume,
+    independent_rows,
     vdot,
     vector,
 )
@@ -85,6 +86,14 @@ class PointConfiguration:
         L^d times the normalized volume of their simplex, up to sign."""
         pts, scale = _integer_points(self.points)
         return tuple(p + (1,) for p in pts), scale
+
+    @cached_property
+    def spanning_simplex(self) -> tuple[int, ...]:
+        """The indices of the first d + 1 affinely independent points, the
+        ones a greedy pass over the integer rows keeps.  induce_subdivision
+        seeds every upper hull of the configuration with them."""
+        rows, _ = self.integer_points
+        return tuple(independent_rows(rows))
 
     @cached_property
     def facet_masks(self) -> tuple[int, ...]:

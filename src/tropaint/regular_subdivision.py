@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InconsistencyError, InputError, NoCertificateError, ResourceCapError
 from .geometry import (
@@ -25,12 +25,12 @@ from .geometry import (
     _int_det,
     _int_row,
     _kernel,
+    _upper_hull,
     as_fraction,
     hull_volume,
     independent_rows,
     intersection_closure,
     matrix_rank,
-    upper_hull_facets,
     vector,
 )
 from .lattice import Poset
@@ -113,14 +113,17 @@ class Subdivision:
     has the face sample as its witness, and its maximal cells carry no
     supports.
 
-    .cells is built on first access, with no geometry.  Cells meet in common
-    faces, and every face of a cell is the intersection of the cell's facets
+    .cells is built on first access, with no geometry.  Maximal cells are
+    full-dimensional, so one with d + 1 marks is a simplex whose marks are
+    its vertices: its faces are all nonempty subsets of its marks, a face of
+    k marks having dimension k - 1.  Any other cell meets the others in
+    common faces, and every face of it is the intersection of its facets
     containing it, each of which is shared with another maximal cell or lies
-    on a facet of the configuration.  So each maximal cell's faces are the
-    intersection closure of its marks with the other maximal cells' marks and
-    the configuration's facet member sets, the empty set dropped.  A face
-    poset is graded: a single mark has dimension 0, any other cell one more
-    than the largest cell strictly inside it, and a cell's vertices are the
+    on a facet of the configuration.  So its faces are the intersection
+    closure of its marks with the other maximal cells' marks and the
+    configuration's facet member sets, the empty set dropped.  A face poset
+    is graded: a single mark has dimension 0, any other cell one more than
+    the largest cell strictly inside it, and a cell's vertices are the
     single-mark cells inside it.  The test suite's subdivision validator,
     in tests/oracles.py, checks the result against hulls and exact LPs.
     """
@@ -136,22 +139,34 @@ class Subdivision:
         self.key = frozenset(c.marks for c in self.maximal)
         self.witness = witness
         self._cells = None
+        # a triangulation's _folding_stricts, kept by secondary_cone
+        self._folding = None
 
     @property
     def cells(self) -> dict[frozenset[int], MarkedCell]:
         """Every cell, keyed by its marks.
 
-        The closure and the grading run on int bitmasks, bit i for point i,
-        with the configuration's facet_masks; each face becomes a frozenset
-        once, when its MarkedCell is made.
+        The faces and the grading run on int bitmasks, bit i for point i: a
+        simplex's faces are its submasks, graded by their bit counts, and any
+        other maximal cell's come from intersection_closure with the
+        configuration's facet_masks.  Each face becomes a frozenset once,
+        when its MarkedCell is made.
         """
         if self._cells is None:
             config = self.config
             points = config.points
             tops = [sum(1 << i for i in mc.marks) for mc in self.maximal]
             outer = tops + list(config.facet_masks)
+            simplex = config.dimension + 1
             dims: dict[int, int] = {}
             for top in tops:
+                if top.bit_count() == simplex:
+                    # every nonempty submask, from the top down
+                    face = top
+                    while face:
+                        dims.setdefault(face, face.bit_count() - 1)
+                        face = (face - 1) & top
+                    continue
                 parts = {top & o for o in outer} - {top, 0}
                 faces = intersection_closure(top, parts) - {0}
                 # a face's facets are among its intersections with single
@@ -201,12 +216,23 @@ class Subdivision:
 
 
 def induce_subdivision(config: PointConfiguration, eta: Lifting) -> Subdivision:
-    """Project the compact upper-hull facets of the lifted points."""
+    """Project the compact upper-hull facets of the lifted points.
+
+    The hull runs on the configuration's integer rows, the points times L,
+    each followed by its height -eta times D, the lcm of the lifting's
+    denominators, and starts from the configuration's spanning_simplex:
+    only the heights are scaled per call.
+    """
     if len(eta) != len(config.points):
         raise InputError("lifting length mismatch")
-    lifted = [(p, -eta[i]) for i, p in enumerate(config.points)]
+    rows, scale = config.integer_points
+    den = lcm(*(h.denominator for h in eta.values))
+    lifted = [
+        row[:-1] + (-h.numerator * (den // h.denominator),) for row, h in zip(rows, eta.values)
+    ]
     maximal = tuple(
-        _make_cell(config, mem, support=fn) for fn, mem in upper_hull_facets(lifted)
+        _make_cell(config, mem, support=fn)
+        for fn, mem in _upper_hull(lifted, config.spanning_simplex, scale, den)
     )
     return Subdivision(config, maximal, witness=vector(eta.values))
 
@@ -538,12 +564,17 @@ def secondary_cone(config: PointConfiguration, s: Subdivision) -> SecondaryCone:
     its maximal cells, and the volumes leave room for no other.  The
     interior point is s.witness when an exact check puts it in the open
     cone; otherwise it is the sum of the cone's rays (see _certify_cone).
+    A triangulation keeps its stricts' sources, so that neither a second
+    cone nor the face rule of enumerate_coherent_subdivisions certifies it
+    again.
     """
     if s.config != config:
         raise InputError("the subdivision belongs to another configuration")
     n = len(config.points)
     if is_triangulation(s):
-        equalities, stricts = [], sorted(_folding_stricts(config, s))
+        if s._folding is None:
+            s._folding = _folding_stricts(config, s)
+        equalities, stricts = [], sorted(s._folding)
     else:
         eqs: set[tuple[int, ...]] = set()
         sts: set[tuple[int, ...]] = set()
@@ -642,6 +673,7 @@ def enumerate_regular_triangulations(config: PointConfiguration, max_count=4096)
             s2 = induce_subdivision(config, Lifting(c2.interior_point))
             if s2.key != flipped.key or not c2.contains_closed(wall_sample):
                 raise InconsistencyError("a flip lands off its wall")
+            s2._folding = flipped._folding  # indexed by the maximal cells, which sort alike
             found[s2.key] = (s2, c2)
             frontier.append(s2.key)
     return found
@@ -699,11 +731,12 @@ def enumerate_coherent_subdivisions(config: PointConfiguration, max_count=4096):
     found = {k: t for k, (t, _) in tris.items()}
     # each triangulation is its cone's top face, whose sample sums all rays
     keys = {cone._ray_sum((1 << len(cone.rays)) - 1): k for k, (_, cone) in tris.items()}
-    folds = {cone: (t, _folding_stricts(config, t)) for t, cone in tris.values()}
+    # the walk's secondary_cone left each triangulation its stricts' sources
+    walked = {cone: t for t, cone in tris.values()}
 
     def induce(sample, cone, mask):
-        t, sources = folds[cone]
-        s = _face_subdivision(t, sources, cone, mask, sample)
+        t = walked[cone]
+        s = _face_subdivision(t, t._folding, cone, mask, sample)
         return s.key, s
 
     # the sort keys are lists of frozensets, which compare by inclusion: the

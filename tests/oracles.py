@@ -109,6 +109,11 @@ root ray, sorting each node's outgoing edges and rays counterclockwise, as
 multiplihedra.tree_of_complex did before multiplihedra._planar_tree read the
 same tree off the cells' marks.
 
+The closure-only cell grading closes every maximal cell's marks with the
+other maximal cells and the configuration's facets, simplices included, as
+regular_subdivision.Subdivision.cells did before it graded each simplex's
+faces by their sizes.
+
 The relative-interior sample of a dual cell and the vertex indices of a
 configuration were the methods TropicalCell.relint_sample and
 PointConfiguration.vertex_indices, which only the tests called; they moved
@@ -1014,6 +1019,29 @@ def subdivision_cells_by_hull(s):
             vertices = tuple(sorted(pts[j] for j in polytope_vertex_indices_by_rank(pts)))
             out[frozenset(order[j] for j in mem)] = (affine_rank(pts), vertices)
     return out
+
+
+def subdivision_cells_by_closure(s):
+    """{marks: (dimension, vertices)} for every cell of a Subdivision, each
+    maximal cell's faces from intersection_closure with the other maximal
+    cells and the configuration's facets, simplices included, graded one
+    above the largest face strictly inside; on frozensets, not bitmasks."""
+    points = s.config.points
+    tops = [mc.marks for mc in s.maximal]
+    outer = tops + [f.members for f in s.config.facets]
+    empty = frozenset()
+    dims = {}
+    for top in tops:
+        parts = {top & o for o in outer} - {top, empty}
+        for face in sorted(intersection_closure(top, parts) - {empty}, key=len):
+            if face not in dims:
+                below = {face & p for p in parts} - {face, empty}
+                dims[face] = 1 + max((dims[c] for c in below), default=-1)
+    vertex_marks = {i for face in dims if len(face) == 1 for i in face}
+    return {
+        face: (dim, tuple(sorted(points[i] for i in face & vertex_marks)))
+        for face, dim in dims.items()
+    }
 
 
 def dual_cell_rank(cell) -> int:

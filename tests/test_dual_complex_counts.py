@@ -5,9 +5,10 @@ result with one induced subdivision and no dual complex, the painted-tree
 realization builds a tree's seed complex only when it corrects edge lengths
 and induces each realized lifting once, and the main-theorem check
 induces each extended subdivision once, with no dual complex.  A dual
-complex builds one hull with one rank pass, in integers from the lifted
-points to the supports, and its cells read their dimensions and vertices
-off incidences.  Painting evaluates g once per 0-cell."""
+complex builds one hull, in integers from the configuration's rows to the
+supports, seeded by one rank pass per configuration, and its cells read
+their dimensions and vertices off incidences, a simplex's with no closure.
+Painting evaluates g once per 0-cell."""
 
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from tropaint.multiplihedra import (
 from tropaint.painting import PaintSpec, enumerate_painted_complexes, paint
 from tropaint.painting_polytope import embed_lifting, extend, verify_main_theorem
 from tropaint.point_config import build_configuration
-from tropaint.regular_subdivision import is_triangulation
+from tropaint.regular_subdivision import Lifting, induce_subdivision, is_triangulation
 from tropaint.tropical_dual import dual_complex
 
 F = Fraction
@@ -116,9 +117,23 @@ def test_dual_complex_builds_one_hull_per_lifting(calls_to):
             assert cell.vertices
         triangulations += is_triangulation(s)
     assert 0 < triangulations < len(EXTENDED_LIFTINGS)
-    # one beneath-beyond hull and one rank pass per lifting; the cells take
-    # neither
-    assert len(hulls) == len(ranks) == len(EXTENDED_LIFTINGS)
+    # one beneath-beyond hull per lifting, and one rank pass per
+    # configuration, for the hulls' spanning simplex; the cells take neither
+    assert len(hulls) == len(EXTENDED_LIFTINGS)
+    assert [caller for caller, _ in ranks] == ["tropaint.point_config"]
+
+
+def test_triangulation_cells_take_no_closure(calls_to):
+    ext = extend(QUAD, ALPHA).extended
+    closures = calls_to(geometry.intersection_closure)
+    for eta in EXTENDED_LIFTINGS:
+        s = induce_subdivision(ext, Lifting.of(ext, eta))
+        s.cells
+        # a simplex's faces are its submasks: only the other cells close
+        others = [mc for mc in s.maximal if len(mc.marks) > ext.dimension + 1]
+        assert len(closures) == len(others)
+        assert is_triangulation(s) == (not others)
+        closures.clear()
 
 
 def test_dual_complex_stays_in_integers(calls_to):

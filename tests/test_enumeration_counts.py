@@ -6,8 +6,9 @@ off integer minors without solving a system.  The verifications read both
 posets' order and ranks off the fans' face masks: they certify no painting
 cone, and every secondary cone they build is a triangulation cone of the
 walk.  The main-theorem check builds the extended configuration and its
-subdivision lattice once for its ranks and the CLI.  Each upper hull takes
-one rank."""
+subdivision lattice once for its ranks and the CLI.  The upper hulls of a
+configuration take one rank between them, for their spanning simplex.  The
+coherent enumeration certifies each triangulation once, in the walk."""
 
 import pathlib
 import sys
@@ -24,6 +25,7 @@ from tropaint import (
     geometry,
     painting,
     painting_polytope,
+    point_config,
     regular_subdivision,
 )
 from tropaint.multiplihedra import (
@@ -153,6 +155,15 @@ def test_coherent_enumeration_induces_no_face_sample(calls_to):
     assert len(faces) == len(samples) == 46
 
 
+def test_coherent_enumeration_folds_each_triangulation_once(calls_to):
+    ext = _extended_ngon(4)
+    folds = calls_to(regular_subdivision._folding_stricts)
+    poset = enumerate_coherent_subdivisions(ext)
+    # the face rule reads the stricts' sources that the walk's cones kept
+    tris = [s for s in poset.elements if regular_subdivision.is_triangulation(s)]
+    assert len(folds) == len(tris) == 21
+
+
 def test_painting_polytope_ranks_each_extended_subdivision_once(calls_to):
     cones = calls_to(regular_subdivision.secondary_cone)
     extends = calls_to(painting_polytope.extend)
@@ -200,21 +211,28 @@ def test_verifications_read_order_and_ranks_off_the_fans(calls_to, capsys, run):
 
 
 def test_upper_hull_takes_one_rank(calls_to, monkeypatch):
-    hulls = calls_to(geometry.upper_hull_facets)
+    # a new configuration, whose spanning simplex no other test has picked
+    quad = build_configuration(QUAD.points)
+    hulls = calls_to(geometry._upper_hull)
+    induced = calls_to(regular_subdivision.induce_subdivision)
     ranks = calls_to(geometry.affine_rank)
     passes = []
     real = geometry.independent_rows
 
     def counting(rows):
         callers = {f.f_code.co_name for f, _ in traceback.walk_stack(sys._getframe(1))}
-        if "upper_hull_facets" in callers:
-            passes.append(rows)
+        if callers & {"induce_subdivision", "_upper_hull"}:
+            passes.append(callers)
         return real(rows)
 
-    monkeypatch.setattr(geometry, "independent_rows", counting)
-    verify_main_theorem(QUAD, (F(1, 3), F(1, 3)))
-    # one pass settles the rank and seeds the hull, or fixes a flat lifting's
-    # hyperplane
-    assert len(passes) == len(hulls) <= 219
+    for module in (geometry, point_config):
+        monkeypatch.setattr(module, "independent_rows", counting)
+    verify_main_theorem(quad, (F(1, 3), F(1, 3)))
+    # every induced subdivision is one hull, seeded by its configuration's
+    # spanning simplex: one pass per configuration, at its first hull
+    configs = {id(args[0]) for _, args in induced}
+    assert len(hulls) == len(induced) <= 219
+    assert len(passes) == len(configs) == 2
+    assert all("spanning_simplex" in callers for callers in passes)
     # the one rank checks the extended configuration as it is built
     assert len(ranks) == 1

@@ -283,7 +283,7 @@ def test_a_move_that_skips_a_rank_is_refused(monkeypatch):
 
 
 def test_theorem_cap_refuses_before_any_hull(calls_to):
-    hulls = calls_to(geometry.upper_hull_facets)
+    hulls = calls_to(geometry._upper_hull)
     with pytest.raises(ResourceCapError, match="at most 5 leaves"):
         verify_multiplihedron_theorem(6)
     assert hulls == []
