@@ -15,7 +15,7 @@ from .geometry import (
     affine_rank,
     upper_hull_facets,
 )
-from .lattice import FaceLattice, Poset, graded_lattice, lattice_isomorphic
+from .lattice import FaceLattice, graded_lattice, lattice_isomorphic
 from .multiplihedra import (
     PaintedTree,
     admissible_alpha,
@@ -66,7 +66,6 @@ __all__ = [
     "PaintedComplex",
     "PaintedTree",
     "PointConfiguration",
-    "Poset",
     "ResourceCapError",
     "Subdivision",
     "TropicalComplex",

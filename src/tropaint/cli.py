@@ -13,6 +13,7 @@ failure.
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from . import jsonio, svgout
 from .errors import (
@@ -24,7 +25,6 @@ from .errors import (
     ResourceCapError,
     VerificationError,
 )
-from .lattice import graded_lattice
 from .multiplihedra import multiplihedron_lattice, verify_multiplihedron_theorem
 from .painting import PaintSpec, paint
 from .painting_polytope import verify_main_theorem
@@ -72,6 +72,13 @@ def _require_alpha(alpha, path):
     if alpha is None:
         raise InputError(f"{path} carries no alpha; this command needs one")
     return alpha
+
+
+def _positive_int(raw):
+    value = int(raw)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"a cap must be positive, got {value}")
+    return value
 
 
 def _cell_cap(count, cap):
@@ -174,9 +181,9 @@ def cmd_paint(args):
 
 def cmd_secondary(args):
     config, _ = _read_input(args.input)
-    poset = enumerate_coherent_subdivisions(config, max_count=args.max_triangulations)
-    vertices = secondary_polytope_vertices(config, poset)
-    lat = face_lattice_from_poset(poset)
+    subdivisions = enumerate_coherent_subdivisions(config, max_count=args.max_triangulations)
+    vertices = secondary_polytope_vertices(config, subdivisions)
+    lat = face_lattice_from_poset(subdivisions)
     primary = jsonio.dumps(
         {
             "configuration": jsonio.configuration_json(config),
@@ -195,11 +202,8 @@ def _painting_polytope_pieces(path):
     """The main-theorem report of a configuration file and its painted lattice."""
     config, alpha = _read_input(path)
     report = verify_main_theorem(config, _require_alpha(alpha, path))
-    painted_lat = graded_lattice(
-        report.ranks,
-        report.painted_poset.covers(),
-        payload=[_painted_label(pc) for pc in report.painted_poset.elements],
-    )
+    painted = report.painted_poset
+    painted_lat = replace(painted, payload=tuple(_painted_label(pc) for pc in painted.payload))
     return report, painted_lat
 
 
@@ -262,13 +266,13 @@ def _build_parser():
     p = sub.add_parser("subdivide", help="regular subdivision induced by a lifting")
     common(p)
     p.add_argument("--eta", required=True, help='JSON list of rationals, e.g. "[-1,1,0,2,0]"')
-    p.add_argument("--max-cells", type=int, default=DEFAULT_MAX_CELLS)
+    p.add_argument("--max-cells", type=_positive_int, default=DEFAULT_MAX_CELLS)
     p.set_defaults(func=cmd_subdivide)
 
     p = sub.add_parser("tropical", help="dual tropical complex of a lifting")
     common(p)
     p.add_argument("--eta", required=True)
-    p.add_argument("--max-cells", type=int, default=DEFAULT_MAX_CELLS)
+    p.add_argument("--max-cells", type=_positive_int, default=DEFAULT_MAX_CELLS)
     p.add_argument("--svg", action="store_true", help="also render complex.svg")
     p.add_argument("--bbox", help="xmin,ymin,xmax,ymax for the SVG viewport")
     p.set_defaults(func=cmd_tropical)
@@ -277,7 +281,7 @@ def _build_parser():
     common(p)
     p.add_argument("--eta", required=True)
     p.add_argument("--level", required=True, help="rational comparison level c")
-    p.add_argument("--max-cells", type=int, default=DEFAULT_MAX_CELLS)
+    p.add_argument("--max-cells", type=_positive_int, default=DEFAULT_MAX_CELLS)
     p.add_argument("--svg", action="store_true", help="also render painted.svg")
     p.add_argument("--bbox", help="xmin,ymin,xmax,ymax for the SVG viewport")
     p.set_defaults(func=cmd_paint)
@@ -285,7 +289,11 @@ def _build_parser():
     p = sub.add_parser("secondary", help="secondary polytope and face lattice")
     common(p)
     p.add_argument(
-        "--max-triangulations", type=int, default=DEFAULT_MAX_TRIANGULATIONS
+        "--max-triangulations",
+        type=_positive_int,
+        default=DEFAULT_MAX_TRIANGULATIONS,
+        help="refuse a configuration with more triangulations or more coherent "
+        f"subdivisions than this (default {DEFAULT_MAX_TRIANGULATIONS})",
     )
     p.set_defaults(func=cmd_secondary)
 

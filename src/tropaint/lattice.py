@@ -1,94 +1,24 @@
-"""Finite posets, graded face lattices, and lattice isomorphism search."""
+"""Graded face lattices and lattice isomorphism search."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InconsistencyError, InputError
-
-
-class Poset:
-    """Partial order on elements 0..n-1, stored as up-set bitmasks.
-
-    le_pairs may be any relation whose reflexive-transitive closure is the
-    intended order; the closure is computed here.  Antisymmetry is checked.
-    ranks are face-lattice ranks where an enumerator read them off a fan.
-    """
-
-    def __init__(self, elements, le_pairs, ranks=None):
-        self.elements = tuple(elements)
-        self.ranks = None if ranks is None else tuple(ranks)
-        n = len(self.elements)
-        up = [1 << i for i in range(n)]
-        for i, j in le_pairs:
-            up[i] |= 1 << j
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                acc = up[i]
-                m = acc
-                while m:
-                    j = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    acc |= up[j]
-                if acc != up[i]:
-                    up[i] = acc
-                    changed = True
-        for i in range(n):
-            for j in _bits(up[i] >> (i + 1) << (i + 1)):
-                if up[j] >> i & 1:
-                    raise InputError(f"antisymmetry violated between {i} and {j}")
-        self._up = up
-
-    def __len__(self):
-        return len(self.elements)
-
-    def le(self, i: int, j: int) -> bool:
-        return bool(self._up[i] >> j & 1)
-
-    def covers(self) -> list[tuple[int, int]]:
-        """Pairs (i, j) with j covering i: i < j with nothing strictly between,
-        that is j in i's strict up-set and in no strict up-set of its members."""
-        strict = [u & ~(1 << i) for i, u in enumerate(self._up)]
-        out = []
-        for i, s in enumerate(strict):
-            above = 0
-            for k in _bits(s):
-                above |= strict[k]
-            out += [(i, j) for j in _bits(s & ~above)]
-        return out
-
-    def maximal(self) -> list[int]:
-        return [i for i in range(len(self.elements)) if self._up[i] == 1 << i]
-
-    def minimal(self) -> list[int]:
-        n = len(self.elements)
-        below = [False] * n
-        for i in range(n):
-            for j in _bits(self._up[i] & ~(1 << i)):
-                below[j] = True
-        return [i for i in range(n) if not below[i]]
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask &= mask - 1
+from .errors import InconsistencyError
 
 
 @dataclass(frozen=True)
 class FaceLattice:
     """Graded bounded-above poset given by ranks and Hasse cover pairs.
 
-    payload holds one opaque human-readable identifier per element for
-    reporting; it plays no role in comparisons.
+    payload holds one object per element: the enumerators' subdivisions or
+    painted complexes, or a human-readable identifier for reporting; it
+    plays no role in comparisons.
     """
 
     ranks: tuple[int, ...]
     covers: frozenset[tuple[int, int]]
-    payload: tuple[str, ...] = field(compare=False, default=())
+    payload: tuple = field(compare=False, default=())
 
     def __len__(self):
         return len(self.ranks)

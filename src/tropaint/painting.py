@@ -28,13 +28,13 @@ from .geometry import (
     vector,
     vsub,
 )
-from .lattice import Poset
+from .lattice import FaceLattice
 from .point_config import PointConfiguration, SignVector, sign_vector
 from .regular_subdivision import (
     Lifting,
     SecondaryCone,
     _certify_cone,
-    _fan_poset,
+    _fan_lattice,
     _spanning_marks,
     enumerate_regular_triangulations,
     secondary_cone,
@@ -263,16 +263,17 @@ def _paint_at(config, alpha, point, complexes: dict) -> PaintedComplex:
 
 def enumerate_painted_complexes(
     config: PointConfiguration, alpha, max_count: int = 4096
-) -> Poset:
-    """Poset of all painted complexes of (config, alpha) under the fan order,
-    ranked as faces of the painting polytope (painted chambers 0).
+) -> FaceLattice:
+    """Face lattice of all painted complexes of (config, alpha) under the fan
+    order, ranked as faces of the painting polytope (painted chambers 0); its
+    payload holds the painted complexes.
 
     Chambers of the painting fan sit over triangulation cones: one per
     realizable all-strict color pattern of the 0-cell functionals.  Every
     other painted complex lies on a proper face of some chamber, below the
-    complexes of the faces of its own cone: as with subdivisions, _fan_poset
-    paints the face samples chamber by chamber and reads the order and the
-    ranks off the face masks.
+    complexes of the faces of its own cone: as with subdivisions, _fan_lattice
+    paints the face samples chamber by chamber and reads the ranks and the
+    covers off the face masks.
     """
     alpha = vector(alpha)
     if len(alpha) != config.dimension:
@@ -301,4 +302,4 @@ def enumerate_painted_complexes(
 
     # keys hold frozensets, which compare by inclusion: the sort is not
     # total, so most elements keep their discovery order, as the goldens do
-    return _fan_poset(chambers(), {}, {}, induce, None, max_count, "painted complexes")
+    return _fan_lattice(chambers(), {}, {}, induce, None, max_count, "painted complexes")

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .errors import InconsistencyError, InputError, VerificationError
 from .geometry import Vec, vdot, vector
-from .lattice import graded_lattice, lattice_isomorphic
+from .lattice import lattice_isomorphic
 from .painting import (
     PURPLE,
     PaintedComplex,
@@ -170,25 +170,24 @@ def verify_main_theorem(config: PointConfiguration, alpha) -> MainTheoremReport:
     naming the offending element.
     """
     alpha = vector(alpha)
-    ppos = enumerate_painted_complexes(config, alpha)
+    plat = enumerate_painted_complexes(config, alpha)
     ext = extend(config, alpha)
     spos = enumerate_coherent_subdivisions(ext.extended)
-    if len(ppos) != len(spos):
+    if len(plat) != len(spos):
         raise VerificationError(
-            f"{len(ppos)} painted complexes vs {len(spos)} extended subdivisions"
+            f"{len(plat)} painted complexes vs {len(spos)} extended subdivisions"
         )
-    pranks = list(ppos.ranks)
+    pranks = list(plat.ranks)
     slat = face_lattice_from_poset(spos)
     sranks = slat.ranks
-    plat = graded_lattice(pranks, ppos.covers())
     match = lattice_isomorphic(plat, slat)
     if match is None:
         raise VerificationError("posets admit no rank-preserving isomorphism")
 
-    skey = {s.key: j for j, s in enumerate(spos.elements)}
+    skey = {s.key: j for j, s in enumerate(spos.payload)}
     cmap = []
     checks = 0
-    for i, pc in enumerate(ppos.elements):
+    for i, pc in enumerate(plat.payload):
         sbar = induce_subdivision(ext.extended, embed_lifting(pc.spec))
         j = skey.get(sbar.key)
         if j is None:
@@ -221,7 +220,7 @@ def verify_main_theorem(config: PointConfiguration, alpha) -> MainTheoremReport:
             f"{len(verts)} polytope vertices vs {pranks.count(0)} painted chambers"
         )
     return MainTheoremReport(
-        ppos,
+        plat,
         ext,
         spos,
         slat,

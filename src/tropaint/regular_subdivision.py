@@ -33,7 +33,7 @@ from .geometry import (
     matrix_rank,
     vector,
 )
-from .lattice import Poset
+from .lattice import FaceLattice, graded_lattice
 from .point_config import PointConfiguration
 
 ZERO = Fraction(0)
@@ -649,9 +649,10 @@ def enumerate_regular_triangulations(config: PointConfiguration, max_count=4096)
     Each cone is built in its local folding form (see secondary_cone), which
     first certifies that the flipped cells triangulate the configuration; its
     walls are the folding constraints that are facets.  A known neighbour
-    costs no hull: its cone's closure must contain the wall sample.  A new one is certified by its rays, induced once at their sum
-    (which must give it back, with supports and witness) and must contain
-    the wall sample in its closure.
+    costs no hull: its cone's closure must contain the wall sample.  A new
+    one is certified by its rays, induced once at their sum (which must give
+    it back, with supports and witness) and must contain the wall sample in
+    its closure.
     """
     seed = _placing_lifting(config)
     found: dict[frozenset, tuple[Subdivision, SecondaryCone]] = {
@@ -679,23 +680,28 @@ def enumerate_regular_triangulations(config: PointConfiguration, max_count=4096)
     return found
 
 
-def _fan_poset(cones, found: dict, keys: dict, induce, sort_key, max_count: int, noun: str) -> Poset:
-    """The faces of a complete fan, ordered and ranked off its maximal cones' face masks.
+def _fan_lattice(
+    cones, found: dict, keys: dict, induce, sort_key, max_count: int, noun: str
+) -> FaceLattice:
+    """The face lattice of a complete fan, read off its maximal cones' face masks.
 
     found maps keys met so far to elements and keys samples to keys;
     induce(sample, cone, mask) gives the (key, element) of a new sample, met
     as the face of cone with ray mask mask.  Rays are canonical modulo the
-    lineality, so a face shared by two cones has one sample.  Two faces one
-    below the other lie in a common maximal cone, where the coarser one's
-    mask lies inside the finer one's.  A face's rank, the same in every
-    cone, is its cone's top grade minus its own.  The stable sort by
-    sort_key keeps the discovery order of keys it does not order."""
+    lineality, so a face shared by two cones has one sample.  A face's rank,
+    the same in every cone, is its cone's top grade minus its own.  Two
+    faces one below the other lie in a common maximal cone, where the
+    coarser one's mask lies inside the finer one's; ranks rise strictly
+    along the order, so the coarser one covers the finer one exactly when
+    their grades differ by one.  The payload holds the elements, sorted
+    stably by sort_key, which keeps the discovery order of keys it does not
+    order."""
     ranks: dict = {}
-    le = []
+    covers = set()
     for cone in cones:
         faces = cone.graded_faces()
         top = faces[-1][1]
-        masks = []
+        by_grade: dict[int, list] = {}
         for mask, grade, sample in faces:
             key = keys.get(sample)
             if key is None:
@@ -707,22 +713,24 @@ def _fan_poset(cones, found: dict, keys: dict, induce, sort_key, max_count: int,
                     found[key] = element
             if ranks.setdefault(key, top - grade) != top - grade:
                 raise InconsistencyError("two maximal cones give one face different ranks")
-            masks.append((mask, key))
-        le += [(k1, k2) for m1, k1 in masks for m2, k2 in masks if m2 != m1 and m1 & m2 == m2]
+            # sorted-mask order meets the faces inside a face first
+            covers.update((key, k2) for m2, k2 in by_grade.get(grade - 1, ()) if mask & m2 == m2)
+            by_grade.setdefault(grade, []).append((mask, key))
     order = sorted(found, key=sort_key)
     index = {k: i for i, k in enumerate(order)}
-    pairs = [(index[a], index[b]) for a, b in le]
-    return Poset((found[k] for k in order), pairs, [ranks[k] for k in order])
+    pairs = [(index[a], index[b]) for a, b in covers]
+    return graded_lattice([ranks[k] for k in order], pairs, [found[k] for k in order])
 
 
 def enumerate_coherent_subdivisions(config: PointConfiguration, max_count=4096):
-    """Poset of all coherent subdivisions under refinement (finer below
-    coarser), ranked as faces of the secondary polytope (triangulations 0).
+    """Face lattice of all coherent subdivisions under refinement (finer
+    below coarser), ranked as faces of the secondary polytope
+    (triangulations 0); its payload holds the subdivisions.
 
     Triangulations come first, in walk order, from flips across
     secondary-cone walls, each with the supports and witness of its one
     induced hull.  Every other one lies on a proper face of some
-    triangulation cone: _fan_poset reads the order and the ranks off the
+    triangulation cone: _fan_lattice reads the ranks and the covers off the
     face masks, and _face_subdivision reads each new face's cells off the
     cone's folding form, with no hull.  Its witness is the face sample and
     its maximal cells carry no supports.
@@ -743,4 +751,4 @@ def enumerate_coherent_subdivisions(config: PointConfiguration, max_count=4096):
     # sort is not total, so most elements keep their discovery order, as the
     # goldens do
     cones = [tris[k][1] for k in sorted(tris, key=sorted)]
-    return _fan_poset(cones, found, keys, induce, sorted, max_count, "subdivisions")
+    return _fan_lattice(cones, found, keys, induce, sorted, max_count, "subdivisions")

@@ -3,25 +3,21 @@
 Each triangulation T gets the vector whose coordinate at a point a is the
 total normalized volume of the simplices of T having a as a mark.  These
 vectors are the vertices of a polytope whose face lattice mirrors the
-refinement poset of all coherent subdivisions; the lattice is assembled here
-straight from that poset, with the ranks its enumerator read off the face
-masks of the secondary fan.
+refinement order of all coherent subdivisions.  enumerate_coherent_subdivisions
+reads that lattice, its ranks and covers, off the face masks of the secondary
+fan; face_lattice_from_poset only labels its elements for reporting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import DegenerateInputError, InputError
 from .geometry import _int_det
-from .lattice import FaceLattice, Poset, graded_lattice
+from .lattice import FaceLattice
 from .point_config import PointConfiguration
-from .regular_subdivision import (
-    Subdivision,
-    enumerate_coherent_subdivisions,
-    is_triangulation,
-)
+from .regular_subdivision import Subdivision, is_triangulation
 
 ZERO = Fraction(0)
 
@@ -51,12 +47,11 @@ def gkz_vector(config: PointConfiguration, t: Subdivision) -> GKZVector:
     return GKZVector(tuple(coords))
 
 
-def secondary_polytope_vertices(config: PointConfiguration, poset: Poset | None = None):
-    """(GKZVector, Subdivision) per coherent triangulation; vectors verified distinct."""
-    if poset is None:
-        poset = enumerate_coherent_subdivisions(config)
+def secondary_polytope_vertices(config: PointConfiguration, lattice: FaceLattice):
+    """(GKZVector, Subdivision) per coherent triangulation of the lattice that
+    enumerate_coherent_subdivisions gives; vectors verified distinct."""
     out = []
-    for s in poset.elements:
+    for s in lattice.payload:
         if is_triangulation(s):
             out.append((gkz_vector(config, s), s))
     seen = {}
@@ -67,14 +62,11 @@ def secondary_polytope_vertices(config: PointConfiguration, poset: Poset | None 
     return out
 
 
-def face_lattice_from_poset(poset: Poset) -> FaceLattice:
-    """The poset's Hasse diagram graded by the ranks that
-    enumerate_coherent_subdivisions read off the secondary fan; InputError
-    for a poset without ranks."""
-    if poset.ranks is None:
-        raise InputError("the poset carries no ranks; enumerate_coherent_subdivisions gives them")
-    payload = [
+def face_lattice_from_poset(lattice: FaceLattice) -> FaceLattice:
+    """The lattice of enumerate_coherent_subdivisions with each subdivision
+    relabelled by its maximal cells' marks, as "0,1,2|1,2,3", for reporting."""
+    payload = tuple(
         "|".join(",".join(str(i) for i in sorted(m)) for m in sorted(s.key, key=sorted))
-        for s in poset.elements
-    ]
-    return graded_lattice(poset.ranks, poset.covers(), payload)
+        for s in lattice.payload
+    )
+    return replace(lattice, payload=payload)

@@ -81,9 +81,10 @@ ranks before reading both off the fans' face masks.
 
 The poset oracle closes a relation by Warshall's algorithm on a boolean
 matrix, names the first pair i < j comparable both ways, and tests each
-comparable pair for a cover against every other element, as lattice.Poset
-found antisymmetry violations and covers pair by pair before it read both
-off its up-set bitmasks.
+comparable pair for a cover against every other element.  It is the only
+transitive closure left: the enumerators read their covers straight off the
+fans' face masks, and the tests that read the order, or its minimal and
+maximal elements, close those covers here.
 
 The per-cell painting rebuilds g on every cell from the cell's least mark and
 reads its values at the cell's vertices and its slopes along the cell's
@@ -1416,6 +1417,14 @@ def poset_oracle(n: int, pairs):
         and not any(k not in (i, j) and le[i][k] and le[k][j] for k in range(n))
     ]
     return le, clash, covers
+
+
+def minimal_and_maximal(n: int, pairs):
+    """The minimal and the maximal elements of the closure of pairs on 0..n-1."""
+    le, _, _ = poset_oracle(n, pairs)
+    below = [any(le[j][i] for j in range(n) if j != i) for i in range(n)]
+    above = [any(le[i][j] for j in range(n) if j != i) for i in range(n)]
+    return [i for i in range(n) if not below[i]], [i for i in range(n) if not above[i]]
 
 
 def relint_sample(cell):

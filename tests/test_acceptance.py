@@ -211,7 +211,7 @@ def test_criterion_06_main_theorem_three_examples():
             full_dim = len(config.points) + 1
             brute = sum(
                 1
-                for pc in rep.painted_poset.elements
+                for pc in rep.painted_poset.payload
                 if painting_cone(pc).dim() == full_dim
             )
             assert rep.polytope_vertex_count == brute == 7
@@ -229,7 +229,7 @@ def test_criterion_07_edge_length_realization():
     for m in (4, 5):
         config = ngon_configuration(m)
         beta = admissible_alpha(config)
-        for s in enumerate_coherent_subdivisions(config).elements:
+        for s in enumerate_coherent_subdivisions(config).payload:
             eta0 = secondary_cone(config, s).interior_point
             p, _ = dual_complex(config, eta0)
             offsets = _edge_offset(p, beta)
@@ -305,7 +305,8 @@ def test_criterion_09_gkz_volume_identity():
     for config in (QUAD, BIPYRAMID, ngon_configuration(3), ngon_configuration(4), ngon_configuration(5)):
         d = config.dimension
         volume = None
-        for gkz, tri in secondary_polytope_vertices(config):
+        vertices = secondary_polytope_vertices(config, enumerate_coherent_subdivisions(config))
+        for gkz, tri in vertices:
             simplex_vols = {
                 mc.marks: _normalized_volume([config.points[i] for i in sorted(mc.marks)])
                 for mc in tri.maximal

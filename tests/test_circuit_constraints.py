@@ -61,7 +61,7 @@ CASES = _cases()
 def test_per_cell_cones_match_the_fraction_oracle(config, alpha):
     n = len(config.points)
     coarse = 0
-    subdivisions = enumerate_coherent_subdivisions(config).elements
+    subdivisions = enumerate_coherent_subdivisions(config).payload
     for s in subdivisions:
         for mc in s.maximal:
             basis = _spanning_marks(config, mc.marks)
@@ -83,7 +83,7 @@ def test_painting_constraints_are_positive_multiples_of_the_fraction_oracle(conf
     alphas = [] if alpha is None else [alpha]
     for _ in range(2):
         alphas.append(tuple(F(rng.randint(-7, 7), rng.randint(1, 6)) for _ in range(d)))
-    markings = {mc.marks for s in enumerate_coherent_subdivisions(config).elements for mc in s.maximal}
+    markings = {mc.marks for s in enumerate_coherent_subdivisions(config).payload for mc in s.maximal}
     for a in alphas:
         for marks in sorted(markings, key=sorted):
             fn = painting_constraint(config, marks, a)

@@ -49,6 +49,12 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     capsys.readouterr()
     missing = tmp_path / "absent.json"
     assert main(["subdivide", str(missing), "--eta", "[0,0]"]) == 1
+    quad = str(GOLDEN / "quad.json")
+    for cap in ("0", "-1"):
+        assert main(["secondary", quad, "--max-triangulations", cap]) == 1
+        for command in (["subdivide"], ["tropical"], ["paint", "--level", "0"]):
+            assert main([*command, quad, "--eta", "[-1,1,0,2,0]", "--max-cells", cap]) == 1
+    assert "a cap must be positive" in capsys.readouterr().err
 
 
 def test_data_errors_exit_2(tmp_path, capsys):
@@ -67,6 +73,9 @@ def test_data_errors_exit_2(tmp_path, capsys):
 def test_resource_caps_exit_3(capsys):
     quad = GOLDEN / "quad.json"
     assert main(["secondary", str(quad), "--max-triangulations", "2"]) == 3
+    # 4 triangulations pass the cap, but 9 coherent subdivisions do not
+    assert main(["secondary", str(quad), "--max-triangulations", "4"]) == 3
+    assert "more than 4 subdivisions" in capsys.readouterr().err
     assert main(["subdivide", str(quad), "--eta", "[-1,1,0,2,0]", "--max-cells", "3"]) == 3
     assert main(["verify", "multiplihedron", "-m", "7"]) == 3
     capsys.readouterr()

@@ -73,7 +73,7 @@ CONFIGS = [
 
 @pytest.mark.parametrize("config", CONFIGS)
 def test_subdivision_cone_rays_match_subset_search(config):
-    for s in enumerate_coherent_subdivisions(config).elements:
+    for s in enumerate_coherent_subdivisions(config).payload:
         cone = secondary_cone(config, s)
         assert cone.rays == cone_rays_brute_force(cone)
         assert check_cone(cone.equalities, cone.stricts, cone.ambient_dim)
@@ -163,8 +163,8 @@ def enumerated_cones():
         for c in (config, extend(config, alpha).extended):
             cones += [cone for _, cone in enumerate_regular_triangulations(c).values()]
     for config in (QUAD, BIPYRAMID, ngon_configuration(3)):
-        cones += [secondary_cone(config, s) for s in enumerate_coherent_subdivisions(config).elements]
-    cones += [painting_cone(pc) for pc in enumerate_painted_complexes(QUAD, QUAD_ALPHA).elements]
+        cones += [secondary_cone(config, s) for s in enumerate_coherent_subdivisions(config).payload]
+    cones += [painting_cone(pc) for pc in enumerate_painted_complexes(QUAD, QUAD_ALPHA).payload]
     chambers = [c for _, config, alpha in golden + polygons[:2] for c in _chambers(config, alpha)]
     return cones, chambers
 

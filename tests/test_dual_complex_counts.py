@@ -87,7 +87,7 @@ def test_verify_main_theorem_builds_each_extended_complex_once(calls_to):
     complexes = calls_to(tropical_dual.dual_complex)
     induced = calls_to(regular_subdivision.induce_subdivision)
     report = verify_main_theorem(QUAD, ALPHA)
-    embedded = [embed_lifting(pc.spec) for pc in report.painted_poset.elements]
+    embedded = [embed_lifting(pc.spec) for pc in report.painted_poset.payload]
     # no extended dual complex: the 0-cells upstairs are read off the
     # supports of one induced subdivision per painted complex, at its
     # embedded lifting

@@ -123,8 +123,8 @@ def test_no_cone_or_painting_constraint_solves_a_system():
     painting cones have primitive integer constraints.  No library module
     can solve a square system (tests/test_lp_confined.py)."""
     ext = _extended_ngon(3)
-    subdivisions = enumerate_coherent_subdivisions(ext).elements
-    painted = enumerate_painted_complexes(QUAD, (F(1, 3), F(1, 3))).elements
+    subdivisions = enumerate_coherent_subdivisions(ext).payload
+    painted = enumerate_painted_complexes(QUAD, (F(1, 3), F(1, 3))).payload
     cones = [secondary_cone(ext, s) for s in subdivisions]
     cones += [painting_cone(pc) for pc in painted]
     for cone in cones:
@@ -160,7 +160,7 @@ def test_coherent_enumeration_folds_each_triangulation_once(calls_to):
     folds = calls_to(regular_subdivision._folding_stricts)
     poset = enumerate_coherent_subdivisions(ext)
     # the face rule reads the stricts' sources that the walk's cones kept
-    tris = [s for s in poset.elements if regular_subdivision.is_triangulation(s)]
+    tris = [s for s in poset.payload if regular_subdivision.is_triangulation(s)]
     assert len(folds) == len(tris) == 21
 
 
@@ -175,7 +175,7 @@ def test_painting_polytope_ranks_each_extended_subdivision_once(calls_to):
     walked += len(enumerate_regular_triangulations(report.extension.extended))
     assert built == walked and len(report.subdivision_poset) == 15
     assert len(extends) == 1
-    assert report.extension.extended == report.subdivision_poset.elements[0].config
+    assert report.extension.extended == report.subdivision_poset.payload[0].config
     subdivision_lat = report.subdivision_lattice
     assert [subdivision_lat.ranks[j] for j in report.constructive_map] == list(report.ranks)
 
@@ -194,7 +194,7 @@ def test_main_theorem_certifies_each_painting_cone_once(calls_to, config, alpha,
     assert calls == [] and len(report.painted_poset) == count
     # the ranks read off the chambers' faces are the painting cones' own
     n = len(config.points)
-    elements = report.painted_poset.elements
+    elements = report.painted_poset.payload
     assert [(n + 1) - painting_cone(pc).dim() for pc in elements] == list(report.ranks)
 
 

@@ -142,7 +142,7 @@ def _cells_match_the_hull_oracle(s):
 def test_subdivision_cells_match_the_hull_oracle_on_enumerated_subdivisions():
     count = 0
     for config in _golden_configs().values():
-        for s in enumerate_coherent_subdivisions(config).elements:
+        for s in enumerate_coherent_subdivisions(config).payload:
             _cells_match_the_hull_oracle(s)
             count += 1
     assert count == 155

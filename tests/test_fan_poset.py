@@ -1,26 +1,27 @@
-"""Both enumerators read the order and the ranks off the face masks of their
-fan's maximal cones.  The up-sets and ranks they give match the oracles
-(oracles.py) that test every pair of elements and certify one cone per
-element, and the shared routine checks its cap before storing an element
-and rejects cones that rank one face differently."""
+"""Both enumerators read the covers and the ranks off the face masks of their
+fan's maximal cones.  The covers they give are those of the oracle closure
+(oracles.py) of the orders that test every pair of elements, their ranks
+match the oracles that certify one cone per element, and the shared routine
+checks its cap before storing an element and rejects cones that rank one
+face differently."""
 
 from fractions import Fraction
 
 import pytest
 
 from tropaint import errors, painting, regular_subdivision
-from tropaint.lattice import Poset
 from tropaint.multiplihedra import admissible_alpha, ngon_configuration
 from tropaint.painting import enumerate_painted_complexes
+from tropaint.painting_polytope import extend
 from tropaint.point_config import build_configuration
 from tropaint.regular_subdivision import (
-    _fan_poset,
+    _fan_lattice,
     enumerate_coherent_subdivisions,
     enumerate_regular_triangulations,
 )
-from tropaint.secondary_polytope import face_lattice_from_poset
 
-from oracles import painted_pairs_and_ranks, refinement_pairs, subdivision_rank
+from corpus import CASES, CONFIGURATIONS
+from oracles import painted_pairs_and_ranks, poset_oracle, refinement_pairs, subdivision_rank
 from test_flips import CONFIGS
 
 F = Fraction
@@ -30,16 +31,31 @@ BIPYRAMID = build_configuration(
 )
 
 
-def _strict_pairs(poset):
-    n = len(poset)
-    return {(i, j) for i in range(n) for j in range(n) if i != j and poset.le(i, j)}
+def _assert_oracle_lattice(lattice, pairs, ranks):
+    """pairs are an order whose oracle closure has the lattice's covers, and
+    ranks are the lattice's ranks."""
+    _, clash, covers = poset_oracle(len(lattice), pairs)
+    assert clash is None
+    assert lattice.covers == frozenset(covers)
+    assert lattice.ranks == tuple(ranks)
 
 
-@pytest.mark.parametrize("config", CONFIGS)
+def _subdivision_inputs():
+    out = list(CONFIGS)
+    for m in (3, 4, 5):
+        config = ngon_configuration(m)
+        out.append(pytest.param(config, id=f"ngon{m}"))
+    config = ngon_configuration(5)
+    out.append(pytest.param(extend(config, admissible_alpha(config)).extended, id="ngon5-extended"))
+    out += [pytest.param(config, id=f"corpus{k}") for k, config in enumerate(CONFIGURATIONS)]
+    return out
+
+
+@pytest.mark.parametrize("config", _subdivision_inputs())
 def test_subdivision_order_and_ranks_match_oracles(config):
-    poset = enumerate_coherent_subdivisions(config)
-    assert _strict_pairs(poset) == refinement_pairs(poset.elements)
-    assert poset.ranks == tuple(subdivision_rank(config, s) for s in poset.elements)
+    lattice = enumerate_coherent_subdivisions(config)
+    ranks = [subdivision_rank(config, s) for s in lattice.payload]
+    _assert_oracle_lattice(lattice, refinement_pairs(lattice.payload), ranks)
 
 
 def _painted_inputs():
@@ -47,18 +63,17 @@ def _painted_inputs():
         pytest.param(QUAD, (F(1, 3), F(1, 3)), id="quad"),
         pytest.param(BIPYRAMID, (F(1, 2), F(1, 3), F(1, 2)), id="bipyramid"),
     ]
-    for m in (3, 4):
+    for m in (3, 4, 5):
         config = ngon_configuration(m)
         out.append(pytest.param(config, admissible_alpha(config), id=f"ngon{m}"))
+    out += [pytest.param(config, alpha, id=name) for name, config, alpha in CASES if "generic" in name]
     return out
 
 
 @pytest.mark.parametrize("config, alpha", _painted_inputs())
 def test_painted_order_and_ranks_match_oracles(config, alpha):
-    poset = enumerate_painted_complexes(config, alpha)
-    pairs, ranks = painted_pairs_and_ranks(poset.elements)
-    assert _strict_pairs(poset) == pairs
-    assert poset.ranks == tuple(ranks)
+    lattice = enumerate_painted_complexes(config, alpha)
+    _assert_oracle_lattice(lattice, *painted_pairs_and_ranks(lattice.payload))
 
 
 def test_subdivision_cap_stops_before_storing_more(calls_to):
@@ -95,11 +110,4 @@ def test_fan_poset_rejects_cones_that_rank_one_face_differently():
     first = _FakeCone([(0, 0, "a"), (1, 1, "b"), (3, 2, "c")])
     second = _FakeCone([(0, 0, "b"), (1, 1, "d"), (3, 2, "e")])
     with pytest.raises(errors.InconsistencyError, match="different ranks"):
-        _fan_poset([first, second], {}, {}, lambda x, cone, mask: (x, x), None, 10, "faces")
-
-
-def test_face_lattice_needs_ranks():
-    poset = enumerate_coherent_subdivisions(QUAD)
-    assert face_lattice_from_poset(poset).ranks == poset.ranks
-    with pytest.raises(errors.InputError, match="no ranks"):
-        face_lattice_from_poset(Poset(poset.elements, []))
+        _fan_lattice([first, second], {}, {}, lambda x, cone, mask: (x, x), None, 10, "faces")

@@ -1,11 +1,8 @@
-import random
-
 import pytest
 
-from tropaint.errors import InconsistencyError, InputError
+from tropaint.errors import InconsistencyError
 from tropaint.lattice import (
     FaceLattice,
-    Poset,
     graded_lattice,
     lattice_isomorphic,
 )
@@ -25,44 +22,6 @@ def square_lattice(rotate=0):
     return graded_lattice(ranks, covers)
 
 
-def test_poset_closure_and_covers():
-    p = Poset(("a", "b", "c", "d"), [(0, 1), (1, 3), (0, 2), (2, 3)])
-    assert p.le(0, 3)  # via transitive closure
-    assert not p.le(1, 2)
-    assert p.covers() == [(0, 1), (0, 2), (1, 3), (2, 3)]
-    assert p.maximal() == [3]
-    assert p.minimal() == [0]
-
-
-def test_poset_antisymmetry_rejected():
-    with pytest.raises(InputError):
-        Poset(("a", "b"), [(0, 1), (1, 0)])
-
-
-def test_poset_matches_pairwise_oracle():
-    # random relations on up to 12 elements: about half are acyclic, drawn
-    # along a shuffled order, and the rest may hold cycles
-    rng = random.Random(20)
-    clashes = 0
-    for trial in range(600):
-        n = rng.randint(0, 12)
-        rank = list(range(n))
-        rng.shuffle(rank)
-        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
-        if trial % 2:
-            pairs = [(i, j) for i, j in pairs if rank[i] <= rank[j]]
-        le, clash, covers = poset_oracle(n, pairs)
-        if clash is not None:
-            clashes += 1
-            with pytest.raises(InputError, match=f"between {clash[0]} and {clash[1]}$"):
-                Poset(range(n), pairs)
-            continue
-        p = Poset(range(n), pairs)
-        assert [[p.le(i, j) for j in range(n)] for i in range(n)] == le
-        assert p.covers() == covers
-    assert 50 < clashes < 300
-
-
 def test_graded_lattice_validation():
     with pytest.raises(InconsistencyError):
         graded_lattice([0, 2], [(0, 1)])  # cover jumps two ranks
@@ -71,8 +30,8 @@ def test_graded_lattice_validation():
 
 
 def test_chain_lattice_from_poset():
-    p = Poset(("x", "y", "z"), [(0, 1), (1, 2)])
-    lat = graded_lattice([0, 1, 2], p.covers())
+    _, _, covers = poset_oracle(3, [(0, 1), (1, 2), (0, 2)])
+    lat = graded_lattice([0, 1, 2], covers)
     assert lat.covers == frozenset({(0, 1), (1, 2)})
 
 

@@ -126,7 +126,7 @@ def _check_cells(subdivisions) -> tuple[int, int]:
 
 @pytest.mark.parametrize("config", _configurations())
 def test_coherent_subdivision_cells_match_closure(config):
-    subdivisions = enumerate_coherent_subdivisions(config).elements
+    subdivisions = enumerate_coherent_subdivisions(config).payload
     mixed, nonvertex = _check_cells(subdivisions)
     if config is QUAD:
         assert mixed and nonvertex
@@ -134,5 +134,5 @@ def test_coherent_subdivision_cells_match_closure(config):
 
 @pytest.mark.parametrize("config, alpha", _painted_inputs())
 def test_painted_subdivision_cells_match_closure(config, alpha):
-    painted = enumerate_painted_complexes(config, alpha).elements
+    painted = enumerate_painted_complexes(config, alpha).payload
     _check_cells(pc.subdivision for pc in painted)

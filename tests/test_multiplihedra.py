@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from tropaint import geometry, multiplihedra
 from tropaint.errors import InconsistencyError, InputError, ResourceCapError
-from tropaint.lattice import Poset, lattice_isomorphic
+from tropaint.lattice import lattice_isomorphic
 from tropaint.multiplihedra import (
     PAINTED,
     SPLIT,
@@ -44,6 +44,7 @@ from oracles import (
     painted_tree_level_by_dual_complex,
     planar_tree_by_angles,
     polygon_subdivisions,
+    poset_oracle,
     realize_edge_lengths_sequential,
 )
 
@@ -262,9 +263,11 @@ def test_single_moves_are_the_covers_of_their_closure(m):
     index = {t: i for i, t in enumerate(trees)}
     moves = {(index[t], index[u]) for t in trees for u in _single_moves(t)}
     assert len(moves) == {2: 2, 3: 18, 4: 141, 5: 1079, 6: 8252}[m]
+    # a move raises the rank by one and a longer chain by more, so no move
+    # follows from others; the oracle's closure confirms it up to m = 5
     assert all(_tree_rank(trees[j]) == _tree_rank(trees[i]) + 1 for i, j in moves)
-    assert set(Poset(trees, moves).covers()) == moves
     if m <= 5:
+        assert set(poset_oracle(len(trees), moves)[2]) == moves
         assert multiplihedron_lattice(m).covers == moves
 
 
@@ -561,9 +564,9 @@ def test_order_compatible_with_painting_poset(m):
             return True
         return any(reachable(k, j) for k in up[i])
 
-    trees = [painted_tree_of(pc) for pc in poset.elements]
+    trees = [painted_tree_of(pc) for pc in poset.payload]
     assert len({t.encoding for t in trees}) == len(lat)
-    for i, j in poset.covers():
+    for i, j in poset.covers:
         a = index[_tree_label(trees[i].encoding)]
         b = index[_tree_label(trees[j].encoding)]
         assert reachable(a, b)

@@ -32,7 +32,7 @@ from tropaint.multiplihedra import admissible_alpha, ngon_configuration
 from tropaint.point_config import SignVector, build_configuration, sign_vector
 from tropaint.tropical_dual import dual_complex
 
-from oracles import paint_per_cell
+from oracles import minimal_and_maximal, paint_per_cell
 
 QUAD = build_configuration([(0, 0), (1, 0), (0, 1), (-1, 0), (-1, -1)])
 BIPYRAMID = build_configuration(
@@ -306,7 +306,7 @@ def test_witness_painting_cone_matches_lp_cone(
     # patterns are certified
     assert cone_calls == []
     assert fallback_certifications
-    elements = poset.elements
+    elements = poset.payload
     for i, pc in enumerate(elements):
         fallback_certifications.clear()
         fast = real(pc)
@@ -343,16 +343,16 @@ def test_segment_poset():
     assert len(poset) == 3
     kappas = [
         {tuple(sorted(m)): col for m, col in pc.kappa.items()}
-        for pc in poset.elements
+        for pc in poset.payload
     ]
     all_blue = {(0, 1): BLUE, (0,): BLUE, (1,): BLUE}
     wall = {(0, 1): PURPLE, (0,): BLUE, (1,): BLUE}
     red_side = {(0, 1): RED, (0,): PURPLE, (1,): PURPLE}
     assert all_blue in kappas and wall in kappas and red_side in kappas
-    top = poset.maximal()
+    bottom, top = minimal_and_maximal(len(poset), poset.covers)
     assert len(top) == 1 and kappas[top[0]] == wall
-    assert sorted(kappas[i][(0, 1)] for i in poset.minimal()) == [BLUE, RED]
-    assert len(poset.covers()) == 2
+    assert sorted(kappas[i][(0, 1)] for i in bottom) == [BLUE, RED]
+    assert len(poset.covers) == 2
 
 
 def test_painted_walk_stops_at_the_cap(monkeypatch):
@@ -371,19 +371,19 @@ def test_quad_poset_counts():
     poset = enumerate_painted_complexes(QUAD, ALPHA)
     assert len(poset) == 45
     dims = {}
-    for pc in poset.elements:
+    for pc in poset.payload:
         d = painting_cone(pc).dim()
         dims[d] = dims.get(d, 0) + 1
     # pointed dimensions 3,2,1,0 over a 3-dimensional lineality
     assert dims == {6: 14, 5: 21, 4: 9, 3: 1}
     v, e, f = dims[6], dims[5], dims[4]
     assert v - e + f == 2
-    assert len(poset.minimal()) == 14
-    top = poset.maximal()
+    bottom, top = minimal_and_maximal(len(poset), poset.covers)
+    assert len(bottom) == 14
     assert len(top) == 1
     # the top painting sits over the lineality: affine lifting, level at the
     # value of alpha, so the lone vertex is purple and all else falls away blue
-    top_pc = poset.elements[top[0]]
+    top_pc = poset.payload[top[0]]
     assert len(top_pc.subdivision.maximal) == 1
     for cell in top_pc.complex.cells.values():
         want = PURPLE if cell.dimension == 0 else BLUE
@@ -394,12 +394,13 @@ def test_bipyramid_poset_is_heptagon():
     poset = enumerate_painted_complexes(BIPYRAMID, ALPHA3)
     assert len(poset) == 15
     dims = {}
-    for pc in poset.elements:
+    for pc in poset.payload:
         d = painting_cone(pc).dim()
         dims[d] = dims.get(d, 0) + 1
     assert dims == {6: 7, 5: 7, 4: 1}
-    assert len(poset.covers()) == 21
-    assert len(poset.minimal()) == 7 and len(poset.maximal()) == 1
+    assert len(poset.covers) == 21
+    bottom, top = minimal_and_maximal(len(poset), poset.covers)
+    assert len(bottom) == 7 and len(top) == 1
 
 
 @settings(max_examples=40, deadline=None)
@@ -420,7 +421,7 @@ def test_reconstruction_matches_direct_paint(eta, c):
 )
 def test_sampled_paintings_are_enumerated(eta, c):
     poset = _quad_poset()
-    keys = {pc.key() for pc in poset.elements}
+    keys = {pc.key() for pc in poset.payload}
     p, _ = dual_complex(QUAD, eta)
     painted = paint(p, PaintSpec.of(QUAD, eta, c, ALPHA))
     assert painted.key() in keys

@@ -165,7 +165,7 @@ def test_extended_zero_cells_read_off_supports(config, alpha):
     # verify_main_theorem reads the 0-cells upstairs off the maximal cells of
     # one induced subdivision: the extended dual complex has the same ones
     ext = extend(config, alpha).extended
-    for pc in enumerate_painted_complexes(config, alpha).elements:
+    for pc in enumerate_painted_complexes(config, alpha).payload:
         eta = embed_lifting(pc.spec)
         pext, _ = dual_complex(ext, eta)
         expected = {(cell.vertices[0], cell.marking) for cell in pext.cells_of_dim(0)}

@@ -19,7 +19,13 @@ from tropaint.regular_subdivision import (
     secondary_cone,
 )
 
-from oracles import polygon_subdivisions, refinement_pairs, validate_subdivision
+from oracles import (
+    minimal_and_maximal,
+    polygon_subdivisions,
+    poset_oracle,
+    refinement_pairs,
+    validate_subdivision,
+)
 
 F = Fraction
 
@@ -247,26 +253,27 @@ def test_square_cones_share_the_trivial_facet():
 def test_enumerate_square():
     poset = enumerate_coherent_subdivisions(SQUARE)
     assert len(poset) == 3
-    tri_count = sum(1 for s in poset.elements if is_triangulation(s))
+    tri_count = sum(1 for s in poset.payload if is_triangulation(s))
     assert tri_count == 2
-    assert len(poset.maximal()) == 1  # the trivial subdivision on top
-    assert set(poset.minimal()) == {
-        i for i, s in enumerate(poset.elements) if is_triangulation(s)
+    bottom, top = minimal_and_maximal(len(poset), poset.covers)
+    assert len(top) == 1  # the trivial subdivision on top
+    assert set(bottom) == {
+        i for i, s in enumerate(poset.payload) if is_triangulation(s)
     }
 
 
 def test_enumerate_quadrilateral_with_interior_point():
     poset = enumerate_coherent_subdivisions(QUAD)
-    tris = [s for s in poset.elements if is_triangulation(s)]
+    tris = [s for s in poset.payload if is_triangulation(s)]
     assert len(tris) == 4
     assert len(poset) == 9
-    top = poset.elements[poset.maximal()[0]]
-    assert marks_of(top) == {frozenset(range(5))}
+    _, (top,) = minimal_and_maximal(len(poset), poset.covers)
+    assert marks_of(poset.payload[top]) == {frozenset(range(5))}
 
 
 def test_enumerate_bipyramid_circuit():
     poset = enumerate_coherent_subdivisions(BIPYRAMID)
-    tris = [s for s in poset.elements if is_triangulation(s)]
+    tris = [s for s in poset.payload if is_triangulation(s)]
     assert len(tris) == 2
     assert len(poset) == 3
     got = {frozenset(marks_of(t)) for t in tris}
@@ -292,19 +299,19 @@ def test_enumerate_pentagon_matches_noncrossing_oracle():
     config = polygon(5)
     poset = enumerate_coherent_subdivisions(config)
     expected = polygon_subdivisions(5)
-    got = {_diagonal_set(s) for s in poset.elements}
+    got = {_diagonal_set(s) for s in poset.payload}
     assert got == {frozenset(d) for d in expected}
     assert len(poset) == 11
-    tris = [s for s in poset.elements if is_triangulation(s)]
+    tris = [s for s in poset.payload if is_triangulation(s)]
     assert len(tris) == 5
 
 
 def test_poset_order_is_refinement():
     poset = enumerate_coherent_subdivisions(SQUARE)
-    n = len(poset.elements)
-    order = {(i, j) for i in range(n) for j in range(n) if i != j and poset.le(i, j)}
-    assert order == refinement_pairs(poset.elements)
-    assert all(poset.le(i, i) for i in range(n))
+    n = len(poset)
+    le, clash, _ = poset_oracle(n, poset.covers)
+    order = {(i, j) for i in range(n) for j in range(n) if i != j and le[i][j]}
+    assert clash is None and order == refinement_pairs(poset.payload)
 
 
 @given(st.lists(st.integers(-6, 6), min_size=5, max_size=5))
@@ -342,10 +349,10 @@ def test_witness_cone_matches_lp_cone(config, fallback_certifications):
     poset = enumerate_coherent_subdivisions(config)
     # the seed cone was certified by its witness, every flipped triangulation
     # by its rays
-    triangulations = [s for s in poset.elements if is_triangulation(s)]
+    triangulations = [s for s in poset.payload if is_triangulation(s)]
     assert len(fallback_certifications) == len(triangulations) - 1
     fallback_certifications.clear()
-    for s in poset.elements:
+    for s in poset.payload:
         assert s.witness is not None
         fast = secondary_cone(config, s)
         assert fallback_certifications == []

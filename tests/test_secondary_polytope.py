@@ -54,12 +54,13 @@ def test_gkz_sum_invariant():
     for config in (SQUARE, QUAD, BIPYRAMID):
         vol = config.volume
         d = config.dimension
-        for vec, _ in secondary_polytope_vertices(config):
+        vertices = secondary_polytope_vertices(config, enumerate_coherent_subdivisions(config))
+        for vec, _ in vertices:
             assert sum(vec.coordinates) == (d + 1) * vol
 
 
 def test_bipyramid_vertices():
-    verts = secondary_polytope_vertices(BIPYRAMID)
+    verts = secondary_polytope_vertices(BIPYRAMID, enumerate_coherent_subdivisions(BIPYRAMID))
     assert len(verts) == 2
     got = {v.coordinates for v, _ in verts}
     assert got == {(6, 6, 6, 3, 3), (4, 4, 4, 6, 6)}
@@ -100,5 +101,5 @@ def test_face_lattice_pentagon():
 
 def test_subdivision_ranks_quadrilateral():
     poset = enumerate_coherent_subdivisions(QUAD)
-    ranks = sorted(subdivision_rank(QUAD, s) for s in poset.elements)
+    ranks = sorted(subdivision_rank(QUAD, s) for s in poset.payload)
     assert ranks == [0, 0, 0, 0, 1, 1, 1, 1, 2]
