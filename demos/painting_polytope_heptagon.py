@@ -26,11 +26,12 @@ print("extended dimension:", ext.extended.dimension)
 # subdivisions upstairs, with an explicit lifting embedding realizing the
 # order isomorphism and every predicted 0-cell confirmed
 report = verify_main_theorem(config, alpha)
-print("\npainted complexes:", len(report.ranks))
+print("\npainted complexes:", len(report.painted_poset))
 print("polytope dimension:", report.polytope_dimension)
 print("polytope vertices:", report.polytope_vertex_count)
 
-counts = {r: report.ranks.count(r) for r in sorted(set(report.ranks))}
+ranks = report.painted_poset.ranks
+counts = {r: ranks.count(r) for r in sorted(set(ranks))}
 print("faces by dimension:", counts)
 print("0-cells confirmed upstairs:", report.vertex_checks)
 # seven vertices, seven edges, one polygon: a heptagon

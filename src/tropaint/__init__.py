@@ -46,10 +46,7 @@ from .regular_subdivision import (
     is_triangulation,
     secondary_cone,
 )
-from .secondary_polytope import (
-    face_lattice_from_poset,
-    secondary_polytope_vertices,
-)
+from .secondary_polytope import secondary_polytope_vertices
 from .tropical_dual import TropicalComplex, TropicalPolynomial, dual_complex, evaluate
 
 __all__ = [
@@ -81,7 +78,6 @@ __all__ = [
     "enumerate_regular_triangulations",
     "evaluate",
     "extend",
-    "face_lattice_from_poset",
     "graded_lattice",
     "induce_subdivision",
     "is_triangulation",

@@ -33,7 +33,7 @@ from .regular_subdivision import (
     enumerate_coherent_subdivisions,
     induce_subdivision,
 )
-from .secondary_polytope import face_lattice_from_poset, secondary_polytope_vertices
+from .secondary_polytope import secondary_polytope_vertices
 from .tropical_dual import dual_complex
 
 DATA_ERRORS = (
@@ -94,8 +94,18 @@ def _painted_label(pc) -> str:
     return "|".join(parts)
 
 
+def _subdivision_label(s) -> str:
+    """The subdivision's maximal cells' marks, as "0,1,2|1,2,3"."""
+    return "|".join(",".join(str(i) for i in sorted(m)) for m in sorted(s.key, key=sorted))
+
+
+def _labelled(lattice, label):
+    """The lattice with each element of its payload replaced by its label."""
+    return replace(lattice, payload=tuple(label(x) for x in lattice.payload))
+
+
 def _main_report_json(report) -> dict:
-    ranks = list(report.ranks)
+    ranks = list(report.painted_poset.ranks)
     counts = sorted(set(ranks))
     return {
         "painted_complexes": len(ranks),
@@ -183,7 +193,7 @@ def cmd_secondary(args):
     config, _ = _read_input(args.input)
     subdivisions = enumerate_coherent_subdivisions(config, max_count=args.max_triangulations)
     vertices = secondary_polytope_vertices(config, subdivisions)
-    lat = face_lattice_from_poset(subdivisions)
+    lat = _labelled(subdivisions, _subdivision_label)
     primary = jsonio.dumps(
         {
             "configuration": jsonio.configuration_json(config),
@@ -198,17 +208,16 @@ def cmd_secondary(args):
     }
 
 
-def _painting_polytope_pieces(path):
-    """The main-theorem report of a configuration file and its painted lattice."""
+def _main_report(path):
+    """The main-theorem report of a configuration file."""
     config, alpha = _read_input(path)
-    report = verify_main_theorem(config, _require_alpha(alpha, path))
-    painted = report.painted_poset
-    painted_lat = replace(painted, payload=tuple(_painted_label(pc) for pc in painted.payload))
-    return report, painted_lat
+    return verify_main_theorem(config, _require_alpha(alpha, path))
 
 
 def cmd_painting_polytope(args):
-    report, painted_lat = _painting_polytope_pieces(args.input)
+    report = _main_report(args.input)
+    painted_lat = _labelled(report.painted_poset, _painted_label)
+    subdivision_lat = _labelled(report.subdivision_poset, _subdivision_label)
     report_text = jsonio.dumps(_main_report_json(report))
     artifacts = {
         "report.json": report_text,
@@ -217,8 +226,8 @@ def cmd_painting_polytope(args):
         ),
         "painted_hasse.json": jsonio.dumps(jsonio.lattice_json(painted_lat)),
         "painted_hasse.dot": jsonio.lattice_dot(painted_lat, name="painted"),
-        "subdivision_hasse.json": jsonio.dumps(jsonio.lattice_json(report.subdivision_lattice)),
-        "subdivision_hasse.dot": jsonio.lattice_dot(report.subdivision_lattice, name="extended"),
+        "subdivision_hasse.json": jsonio.dumps(jsonio.lattice_json(subdivision_lat)),
+        "subdivision_hasse.dot": jsonio.lattice_dot(subdivision_lat, name="extended"),
     }
     return report_text, artifacts
 
@@ -240,7 +249,7 @@ def cmd_verify(args):
     if args.target == "painting-polytope":
         if args.input is None:
             raise InputError("verify painting-polytope needs an input configuration")
-        report, _ = _painting_polytope_pieces(args.input)
+        report = _main_report(args.input)
         primary = jsonio.dumps(_main_report_json(report))
     else:
         if args.m is None:

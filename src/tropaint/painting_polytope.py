@@ -29,7 +29,7 @@ from .painting import (
 )
 from .point_config import PointConfiguration, build_configuration
 from .regular_subdivision import Lifting, enumerate_coherent_subdivisions, induce_subdivision
-from .secondary_polytope import face_lattice_from_poset, secondary_polytope_vertices
+from .secondary_polytope import secondary_polytope_vertices
 
 ZERO = Fraction(0)
 
@@ -130,10 +130,8 @@ class MainTheoremReport:
         painted_poset,
         extension,
         subdivision_poset,
-        subdivision_lattice,
         constructive_map,
         lattice_match,
-        ranks,
         polytope_dimension,
         polytope_vertex_count,
         vertex_checks,
@@ -141,10 +139,8 @@ class MainTheoremReport:
         self.painted_poset = painted_poset
         self.extension = extension
         self.subdivision_poset = subdivision_poset
-        self.subdivision_lattice = subdivision_lattice
         self.constructive_map = tuple(constructive_map)
         self.lattice_match = tuple(lattice_match)
-        self.ranks = tuple(ranks)
         self.polytope_dimension = polytope_dimension
         self.polytope_vertex_count = polytope_vertex_count
         self.vertex_checks = vertex_checks
@@ -178,9 +174,7 @@ def verify_main_theorem(config: PointConfiguration, alpha) -> MainTheoremReport:
             f"{len(plat)} painted complexes vs {len(spos)} extended subdivisions"
         )
     pranks = list(plat.ranks)
-    slat = face_lattice_from_poset(spos)
-    sranks = slat.ranks
-    match = lattice_isomorphic(plat, slat)
+    match = lattice_isomorphic(plat, spos)
     if match is None:
         raise VerificationError("posets admit no rank-preserving isomorphism")
 
@@ -195,7 +189,7 @@ def verify_main_theorem(config: PointConfiguration, alpha) -> MainTheoremReport:
                 f"embedded lifting of painted complex {i} induces an "
                 f"unenumerated subdivision"
             )
-        if sranks[j] != pranks[i]:
+        if spos.ranks[j] != pranks[i]:
             raise VerificationError(f"rank mismatch at painted complex {i}")
         cmap.append(j)
         actual = {(mc.support.linear, mc.marks) for mc in sbar.maximal}
@@ -210,8 +204,8 @@ def verify_main_theorem(config: PointConfiguration, alpha) -> MainTheoremReport:
     if len(set(cmap)) != len(cmap):
         raise VerificationError("embedding map is not injective")
     mapped = {(cmap[i], cmap[j]) for i, j in plat.covers}
-    if mapped != slat.covers:
-        a, b = min(mapped ^ slat.covers)
+    if mapped != spos.covers:
+        a, b = min(mapped ^ spos.covers)
         raise VerificationError(f"covers differ at extended subdivisions {a} and {b}")
 
     verts = secondary_polytope_vertices(ext.extended, spos)
@@ -223,10 +217,8 @@ def verify_main_theorem(config: PointConfiguration, alpha) -> MainTheoremReport:
         plat,
         ext,
         spos,
-        slat,
         cmap,
         match,
-        pranks,
         max(pranks) if pranks else 0,
         pranks.count(0),
         checks,

@@ -107,11 +107,11 @@ class Subdivision:
     Identity is the set of maximal marked cells; two liftings in the same open
     secondary cone produce equal Subdivision values.  witness, when present,
     is a lifting inducing the subdivision; it takes no part in identity.
-    induce_subdivision gives its own lifting as the witness and maximal
-    cells with supports.  A non-triangulation that
-    enumerate_coherent_subdivisions reads off a triangulation cone's face
-    has the face sample as its witness, and its maximal cells carry no
-    supports.
+    Only induce_subdivision gives maximal cells with supports, and its own
+    lifting as the witness; of the subdivisions the enumerators give, that
+    is only the walk's seed.  The others carry a witness and no supports: a
+    flipped triangulation has its cone's interior point, and a coarser
+    subdivision read off a triangulation cone's face has the face sample.
 
     .cells is built on first access, with no geometry.  Maximal cells are
     full-dimensional, so one with d + 1 marks is a simplex whose marks are
@@ -564,9 +564,9 @@ def secondary_cone(config: PointConfiguration, s: Subdivision) -> SecondaryCone:
     its maximal cells, and the volumes leave room for no other.  The
     interior point is s.witness when an exact check puts it in the open
     cone; otherwise it is the sum of the cone's rays (see _certify_cone).
-    A triangulation keeps its stricts' sources, so that neither a second
-    cone nor the face rule of enumerate_coherent_subdivisions certifies it
-    again.
+    A triangulation keeps its stricts' sources on s: the face rule of
+    enumerate_coherent_subdivisions reads them, and a second cone of s does
+    not certify the triangulation again.
     """
     if s.config != config:
         raise InputError("the subdivision belongs to another configuration")
@@ -650,9 +650,12 @@ def enumerate_regular_triangulations(config: PointConfiguration, max_count=4096)
     first certifies that the flipped cells triangulate the configuration; its
     walls are the folding constraints that are facets.  A known neighbour
     costs no hull: its cone's closure must contain the wall sample.  A new
-    one is certified by its rays, induced once at their sum (which must give
-    it back, with supports and witness) and must contain the wall sample in
-    its closure.
+    one is certified by its cone alone, with no induced hull: the folding
+    certificate, the hull of its rays and the exact check that their sum
+    lies in the open cone prove that every point there induces it.  Its
+    cone's closure must contain the wall sample, and the ray sum becomes its
+    witness; its maximal cells carry no supports.  The seed keeps the
+    supports and witness of its placing lifting.
     """
     seed = _placing_lifting(config)
     found: dict[frozenset, tuple[Subdivision, SecondaryCone]] = {
@@ -671,12 +674,11 @@ def enumerate_regular_triangulations(config: PointConfiguration, max_count=4096)
             if len(found) >= max_count:
                 raise ResourceCapError(f"more than {max_count} triangulations")
             c2 = secondary_cone(config, flipped)
-            s2 = induce_subdivision(config, Lifting(c2.interior_point))
-            if s2.key != flipped.key or not c2.contains_closed(wall_sample):
+            if not c2.contains_closed(wall_sample):
                 raise InconsistencyError("a flip lands off its wall")
-            s2._folding = flipped._folding  # indexed by the maximal cells, which sort alike
-            found[s2.key] = (s2, c2)
-            frontier.append(s2.key)
+            flipped.witness = c2.interior_point
+            found[flipped.key] = (flipped, c2)
+            frontier.append(flipped.key)
     return found
 
 
@@ -728,18 +730,18 @@ def enumerate_coherent_subdivisions(config: PointConfiguration, max_count=4096):
     (triangulations 0); its payload holds the subdivisions.
 
     Triangulations come first, in walk order, from flips across
-    secondary-cone walls, each with the supports and witness of its one
-    induced hull.  Every other one lies on a proper face of some
-    triangulation cone: _fan_lattice reads the ranks and the covers off the
-    face masks, and _face_subdivision reads each new face's cells off the
-    cone's folding form, with no hull.  Its witness is the face sample and
-    its maximal cells carry no supports.
+    secondary-cone walls, each with its cone's interior point as witness.
+    Every other one lies on a proper face of some triangulation cone:
+    _fan_lattice reads the ranks and the covers off the face masks, and
+    _face_subdivision reads each new face's cells off the cone's folding
+    form, with no hull, and takes the face sample as witness.  Only the
+    seed triangulation's maximal cells carry supports.
     """
     tris = enumerate_regular_triangulations(config, max_count)
     found = {k: t for k, (t, _) in tris.items()}
     # each triangulation is its cone's top face, whose sample sums all rays
     keys = {cone._ray_sum((1 << len(cone.rays)) - 1): k for k, (_, cone) in tris.items()}
-    # the walk's secondary_cone left each triangulation its stricts' sources
+    # secondary_cone left each walked triangulation its stricts' sources
     walked = {cone: t for t, cone in tris.values()}
 
     def induce(sample, cone, mask):

@@ -5,12 +5,12 @@ total normalized volume of the simplices of T having a as a mark.  These
 vectors are the vertices of a polytope whose face lattice mirrors the
 refinement order of all coherent subdivisions.  enumerate_coherent_subdivisions
 reads that lattice, its ranks and covers, off the face masks of the secondary
-fan; face_lattice_from_poset only labels its elements for reporting.
+fan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateInputError, InputError
@@ -60,13 +60,3 @@ def secondary_polytope_vertices(config: PointConfiguration, lattice: FaceLattice
             raise InputError("two triangulations share a volume vector")
         seen[vec.coordinates] = s
     return out
-
-
-def face_lattice_from_poset(lattice: FaceLattice) -> FaceLattice:
-    """The lattice of enumerate_coherent_subdivisions with each subdivision
-    relabelled by its maximal cells' marks, as "0,1,2|1,2,3", for reporting."""
-    payload = tuple(
-        "|".join(",".join(str(i) for i in sorted(m)) for m in sorted(s.key, key=sorted))
-        for s in lattice.payload
-    )
-    return replace(lattice, payload=payload)

@@ -1,10 +1,10 @@
 """Each lifting gets one dual complex: painting reads the complex it is
 given, the painted enumeration builds one per lifting it meets, edge-length
 realization corrects every edge from its input complex and certifies the
-result with one induced subdivision and no dual complex, the painted-tree
-realization builds a tree's seed complex only when it corrects edge lengths
-and induces each realized lifting once, and the main-theorem check
-induces each extended subdivision once, with no dual complex.  A dual
+result with one induced subdivision, no dual complex and no cone, the
+painted-tree realization builds a tree's seed complex only when it corrects
+edge lengths and induces each realized lifting once, and the main-theorem
+check induces each extended subdivision once, with no dual complex.  A dual
 complex builds one hull, in integers from the configuration's rows to the
 supports, seeded by one rank pass per configuration, and its cells read
 their dimensions and vertices off incidences, a simplex's with no closure.
@@ -53,9 +53,11 @@ def test_realize_edge_lengths_builds_no_dual_complex(calls_to):
     target = EdgeLengthTarget({m: F(5, k + 2) for k, m in enumerate(edges)})
     complexes = calls_to(tropical_dual.dual_complex)
     induced = calls_to(regular_subdivision.induce_subdivision)
+    cones = calls_to(regular_subdivision.secondary_cone)
     realize_edge_lengths(p, beta, target)
-    # the postcondition's one hull, of the realized lifting
-    assert complexes == []
+    # the postcondition's one hull, of the realized lifting, and no cone:
+    # inducing p's cells is membership in p's open secondary cone
+    assert complexes == [] and cones == []
     assert [caller for caller, _ in induced] == ["tropaint.multiplihedra"]
 
 

@@ -1,6 +1,7 @@
-"""The triangulation walk induces and certifies each triangulation once and
-stops at its cap before certifying more, and the enumerators visit each face
-sample once, the coherent one with no hull.  A triangulation cone has no
+"""The triangulation walk induces only its seed, certifies each
+triangulation once by its cone and stops at its cap before certifying more,
+and the enumerators visit each face sample once, the coherent one with no
+hull.  A triangulation cone has no
 equalities and one strict per interior ridge and unused point at most, read
 off integer minors without solving a system.  The verifications read both
 posets' order and ranks off the fans' face masks: they certify no painting
@@ -90,8 +91,10 @@ def test_triangulation_walk_induces_each_triangulation_once(calls_to, config, co
     induces = calls_to(regular_subdivision.induce_subdivision)
     cones = calls_to(regular_subdivision.secondary_cone)
     tris = enumerate_regular_triangulations(config)
-    # the seed's placing lifting, then one ray sum per flipped triangulation
-    assert len(induces) == len(tris) == count
+    # only the seed's placing lifting: a flipped triangulation is certified
+    # by its cone alone
+    assert [caller for caller, _ in induces] == ["tropaint.regular_subdivision"]
+    assert len(tris) == count
     assert len(cones) <= len(tris)
 
 
@@ -167,7 +170,7 @@ def test_coherent_enumeration_folds_each_triangulation_once(calls_to):
 def test_painting_polytope_ranks_each_extended_subdivision_once(calls_to):
     cones = calls_to(regular_subdivision.secondary_cone)
     extends = calls_to(painting_polytope.extend)
-    report, _ = cli._painting_polytope_pieces(str(GOLDEN / "bipyramid.json"))
+    report = cli._main_report(str(GOLDEN / "bipyramid.json"))
     built = len(cones)
     # every secondary cone is a triangulation cone of one of the two walks:
     # the ranks are read off their faces, with no cone per subdivision
@@ -176,8 +179,8 @@ def test_painting_polytope_ranks_each_extended_subdivision_once(calls_to):
     assert built == walked and len(report.subdivision_poset) == 15
     assert len(extends) == 1
     assert report.extension.extended == report.subdivision_poset.payload[0].config
-    subdivision_lat = report.subdivision_lattice
-    assert [subdivision_lat.ranks[j] for j in report.constructive_map] == list(report.ranks)
+    sranks = report.subdivision_poset.ranks
+    assert tuple(sranks[j] for j in report.constructive_map) == report.painted_poset.ranks
 
 
 @pytest.mark.parametrize(
@@ -195,7 +198,7 @@ def test_main_theorem_certifies_each_painting_cone_once(calls_to, config, alpha,
     # the ranks read off the chambers' faces are the painting cones' own
     n = len(config.points)
     elements = report.painted_poset.payload
-    assert [(n + 1) - painting_cone(pc).dim() for pc in elements] == list(report.ranks)
+    assert tuple((n + 1) - painting_cone(pc).dim() for pc in elements) == report.painted_poset.ranks
 
 
 @pytest.mark.parametrize("run", VERIFICATIONS, ids=VERIFICATION_IDS)

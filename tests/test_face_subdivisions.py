@@ -2,8 +2,10 @@
 triangulation cone, with no hull: cells merge across the ridges whose folding
 strict is tight on the face, and tight unused points become marks.  On every
 face sample of every triangulation cone that gives the subdivision the sample
-induces, on the goldens, the polygons, their extensions, a grid whose faces
-mark unused points, and the seeded corpus (corpus.py)."""
+induces, and the walk, which certifies each flipped triangulation by its cone
+alone, gives one that its witness induces, on the goldens, the polygons,
+their extensions, a grid whose faces mark unused points, and the seeded
+corpus (corpus.py)."""
 
 from fractions import Fraction as F
 
@@ -34,7 +36,7 @@ def _inputs():
         ("quad", QUAD, (F(1, 3), F(1, 3))),
         ("bipyramid", BIPYRAMID, (F(1, 2), F(1, 3), F(1, 2))),
     ]
-    for m in (3, 4, 5):
+    for m in (3, 4, 5, 6):
         config = ngon_configuration(m)
         bases.append((f"ngon{m}", config, admissible_alpha(config)))
     out = [pytest.param(GRID, id="grid")]
@@ -54,7 +56,10 @@ def _inputs():
 def test_face_subdivisions_match_induced(config):
     induced = {}  # a face shared by two cones has one sample: induce it once
     new_marks = 0
-    for t, cone in enumerate_regular_triangulations(config).values():
+    for k, (t, cone) in enumerate(enumerate_regular_triangulations(config).values()):
+        assert induce_subdivision(config, Lifting(t.witness)).key == t.key
+        # only the seed comes from a hull, with supports
+        assert all((mc.support is None) == (k > 0) for mc in t.maximal)
         sources = _folding_stricts(config, t)
         assert sorted(sources) == list(cone.stricts)
         unused = set(range(len(config.points))).difference(*(mc.marks for mc in t.maximal))

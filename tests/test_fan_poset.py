@@ -82,9 +82,9 @@ def test_subdivision_cap_stops_before_storing_more(calls_to):
     faces = calls_to(regular_subdivision._face_subdivision)
     with pytest.raises(errors.ResourceCapError, match=f"more than {len(tris)} subdivisions"):
         enumerate_coherent_subdivisions(QUAD, max_count=len(tris))
-    # the walk induces one subdivision per triangulation, and the first face
-    # sample, read off its cone with no hull, gives a new subdivision
-    assert len(induces) == len(tris) and len(faces) == 1
+    # the walk induces only its seed, and the first face sample, read off
+    # its cone with no hull, gives a new subdivision
+    assert len(induces) == 1 and len(faces) == 1
 
 
 def test_painted_cap_stops_before_storing_more(calls_to):

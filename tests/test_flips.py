@@ -2,7 +2,8 @@
 triangulation cone, the flip on the wall's circuit gives the neighbour that
 bisection finds, and enumerate_regular_triangulations lists the same
 triangulations, with the same cones, in the same order as the walk that
-bisection drives (oracles.py)."""
+bisection drives (oracles.py).  The walk certifies a flipped triangulation by
+its cone alone; the hull that its witness induces gives it back."""
 
 import random
 from fractions import Fraction
@@ -14,7 +15,12 @@ from tropaint.geometry import affine_rank
 from tropaint.multiplihedra import admissible_alpha, ngon_configuration
 from tropaint.painting_polytope import extend
 from tropaint.point_config import build_configuration
-from tropaint.regular_subdivision import _flip, enumerate_regular_triangulations
+from tropaint.regular_subdivision import (
+    Lifting,
+    _flip,
+    enumerate_regular_triangulations,
+    induce_subdivision,
+)
 
 from oracles import triangulations_by_bisection
 
@@ -69,6 +75,7 @@ def test_flips_match_bisection(config):
     for key, (t, cone) in tris.items():
         assert cone == found[key][1]
         assert cone.contains_open(t.witness)
+        assert induce_subdivision(config, Lifting(t.witness)).key == key
 
 
 def test_seeded_circuits_include_several_links():

@@ -449,6 +449,8 @@ def test_realize_edge_lengths_matches_sequential_oracle(m):
         )
         eta = realize_edge_lengths(p, beta, target)
         assert eta.values == realize_edge_lengths_sequential(p, beta, target)
+        # the library certifies by one induced hull; the cone is a second check
+        assert secondary_cone(config, p.subdivision).contains_open(eta)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -470,6 +472,7 @@ def test_painted_tree_targets_match_sequential_oracle(m, monkeypatch):
         depth = {mk: d for _, _, mk, d in tree_edges(_planar_tree(p.subdivision))}
         order = sorted(depth, key=lambda mk: (-depth[mk], sorted(mk)))
         assert eta.values == realize_edge_lengths_sequential(p, beta, target, order)
+        assert secondary_cone(p.config, p.subdivision).contains_open(eta)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])

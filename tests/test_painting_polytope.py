@@ -114,7 +114,7 @@ def test_verify_segment():
     assert len(rep.constructive_map) == 3
     assert rep.polytope_dimension == 1
     assert rep.polytope_vertex_count == 2
-    assert sorted(rep.ranks) == [0, 0, 1]
+    assert sorted(rep.painted_poset.ranks) == [0, 0, 1]
 
 
 def test_verify_quad():
@@ -122,7 +122,7 @@ def test_verify_quad():
     assert len(rep.constructive_map) == 45
     assert rep.polytope_dimension == 3
     assert rep.polytope_vertex_count == 14
-    counts = {r: rep.ranks.count(r) for r in set(rep.ranks)}
+    counts = rep.painted_poset.rank_counts()
     assert counts == {0: 14, 1: 21, 2: 9, 3: 1}
 
 
@@ -131,7 +131,7 @@ def test_verify_bipyramid():
     assert len(rep.constructive_map) == 15
     assert rep.polytope_dimension == 2
     assert rep.polytope_vertex_count == 7
-    counts = {r: rep.ranks.count(r) for r in set(rep.ranks)}
+    counts = rep.painted_poset.rank_counts()
     # a heptagon: seven vertices, seven edges, one polygon
     assert counts == {0: 7, 1: 7, 2: 1}
 

@@ -11,11 +11,7 @@ from tropaint.regular_subdivision import (
     induce_subdivision,
     secondary_cone,
 )
-from tropaint.secondary_polytope import (
-    face_lattice_from_poset,
-    gkz_vector,
-    secondary_polytope_vertices,
-)
+from tropaint.secondary_polytope import gkz_vector, secondary_polytope_vertices
 
 from oracles import subdivision_rank
 
@@ -80,16 +76,14 @@ def test_normal_fan_min_convention():
 
 
 def test_face_lattice_square_is_a_segment():
-    poset = enumerate_coherent_subdivisions(SQUARE)
-    lat = face_lattice_from_poset(poset)
+    lat = enumerate_coherent_subdivisions(SQUARE)
     assert sorted(lat.ranks) == [0, 0, 1]
     assert len(lat.covers) == 2
 
 
 def test_face_lattice_pentagon():
     config = polygon(5)
-    poset = enumerate_coherent_subdivisions(config)
-    lat = face_lattice_from_poset(poset)
+    lat = enumerate_coherent_subdivisions(config)
     counts = lat.rank_counts()
     assert counts == {0: 5, 1: 5, 2: 1}
     # pentagon boundary: every vertex under exactly two edges
