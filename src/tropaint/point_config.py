@@ -10,10 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 
-from .errors import DegenerateInputError, InputError
+from .errors import DegenerateInputError, InconsistencyError, InputError
 from .geometry import (
     Vec,
+    _circuit_dependence,
+    _int_det,
     _integer_points,
     affine_rank,
     convex_hull_facets,
@@ -47,7 +50,12 @@ class SignVector:
 
 
 class PointConfiguration:
-    """Ordered distinct points spanning their ambient space, with hull facets."""
+    """Ordered distinct points spanning their ambient space, with hull facets.
+
+    circuit and simplex_det keep what they compute on the instance, keyed by
+    point bitmask (bit i for point i), so a walk over the triangulations of
+    one configuration computes each circuit and each simplex volume once.
+    """
 
     def __init__(self, points: tuple[Vec, ...], labels: tuple[str, ...],
                  facets: tuple[FacetSupport, ...]):
@@ -55,6 +63,8 @@ class PointConfiguration:
         self.labels = labels
         self.facets = facets
         self.dimension = len(points[0])
+        self._circuits: dict[int, tuple[int, ...]] = {}
+        self._simplex_dets: dict[int, int] = {}
 
     def __eq__(self, other):
         return isinstance(other, PointConfiguration) and self.points == other.points
@@ -99,6 +109,64 @@ class PointConfiguration:
     def facet_masks(self) -> tuple[int, ...]:
         """Each facet's members as an int bitmask, bit i for point i."""
         return tuple(sum(1 << i for i in f.members) for f in self.facets)
+
+    @cached_property
+    def lifting_frame(self) -> tuple[int, ...]:
+        """The points off spanning_simplex, in order.
+
+        The liftings that are affine functions of the points are the row
+        space of the transposed integer rows, whose column i is point i's
+        row.  The pivot columns of its echelon form are the first affinely
+        independent points, the spanning simplex, so the unit vectors at the
+        other points frame lifting space modulo the affine liftings: the
+        frame _cone_rays derives for any cone whose lineality they are.
+        """
+        simplex = set(self.spanning_simplex)
+        return tuple(i for i in range(len(self.points)) if i not in simplex)
+
+    def circuit(self, ids) -> tuple[int, ...]:
+        """The primitive affine dependence of the d + 2 points ids, one integer
+        coefficient per configuration point, positive on the last id.
+
+        It is read off the signed maximal minors of their rows (L p, 1), with
+        no system solved, once per point set: the primitive dependence is
+        kept by the ids' bitmask and oriented on each call.  When the other
+        ids are affinely independent, the dependence is unique up to scale
+        and nonzero on the last id; it vanishes on a lifting exactly when the
+        lifted last point lands on the affine hull of the others, and is
+        positive when it lies strictly below it.  Otherwise the last
+        coefficient is zero, which raises InconsistencyError.
+        """
+        mask = 0
+        for i in ids:
+            mask |= 1 << i
+        coef = self._circuits.get(mask)
+        if coef is None:
+            rows, _ = self.integer_points
+            members = [i for i in range(mask.bit_length()) if mask >> i & 1]
+            dep = _circuit_dependence([rows[i] for i in members])
+            g = gcd(*dep) or 1
+            full = [0] * len(rows)
+            for i, c in zip(members, dep):
+                full[i] = c // g
+            coef = self._circuits[mask] = tuple(full)
+        last = coef[ids[-1]]
+        if last > 0:
+            return coef
+        if last < 0:
+            return tuple(-c for c in coef)
+        raise InconsistencyError(f"points {sorted(ids[:-1])} are affinely dependent")
+
+    def simplex_det(self, mask: int) -> int:
+        """The absolute determinant of the integer rows of the d + 1 points in
+        mask: L^d times the normalized volume of their simplex, 0 when they
+        are affinely dependent.  Computed once per mask and kept."""
+        det = self._simplex_dets.get(mask)
+        if det is None:
+            rows, _ = self.integer_points
+            cell = [rows[i] for i in range(mask.bit_length()) if mask >> i & 1]
+            det = self._simplex_dets[mask] = abs(_int_det(cell))
+        return det
 
 
 def build_configuration(points, labels=None) -> PointConfiguration:

@@ -22,7 +22,6 @@ from .geometry import (
     _echelon,
     _hull_facets,
     _initial_simplex,
-    _int_det,
     _int_row,
     _kernel,
     _upper_hull,
@@ -301,8 +300,11 @@ class SecondaryCone:
         """Extreme rays of the cone modulo its lineality space.
 
         Canonical primitive representatives (zero on the lineality pivot
-        coordinates), sorted, from one hull by _cone_rays.  A cone whose open
-        cone is empty has no such rays, and no certified cone is one.
+        coordinates), sorted.  secondary_cone gives most triangulation cones
+        these rays with no hull, read off their flippable stricts (see
+        _simplicial_cone); any other cone gets them from one hull by
+        _cone_rays.  A cone whose open cone is empty has no such rays, and no
+        certified cone is one.
         """
         rays = _cone_rays(self.equalities, self.stricts, self.ambient_dim)
         if rays is None:
@@ -374,7 +376,10 @@ def _cone_rays(equalities, stricts, n: int) -> tuple[tuple[int, ...], ...] | Non
     form is the identity on its pivot columns, so the vectors vanishing
     there complement it, and the frame is the integer kernel of the
     equalities and the unit rows at those pivots: the rays come out zero on
-    the lineality's pivot coordinates.
+    the lineality's pivot coordinates.  A triangulation's cone has the
+    affine liftings as its lineality, whose pivots are the configuration's
+    spanning simplex, so its frame is the unit vectors at lifting_frame,
+    where _simplicial_cone reads the rays of a simplicial one with no hull.
     """
     lineality = [list(v) + [1] for v in _kernel(equalities + stricts, n)]
     units = [tuple(int(j == c) for j in range(n)) for c in _echelon(lineality)]
@@ -404,9 +409,7 @@ def _certify_cone(equalities, stricts, dim: int, witness) -> SecondaryCone | Non
 
     witness, when given, becomes the interior point if an exact check puts it
     in the open cone.  Otherwise _cone_rays decides emptiness, and the sum of
-    the rays, checked exactly, is the interior point: every strict is
-    nonnegative on each ray and vanishes on all of them only if it vanishes
-    on the whole cone.  The cone then keeps the rays that certified it.
+    the rays, checked exactly, is the interior point (see _ray_sum_cone).
     """
     cone = SecondaryCone(tuple(equalities), tuple(stricts), dim, witness)
     if witness is not None and cone.contains_open(witness):
@@ -414,12 +417,73 @@ def _certify_cone(equalities, stricts, dim: int, witness) -> SecondaryCone | Non
     rays = _cone_rays(cone.equalities, cone.stricts, dim)
     if rays is None:
         return None
-    sample = tuple(Fraction(sum(column)) for column in zip((0,) * dim, *rays))
-    cone = SecondaryCone(cone.equalities, cone.stricts, dim, sample)
-    if not cone.contains_open(sample):
+    cone = _ray_sum_cone(cone.equalities, cone.stricts, dim, rays)
+    if cone is None:
         raise InconsistencyError("the ray sum of a cone misses its open cone")
+    return cone
+
+
+def _ray_sum_cone(equalities, stricts, dim: int, rays) -> SecondaryCone | None:
+    """The cone with the sum of its rays as interior point, or None when an
+    exact check puts the sum outside the open cone.  Every cone certified
+    without a witness, whichever route found its rays, gets its interior
+    point here: every strict is nonnegative on each ray and vanishes on all
+    of them only if it vanishes on the whole cone.  The cone keeps the rays.
+    """
+    sample = tuple(Fraction(sum(column)) for column in zip((0,) * dim, *rays))
+    cone = SecondaryCone(equalities, stricts, dim, sample)
+    if not cone.contains_open(sample):
+        return None
     cone.__dict__["rays"] = rays  # fills the cached property
     return cone
+
+
+def _simplicial_cone(config: PointConfiguration, t: Subdivision, stricts) -> SecondaryCone | None:
+    """The triangulation t's cone in its folding form, with its rays read
+    off its flippable stricts and no hull, or None when it is not certified
+    to be the simplicial cone they cut out.
+
+    The cone's lineality holds the affine liftings, so modulo them it lives
+    in the frame of the unit vectors at the configuration's lifting_frame,
+    of dimension k = n - d - 1.  When exactly k stricts are flippable in t
+    (see _flip_cells), each candidate ray is the kernel of the other k - 1
+    of them in the frame: the _circuit_dependence of their columns, turned
+    positive on its own strict and made primitive.  Dot products certify
+    the rest.  Each ray is nonzero on its own strict, so the k stricts are
+    independent, the lineality is exactly the affine liftings, and the rays
+    span the simplicial cone the k stricts cut out, which holds t's cone.
+    Every strict, flippable or not, is nonnegative on every ray, so that
+    cone also lies in t's: the two are equal, and the rays are the canonical
+    ones _cone_rays would find.  Flip theory says no more is needed, as
+    every wall is flippable, but the certificate does not rely on it.  The
+    interior point is t.witness when an exact check puts it in the open
+    cone, otherwise the checked ray sum.
+    """
+    frame = config.lifting_frame
+    flippable = [fn for fn in stricts if _flip_cells(t, fn) is not None]
+    if len(flippable) != len(frame):
+        return None
+    n = len(config.points)
+    rays = []
+    for j, own in enumerate(flippable):
+        others = flippable[:j] + flippable[j + 1 :]
+        kernel = _circuit_dependence([[fn[c] for fn in others] for c in frame])
+        ray = [0] * n
+        for c, x in zip(frame, kernel):
+            ray[c] = x
+        value = _dot(own, ray)
+        if not value:
+            return None
+        g = gcd(*ray) if value > 0 else -gcd(*ray)
+        rays.append(tuple(x // g for x in ray))
+    if any(_dot(fn, ray) < 0 for fn in stricts for ray in rays):
+        return None
+    rays, stricts = tuple(sorted(rays)), tuple(stricts)
+    cone = SecondaryCone((), stricts, n, t.witness)
+    if t.witness is not None and cone.contains_open(t.witness):
+        cone.__dict__["rays"] = rays
+        return cone
+    return _ray_sum_cone((), stricts, n, rays)
 
 
 def _spanning_marks(config: PointConfiguration, marks) -> list[int]:
@@ -428,24 +492,6 @@ def _spanning_marks(config: PointConfiguration, marks) -> list[int]:
     rows, _ = config.integer_points
     ordered = sorted(marks)
     return [ordered[j] for j in independent_rows(rows[i] for i in ordered)]
-
-
-def _circuit(config: PointConfiguration, ids) -> tuple[int, ...]:
-    """The primitive affine dependence of the d + 2 points ids, one integer
-    coefficient per configuration point, positive on the last id.
-
-    It is read off the signed maximal minors of their rows (L p, 1), with no
-    system solved.  When the other ids are affinely independent, it vanishes
-    on a lifting exactly when the lifted last point lands on the affine hull
-    of the others, and is positive when it lies strictly below it.
-    """
-    rows, _ = config.integer_points
-    dep = _circuit_dependence([rows[i] for i in ids])
-    g = gcd(*dep) if dep[-1] > 0 else -gcd(*dep)
-    coef = [0] * len(rows)
-    for i, c in zip(ids, dep):
-        coef[i] = c // g
-    return tuple(coef)
 
 
 def _folding_stricts(config: PointConfiguration, s: Subdivision) -> dict[tuple[int, ...], list]:
@@ -460,8 +506,10 @@ def _folding_stricts(config: PointConfiguration, s: Subdivision) -> dict[tuple[i
     interior ridge and lifts every unused point strictly below a simplex
     containing it (ibid., ch. 5); the first cell in which the point has no
     negative barycentric coordinate serves, and any other gives the same
-    functional.  Each strict is a _circuit, positive on the far vertices or
-    on the unused point.
+    functional.  Each strict is a config.circuit, positive on the far
+    vertices or on the unused point, and each cell's volume is
+    config.simplex_det: both are computed once per configuration, so a walk
+    meets each circuit and each simplex once.
 
     Maps each strict to what it came from, as (point, cells) pairs of
     indices into s.maximal: (None, its two cells) per interior ridge, as
@@ -470,16 +518,16 @@ def _folding_stricts(config: PointConfiguration, s: Subdivision) -> dict[tuple[i
     spanned by its circuit's other points, so the cells containing it are
     those holding that face.
     """
-    rows, scale = config.integer_points
+    _, scale = config.integer_points
     cells = [sorted(mc.marks) for mc in s.maximal]
     found: dict[tuple[int, ...], list] = {}
     total = 0
     far: dict[frozenset[int], list[tuple[int, int]]] = {}
     for k, cell in enumerate(cells):
-        det = _int_det([rows[i] for i in cell])
+        det = config.simplex_det(sum(1 << i for i in cell))
         if not det:
             raise NoCertificateError(f"cell {cell} is not full-dimensional")
-        total += abs(det)
+        total += det
         marks = frozenset(cell)
         for v in cell:
             far.setdefault(marks - {v}, []).append((v, k))
@@ -493,16 +541,16 @@ def _folding_stricts(config: PointConfiguration, s: Subdivision) -> dict[tuple[i
         if len(ends) > 2:
             raise NoCertificateError(f"ridge {sorted(ridge)} lies in {len(ends)} cells")
         (v, i), (w, j) = ends
-        coef = _circuit(config, sorted(ridge) + [v, w])
+        coef = config.circuit(sorted(ridge) + [v, w])
         if coef[v] <= 0:
             raise NoCertificateError(f"the two cells on ridge {sorted(ridge)} lie on one side of it")
         found.setdefault(coef, []).append((None, (i, j)))
     used = {i for cell in cells for i in cell}
-    for a in range(len(rows)):
+    for a in range(len(config.points)):
         if a in used:
             continue
         for cell in cells:
-            coef = _circuit(config, cell + [a])
+            coef = config.circuit(cell + [a])
             if max(coef[i] for i in cell) <= 0:
                 face = {i for i in cell if coef[i]}
                 found[coef] = [(a, tuple(k for k, mc in enumerate(s.maximal) if face <= mc.marks))]
@@ -559,11 +607,14 @@ def secondary_cone(config: PointConfiguration, s: Subdivision) -> SecondaryCone:
     A subdivision with a non-simplex cell must have full-dimensional cells
     whose volumes add up to the configuration's; it then gets, per maximal
     cell, one equality per other mark and one strict per point off the cell,
-    each the _circuit of the cell's spanning marks and the point.  Every
+    each the config.circuit of the cell's spanning marks and the point.  Every
     point of the open cone then induces a subdivision with each cell among
     its maximal cells, and the volumes leave room for no other.  The
     interior point is s.witness when an exact check puts it in the open
-    cone; otherwise it is the sum of the cone's rays (see _certify_cone).
+    cone; otherwise it is the sum of the cone's rays.  A triangulation cone
+    that is simplicial on its flippable stricts gets its rays from them with
+    no hull (see _simplicial_cone); any other cone, or one that fails those
+    checks, gets them from the hull of _cone_rays (see _certify_cone).
     A triangulation keeps its stricts' sources on s: the face rule of
     enumerate_coherent_subdivisions reads them, and a second cone of s does
     not certify the triangulation again.
@@ -575,6 +626,9 @@ def secondary_cone(config: PointConfiguration, s: Subdivision) -> SecondaryCone:
         if s._folding is None:
             s._folding = _folding_stricts(config, s)
         equalities, stricts = [], sorted(s._folding)
+        cone = _simplicial_cone(config, s, stricts)
+        if cone is not None:
+            return cone
     else:
         eqs: set[tuple[int, ...]] = set()
         sts: set[tuple[int, ...]] = set()
@@ -586,7 +640,7 @@ def secondary_cone(config: PointConfiguration, s: Subdivision) -> SecondaryCone:
             total += hull_volume([config.points[i] for i in sorted(marks)])
             for a in range(n):
                 if a not in basis:
-                    (eqs if a in marks else sts).add(_circuit(config, basis + [a]))
+                    (eqs if a in marks else sts).add(config.circuit(basis + [a]))
         if total != config.volume:
             raise NoCertificateError("the cells' volumes do not add up to the configuration's")
         if eqs & sts:
@@ -617,16 +671,17 @@ def _placing_lifting(config: PointConfiguration):
     raise ResourceCapError("found no triangulation-inducing lifting")
 
 
-def _flip(config: PointConfiguration, t: Subdivision, wall: tuple[int, ...]) -> Subdivision:
-    """The triangulation across the wall of t's cone cut out by wall.
+def _flip_cells(t: Subdivision, wall: tuple[int, ...]):
+    """(old cells, new cells) of the bistellar flip of t on the circuit whose
+    affine dependence is wall, or None when t does not flip that circuit.
 
-    A wall functional is the affine dependence of a circuit Z, positive on
-    t's cone, so t triangulates Z by the cells Z - {z} for z in Z+, its
-    positive coefficients.  Crossing the wall is the bistellar flip on Z (De
-    Loera, Rambau & Santos, Triangulations, ch. 2 and 5).  The links are the
-    marks outside Z of t's cells that miss exactly one point of Z, a point
-    of Z+; the flip replaces the cells (Z - {z}) | link for z in Z+ with
-    those for z in Z-.
+    wall is positive on t's cone when it is a strict of it, so t
+    triangulates the circuit Z by the cells Z - {z} for z in Z+, its
+    positive coefficients (De Loera, Rambau & Santos, Triangulations, ch. 2
+    and 5).  The links are the marks outside Z of t's cells that miss
+    exactly one point of Z, a point of Z+.  t flips Z when it holds every
+    cell (Z - {z}) | link for z in Z+, and the flip replaces them with those
+    for z in Z-.
     """
     plus = frozenset(i for i, c in enumerate(wall) if c > 0)
     circuit = plus | {i for i, c in enumerate(wall) if c < 0}
@@ -637,8 +692,22 @@ def _flip(config: PointConfiguration, t: Subdivision, wall: tuple[int, ...]) -> 
     }
     old = {(circuit - {z}) | link for z in plus for link in links}
     if not old <= t.key:
-        raise InconsistencyError(f"circuit {sorted(circuit)} is not flippable")
-    new = {(circuit - {z}) | link for z in circuit - plus for link in links}
+        return None
+    return old, {(circuit - {z}) | link for z in circuit - plus for link in links}
+
+
+def _flip(config: PointConfiguration, t: Subdivision, wall: tuple[int, ...]) -> Subdivision:
+    """The triangulation across the wall of t's cone cut out by wall.
+
+    A wall functional is the affine dependence of a circuit, positive on t's
+    cone, and crossing the wall is the bistellar flip on it (see
+    _flip_cells).
+    """
+    cells = _flip_cells(t, wall)
+    if cells is None:
+        circuit = sorted(i for i, c in enumerate(wall) if c)
+        raise InconsistencyError(f"circuit {circuit} is not flippable")
+    old, new = cells
     return Subdivision(config, tuple(_make_cell(config, m) for m in (t.key - old) | new))
 
 
@@ -651,11 +720,16 @@ def enumerate_regular_triangulations(config: PointConfiguration, max_count=4096)
     walls are the folding constraints that are facets.  A known neighbour
     costs no hull: its cone's closure must contain the wall sample.  A new
     one is certified by its cone alone, with no induced hull: the folding
-    certificate, the hull of its rays and the exact check that their sum
-    lies in the open cone prove that every point there induces it.  Its
-    cone's closure must contain the wall sample, and the ray sum becomes its
-    witness; its maximal cells carry no supports.  The seed keeps the
-    supports and witness of its placing lifting.
+    certificate, its rays and the exact check that their sum lies in the
+    open cone prove that every point there induces it.  The rays of a cone
+    that is simplicial on its flippable stricts come from their kernels,
+    checked by dot products; any other cone's come from the hull of _cone_rays
+    (see secondary_cone).  Its cone's closure must contain the wall sample,
+    and the ray sum becomes its witness; its maximal cells carry no
+    supports.  The seed keeps the supports and witness of its placing
+    lifting.  Circuits and simplex volumes are computed once per
+    configuration (see PointConfiguration.circuit), so a second walk on the
+    same configuration computes neither again.
     """
     seed = _placing_lifting(config)
     found: dict[frozenset, tuple[Subdivision, SecondaryCone]] = {

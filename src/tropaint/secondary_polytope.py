@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateInputError, InputError
-from .geometry import _int_det
 from .lattice import FaceLattice
 from .point_config import PointConfiguration
 from .regular_subdivision import Subdivision, is_triangulation
@@ -30,18 +29,20 @@ class GKZVector:
 
 
 def gkz_vector(config: PointConfiguration, t: Subdivision) -> GKZVector:
+    """The volume vector of the triangulation t.  Each cell's volume is
+    config.simplex_det, L^d times its normalized volume, which the
+    configuration keeps: after the walk has certified t, whose volume check
+    reads the same determinants, no determinant is computed again."""
     if not is_triangulation(t):
         raise InputError("volume vector requires a triangulation")
-    # d + 1 integer rows (L p, 1) have determinant L^d times their simplex's
-    # normalized volume, up to sign
-    rows, scale = config.integer_points
+    _, scale = config.integer_points
     den = scale**config.dimension
     coords = [ZERO] * len(config.points)
     for cell in t.maximal:
-        det = _int_det([rows[i] for i in sorted(cell.marks)])
+        det = config.simplex_det(sum(1 << i for i in cell.marks))
         if not det:
             raise DegenerateInputError(f"cell {sorted(cell.marks)} is not full-dimensional")
-        vol = Fraction(abs(det), den)
+        vol = Fraction(det, den)
         for i in cell.marks:
             coords[i] += vol
     return GKZVector(tuple(coords))

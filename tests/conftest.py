@@ -9,18 +9,19 @@ from tropaint import regular_subdivision
 
 @pytest.fixture
 def fallback_certifications(monkeypatch):
-    """Every cone certified without its witness, in order: the arguments of
-    each _cone_rays call that _certify_cone makes.  Ray computations of
-    already certified cones are not counted."""
+    """Every cone certified without its witness, in order: the arguments
+    (equalities, stricts, dimension, rays) of each _ray_sum_cone call, which
+    makes the ray sum the interior point whichever route found the rays,
+    the hull of _cone_rays or the kernels of _simplicial_cone.  Ray
+    computations of already certified cones are not counted."""
     calls = []
-    real = regular_subdivision._cone_rays
+    real = regular_subdivision._ray_sum_cone
 
     def counting(*args):
-        if sys._getframe(1).f_code.co_name == "_certify_cone":
-            calls.append(args)
+        calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(regular_subdivision, "_cone_rays", counting)
+    monkeypatch.setattr(regular_subdivision, "_ray_sum_cone", counting)
     return calls
 
 

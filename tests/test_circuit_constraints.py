@@ -19,7 +19,6 @@ from tropaint.painting_polytope import extend
 from tropaint.point_config import build_configuration
 from tropaint.regular_subdivision import (
     Subdivision,
-    _circuit,
     _make_cell,
     _spanning_marks,
     enumerate_coherent_subdivisions,
@@ -67,7 +66,7 @@ def test_per_cell_cones_match_the_fraction_oracle(config, alpha):
             basis = _spanning_marks(config, mc.marks)
             for a in sorted(set(range(n)) - set(basis)):
                 want = primitive_functional(cone_constraint_oracle(config, basis, a))
-                assert want.constant == 0 and _circuit(config, basis + [a]) == want.linear
+                assert want.constant == 0 and config.circuit(basis + [a]) == want.linear
         if not is_triangulation(s):
             coarse += 1
             fast, slow = secondary_cone(config, s), secondary_cone_per_cell(config, s)

@@ -2,8 +2,12 @@
 the rays of every secondary cone, painting chamber and seeded random cone
 match the subset search and the Fraction route in oracles.py, and a cone is
 certified exactly when Fourier-Motzkin elimination finds its open cone
-nonempty.  Constraints, rays and samples are int tuples; only interior
-points are Fractions."""
+nonempty.  A triangulation cone that is simplicial on its flippable stricts
+gets the same rays with no hull, from their kernels, on every walked
+triangulation of the goldens, the polygons, their extensions, the seeded
+corpus, a grid and a cube with its centre; the others fall back to the hull.
+Constraints, rays and samples are int tuples; only interior points are
+Fractions."""
 
 import random
 from fractions import Fraction
@@ -11,6 +15,7 @@ from itertools import product
 
 import pytest
 
+from tropaint import regular_subdivision
 from tropaint.errors import InconsistencyError
 from tropaint.geometry import AffineFunctional
 from tropaint.multiplihedra import admissible_alpha, ngon_configuration
@@ -19,13 +24,16 @@ from tropaint.painting_polytope import extend
 from tropaint.point_config import build_configuration
 from tropaint.regular_subdivision import (
     SecondaryCone,
+    Subdivision,
     _certify_cone,
     _cone_rays,
+    _simplicial_cone,
     enumerate_coherent_subdivisions,
     enumerate_regular_triangulations,
     secondary_cone,
 )
 
+from corpus import CONFIGURATIONS
 from oracles import cone_rays_brute_force, cone_rays_fraction, fourier_motzkin_feasible
 
 F = Fraction
@@ -36,6 +44,10 @@ BIPYRAMID = build_configuration(
 )
 QUAD_ALPHA = (F(1, 3), F(1, 3))
 BIPYRAMID_ALPHA = (F(1, 2), F(1, 3), F(1, 2))
+GRID = build_configuration([(i, j) for i in range(3) for j in range(3)])
+CUBE = build_configuration(
+    [(i, j, k) for i in (0, 2) for j in (0, 2) for k in (0, 2)] + [(1, 1, 1)]
+)
 
 
 def _functionals(rows):
@@ -97,6 +109,68 @@ def test_every_chamber_sign_pattern_matches_oracles(config, alpha):
                     eqs.append(fn)
             outcomes.append(check_cone(eqs, sts, n + 1))
     assert True in outcomes and False in outcomes
+
+
+def _walked():
+    """(config, (hull fallbacks, triangulations) or None) per input of the
+    simplicial-ray test, the counts pinned where the hull is known to run."""
+    bases = [("quad", QUAD, QUAD_ALPHA), ("bipyramid", BIPYRAMID, BIPYRAMID_ALPHA)]
+    for m in (3, 4, 5, 6):
+        config = ngon_configuration(m)
+        bases.append((f"ngon{m}", config, admissible_alpha(config)))
+    pinned = {"ngon6-extended": (70, 322), "grid": (37, 387), "cube": (58, 222)}
+    out = [("grid", GRID), ("cube", CUBE)]
+    for name, config, alpha in bases:
+        out += [(name, config), (f"{name}-extended", extend(config, alpha).extended)]
+    out += [(f"corpus{k}", config) for k, config in enumerate(CONFIGURATIONS)]
+    return [pytest.param(config, pinned.get(name), id=name) for name, config in out]
+
+
+@pytest.mark.parametrize("config, fallbacks", _walked())
+def test_simplicial_rays_match_the_hull(config, fallbacks):
+    n = len(config.points)
+    tris = enumerate_regular_triangulations(config)
+    missed = 0
+    for t, cone in tris.values():
+        hull = _cone_rays((), cone.stricts, n)
+        assert hull == cone_rays_fraction((), cone.stricts, n) == cone.rays
+        fast = _simplicial_cone(config, t, cone.stricts)
+        if fast is None:
+            missed += 1
+            continue
+        # the walk's witness is the ray sum, or the seed's placing lifting
+        assert fast == cone and fast.rays == hull
+        assert fast.interior_point == cone.interior_point == t.witness
+        bare = _simplicial_cone(config, Subdivision(config, t.maximal), cone.stricts)
+        assert bare.rays == hull
+        assert bare.interior_point == tuple(F(sum(col)) for col in zip((0,) * n, *hull))
+    assert missed < len(tris)
+    if fallbacks is not None:
+        assert (missed, len(tris)) == fallbacks
+
+
+def test_simplicial_rays_do_not_trust_the_flip_test(monkeypatch):
+    """Every wall of a triangulation cone is a flippable strict, so with
+    exactly n - d - 1 of them the dropped stricts hold on the rays by flip
+    theory alone.  The dot products check it anyway: when the flip test
+    swaps a flippable strict for a dropped one, the route certifies
+    nothing, since the swapped-in strict cuts a larger cone."""
+    config = extend(QUAD, QUAD_ALPHA).extended
+    real = regular_subdivision._flip_cells
+    swaps = 0
+    for t, cone in enumerate_regular_triangulations(config).values():
+        kept = [fn for fn in cone.stricts if real(t, fn) is not None]
+        dropped = [fn for fn in cone.stricts if real(t, fn) is None]
+        if len(kept) != len(config.lifting_frame):
+            continue
+        for out, into in product(kept, dropped):
+            swapped = {out: None, into: (set(), set())}
+            monkeypatch.setattr(
+                regular_subdivision, "_flip_cells", lambda t, fn: swapped.get(fn, real(t, fn))
+            )
+            assert _simplicial_cone(config, t, cone.stricts) is None
+            swaps += 1
+    assert swaps == 78
 
 
 def _random_cone(rng):

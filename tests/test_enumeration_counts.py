@@ -9,7 +9,10 @@ cone, and every secondary cone they build is a triangulation cone of the
 walk.  The main-theorem check builds the extended configuration and its
 subdivision lattice once for its ranks and the CLI.  The upper hulls of a
 configuration take one rank between them, for their spanning simplex.  The
-coherent enumeration certifies each triangulation once, in the walk."""
+coherent enumeration certifies each triangulation once, in the walk.  A
+configuration keeps its circuits and simplex volumes: the walk computes each
+circuit once and the volume vectors reuse its determinants, and a second
+enumeration on the same configuration gives what a fresh one does."""
 
 import pathlib
 import sys
@@ -42,6 +45,7 @@ from tropaint.regular_subdivision import (
     enumerate_regular_triangulations,
     secondary_cone,
 )
+from tropaint.secondary_polytope import secondary_polytope_vertices
 
 F = Fraction
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -239,3 +243,36 @@ def test_upper_hull_takes_one_rank(calls_to, monkeypatch):
     assert all("spanning_simplex" in callers for callers in passes)
     # the one rank checks the extended configuration as it is built
     assert len(ranks) == 1
+
+
+def test_walk_computes_each_circuit_once(calls_to):
+    ext = _extended_ngon(5)
+    dependences = calls_to(geometry._circuit_dependence)
+    enumerate_coherent_subdivisions(ext)
+    enumerate_coherent_subdivisions(ext)
+    # the ray kernels of simplicial cones call it from regular_subdivision
+    circuits = [
+        tuple(map(tuple, args[0])) for caller, args in dependences if caller == "tropaint.point_config"
+    ]
+    assert len(circuits) == len(set(circuits)) == 50
+
+
+def test_volume_vectors_compute_no_determinant_after_the_walk(calls_to):
+    ext = _extended_ngon(5)
+    determinants = calls_to(geometry._int_det)
+    lattice = enumerate_coherent_subdivisions(ext)
+    walked = len(determinants)
+    vertices = secondary_polytope_vertices(ext, lattice)
+    # the walk's volume checks read the same simplices' determinants
+    assert walked and len(determinants) == walked and len(vertices) == 80
+
+
+def test_enumerating_again_matches_a_fresh_configuration():
+    def summary(lattice):
+        elements = lattice.payload
+        return [s.key for s in elements], [s.witness for s in elements], lattice.ranks, lattice.covers
+
+    ext = _extended_ngon(5)
+    first = summary(enumerate_coherent_subdivisions(ext))
+    again = summary(enumerate_coherent_subdivisions(ext))
+    assert first == again == summary(enumerate_coherent_subdivisions(_extended_ngon(5)))

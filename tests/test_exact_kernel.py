@@ -37,7 +37,6 @@ from tropaint.multiplihedra import admissible_alpha, ngon_configuration
 from tropaint.painting_polytope import extend
 from tropaint.point_config import build_configuration
 from tropaint.regular_subdivision import (
-    _circuit,
     _spanning_marks,
     enumerate_regular_triangulations,
     secondary_cone,
@@ -357,7 +356,7 @@ def test_affine_combination_and_interpolation_on_golden_configurations(config):
         basis = _spanning_marks(config, subset)
         if len(basis) == d + 1:
             for a in set(range(n)) - set(basis):
-                coef = _circuit(config, basis + [a])
+                coef = config.circuit(basis + [a])
                 want = affine_combination_oracle([config.points[i] for i in basis], config.points[a])
                 assert coef[a] > 0 and tuple(F(-coef[i], coef[a]) for i in basis) == want
                 assert all(coef[i] == 0 for i in range(n) if i != a and i not in basis)

@@ -1,6 +1,8 @@
 """Library code keeps no module-level cache: one that outlives a call, bounded
-or not, makes counts and times depend on what ran before.  cached_property
-stays allowed, since its cache lives on one instance."""
+or not, makes counts and times depend on what ran before.  Per-instance
+memos stay allowed, since they live and die with one object: a
+cached_property, or a dict that a method fills on its own instance, as
+PointConfiguration.circuit and simplex_det do."""
 
 import ast
 import pathlib

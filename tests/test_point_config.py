@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from tropaint.errors import DegenerateInputError, InputError
+from tropaint.errors import DegenerateInputError, InconsistencyError, InputError
 from tropaint.point_config import build_configuration, sign_vector
 
 from oracles import vertex_indices
@@ -82,3 +82,17 @@ def test_sign_vector_of_a_vertex():
         assert 1 not in sv.signs
         assert sum(1 for s in sv.signs if s == 0) >= 2
 
+
+
+def test_circuit_is_kept_once_and_oriented_per_call():
+    config = build_configuration(QUAD)
+    # a2 + a4 = a0 + a3, kept once for the point set and oriented per call
+    coef = config.circuit([0, 2, 3, 4])
+    assert coef[4] > 0 and coef[1] == 0
+    assert config.circuit([4, 2, 0, 3]) == tuple(-c for c in coef)
+    assert config.circuit([3, 0, 2, 4]) == coef
+    assert config.circuit([0, 1, 2, 3])[3] > 0
+    assert len(config._circuits) == 2
+    # a0, a1 and a3 are collinear, so the dependence misses a2
+    with pytest.raises(InconsistencyError):
+        config.circuit([0, 1, 3, 2])
