@@ -90,7 +90,11 @@ def lattice_isomorphic(l1: FaceLattice, l2: FaceLattice):
     """A rank-preserving order isomorphism as an index map, or None.
 
     Backtracking over color-refinement classes; covers must map onto covers
-    exactly.  Returns a list mapping l1 indices to l2 indices.
+    exactly.  Returns a list mapping l1 indices to l2 indices.  Each match
+    is forward-checked: every unmatched cover neighbour of the element just
+    matched must keep a candidate that ok accepts.  ok only grows stricter
+    as the match grows, so a branch cut there has no completion, and the
+    search meets the same first match as without the check.
     """
     if len(l1) != len(l2) or l1.rank_counts() != l2.rank_counts():
         return None
@@ -105,9 +109,11 @@ def lattice_isomorphic(l1: FaceLattice, l2: FaceLattice):
     if count1 != count2:
         return None
     n = len(l1)
-    cov2 = {(i, j) for i, j in l2.covers}
+    cov2 = l2.covers
     up1 = l1.up_adjacency()
     down1 = l1.down_adjacency()
+    up2 = l2.up_adjacency()
+    down2 = l2.down_adjacency()
     candidates = [sorted(j for j in range(n) if c2[j] == c1[i]) for i in range(n)]
     order = sorted(range(n), key=lambda i: (len(candidates[i]), -len(up1[i]) - len(down1[i])))
     match = [-1] * n
@@ -116,7 +122,7 @@ def lattice_isomorphic(l1: FaceLattice, l2: FaceLattice):
     def ok(i: int, j: int) -> bool:
         # forward cover consistency; with exact per-element cover degrees this
         # forces covers to map bijectively onto covers once the match is total
-        if used[j] or len(up1[i]) != updeg2[j] or len(down1[i]) != downdeg2[j]:
+        if used[j] or len(up1[i]) != len(up2[j]) or len(down1[i]) != len(down2[j]):
             return False
         for k in up1[i]:
             if match[k] != -1 and (j, match[k]) not in cov2:
@@ -126,11 +132,14 @@ def lattice_isomorphic(l1: FaceLattice, l2: FaceLattice):
                 return False
         return True
 
-    updeg2 = [0] * n
-    downdeg2 = [0] * n
-    for a, b in cov2:
-        updeg2[a] += 1
-        downdeg2[b] += 1
+    def viable(i: int, j: int) -> bool:
+        # with i matched to j, a cover neighbour of i can only go to the
+        # same-colored cover neighbours of j on the same side
+        for near1, near2 in ((up1[i], up2[j]), (down1[i], down2[j])):
+            for k in near1:
+                if match[k] == -1 and not any(c2[c] == c1[k] and ok(k, c) for c in near2):
+                    return False
+        return True
 
     # depth-first search with an explicit stack: tried[pos] counts the
     # candidates of order[pos] already tried, so a lattice of any size
@@ -146,8 +155,11 @@ def lattice_isomorphic(l1: FaceLattice, l2: FaceLattice):
             if ok(i, j):
                 match[i] = j
                 used[j] = True
-                pos += 1
-                break
+                if viable(i, j):
+                    pos += 1
+                    break
+                used[j] = False
+                match[i] = -1
         else:
             tried[pos] = 0
             pos -= 1

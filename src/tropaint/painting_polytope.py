@@ -7,9 +7,9 @@ the height-1 point when red, the height-2 point when blue, both when purple,
 and purple 1-cells with a sign change contribute one extra 0-cell each at the
 zero of the comparison function.  verify_main_theorem checks that this
 correspondence is a poset isomorphism and reproduces every 0-cell upstairs.
-The 0-cells upstairs are dual to the maximal cells of the induced
-subdivision, at the slopes of their supports with their marks as markings,
-so they are read off that one hull with no dual complex.
+It builds no hull upstairs beyond the extended enumeration: each predicted
+0-cell is certified by the argmin of the tropical polynomial at its slope,
+and the predicted cells by a walked triangulation that they cover.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from .painting import (
     enumerate_painted_complexes,
 )
 from .point_config import PointConfiguration, build_configuration
-from .regular_subdivision import Lifting, enumerate_coherent_subdivisions, induce_subdivision
+from .regular_subdivision import Lifting, enumerate_coherent_subdivisions
 from .secondary_polytope import secondary_polytope_vertices
+from .tropical_dual import TropicalPolynomial, evaluate
 
 ZERO = Fraction(0)
 
@@ -160,10 +161,23 @@ def verify_main_theorem(config: PointConfiguration, alpha) -> MainTheoremReport:
     isomorphism; the explicit lifting embedding realizes one, a bijection
     carrying covers exactly onto covers; and for every painted complex the
     0-cells of the extended dual complex are exactly the predicted ones,
-    position and marking alike.  Those 0-cells are read off the subdivision
-    the embedded lifting induces: one per maximal cell, at its support's
-    slope, marked by its marks.  Any failure raises VerificationError
+    position and marking alike.  Any failure raises VerificationError
     naming the offending element.
+
+    The last two parts build no hull.  For each painted complex, with E its
+    predicted 0-cells (u, M) and omega its embedded lifting:
+    (a) the markings M are the maximal cells of an enumerated extended
+    subdivision S of the painted complex's rank;
+    (b) at every u the argmin over the extended points a of <u, a> +
+    omega(a) is exactly M, so the conv(M) are faces of omega's upper hull
+    and the u the slopes of their supports (Gelfand, Kapranov & Zelevinsky,
+    1994, ch. 7);
+    (c) a rank-0 element reached from S by down-covers, a triangulation
+    the walk certified by its folding certificate, has each simplex inside
+    some M and some simplex inside every M, by mark inclusion.
+    By (c) every conv(M) is full-dimensional, so a distinct facet of the
+    upper hull, and together they cover the configuration: they are all of
+    its compact facets.  So omega induces S, whose 0-cells upstairs are E.
     """
     alpha = vector(alpha)
     plat = enumerate_painted_complexes(config, alpha)
@@ -179,28 +193,48 @@ def verify_main_theorem(config: PointConfiguration, alpha) -> MainTheoremReport:
         raise VerificationError("posets admit no rank-preserving isomorphism")
 
     skey = {s.key: j for j, s in enumerate(spos.payload)}
+    down = spos.down_adjacency()
     cmap = []
     checks = 0
     for i, pc in enumerate(plat.payload):
-        sbar = induce_subdivision(ext.extended, embed_lifting(pc.spec))
-        j = skey.get(sbar.key)
+        expected = _expected_extended_vertices(ext, pc)
+        cells = frozenset(marks for _, marks in expected)
+        j = skey.get(cells)
         if j is None:
             raise VerificationError(
-                f"embedded lifting of painted complex {i} induces an "
-                f"unenumerated subdivision"
+                f"the predicted cells of painted complex {i} are no enumerated "
+                f"extended subdivision"
             )
         if spos.ranks[j] != pranks[i]:
             raise VerificationError(f"rank mismatch at painted complex {i}")
         cmap.append(j)
-        actual = {(mc.support.linear, mc.marks) for mc in sbar.maximal}
-        expected = _expected_extended_vertices(ext, pc)
-        if actual != expected:
+        omega = TropicalPolynomial(ext.extended, embed_lifting(pc.spec))
+        for u, marks in expected:
+            argmin = evaluate(omega, u)[1]
+            if argmin != marks:
+                raise VerificationError(
+                    f"0-cell mismatch at painted complex {i}: at ({', '.join(map(str, u))}) "
+                    f"the embedded lifting's minimum is attained on {sorted(argmin)}, "
+                    f"not on the predicted {sorted(marks)}"
+                )
+        k = j
+        while spos.ranks[k]:
+            k = down[k][0]
+        covered = set()
+        for mc in spos.payload[k].maximal:
+            homes = {marks for marks in cells if mc.marks <= marks}
+            if not homes:
+                raise VerificationError(
+                    f"simplex {sorted(mc.marks)} of extended triangulation {k} "
+                    f"lies in no predicted cell of painted complex {i}"
+                )
+            covered |= homes
+        if covered != cells:
             raise VerificationError(
-                f"0-cell mismatch at painted complex {i}: "
-                f"unexpected {sorted(actual - expected)}, "
-                f"missing {sorted(expected - actual)}"
+                f"predicted cells {sorted(map(sorted, cells - covered))} of painted "
+                f"complex {i} hold no simplex of extended triangulation {k}"
             )
-        checks += len(actual)
+        checks += len(expected)
     if len(set(cmap)) != len(cmap):
         raise VerificationError("embedding map is not injective")
     mapped = {(cmap[i], cmap[j]) for i, j in plat.covers}

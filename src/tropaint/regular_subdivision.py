@@ -140,6 +140,8 @@ class Subdivision:
         self._cells = None
         # a triangulation's _folding_stricts, kept by secondary_cone
         self._folding = None
+        # _flip_cells per folding strict, kept by _simplicial_cone for _flip
+        self._flips = {}
 
     @property
     def cells(self) -> dict[frozenset[int], MarkedCell]:
@@ -446,12 +448,13 @@ def _simplicial_cone(config: PointConfiguration, t: Subdivision, stricts) -> Sec
     The cone's lineality holds the affine liftings, so modulo them it lives
     in the frame of the unit vectors at the configuration's lifting_frame,
     of dimension k = n - d - 1.  When exactly k stricts are flippable in t
-    (see _flip_cells), each candidate ray is the kernel of the other k - 1
-    of them in the frame: the _circuit_dependence of their columns, turned
-    positive on its own strict and made primitive.  Dot products certify
-    the rest.  Each ray is nonzero on its own strict, so the k stricts are
-    independent, the lineality is exactly the affine liftings, and the rays
-    span the simplicial cone the k stricts cut out, which holds t's cone.
+    (see _flip_cells, whose answer per strict t keeps for _flip), each
+    candidate ray is the kernel of the other k - 1 of them in the frame:
+    the _circuit_dependence of their columns, turned positive on its own
+    strict and made primitive.  Dot products certify the rest.  Each ray is
+    nonzero on its own strict, so the k stricts are independent, the
+    lineality is exactly the affine liftings, and the rays span the
+    simplicial cone the k stricts cut out, which holds t's cone.
     Every strict, flippable or not, is nonnegative on every ray, so that
     cone also lies in t's: the two are equal, and the rays are the canonical
     ones _cone_rays would find.  Flip theory says no more is needed, as
@@ -460,7 +463,11 @@ def _simplicial_cone(config: PointConfiguration, t: Subdivision, stricts) -> Sec
     cone, otherwise the checked ray sum.
     """
     frame = config.lifting_frame
-    flippable = [fn for fn in stricts if _flip_cells(t, fn) is not None]
+    flips = t._flips
+    for fn in stricts:
+        if fn not in flips:
+            flips[fn] = _flip_cells(t, fn)
+    flippable = [fn for fn in stricts if flips[fn] is not None]
     if len(flippable) != len(frame):
         return None
     n = len(config.points)
@@ -701,9 +708,10 @@ def _flip(config: PointConfiguration, t: Subdivision, wall: tuple[int, ...]) -> 
 
     A wall functional is the affine dependence of a circuit, positive on t's
     cone, and crossing the wall is the bistellar flip on it (see
-    _flip_cells).
+    _flip_cells).  A walked triangulation's walls are among its folding
+    stricts, whose flip cells _simplicial_cone kept on t.
     """
-    cells = _flip_cells(t, wall)
+    cells = t._flips[wall] if wall in t._flips else _flip_cells(t, wall)
     if cells is None:
         circuit = sorted(i for i, c in enumerate(wall) if c)
         raise InconsistencyError(f"circuit {circuit} is not flippable")

@@ -119,6 +119,16 @@ The relative-interior sample of a dual cell and the vertex indices of a
 configuration were the methods TropicalCell.relint_sample and
 PointConfiguration.vertex_indices, which only the tests called; they moved
 here as they were.
+
+The unpruned lattice search backtracks over the same color classes in the
+same order as lattice.lattice_isomorphic, but checks a match only against
+the matched neighbours, as lattice_isomorphic did before it forward-checked
+the unmatched ones; it is the reference for the first match.
+
+The extended cells by hull induce each painted complex's embedded lifting
+upstairs and read the 0-cells off the supports of that one hull, as
+painting_polytope.verify_main_theorem did before it certified them by
+argmins and a walked triangulation.
 """
 
 from __future__ import annotations
@@ -156,7 +166,9 @@ from tropaint.multiplihedra import (
     admissible_alpha,
     ngon_configuration,
 )
+from tropaint.lattice import _refined_colors
 from tropaint.painting import BLUE, PURPLE, RED, ColorFunction, painting_cone
+from tropaint.painting_polytope import embed_lifting
 from tropaint.regular_subdivision import (
     Lifting,
     _certify_cone,
@@ -1392,6 +1404,84 @@ def planar_tree_by_angles(p):
 
 
 # ---------------------------------------------------------------------------
+# Lattice isomorphism with no forward check
+
+
+def lattice_isomorphic_unpruned(l1, l2):
+    """A rank-preserving order isomorphism as an index map, or None, by the
+    search with no forward check.
+
+    Backtracking over color-refinement classes; covers must map onto covers
+    exactly.  Returns a list mapping l1 indices to l2 indices.
+    """
+    if len(l1) != len(l2) or l1.rank_counts() != l2.rank_counts():
+        return None
+    c1 = _refined_colors(l1)
+    c2 = _refined_colors(l2)
+    count1: dict[int, int] = {}
+    count2: dict[int, int] = {}
+    for c in c1:
+        count1[c] = count1.get(c, 0) + 1
+    for c in c2:
+        count2[c] = count2.get(c, 0) + 1
+    if count1 != count2:
+        return None
+    n = len(l1)
+    cov2 = {(i, j) for i, j in l2.covers}
+    up1 = l1.up_adjacency()
+    down1 = l1.down_adjacency()
+    candidates = [sorted(j for j in range(n) if c2[j] == c1[i]) for i in range(n)]
+    order = sorted(range(n), key=lambda i: (len(candidates[i]), -len(up1[i]) - len(down1[i])))
+    match = [-1] * n
+    used = [False] * n
+
+    def ok(i: int, j: int) -> bool:
+        # forward cover consistency; with exact per-element cover degrees this
+        # forces covers to map bijectively onto covers once the match is total
+        if used[j] or len(up1[i]) != updeg2[j] or len(down1[i]) != downdeg2[j]:
+            return False
+        for k in up1[i]:
+            if match[k] != -1 and (j, match[k]) not in cov2:
+                return False
+        for k in down1[i]:
+            if match[k] != -1 and (match[k], j) not in cov2:
+                return False
+        return True
+
+    updeg2 = [0] * n
+    downdeg2 = [0] * n
+    for a, b in cov2:
+        updeg2[a] += 1
+        downdeg2[b] += 1
+
+    # depth-first search with an explicit stack: tried[pos] counts the
+    # candidates of order[pos] already tried, so a lattice of any size
+    # searches in the same order without deep recursion
+    tried = [0] * n
+    pos = 0
+    while pos < n:
+        i = order[pos]
+        cands = candidates[i]
+        while tried[pos] < len(cands):
+            j = cands[tried[pos]]
+            tried[pos] += 1
+            if ok(i, j):
+                match[i] = j
+                used[j] = True
+                pos += 1
+                break
+        else:
+            tried[pos] = 0
+            pos -= 1
+            if pos < 0:
+                return None
+            prev = order[pos]
+            used[match[prev]] = False
+            match[prev] = -1
+    return match
+
+
+# ---------------------------------------------------------------------------
 # Posets pair by pair
 
 
@@ -1445,3 +1535,21 @@ def vertex_indices(config) -> frozenset[int]:
         frozenset(range(len(config.points))), (f.members for f in config.facets)
     )
     return frozenset(i for face in faces if len(face) == 1 for i in face)
+
+
+# ---------------------------------------------------------------------------
+# The main theorem's 0-cells upstairs by one hull per painted complex
+
+
+def extended_cells_by_hull(report):
+    """Per painted complex of a MainTheoremReport, the index of the
+    extended subdivision its embedded lifting induces (None if it is not
+    enumerated) and that subdivision's 0-cells upstairs as (support slope,
+    marks), read off one induced hull."""
+    ext = report.extension
+    skey = {s.key: j for j, s in enumerate(report.subdivision_poset.payload)}
+    out = []
+    for pc in report.painted_poset.payload:
+        sbar = induce_subdivision(ext.extended, embed_lifting(pc.spec))
+        out.append((skey.get(sbar.key), {(mc.support.linear, mc.marks) for mc in sbar.maximal}))
+    return out

@@ -154,7 +154,9 @@ def test_simplicial_rays_do_not_trust_the_flip_test(monkeypatch):
     exactly n - d - 1 of them the dropped stricts hold on the rays by flip
     theory alone.  The dot products check it anyway: when the flip test
     swaps a flippable strict for a dropped one, the route certifies
-    nothing, since the swapped-in strict cuts a larger cone."""
+    nothing, since the swapped-in strict cuts a larger cone.  A walked
+    triangulation keeps its flip cells, so each swap runs on a fresh copy
+    that has none yet."""
     config = extend(QUAD, QUAD_ALPHA).extended
     real = regular_subdivision._flip_cells
     swaps = 0
@@ -168,7 +170,8 @@ def test_simplicial_rays_do_not_trust_the_flip_test(monkeypatch):
             monkeypatch.setattr(
                 regular_subdivision, "_flip_cells", lambda t, fn: swapped.get(fn, real(t, fn))
             )
-            assert _simplicial_cone(config, t, cone.stricts) is None
+            fresh = Subdivision(config, t.maximal, t.witness)
+            assert _simplicial_cone(config, fresh, cone.stricts) is None
             swaps += 1
     assert swaps == 78
 

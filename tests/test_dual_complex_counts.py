@@ -4,7 +4,7 @@ realization corrects every edge from its input complex and certifies the
 result with one induced subdivision, no dual complex and no cone, the
 painted-tree realization builds a tree's seed complex only when it corrects
 edge lengths and induces each realized lifting once, and the main-theorem
-check induces each extended subdivision once, with no dual complex.  A dual
+check builds no hull and no dual complex beyond its two enumerations.  A dual
 complex builds one hull, in integers from the configuration's rows to the
 supports, seeded by one rank pass per configuration, and its cells read
 their dimensions and vertices off incidences, a simplex's with no closure.
@@ -12,7 +12,7 @@ Painting evaluates g once per 0-cell."""
 
 from fractions import Fraction
 
-from tropaint import geometry, painting, regular_subdivision, tropical_dual
+from tropaint import geometry, painting, painting_polytope, regular_subdivision, tropical_dual
 from tropaint.multiplihedra import (
     EdgeLengthTarget,
     PaintedTree,
@@ -25,7 +25,7 @@ from tropaint.multiplihedra import (
     realize_painted_tree,
 )
 from tropaint.painting import PaintSpec, enumerate_painted_complexes, paint
-from tropaint.painting_polytope import embed_lifting, extend, verify_main_theorem
+from tropaint.painting_polytope import extend, verify_main_theorem
 from tropaint.point_config import build_configuration
 from tropaint.regular_subdivision import Lifting, induce_subdivision, is_triangulation
 from tropaint.tropical_dual import dual_complex
@@ -84,18 +84,29 @@ def test_painted_tree_realization_builds_each_complex_once(calls_to):
     assert len(realized) == len(set(realized)) == 45
 
 
-def test_verify_main_theorem_builds_each_extended_complex_once(calls_to):
+def test_verify_main_theorem_builds_no_extended_hull(calls_to, monkeypatch):
     ext = extend(QUAD, ALPHA).extended
     complexes = calls_to(tropical_dual.dual_complex)
     induced = calls_to(regular_subdivision.induce_subdivision)
-    report = verify_main_theorem(QUAD, ALPHA)
-    embedded = [embed_lifting(pc.spec) for pc in report.painted_poset.payload]
-    # no extended dual complex: the 0-cells upstairs are read off the
-    # supports of one induced subdivision per painted complex, at its
-    # embedded lifting
+    hulls = calls_to(geometry._upper_hull)
+    enumerated = []
+    real = painting_polytope.enumerate_coherent_subdivisions
+
+    def enumerate_and_count(*args):
+        lattice = real(*args)
+        enumerated.append(len(hulls))
+        return lattice
+
+    monkeypatch.setattr(painting_polytope, "enumerate_coherent_subdivisions", enumerate_and_count)
+    verify_main_theorem(QUAD, ALPHA)
+    # no extended dual complex and no induced hull: the 0-cells upstairs are
+    # certified by argmins at their slopes and a walked triangulation that
+    # the predicted cells cover
     assert not [args for _, args in complexes if args[0] == ext]
-    checked = [args for caller, args in induced if caller == "tropaint.painting_polytope"]
-    assert checked == [(ext, eta) for eta in embedded] and len(checked) == 45
+    assert [caller for caller, _ in induced if caller == "tropaint.painting_polytope"] == []
+    # the painted enumeration runs first, so after the extended one returns
+    # no hull is built on either configuration
+    assert len(enumerated) == 1 and hulls[enumerated[0] :] == []
 
 
 # liftings of the extended quad, some inducing triangulations and some not

@@ -12,7 +12,8 @@ configuration take one rank between them, for their spanning simplex.  The
 coherent enumeration certifies each triangulation once, in the walk.  A
 configuration keeps its circuits and simplex volumes: the walk computes each
 circuit once and the volume vectors reuse its determinants, and a second
-enumeration on the same configuration gives what a fresh one does."""
+enumeration on the same configuration gives what a fresh one does.  The
+walk tests each strict of each cone for a flip once."""
 
 import pathlib
 import sys
@@ -100,6 +101,14 @@ def test_triangulation_walk_induces_each_triangulation_once(calls_to, config, co
     assert [caller for caller, _ in induces] == ["tropaint.regular_subdivision"]
     assert len(tris) == count
     assert len(cones) <= len(tris)
+
+
+def test_walk_tests_each_strict_for_a_flip_once(calls_to):
+    flips = calls_to(regular_subdivision._flip_cells)
+    tris = enumerate_regular_triangulations(_extended_ngon(4))
+    # _flip reads the flip cells that _simplicial_cone kept on the
+    # triangulation; testing again per crossed wall made 157 calls
+    assert len(flips) == sum(len(cone.stricts) for _, cone in tris.values()) == 93
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,6 @@
+import time
+from fractions import Fraction
+
 import pytest
 
 from tropaint.errors import InconsistencyError
@@ -6,8 +9,16 @@ from tropaint.lattice import (
     graded_lattice,
     lattice_isomorphic,
 )
+from tropaint.multiplihedra import admissible_alpha, multiplihedron_lattice, ngon_configuration
+from tropaint.painting import enumerate_painted_complexes
+from tropaint.painting_polytope import extend
+from tropaint.point_config import build_configuration
+from tropaint.regular_subdivision import enumerate_coherent_subdivisions
 
-from oracles import poset_oracle
+from corpus import CASES
+from oracles import lattice_isomorphic_unpruned, poset_oracle
+
+F = Fraction
 
 
 def square_lattice(rotate=0):
@@ -83,3 +94,52 @@ def test_isomorphism_of_a_lattice_with_more_than_a_thousand_elements():
         assert m is not None and sorted(m) == list(range(len(b10)))
         assert all(b10.ranks[i] == other.ranks[m[i]] for i in range(len(b10)))
         assert {(m[i], m[j]) for i, j in b10.covers} == set(other.covers)
+
+
+def _theorem_lattices(config, alpha):
+    """The painted and the extended lattice that verify_main_theorem matches."""
+    painted = enumerate_painted_complexes(config, alpha)
+    return painted, enumerate_coherent_subdivisions(extend(config, alpha).extended)
+
+
+def _multiplihedron_lattices(m):
+    """The extended polygon's and the painted trees' lattice that
+    verify_multiplihedron_theorem matches."""
+    config = ngon_configuration(m)
+    extended = extend(config, admissible_alpha(config)).extended
+    return enumerate_coherent_subdivisions(extended), multiplihedron_lattice(m)
+
+
+def _searched_pairs():
+    quad = build_configuration([(0, 0), (1, 0), (0, 1), (-1, 0), (-1, -1)])
+    bipyramid = build_configuration([(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)])
+    out = [
+        pytest.param(_theorem_lattices, (quad, (F(1, 3), F(1, 3))), id="quad"),
+        pytest.param(_theorem_lattices, (bipyramid, (F(1, 2), F(1, 3), F(1, 2))), id="bipyramid"),
+    ]
+    for m in (2, 3, 4, 5):
+        config = ngon_configuration(m)
+        out.append(pytest.param(_theorem_lattices, (config, admissible_alpha(config)), id=f"ngon{m}"))
+        out.append(pytest.param(_multiplihedron_lattices, (m,), id=f"multiplihedron{m}"))
+    return out + [pytest.param(_theorem_lattices, case[1:], id=case[0]) for case in CASES]
+
+
+@pytest.mark.parametrize("lattices, args", _searched_pairs())
+def test_forward_checked_search_finds_the_first_match(lattices, args):
+    l1, l2 = lattices(*args)
+    match = lattice_isomorphic(l1, l2)
+    assert match is not None
+    assert match == lattice_isomorphic_unpruned(l1, l2)
+
+
+def test_forward_checked_search_on_six_points_takes_under_a_second():
+    # without the forward check the search backtracks for minutes
+    config = build_configuration([(2, 0, 2), (1, 1, 1), (1, 1, 2), (0, 1, 0), (0, 1, 1), (1, 0, 1)])
+    painted, extended = _theorem_lattices(config, (F(7, 9), F(2, 3), F(41, 36)))
+    assert len(painted) == len(extended) == 99
+    started = time.monotonic()
+    match = lattice_isomorphic(painted, extended)
+    elapsed = time.monotonic() - started
+    assert match is not None and elapsed < 1.0, f"took {elapsed:.2f}s, bound is 1s"
+    covers = {(match[i], match[j]) for i, j in painted.covers}
+    assert covers == extended.covers

@@ -1,13 +1,19 @@
 """Extended configurations, the lifting embedding, and main-theorem checks,
-on the goldens, the polygons and the seeded corpus (corpus.py)."""
+on the goldens, the polygons and the seeded corpus (corpus.py).  The
+certificate of the 0-cells upstairs agrees with one induced hull per painted
+complex (oracles.py) and fails when a prediction is wrong, the cover part
+alone included."""
 
+import dataclasses
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tropaint.errors import InputError
+from tropaint import painting_polytope
+from tropaint.errors import InputError, VerificationError
 from tropaint.multiplihedra import admissible_alpha, ngon_configuration
 from tropaint.painting import BLUE, PURPLE, RED, PaintSpec, enumerate_painted_complexes, paint
 from tropaint.painting_polytope import (
@@ -18,10 +24,11 @@ from tropaint.painting_polytope import (
     verify_main_theorem,
 )
 from tropaint.point_config import build_configuration
-from tropaint.regular_subdivision import induce_subdivision
+from tropaint.regular_subdivision import MarkedCell, Subdivision, induce_subdivision
 from tropaint.tropical_dual import dual_complex
 
 from corpus import CASES
+from oracles import extended_cells_by_hull
 
 QUAD = build_configuration([(0, 0), (1, 0), (0, 1), (-1, 0), (-1, -1)])
 BIPYRAMID = build_configuration(
@@ -136,15 +143,27 @@ def test_verify_bipyramid():
     assert counts == {0: 7, 1: 7, 2: 1}
 
 
+def _verify_against_hull(config, alpha):
+    """verify_main_theorem, checked against the hull of each embedded
+    lifting: the same extended subdivision, and 0-cells upstairs equal to
+    the predicted ones the certificate checked."""
+    report = verify_main_theorem(config, alpha)
+    by_hull = extended_cells_by_hull(report)
+    assert [j for j, _ in by_hull] == list(report.constructive_map)
+    expected = [_expected_extended_vertices(report.extension, pc) for pc in report.painted_poset.payload]
+    assert [cells for _, cells in by_hull] == expected
+    assert report.vertex_checks == sum(map(len, expected))
+
+
 @pytest.mark.parametrize(
     "config, alpha", [case[1:] for case in CASES], ids=[case[0] for case in CASES]
 )
 def test_verify_corpus(config, alpha):
     # raises VerificationError at the first part of the check that fails
-    verify_main_theorem(config, alpha)
+    _verify_against_hull(config, alpha)
 
 
-def _vertex_inputs():
+def _named_inputs():
     out = [
         pytest.param(QUAD, ALPHA, id="quad"),
         pytest.param(BIPYRAMID, ALPHA3, id="bipyramid"),
@@ -152,17 +171,108 @@ def _vertex_inputs():
     for m in (3, 4, 5):
         config = ngon_configuration(m)
         out.append(pytest.param(config, admissible_alpha(config), id=f"ngon{m}"))
-    out += [
+    return out
+
+
+@pytest.mark.parametrize("config, alpha", _named_inputs())
+def test_certificate_matches_hull(config, alpha):
+    _verify_against_hull(config, alpha)
+
+
+def _swap_tower(monkeypatch):
+    real = painting_polytope._lift
+
+    def swapped(ext, spec, u, marking):
+        pos, marks = real(ext, spec, u, marking)
+        tower = {ext.rho: ext.beta, ext.beta: ext.rho}
+        return pos, frozenset(tower.get(i, i) for i in marks)
+
+    monkeypatch.setattr(painting_polytope, "_lift", swapped)
+
+
+def _predict(monkeypatch, change):
+    real = painting_polytope._expected_extended_vertices
+    monkeypatch.setattr(
+        painting_polytope, "_expected_extended_vertices", lambda ext, pc: change(real(ext, pc))
+    )
+
+
+def _lose_cell(cells):
+    return cells - {max(cells)}
+
+
+def _drop_cell(monkeypatch):
+    _predict(monkeypatch, _lose_cell)
+
+
+def _shift_height(monkeypatch):
+    def shifted(cells):
+        u, marks = min(cells)
+        return cells - {(u, marks)} | {(u[:-1] + (u[-1] + F(1, 7),), marks)}
+
+    _predict(monkeypatch, shifted)
+
+
+@pytest.mark.parametrize("mutate", [_swap_tower, _drop_cell, _shift_height])
+def test_wrong_predictions_fail_the_certificate(monkeypatch, mutate):
+    mutate(monkeypatch)
+    with pytest.raises(VerificationError):
+        verify_main_theorem(QUAD, ALPHA)
+
+
+def _add_face(cells):
+    # two distinct cells meet in a proper face, which holds no simplex; the
+    # argmin at the midpoint of their slopes is exactly that face
+    (u1, m1), (u2, m2) = max(combinations(sorted(cells), 2), key=lambda p: len(p[0][1] & p[1][1]))
+    return cells | {(tuple((x + y) / 2 for x, y in zip(u1, u2)), m1 & m2)}
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [(_lose_cell, "lies in no predicted cell"), (_add_face, "hold no simplex")],
+    ids=["lost-cell", "added-face"],
+)
+def test_cover_certificate_alone_catches_a_damaged_subdivision(monkeypatch, damage, message):
+    # one coarse extended subdivision and its prediction are damaged alike:
+    # the key and the argmins still agree, and only the walked triangulation
+    # below the subdivision shows the damage
+    report = verify_main_theorem(QUAD, ALPHA)
+    painted = report.painted_poset
+    predictions = [_expected_extended_vertices(report.extension, pc) for pc in painted.payload]
+    i = next(i for i, cells in enumerate(predictions) if painted.ranks[i] and len(cells) > 1)
+    j = report.constructive_map[i]
+    damaged = damage(predictions[i])
+    real_predict = painting_polytope._expected_extended_vertices
+    real_enumerate = painting_polytope.enumerate_coherent_subdivisions
+
+    def predict(ext, pc):
+        cells = real_predict(ext, pc)
+        return damaged if cells == predictions[i] else cells
+
+    def enumerate_damaged(config):
+        lattice = real_enumerate(config)
+        payload = list(lattice.payload)
+        cells = (MarkedCell((config.points[a] for a in sorted(m)), m) for _, m in damaged)
+        payload[j] = Subdivision(config, tuple(cells))
+        return dataclasses.replace(lattice, payload=tuple(payload))
+
+    monkeypatch.setattr(painting_polytope, "_expected_extended_vertices", predict)
+    monkeypatch.setattr(painting_polytope, "enumerate_coherent_subdivisions", enumerate_damaged)
+    with pytest.raises(VerificationError, match=message):
+        verify_main_theorem(QUAD, ALPHA)
+
+
+def _vertex_inputs():
+    return _named_inputs() + [
         pytest.param(config, alpha, id=name)
         for name, config, alpha in CASES
         if name.endswith("-generic")
     ]
-    return out
 
 
 @pytest.mark.parametrize("config, alpha", _vertex_inputs())
 def test_extended_zero_cells_read_off_supports(config, alpha):
-    # verify_main_theorem reads the 0-cells upstairs off the maximal cells of
+    # the 0-cells upstairs are the slopes and marks of the maximal cells of
     # one induced subdivision: the extended dual complex has the same ones
     ext = extend(config, alpha).extended
     for pc in enumerate_painted_complexes(config, alpha).payload:
