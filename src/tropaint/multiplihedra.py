@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
 
 from .errors import (
     InconsistencyError,
@@ -24,7 +23,7 @@ from .errors import (
     ResourceCapError,
     VerificationError,
 )
-from .geometry import Vec, _int_det, as_fraction, vdot, vector, vsub
+from .geometry import Vec, _int_det, _int_row, as_fraction, vdot, vector, vsub
 from .lattice import FaceLattice, graded_lattice, lattice_isomorphic
 from .painting import BLUE, PURPLE, RED, PaintedComplex, PaintSpec, painting_constraint
 from .painting_polytope import extend
@@ -73,8 +72,8 @@ def _on_some_diagonal(config: PointConfiguration, beta: Vec) -> bool:
     through a_i and a_j exactly when (P_j - P_i) x (L B - D P_i) = 0.
     """
     rows, scale = config.integer_points
-    den = lcm(*(x.denominator for x in beta))
-    bx, by = (x.numerator * (den // x.denominator) * scale for x in beta)
+    bx, by, den = _int_row(beta)
+    bx, by = bx * scale, by * scale
     boundary = set(config.facet_masks)
     for i, (xi, yi, _) in enumerate(rows):
         u, v = bx - den * xi, by - den * yi
@@ -175,9 +174,6 @@ class PaintedTree:
             return tuple(walk(c) for c in entry[1])
 
         return walk(self.encoding)
-
-    def key(self):
-        return self.encoding
 
     def __eq__(self, other):
         return isinstance(other, PaintedTree) and self.encoding == other.encoding

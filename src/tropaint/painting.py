@@ -17,13 +17,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd
 
 from .errors import InconsistencyError, InputError, NoCertificateError
 from .geometry import (
     AffineFunctional,
     Vec,
     _circuit_dependence,
+    _int_row,
     as_fraction,
     vector,
     vsub,
@@ -76,9 +77,6 @@ class ColorFunction:
 
     def __getitem__(self, marking) -> str:
         return self.colors[marking]
-
-    def __contains__(self, marking):
-        return marking in self.colors
 
     def items(self):
         return self.colors.items()
@@ -204,9 +202,9 @@ def painting_constraint(config: PointConfiguration, marking, alpha) -> tuple[int
     basis = _spanning_marks(config, marking)
     if len(basis) <= config.dimension:
         raise InputError("marking does not span the distinguished point")
-    den = lcm(*(x.denominator for x in alpha))
+    *coords, den = _int_row(alpha)
     circuit = [rows[i] for i in basis]
-    circuit.append(tuple(x.numerator * (scale * den // x.denominator) for x in alpha) + (den,))
+    circuit.append(tuple(scale * x for x in coords) + (den,))
     dep = _circuit_dependence(circuit)
     if any(sum(c * row[k] for c, row in zip(dep, circuit)) for k in range(len(circuit[0]))):
         raise InconsistencyError("the dependence misses the distinguished point")

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from itertools import combinations
+from math import gcd
 
 from .errors import InconsistencyError, InputError, NoCertificateError, ResourceCapError
 from .geometry import (
@@ -140,7 +141,7 @@ class Subdivision:
         self._cells = None
         # a triangulation's _folding_stricts, kept by secondary_cone
         self._folding = None
-        # _flip_cells per folding strict, kept by _simplicial_cone for _flip
+        # _flip_cells per folding strict, kept by _flippable_rays for _flip
         self._flips = {}
 
     @property
@@ -204,12 +205,6 @@ class Subdivision:
     def __repr__(self):
         return f"Subdivision({len(self.maximal)} maximal cells)"
 
-    def cells_of_dim(self, k: int) -> list[MarkedCell]:
-        return sorted(
-            (c for c in self.cells.values() if c.dim() == k),
-            key=lambda c: sorted(c.marks),
-        )
-
     def face_pairs(self) -> list[tuple[frozenset[int], frozenset[int]]]:
         """(face marks, cell marks) pairs; the face relation is mark inclusion."""
         keys = sorted(self.cells, key=sorted)
@@ -227,10 +222,8 @@ def induce_subdivision(config: PointConfiguration, eta: Lifting) -> Subdivision:
     if len(eta) != len(config.points):
         raise InputError("lifting length mismatch")
     rows, scale = config.integer_points
-    den = lcm(*(h.denominator for h in eta.values))
-    lifted = [
-        row[:-1] + (-h.numerator * (den // h.denominator),) for row, h in zip(rows, eta.values)
-    ]
+    *heights, den = _int_row(eta.values)
+    lifted = [row[:-1] + (-h,) for row, h in zip(rows, heights)]
     maximal = tuple(
         _make_cell(config, mem, support=fn)
         for fn, mem in _upper_hull(lifted, config.spanning_simplex, scale, den)
@@ -302,9 +295,9 @@ class SecondaryCone:
         """Extreme rays of the cone modulo its lineality space.
 
         Canonical primitive representatives (zero on the lineality pivot
-        coordinates), sorted.  secondary_cone gives most triangulation cones
+        coordinates), sorted.  secondary_cone gives triangulation cones
         these rays with no hull, read off their flippable stricts (see
-        _simplicial_cone); any other cone gets them from one hull by
+        _flippable_rays); any other cone gets them from one hull by
         _cone_rays.  A cone whose open cone is empty has no such rays, and no
         certified cone is one.
         """
@@ -381,7 +374,7 @@ def _cone_rays(equalities, stricts, n: int) -> tuple[tuple[int, ...], ...] | Non
     the lineality's pivot coordinates.  A triangulation's cone has the
     affine liftings as its lineality, whose pivots are the configuration's
     spanning simplex, so its frame is the unit vectors at lifting_frame,
-    where _simplicial_cone reads the rays of a simplicial one with no hull.
+    where _flippable_rays reads a triangulation cone's rays with no hull.
     """
     lineality = [list(v) + [1] for v in _kernel(equalities + stricts, n)]
     units = [tuple(int(j == c) for j in range(n)) for c in _echelon(lineality)]
@@ -404,93 +397,97 @@ def _cone_rays(equalities, stricts, n: int) -> tuple[tuple[int, ...], ...] | Non
     return tuple(sorted(rays))
 
 
-def _certify_cone(equalities, stricts, dim: int, witness) -> SecondaryCone | None:
+def _certify_cone(equalities, stricts, dim: int, witness, rays=None) -> SecondaryCone | None:
     """The cone {stricts > 0, equalities = 0} in R^dim with a certified
     interior point, or None when the open cone is empty.  The constraints
-    are int tuples.
+    are int tuples; rays, when given, are the cone's canonical rays, already
+    certified (see _flippable_rays), and the cone keeps them.
 
     witness, when given, becomes the interior point if an exact check puts it
-    in the open cone.  Otherwise _cone_rays decides emptiness, and the sum of
-    the rays, checked exactly, is the interior point (see _ray_sum_cone).
+    in the open cone.  Otherwise the interior point is the sum of the given
+    rays, or of those of _cone_rays, which decides emptiness (see
+    _ray_sum_cone).
     """
     cone = SecondaryCone(tuple(equalities), tuple(stricts), dim, witness)
     if witness is not None and cone.contains_open(witness):
+        if rays is not None:
+            cone.__dict__["rays"] = rays  # fills the cached property
         return cone
-    rays = _cone_rays(cone.equalities, cone.stricts, dim)
     if rays is None:
-        return None
-    cone = _ray_sum_cone(cone.equalities, cone.stricts, dim, rays)
-    if cone is None:
-        raise InconsistencyError("the ray sum of a cone misses its open cone")
-    return cone
+        rays = _cone_rays(cone.equalities, cone.stricts, dim)
+        if rays is None:
+            return None
+    return _ray_sum_cone(cone.equalities, cone.stricts, dim, rays)
 
 
-def _ray_sum_cone(equalities, stricts, dim: int, rays) -> SecondaryCone | None:
-    """The cone with the sum of its rays as interior point, or None when an
-    exact check puts the sum outside the open cone.  Every cone certified
-    without a witness, whichever route found its rays, gets its interior
-    point here: every strict is nonnegative on each ray and vanishes on all
-    of them only if it vanishes on the whole cone.  The cone keeps the rays.
+def _ray_sum_cone(equalities, stricts, dim: int, rays) -> SecondaryCone:
+    """The cone with the sum of its canonical rays as interior point.  Every
+    strict is nonnegative on each ray and vanishes on all of them only if it
+    vanishes on the whole cone, so the exact check that the sum lies in the
+    open cone fails only on wrong rays.  Every cone certified without a
+    witness gets its interior point here.  The cone keeps the rays.
     """
     sample = tuple(Fraction(sum(column)) for column in zip((0,) * dim, *rays))
     cone = SecondaryCone(equalities, stricts, dim, sample)
     if not cone.contains_open(sample):
-        return None
-    cone.__dict__["rays"] = rays  # fills the cached property
+        raise InconsistencyError("the ray sum of a cone misses its open cone")
+    cone.__dict__["rays"] = rays
     return cone
 
 
-def _simplicial_cone(config: PointConfiguration, t: Subdivision, stricts) -> SecondaryCone | None:
-    """The triangulation t's cone in its folding form, with its rays read
-    off its flippable stricts and no hull, or None when it is not certified
-    to be the simplicial cone they cut out.
+def _flippable_rays(config: PointConfiguration, t: Subdivision, stricts):
+    """The canonical rays of the triangulation t's cone in its folding form,
+    read off its flippable stricts with no hull, or None when they are not
+    certified.
 
     The cone's lineality holds the affine liftings, so modulo them it lives
     in the frame of the unit vectors at the configuration's lifting_frame,
-    of dimension k = n - d - 1.  When exactly k stricts are flippable in t
-    (see _flip_cells, whose answer per strict t keeps for _flip), each
-    candidate ray is the kernel of the other k - 1 of them in the frame:
-    the _circuit_dependence of their columns, turned positive on its own
-    strict and made primitive.  Dot products certify the rest.  Each ray is
-    nonzero on its own strict, so the k stricts are independent, the
-    lineality is exactly the affine liftings, and the rays span the
-    simplicial cone the k stricts cut out, which holds t's cone.
-    Every strict, flippable or not, is nonnegative on every ray, so that
-    cone also lies in t's: the two are equal, and the rays are the canonical
-    ones _cone_rays would find.  Flip theory says no more is needed, as
-    every wall is flippable, but the certificate does not rely on it.  The
-    interior point is t.witness when an exact check puts it in the open
-    cone, otherwise the checked ray sum.
+    of dimension k = n - d - 1.  Each extreme ray of a pointed cone there is
+    the one-dimensional kernel of k - 1 independent constraints tight on it
+    (Ziegler, Lectures on Polytopes, ch. 1-2), and every wall of a
+    triangulation's cone is a flippable circuit (De Loera, Rambau & Santos,
+    Triangulations, 2010, ch. 5).  So each k - 1 of the flippable stricts
+    (see _flip_cells, whose answer per strict t keeps for _flip) give a
+    candidate, the _circuit_dependence of their frame columns: it is kept,
+    made primitive and turned positive, when some flippable strict is
+    nonzero on it and all of them have one sign there.
+
+    Dot products certify the rest: every strict, flippable or not, is
+    nonnegative on every candidate and positive on some.  Unless the
+    flippable stricts span the frame's dual, each kernel of k - 1 of them is
+    zero or vanishes on them all, and there is no candidate; so they do, and
+    the candidates are exactly the extreme rays of the pointed cone they cut
+    out, which holds t's cone.  Every strict is nonnegative on those rays, so
+    that cone also lies in t's: the two are equal, and the rays are the
+    canonical ones _cone_rays would find.  Flip theory says no check is
+    needed, but the certificate does not rely on it.
     """
     frame = config.lifting_frame
     flips = t._flips
     for fn in stricts:
         if fn not in flips:
             flips[fn] = _flip_cells(t, fn)
-    flippable = [fn for fn in stricts if flips[fn] is not None]
-    if len(flippable) != len(frame):
-        return None
-    n = len(config.points)
-    rays = []
-    for j, own in enumerate(flippable):
-        others = flippable[:j] + flippable[j + 1 :]
-        kernel = _circuit_dependence([[fn[c] for fn in others] for c in frame])
-        ray = [0] * n
-        for c, x in zip(frame, kernel):
-            ray[c] = x
-        value = _dot(own, ray)
-        if not value:
+    if not frame:
+        return ()  # a simplex: its cone is all of lifting space
+    # the flippable stricts' frame coordinates
+    flippable = [[fn[c] for c in frame] for fn in stricts if flips[fn] is not None]
+    found = set()
+    for others in combinations(flippable, len(frame) - 1):
+        kernel = _circuit_dependence([[fn[j] for fn in others] for j in range(len(frame))])
+        values = [_dot(fn, kernel) for fn in flippable]
+        sign = (max(values, default=0) > 0) - (min(values, default=0) < 0)
+        if sign:  # one sign, not all zero
+            g = sign * gcd(*kernel)
+            ray = [0] * len(config.points)
+            for c, x in zip(frame, kernel):
+                ray[c] = x // g
+            found.add(tuple(ray))
+    rays = tuple(sorted(found))
+    for fn in stricts:
+        values = [_dot(fn, ray) for ray in rays]
+        if min(values, default=0) < 0 or not any(values):
             return None
-        g = gcd(*ray) if value > 0 else -gcd(*ray)
-        rays.append(tuple(x // g for x in ray))
-    if any(_dot(fn, ray) < 0 for fn in stricts for ray in rays):
-        return None
-    rays, stricts = tuple(sorted(rays)), tuple(stricts)
-    cone = SecondaryCone((), stricts, n, t.witness)
-    if t.witness is not None and cone.contains_open(t.witness):
-        cone.__dict__["rays"] = rays
-        return cone
-    return _ray_sum_cone((), stricts, n, rays)
+    return rays
 
 
 def _spanning_marks(config: PointConfiguration, marks) -> list[int]:
@@ -619,8 +616,8 @@ def secondary_cone(config: PointConfiguration, s: Subdivision) -> SecondaryCone:
     its maximal cells, and the volumes leave room for no other.  The
     interior point is s.witness when an exact check puts it in the open
     cone; otherwise it is the sum of the cone's rays.  A triangulation cone
-    that is simplicial on its flippable stricts gets its rays from them with
-    no hull (see _simplicial_cone); any other cone, or one that fails those
+    gets its rays from the kernels of its flippable stricts with no hull
+    (see _flippable_rays); any other cone, or one whose kernels fail those
     checks, gets them from the hull of _cone_rays (see _certify_cone).
     A triangulation keeps its stricts' sources on s: the face rule of
     enumerate_coherent_subdivisions reads them, and a second cone of s does
@@ -629,13 +626,12 @@ def secondary_cone(config: PointConfiguration, s: Subdivision) -> SecondaryCone:
     if s.config != config:
         raise InputError("the subdivision belongs to another configuration")
     n = len(config.points)
+    rays = None
     if is_triangulation(s):
         if s._folding is None:
             s._folding = _folding_stricts(config, s)
         equalities, stricts = [], sorted(s._folding)
-        cone = _simplicial_cone(config, s, stricts)
-        if cone is not None:
-            return cone
+        rays = _flippable_rays(config, s, stricts)
     else:
         eqs: set[tuple[int, ...]] = set()
         sts: set[tuple[int, ...]] = set()
@@ -654,7 +650,7 @@ def secondary_cone(config: PointConfiguration, s: Subdivision) -> SecondaryCone:
             # a functional required both zero and positive: nothing induces s
             raise NoCertificateError("subdivision is not induced by any lifting")
         equalities, stricts = sorted(eqs), sorted(sts)
-    cone = _certify_cone(equalities, stricts, n, s.witness)
+    cone = _certify_cone(equalities, stricts, n, s.witness, rays)
     if cone is None:
         raise NoCertificateError("subdivision is not induced by any lifting")
     return cone
@@ -709,7 +705,7 @@ def _flip(config: PointConfiguration, t: Subdivision, wall: tuple[int, ...]) -> 
     A wall functional is the affine dependence of a circuit, positive on t's
     cone, and crossing the wall is the bistellar flip on it (see
     _flip_cells).  A walked triangulation's walls are among its folding
-    stricts, whose flip cells _simplicial_cone kept on t.
+    stricts, whose flip cells _flippable_rays kept on t.
     """
     cells = t._flips[wall] if wall in t._flips else _flip_cells(t, wall)
     if cells is None:
@@ -729,12 +725,11 @@ def enumerate_regular_triangulations(config: PointConfiguration, max_count=4096)
     costs no hull: its cone's closure must contain the wall sample.  A new
     one is certified by its cone alone, with no induced hull: the folding
     certificate, its rays and the exact check that their sum lies in the
-    open cone prove that every point there induces it.  The rays of a cone
-    that is simplicial on its flippable stricts come from their kernels,
-    checked by dot products; any other cone's come from the hull of _cone_rays
-    (see secondary_cone).  Its cone's closure must contain the wall sample,
-    and the ray sum becomes its witness; its maximal cells carry no
-    supports.  The seed keeps the supports and witness of its placing
+    open cone prove that every point there induces it.  Its rays are the
+    kernels of its flippable stricts, checked by dot products, or the hull's
+    of _cone_rays should that check fail (see secondary_cone).  Its cone's
+    closure must contain the wall sample, and the ray sum becomes its
+    witness; its maximal cells carry no supports.  The seed keeps the supports and witness of its placing
     lifting.  Circuits and simplex volumes are computed once per
     configuration (see PointConfiguration.circuit), so a second walk on the
     same configuration computes neither again.

@@ -10,10 +10,11 @@ from tropaint import regular_subdivision
 @pytest.fixture
 def fallback_certifications(monkeypatch):
     """Every cone certified without its witness, in order: the arguments
-    (equalities, stricts, dimension, rays) of each _ray_sum_cone call, which
-    makes the ray sum the interior point whichever route found the rays,
-    the hull of _cone_rays or the kernels of _simplicial_cone.  Ray
-    computations of already certified cones are not counted."""
+    (equalities, stricts, dimension, rays) of each _ray_sum_cone call, by
+    which _certify_cone makes the ray sum the interior point whichever route
+    found the rays, the kernels of _flippable_rays or the hull of
+    _cone_rays.  Ray computations of already certified cones are not
+    counted."""
     calls = []
     real = regular_subdivision._ray_sum_cone
 

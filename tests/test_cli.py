@@ -1,12 +1,14 @@
 """Command line surface: golden bytes, exit codes, round trips."""
 
+import dataclasses
 import json
 import pathlib
+import re
 
 import pytest
 
 from cli_cases import CASES, INPUT_FILES, run_cli
-from tropaint import jsonio
+from tropaint import jsonio, multiplihedra
 from tropaint.cli import main
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -81,11 +83,46 @@ def test_resource_caps_exit_3(capsys):
     capsys.readouterr()
 
 
+def test_verification_failures_exit_4(monkeypatch, capsys):
+    real = multiplihedra.enumerate_coherent_subdivisions
+
+    def damaged(config):
+        lattice = real(config)
+        return dataclasses.replace(lattice, covers=lattice.covers - {min(lattice.covers)})
+
+    monkeypatch.setattr(multiplihedra, "enumerate_coherent_subdivisions", damaged)
+    assert main(["verify", "multiplihedron", "-m", "2"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "verification failed: face lattices are not isomorphic" in captured.err
+
+
 def test_svg_rejected_off_plane(capsys):
     bip = GOLDEN / "bipyramid.json"
     code = main(["tropical", str(bip), "--eta", "[1,0,2,0,1]", "--svg"])
     assert code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, artifact",
+    [(["tropical"], "complex.svg"), (["paint", "--level", "1/2"], "painted.svg")],
+    ids=["tropical", "paint"],
+)
+def test_svg_default_bbox_holds_every_vertex(command, artifact, tmp_path):
+    quad = str(GOLDEN / "quad.json")
+    args = [command[0], quad, "--eta", "[-1,1,0,2,0]", *command[1:], "--svg"]
+    svgs = []
+    for seed in ("0", "1"):
+        proc = run_cli(args, seed=seed, out_dir=tmp_path / seed)
+        assert proc.returncode == 0, proc.stderr.decode()
+        svgs.append((tmp_path / seed / artifact).read_text(encoding="utf-8"))
+    assert svgs[0] == svgs[1]
+    width, height = map(float, re.search(r'viewBox="0 0 (\S+) (\S+)"', svgs[0]).groups())
+    dots = [tuple(map(float, xy)) for xy in re.findall(r'cx="(\S+)" cy="(\S+)"', svgs[0])]
+    # the quad's dual complex under this lifting has four 0-cells
+    assert len(dots) == 4
+    assert all(0 < x < width and 0 < y < height for x, y in dots)
 
 
 def test_verify_needs_its_argument(capsys):

@@ -2,12 +2,11 @@
 the rays of every secondary cone, painting chamber and seeded random cone
 match the subset search and the Fraction route in oracles.py, and a cone is
 certified exactly when Fourier-Motzkin elimination finds its open cone
-nonempty.  A triangulation cone that is simplicial on its flippable stricts
-gets the same rays with no hull, from their kernels, on every walked
-triangulation of the goldens, the polygons, their extensions, the seeded
-corpus, a grid and a cube with its centre; the others fall back to the hull.
-Constraints, rays and samples are int tuples; only interior points are
-Fractions."""
+nonempty.  A triangulation cone gets the same rays with no hull, from the
+kernels of its flippable stricts, on every walked triangulation of the
+goldens, the polygons, their extensions, the seeded corpus, a grid and a
+cube with its centre, and none falls back to the hull.  Constraints, rays
+and samples are int tuples; only interior points are Fractions."""
 
 import random
 from fractions import Fraction
@@ -27,7 +26,8 @@ from tropaint.regular_subdivision import (
     Subdivision,
     _certify_cone,
     _cone_rays,
-    _simplicial_cone,
+    _flip_cells,
+    _flippable_rays,
     enumerate_coherent_subdivisions,
     enumerate_regular_triangulations,
     secondary_cone,
@@ -113,12 +113,12 @@ def test_every_chamber_sign_pattern_matches_oracles(config, alpha):
 
 def _walked():
     """(config, (hull fallbacks, triangulations) or None) per input of the
-    simplicial-ray test, the counts pinned where the hull is known to run."""
+    kernel-ray test, the counts pinned where the hull used to run."""
     bases = [("quad", QUAD, QUAD_ALPHA), ("bipyramid", BIPYRAMID, BIPYRAMID_ALPHA)]
     for m in (3, 4, 5, 6):
         config = ngon_configuration(m)
         bases.append((f"ngon{m}", config, admissible_alpha(config)))
-    pinned = {"ngon6-extended": (70, 322), "grid": (37, 387), "cube": (58, 222)}
+    pinned = {"ngon6-extended": (0, 322), "grid": (0, 387), "cube": (0, 222)}
     out = [("grid", GRID), ("cube", CUBE)]
     for name, config, alpha in bases:
         out += [(name, config), (f"{name}-extended", extend(config, alpha).extended)]
@@ -134,46 +134,67 @@ def test_simplicial_rays_match_the_hull(config, fallbacks):
     for t, cone in tris.values():
         hull = _cone_rays((), cone.stricts, n)
         assert hull == cone_rays_fraction((), cone.stricts, n) == cone.rays
-        fast = _simplicial_cone(config, t, cone.stricts)
-        if fast is None:
+        # a fresh copy, with no flip cells kept yet
+        rays = _flippable_rays(config, Subdivision(config, t.maximal), cone.stricts)
+        if rays is None:
             missed += 1
             continue
+        assert rays == hull
         # the walk's witness is the ray sum, or the seed's placing lifting
+        fast = _certify_cone((), cone.stricts, n, t.witness, rays)
         assert fast == cone and fast.rays == hull
         assert fast.interior_point == cone.interior_point == t.witness
-        bare = _simplicial_cone(config, Subdivision(config, t.maximal), cone.stricts)
+        bare = _certify_cone((), cone.stricts, n, None, rays)
         assert bare.rays == hull
         assert bare.interior_point == tuple(F(sum(col)) for col in zip((0,) * n, *hull))
-    assert missed < len(tris)
-    if fallbacks is not None:
-        assert (missed, len(tris)) == fallbacks
+    assert (missed, len(tris)) == (fallbacks or (0, len(tris)))
+
+
+def _lying_flip_test(monkeypatch, swapped):
+    """Make _flip_cells answer per strict from swapped, truthfully elsewhere."""
+    monkeypatch.setattr(
+        regular_subdivision, "_flip_cells", lambda t, fn: swapped.get(fn, _flip_cells(t, fn))
+    )
 
 
 def test_simplicial_rays_do_not_trust_the_flip_test(monkeypatch):
-    """Every wall of a triangulation cone is a flippable strict, so with
-    exactly n - d - 1 of them the dropped stricts hold on the rays by flip
-    theory alone.  The dot products check it anyway: when the flip test
-    swaps a flippable strict for a dropped one, the route certifies
-    nothing, since the swapped-in strict cuts a larger cone.  A walked
-    triangulation keeps its flip cells, so each swap runs on a fresh copy
-    that has none yet."""
+    """Every wall of a triangulation cone is a flippable strict, so the
+    dropped stricts hold on the kernels' rays by flip theory alone.  The
+    dot products check it anyway: when the flip test swaps a flippable
+    strict for a dropped one, the route certifies nothing, or the true rays
+    when the stricts it then takes still cut out the cone, as on some of the
+    cube's cones with more flippable stricts than the frame's dimension.  A
+    walked triangulation keeps its flip cells, so each swap runs on a fresh
+    copy that has none yet."""
+    counts = []
+    for config in (extend(QUAD, QUAD_ALPHA).extended, CUBE):
+        swaps = refused = 0
+        for t, cone in enumerate_regular_triangulations(config).values():
+            kept = [fn for fn in cone.stricts if _flip_cells(t, fn) is not None]
+            dropped = [fn for fn in cone.stricts if _flip_cells(t, fn) is None]
+            for out, into in product(kept, dropped):
+                _lying_flip_test(monkeypatch, {out: None, into: (set(), set())})
+                fresh = Subdivision(config, t.maximal, t.witness)
+                rays = _flippable_rays(config, fresh, cone.stricts)
+                assert rays in (None, cone.rays)
+                swaps += 1
+                refused += rays is None
+        counts.append((refused, swaps))
+    assert counts == [(78, 78), (3568, 3904)]
+
+
+def test_flippable_rays_need_every_strict_on_a_ray(monkeypatch):
+    """With too few flippable stricts to span the frame no kernel survives,
+    and a cone with no rays is refused rather than certified: a strict must
+    be positive on some ray."""
     config = extend(QUAD, QUAD_ALPHA).extended
-    real = regular_subdivision._flip_cells
-    swaps = 0
     for t, cone in enumerate_regular_triangulations(config).values():
-        kept = [fn for fn in cone.stricts if real(t, fn) is not None]
-        dropped = [fn for fn in cone.stricts if real(t, fn) is None]
-        if len(kept) != len(config.lifting_frame):
-            continue
-        for out, into in product(kept, dropped):
-            swapped = {out: None, into: (set(), set())}
-            monkeypatch.setattr(
-                regular_subdivision, "_flip_cells", lambda t, fn: swapped.get(fn, real(t, fn))
-            )
-            fresh = Subdivision(config, t.maximal, t.witness)
-            assert _simplicial_cone(config, fresh, cone.stricts) is None
-            swaps += 1
-    assert swaps == 78
+        kept = [fn for fn in cone.stricts if _flip_cells(t, fn) is not None]
+        for lone in ([], kept[:1]):
+            _lying_flip_test(monkeypatch, {fn: None for fn in kept if fn not in lone})
+            fresh = Subdivision(config, t.maximal)
+            assert _flippable_rays(config, fresh, cone.stricts) is None
+            assert secondary_cone(config, fresh).rays == cone.rays
 
 
 def _random_cone(rng):

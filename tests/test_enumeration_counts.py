@@ -106,7 +106,7 @@ def test_triangulation_walk_induces_each_triangulation_once(calls_to, config, co
 def test_walk_tests_each_strict_for_a_flip_once(calls_to):
     flips = calls_to(regular_subdivision._flip_cells)
     tris = enumerate_regular_triangulations(_extended_ngon(4))
-    # _flip reads the flip cells that _simplicial_cone kept on the
+    # _flip reads the flip cells that _flippable_rays kept on the
     # triangulation; testing again per crossed wall made 157 calls
     assert len(flips) == sum(len(cone.stricts) for _, cone in tris.values()) == 93
 

@@ -1,5 +1,6 @@
 """Tree duals of polygon subdivisions, painted trees, and multiplihedra."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tropaint import geometry, multiplihedra
-from tropaint.errors import InconsistencyError, InputError, ResourceCapError
-from tropaint.lattice import lattice_isomorphic
+from tropaint.errors import InconsistencyError, InputError, ResourceCapError, VerificationError
+from tropaint.lattice import graded_lattice, lattice_isomorphic
 from tropaint.multiplihedra import (
     PAINTED,
     SPLIT,
@@ -292,6 +293,26 @@ def test_theorem_cap_refuses_before_any_hull(calls_to):
     assert hulls == []
     with pytest.raises(InputError, match="at least two leaves"):
         verify_multiplihedron_theorem(1)
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda lat: graded_lattice([0], []), "1 subdivisions of the extended polygon vs 3"),
+        (
+            lambda lat: dataclasses.replace(lat, covers=lat.covers - {min(lat.covers)}),
+            "face lattices are not isomorphic",
+        ),
+    ],
+    ids=["size", "covers"],
+)
+def test_theorem_refuses_a_damaged_secondary_lattice(monkeypatch, damage, message):
+    real = multiplihedra.enumerate_coherent_subdivisions
+    monkeypatch.setattr(
+        multiplihedra, "enumerate_coherent_subdivisions", lambda config: damage(real(config))
+    )
+    with pytest.raises(VerificationError, match=message):
+        verify_multiplihedron_theorem(2)
 
 
 def test_rank_formula_matches_cone_dimension():

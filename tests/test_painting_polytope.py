@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from tropaint import painting_polytope
 from tropaint.errors import InputError, VerificationError
+from tropaint.lattice import graded_lattice
 from tropaint.multiplihedra import admissible_alpha, ngon_configuration
 from tropaint.painting import BLUE, PURPLE, RED, PaintSpec, enumerate_painted_complexes, paint
 from tropaint.painting_polytope import (
@@ -260,6 +261,53 @@ def test_cover_certificate_alone_catches_a_damaged_subdivision(monkeypatch, dama
     monkeypatch.setattr(painting_polytope, "enumerate_coherent_subdivisions", enumerate_damaged)
     with pytest.raises(VerificationError, match=message):
         verify_main_theorem(QUAD, ALPHA)
+
+
+def _damage(monkeypatch, name, damage):
+    """Make painting_polytope's name give damage(its real result)."""
+    real = getattr(painting_polytope, name)
+    monkeypatch.setattr(painting_polytope, name, lambda *args: damage(real(*args)))
+
+
+def _with_payload(lattice, moves):
+    """The lattice whose payload entry i is its real entry moves[i]."""
+    payload = list(lattice.payload)
+    for i, source in moves.items():
+        payload[i] = lattice.payload[source]
+    return dataclasses.replace(lattice, payload=tuple(payload))
+
+
+def test_refusals_name_the_failed_check(monkeypatch):
+    """Each refusal that the goldens, the polygons and the corpus never
+    reach, met by patching in a damaged lattice or map."""
+    report = verify_main_theorem(QUAD, ALPHA)
+    painted, spos = report.painted_poset, report.subdivision_poset
+    j = report.constructive_map[0]
+    k = next(i for i, r in enumerate(spos.ranks) if r != spos.ranks[j])
+    # two edges of the painting polytope with different endpoints
+    down = painted.down_adjacency()
+    a = painted.ranks.index(1)
+    b = next(i for i, r in enumerate(painted.ranks) if r == 1 and down[i] != down[a])
+    cases = [
+        ("enumerate_coherent_subdivisions", lambda lat: graded_lattice([0], []),
+         "45 painted complexes vs 1 extended subdivisions"),
+        ("enumerate_coherent_subdivisions",
+         lambda lat: dataclasses.replace(lat, covers=lat.covers - {min(lat.covers)}),
+         "posets admit no rank-preserving isomorphism"),
+        ("enumerate_coherent_subdivisions", lambda lat: _with_payload(lat, {j: k, k: j}),
+         "rank mismatch at painted complex 0"),
+        ("enumerate_painted_complexes", lambda lat: _with_payload(lat, {a: b}),
+         "embedding map is not injective"),
+        ("enumerate_painted_complexes", lambda lat: _with_payload(lat, {a: b, b: a}),
+         "covers differ at extended subdivisions"),
+        ("secondary_polytope_vertices", lambda verts: verts[1:],
+         "13 polytope vertices vs 14 painted chambers"),
+    ]
+    for name, damage, message in cases:
+        with monkeypatch.context() as patch:
+            _damage(patch, name, damage)
+            with pytest.raises(VerificationError, match=message):
+                verify_main_theorem(QUAD, ALPHA)
 
 
 def _vertex_inputs():
