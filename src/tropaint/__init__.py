@@ -10,11 +10,7 @@ from .errors import (
     ResourceCapError,
     VerificationError,
 )
-from .geometry import (
-    AffineFunctional,
-    affine_rank,
-    upper_hull_facets,
-)
+from .geometry import AffineFunctional, affine_rank
 from .lattice import FaceLattice, graded_lattice, lattice_isomorphic
 from .multiplihedra import (
     PaintedTree,
@@ -92,7 +88,6 @@ __all__ = [
     "secondary_cone",
     "secondary_polytope_vertices",
     "sign_vector",
-    "upper_hull_facets",
     "verify_main_theorem",
     "verify_multiplihedron_theorem",
 ]

@@ -256,24 +256,13 @@ class AffineFunctional:
 # ---------------------------------------------------------------------------
 # Convex hulls (beneath-beyond with exact predicates)
 #
-# The hull works on integer points: the input scaled by the lcm L of all its
-# denominators.  Each facet candidate's normal is a vector of signed minors,
-# so no elimination and no Fraction runs inside the hull.  A plane n . P = o
-# there is the plane (L n) . x = o of the input: convex_hull_facets maps a
-# facet back by one primitive scaling into a HullFacet.  Upper hulls scale
-# the base and the height apart, the base by L and the heights by the lcm D
-# of theirs, so that induce_subdivision can hand the core its
-# configuration's integer rows as they are; _upper_hull maps each upper
-# facet straight to its support, one Fraction per coordinate.
-
-
-@dataclass(frozen=True)
-class HullFacet:
-    """Supporting halfspace normal . x <= offset; members = all input points on it."""
-
-    normal: Vec  # outward, primitive integer
-    offset: Fraction
-    members: frozenset[int]
+# Hulls run on int tuples only: a configuration's points scaled by the lcm
+# L of their denominators, for its facets and its cells' volumes; lifted
+# rows (L a, D h), the heights scaled by the lcm D of theirs, for
+# induce_subdivision's upper hulls; and a cone's dual vectors, for
+# _cone_rays.  Each facet candidate's normal is a vector of signed minors,
+# so no elimination and no Fraction runs inside the hull; _upper_hull maps
+# each upper facet straight to its support, one Fraction per coordinate.
 
 
 def _dot(u, v) -> int:
@@ -364,26 +353,6 @@ def _simplicial_hull(pts: list[tuple[int, ...]], seed: list[int]):
     return facets, ref
 
 
-def convex_hull_facets(points) -> list[HullFacet]:
-    """Facets of the convex hull of a full-dimensional point list.
-
-    Output facets are merged (non-simplicial), with primitive outward normals
-    and member sets listing every input point on the facet.  Sorted by member
-    set for determinism.
-    """
-    pts, scale = _integer_points(points)
-    if not pts:
-        raise InputError("convex hull of an empty point list")
-    out = []
-    for normal, offset, members in _hull_facets(pts, _initial_simplex(pts, len(pts[0]))):
-        full = [scale * x for x in normal] + [offset]
-        g = gcd(*full)
-        out.append(
-            HullFacet(tuple(Fraction(x // g) for x in full[:-1]), Fraction(offset // g), members)
-        )
-    return out
-
-
 def _hull_facets(
     pts: list[tuple[int, ...]], seed: list[int], upper: bool = False
 ) -> list[tuple[tuple[int, ...], int, frozenset[int]]]:
@@ -402,20 +371,6 @@ def _hull_facets(
         out.append((normal, offset, members))
     out.sort(key=lambda f: sorted(f[2]))
     return out
-
-
-def hull_volume(points) -> Fraction:
-    """Normalized volume (unit simplex = 1) of the convex hull."""
-    pts, scale = _integer_points(points)
-    if not pts:
-        raise InputError("volume of an empty point list")
-    d = len(pts[0])
-    simplicial, ref = _simplicial_hull(pts, _initial_simplex(pts, d))
-    total = sum(
-        abs(_int_det([[(d + 1) * x - r for x, r in zip(pts[i], ref)] for i in verts]))
-        for _, _, verts in simplicial
-    )
-    return Fraction(total, ((d + 1) * scale) ** d)
 
 
 def intersection_closure(top, parts) -> set:
@@ -472,32 +427,3 @@ def _upper_hull(
         linear = tuple(Fraction(-base_scale * w, den) for w in normal[:-1])
         out.append((AffineFunctional(linear, Fraction(-offset, den)), members))
     return out
-
-
-def upper_hull_facets(lifted) -> list[tuple[AffineFunctional, frozenset[int]]]:
-    """Compact upper-hull facets of lifted points (point, height).
-
-    Returns (functional, members) pairs where functional(a) >= height(a) for
-    every lifted point, with equality exactly on members, and each member set
-    spans the base space.  Facets with vertical supporting hyperplanes are
-    discarded.  The base points must affinely span their space.  Sorted by
-    member set.
-
-    The lifted points are scaled by L, the lcm of all their denominators,
-    and handed to _upper_hull with L as both scales; one greedy pass over the
-    rows (point, 1) checks that the base spans and picks the base simplex.
-    induce_subdivision calls _upper_hull itself, on its configuration's
-    integer rows.
-    """
-    base = [vector(p) for (p, _) in lifted]
-    heights = [as_fraction(h) for (_, h) in lifted]
-    if not base:
-        raise InputError("upper hull of an empty point list")
-    d = len(base[0])
-    if any(len(b) != d for b in base):
-        raise InputError("points of mixed dimension")
-    pts, scale = _integer_points(b + (h,) for b, h in zip(base, heights))
-    simplex = independent_rows(p[:-1] + (1,) for p in pts)
-    if len(simplex) <= d:
-        raise DegenerateInputError("base points do not span; upper hull undefined")
-    return _upper_hull(pts, tuple(simplex), scale, scale)

@@ -16,11 +16,10 @@ from .errors import DegenerateInputError, InconsistencyError, InputError
 from .geometry import (
     Vec,
     _circuit_dependence,
+    _hull_facets,
     _int_det,
     _integer_points,
-    affine_rank,
-    convex_hull_facets,
-    hull_volume,
+    _simplicial_hull,
     independent_rows,
     vdot,
     vector,
@@ -52,19 +51,33 @@ class SignVector:
 class PointConfiguration:
     """Ordered distinct points spanning their ambient space, with hull facets.
 
-    circuit and simplex_det keep what they compute on the instance, keyed by
-    point bitmask (bit i for point i), so a walk over the triangulations of
-    one configuration computes each circuit and each simplex volume once.
+    Hulls and volumes run on integer_points alone.  circuit and
+    scaled_volume keep what they compute on the instance, keyed by point
+    bitmask (bit i for point i), so a walk over the triangulations of one
+    configuration computes each circuit and each cell volume once.
     """
 
-    def __init__(self, points: tuple[Vec, ...], labels: tuple[str, ...],
-                 facets: tuple[FacetSupport, ...]):
+    def __init__(self, points: tuple[Vec, ...], labels: tuple[str, ...]):
+        """Raises DegenerateInputError when the points span less than their
+        space.  The facets are the hull of the integer points, seeded with
+        spanning_simplex: an outward facet n . P <= o there is the plane
+        (L n) . x = o of the points, negated and scaled to coprime integers."""
         self.points = points
         self.labels = labels
-        self.facets = facets
-        self.dimension = len(points[0])
+        self.dimension = d = len(points[0])
         self._circuits: dict[int, tuple[int, ...]] = {}
-        self._simplex_dets: dict[int, int] = {}
+        self._volumes: dict[int, int] = {}
+        span = len(self.spanning_simplex) - 1
+        if span < d:
+            raise DegenerateInputError(f"points span only {span} dimensions, need {d}")
+        rows, scale = self.integer_points
+        facets = []
+        for normal, offset, members in _hull_facets([r[:-1] for r in rows], self.spanning_simplex):
+            full = [-scale * w for w in normal] + [-offset]
+            g = gcd(*full)
+            *inward, threshold = (Fraction(x // g) for x in full)
+            facets.append(FacetSupport(tuple(inward), threshold, members))
+        self.facets = tuple(facets)
 
     def __eq__(self, other):
         return isinstance(other, PointConfiguration) and self.points == other.points
@@ -76,17 +89,16 @@ class PointConfiguration:
         return f"PointConfiguration({len(self.points)} points, dim {self.dimension})"
 
     def contains(self, x) -> bool:
-        xv = vector(x)
-        return all(f.value(xv) >= f.threshold for f in self.facets)
+        return all(s <= 0 for s in sign_vector(self, x).signs)
 
     def strictly_contains(self, x) -> bool:
-        xv = vector(x)
-        return all(f.value(xv) > f.threshold for f in self.facets)
+        return all(s < 0 for s in sign_vector(self, x).signs)
 
     @cached_property
     def volume(self) -> Fraction:
         """Normalized volume of the hull (unit simplex = 1)."""
-        return hull_volume(self.points)
+        _, scale = self.integer_points
+        return Fraction(self.scaled_volume((1 << len(self.points)) - 1), scale**self.dimension)
 
     @cached_property
     def integer_points(self) -> tuple[tuple[tuple[int, ...], ...], int]:
@@ -100,8 +112,9 @@ class PointConfiguration:
     @cached_property
     def spanning_simplex(self) -> tuple[int, ...]:
         """The indices of the first d + 1 affinely independent points, the
-        ones a greedy pass over the integer rows keeps.  induce_subdivision
-        seeds every upper hull of the configuration with them."""
+        ones a greedy pass over the integer rows keeps.  Their number is the
+        span the constructor checks, and they seed the hull of facets and
+        every upper hull of induce_subdivision."""
         rows, _ = self.integer_points
         return tuple(independent_rows(rows))
 
@@ -157,16 +170,34 @@ class PointConfiguration:
             return tuple(-c for c in coef)
         raise InconsistencyError(f"points {sorted(ids[:-1])} are affinely dependent")
 
-    def simplex_det(self, mask: int) -> int:
-        """The absolute determinant of the integer rows of the d + 1 points in
-        mask: L^d times the normalized volume of their simplex, 0 when they
-        are affinely dependent.  Computed once per mask and kept."""
-        det = self._simplex_dets.get(mask)
-        if det is None:
+    def scaled_volume(self, mask: int) -> int:
+        """L^d times the normalized volume of the hull of the points in mask,
+        0 when they span less than d dimensions.  Computed once per mask and
+        kept.
+
+        For d + 1 points it is the absolute determinant of their integer
+        rows.  Otherwise their beneath-beyond hull, seeded with their first
+        affinely independent points, is coned from R / (d + 1), R the seed's
+        vertex sum: the rows of a simplicial facet's points and the row
+        (R, d + 1) have d + 1 times the scaled volume of that cone as their
+        absolute determinant, so the sum is exactly d + 1 times the result.
+        """
+        vol = self._volumes.get(mask)
+        if vol is None:
             rows, _ = self.integer_points
+            d = self.dimension
             cell = [rows[i] for i in range(mask.bit_length()) if mask >> i & 1]
-            det = self._simplex_dets[mask] = abs(_int_det(cell))
-        return det
+            if len(cell) == d + 1:
+                vol = abs(_int_det(cell))
+            else:
+                seed, vol = independent_rows(cell), 0
+                if len(seed) > d:
+                    facets, ref = _simplicial_hull([r[:-1] for r in cell], seed)
+                    apex = [*ref, d + 1]
+                    dets = (abs(_int_det([cell[i] for i in v] + [apex])) for _, _, v in facets)
+                    vol = sum(dets) // (d + 1)
+            self._volumes[mask] = vol
+        return vol
 
 
 def build_configuration(points, labels=None) -> PointConfiguration:
@@ -184,21 +215,13 @@ def build_configuration(points, labels=None) -> PointConfiguration:
     if len(set(pts)) != len(pts):
         dup = next(p for p in pts if pts.count(p) > 1)
         raise InputError(f"duplicate point {tuple(map(str, dup))}")
-    if len(pts) < d + 1 or affine_rank(pts) < d:
-        raise DegenerateInputError(
-            f"points span only {affine_rank(pts)} dimensions, need {d}"
-        )
     if labels is None:
         labels = tuple(f"a{i}" for i in range(len(pts)))
     else:
         labels = tuple(labels)
         if len(labels) != len(pts) or len(set(labels)) != len(labels):
             raise InputError("labels must be distinct and match the point count")
-    facets = tuple(
-        FacetSupport(tuple(-w for w in f.normal), -f.offset, f.members)
-        for f in convex_hull_facets(pts)
-    )
-    return PointConfiguration(pts, labels, facets)
+    return PointConfiguration(pts, labels)
 
 
 def sign_vector(config: PointConfiguration, alpha) -> SignVector:

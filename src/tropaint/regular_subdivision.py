@@ -27,7 +27,6 @@ from .geometry import (
     _kernel,
     _upper_hull,
     as_fraction,
-    hull_volume,
     independent_rows,
     intersection_closure,
     matrix_rank,
@@ -35,8 +34,6 @@ from .geometry import (
 )
 from .lattice import FaceLattice, graded_lattice
 from .point_config import PointConfiguration
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -512,7 +509,7 @@ def _folding_stricts(config: PointConfiguration, s: Subdivision) -> dict[tuple[i
     negative barycentric coordinate serves, and any other gives the same
     functional.  Each strict is a config.circuit, positive on the far
     vertices or on the unused point, and each cell's volume is
-    config.simplex_det: both are computed once per configuration, so a walk
+    config.scaled_volume: both are computed once per configuration, so a walk
     meets each circuit and each simplex once.
 
     Maps each strict to what it came from, as (point, cells) pairs of
@@ -522,20 +519,19 @@ def _folding_stricts(config: PointConfiguration, s: Subdivision) -> dict[tuple[i
     spanned by its circuit's other points, so the cells containing it are
     those holding that face.
     """
-    _, scale = config.integer_points
     cells = [sorted(mc.marks) for mc in s.maximal]
     found: dict[tuple[int, ...], list] = {}
     total = 0
     far: dict[frozenset[int], list[tuple[int, int]]] = {}
     for k, cell in enumerate(cells):
-        det = config.simplex_det(sum(1 << i for i in cell))
-        if not det:
+        vol = config.scaled_volume(sum(1 << i for i in cell))
+        if not vol:
             raise NoCertificateError(f"cell {cell} is not full-dimensional")
-        total += det
+        total += vol
         marks = frozenset(cell)
         for v in cell:
             far.setdefault(marks - {v}, []).append((v, k))
-    if total != config.volume * scale**config.dimension:
+    if total != config.scaled_volume((1 << len(config.points)) - 1):
         raise NoCertificateError("the cells' volumes do not add up to the configuration's")
     for ridge, ends in far.items():
         if len(ends) == 1:
@@ -635,16 +631,16 @@ def secondary_cone(config: PointConfiguration, s: Subdivision) -> SecondaryCone:
     else:
         eqs: set[tuple[int, ...]] = set()
         sts: set[tuple[int, ...]] = set()
-        total = ZERO
+        total = 0
         for marks in s.key:
             basis = _spanning_marks(config, marks)
             if len(basis) <= config.dimension:
                 raise InputError("basis does not span the configuration point")
-            total += hull_volume([config.points[i] for i in sorted(marks)])
+            total += config.scaled_volume(sum(1 << i for i in marks))
             for a in range(n):
                 if a not in basis:
                     (eqs if a in marks else sts).add(config.circuit(basis + [a]))
-        if total != config.volume:
+        if total != config.scaled_volume((1 << n) - 1):
             raise NoCertificateError("the cells' volumes do not add up to the configuration's")
         if eqs & sts:
             # a functional required both zero and positive: nothing induces s

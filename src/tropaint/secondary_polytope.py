@@ -30,7 +30,7 @@ class GKZVector:
 
 def gkz_vector(config: PointConfiguration, t: Subdivision) -> GKZVector:
     """The volume vector of the triangulation t.  Each cell's volume is
-    config.simplex_det, L^d times its normalized volume, which the
+    config.scaled_volume, L^d times its normalized volume, which the
     configuration keeps: after the walk has certified t, whose volume check
     reads the same determinants, no determinant is computed again."""
     if not is_triangulation(t):
@@ -39,10 +39,9 @@ def gkz_vector(config: PointConfiguration, t: Subdivision) -> GKZVector:
     den = scale**config.dimension
     coords = [ZERO] * len(config.points)
     for cell in t.maximal:
-        det = config.simplex_det(sum(1 << i for i in cell.marks))
-        if not det:
+        vol = Fraction(config.scaled_volume(sum(1 << i for i in cell.marks)), den)
+        if not vol:
             raise DegenerateInputError(f"cell {sorted(cell.marks)} is not full-dimensional")
-        vol = Fraction(det, den)
         for i in cell.marks:
             coords[i] += vol
     return GKZVector(tuple(coords))

@@ -8,15 +8,18 @@ non-crossing diagonal sets, and tree counts come from direct recursion.
 The Fraction kernel (elimination, determinants, beneath-beyond hulls and the
 two-phase simplex) is the arithmetic tropaint.geometry used before it moved
 to integers; it stays here, unchanged in its choices, as the differential
-reference for the integer kernel, and its simplex and square solve are the
-ones the subdivision validator below runs.
+reference for the integer kernel, and its hulls, simplex and square solve
+are the ones the subdivision validator and the ray oracle below run: no
+oracle takes a hull from the library.
 
 The echelon hyperplane reads a facet candidate's normal off the reduced
-echelon form of its difference rows, and the upper hull by hull facets reads
-each upper facet's support off the rational HullFacets of
-convex_hull_facets, as geometry._hyperplane and geometry.upper_hull_facets
-did before the first took signed minors and the second mapped the integer
-facets straight to supports.
+echelon form of its difference rows, as geometry._hyperplane did before it
+took signed minors.  upper_hull_facets_oracle reads each upper facet's
+support off the Fraction hull's HullFacets, one division per coordinate, as
+geometry.upper_hull_facets did before induce_subdivision mapped the integer
+facets straight to supports; convex_hull_facets_oracle and
+hull_volume_oracle are the references for a configuration's facets and for
+its volume memo, PointConfiguration.facets and scaled_volume.
 
 The recursive face enumeration builds one hull per face and recurses into
 its facets, and the vertex and wall tests are rank tests on facet normals and
@@ -134,6 +137,7 @@ argmins and a walked triangulation.
 from __future__ import annotations
 
 from fractions import Fraction
+from dataclasses import dataclass
 from functools import cmp_to_key
 from itertools import combinations
 from math import gcd, lcm
@@ -146,11 +150,8 @@ from tropaint.errors import (
 )
 from tropaint.geometry import (
     AffineFunctional,
-    HullFacet,
     _echelon,
     affine_rank,
-    convex_hull_facets,
-    hull_volume,
     independent_rows,
     intersection_closure,
     matrix_rank,
@@ -624,6 +625,15 @@ def simplicial_hull_oracle(pts, d):
     return facets, ref
 
 
+@dataclass(frozen=True)
+class HullFacet:
+    """Supporting halfspace normal . x <= offset; members = all input points on it."""
+
+    normal: tuple  # outward, primitive integer
+    offset: Fraction
+    members: frozenset
+
+
 def convex_hull_facets_oracle(points):
     pts = [vector(p) for p in points]
     if not pts:
@@ -652,17 +662,8 @@ def hull_volume_oracle(points) -> Fraction:
 
 
 def upper_hull_facets_oracle(lifted):
-    """Compact upper-hull facets read off the Fraction beneath-beyond hull."""
-    return _upper_facets_of_hull(lifted, convex_hull_facets_oracle)
-
-
-def upper_hull_facets_by_hull_facets(lifted):
-    """Compact upper-hull facets read off the rational HullFacets of
-    convex_hull_facets, one division per coordinate of each primitive normal."""
-    return _upper_facets_of_hull(lifted, convex_hull_facets)
-
-
-def _upper_facets_of_hull(lifted, hull):
+    """Compact upper-hull facets read off the Fraction beneath-beyond hull,
+    one division per coordinate of each primitive normal."""
     base = [vector(p) for (p, _) in lifted]
     heights = [Fraction(h) for (_, h) in lifted]
     d = len(base[0])
@@ -670,7 +671,7 @@ def _upper_facets_of_hull(lifted, hull):
     if matrix_rank_oracle([[a - b for a, b in zip(p, pts[0])] for p in pts[1:]]) == d:
         return [(interpolate_oracle(base, heights), frozenset(range(len(pts))))]
     out = []
-    for facet in hull(pts):
+    for facet in convex_hull_facets_oracle(pts):
         w_h = facet.normal[-1]
         if w_h <= 0:
             continue
@@ -864,7 +865,7 @@ def polytope_hrep(points):
         return equalities, []
     inequalities = []
     rows_t = list(zip(*rows))
-    for facet in convex_hull_facets(coords):
+    for facet in convex_hull_facets_oracle(coords):
         # facet: w . c <= offset in coordinate space; pull back via
         # c(x) = rows^-1 (x - base) restricted to row_ids
         y = solve_square_oracle(rows_t, facet.normal)
@@ -916,7 +917,7 @@ def validate_subdivision(s) -> None:
     if differ:
         raise InconsistencyError(f"cells and hull faces differ on {sorted(map(sorted, differ))}")
     total = sum(
-        (hull_volume([config.points[i] for i in sorted(mc.marks)]) for mc in s.maximal),
+        (hull_volume_oracle([config.points[i] for i in sorted(mc.marks)]) for mc in s.maximal),
         ZERO,
     )
     if total != config.volume:
@@ -970,7 +971,7 @@ def face_member_sets_recursive(points):
         coords = affine_coordinates([pts[i] for i in idx])
         if len(coords[0]) == 0:
             return
-        for facet in convex_hull_facets(coords):
+        for facet in convex_hull_facets_oracle(coords):
             recurse(tuple(idx[j] for j in sorted(facet.members)))
 
     recurse(tuple(range(len(pts))))
@@ -984,7 +985,7 @@ def polytope_vertex_indices_by_rank(points):
     d = len(coords[0])
     if d == 0:
         return frozenset({0})
-    facets = convex_hull_facets(coords)
+    facets = convex_hull_facets_oracle(coords)
     out = set()
     for i in range(len(coords)):
         normals = [f.normal for f in facets if i in f.members]
@@ -1109,7 +1110,7 @@ def cone_rays_fraction(equalities, stricts, n: int):
     in Fractions: the lineality is a Fraction nullspace of all rows, the
     frame a Fraction kernel of the equalities reduced modulo the lineality's
     reduced echelon form and thinned by a greedy pass, and each ray the
-    primitive form of a facet normal of convex_hull_facets through the
+    primitive form of a facet normal of convex_hull_facets_oracle through the
     origin, mapped back through the frame."""
     eq_rows = [list(f) for f in equalities]
     all_rows = eq_rows + [list(f) for f in stricts]
@@ -1121,7 +1122,8 @@ def cone_rays_fraction(equalities, stricts, n: int):
     duals = [tuple(_dot(f, w) for w in frame) for f in stricts]
     if any(is_zero_vector(a) for a in duals):
         return None
-    through = [f for f in convex_hull_facets([(ZERO,) * len(frame)] + duals) if 0 in f.members]
+    pts = [(ZERO,) * len(frame)] + duals
+    through = [f for f in convex_hull_facets_oracle(pts) if 0 in f.members]
     if not through or frozenset.intersection(*(f.members for f in through)) != {0}:
         return None
     rays = []

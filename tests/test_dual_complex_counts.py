@@ -130,10 +130,11 @@ def test_dual_complex_builds_one_hull_per_lifting(calls_to):
             assert cell.vertices
         triangulations += is_triangulation(s)
     assert 0 < triangulations < len(EXTENDED_LIFTINGS)
-    # one beneath-beyond hull per lifting, and one rank pass per
-    # configuration, for the hulls' spanning simplex; the cells take neither
+    # one beneath-beyond hull per lifting, and no rank pass: the hulls'
+    # spanning simplex was picked as the configuration was built, and the
+    # cells take neither
     assert len(hulls) == len(EXTENDED_LIFTINGS)
-    assert [caller for caller, _ in ranks] == ["tropaint.point_config"]
+    assert ranks == []
 
 
 def test_triangulation_cells_take_no_closure(calls_to):
@@ -152,7 +153,6 @@ def test_triangulation_cells_take_no_closure(calls_to):
 def test_dual_complex_stays_in_integers(calls_to):
     ext = extend(QUAD, ALPHA).extended
     echelons = calls_to(geometry._echelon)
-    hull_facets = calls_to(geometry.HullFacet)
     for eta in EXTENDED_LIFTINGS:
         p, s = dual_complex(ext, eta)
         # the cells run on bitmasks inside; their keys stay frozensets
@@ -161,7 +161,7 @@ def test_dual_complex_stays_in_integers(calls_to):
         assert set(p.cells) == set(s.cells)
     # facet normals are signed minors, supports come straight off the
     # integer hull
-    assert echelons == [] and hull_facets == []
+    assert echelons == []
 
 
 def test_upper_hull_takes_one_rank_pass(calls_to):
@@ -169,11 +169,12 @@ def test_upper_hull_takes_one_rank_pass(calls_to):
     liftings = [[-1, 1, 0, 2, 0], [3, -2, 5, 1, 7], [0, 0, 0, 0, F(1, 2)], [0, 1, 2, -1, -3]]
     ranks = calls_to(geometry.independent_rows)
     affine = calls_to(geometry.affine_rank)
+    quad = build_configuration(QUAD.points)
     for eta in liftings:
-        geometry.upper_hull_facets([(a, -h) for a, h in zip(QUAD.points, eta)])
-    # the pass that settles the rank is the hull's initial simplex, or the
-    # flat lifting's interpolation points
-    assert len(ranks) == len(liftings) and affine == []
+        induce_subdivision(quad, Lifting.of(quad, eta))
+    # the one pass is the configuration's spanning simplex, which checks its
+    # span as it is built and seeds every hull, the flat lifting's included
+    assert len(ranks) == 1 and affine == []
 
 
 def test_paint_evaluates_g_once_per_vertex(calls_to):

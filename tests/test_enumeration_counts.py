@@ -227,8 +227,6 @@ def test_verifications_read_order_and_ranks_off_the_fans(calls_to, capsys, run):
 
 
 def test_upper_hull_takes_one_rank(calls_to, monkeypatch):
-    # a new configuration, whose spanning simplex no other test has picked
-    quad = build_configuration(QUAD.points)
     hulls = calls_to(geometry._upper_hull)
     induced = calls_to(regular_subdivision.induce_subdivision)
     ranks = calls_to(geometry.affine_rank)
@@ -237,21 +235,23 @@ def test_upper_hull_takes_one_rank(calls_to, monkeypatch):
 
     def counting(rows):
         callers = {f.f_code.co_name for f, _ in traceback.walk_stack(sys._getframe(1))}
-        if callers & {"induce_subdivision", "_upper_hull"}:
+        if callers & {"spanning_simplex", "induce_subdivision", "_upper_hull"}:
             passes.append(callers)
         return real(rows)
 
     for module in (geometry, point_config):
         monkeypatch.setattr(module, "independent_rows", counting)
+    # a new configuration, whose spanning simplex no other test has picked
+    quad = build_configuration(QUAD.points)
     verify_main_theorem(quad, (F(1, 3), F(1, 3)))
     # every induced subdivision is one hull, seeded by its configuration's
-    # spanning simplex: one pass per configuration, at its first hull
+    # spanning simplex: one pass per configuration, as it is built, which
+    # also checks its span, so no rank is computed
     configs = {id(args[0]) for _, args in induced}
     assert len(hulls) == len(induced) <= 219
     assert len(passes) == len(configs) == 2
-    assert all("spanning_simplex" in callers for callers in passes)
-    # the one rank checks the extended configuration as it is built
-    assert len(ranks) == 1
+    assert all({"spanning_simplex", "build_configuration"} <= callers for callers in passes)
+    assert ranks == []
 
 
 def test_walk_computes_each_circuit_once(calls_to):

@@ -6,7 +6,10 @@ deficiency, non-integer coordinates and coplanar or collinear boundary
 points, which is where a fraction-free rewrite could drift.
 """
 
+import ast
+import pathlib
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import prod
@@ -25,11 +28,8 @@ from tropaint.geometry import (
     _int_row,
     _integer_points,
     _kernel,
-    convex_hull_facets,
-    hull_volume,
     independent_rows,
     matrix_rank,
-    upper_hull_facets,
     vdot,
     vsub,
 )
@@ -37,8 +37,10 @@ from tropaint.multiplihedra import admissible_alpha, ngon_configuration
 from tropaint.painting_polytope import extend
 from tropaint.point_config import build_configuration
 from tropaint.regular_subdivision import (
+    Lifting,
     _spanning_marks,
     enumerate_regular_triangulations,
+    induce_subdivision,
     secondary_cone,
 )
 
@@ -57,7 +59,6 @@ from oracles import (
     nullspace_basis_oracle,
     primitive_vector,
     solve_square_oracle,
-    upper_hull_facets_by_hull_facets,
     upper_hull_facets_oracle,
 )
 
@@ -177,11 +178,12 @@ def point_sets(draw, dims=(1, 2, 3)):
     return pts
 
 
-def _hull_or_error(fn, pts):
-    try:
-        return fn(pts)
-    except DegenerateInputError as e:
-        return ("degenerate", str(e))
+def _upper_facets(lifted):
+    """The supports and marks of the maximal cells that induce_subdivision
+    reads off the upper hull of the lifted points (point, height)."""
+    config = build_configuration([p for p, _ in lifted])
+    s = induce_subdivision(config, Lifting.of(config, [-h for _, h in lifted]))
+    return [(mc.support, mc.marks) for mc in s.maximal]
 
 
 @given(point_sets())
@@ -190,11 +192,21 @@ def _hull_or_error(fn, pts):
 @example([(F(1, 2), 0, 0), (0, F(1, 3), 0), (0, 0, F(1, 5)), (0, 0, 0), (F(1, 4), F(1, 6), 0)])
 @example([(0, 0), (1, 1), (2, 2)])
 def test_convex_hull_matches_oracle(pts):
-    got = _hull_or_error(convex_hull_facets, pts)
-    assert got == _hull_or_error(convex_hull_facets_oracle, pts)
-    if isinstance(got, list):
-        assert all(isinstance(x, Fraction) for f in got for x in f.normal + (f.offset,))
-        assert hull_volume(pts) == hull_volume_oracle(pts)
+    """A configuration's inward facets and volume, from its integer rows,
+    are the Fraction hull's outward facets negated and its volume."""
+    pts = list(dict.fromkeys(pts))
+    try:
+        want = convex_hull_facets_oracle(pts)
+    except DegenerateInputError:
+        with pytest.raises(DegenerateInputError):
+            build_configuration(pts)
+        return
+    config = build_configuration(pts)
+    assert [(f.normal, f.threshold, f.members) for f in config.facets] == [
+        (tuple(-w for w in f.normal), -f.offset, f.members) for f in want
+    ]
+    assert all(isinstance(x, Fraction) for f in config.facets for x in f.normal + (f.threshold,))
+    assert config.volume == hull_volume_oracle(pts)
 
 
 @given(point_sets(dims=(1, 2)), st.data())
@@ -205,7 +217,7 @@ def test_upper_hull_matches_oracle(pts, data):
         return
     heights = data.draw(st.lists(entries, min_size=len(base), max_size=len(base)))
     lifted = list(zip(base, heights))
-    got = upper_hull_facets(lifted)
+    got = _upper_facets(lifted)
     want = upper_hull_facets_oracle(lifted)
     assert [(fn.linear, fn.constant, m) for fn, m in got] == [
         (fn.linear, fn.constant, m) for fn, m in want
@@ -272,8 +284,8 @@ def test_upper_hull_matches_route_through_hull_facets():
     flat = unmarked = 0
     for seed in range(60):
         lifted = _seeded_lifting(seed)
-        got = upper_hull_facets(lifted)
-        want = upper_hull_facets_by_hull_facets(lifted)
+        got = _upper_facets(lifted)
+        want = upper_hull_facets_oracle(lifted)
         assert [(fn.linear, fn.constant, m) for fn, m in got] == [
             (fn.linear, fn.constant, m) for fn, m in want
         ], seed
@@ -284,10 +296,11 @@ def test_upper_hull_matches_route_through_hull_facets():
 
 def test_hull_functions_accept_a_generator():
     square = [(0, 0), (1, 0), (1, 1), (0, 1), (F(1, 2), 0)]
-    assert convex_hull_facets(p for p in square) == convex_hull_facets(square)
-    assert hull_volume(p for p in square) == 2
+    config = build_configuration(p for p in square)
+    assert config.facets == build_configuration(square).facets
+    assert config.volume == 2
     with pytest.raises(InputError):
-        convex_hull_facets(iter(()))
+        build_configuration(iter(()))
 
 
 QUAD = build_configuration([(0, 0), (1, 0), (0, 1), (-1, 0), (-1, -1)])
@@ -313,6 +326,39 @@ GOLDEN_CONFIGS = _golden_configurations()
 def _subsets(n):
     for k in range(1, n + 1):
         yield from combinations(range(n), k)
+
+
+@pytest.mark.parametrize("config", GOLDEN_CONFIGS, ids=lambda c: f"{len(c.points)}pts")
+def test_volume_memo_matches_the_fraction_hull(config):
+    """On every point subset, scaled_volume is L^d times the Fraction hull's
+    volume when the points span, whether they are d + 1 or more, and 0 when
+    they do not, whether they are at most d + 1 or more: a flat mask of many
+    points reads as a flat simplex does.  The extended configurations give
+    the fractional coordinates and the flat masks of more than d + 1 points,
+    their base points."""
+    d = config.dimension
+    _, scale = config.integer_points
+    shapes = Counter()
+    for subset in _subsets(len(config.points)):
+        pts = [config.points[i] for i in subset]
+        got = config.scaled_volume(sum(1 << i for i in subset))
+        spans = affine_rank_oracle(pts) == d
+        shapes[spans, len(subset) > d + 1] += 1
+        assert got == (hull_volume_oracle(pts) * scale**d if spans else 0)
+    assert config.volume == hull_volume_oracle(config.points)
+    assert bool(shapes[True, True]) == (len(config.points) > d + 1)
+    if config is GOLDEN_CONFIGS[1]:  # the extended quad
+        assert shapes[False, True] and scale > 1
+
+
+def test_oracles_take_no_hull_from_the_library():
+    """The Fraction references run their own hulls, never the integer hull
+    core they are the references for."""
+    tree = ast.parse(pathlib.Path(__file__).with_name("oracles.py").read_text())
+    used = {alias.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for alias in n.names}
+    used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    core = {"_hull_facets", "_simplicial_hull", "_upper_hull", "_initial_simplex", "_hyperplane"}
+    assert not used & core
 
 
 @pytest.mark.parametrize("config", GOLDEN_CONFIGS, ids=lambda c: f"{len(c.points)}pts")
@@ -365,10 +411,10 @@ def test_affine_combination_and_interpolation_on_golden_configurations(config):
         for heights in (values, bumped):
             if len(basis) <= d:
                 with pytest.raises(DegenerateInputError):
-                    upper_hull_facets(list(zip(pts, heights)))
+                    _upper_facets(list(zip(pts, heights)))
                 continue
             fn = interpolate_oracle(pts, heights)
-            facets = upper_hull_facets(list(zip(pts, heights)))
+            facets = _upper_facets(list(zip(pts, heights)))
             if fn is None:
                 assert heights is bumped and all(len(m) < len(pts) for _, m in facets)
             else:

@@ -8,10 +8,7 @@ from tropaint.geometry import (
     AffineFunctional,
     affine_rank,
     as_fraction,
-    convex_hull_facets,
-    hull_volume,
     matrix_rank,
-    upper_hull_facets,
     vector,
 )
 from tropaint.point_config import build_configuration
@@ -20,11 +17,14 @@ from tropaint.secondary_polytope import gkz_vector
 
 from oracles import (
     affine_coordinates,
+    convex_hull_facets_oracle,
     face_member_sets_recursive,
     fourier_motzkin_feasible,
+    hull_volume_oracle,
     lp_maximize_oracle,
     polytope_vertex_indices_by_rank,
     primitive_vector,
+    upper_hull_facets_oracle,
     upper_hull_oracle,
 )
 
@@ -101,8 +101,31 @@ def test_simplex_volume_permutation_invariant(perm):
     assert simplex_volume(reordered) == simplex_volume(pts) == 10
 
 
+def _facets(pts):
+    """The configuration's inward facets, checked against the outward facets
+    of the Fraction hull oracle, and its volume against the oracle's."""
+    config = build_configuration(pts)
+    want = [
+        (tuple(-w for w in f.normal), -f.offset, f.members) for f in convex_hull_facets_oracle(pts)
+    ]
+    assert [(f.normal, f.threshold, f.members) for f in config.facets] == want
+    assert config.volume == hull_volume_oracle(pts)
+    return config.facets
+
+
+def _upper_facets(lifted):
+    """The supports and marks of the maximal cells that induce_subdivision
+    reads off the upper hull of the lifted points (point, height), checked
+    against the Fraction hull oracle."""
+    config = build_configuration([p for p, _ in lifted])
+    s = induce_subdivision(config, Lifting.of(config, [-h for _, h in lifted]))
+    got = [(mc.support, mc.marks) for mc in s.maximal]
+    assert got == upper_hull_facets_oracle(lifted)
+    return got
+
+
 def test_hull_square():
-    facets = convex_hull_facets([(0, 0), (1, 0), (1, 1), (0, 1)])
+    facets = _facets([(0, 0), (1, 0), (1, 1), (0, 1)])
     assert len(facets) == 4
     member_sets = {f.members for f in facets}
     assert frozenset({0, 1}) in member_sets
@@ -112,7 +135,7 @@ def test_hull_square():
 def test_hull_with_collinear_boundary_point():
     # midpoint of the bottom edge lies on a facet but is not a vertex
     pts = [(0, 0), (2, 0), (2, 2), (0, 2), (1, 0), (1, 1)]
-    facets = convex_hull_facets(pts)
+    facets = _facets(pts)
     assert len(facets) == 4
     bottom = next(f for f in facets if 4 in f.members)
     assert bottom.members == frozenset({0, 1, 4})
@@ -121,22 +144,36 @@ def test_hull_with_collinear_boundary_point():
 
 def test_hull_cube_merges_coplanar_facets():
     cube = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
-    facets = convex_hull_facets(cube)
+    facets = _facets(cube)
     assert len(facets) == 6
     assert all(len(f.members) == 4 for f in facets)
-    assert hull_volume(cube) == 6  # normalized volume = euclidean * 3!
+    assert build_configuration(cube).volume == 6  # normalized volume = euclidean * 3!
 
 
 def test_hull_bipyramid():
     pts = [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)]
-    facets = convex_hull_facets(pts)
+    facets = _facets(pts)
     assert len(facets) == 6
     assert polytope_vertex_indices_by_rank(pts) == frozenset(range(5))
 
 
 def test_hull_rejects_flat_input():
-    with pytest.raises(DegenerateInputError):
-        convex_hull_facets([(0, 0), (1, 1), (2, 2)])
+    with pytest.raises(DegenerateInputError, match="points span only 1 dimensions, need 2"):
+        build_configuration([(0, 0), (1, 1), (2, 2)])
+
+
+def test_hull_of_fractional_points():
+    # the hull runs on the points times L = 6; each facet of the scaled
+    # points is mapped back through L, so 2X + 3Y <= 6 there is 2x + 3y <= 1
+    third = Fraction(1, 3)
+    pts = [(0, 0), (Fraction(1, 2), 0), (0, third), (Fraction(1, 4), 0), (third, Fraction(1, 9))]
+    facets = _facets(pts)
+    assert [(f.normal, f.threshold, f.members) for f in facets] == [
+        ((0, 1), 0, frozenset({0, 1, 3})),
+        ((1, 0), 0, frozenset({0, 2})),
+        ((-2, -3), -1, frozenset({1, 2, 4})),
+    ]
+    assert build_configuration(pts).volume == Fraction(1, 6)
 
 
 QUAD = [(0, 0), (1, 0), (0, 1), (-1, 0), (-1, -1)]
@@ -145,7 +182,7 @@ QUAD = [(0, 0), (1, 0), (0, 1), (-1, 0), (-1, -1)]
 def test_upper_hull_quadrilateral_crease():
     # heights -eta for eta = (-1, 1, 0, 2, 0)
     heights = [1, -1, 0, -2, 0]
-    facets = upper_hull_facets(list(zip(QUAD, heights)))
+    facets = _upper_facets(list(zip(QUAD, heights)))
     members = {m for _, m in facets}
     assert members == {
         frozenset({0, 1, 2}),
@@ -163,13 +200,13 @@ def test_upper_hull_quadrilateral_crease():
 
 def test_upper_hull_square_diagonal_split():
     square = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    facets = upper_hull_facets(list(zip(square, [0, 0, 0, -1])))
+    facets = _upper_facets(list(zip(square, [0, 0, 0, -1])))
     assert {m for _, m in facets} == {frozenset({0, 1, 2}), frozenset({0, 2, 3})}
 
 
 def test_upper_hull_flat_lift_single_facet():
     tri = [(0, 0), (1, 0), (0, 1)]
-    facets = upper_hull_facets(list(zip(tri, [0, 0, 0])))
+    facets = _upper_facets(list(zip(tri, [0, 0, 0])))
     assert len(facets) == 1
     fn, members = facets[0]
     assert members == frozenset({0, 1, 2})
@@ -178,9 +215,9 @@ def test_upper_hull_flat_lift_single_facet():
 
 def test_upper_hull_rejects_bad_bases():
     with pytest.raises(InputError):
-        upper_hull_facets([((0, 0), 0), ((1, 0), 0), ((0, 1, 0), 0), ((1, 1), 1)])
+        _upper_facets([((0, 0), 0), ((1, 0), 0), ((0, 1, 0), 0), ((1, 1), 1)])
     with pytest.raises(DegenerateInputError):
-        upper_hull_facets([((0, 0), 0), ((1, 1), 5), ((2, 2), -1)])
+        _upper_facets([((0, 0), 0), ((1, 1), 5), ((2, 2), -1)])
 
 
 @given(
@@ -189,7 +226,7 @@ def test_upper_hull_rejects_bad_bases():
 @settings(deadline=None, max_examples=120)
 def test_upper_hull_matches_exhaustive_oracle(heights):
     lifted = list(zip(QUAD, heights))
-    got = upper_hull_facets(lifted)
+    got = _upper_facets(lifted)
     expected = upper_hull_oracle(lifted)
     assert [(fn.linear, fn.constant, m) for fn, m in got] == [
         (fn.linear, fn.constant, m) for fn, m in expected
@@ -214,7 +251,7 @@ def test_upper_hull_oracle_agreement_random_configs(rows):
         if (x, y) not in seen:
             seen.add((x, y))
             lifted.append(((x, y), h))
-    got = upper_hull_facets(lifted)
+    got = _upper_facets(lifted)
     expected = upper_hull_oracle(lifted)
     assert [(fn.linear, fn.constant, m) for fn, m in got] == [
         (fn.linear, fn.constant, m) for fn, m in expected
@@ -289,17 +326,17 @@ def test_lp_agrees_with_fourier_motzkin(dim, rows):
 
 def test_one_dimensional_hull():
     pts = [(0,), (5,), (2,), (3,)]
-    facets = convex_hull_facets(pts)
+    facets = _facets(pts)
     assert len(facets) == 2
     member_sets = {f.members for f in facets}
     assert member_sets == {frozenset({0}), frozenset({1})}
-    assert hull_volume(pts) == 5
+    assert build_configuration(pts).volume == 5
     assert polytope_vertex_indices_by_rank(pts) == frozenset({0, 1})
 
 
 def test_upper_hull_one_dimensional_base():
     lifted = [((0,), 0), ((1,), 1), ((2,), 0)]
-    facets = upper_hull_facets(lifted)
+    facets = _upper_facets(lifted)
     assert {m for _, m in facets} == {frozenset({0, 1}), frozenset({1, 2})}
 
 

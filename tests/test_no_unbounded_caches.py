@@ -2,7 +2,7 @@
 or not, makes counts and times depend on what ran before.  Per-instance
 memos stay allowed, since they live and die with one object: a
 cached_property, or a dict that a method fills on its own instance, as
-PointConfiguration.circuit and simplex_det do."""
+PointConfiguration.circuit and scaled_volume do."""
 
 import ast
 import pathlib

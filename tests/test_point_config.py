@@ -53,6 +53,34 @@ def test_build_rejects_duplicates_and_flat_input():
         build_configuration([(0, 0), (1, 0), (0, 1)], labels=["x", "x", "y"])
 
 
+def test_build_reports_the_span_of_flat_input():
+    with pytest.raises(DegenerateInputError, match="^points span only 1 dimensions, need 2$"):
+        build_configuration([(0, 0), (1, 1), (2, 2), (3, 3)])
+    with pytest.raises(DegenerateInputError, match="^points span only 1 dimensions, need 3$"):
+        build_configuration([(0, 0, 0), (1, 2, 3)])
+    with pytest.raises(DegenerateInputError, match="^points span only 2 dimensions, need 3$"):
+        build_configuration([(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)])
+
+
+def test_containment_refuses_a_point_of_the_wrong_dimension():
+    config = build_configuration([(0, 0), (1, 0), (0, 1)])
+    for x in ((0, 0, 0), (0,)):
+        for test in (config.contains, config.strictly_contains):
+            with pytest.raises(InputError, match="wrong dimension"):
+                test(x)
+
+
+def test_containment_reads_the_sign_vector():
+    config = build_configuration(BIPYRAMID)
+    third = Fraction(1, 3)
+    for x in [(0, 0, 0), (1, 0, 0), (third, third, third), (Fraction(1, 2), third, Fraction(1, 2))]:
+        signs = sign_vector(config, x).signs
+        assert config.contains(x) == all(s <= 0 for s in signs)
+        assert config.strictly_contains(x) == all(s < 0 for s in signs)
+    assert config.strictly_contains((0, 0, 0)) and not config.strictly_contains((1, 0, 0))
+    assert config.contains((third, third, third)) and not config.contains((1, 1, 0))
+
+
 def test_sign_vector_interior_point_all_minus():
     config = build_configuration(QUAD)
     sv = sign_vector(config, (Fraction(1, 3), Fraction(1, 3)))
