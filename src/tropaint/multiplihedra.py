@@ -30,8 +30,8 @@ from .painting_polytope import extend
 from .point_config import PointConfiguration, build_configuration, sign_vector
 from .regular_subdivision import (
     Lifting,
+    MarkedCell,
     Subdivision,
-    _make_cell,
     enumerate_coherent_subdivisions,
     induce_subdivision,
     secondary_cone,
@@ -362,7 +362,7 @@ def _subdivision_of_shape(config: PointConfiguration, shape) -> Subdivision:
     if leaf_count(shape) != m or shape == ():
         raise InputError("shape does not fit the polygon")
     walk(shape, 0, m)
-    return Subdivision(config, [_make_cell(config, c) for c in cells])
+    return Subdivision(config, [MarkedCell(c) for c in cells])
 
 
 def realize_painted_tree(t: PaintedTree, m: int) -> PaintSpec:

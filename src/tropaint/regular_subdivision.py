@@ -59,20 +59,20 @@ class Lifting:
 
 
 class MarkedCell:
-    """A subdivision cell: marks, their points, and (if maximal) the support.
+    """A subdivision cell: its marks and (if maximal) the support.
 
-    The cell polytope is the convex hull of the marked points.  support, when
-    present, is the affine functional cut out by the corresponding upper-hull
-    facet: support(a) >= -eta(a) for every configuration point, with equality
-    exactly on the marks.  dimension and vertices (the vertex points, sorted)
-    are set only on the cells of Subdivision.cells, which reads both off the
-    subdivision's incidences; the cells of Subdivision.maximal carry neither.
+    The cell polytope is the convex hull of config.points at the marks, by
+    which cells compare and hash.  support, when present, is the affine
+    functional cut out by the corresponding upper-hull facet: support(a) >=
+    -eta(a) for every configuration point, with equality exactly on the
+    marks.  dimension and vertices (the vertex points, sorted) are set only
+    on the cells of Subdivision.cells, which reads both off the subdivision's
+    incidences; the cells of Subdivision.maximal carry neither.
     """
 
-    __slots__ = ("marks", "points", "support", "dimension", "vertices")
+    __slots__ = ("marks", "support", "dimension", "vertices")
 
-    def __init__(self, points, marks, support=None):
-        self.points = tuple(points)  # marked points, in mark order
+    def __init__(self, marks, support=None):
         self.marks = frozenset(marks)
         self.support = support
 
@@ -80,22 +80,13 @@ class MarkedCell:
         return self.dimension
 
     def __eq__(self, other):
-        return (
-            isinstance(other, MarkedCell)
-            and self.marks == other.marks
-            and self.points == other.points
-        )
+        return isinstance(other, MarkedCell) and self.marks == other.marks
 
     def __hash__(self):
-        return hash((self.marks, self.points))
+        return hash(self.marks)
 
     def __repr__(self):
         return f"MarkedCell({sorted(self.marks)})"
-
-
-def _make_cell(config: PointConfiguration, marks, support=None) -> MarkedCell:
-    order = sorted(marks)
-    return MarkedCell((config.points[i] for i in order), marks, support)
 
 
 class Subdivision:
@@ -136,8 +127,6 @@ class Subdivision:
         self.key = frozenset(c.marks for c in self.maximal)
         self.witness = witness
         self._cells = None
-        # a triangulation's _folding_stricts, kept by secondary_cone
-        self._folding = None
         # _flip_cells per folding strict, kept by _flippable_rays for _flip
         self._flips = {}
 
@@ -182,7 +171,7 @@ class Subdivision:
             cells: dict[frozenset[int], MarkedCell] = {}
             for mask, dim in dims.items():
                 marks = [i for i in range(mask.bit_length()) if mask >> i & 1]
-                cell = MarkedCell((points[i] for i in marks), marks, supports.get(mask))
+                cell = MarkedCell(marks, supports.get(mask))
                 cell.dimension = dim
                 cell.vertices = tuple(points[i] for i in vertex_marks if mask >> i & 1)
                 cells[cell.marks] = cell
@@ -221,10 +210,8 @@ def induce_subdivision(config: PointConfiguration, eta: Lifting) -> Subdivision:
     rows, scale = config.integer_points
     *heights, den = _int_row(eta.values)
     lifted = [row[:-1] + (-h,) for row, h in zip(rows, heights)]
-    maximal = tuple(
-        _make_cell(config, mem, support=fn)
-        for fn, mem in _upper_hull(lifted, config.spanning_simplex, scale, den)
-    )
+    hull = _upper_hull(lifted, config.spanning_simplex, scale, den)
+    maximal = tuple(MarkedCell(mem, support=fn) for fn, mem in hull)
     return Subdivision(config, maximal, witness=vector(eta.values))
 
 
@@ -495,9 +482,9 @@ def _spanning_marks(config: PointConfiguration, marks) -> list[int]:
     return [ordered[j] for j in independent_rows(rows[i] for i in ordered)]
 
 
-def _folding_stricts(config: PointConfiguration, s: Subdivision) -> dict[tuple[int, ...], list]:
-    """The local folding form of a triangulation's cone, once s is certified
-    to be a triangulation of config; raises NoCertificateError otherwise.
+def _folding_stricts(config: PointConfiguration, s: Subdivision) -> set[tuple[int, ...]]:
+    """The folding stricts of a triangulation's cone, once s is certified to
+    be a triangulation of config; raises NoCertificateError otherwise.
 
     Full-dimensional simplices triangulate a configuration exactly when each
     ridge lies in one of them and on a facet of the configuration, or in two
@@ -511,26 +498,19 @@ def _folding_stricts(config: PointConfiguration, s: Subdivision) -> dict[tuple[i
     vertices or on the unused point, and each cell's volume is
     config.scaled_volume: both are computed once per configuration, so a walk
     meets each circuit and each simplex once.
-
-    Maps each strict to what it came from, as (point, cells) pairs of
-    indices into s.maximal: (None, its two cells) per interior ridge, as
-    several ridges can share one circuit, and (a, the cells containing a)
-    per unused point a.  The point lies in the relative interior of the face
-    spanned by its circuit's other points, so the cells containing it are
-    those holding that face.
     """
     cells = [sorted(mc.marks) for mc in s.maximal]
-    found: dict[tuple[int, ...], list] = {}
+    found: set[tuple[int, ...]] = set()
     total = 0
-    far: dict[frozenset[int], list[tuple[int, int]]] = {}
-    for k, cell in enumerate(cells):
+    far: dict[frozenset[int], list[int]] = {}
+    for cell in cells:
         vol = config.scaled_volume(sum(1 << i for i in cell))
         if not vol:
             raise NoCertificateError(f"cell {cell} is not full-dimensional")
         total += vol
         marks = frozenset(cell)
         for v in cell:
-            far.setdefault(marks - {v}, []).append((v, k))
+            far.setdefault(marks - {v}, []).append(v)
     if total != config.scaled_volume((1 << len(config.points)) - 1):
         raise NoCertificateError("the cells' volumes do not add up to the configuration's")
     for ridge, ends in far.items():
@@ -540,11 +520,11 @@ def _folding_stricts(config: PointConfiguration, s: Subdivision) -> dict[tuple[i
             continue
         if len(ends) > 2:
             raise NoCertificateError(f"ridge {sorted(ridge)} lies in {len(ends)} cells")
-        (v, i), (w, j) = ends
+        v, w = ends
         coef = config.circuit(sorted(ridge) + [v, w])
         if coef[v] <= 0:
             raise NoCertificateError(f"the two cells on ridge {sorted(ridge)} lie on one side of it")
-        found.setdefault(coef, []).append((None, (i, j)))
+        found.add(coef)
     used = {i for cell in cells for i in cell}
     for a in range(len(config.points)):
         if a in used:
@@ -552,27 +532,44 @@ def _folding_stricts(config: PointConfiguration, s: Subdivision) -> dict[tuple[i
         for cell in cells:
             coef = config.circuit(cell + [a])
             if max(coef[i] for i in cell) <= 0:
-                face = {i for i in cell if coef[i]}
-                found[coef] = [(a, tuple(k for k, mc in enumerate(s.maximal) if face <= mc.marks))]
+                found.add(coef)
                 break
         else:
             raise InconsistencyError(f"point {a} lies in no cell of a certified triangulation")
     return found
 
 
-def _face_subdivision(t: Subdivision, sources: dict, cone: SecondaryCone, mask: int, sample):
+def _circuit_cells(t: Subdivision, wall: tuple[int, ...]):
+    """(Z+, Z, links) for the circuit Z whose affine dependence is wall, Z+
+    its positive coefficients.  A link is the marks outside Z of a cell of t
+    that misses exactly one point of Z, a point of Z+; links maps each to the
+    indices in t.maximal of its cells (Z - {z}) | link.  _flip_cells and
+    _face_subdivision share this local picture of t at Z.
+    """
+    plus = frozenset(i for i, c in enumerate(wall) if c > 0)
+    circuit = plus | {i for i, c in enumerate(wall) if c < 0}
+    links: dict[frozenset[int], list[int]] = {}
+    for k, mc in enumerate(t.maximal):
+        missing = circuit - mc.marks
+        if len(missing) == 1 and missing <= plus:
+            links.setdefault(mc.marks - circuit, []).append(k)
+    return plus, circuit, links
+
+
+def _face_subdivision(t: Subdivision, cone: SecondaryCone, mask: int, sample):
     """The subdivision induced on the face of t's cone whose rays are the
-    bits of mask, read off t's folding form with no hull.  sources are the
-    stricts' origins from _folding_stricts; sample, in the face's relative
-    interior, becomes the witness.  The maximal cells carry no supports.
+    bits of mask, read off t and the stricts that vanish there with no hull;
+    sample, in the face's relative interior, becomes the witness.  The
+    maximal cells carry no supports.
 
     The faces of a triangulation's cone are the subdivisions it refines (De
     Loera, Rambau & Santos, Triangulations, 2010, ch. 5).  A strict vanishes
-    on the face exactly when its tight mask holds the face's rays.  A ridge
-    whose strict vanishes is folded flat, so cells joined by a chain of such
-    ridges lie in one cell of the face; an unused point whose strict
-    vanishes is lifted onto the hull, so it marks each merged cell that
-    holds a simplex containing it.
+    on the face exactly when its tight mask holds the face's rays, and then
+    its circuit Z lifts into one hyperplane.  Each of t's cells around Z
+    spans that hyperplane with its link, so a link's cells (see
+    _circuit_cells) lie in one cell of the face, which marks all of Z: the
+    local picture of the flip across Z, whether or not t flips it.  Cells
+    joined by a chain of such links lie in one cell of the face.
     """
     root = list(range(len(t.maximal)))
 
@@ -585,16 +582,15 @@ def _face_subdivision(t: Subdivision, sources: dict, cone: SecondaryCone, mask: 
     marks = [set(mc.marks) for mc in t.maximal]
     for fn, tight in zip(cone.stricts, cone._tight_masks):
         if tight & mask == mask:
-            for point, cells in sources[fn]:
-                if point is None:
-                    root[find(cells[0])] = find(cells[1])
-                else:
-                    for k in cells:
-                        marks[k].add(point)
+            _, circuit, links = _circuit_cells(t, fn)
+            for first, *rest in links.values():
+                marks[first] |= circuit
+                for k in rest:
+                    root[find(k)] = find(first)
     merged: dict[int, set[int]] = {}
     for k, m in enumerate(marks):
         merged.setdefault(find(k), set()).update(m)
-    maximal = tuple(_make_cell(t.config, m) for m in merged.values())
+    maximal = tuple(MarkedCell(m) for m in merged.values())
     return Subdivision(t.config, maximal, witness=vector(sample))
 
 
@@ -609,37 +605,34 @@ def secondary_cone(config: PointConfiguration, s: Subdivision) -> SecondaryCone:
     cell, one equality per other mark and one strict per point off the cell,
     each the config.circuit of the cell's spanning marks and the point.  Every
     point of the open cone then induces a subdivision with each cell among
-    its maximal cells, and the volumes leave room for no other.  The
-    interior point is s.witness when an exact check puts it in the open
-    cone; otherwise it is the sum of the cone's rays.  A triangulation cone
-    gets its rays from the kernels of its flippable stricts with no hull
-    (see _flippable_rays); any other cone, or one whose kernels fail those
-    checks, gets them from the hull of _cone_rays (see _certify_cone).
-    A triangulation keeps its stricts' sources on s: the face rule of
-    enumerate_coherent_subdivisions reads them, and a second cone of s does
-    not certify the triangulation again.
+    its maximal cells, and the volumes leave room for no other.  Either way a
+    cell of volume 0 raises NoCertificateError.  The interior point is
+    s.witness when an exact check puts it in the open cone; otherwise it is
+    the sum of the cone's rays.  A triangulation cone gets its rays from the
+    kernels of its flippable stricts with no hull (see _flippable_rays); any
+    other cone, or one whose kernels fail those checks, gets them from the
+    hull of _cone_rays (see _certify_cone).
     """
     if s.config != config:
         raise InputError("the subdivision belongs to another configuration")
     n = len(config.points)
     rays = None
     if is_triangulation(s):
-        if s._folding is None:
-            s._folding = _folding_stricts(config, s)
-        equalities, stricts = [], sorted(s._folding)
+        equalities, stricts = [], sorted(_folding_stricts(config, s))
         rays = _flippable_rays(config, s, stricts)
     else:
         eqs: set[tuple[int, ...]] = set()
         sts: set[tuple[int, ...]] = set()
         total = 0
-        for marks in s.key:
-            basis = _spanning_marks(config, marks)
-            if len(basis) <= config.dimension:
-                raise InputError("basis does not span the configuration point")
-            total += config.scaled_volume(sum(1 << i for i in marks))
+        for mc in s.maximal:
+            vol = config.scaled_volume(sum(1 << i for i in mc.marks))
+            if not vol:
+                raise NoCertificateError(f"cell {sorted(mc.marks)} is not full-dimensional")
+            total += vol
+            basis = _spanning_marks(config, mc.marks)
             for a in range(n):
                 if a not in basis:
-                    (eqs if a in marks else sts).add(config.circuit(basis + [a]))
+                    (eqs if a in mc.marks else sts).add(config.circuit(basis + [a]))
         if total != config.scaled_volume((1 << n) - 1):
             raise NoCertificateError("the cells' volumes do not add up to the configuration's")
         if eqs & sts:
@@ -677,21 +670,14 @@ def _flip_cells(t: Subdivision, wall: tuple[int, ...]):
     wall is positive on t's cone when it is a strict of it, so t
     triangulates the circuit Z by the cells Z - {z} for z in Z+, its
     positive coefficients (De Loera, Rambau & Santos, Triangulations, ch. 2
-    and 5).  The links are the marks outside Z of t's cells that miss
-    exactly one point of Z, a point of Z+.  t flips Z when it holds every
-    cell (Z - {z}) | link for z in Z+, and the flip replaces them with those
-    for z in Z-.
+    and 5).  t flips Z when, for each link (see _circuit_cells), it holds
+    every cell (Z - {z}) | link for z in Z+, and the flip replaces them with
+    those for z in Z-.
     """
-    plus = frozenset(i for i, c in enumerate(wall) if c > 0)
-    circuit = plus | {i for i, c in enumerate(wall) if c < 0}
-    links = {
-        mc.marks - circuit
-        for mc in t.maximal
-        if len(circuit - mc.marks) == 1 and circuit - mc.marks <= plus
-    }
-    old = {(circuit - {z}) | link for z in plus for link in links}
-    if not old <= t.key:
+    plus, circuit, links = _circuit_cells(t, wall)
+    if any(len(cells) < len(plus) for cells in links.values()):
         return None
+    old = {t.maximal[k].marks for cells in links.values() for k in cells}
     return old, {(circuit - {z}) | link for z in circuit - plus for link in links}
 
 
@@ -708,7 +694,7 @@ def _flip(config: PointConfiguration, t: Subdivision, wall: tuple[int, ...]) -> 
         circuit = sorted(i for i, c in enumerate(wall) if c)
         raise InconsistencyError(f"circuit {circuit} is not flippable")
     old, new = cells
-    return Subdivision(config, tuple(_make_cell(config, m) for m in (t.key - old) | new))
+    return Subdivision(config, tuple(MarkedCell(m) for m in (t.key - old) | new))
 
 
 def enumerate_regular_triangulations(config: PointConfiguration, max_count=4096):
@@ -806,20 +792,19 @@ def enumerate_coherent_subdivisions(config: PointConfiguration, max_count=4096):
     secondary-cone walls, each with its cone's interior point as witness.
     Every other one lies on a proper face of some triangulation cone:
     _fan_lattice reads the ranks and the covers off the face masks, and
-    _face_subdivision reads each new face's cells off the cone's folding
-    form, with no hull, and takes the face sample as witness.  Only the
-    seed triangulation's maximal cells carry supports.
+    _face_subdivision reads each new face's cells off the triangulation and
+    the stricts that vanish on the face, with no hull, and takes the face
+    sample as witness.  Only the seed triangulation's maximal cells carry
+    supports.
     """
     tris = enumerate_regular_triangulations(config, max_count)
     found = {k: t for k, (t, _) in tris.items()}
     # each triangulation is its cone's top face, whose sample sums all rays
     keys = {cone._ray_sum((1 << len(cone.rays)) - 1): k for k, (_, cone) in tris.items()}
-    # secondary_cone left each walked triangulation its stricts' sources
     walked = {cone: t for t, cone in tris.values()}
 
     def induce(sample, cone, mask):
-        t = walked[cone]
-        s = _face_subdivision(t, t._folding, cone, mask, sample)
+        s = _face_subdivision(walked[cone], cone, mask, sample)
         return s.key, s
 
     # the sort keys are lists of frozensets, which compare by inclusion: the

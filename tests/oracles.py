@@ -64,6 +64,14 @@ holds the wall, as regular_subdivision.enumerate_regular_triangulations did
 before it flipped the wall's circuit; the walk it drives is the reference for
 the flips and their discovery order.
 
+The folding sources record, per strict of a walked triangulation's cone, the
+ridges and the unused point it came from, and the face rule by sources merges
+the cells on the ridges whose strict vanishes on a face and marks the cells
+holding the unused points whose strict does, as
+regular_subdivision._folding_stricts recorded and _face_subdivision read them
+before the face rule took each vanishing circuit's cells from its links, as
+the flip across it does.
+
 The per-cell secondary cone writes one constraint per maximal cell and
 point off the cell's spanning marks, each from an affine combination solved
 in Fractions, as regular_subdivision.secondary_cone did for every
@@ -903,15 +911,17 @@ def validate_subdivision(s) -> None:
     """
     config = s.config
     for marks, cell in s.cells.items():
-        hull_vertices = sorted(cell.points[j] for j in polytope_vertex_indices_by_rank(cell.points))
+        points = [config.points[i] for i in sorted(marks)]
+        hull_vertices = sorted(points[j] for j in polytope_vertex_indices_by_rank(points))
         if tuple(hull_vertices) != cell.vertices:
             raise InconsistencyError(f"cell {sorted(marks)} polytope mismatch")
     # faces come from the hulls, not from s.cells, which is what is checked
     faces_of = {}
     for mc in s.maximal:
         order = sorted(mc.marks)
+        points = [config.points[i] for i in order]
         faces_of[mc.marks] = {
-            frozenset(order[j] for j in mem) for mem in face_member_sets_recursive(mc.points)
+            frozenset(order[j] for j in mem) for mem in face_member_sets_recursive(points)
         }
     differ = set().union(*faces_of.values()) ^ s.cells.keys()
     if differ:
@@ -1175,6 +1185,57 @@ def triangulations_by_bisection(config):
                 found[s2.key] = (s2, c2)
                 frontier.append(s2.key)
     return found, crossings
+
+
+def folding_sources(t):
+    """Per folding strict of the triangulation t, what it came from, as
+    (point, cells) pairs of indices into t.maximal: (None, its two cells)
+    per interior ridge, as several ridges can share one circuit, and (a, the
+    cells containing a) per unused point a.  The point lies in the relative
+    interior of the face spanned by its circuit's other points, so the cells
+    containing it are those holding that face."""
+    config = t.config
+    cells = [sorted(mc.marks) for mc in t.maximal]
+    found = {}
+    far = {}
+    for k, cell in enumerate(cells):
+        for v in cell:
+            far.setdefault(frozenset(cell) - {v}, []).append((v, k))
+    for ridge, ends in far.items():
+        if len(ends) == 2:
+            (v, i), (w, j) = ends
+            found.setdefault(config.circuit(sorted(ridge) + [v, w]), []).append((None, (i, j)))
+    used = {i for cell in cells for i in cell}
+    for a in sorted(set(range(len(config.points))) - used):
+        for cell in cells:
+            coef = config.circuit(cell + [a])
+            if max(coef[i] for i in cell) <= 0:
+                face = {i for i in cell if coef[i]}
+                found[coef] = [(a, tuple(k for k, mc in enumerate(t.maximal) if face <= mc.marks))]
+                break
+    return found
+
+
+def face_key_by_sources(t, sources, cone, mask):
+    """The maximal cells' marks of the subdivision on the face of t's cone
+    whose rays are the bits of mask, given t's folding_sources: the cells on
+    a ridge whose strict vanishes there merge, and an unused point whose
+    strict vanishes marks each cell holding its face."""
+    label = list(range(len(t.maximal)))
+    marks = [set(mc.marks) for mc in t.maximal]
+    for fn, tight in zip(cone.stricts, cone._tight_masks):
+        if tight & mask == mask:
+            for point, cells in sources[fn]:
+                if point is None:
+                    old, new = label[cells[0]], label[cells[1]]
+                    label = [new if x == old else x for x in label]
+                else:
+                    for k in cells:
+                        marks[k].add(point)
+    merged = {}
+    for k, m in enumerate(marks):
+        merged.setdefault(label[k], set()).update(m)
+    return frozenset(frozenset(m) for m in merged.values())
 
 
 # ---------------------------------------------------------------------------

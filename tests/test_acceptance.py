@@ -91,7 +91,8 @@ def test_criterion_02_duality_suite():
             for marks, cell in p.cells.items():
                 assert cell.dimension + s.cells[marks].dim() == config.dimension
                 # both dimensions are derived from incidences; check each by a rank
-                assert s.cells[marks].dim() == affine_rank(s.cells[marks].points)
+                points = [config.points[i] for i in sorted(marks)]
+                assert s.cells[marks].dim() == affine_rank(points)
                 assert cell.dimension == dual_cell_rank(cell)
             assert set(p.face_pairs()) == {(b, a) for a, b in s.face_pairs()}
             # the lifted support value is attained at the dual vertex, exactly

@@ -4,22 +4,23 @@ subdivision of the golden configurations, their extensions and the extended
 m = 2-4 polygons, each per-cell constraint is the oracle's, the cones of
 subdivisions with a non-simplex cell have the oracle's equalities and
 stricts, and each painting constraint is a positive multiple of the
-oracle's, for the golden alpha and for seeded ones.  Cells and markings
-that do not span raise the builders' input errors."""
+oracle's, for the golden alpha and for seeded ones.  A cell that does not
+span has no cone, and a marking that does not span raises an input error."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from tropaint.errors import InputError
+from tropaint.errors import InputError, NoCertificateError
 from tropaint.multiplihedra import admissible_alpha, ngon_configuration
 from tropaint.painting import painting_constraint
 from tropaint.painting_polytope import extend
 from tropaint.point_config import build_configuration
 from tropaint.regular_subdivision import (
+    MarkedCell,
     Subdivision,
-    _make_cell,
     _spanning_marks,
     enumerate_coherent_subdivisions,
     is_triangulation,
@@ -93,10 +94,18 @@ def test_painting_constraints_are_positive_multiples_of_the_fraction_oracle(conf
 
 
 def test_secondary_cone_rejects_a_cell_that_does_not_span():
-    edge = _make_cell(QUAD, frozenset({0, 1}))
-    for cells in ((edge,), (_make_cell(QUAD, frozenset({0, 1, 2, 3})), edge)):
-        with pytest.raises(InputError, match="basis does not span the configuration point"):
+    edge = MarkedCell(frozenset({0, 1}))
+    message = re.escape("cell [0, 1] is not full-dimensional")
+    for cells in ((edge,), (MarkedCell(frozenset({0, 1, 2, 3})), edge)):
+        with pytest.raises(NoCertificateError, match=message):
             secondary_cone(QUAD, Subdivision(QUAD, cells))
+    # a flat cell gets one refusal, with or without a non-simplex cell
+    line = build_configuration([(0, 0), (1, 0), (2, 0), (3, 0), (0, 1)])
+    for flat in ({0, 1, 2, 3}, {0, 1, 2}):
+        cells = (MarkedCell(flat), MarkedCell({0, 3, 4}))
+        message = re.escape(f"cell {sorted(flat)} is not full-dimensional")
+        with pytest.raises(NoCertificateError, match=message):
+            secondary_cone(line, Subdivision(line, cells))
 
 
 @pytest.mark.parametrize("marks", [{0, 1}, {0, 1, 3}], ids=["edge", "collinear"])

@@ -175,7 +175,8 @@ def test_coherent_enumeration_folds_each_triangulation_once(calls_to):
     ext = _extended_ngon(4)
     folds = calls_to(regular_subdivision._folding_stricts)
     poset = enumerate_coherent_subdivisions(ext)
-    # the face rule reads the stricts' sources that the walk's cones kept
+    # only the walk certifies triangulations: the face rule reads each face's
+    # cells off the triangulation and its vanishing circuits, and folds nothing
     tris = [s for s in poset.payload if regular_subdivision.is_triangulation(s)]
     assert len(folds) == len(tris) == 21
 

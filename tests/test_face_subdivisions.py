@@ -1,11 +1,15 @@
 """The coherent enumeration reads each non-triangulation off a face of a
-triangulation cone, with no hull: cells merge across the ridges whose folding
-strict is tight on the face, and tight unused points become marks.  On every
-face sample of every triangulation cone that gives the subdivision the sample
-induces, and the walk, which certifies each flipped triangulation by its cone
-alone, gives one that its witness induces, on the goldens, the polygons,
-their extensions, a grid whose faces mark unused points, and the seeded
-corpus (corpus.py)."""
+triangulation cone, with no hull: for each strict that vanishes on the face,
+the cells around its circuit that share a link merge and mark the whole
+circuit, the local picture of the flip across it.  On every face sample of
+every triangulation cone that gives the subdivision the sample induces, and
+the walk, which certifies each flipped triangulation by its cone alone,
+gives one that its witness induces, on the goldens, the polygons, their
+extensions, a grid whose faces mark unused points, and the seeded corpus
+(corpus.py).  On the same inputs and the cube with its centre, every face
+gives the subdivision of the rule it replaced, which merged cells across
+folded ridges and marked unused points by the sources each strict came from
+(oracles.face_key_by_sources)."""
 
 from fractions import Fraction as F
 
@@ -23,12 +27,16 @@ from tropaint.regular_subdivision import (
 )
 
 from corpus import CASES, CONFIGURATIONS
+from oracles import face_key_by_sources, folding_sources
 
 QUAD = build_configuration([(0, 0), (1, 0), (0, 1), (-1, 0), (-1, -1)])
 BIPYRAMID = build_configuration(
     [(1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)]
 )
 GRID = build_configuration([(i, j) for i in range(3) for j in range(3)])
+CUBE = build_configuration(
+    [(i, j, k) for i in (0, 2) for j in (0, 2) for k in (0, 2)] + [(1, 1, 1)]
+)
 
 
 def _inputs():
@@ -60,11 +68,10 @@ def test_face_subdivisions_match_induced(config):
         assert induce_subdivision(config, Lifting(t.witness)).key == t.key
         # only the seed comes from a hull, with supports
         assert all((mc.support is None) == (k > 0) for mc in t.maximal)
-        sources = _folding_stricts(config, t)
-        assert sorted(sources) == list(cone.stricts)
+        assert sorted(_folding_stricts(config, t)) == list(cone.stricts)
         unused = set(range(len(config.points))).difference(*(mc.marks for mc in t.maximal))
         for mask, _, sample in cone.graded_faces():
-            s = _face_subdivision(t, sources, cone, mask, sample)
+            s = _face_subdivision(t, cone, mask, sample)
             if sample not in induced:
                 induced[sample] = induce_subdivision(config, Lifting.of(config, sample)).key
             assert s.key == induced[sample]
@@ -74,3 +81,15 @@ def test_face_subdivisions_match_induced(config):
             new_marks += len(s.maximal) > 1 and any(mc.marks & unused for mc in s.maximal)
     if config == GRID:
         assert new_marks
+
+
+@pytest.mark.parametrize("config", _inputs() + [pytest.param(CUBE, id="cube")])
+def test_face_rule_matches_the_sources_rule(config):
+    faces = 0
+    for t, cone in enumerate_regular_triangulations(config).values():
+        sources = folding_sources(t)
+        for mask, _, sample in cone.graded_faces():
+            want = face_key_by_sources(t, sources, cone, mask)
+            assert _face_subdivision(t, cone, mask, sample).key == want
+            faces += 1
+    assert faces

@@ -12,7 +12,7 @@ from tropaint.geometry import (
     vector,
 )
 from tropaint.point_config import build_configuration
-from tropaint.regular_subdivision import Lifting, Subdivision, _make_cell, induce_subdivision
+from tropaint.regular_subdivision import Lifting, MarkedCell, Subdivision, induce_subdivision
 from tropaint.secondary_polytope import gkz_vector
 
 from oracles import (
@@ -88,7 +88,7 @@ def test_simplex_volume_examples():
     assert simplex_volume([(0, 0), (F(1, 2), 0), (0, F(1, 3))]) == F(1, 6)
     # a cell of three collinear points
     line = build_configuration([(0, 0), (1, 0), (2, 0), (0, 1)])
-    cells = [_make_cell(line, {0, 1, 2}), _make_cell(line, {0, 2, 3})]
+    cells = [MarkedCell({0, 1, 2}), MarkedCell({0, 2, 3})]
     with pytest.raises(DegenerateInputError):
         gkz_vector(line, Subdivision(line, cells))
 

@@ -253,7 +253,7 @@ def test_cover_certificate_alone_catches_a_damaged_subdivision(monkeypatch, dama
     def enumerate_damaged(config):
         lattice = real_enumerate(config)
         payload = list(lattice.payload)
-        cells = (MarkedCell((config.points[a] for a in sorted(m)), m) for _, m in damaged)
+        cells = (MarkedCell(m) for _, m in damaged)
         payload[j] = Subdivision(config, tuple(cells))
         return dataclasses.replace(lattice, payload=tuple(payload))
 

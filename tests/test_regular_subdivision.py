@@ -10,8 +10,8 @@ from tropaint.multiplihedra import ngon_configuration
 from tropaint.point_config import build_configuration
 from tropaint.regular_subdivision import (
     Lifting,
+    MarkedCell,
     Subdivision,
-    _make_cell,
     enumerate_coherent_subdivisions,
     enumerate_regular_triangulations,
     induce_subdivision,
@@ -108,7 +108,7 @@ def test_validate_accepts_induced_subdivisions():
     ids=["crossing", "lone-triangle", "nested", "double-cover"],
 )
 def test_validate_rejects_non_subdivisions(cells):
-    s = Subdivision(SQUARE, tuple(_make_cell(SQUARE, c) for c in cells))
+    s = Subdivision(SQUARE, tuple(MarkedCell(c) for c in cells))
     with pytest.raises(InconsistencyError):
         validate_subdivision(s)
 
@@ -160,8 +160,8 @@ def test_secondary_cone_rejects_incoherent_marking():
     # the two-triangle split of the square with the diagonal marked on one
     # side only cannot come from a lifting: the unmarked side forces strictness
     cells = (
-        _make_cell(SQUARE, frozenset({0, 1, 2})),
-        _make_cell(SQUARE, frozenset({0, 2, 3})),
+        MarkedCell(frozenset({0, 1, 2})),
+        MarkedCell(frozenset({0, 2, 3})),
     )
     s = Subdivision(SQUARE, cells)
     cone = secondary_cone(SQUARE, s)  # this one is fine
@@ -169,8 +169,8 @@ def test_secondary_cone_rejects_incoherent_marking():
     bad = Subdivision(
         SQUARE,
         (
-            _make_cell(SQUARE, frozenset({0, 1, 2})),
-            _make_cell(SQUARE, frozenset({1, 2, 3})),
+            MarkedCell(frozenset({0, 1, 2})),
+            MarkedCell(frozenset({1, 2, 3})),
         ),
     )
     with pytest.raises(NoCertificateError):
@@ -185,7 +185,7 @@ def test_secondary_cone_rejects_cells_that_do_not_cover():
     # one quadrilateral cell leaves point 2 uncovered; each per-cell
     # constraint holds on an open cone, but the liftings there induce a
     # second maximal cell, so no lifting induces this one alone
-    cell = _make_cell(QUAD, frozenset({0, 1, 3, 4}))
+    cell = MarkedCell(frozenset({0, 1, 3, 4}))
     inside = vector((0, 0, 0, 0, 1))
     assert marks_of(induce_subdivision(QUAD, Lifting(inside))) == {
         frozenset({0, 1, 2, 3}),
@@ -223,7 +223,7 @@ NOT_TRIANGULATIONS = {
 def test_secondary_cone_certifies_triangulations(name):
     points, cells = NOT_TRIANGULATIONS[name]
     config = build_configuration(points)
-    maximal = tuple(_make_cell(config, frozenset(c)) for c in cells)
+    maximal = tuple(MarkedCell(frozenset(c)) for c in cells)
     n = len(points)
     # a witness does not bypass the certificate
     for w in (None, (0,) * n, tuple(2**i for i in range(n))):

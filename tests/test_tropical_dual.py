@@ -151,7 +151,7 @@ def test_duality_properties_random_lifts(vals):
     for marks, cell in p.cells.items():
         assert cell.dimension + s.cells[marks].dim() == QUAD.dimension
         # both dimensions are derived from incidences; check each by a rank
-        assert s.cells[marks].dim() == affine_rank(s.cells[marks].points)
+        assert s.cells[marks].dim() == affine_rank([QUAD.points[i] for i in sorted(marks)])
         assert cell.dimension == dual_cell_rank(cell)
         on_boundary = any(marks <= mem for mem in boundary)
         assert cell.is_compact() == (not on_boundary)
@@ -201,5 +201,6 @@ def test_cells_list_vertices_and_rays_in_lexicographic_order(config):
             assert cell.vertices == tuple(sorted(slopes))
             assert cell.rays == tuple(sorted(normals))
             sub = s.cells[marks]
-            corners = {sub.points[i] for i in polytope_vertex_indices_by_rank(sub.points)}
+            points = [config.points[i] for i in sorted(marks)]
+            corners = {points[i] for i in polytope_vertex_indices_by_rank(points)}
             assert sub.vertices == tuple(sorted(corners))
