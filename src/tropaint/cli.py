@@ -329,6 +329,9 @@ def _build_parser():
     return parser
 
 
+_PARSER = _build_parser()  # it depends on no input, so it is built once
+
+
 def _write_artifacts(out_dir, artifacts):
     os.makedirs(out_dir, exist_ok=True)
     for name in sorted(artifacts):
@@ -337,9 +340,8 @@ def _write_artifacts(out_dir, artifacts):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:

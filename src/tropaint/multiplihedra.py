@@ -15,7 +15,7 @@ extended configuration.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from .errors import (
     InconsistencyError,
@@ -429,19 +429,11 @@ def _tree_shapes(m: int):
         return [()]
     out = []
     for k in range(2, m + 1):
-        for comp in _compositions(m, k):
+        # the compositions of m into k parts, by their k - 1 cut points
+        for cuts in combinations(range(1, m), k - 1):
+            comp = [b - a for a, b in zip((0,) + cuts, cuts + (m,))]
             for combo in product(*[_tree_shapes(c) for c in comp]):
                 out.append(tuple(combo))
-    return out
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            out.append((first,) + rest)
     return out
 
 

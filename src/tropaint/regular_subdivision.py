@@ -59,10 +59,11 @@ class Lifting:
 
 
 class MarkedCell:
-    """A subdivision cell: its marks and (if maximal) the support.
+    """A subdivision cell: its marks and, on an induced maximal cell, the support.
 
     The cell polytope is the convex hull of config.points at the marks, by
-    which cells compare and hash.  support, when present, is the affine
+    which cells compare and hash; a frozenset of marks is kept, not copied.
+    support, set only on induce_subdivision's maximal cells, is the affine
     functional cut out by the corresponding upper-hull facet: support(a) >=
     -eta(a) for every configuration point, with equality exactly on the
     marks.  dimension and vertices (the vertex points, sorted) are set only
@@ -127,8 +128,6 @@ class Subdivision:
         self.key = frozenset(c.marks for c in self.maximal)
         self.witness = witness
         self._cells = None
-        # _flip_cells per folding strict, kept by _flippable_rays for _flip
-        self._flips = {}
 
     @property
     def cells(self) -> dict[frozenset[int], MarkedCell]:
@@ -167,11 +166,9 @@ class Subdivision:
             vertex_marks = sorted(
                 (f.bit_length() - 1 for f in dims if f.bit_count() == 1), key=points.__getitem__
             )
-            supports = {top: mc.support for top, mc in zip(tops, self.maximal)}
             cells: dict[frozenset[int], MarkedCell] = {}
             for mask, dim in dims.items():
-                marks = [i for i in range(mask.bit_length()) if mask >> i & 1]
-                cell = MarkedCell(marks, supports.get(mask))
+                cell = MarkedCell(i for i in range(mask.bit_length()) if mask >> i & 1)
                 cell.dimension = dim
                 cell.vertices = tuple(points[i] for i in vertex_marks if mask >> i & 1)
                 cells[cell.marks] = cell
@@ -431,7 +428,7 @@ def _flippable_rays(config: PointConfiguration, t: Subdivision, stricts):
     (Ziegler, Lectures on Polytopes, ch. 1-2), and every wall of a
     triangulation's cone is a flippable circuit (De Loera, Rambau & Santos,
     Triangulations, 2010, ch. 5).  So each k - 1 of the flippable stricts
-    (see _flip_cells, whose answer per strict t keeps for _flip) give a
+    (those _flip_cells finds flippable; t keeps no answer) give a
     candidate, the _circuit_dependence of their frame columns: it is kept,
     made primitive and turned positive, when some flippable strict is
     nonzero on it and all of them have one sign there.
@@ -447,14 +444,10 @@ def _flippable_rays(config: PointConfiguration, t: Subdivision, stricts):
     needed, but the certificate does not rely on it.
     """
     frame = config.lifting_frame
-    flips = t._flips
-    for fn in stricts:
-        if fn not in flips:
-            flips[fn] = _flip_cells(t, fn)
     if not frame:
         return ()  # a simplex: its cone is all of lifting space
     # the flippable stricts' frame coordinates
-    flippable = [[fn[c] for c in frame] for fn in stricts if flips[fn] is not None]
+    flippable = [[fn[c] for c in frame] for fn in stricts if _flip_cells(t, fn) is not None]
     found = set()
     for others in combinations(flippable, len(frame) - 1):
         kernel = _circuit_dependence([[fn[j] for fn in others] for j in range(len(frame))])
@@ -543,15 +536,16 @@ def _circuit_cells(t: Subdivision, wall: tuple[int, ...]):
     """(Z+, Z, links) for the circuit Z whose affine dependence is wall, Z+
     its positive coefficients.  A link is the marks outside Z of a cell of t
     that misses exactly one point of Z, a point of Z+; links maps each to the
-    indices in t.maximal of its cells (Z - {z}) | link.  _flip_cells and
-    _face_subdivision share this local picture of t at Z.
+    indices in t.maximal of its cells (Z - {z}) | link.  Such a cell holds
+    all of Z-, which most cells fail, so that test runs first.  _flip_cells
+    and _face_subdivision share this local picture of t at Z.
     """
     plus = frozenset(i for i, c in enumerate(wall) if c > 0)
-    circuit = plus | {i for i, c in enumerate(wall) if c < 0}
+    minus = frozenset(i for i, c in enumerate(wall) if c < 0)
+    circuit = plus | minus
     links: dict[frozenset[int], list[int]] = {}
     for k, mc in enumerate(t.maximal):
-        missing = circuit - mc.marks
-        if len(missing) == 1 and missing <= plus:
+        if minus <= mc.marks and len(plus - mc.marks) == 1:
             links.setdefault(mc.marks - circuit, []).append(k)
     return plus, circuit, links
 
@@ -560,7 +554,8 @@ def _face_subdivision(t: Subdivision, cone: SecondaryCone, mask: int, sample):
     """The subdivision induced on the face of t's cone whose rays are the
     bits of mask, read off t and the stricts that vanish there with no hull;
     sample, in the face's relative interior, becomes the witness.  The
-    maximal cells carry no supports.
+    maximal cells carry no supports; a cell of t that no vanishing circuit
+    touches keeps t's own marks frozenset.
 
     The faces of a triangulation's cone are the subdivisions it refines (De
     Loera, Rambau & Santos, Triangulations, 2010, ch. 5).  A strict vanishes
@@ -579,18 +574,18 @@ def _face_subdivision(t: Subdivision, cone: SecondaryCone, mask: int, sample):
             i = root[i]
         return i
 
-    marks = [set(mc.marks) for mc in t.maximal]
+    parts = [[mc.marks] for mc in t.maximal]
     for fn, tight in zip(cone.stricts, cone._tight_masks):
         if tight & mask == mask:
             _, circuit, links = _circuit_cells(t, fn)
             for first, *rest in links.values():
-                marks[first] |= circuit
+                parts[first].append(circuit)
                 for k in rest:
                     root[find(k)] = find(first)
-    merged: dict[int, set[int]] = {}
-    for k, m in enumerate(marks):
-        merged.setdefault(find(k), set()).update(m)
-    maximal = tuple(MarkedCell(m) for m in merged.values())
+    merged: dict[int, list[frozenset[int]]] = {}
+    for k, part in enumerate(parts):
+        merged.setdefault(find(k), []).extend(part)
+    maximal = [MarkedCell(m[0] if len(m) == 1 else frozenset().union(*m)) for m in merged.values()]
     return Subdivision(t.config, maximal, witness=vector(sample))
 
 
@@ -687,9 +682,9 @@ def _flip(config: PointConfiguration, t: Subdivision, wall: tuple[int, ...]) -> 
     A wall functional is the affine dependence of a circuit, positive on t's
     cone, and crossing the wall is the bistellar flip on it (see
     _flip_cells).  A walked triangulation's walls are among its folding
-    stricts, whose flip cells _flippable_rays kept on t.
+    stricts, which _flippable_rays tested for a flip without keeping cells.
     """
-    cells = t._flips[wall] if wall in t._flips else _flip_cells(t, wall)
+    cells = _flip_cells(t, wall)
     if cells is None:
         circuit = sorted(i for i, c in enumerate(wall) if c)
         raise InconsistencyError(f"circuit {circuit} is not flippable")
@@ -711,10 +706,12 @@ def enumerate_regular_triangulations(config: PointConfiguration, max_count=4096)
     kernels of its flippable stricts, checked by dot products, or the hull's
     of _cone_rays should that check fail (see secondary_cone).  Its cone's
     closure must contain the wall sample, and the ray sum becomes its
-    witness; its maximal cells carry no supports.  The seed keeps the supports and witness of its placing
-    lifting.  Circuits and simplex volumes are computed once per
-    configuration (see PointConfiguration.circuit), so a second walk on the
-    same configuration computes neither again.
+    witness; its maximal cells carry no supports.  The seed keeps the
+    supports and witness of its placing lifting.  A triangulation keeps no
+    walk state: _flip_cells runs once per strict and once per crossed wall.
+    Circuits and simplex volumes are computed once per configuration (see
+    PointConfiguration.circuit), so a second walk on the same configuration
+    computes neither again.
     """
     seed = _placing_lifting(config)
     found: dict[frozenset, tuple[Subdivision, SecondaryCone]] = {

@@ -134,7 +134,7 @@ def test_simplicial_rays_match_the_hull(config, fallbacks):
     for t, cone in tris.values():
         hull = _cone_rays((), cone.stricts, n)
         assert hull == cone_rays_fraction((), cone.stricts, n) == cone.rays
-        # a fresh copy, with no flip cells kept yet
+        # a fresh copy: the rays depend on t's cells alone
         rays = _flippable_rays(config, Subdivision(config, t.maximal), cone.stricts)
         if rays is None:
             missed += 1
@@ -163,9 +163,8 @@ def test_simplicial_rays_do_not_trust_the_flip_test(monkeypatch):
     dot products check it anyway: when the flip test swaps a flippable
     strict for a dropped one, the route certifies nothing, or the true rays
     when the stricts it then takes still cut out the cone, as on some of the
-    cube's cones with more flippable stricts than the frame's dimension.  A
-    walked triangulation keeps its flip cells, so each swap runs on a fresh
-    copy that has none yet."""
+    cube's cones with more flippable stricts than the frame's dimension.
+    Each swap runs on a fresh copy of the walked triangulation."""
     counts = []
     for config in (extend(QUAD, QUAD_ALPHA).extended, CUBE):
         swaps = refused = 0

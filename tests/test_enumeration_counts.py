@@ -13,7 +13,8 @@ coherent enumeration certifies each triangulation once, in the walk.  A
 configuration keeps its circuits and simplex volumes: the walk computes each
 circuit once and the volume vectors reuse its determinants, and a second
 enumeration on the same configuration gives what a fresh one does.  The
-walk tests each strict of each cone for a flip once."""
+walk runs the flip test once per strict of each cone and once per wall it
+crosses, and keeps no flip cells on a triangulation."""
 
 import pathlib
 import sys
@@ -103,12 +104,15 @@ def test_triangulation_walk_induces_each_triangulation_once(calls_to, config, co
     assert len(cones) <= len(tris)
 
 
-def test_walk_tests_each_strict_for_a_flip_once(calls_to):
+def test_walk_flips_once_per_strict_and_once_per_crossed_wall(calls_to):
     flips = calls_to(regular_subdivision._flip_cells)
     tris = enumerate_regular_triangulations(_extended_ngon(4))
-    # _flip reads the flip cells that _flippable_rays kept on the
-    # triangulation; testing again per crossed wall made 157 calls
-    assert len(flips) == sum(len(cone.stricts) for _, cone in tris.values()) == 93
+    # _flippable_rays tests each strict and _flip recomputes the cells of
+    # each wall it crosses: no triangulation keeps flip cells for later
+    stricts = sum(len(cone.stricts) for _, cone in tris.values())
+    walls = sum(len(cone.walls()) for _, cone in tris.values())
+    assert (stricts, walls) == (93, 64)
+    assert len(flips) == stricts + walls == 157
 
 
 @pytest.mark.parametrize(

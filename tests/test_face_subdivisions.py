@@ -9,7 +9,8 @@ extensions, a grid whose faces mark unused points, and the seeded corpus
 (corpus.py).  On the same inputs and the cube with its centre, every face
 gives the subdivision of the rule it replaced, which merged cells across
 folded ridges and marked unused points by the sources each strict came from
-(oracles.face_key_by_sources)."""
+(oracles.face_key_by_sources).  A cell that no vanishing circuit touches is
+its triangulation's own marks set."""
 
 from fractions import Fraction as F
 
@@ -93,3 +94,25 @@ def test_face_rule_matches_the_sources_rule(config):
             assert _face_subdivision(t, cone, mask, sample).key == want
             faces += 1
     assert faces
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        extend(QUAD, (F(1, 3), F(1, 3))).extended,
+        extend(BIPYRAMID, (F(1, 2), F(1, 3), F(1, 2))).extended,
+    ],
+    ids=["quad-extended", "bipyramid-extended"],
+)
+def test_face_cells_share_their_triangulation_marks(config):
+    """A face's cell that no vanishing circuit touches is its
+    triangulation's own marks frozenset, not a copy."""
+    shared = 0
+    for t, cone in enumerate_regular_triangulations(config).values():
+        own = {mc.marks: mc.marks for mc in t.maximal}
+        for mask, _, sample in cone.graded_faces():
+            for mc in _face_subdivision(t, cone, mask, sample).maximal:
+                if mc.marks in own:
+                    assert mc.marks is own[mc.marks]
+                    shared += 1
+    assert shared
