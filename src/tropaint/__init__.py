@@ -6,7 +6,6 @@ from .errors import (
     InconsistencyError,
     InputError,
     NoCertificateError,
-    NotIsotopicError,
     ResourceCapError,
     VerificationError,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "InputError",
     "Lifting",
     "NoCertificateError",
-    "NotIsotopicError",
     "PaintSpec",
     "PaintedComplex",
     "PaintedTree",

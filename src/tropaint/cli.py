@@ -17,11 +17,9 @@ from dataclasses import replace
 
 from . import jsonio, svgout
 from .errors import (
-    DegenerateInputError,
     InconsistencyError,
     InputError,
     NoCertificateError,
-    NotIsotopicError,
     ResourceCapError,
     VerificationError,
 )
@@ -36,13 +34,7 @@ from .regular_subdivision import (
 from .secondary_polytope import secondary_polytope_vertices
 from .tropical_dual import dual_complex
 
-DATA_ERRORS = (
-    InputError,
-    DegenerateInputError,
-    NotIsotopicError,
-    InconsistencyError,
-    NoCertificateError,
-)
+DATA_ERRORS = (InputError, InconsistencyError, NoCertificateError)
 
 DEFAULT_MAX_TRIANGULATIONS = 4096
 DEFAULT_MAX_CELLS = 65536

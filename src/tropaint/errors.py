@@ -17,10 +17,6 @@ class NoCertificateError(TropaintError):
     """A required exact feasibility certificate does not exist."""
 
 
-class NotIsotopicError(TropaintError):
-    """Two complexes requested to be matched are not isotopic."""
-
-
 class InconsistencyError(TropaintError):
     """Data that should agree (colors, markings, cells) does not."""
 

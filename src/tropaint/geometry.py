@@ -38,10 +38,6 @@ def vector(xs) -> Vec:
     return tuple(as_fraction(x) for x in xs)
 
 
-def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
 def vsub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
@@ -391,6 +387,21 @@ def intersection_closure(top, parts) -> set:
                 seen.add(child)
                 queue.append(child)
     return seen
+
+
+def graded_closure(top: int, parts) -> dict[int, int]:
+    """{mask: grade} over intersection_closure(top, parts) and the empty mask.
+
+    The empty mask has grade 0, any other mask one more than the largest
+    grade among its proper intersections with single parts, graded first in
+    bit-count order.  A mask's largest faces strictly inside are among those
+    intersections, so on a face lattice the grade is the dimension plus one.
+    """
+    parts = tuple(parts)
+    grades = {0: 0}
+    for face in sorted(intersection_closure(top, parts) - {0}, key=int.bit_count):
+        grades[face] = 1 + max((grades[face & p] for p in parts if face & p != face), default=0)
+    return grades
 
 
 # ---------------------------------------------------------------------------

@@ -217,8 +217,24 @@ def painting_constraint(config: PointConfiguration, marking, alpha) -> tuple[int
     return tuple(linear)
 
 
+def _lifted_cone(base: SecondaryCone, signed, witness) -> SecondaryCone | None:
+    """The cone in (lifting, level) space over base, or None when it is
+    empty: base's constraints with a 0 level coefficient, then each signed
+    (painting constraint, sign), in order, as a strict, or as an equality
+    for sign 0.  witness is tried as the interior point (see _certify_cone)."""
+    eqs = [f + (0,) for f in base.equalities]
+    sts = [f + (0,) for f in base.stricts]
+    for fn, sign in signed:
+        if sign:
+            sts.append(tuple(sign * x for x in fn))
+        else:
+            eqs.append(fn)
+    return _certify_cone(eqs, sts, base.ambient_dim + 1, witness)
+
+
 def painting_cone(painted: PaintedComplex) -> SecondaryCone:
-    """Liftings-with-level reproducing the painted complex exactly.
+    """Liftings-with-level reproducing the painted complex exactly: the
+    paper's realization cone of a painted complex.
 
     H-representation in (lifting, level) space, for painted.spec.alpha: the
     secondary cone of the underlying subdivision, plus one sign constraint
@@ -230,18 +246,12 @@ def painting_cone(painted: PaintedComplex) -> SecondaryCone:
     config = painted.complex.config
     spec = painted.spec
     base = secondary_cone(config, painted.subdivision)
-    eqs = [f + (0,) for f in base.equalities]
-    sts = [f + (0,) for f in base.stricts]
-    for cell in painted.complex.cells_of_dim(0):
-        fn = painting_constraint(config, cell.marking, spec.alpha)
-        col = painted.kappa[cell.marking]
-        if col == RED:
-            sts.append(fn)
-        elif col == BLUE:
-            sts.append(tuple(-x for x in fn))
-        else:
-            eqs.append(fn)
-    cone = _certify_cone(eqs, sts, len(config.points) + 1, spec.eta.values + (spec.c,))
+    sign = {RED: 1, PURPLE: 0, BLUE: -1}
+    signed = [
+        (painting_constraint(config, cell.marking, spec.alpha), sign[painted.kappa[cell.marking]])
+        for cell in painted.complex.cells_of_dim(0)
+    ]
+    cone = _lifted_cone(base, signed, spec.eta.values + (spec.c,))
     if cone is None:
         raise NoCertificateError("painting admits no realizing lifting and level")
     return cone
@@ -276,19 +286,15 @@ def enumerate_painted_complexes(
     alpha = vector(alpha)
     if len(alpha) != config.dimension:
         raise InputError("alpha dimension mismatch")
-    n = len(config.points)
     # every triangulation has a chamber, so the cap bounds the walk too
     tris = enumerate_regular_triangulations(config, max_count)
 
     def chambers():
         for key in sorted(tris, key=sorted):
             t, cone = tris[key]
-            # a triangulation cone has no equalities
-            sts = [f + (0,) for f in cone.stricts]
-            signed = [painting_constraint(config, mc.marks, alpha) for mc in t.maximal]
-            for pattern in product((1, -1), repeat=len(signed)):
-                flips = [tuple(s * x for x in fn) for fn, s in zip(signed, pattern)]
-                chamber = _certify_cone((), sts + flips, n + 1, None)
+            fns = [painting_constraint(config, mc.marks, alpha) for mc in t.maximal]
+            for pattern in product((1, -1), repeat=len(fns)):
+                chamber = _lifted_cone(cone, zip(fns, pattern), None)
                 if chamber is not None:
                     yield chamber
 

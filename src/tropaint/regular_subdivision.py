@@ -27,8 +27,8 @@ from .geometry import (
     _kernel,
     _upper_hull,
     as_fraction,
+    graded_closure,
     independent_rows,
-    intersection_closure,
     matrix_rank,
     vector,
 )
@@ -135,9 +135,9 @@ class Subdivision:
 
         The faces and the grading run on int bitmasks, bit i for point i: a
         simplex's faces are its submasks, graded by their bit counts, and any
-        other maximal cell's come from intersection_closure with the
-        configuration's facet_masks.  Each face becomes a frozenset once,
-        when its MarkedCell is made.
+        other maximal cell's come from graded_closure with the configuration's
+        facet_masks, a face's dimension one less than its grade.  Each face
+        becomes a frozenset once, when its MarkedCell is made.
         """
         if self._cells is None:
             config = self.config
@@ -155,13 +155,9 @@ class Subdivision:
                         face = (face - 1) & top
                     continue
                 parts = {top & o for o in outer} - {top, 0}
-                faces = intersection_closure(top, parts) - {0}
-                # a face's facets are among its intersections with single
-                # parts, all smaller than the face, so they are graded first
-                for face in sorted(faces, key=int.bit_count):
-                    if face not in dims:
-                        below = {face & p for p in parts} - {face, 0}
-                        dims[face] = 1 + max((dims[c] for c in below), default=-1)
+                for face, grade in graded_closure(top, parts).items():
+                    if face:
+                        dims.setdefault(face, grade - 1)
             # in the order of their points, so each cell lists its vertices sorted
             vertex_marks = sorted(
                 (f.bit_length() - 1 for f in dims if f.bit_count() == 1), key=points.__getitem__
@@ -276,11 +272,11 @@ class SecondaryCone:
         """Extreme rays of the cone modulo its lineality space.
 
         Canonical primitive representatives (zero on the lineality pivot
-        coordinates), sorted.  secondary_cone gives triangulation cones
-        these rays with no hull, read off their flippable stricts (see
-        _flippable_rays); any other cone gets them from one hull by
-        _cone_rays.  A cone whose open cone is empty has no such rays, and no
-        certified cone is one.
+        coordinates), sorted.  secondary_cone gives every triangulation cone
+        its rays, read off its flippable stricts with no hull (see
+        _flippable_rays); a cone built without them gets them from one hull
+        by _cone_rays.  A cone whose open cone is empty has no such rays, and
+        no certified cone is one.
         """
         rays = _cone_rays(self.equalities, self.stricts, self.ambient_dim)
         if rays is None:
@@ -304,15 +300,12 @@ class SecondaryCone:
 
         A face is the set of rays on which some collection of stricts is
         tight, so the faces are the intersection closure of the stricts' ray
-        masks, starting from all rays.  Grades are dimensions modulo the
-        lineality, graded as in Subdivision.cells: 0 for no rays, otherwise
-        one more than the largest grade strictly inside.  A mask inside
-        another is the smaller integer, so sorted-mask order grades the faces
+        masks, starting from all rays, and the grades are graded_closure's:
+        dimensions modulo the lineality, 0 for no rays.  A mask inside
+        another is the smaller integer, so sorted-mask order lists the faces
         inside a face first and ends with the cone.  Samples sum the rays."""
-        grades: dict[int, int] = {}
-        for mask in sorted(intersection_closure((1 << len(self.rays)) - 1, self._tight_masks)):
-            grades[mask] = 1 + max((g for m, g in grades.items() if m & mask == m), default=-1)
-        return [(mask, g, self._ray_sum(mask)) for mask, g in grades.items()]
+        grades = graded_closure((1 << len(self.rays)) - 1, self._tight_masks)
+        return [(mask, g, self._ray_sum(mask)) for mask, g in sorted(grades.items())]
 
     def walls(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
         """(wall functional, relative-interior wall sample) per facet, in strict order.
@@ -355,7 +348,9 @@ def _cone_rays(equalities, stricts, n: int) -> tuple[tuple[int, ...], ...] | Non
     the lineality's pivot coordinates.  A triangulation's cone has the
     affine liftings as its lineality, whose pivots are the configuration's
     spanning simplex, so its frame is the unit vectors at lifting_frame,
-    where _flippable_rays reads a triangulation cone's rays with no hull.
+    where _flippable_rays reads a triangulation cone's rays with no hull:
+    this hull serves only the other subdivisions' cones and the painting
+    cones and chambers.
     """
     lineality = [list(v) + [1] for v in _kernel(equalities + stricts, n)]
     units = [tuple(int(j == c) for j in range(n)) for c in _echelon(lineality)]
@@ -382,12 +377,13 @@ def _certify_cone(equalities, stricts, dim: int, witness, rays=None) -> Secondar
     """The cone {stricts > 0, equalities = 0} in R^dim with a certified
     interior point, or None when the open cone is empty.  The constraints
     are int tuples; rays, when given, are the cone's canonical rays, already
-    certified (see _flippable_rays), and the cone keeps them.
+    certified (secondary_cone gives a triangulation cone's, see
+    _flippable_rays), and the cone keeps them.
 
     witness, when given, becomes the interior point if an exact check puts it
     in the open cone.  Otherwise the interior point is the sum of the given
-    rays, or of those of _cone_rays, which decides emptiness (see
-    _ray_sum_cone).
+    rays or, when none are given, of those of _cone_rays, which decides
+    emptiness (see _ray_sum_cone).
     """
     cone = SecondaryCone(tuple(equalities), tuple(stricts), dim, witness)
     if witness is not None and cone.contains_open(witness):
@@ -418,8 +414,8 @@ def _ray_sum_cone(equalities, stricts, dim: int, rays) -> SecondaryCone:
 
 def _flippable_rays(config: PointConfiguration, t: Subdivision, stricts):
     """The canonical rays of the triangulation t's cone in its folding form,
-    read off its flippable stricts with no hull, or None when they are not
-    certified.
+    read off its flippable stricts with no hull; raises InconsistencyError
+    when they are not certified.
 
     The cone's lineality holds the affine liftings, so modulo them it lives
     in the frame of the unit vectors at the configuration's lifting_frame,
@@ -428,10 +424,10 @@ def _flippable_rays(config: PointConfiguration, t: Subdivision, stricts):
     (Ziegler, Lectures on Polytopes, ch. 1-2), and every wall of a
     triangulation's cone is a flippable circuit (De Loera, Rambau & Santos,
     Triangulations, 2010, ch. 5).  So each k - 1 of the flippable stricts
-    (those _flip_cells finds flippable; t keeps no answer) give a
-    candidate, the _circuit_dependence of their frame columns: it is kept,
-    made primitive and turned positive, when some flippable strict is
-    nonzero on it and all of them have one sign there.
+    (those _flippable finds flippable; t keeps no answer) give a candidate,
+    the _circuit_dependence of their frame columns: it is kept, made
+    primitive and turned positive, when some flippable strict is nonzero on
+    it and all of them have one sign there.
 
     Dot products certify the rest: every strict, flippable or not, is
     nonnegative on every candidate and positive on some.  Unless the
@@ -440,14 +436,15 @@ def _flippable_rays(config: PointConfiguration, t: Subdivision, stricts):
     the candidates are exactly the extreme rays of the pointed cone they cut
     out, which holds t's cone.  Every strict is nonnegative on those rays, so
     that cone also lies in t's: the two are equal, and the rays are the
-    canonical ones _cone_rays would find.  Flip theory says no check is
-    needed, but the certificate does not rely on it.
+    canonical ones _cone_rays would find.  Flip theory says the check
+    always passes, so a triangulation cone has no other route to its rays;
+    the certificate does not rely on the theory, and a failure raises.
     """
     frame = config.lifting_frame
     if not frame:
         return ()  # a simplex: its cone is all of lifting space
     # the flippable stricts' frame coordinates
-    flippable = [[fn[c] for c in frame] for fn in stricts if _flip_cells(t, fn) is not None]
+    flippable = [[fn[c] for c in frame] for fn in stricts if _flippable(t, fn) is not None]
     found = set()
     for others in combinations(flippable, len(frame) - 1):
         kernel = _circuit_dependence([[fn[j] for fn in others] for j in range(len(frame))])
@@ -463,7 +460,7 @@ def _flippable_rays(config: PointConfiguration, t: Subdivision, stricts):
     for fn in stricts:
         values = [_dot(fn, ray) for ray in rays]
         if min(values, default=0) < 0 or not any(values):
-            return None
+            raise InconsistencyError("the flippable stricts' kernels miss a triangulation cone")
     return rays
 
 
@@ -479,33 +476,25 @@ def _folding_stricts(config: PointConfiguration, s: Subdivision) -> set[tuple[in
     """The folding stricts of a triangulation's cone, once s is certified to
     be a triangulation of config; raises NoCertificateError otherwise.
 
-    Full-dimensional simplices triangulate a configuration exactly when each
-    ridge lies in one of them and on a facet of the configuration, or in two
-    on opposite sides of it, and their normalized volumes add up to the
-    configuration's (De Loera, Rambau & Santos, Triangulations, 2010, ch. 4).
-    A lifting then induces s exactly when it folds strictly across every
-    interior ridge and lifts every unused point strictly below a simplex
+    Full-dimensional simplices whose volumes add up to the configuration's,
+    as secondary_cone has checked, triangulate it exactly when each ridge
+    lies in one of them and on a facet of the configuration, or in two on
+    opposite sides of it (De Loera, Rambau & Santos, Triangulations, 2010,
+    ch. 4).  A lifting then induces s exactly when it folds strictly across
+    every interior ridge and lifts every unused point strictly below a simplex
     containing it (ibid., ch. 5); the first cell in which the point has no
     negative barycentric coordinate serves, and any other gives the same
     functional.  Each strict is a config.circuit, positive on the far
-    vertices or on the unused point, and each cell's volume is
-    config.scaled_volume: both are computed once per configuration, so a walk
-    meets each circuit and each simplex once.
+    vertices or on the unused point, computed once per configuration, so a
+    walk meets each circuit once.
     """
     cells = [sorted(mc.marks) for mc in s.maximal]
     found: set[tuple[int, ...]] = set()
-    total = 0
     far: dict[frozenset[int], list[int]] = {}
     for cell in cells:
-        vol = config.scaled_volume(sum(1 << i for i in cell))
-        if not vol:
-            raise NoCertificateError(f"cell {cell} is not full-dimensional")
-        total += vol
         marks = frozenset(cell)
         for v in cell:
             far.setdefault(marks - {v}, []).append(v)
-    if total != config.scaled_volume((1 << len(config.points)) - 1):
-        raise NoCertificateError("the cells' volumes do not add up to the configuration's")
     for ridge, ends in far.items():
         if len(ends) == 1:
             if not any(ridge <= f.members for f in config.facets):
@@ -537,8 +526,8 @@ def _circuit_cells(t: Subdivision, wall: tuple[int, ...]):
     its positive coefficients.  A link is the marks outside Z of a cell of t
     that misses exactly one point of Z, a point of Z+; links maps each to the
     indices in t.maximal of its cells (Z - {z}) | link.  Such a cell holds
-    all of Z-, which most cells fail, so that test runs first.  _flip_cells
-    and _face_subdivision share this local picture of t at Z.
+    all of Z-, which most cells fail, so that test runs first.  _flippable,
+    for the flips, and _face_subdivision share this local picture of t at Z.
     """
     plus = frozenset(i for i, c in enumerate(wall) if c > 0)
     minus = frozenset(i for i, c in enumerate(wall) if c < 0)
@@ -592,49 +581,47 @@ def _face_subdivision(t: Subdivision, cone: SecondaryCone, mask: int, sample):
 def secondary_cone(config: PointConfiguration, s: Subdivision) -> SecondaryCone:
     """H-representation of the liftings inducing s; raises when there are none.
 
-    A triangulation's cone is built in its local folding form: no
-    equalities, one strict per interior ridge and one per unused point, after
-    a certificate that s is a triangulation of config (see _folding_stricts).
-    A subdivision with a non-simplex cell must have full-dimensional cells
-    whose volumes add up to the configuration's; it then gets, per maximal
-    cell, one equality per other mark and one strict per point off the cell,
-    each the config.circuit of the cell's spanning marks and the point.  Every
+    First every cell must be full-dimensional, a cell of volume 0 raising
+    NoCertificateError, and the cells' volumes must add up to the
+    configuration's.  A triangulation's cone is then built in its local
+    folding form: no equalities, one strict per interior ridge and one per
+    unused point, after a certificate that s is a triangulation of config
+    (see _folding_stricts).  Any other subdivision gets, per maximal cell,
+    one equality per other mark and one strict per point off the cell, each
+    the config.circuit of the cell's spanning marks and the point.  Every
     point of the open cone then induces a subdivision with each cell among
-    its maximal cells, and the volumes leave room for no other.  Either way a
-    cell of volume 0 raises NoCertificateError.  The interior point is
-    s.witness when an exact check puts it in the open cone; otherwise it is
-    the sum of the cone's rays.  A triangulation cone gets its rays from the
-    kernels of its flippable stricts with no hull (see _flippable_rays); any
-    other cone, or one whose kernels fail those checks, gets them from the
-    hull of _cone_rays (see _certify_cone).
+    its maximal cells, and the volumes leave room for no other.  The
+    interior point is s.witness when an exact check puts it in the open
+    cone; otherwise it is the sum of the cone's rays.  A triangulation cone
+    gets its rays only from the kernels of its flippable stricts, with no
+    hull (see _flippable_rays); any other cone gets them from the hull of
+    _cone_rays (see _certify_cone).
     """
     if s.config != config:
         raise InputError("the subdivision belongs to another configuration")
     n = len(config.points)
-    rays = None
+    total = 0
+    for mc in s.maximal:
+        vol = config.scaled_volume(sum(1 << i for i in mc.marks))
+        if not vol:
+            raise NoCertificateError(f"cell {sorted(mc.marks)} is not full-dimensional")
+        total += vol
+    if total != config.scaled_volume((1 << n) - 1):
+        raise NoCertificateError("the cells' volumes do not add up to the configuration's")
     if is_triangulation(s):
-        equalities, stricts = [], sorted(_folding_stricts(config, s))
-        rays = _flippable_rays(config, s, stricts)
-    else:
-        eqs: set[tuple[int, ...]] = set()
-        sts: set[tuple[int, ...]] = set()
-        total = 0
-        for mc in s.maximal:
-            vol = config.scaled_volume(sum(1 << i for i in mc.marks))
-            if not vol:
-                raise NoCertificateError(f"cell {sorted(mc.marks)} is not full-dimensional")
-            total += vol
-            basis = _spanning_marks(config, mc.marks)
-            for a in range(n):
-                if a not in basis:
-                    (eqs if a in mc.marks else sts).add(config.circuit(basis + [a]))
-        if total != config.scaled_volume((1 << n) - 1):
-            raise NoCertificateError("the cells' volumes do not add up to the configuration's")
-        if eqs & sts:
-            # a functional required both zero and positive: nothing induces s
-            raise NoCertificateError("subdivision is not induced by any lifting")
-        equalities, stricts = sorted(eqs), sorted(sts)
-    cone = _certify_cone(equalities, stricts, n, s.witness, rays)
+        stricts = sorted(_folding_stricts(config, s))
+        return _certify_cone((), stricts, n, s.witness, _flippable_rays(config, s, stricts))
+    eqs: set[tuple[int, ...]] = set()
+    sts: set[tuple[int, ...]] = set()
+    for mc in s.maximal:
+        basis = _spanning_marks(config, mc.marks)
+        for a in range(n):
+            if a not in basis:
+                (eqs if a in mc.marks else sts).add(config.circuit(basis + [a]))
+    if eqs & sts:
+        # a functional required both zero and positive: nothing induces s
+        raise NoCertificateError("subdivision is not induced by any lifting")
+    cone = _certify_cone(sorted(eqs), sorted(sts), n, s.witness)
     if cone is None:
         raise NoCertificateError("subdivision is not induced by any lifting")
     return cone
@@ -658,37 +645,38 @@ def _placing_lifting(config: PointConfiguration):
     raise ResourceCapError("found no triangulation-inducing lifting")
 
 
-def _flip_cells(t: Subdivision, wall: tuple[int, ...]):
-    """(old cells, new cells) of the bistellar flip of t on the circuit whose
-    affine dependence is wall, or None when t does not flip that circuit.
+def _flippable(t: Subdivision, wall: tuple[int, ...]):
+    """_circuit_cells(t, wall) when t flips the circuit Z whose affine
+    dependence is wall, otherwise None; no cell set is built.
 
     wall is positive on t's cone when it is a strict of it, so t
-    triangulates the circuit Z by the cells Z - {z} for z in Z+, its
-    positive coefficients (De Loera, Rambau & Santos, Triangulations, ch. 2
-    and 5).  t flips Z when, for each link (see _circuit_cells), it holds
-    every cell (Z - {z}) | link for z in Z+, and the flip replaces them with
-    those for z in Z-.
+    triangulates Z by the cells Z - {z} for z in Z+, its positive
+    coefficients (De Loera, Rambau & Santos, Triangulations, ch. 2 and 5).
+    t flips Z when each link's group holds |Z+| cells: all the cells
+    (Z - {z}) | link for z in Z+.
     """
     plus, circuit, links = _circuit_cells(t, wall)
-    if any(len(cells) < len(plus) for cells in links.values()):
-        return None
-    old = {t.maximal[k].marks for cells in links.values() for k in cells}
-    return old, {(circuit - {z}) | link for z in circuit - plus for link in links}
+    if all(len(cells) == len(plus) for cells in links.values()):
+        return plus, circuit, links
+    return None
 
 
 def _flip(config: PointConfiguration, t: Subdivision, wall: tuple[int, ...]) -> Subdivision:
     """The triangulation across the wall of t's cone cut out by wall.
 
-    A wall functional is the affine dependence of a circuit, positive on t's
-    cone, and crossing the wall is the bistellar flip on it (see
-    _flip_cells).  A walked triangulation's walls are among its folding
-    stricts, which _flippable_rays tested for a flip without keeping cells.
+    A wall functional is the affine dependence of a circuit Z, positive on
+    t's cone, and crossing the wall is the bistellar flip on Z: when
+    _flippable finds every link's group full, the flip replaces the groups'
+    cells, those for z in Z+, with the cells (Z - {z}) | link for z in Z-.
+    Only a crossed wall builds the two cell sets.
     """
-    cells = _flip_cells(t, wall)
-    if cells is None:
+    groups = _flippable(t, wall)
+    if groups is None:
         circuit = sorted(i for i, c in enumerate(wall) if c)
         raise InconsistencyError(f"circuit {circuit} is not flippable")
-    old, new = cells
+    plus, circuit, links = groups
+    old = {t.maximal[k].marks for cells in links.values() for k in cells}
+    new = {(circuit - {z}) | link for z in circuit - plus for link in links}
     return Subdivision(config, tuple(MarkedCell(m) for m in (t.key - old) | new))
 
 
@@ -703,12 +691,12 @@ def enumerate_regular_triangulations(config: PointConfiguration, max_count=4096)
     one is certified by its cone alone, with no induced hull: the folding
     certificate, its rays and the exact check that their sum lies in the
     open cone prove that every point there induces it.  Its rays are the
-    kernels of its flippable stricts, checked by dot products, or the hull's
-    of _cone_rays should that check fail (see secondary_cone).  Its cone's
-    closure must contain the wall sample, and the ray sum becomes its
-    witness; its maximal cells carry no supports.  The seed keeps the
-    supports and witness of its placing lifting.  A triangulation keeps no
-    walk state: _flip_cells runs once per strict and once per crossed wall.
+    kernels of its flippable stricts, checked by dot products, with no hull
+    (see secondary_cone).  Its cone's closure must contain the wall sample,
+    and the ray sum becomes its witness; its maximal cells carry no
+    supports.  The seed keeps the supports and witness of its placing
+    lifting.  A triangulation keeps no walk state: _circuit_cells runs once
+    per strict, for the flip test, and once per crossed wall, for the flip.
     Circuits and simplex volumes are computed once per configuration (see
     PointConfiguration.circuit), so a second walk on the same configuration
     computes neither again.

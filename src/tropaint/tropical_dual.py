@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InputError, NotIsotopicError
+from .errors import InputError
 from .geometry import vdot, vector
 from .point_config import PointConfiguration
 from .regular_subdivision import Lifting, Subdivision, induce_subdivision
@@ -116,20 +116,4 @@ def dual_complex(config: PointConfiguration, eta) -> tuple[TropicalComplex, Subd
         rays = [r for r, m in normals if marks <= m]
         cells[marks] = TropicalCell(verts, rays, marks, config.dimension - cell.dimension)
     return TropicalComplex(config, eta, s, cells), s
-
-
-def isotopy_map(p1: TropicalComplex, p2: TropicalComplex):
-    """Match cells of equal marking across two complexes of the same type.
-
-    Both complexes must come from liftings inducing the same subdivision;
-    otherwise there is no canonical correspondence and NotIsotopicError is
-    raised.  Returns {marking: (cell of p1, cell of p2)}.
-    """
-    if p1.config != p2.config:
-        raise NotIsotopicError("complexes over different configurations")
-    if p1.subdivision.key != p2.subdivision.key:
-        raise NotIsotopicError("different dual subdivisions")
-    return {
-        m: (p1.cells[m], p2.cells[m]) for m in sorted(p1.cells, key=sorted)
-    }
 

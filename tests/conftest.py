@@ -12,9 +12,9 @@ def fallback_certifications(monkeypatch):
     """Every cone certified without its witness, in order: the arguments
     (equalities, stricts, dimension, rays) of each _ray_sum_cone call, by
     which _certify_cone makes the ray sum the interior point whichever route
-    found the rays, the kernels of _flippable_rays or the hull of
-    _cone_rays.  Ray computations of already certified cones are not
-    counted."""
+    found the rays: the kernels of _flippable_rays for a triangulation cone,
+    the hull of _cone_rays for any other.  Ray computations of already
+    certified cones are not counted."""
     calls = []
     real = regular_subdivision._ray_sum_cone
 

@@ -24,7 +24,10 @@ its volume memo, PointConfiguration.facets and scaled_volume.
 The recursive face enumeration builds one hull per face and recurses into
 its facets, and the vertex and wall tests are rank tests on facet normals and
 on rays; tropaint derives all three from one intersection closure of facet
-incidences, and these are the references for it.
+incidences, and these are the references for it.  The quadratic face
+grading grades each face of a cone against every face graded before it, as
+SecondaryCone.graded_faces did before geometry.graded_closure graded a face
+from its intersections with single parts.
 
 The greedy independence reference recomputes a rank from scratch for every
 candidate, as the six selection loops of tropaint.geometry and
@@ -128,8 +131,9 @@ faces by their sizes.
 
 The relative-interior sample of a dual cell and the vertex indices of a
 configuration were the methods TropicalCell.relint_sample and
-PointConfiguration.vertex_indices, which only the tests called; they moved
-here as they were.
+PointConfiguration.vertex_indices, and the vector sum vadd was
+geometry.vadd; only the tests called them, and they moved here as they
+were.
 
 The unpruned lattice search backtracks over the same color classes in the
 same order as lattice.lattice_isomorphic, but checks a match only against
@@ -163,7 +167,6 @@ from tropaint.geometry import (
     independent_rows,
     intersection_closure,
     matrix_rank,
-    vadd,
     vector,
     vdot,
     vsub,
@@ -540,6 +543,10 @@ def det_oracle(rows) -> Fraction:
 
 def _dot(u, v):
     return sum((a * b for a, b in zip(u, v)), ZERO)
+
+
+def vadd(u, v):
+    return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
 def _hyperplane_oracle(points):
@@ -1022,6 +1029,23 @@ def cone_walls_by_rank(cone):
             for r in tight:
                 sample = tuple(a + b for a, b in zip(sample, r))
             out.append((fn, sample))
+    return out
+
+
+def graded_faces_quadratic(cone):
+    """(ray mask, grade, ray-sum sample) per face of a SecondaryCone, in
+    sorted-mask order: the intersection closure of the stricts' ray masks,
+    each mask graded one above the largest mask strictly inside, found by
+    scanning every mask graded before it."""
+    rays = cone.rays
+    tight = [sum(1 << j for j, r in enumerate(rays) if not _dot(fn, r)) for fn in cone.stricts]
+    grades = {}
+    for mask in sorted(intersection_closure((1 << len(rays)) - 1, tight)):
+        grades[mask] = 1 + max((g for m, g in grades.items() if m & mask == m), default=-1)
+    out = []
+    for mask, g in grades.items():
+        chosen = [r for j, r in enumerate(rays) if mask >> j & 1]
+        out.append((mask, g, tuple(sum(r[k] for r in chosen) for k in range(cone.ambient_dim))))
     return out
 
 

@@ -5,8 +5,9 @@ certified exactly when Fourier-Motzkin elimination finds its open cone
 nonempty.  A triangulation cone gets the same rays with no hull, from the
 kernels of its flippable stricts, on every walked triangulation of the
 goldens, the polygons, their extensions, the seeded corpus, a grid and a
-cube with its centre, and none falls back to the hull.  Constraints, rays
-and samples are int tuples; only interior points are Fractions."""
+cube with its centre; it has no other route, and a failed kernel
+certificate raises.  Constraints, rays and samples are int tuples; only
+interior points are Fractions."""
 
 import random
 from fractions import Fraction
@@ -26,7 +27,7 @@ from tropaint.regular_subdivision import (
     Subdivision,
     _certify_cone,
     _cone_rays,
-    _flip_cells,
+    _flippable,
     _flippable_rays,
     enumerate_coherent_subdivisions,
     enumerate_regular_triangulations,
@@ -112,13 +113,13 @@ def test_every_chamber_sign_pattern_matches_oracles(config, alpha):
 
 
 def _walked():
-    """(config, (hull fallbacks, triangulations) or None) per input of the
-    kernel-ray test, the counts pinned where the hull used to run."""
+    """(config, triangulation count or None) per input of the kernel-ray
+    test, the counts pinned where the hull used to run."""
     bases = [("quad", QUAD, QUAD_ALPHA), ("bipyramid", BIPYRAMID, BIPYRAMID_ALPHA)]
     for m in (3, 4, 5, 6):
         config = ngon_configuration(m)
         bases.append((f"ngon{m}", config, admissible_alpha(config)))
-    pinned = {"ngon6-extended": (0, 322), "grid": (0, 387), "cube": (0, 222)}
+    pinned = {"ngon6-extended": 322, "grid": 387, "cube": 222}
     out = [("grid", GRID), ("cube", CUBE)]
     for name, config, alpha in bases:
         out += [(name, config), (f"{name}-extended", extend(config, alpha).extended)]
@@ -126,19 +127,15 @@ def _walked():
     return [pytest.param(config, pinned.get(name), id=name) for name, config in out]
 
 
-@pytest.mark.parametrize("config, fallbacks", _walked())
-def test_simplicial_rays_match_the_hull(config, fallbacks):
+@pytest.mark.parametrize("config, count", _walked())
+def test_simplicial_rays_match_the_hull(config, count):
     n = len(config.points)
     tris = enumerate_regular_triangulations(config)
-    missed = 0
     for t, cone in tris.values():
         hull = _cone_rays((), cone.stricts, n)
         assert hull == cone_rays_fraction((), cone.stricts, n) == cone.rays
         # a fresh copy: the rays depend on t's cells alone
         rays = _flippable_rays(config, Subdivision(config, t.maximal), cone.stricts)
-        if rays is None:
-            missed += 1
-            continue
         assert rays == hull
         # the walk's witness is the ray sum, or the seed's placing lifting
         fast = _certify_cone((), cone.stricts, n, t.witness, rays)
@@ -147,13 +144,14 @@ def test_simplicial_rays_match_the_hull(config, fallbacks):
         bare = _certify_cone((), cone.stricts, n, None, rays)
         assert bare.rays == hull
         assert bare.interior_point == tuple(F(sum(col)) for col in zip((0,) * n, *hull))
-    assert (missed, len(tris)) == (fallbacks or (0, len(tris)))
+    if count is not None:
+        assert len(tris) == count
 
 
 def _lying_flip_test(monkeypatch, swapped):
-    """Make _flip_cells answer per strict from swapped, truthfully elsewhere."""
+    """Make _flippable answer per strict from swapped, truthfully elsewhere."""
     monkeypatch.setattr(
-        regular_subdivision, "_flip_cells", lambda t, fn: swapped.get(fn, _flip_cells(t, fn))
+        regular_subdivision, "_flippable", lambda t, fn: swapped.get(fn, _flippable(t, fn))
     )
 
 
@@ -161,23 +159,27 @@ def test_simplicial_rays_do_not_trust_the_flip_test(monkeypatch):
     """Every wall of a triangulation cone is a flippable strict, so the
     dropped stricts hold on the kernels' rays by flip theory alone.  The
     dot products check it anyway: when the flip test swaps a flippable
-    strict for a dropped one, the route certifies nothing, or the true rays
-    when the stricts it then takes still cut out the cone, as on some of the
-    cube's cones with more flippable stricts than the frame's dimension.
-    Each swap runs on a fresh copy of the walked triangulation."""
+    strict for a dropped one, the route refuses with InconsistencyError, or
+    certifies the true rays when the stricts it then takes still cut out the
+    cone, as on some of the cube's cones with more flippable stricts than
+    the frame's dimension.  Each swap runs on a fresh copy of the walked
+    triangulation."""
     counts = []
     for config in (extend(QUAD, QUAD_ALPHA).extended, CUBE):
         swaps = refused = 0
         for t, cone in enumerate_regular_triangulations(config).values():
-            kept = [fn for fn in cone.stricts if _flip_cells(t, fn) is not None]
-            dropped = [fn for fn in cone.stricts if _flip_cells(t, fn) is None]
+            kept = [fn for fn in cone.stricts if _flippable(t, fn) is not None]
+            dropped = [fn for fn in cone.stricts if _flippable(t, fn) is None]
             for out, into in product(kept, dropped):
-                _lying_flip_test(monkeypatch, {out: None, into: (set(), set())})
+                _lying_flip_test(monkeypatch, {out: None, into: _flippable(t, out)})
                 fresh = Subdivision(config, t.maximal, t.witness)
-                rays = _flippable_rays(config, fresh, cone.stricts)
-                assert rays in (None, cone.rays)
                 swaps += 1
-                refused += rays is None
+                try:
+                    rays = _flippable_rays(config, fresh, cone.stricts)
+                except InconsistencyError:
+                    refused += 1
+                else:
+                    assert rays == cone.rays
         counts.append((refused, swaps))
     assert counts == [(78, 78), (3568, 3904)]
 
@@ -185,15 +187,18 @@ def test_simplicial_rays_do_not_trust_the_flip_test(monkeypatch):
 def test_flippable_rays_need_every_strict_on_a_ray(monkeypatch):
     """With too few flippable stricts to span the frame no kernel survives,
     and a cone with no rays is refused rather than certified: a strict must
-    be positive on some ray."""
+    be positive on some ray.  A triangulation cone has no other route to its
+    rays, so secondary_cone refuses it too."""
     config = extend(QUAD, QUAD_ALPHA).extended
     for t, cone in enumerate_regular_triangulations(config).values():
-        kept = [fn for fn in cone.stricts if _flip_cells(t, fn) is not None]
+        kept = [fn for fn in cone.stricts if _flippable(t, fn) is not None]
         for lone in ([], kept[:1]):
             _lying_flip_test(monkeypatch, {fn: None for fn in kept if fn not in lone})
             fresh = Subdivision(config, t.maximal)
-            assert _flippable_rays(config, fresh, cone.stricts) is None
-            assert secondary_cone(config, fresh).rays == cone.rays
+            with pytest.raises(InconsistencyError, match="kernels miss"):
+                _flippable_rays(config, fresh, cone.stricts)
+            with pytest.raises(InconsistencyError, match="kernels miss"):
+                secondary_cone(config, fresh)
 
 
 def _random_cone(rng):

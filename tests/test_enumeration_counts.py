@@ -105,14 +105,15 @@ def test_triangulation_walk_induces_each_triangulation_once(calls_to, config, co
 
 
 def test_walk_flips_once_per_strict_and_once_per_crossed_wall(calls_to):
-    flips = calls_to(regular_subdivision._flip_cells)
+    circuits = calls_to(regular_subdivision._circuit_cells)
     tris = enumerate_regular_triangulations(_extended_ngon(4))
-    # _flippable_rays tests each strict and _flip recomputes the cells of
-    # each wall it crosses: no triangulation keeps flip cells for later
+    # _flippable_rays tests each strict on its circuit's link groups, and
+    # _flip regroups each wall it crosses: no triangulation keeps flip cells
+    # for later
     stricts = sum(len(cone.stricts) for _, cone in tris.values())
     walls = sum(len(cone.walls()) for _, cone in tris.values())
     assert (stricts, walls) == (93, 64)
-    assert len(flips) == stricts + walls == 157
+    assert len(circuits) == stricts + walls == 157
 
 
 @pytest.mark.parametrize(

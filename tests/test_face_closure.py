@@ -1,22 +1,27 @@
 """Faces, vertices and cone walls all come from one intersection closure of
 facet incidences, and so do the cells of a subdivision with their dimensions
-and vertices; the recursive face enumeration, the rank tests and the per-cell
-hulls and ranks they replaced stay in oracles.py as references."""
+and vertices; one grading rule, graded_closure, grades the faces of both
+cells and cones.  The recursive face enumeration, the rank tests, the
+per-cell hulls and ranks and the quadratic grading they replaced stay in
+oracles.py as references."""
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropaint import geometry
-from tropaint.geometry import intersection_closure
+from tropaint.geometry import graded_closure, intersection_closure
 from tropaint.multiplihedra import admissible_alpha, ngon_configuration
+from tropaint.painting import painting_constraint
 from tropaint.painting_polytope import extend
 from tropaint.point_config import build_configuration
 from tropaint.regular_subdivision import (
     Lifting,
     SecondaryCone,
+    _certify_cone,
     enumerate_coherent_subdivisions,
     enumerate_regular_triangulations,
     induce_subdivision,
@@ -26,6 +31,7 @@ from oracles import (
     affine_coordinates,
     cone_walls_by_rank,
     face_member_sets_recursive,
+    graded_faces_quadratic,
     polytope_vertex_indices_by_rank,
     subdivision_cells_by_hull,
     vertex_indices,
@@ -47,6 +53,17 @@ def test_closure_works_on_sets_and_masks():
     masks = intersection_closure(0b111, [0b011, 0b110, 0b100])
     assert masks == {0b111, 0b011, 0b110, 0b100, 0b010, 0b000}
     assert intersection_closure(0b1, []) == {0b1}
+
+
+def test_graded_closure_grades_a_square_and_a_point():
+    # the faces of a square on bits 0-3, its edges the parts
+    edges = [0b0011, 0b0110, 0b1100, 0b1001]
+    grades = graded_closure(0b1111, edges)
+    assert grades == {0: 0, 1: 1, 2: 1, 4: 1, 8: 1, **{e: 2 for e in edges}, 0b1111: 3}
+    assert list(grades)[0] == 0 and list(grades)[-1] == 0b1111
+    # the empty mask is below every other, parts or none
+    assert graded_closure(0b1, []) == {0: 0, 0b1: 1}
+    assert graded_closure(0, [0b1]) == {0: 0}
 
 
 coordinate = st.integers(-3, 3)
@@ -125,6 +142,63 @@ def _triangulation_cones():
     for name, config in _golden_configs().items():
         for _, cone in enumerate_regular_triangulations(config).values():
             yield name, cone
+
+
+GRID = build_configuration([(i, j) for i in range(3) for j in range(3)])
+CUBE = build_configuration(
+    [(i, j, k) for i in (0, 2) for j in (0, 2) for k in (0, 2)] + [(1, 1, 1)]
+)
+
+
+def _graded_cones():
+    """(name, configuration) per walk of the grading test."""
+    out = [
+        ("quad", QUAD),
+        ("bipyramid", BIPYRAMID),
+        ("quad_ext", extend(QUAD, QUAD_ALPHA).extended),
+        ("bipyramid_ext", extend(BIPYRAMID, BIPYRAMID_ALPHA).extended),
+        ("grid", GRID),
+        ("cube", CUBE),
+    ]
+    for m in (3, 4, 5, 6):
+        config = ngon_configuration(m)
+        out.append((f"m{m}_ext", extend(config, admissible_alpha(config)).extended))
+    return [pytest.param(config, id=name) for name, config in out]
+
+
+@pytest.mark.parametrize("config", _graded_cones())
+def test_graded_faces_match_the_quadratic_grading_on_triangulation_cones(config):
+    for _, cone in enumerate_regular_triangulations(config).values():
+        assert cone.graded_faces() == graded_faces_quadratic(cone)
+
+
+def _painted_chambers(config, alpha):
+    """The certified chambers of every all-strict sign pattern of the 0-cell
+    constraints over each triangulation cone."""
+    n = len(config.points)
+    for t, cone in enumerate_regular_triangulations(config).values():
+        fns = [painting_constraint(config, mc.marks, alpha) for mc in t.maximal]
+        for pattern in product((1, -1), repeat=len(fns)):
+            flips = tuple(tuple(sign * x for x in fn) for fn, sign in zip(fns, pattern))
+            chamber = _certify_cone((), tuple(f + (0,) for f in cone.stricts) + flips, n + 1, None)
+            if chamber is not None:
+                yield chamber
+
+
+def _chamber_inputs():
+    out = [("quad", QUAD, QUAD_ALPHA), ("bipyramid", BIPYRAMID, BIPYRAMID_ALPHA)]
+    for m in (3, 4, 5):
+        config = ngon_configuration(m)
+        out.append((f"m{m}", config, admissible_alpha(config)))
+    return [pytest.param(config, alpha, id=name) for name, config, alpha in out]
+
+
+@pytest.mark.parametrize("config, alpha", _chamber_inputs())
+def test_graded_faces_match_the_quadratic_grading_on_painted_chambers(config, alpha):
+    chambers = list(_painted_chambers(config, alpha))
+    assert chambers
+    for chamber in chambers:
+        assert chamber.graded_faces() == graded_faces_quadratic(chamber)
 
 
 def test_walls_match_the_rank_oracle_on_triangulation_cones():

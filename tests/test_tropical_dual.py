@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropaint.errors import NotIsotopicError
 from tropaint.geometry import affine_rank
 from tropaint.multiplihedra import ngon_configuration
 from tropaint.point_config import build_configuration
@@ -13,7 +12,6 @@ from tropaint.tropical_dual import (
     TropicalPolynomial,
     dual_complex,
     evaluate,
-    isotopy_map,
 )
 
 from oracles import (
@@ -97,24 +95,6 @@ def test_bipyramid_single_compact_edge():
     assert len(compact_edges) == 1
     assert compact_edges[0].marking == frozenset({0, 1, 2})
     assert not [c for c in hyp if c.dimension == 2 and c.is_compact()]
-
-
-def test_isotopy_identity_and_scaling():
-    p1, _ = dual_complex(QUAD, STAR)
-    assert set(isotopy_map(p1, p1)) == set(p1.cells)
-    p2, _ = dual_complex(QUAD, Lifting.of(QUAD, [-2, 0, 0, 0, 0]))
-    m = isotopy_map(p1, p2)
-    assert set(m) == set(p1.cells)
-    for marks, (c1, c2) in m.items():
-        assert c1.marking == c2.marking == marks
-        assert c1.rays == c2.rays
-
-
-def test_isotopy_rejects_different_subdivisions():
-    p1, _ = dual_complex(QUAD, STAR)
-    p2, _ = dual_complex(QUAD, FOUR)
-    with pytest.raises(NotIsotopicError):
-        isotopy_map(p1, p2)
 
 
 def _in_vrep(cell, u):
