@@ -3,9 +3,10 @@
 Exact rationals at the API, integer arithmetic inside, no floats: every
 public function takes and returns fractions.Fraction values, while
 elimination and hulls run on Python ints (fraction-free rows, points scaled
-by a common denominator).  Vectors are plain tuples of Fractions, which
-keeps them hashable and cheap.  Scale target is "desk scale": tens of
-points, ambient dimension at most six.
+by a common denominator, determinants of order at most 3 in closed form).
+Vectors are plain tuples of Fractions, which keeps them hashable and
+cheap.  Scale target is "desk scale": tens of points, ambient dimension at
+most six.
 """
 
 from __future__ import annotations
@@ -169,11 +170,21 @@ def independent_rows(rows) -> list[int]:
 
 
 def _int_det(rows) -> int:
-    """Determinant of a square integer matrix by Bareiss (1968) elimination:
+    """Determinant of a square integer matrix: by cofactor expansion for
+    n <= 3, which covers the facet normals of 4-dimensional hulls and the
+    circuits of polygons, and by Bareiss (1968) elimination above, where
     after step k every entry left is a (k + 1)-minor, so each division is
     exact and the last entry is the determinant."""
+    n = len(rows)
+    if n == 3:
+        (a, b, c), (d, e, f), (g, h, i) = rows
+        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if n == 2:
+        (a, b), (c, d) = rows
+        return a * d - b * c
+    if n < 2:
+        return rows[0][0] if n else 1
     m = [list(row) for row in rows]
-    n = len(m)
     sign, prev = 1, 1
     for k in range(n - 1):
         if not m[k][k]:
@@ -189,7 +200,7 @@ def _int_det(rows) -> int:
             for j in range(k + 1, n):
                 row[j] = (p * row[j] - a * pk[j]) // prev
         prev = p
-    return sign * m[-1][-1] if n else 1
+    return sign * m[-1][-1]
 
 
 def _circuit_dependence(rows) -> list[int]:

@@ -6,10 +6,11 @@ of g = f(u) - u(alpha) - c over a cell is decided exactly by its signs at the
 cell's vertices, which are 0-cells, and its slopes along the cell's rays,
 which are inward normals of the configuration's facets.  Along the normal of a
 facet F the slope has the sign of alpha against F, F's entry of sign_vector,
-so g is evaluated once per 0-cell, never per cell.  A cell is red when
-g stays positive on the relative interior, blue when negative, purple when g
-vanishes somewhere inside.  Zeros attained only on a proper face do not count:
-an edge with one purple and one red endpoint is red.
+so g is evaluated once per 0-cell, never per cell, as an integer numerator
+over a positive denominator.  A cell is red when g stays positive on the
+relative interior, blue when negative, purple when g vanishes somewhere
+inside.  Zeros attained only on a proper face do not count: an edge with
+one purple and one red endpoint is red.
 """
 
 from __future__ import annotations
@@ -20,15 +21,7 @@ from itertools import product
 from math import gcd
 
 from .errors import InconsistencyError, InputError, NoCertificateError
-from .geometry import (
-    AffineFunctional,
-    Vec,
-    _circuit_dependence,
-    _int_row,
-    as_fraction,
-    vector,
-    vsub,
-)
+from .geometry import Vec, _circuit_dependence, _dot, _int_row, as_fraction, vector
 from .lattice import FaceLattice
 from .point_config import PointConfiguration, SignVector, sign_vector
 from .regular_subdivision import (
@@ -121,25 +114,36 @@ class PaintedComplex:
         return f"PaintedComplex({len(self.complex.cells)} cells)"
 
 
-def _comparison(config: PointConfiguration, spec: PaintSpec, marks) -> AffineFunctional:
-    """g on the dual cell of a marking: u -> u.a + eta(a) - u.alpha - c.
+def _comparison(config: PointConfiguration, spec: PaintSpec, marks, u) -> tuple[int, int]:
+    """g at a point u of the dual cell of a marking, u.a + eta(a) - u.alpha - c,
+    as an integer numerator over a positive denominator.
 
     Every mark a of the cell gives the same function there; the least one is
-    used.  The linear part a - alpha is g's slope along any direction.
+    used.  With L a from config.integer_points, u = U / D_u, alpha = A / D_a
+    and eta(a) - c = h / D_h, L D_u D_a D_h g is U . (D_a L a - L A) D_h +
+    h L D_u D_a, with no Fraction built.
     """
+    rows, scale = config.integer_points
     a = min(marks)
-    return AffineFunctional(vsub(config.points[a], spec.alpha), spec.c - spec.eta[a])
+    *uu, du = _int_row(u)
+    *al, da = _int_row(spec.alpha)
+    e, c = spec.eta[a], spec.c
+    h, dh = e.numerator * c.denominator - c.numerator * e.denominator, e.denominator * c.denominator
+    slope = [da * x - scale * y for x, y in zip(rows[a], al)]
+    den = scale * du * da
+    return _dot(uu, slope) * dh + h * den, den * dh
 
 
 def paint(p: TropicalComplex, spec: PaintSpec) -> PaintedComplex:
     """Color every cell of p by the exact sign behavior of g on it.
 
-    g is evaluated once at each 0-cell's vertex, and its slope signs along
-    the rays are sign_vector(config, alpha); colors_from_vertices extends
-    both to every cell.  p must be the dual complex of spec.eta itself:
-    the vertices are read off p, so the heights must be the ones that built
-    it.  A lifting that only induces the same subdivision moves the vertices
-    and would color them for another function, so it raises InputError.
+    g's sign is read once at each 0-cell's vertex, off _comparison's
+    numerator, and its slope signs along the rays are sign_vector(config,
+    alpha); colors_from_vertices extends both to every cell.  p must be the
+    dual complex of spec.eta itself: the vertices are read off p, so the
+    heights must be the ones that built it.  A lifting that only induces the
+    same subdivision moves the vertices and would color them for another
+    function, so it raises InputError.
     """
     config = p.config
     if len(spec.alpha) != config.dimension:
@@ -147,9 +151,10 @@ def paint(p: TropicalComplex, spec: PaintSpec) -> PaintedComplex:
     if spec.eta.values != p.eta.values:
         raise InputError("lifting is not the one that built the given complex")
     vertex_colors = {}
-    for cell in p.cells_of_dim(0):
-        g = _comparison(config, spec, cell.marking)(cell.vertices[0])
-        vertex_colors[cell.marking] = RED if g > 0 else BLUE if g < 0 else PURPLE
+    for marks, cell in p.cells.items():
+        if cell.dimension == 0:
+            g, _ = _comparison(config, spec, marks, cell.vertices[0])
+            vertex_colors[marks] = RED if g > 0 else BLUE if g < 0 else PURPLE
     kappa = colors_from_vertices(p, vertex_colors, sign_vector(config, spec.alpha))
     return PaintedComplex(p, kappa, spec)
 

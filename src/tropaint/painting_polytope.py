@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InconsistencyError, InputError, VerificationError
-from .geometry import Vec, vdot, vector
+from .geometry import Vec, vector
 from .lattice import lattice_isomorphic
 from .painting import (
     PURPLE,
@@ -80,7 +80,7 @@ def _lift(ext: ExtendedConfiguration, spec: PaintSpec, u: Vec, marking):
     g = 0 gives height 0 and both tower points, g < 0 gives height g/2 and
     beta.
     """
-    g = _comparison(ext.base, spec, marking)(u)
+    g = Fraction(*_comparison(ext.base, spec, marking, u))
     if g > 0:
         d, gain = g, {ext.rho}
     elif g == 0:
@@ -108,17 +108,16 @@ def _expected_extended_vertices(ext: ExtendedConfiguration, painted: PaintedComp
     for cell in painted.complex.cells_of_dim(1):
         if painted.kappa[cell.marking] != PURPLE:
             continue
-        g = _comparison(config, spec, cell.marking)
+        # g's slope along the cell is g(v1) - g(v0), v1 the other vertex or
+        # v0 pushed along the ray
         v0 = cell.vertices[0]
-        if cell.rays:
-            direction = cell.rays[0]
-        else:
-            direction = tuple(x - y for x, y in zip(cell.vertices[1], v0))
-        slope = vdot(direction, g.linear)
+        v1 = tuple(x + y for x, y in zip(v0, cell.rays[0])) if cell.rays else cell.vertices[1]
+        g0 = Fraction(*_comparison(config, spec, cell.marking, v0))
+        slope = Fraction(*_comparison(config, spec, cell.marking, v1)) - g0
         if slope == 0:
             continue  # identically zero along the cell
-        t = -g(v0) / slope
-        star = tuple(x + t * y for x, y in zip(v0, direction))
+        t = -g0 / slope
+        star = tuple(x + t * (y - x) for x, y in zip(v0, v1))
         out.add((star + (ZERO,), frozenset(cell.marking) | both))
     return out
 

@@ -18,10 +18,10 @@ from .geometry import (
     _circuit_dependence,
     _hull_facets,
     _int_det,
+    _int_row,
     _integer_points,
     _simplicial_hull,
     independent_rows,
-    vdot,
     vector,
 )
 
@@ -33,9 +33,6 @@ class FacetSupport:
     normal: Vec  # primitive integer vector
     threshold: Fraction
     members: frozenset[int]  # indices of all configuration points on the facet
-
-    def value(self, x) -> Fraction:
-        return vdot(self.normal, vector(x))
 
 
 @dataclass(frozen=True)
@@ -229,13 +226,16 @@ def sign_vector(config: PointConfiguration, alpha) -> SignVector:
 
     +1 means the facet inequality is violated (the point lies beyond that
     facet), 0 means it sits on the facet hyperplane, -1 strictly inside.
+    The comparison runs on ints: a facet's normal and threshold have
+    denominator 1, so with alpha = A / D it compares normal . A with
+    threshold times D.
     """
-    a = vector(alpha)
+    *a, den = _int_row(alpha)
     if len(a) != config.dimension:
         raise InputError("query point has the wrong dimension")
     signs = []
     for f in config.facets:
-        v = f.value(a)
-        signs.append(-1 if v > f.threshold else 0 if v == f.threshold else 1)
+        v = sum(w.numerator * x for w, x in zip(f.normal, a))
+        t = f.threshold.numerator * den
+        signs.append(-1 if v > t else 0 if v == t else 1)
     return SignVector(tuple(signs))
-

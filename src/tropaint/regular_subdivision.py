@@ -90,6 +90,33 @@ class MarkedCell:
         return f"MarkedCell({sorted(self.marks)})"
 
 
+def _face_dims(config: PointConfiguration, tops: list[int]) -> dict[int, int]:
+    """{mask: dimension} over every nonempty face of the maximal cells whose
+    masks are tops, each face once, in the order the tops list them.
+
+    A simplex's faces are its submasks, graded by their bit counts, and any
+    other maximal cell's come from graded_closure with the other tops and
+    the configuration's facet_masks, a face's dimension one less than its
+    grade.
+    """
+    outer = tops + list(config.facet_masks)
+    simplex = config.dimension + 1
+    dims: dict[int, int] = {}
+    for top in tops:
+        if top.bit_count() == simplex:
+            # every nonempty submask, from the top down
+            face = top
+            while face:
+                dims.setdefault(face, face.bit_count() - 1)
+                face = (face - 1) & top
+            continue
+        parts = {top & o for o in outer} - {top, 0}
+        for face, grade in graded_closure(top, parts).items():
+            if face:
+                dims.setdefault(face, grade - 1)
+    return dims
+
+
 class Subdivision:
     """Cells of a polyhedral subdivision, closed under faces.
 
@@ -102,7 +129,8 @@ class Subdivision:
     flipped triangulation has its cone's interior point, and a coarser
     subdivision read off a triangulation cone's face has the face sample.
 
-    .cells is built on first access, with no geometry.  Maximal cells are
+    .cells is built on first access, with no geometry; dual_complex reads
+    the same faces off _face_dims and leaves it unbuilt.  Maximal cells are
     full-dimensional, so one with d + 1 marks is a simplex whose marks are
     its vertices: its faces are all nonempty subsets of its marks, a face of
     k marks having dimension k - 1.  Any other cell meets the others in
@@ -131,33 +159,11 @@ class Subdivision:
 
     @property
     def cells(self) -> dict[frozenset[int], MarkedCell]:
-        """Every cell, keyed by its marks.
-
-        The faces and the grading run on int bitmasks, bit i for point i: a
-        simplex's faces are its submasks, graded by their bit counts, and any
-        other maximal cell's come from graded_closure with the configuration's
-        facet_masks, a face's dimension one less than its grade.  Each face
-        becomes a frozenset once, when its MarkedCell is made.
-        """
+        """Every cell, keyed by its marks, graded by _face_dims; each face
+        becomes a frozenset once, when its MarkedCell is made."""
         if self._cells is None:
-            config = self.config
-            points = config.points
-            tops = [sum(1 << i for i in mc.marks) for mc in self.maximal]
-            outer = tops + list(config.facet_masks)
-            simplex = config.dimension + 1
-            dims: dict[int, int] = {}
-            for top in tops:
-                if top.bit_count() == simplex:
-                    # every nonempty submask, from the top down
-                    face = top
-                    while face:
-                        dims.setdefault(face, face.bit_count() - 1)
-                        face = (face - 1) & top
-                    continue
-                parts = {top & o for o in outer} - {top, 0}
-                for face, grade in graded_closure(top, parts).items():
-                    if face:
-                        dims.setdefault(face, grade - 1)
+            points = self.config.points
+            dims = _face_dims(self.config, [sum(1 << i for i in mc.marks) for mc in self.maximal])
             # in the order of their points, so each cell lists its vertices sorted
             vertex_marks = sorted(
                 (f.bit_length() - 1 for f in dims if f.bit_count() == 1), key=points.__getitem__

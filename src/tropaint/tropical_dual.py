@@ -12,11 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import InputError
-from .geometry import vdot, vector
+from .geometry import _dot, _int_row
 from .point_config import PointConfiguration
-from .regular_subdivision import Lifting, Subdivision, induce_subdivision
-
-ZERO = Fraction(0)
+from .regular_subdivision import Lifting, Subdivision, _face_dims, induce_subdivision
 
 
 class TropicalPolynomial:
@@ -27,17 +25,31 @@ class TropicalPolynomial:
             raise InputError("lifting length mismatch")
         self.config = config
         self.eta = eta
+        self._eta_row = _int_row(eta.values)
 
     def __call__(self, u) -> Fraction:
         return evaluate(self, u)[0]
 
 
 def evaluate(f: TropicalPolynomial, u) -> tuple[Fraction, frozenset[int]]:
-    """Minimum value at u together with the set of indices attaining it."""
-    uu = vector(u)
-    vals = [vdot(uu, a) + f.eta[i] for i, a in enumerate(f.config.points)]
+    """Minimum value at u together with the set of indices attaining it.
+
+    The argmin runs on ints: with the points L a as config.integer_points
+    give them, u = U / D_u and eta = E / D_eta, the row f reads once, L D_u
+    D_eta times the value at a is (U . L a) D_eta + E(a) L D_u, and only the
+    minimum becomes a Fraction.  Raises InputError when u has the wrong
+    dimension.
+    """
+    rows, scale = f.config.integer_points
+    *uu, du = _int_row(u)
+    if len(uu) != f.config.dimension:
+        raise InputError(f"a point with {len(uu)} coordinates in R^{f.config.dimension}")
+    *heights, de = f._eta_row
+    shift = scale * du
+    # _dot stops at u's end, before each row's trailing 1
+    vals = [_dot(uu, row) * de + h * shift for row, h in zip(rows, heights)]
     best = min(vals)
-    return best, frozenset(i for i, v in enumerate(vals) if v == best)
+    return Fraction(best, shift * de), frozenset(i for i, v in enumerate(vals) if v == best)
 
 
 class TropicalCell:
@@ -100,20 +112,25 @@ def dual_complex(config: PointConfiguration, eta) -> tuple[TropicalComplex, Subd
     Each subdivision cell contributes one dual cell: its vertices are the
     slopes of the supports of the maximal cells containing it, its rays the
     inward normals of the polytope facets containing it.  Its dimension is
-    the complement of the subdivision cell's, which Subdivision.cells derives
-    from incidences; the test suite checks both dimensions against affine
+    the complement of the subdivision cell's.  The cells run on int
+    bitmasks, bit i for point i: _face_dims grades the faces of the maximal
+    cells' masks from incidences, as Subdivision.cells does, and a cell lies
+    in a maximal cell or a facet when its mask is a submask of the other's.
+    Each marking becomes a frozenset once, and the subdivision's .cells is
+    left unbuilt.  The test suite checks both dimensions against affine
     ranks, and that compactness matches interiority.  Slopes and normals are
     sorted once, so each cell lists both in lexicographic order.
     """
     if not isinstance(eta, Lifting):
         eta = Lifting.of(config, eta)
     s = induce_subdivision(config, eta)
-    slopes = sorted((mc.support.linear, mc.marks) for mc in s.maximal)
-    normals = sorted((f.normal, f.members) for f in config.facets)
+    tops = [sum(1 << i for i in mc.marks) for mc in s.maximal]
+    slopes = sorted(zip((mc.support.linear for mc in s.maximal), tops))
+    normals = sorted(zip((f.normal for f in config.facets), config.facet_masks))
     cells: dict[frozenset[int], TropicalCell] = {}
-    for marks, cell in s.cells.items():
-        verts = [u for u, m in slopes if marks <= m]
-        rays = [r for r, m in normals if marks <= m]
-        cells[marks] = TropicalCell(verts, rays, marks, config.dimension - cell.dimension)
+    for mask, dim in _face_dims(config, tops).items():
+        marks = frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+        verts = [u for u, top in slopes if mask & top == mask]
+        rays = [r for r, top in normals if mask & top == mask]
+        cells[marks] = TropicalCell(verts, rays, marks, config.dimension - dim)
     return TropicalComplex(config, eta, s, cells), s
-

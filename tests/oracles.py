@@ -103,7 +103,9 @@ maximal elements, close those covers here.
 The per-cell painting rebuilds g on every cell from the cell's least mark and
 reads its values at the cell's vertices and its slopes along the cell's
 rays, as painting.paint did before it evaluated g once per 0-cell and took
-the slope signs from the sign vector.
+the slope signs from the sign vector.  The Fraction tropical polynomial and
+sign vector take their dot products in Fractions, as tropical_dual.evaluate
+and point_config.sign_vector did before they compared integer rows.
 
 The subdivision validator checks a Subdivision against hulls and exact LPs:
 each cell's vertices against its marks' hull, the cells against the faces of
@@ -1378,6 +1380,23 @@ def paint_per_cell(p, spec) -> ColorFunction:
         else:
             colors[marks] = RED if has_pos else BLUE
     return ColorFunction(colors)
+
+
+def evaluate_oracle(f, u):
+    """The minimum of u . a + eta(a) over the configuration's points a, with
+    the indices attaining it, in Fractions."""
+    uu = vector(u)
+    vals = [vdot(uu, a) + f.eta[i] for i, a in enumerate(f.config.points)]
+    best = min(vals)
+    return best, frozenset(i for i, v in enumerate(vals) if v == best)
+
+
+def sign_vector_oracle(config, alpha) -> tuple[int, ...]:
+    """Per facet, +1 when alpha violates normal . x >= threshold, 0 on the
+    facet's hyperplane, -1 strictly inside, in Fractions."""
+    a = vector(alpha)
+    values = [(vdot(f.normal, a), f.threshold) for f in config.facets]
+    return tuple(-1 if v > t else 0 if v == t else 1 for v, t in values)
 
 
 # ---------------------------------------------------------------------------

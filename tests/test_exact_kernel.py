@@ -139,6 +139,25 @@ def test_circuit_dependence_is_the_signed_minors(rows):
     assert any(dependence) == (matrix_rank_oracle(rows) == k)
 
 
+def test_int_det_matches_the_oracle_at_every_order():
+    # closed forms up to order 3, Bareiss above; small entries give zero
+    # pivots, and every third matrix is made singular
+    rng = random.Random("int_det")
+    for n in range(6):
+        singular = 0
+        for trial in range(90):
+            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            if n and trial % 3 == 0:
+                i, j = rng.randrange(n), rng.randrange(n)
+                k = rng.randint(-2, 2)
+                # row i becomes k times row j, or zero when i = j
+                rows[i] = [k * x if i != j else 0 for x in rows[j]]
+            det = _int_det(rows)
+            assert det == det_oracle(rows)
+            singular += det == 0
+        assert singular >= 30 or n == 0
+
+
 @st.composite
 def square_systems(draw):
     rows = draw(matrices(square=True))

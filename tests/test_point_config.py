@@ -26,10 +26,9 @@ def test_quadrilateral_configuration():
 def test_facets_are_inward_inequalities():
     config = build_configuration(QUAD)
     for f in config.facets:
-        for p in config.points:
-            assert f.value(p) >= f.threshold
-        on = {i for i, p in enumerate(config.points) if f.value(p) == f.threshold}
-        assert on == f.members
+        values = [sum(w * x for w, x in zip(f.normal, p)) for p in config.points]
+        assert all(v >= f.threshold for v in values)
+        assert {i for i, v in enumerate(values) if v == f.threshold} == f.members
 
 
 def test_bipyramid_configuration():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tropaint.errors import InputError
 from tropaint.geometry import affine_rank
 from tropaint.multiplihedra import ngon_configuration
 from tropaint.point_config import build_configuration
@@ -44,6 +45,15 @@ def test_evaluate_at_worked_points():
 def test_evaluate_zero_point_picks_zero_heights():
     f = TropicalPolynomial(QUAD, Lifting.of(QUAD, [0, 1, 2, 0, 3]))
     assert evaluate(f, (0, 0)) == (F(0), frozenset({0, 3}))
+
+
+def test_evaluate_rejects_a_point_of_the_wrong_dimension():
+    f = TropicalPolynomial(QUAD, STAR)
+    for u in [(), (1,), (1, 2, 3)]:
+        with pytest.raises(InputError, match="coordinates"):
+            evaluate(f, u)
+        with pytest.raises(InputError):
+            f(u)
 
 
 def test_star_dual_vertices_match_elimination_oracle():
