@@ -22,10 +22,11 @@ Vec = tuple[Fraction, ...]
 
 
 def as_fraction(x) -> Fraction:
-    """Coerce int / str ("p/q") / Fraction to Fraction. Floats are refused."""
+    """Coerce int / str ("p/q") / Fraction to Fraction. Floats and bools are
+    refused."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     if isinstance(x, str):
         try:

@@ -44,7 +44,8 @@ class FaceLattice:
 
 def graded_lattice(ranks, covers, payload=None) -> FaceLattice:
     """Validate and package a graded lattice: covers must raise rank by one,
-    there must be exactly one top element, and rank 0 must be nonempty."""
+    every element but one top must lie below another, and every element of
+    nonzero rank above another, so rank 0 is the least rank and nonempty."""
     ranks = tuple(int(r) for r in ranks)
     covers = frozenset((int(i), int(j)) for i, j in covers)
     n = len(ranks)
@@ -53,68 +54,64 @@ def graded_lattice(ranks, covers, payload=None) -> FaceLattice:
             raise InconsistencyError(
                 f"cover {i}->{j} jumps rank {ranks[i]}->{ranks[j]}"
             )
-    if n and ranks.count(max(ranks)) != 1:
-        raise InconsistencyError("expected a unique top element")
-    if n and 0 not in ranks:
-        raise InconsistencyError("no rank-0 elements")
+    maximal = sorted(set(range(n)) - {i for i, _ in covers})
+    if len(maximal) > 1:
+        raise InconsistencyError(f"expected a unique top element, but {maximal} lie below none")
+    floating = sorted({k for k in range(n) if ranks[k]} - {j for _, j in covers})
+    if floating:
+        raise InconsistencyError(f"elements {floating} of nonzero rank lie above none")
     if payload is None:
         payload = tuple("" for _ in ranks)
     return FaceLattice(ranks, covers, tuple(payload))
 
 
-def _refined_colors(lat: FaceLattice) -> list[int]:
-    """Stable iterated neighborhood coloring; isomorphism-invariant classes."""
-    up = lat.up_adjacency()
-    down = lat.down_adjacency()
-    colors = list(lat.ranks)
+def _refined_colors(sides) -> list[list[int]]:
+    """Stable iterated neighborhood coloring of several lattices at once.
+
+    sides holds one (ranks, up, down) adjacency triple per lattice.  All
+    share one signature table, so equal colors are one isomorphism-invariant
+    class in every lattice, and one lattice's colors give the partition its
+    own refinement would reach.  Stops when the class count stops growing.
+    """
+    colors = [list(ranks) for ranks, _, _ in sides]
+    count = len({r for c in colors for r in c})
     while True:
-        sigs = []
-        for i in range(len(lat)):
-            sigs.append(
-                (
-                    colors[i],
-                    tuple(sorted(colors[j] for j in up[i])),
-                    tuple(sorted(colors[j] for j in down[i])),
-                )
-            )
         table: dict[tuple, int] = {}
-        for s in sorted(set(sigs)):
-            table[s] = len(table)
-        new = [table[s] for s in sigs]
-        if new == colors:
-            return colors
-        colors = new
+        new = []
+        for c, (_, up, down) in zip(colors, sides):
+            sigs = [
+                (c[i], tuple(sorted(c[j] for j in up[i])), tuple(sorted(c[j] for j in down[i])))
+                for i in range(len(c))
+            ]
+            new.append([table.setdefault(sig, len(table)) for sig in sigs])
+        if len(table) == count:
+            return new
+        colors, count = new, len(table)
 
 
 def lattice_isomorphic(l1: FaceLattice, l2: FaceLattice):
     """A rank-preserving order isomorphism as an index map, or None.
 
     Backtracking over color-refinement classes; covers must map onto covers
-    exactly.  Returns a list mapping l1 indices to l2 indices.  Each match
-    is forward-checked: every unmatched cover neighbour of the element just
-    matched must keep a candidate that ok accepts.  ok only grows stricter
-    as the match grows, so a branch cut there has no completion, and the
-    search meets the same first match as without the check.
+    exactly.  Returns a list mapping l1 indices to l2 indices.  Both lattices
+    are refined together, and an l1 element's candidates are the l2 elements
+    of its class in index order.  Each match is forward-checked: every
+    unmatched cover neighbour of the element just matched must keep a
+    candidate that ok accepts.  ok only grows stricter as the match grows, so
+    a branch cut there has no completion, and the search meets the same
+    first match as without the check.
     """
-    if len(l1) != len(l2) or l1.rank_counts() != l2.rank_counts():
+    up1, down1 = l1.up_adjacency(), l1.down_adjacency()
+    up2, down2 = l2.up_adjacency(), l2.down_adjacency()
+    c1, c2 = _refined_colors([(l1.ranks, up1, down1), (l2.ranks, up2, down2)])
+    if sorted(c1) != sorted(c2):
         return None
-    c1 = _refined_colors(l1)
-    c2 = _refined_colors(l2)
-    count1: dict[int, int] = {}
-    count2: dict[int, int] = {}
-    for c in c1:
-        count1[c] = count1.get(c, 0) + 1
-    for c in c2:
-        count2[c] = count2.get(c, 0) + 1
-    if count1 != count2:
-        return None
+    classes: dict[int, list[int]] = {}
+    for j, c in enumerate(c2):
+        classes.setdefault(c, []).append(j)
+    candidates = [classes[c] for c in c1]
     n = len(l1)
     cov2 = l2.covers
-    up1 = l1.up_adjacency()
-    down1 = l1.down_adjacency()
-    up2 = l2.up_adjacency()
-    down2 = l2.down_adjacency()
-    candidates = [sorted(j for j in range(n) if c2[j] == c1[i]) for i in range(n)]
     order = sorted(range(n), key=lambda i: (len(candidates[i]), -len(up1[i]) - len(down1[i])))
     match = [-1] * n
     used = [False] * n

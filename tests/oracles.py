@@ -180,7 +180,6 @@ from tropaint.multiplihedra import (
     admissible_alpha,
     ngon_configuration,
 )
-from tropaint.lattice import _refined_colors
 from tropaint.painting import BLUE, PURPLE, RED, ColorFunction, painting_cone
 from tropaint.painting_polytope import embed_lifting
 from tropaint.regular_subdivision import (
@@ -1513,6 +1512,33 @@ def planar_tree_by_angles(p):
 # Lattice isomorphism with no forward check
 
 
+def refined_colors_per_lattice(lat):
+    """Stable iterated neighborhood coloring; isomorphism-invariant classes.
+
+    One lattice at a time, each round renumbered by sorted signature, so two
+    isomorphic lattices end with the same colors on matching elements."""
+    up = lat.up_adjacency()
+    down = lat.down_adjacency()
+    colors = list(lat.ranks)
+    while True:
+        sigs = []
+        for i in range(len(lat)):
+            sigs.append(
+                (
+                    colors[i],
+                    tuple(sorted(colors[j] for j in up[i])),
+                    tuple(sorted(colors[j] for j in down[i])),
+                )
+            )
+        table: dict[tuple, int] = {}
+        for s in sorted(set(sigs)):
+            table[s] = len(table)
+        new = [table[s] for s in sigs]
+        if new == colors:
+            return colors
+        colors = new
+
+
 def lattice_isomorphic_unpruned(l1, l2):
     """A rank-preserving order isomorphism as an index map, or None, by the
     search with no forward check.
@@ -1522,8 +1548,8 @@ def lattice_isomorphic_unpruned(l1, l2):
     """
     if len(l1) != len(l2) or l1.rank_counts() != l2.rank_counts():
         return None
-    c1 = _refined_colors(l1)
-    c2 = _refined_colors(l2)
+    c1 = refined_colors_per_lattice(l1)
+    c2 = refined_colors_per_lattice(l2)
     count1: dict[int, int] = {}
     count2: dict[int, int] = {}
     for c in c1:

@@ -41,6 +41,18 @@ def test_as_fraction_accepts_int_str_fraction():
         as_fraction("not a number")
 
 
+def test_as_fraction_refuses_booleans():
+    # bool is an int subclass; JSON input refuses booleans, and so does the API
+    for flag in (True, False):
+        with pytest.raises(InputError, match="got bool"):
+            as_fraction(flag)
+    quad = build_configuration([(0, 0), (1, 0), (0, 1), (-1, 0), (-1, -1)])
+    with pytest.raises(InputError):
+        Lifting.of(quad, [True, False, 0, 0, 1])
+    with pytest.raises(InputError):
+        build_configuration([(True, False), (0, 1), (0, 0)])
+
+
 def test_primitive_vector():
     assert primitive_vector(vector([F(1, 2), F(3, 4)])) == vector([2, 3])
     assert primitive_vector(vector([-4, 6])) == vector([-2, 3])

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from tropaint.errors import InconsistencyError
 from tropaint.lattice import (
     FaceLattice,
+    _refined_colors,
     graded_lattice,
     lattice_isomorphic,
 )
@@ -16,7 +18,7 @@ from tropaint.point_config import build_configuration
 from tropaint.regular_subdivision import enumerate_coherent_subdivisions
 
 from corpus import CASES
-from oracles import lattice_isomorphic_unpruned, poset_oracle
+from oracles import lattice_isomorphic_unpruned, poset_oracle, refined_colors_per_lattice
 
 F = Fraction
 
@@ -38,6 +40,24 @@ def test_graded_lattice_validation():
         graded_lattice([0, 2], [(0, 1)])  # cover jumps two ranks
     with pytest.raises(InconsistencyError):
         graded_lattice([0, 1, 1], [(0, 1), (0, 2)])  # two top elements
+
+
+@pytest.mark.parametrize(
+    "ranks, covers",
+    [
+        ([0, 1, 0], [(0, 1)]),  # element 2 is maximal next to the top
+        ([0, 2, 1], [(2, 1)]),  # element 0 is maximal next to the top
+    ],
+)
+def test_graded_lattice_refuses_a_second_maximal_element(ranks, covers):
+    with pytest.raises(InconsistencyError, match="lie below none"):
+        graded_lattice(ranks, covers)
+
+
+def test_graded_lattice_refuses_an_element_of_positive_rank_above_none():
+    # element 2 has rank 1 but covers nothing; the top is unique
+    with pytest.raises(InconsistencyError, match=r"\[2\] of nonzero rank lie above none"):
+        graded_lattice([0, 1, 1, 2], [(0, 1), (1, 3), (2, 3)])
 
 
 def test_chain_lattice_from_poset():
@@ -124,12 +144,81 @@ def _searched_pairs():
     return out + [pytest.param(_theorem_lattices, case[1:], id=case[0]) for case in CASES]
 
 
+def _shared_classes(l1, l2):
+    """The shared colors of both lattices and each l1 element's candidates,
+    read off the l2 colors in one pass as lattice_isomorphic reads them."""
+    c1, c2 = _refined_colors(
+        [(lat.ranks, lat.up_adjacency(), lat.down_adjacency()) for lat in (l1, l2)]
+    )
+    classes = {}
+    for j, c in enumerate(c2):
+        classes.setdefault(c, []).append(j)
+    return c1, c2, [classes.get(c, []) for c in c1]
+
+
 @pytest.mark.parametrize("lattices, args", _searched_pairs())
 def test_forward_checked_search_finds_the_first_match(lattices, args):
     l1, l2 = lattices(*args)
     match = lattice_isomorphic(l1, l2)
     assert match is not None
     assert match == lattice_isomorphic_unpruned(l1, l2)
+    # the shared table gives each lattice its own stable partition, and the
+    # candidates are those of the per-lattice refinement's quadratic scan
+    c1, c2, candidates = _shared_classes(l1, l2)
+    o1, o2 = refined_colors_per_lattice(l1), refined_colors_per_lattice(l2)
+    for new, old in ((c1, o1), (c2, o2)):
+        assert len({(a, b) for a, b in zip(new, old)}) == len(set(new)) == len(set(old))
+    n = len(l1)
+    assert candidates == [[j for j in range(n) if o2[j] == o1[i]] for i in range(n)]
+
+
+def _relabelled(lat, rng):
+    """lat with its elements renumbered by a random permutation."""
+    perm = list(range(len(lat)))
+    rng.shuffle(perm)
+    ranks = [0] * len(lat)
+    for i, p in enumerate(perm):
+        ranks[p] = lat.ranks[i]
+    return graded_lattice(ranks, [(perm[i], perm[j]) for i, j in lat.covers])
+
+
+def _relabelled_pairs():
+    corpus = CASES[0]
+    return [
+        pytest.param(lambda: (multiplihedron_lattice(3),) * 2, id="multiplihedron3"),
+        pytest.param(lambda: (multiplihedron_lattice(4),) * 2, id="multiplihedron4"),
+        pytest.param(lambda: (boolean_lattice(6),) * 2, id="boolean6"),
+        pytest.param(lambda: _theorem_lattices(*corpus[1:]), id=corpus[0]),
+    ]
+
+
+@pytest.mark.parametrize("pair", _relabelled_pairs())
+def test_search_matches_a_randomly_relabelled_lattice(pair):
+    l1, base = pair()
+    rng = random.Random(20261021)
+    for _ in range(4):
+        l2 = _relabelled(base, rng)
+        match = lattice_isomorphic(l1, l2)
+        assert match is not None and sorted(match) == list(range(len(l2)))
+        assert {(match[i], match[j]) for i, j in l1.covers} == l2.covers
+        assert match == lattice_isomorphic_unpruned(l1, l2)
+
+
+def test_search_builds_each_adjacency_once_per_lattice(monkeypatch):
+    calls = []
+    for name in ("up_adjacency", "down_adjacency"):
+        built = getattr(FaceLattice, name)
+
+        def counted(lat, built=built, name=name):
+            calls.append((name, id(lat)))
+            return built(lat)
+
+        monkeypatch.setattr(FaceLattice, name, counted)
+    l1, l2 = square_lattice(), square_lattice(rotate=1)
+    assert lattice_isomorphic(l1, l2) is not None
+    assert sorted(calls) == sorted(
+        (name, id(lat)) for name in ("up_adjacency", "down_adjacency") for lat in (l1, l2)
+    )
 
 
 def test_forward_checked_search_on_six_points_takes_under_a_second():
