@@ -40,10 +40,6 @@ def vector(xs) -> Vec:
     return tuple(as_fraction(x) for x in xs)
 
 
-def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def vdot(u: Vec, v: Vec) -> Fraction:
     # one running numerator over one denominator: a single normalization
     num, den = 0, 1

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
+from math import lcm
 
 from .errors import (
     InconsistencyError,
@@ -23,7 +24,7 @@ from .errors import (
     ResourceCapError,
     VerificationError,
 )
-from .geometry import Vec, _int_det, _int_row, as_fraction, vdot, vector, vsub
+from .geometry import Vec, _dot, _hyperplane, _int_det, _int_row, as_fraction, vector
 from .lattice import FaceLattice, graded_lattice, lattice_isomorphic
 from .painting import BLUE, PURPLE, RED, PaintedComplex, PaintSpec, painting_constraint
 from .painting_polytope import extend
@@ -32,8 +33,9 @@ from .regular_subdivision import (
     Lifting,
     MarkedCell,
     Subdivision,
+    _cell_tops,
+    _spanning_marks,
     enumerate_coherent_subdivisions,
-    induce_subdivision,
     secondary_cone,
 )
 from .tropical_dual import TropicalComplex, dual_complex
@@ -65,20 +67,25 @@ def ngon_configuration(m: int) -> PointConfiguration:
 
 def _on_some_diagonal(config: PointConfiguration, beta: Vec) -> bool:
     """Whether beta lies on the line through two points that share no
-    boundary edge, decided in integers.
+    boundary facet, decided in integers.
 
     With a = P / L for the rows (P, 1) of config.integer_points and
     beta = B / D, D the lcm of beta's denominators, beta lies on the line
-    through a_i and a_j exactly when (P_j - P_i) x (L B - D P_i) = 0.
+    through a_i and a_j exactly when (P_j - P_i) x (L B - D P_i) = 0.  The
+    points sharing a facet with a_i are the union of the facet masks that
+    hold i, which may hold more than two points.
     """
     rows, scale = config.integer_points
     bx, by, den = _int_row(beta)
     bx, by = bx * scale, by * scale
-    boundary = set(config.facet_masks)
     for i, (xi, yi, _) in enumerate(rows):
         u, v = bx - den * xi, by - den * yi
+        near = 0
+        for f in config.facet_masks:
+            if f >> i & 1:
+                near |= f
         for j in range(i + 1, len(rows)):
-            if (1 << i | 1 << j) not in boundary:
+            if not near >> j & 1:
                 xj, yj, _ = rows[j]
                 if (xj - xi) * v == (yj - yi) * u:
                     return True
@@ -253,25 +260,98 @@ class EdgeLengthTarget:
             raise InputError("edge length targets must be positive")
 
 
-def _edge_supports(maximal, marking, beta: Vec):
-    """The supports k, l of the two maximal cells whose marks contain a
-    compact edge's marking, and the edge's offset at beta: the root-to-leaf
-    difference of the two supports there, unsigned."""
-    pair = [mc.support for mc in maximal if marking < mc.marks]
-    _check(len(pair) == 2, "compact edge not between exactly two maximal cells")
-    k, l = pair
-    value = (l.constant - vdot(l.linear, beta)) - (k.constant - vdot(k.linear, beta))
-    return k, l, abs(value)
+def _cell_planes(config: PointConfiguration, tops, eta_row) -> list[tuple[tuple[int, ...], int]]:
+    """Per maximal cell mask in tops, the upward integer plane n . P = o
+    through the lifted rows P = (L a, -E(a)) of d + 1 affinely independent
+    marks: L is the scale of config.integer_points, eta_row = [E..., D] the
+    lifting's heights E over a common denominator D, and n is
+    _hyperplane's normal, turned so that its last coordinate n_h is
+    positive.
+
+    One integer dot per configuration point checks each plane: n . P <= o
+    everywhere, with equality exactly on the cell's marks, or
+    InconsistencyError.  Then the plane cuts an upper facet whose members
+    are the marks, so the lifting induces that cell.  With the volume half
+    (see _cell_tops) this is the regular subdivision certificate (Gelfand,
+    Kapranov & Zelevinsky 1994, ch. 7; De Loera, Rambau & Santos 2010,
+    ch. 5): the lifting induces exactly the cells of tops.
+    """
+    rows, _ = config.integer_points
+    # zip stops at the last point, before eta_row's D
+    lifted = [row[:-1] + (-h,) for row, h in zip(rows, eta_row)]
+    d = config.dimension
+    planes = []
+    for top in tops:
+        cell = [i for i in range(top.bit_length()) if top >> i & 1]
+        basis = cell if len(cell) == d + 1 else _spanning_marks(config, cell)
+        plane = _hyperplane([lifted[i] for i in basis]) if len(basis) == d + 1 else None
+        if plane is None or not plane[0][-1]:
+            raise InconsistencyError(f"cell {cell} is not full-dimensional")
+        normal, offset = plane
+        if normal[-1] < 0:
+            normal, offset = tuple(-x for x in normal), -offset
+        on = 0
+        for i, point in enumerate(lifted):
+            v = _dot(normal, point)
+            if v > offset:
+                raise InconsistencyError(f"the lifting puts point {i} above cell {cell}'s plane")
+            if v == offset:
+                on |= 1 << i
+        if on != top:
+            held = [i for i in range(on.bit_length()) if on >> i & 1]
+            raise InconsistencyError(f"the plane of cell {cell} holds the points {held}")
+        planes.append((normal, offset))
+    return planes
+
+
+def _compact_edges(p: TropicalComplex, tops) -> dict[frozenset[int], tuple[int, int]]:
+    """Per compact edge of p, by marking: the indices in tops of the two
+    maximal cells whose marks hold it, in tops' order."""
+    edges = {}
+    for cell in p.cells_of_dim(1):
+        if not cell.rays:
+            mask = sum(1 << i for i in cell.marking)
+            pair = [k for k, top in enumerate(tops) if mask & top == mask]
+            _check(len(pair) == 2, "compact edge not between exactly two maximal cells")
+            edges[cell.marking] = tuple(pair)
+    return edges
+
+
+def _edge_offsets(config: PointConfiguration, planes, edges, den: int, beta) -> dict:
+    """Per compact edge, the root-to-leaf difference at beta of its two
+    cells' supports, unsigned, read off their planes with one Fraction per
+    edge.
+
+    A plane (n, o) of _cell_planes, for a lifting whose heights have the
+    common denominator den = D, is its cell's support a -> (o - L n' . a) /
+    (D n_h), n' its base part; at beta = B / D_beta that is X / (D n_h
+    D_beta) with X = o D_beta - L n' . B, so two cells' difference has the
+    integer numerator X_k n_h,l - X_l n_h,k.
+    """
+    _, scale = config.integer_points
+    *b, db = _int_row(beta)
+    b = [scale * x for x in b]
+    # _dot stops at b's end, before each normal's n_h
+    at_beta = [(o * db - _dot(n, b), n[-1]) for n, o in planes]
+    offsets = {}
+    for marking, (i, j) in edges.items():
+        (xk, hk), (xl, hl) = at_beta[i], at_beta[j]
+        offsets[marking] = Fraction(abs(xk * hl - xl * hk), den * db * hk * hl)
+    return offsets
 
 
 def _edge_offset(p: TropicalComplex, beta: Vec):
-    """Per compact edge: the two adjacent maximal-cell supports and the edge's
-    current offset value at beta."""
+    """Per compact edge: the two adjacent maximal-cell supports k, l, in
+    p.subdivision.maximal's order, and the edge's current offset at beta,
+    read off the cells' integer planes as realize_edge_lengths reads them."""
     maximal = p.subdivision.maximal
+    tops = [sum(1 << i for i in mc.marks) for mc in maximal]
+    edges = _compact_edges(p, tops)
+    row = _int_row(p.eta.values)
+    offsets = _edge_offsets(p.config, _cell_planes(p.config, tops, row), edges, row[-1], beta)
     return {
-        cell.marking: _edge_supports(maximal, cell.marking, beta)
-        for cell in p.cells_of_dim(1)
-        if not cell.rays
+        marking: (maximal[i].support, maximal[j].support, offsets[marking])
+        for marking, (i, j) in edges.items()
     }
 
 
@@ -291,10 +371,16 @@ def realize_edge_lengths(
     which lie on one side of its chord because the dual graph is a tree, so
     it leaves their difference of supports untouched.
 
-    The result is certified by one hull: the subdivision it induces has p's
-    cells, which by definition puts it in p's open secondary cone, so p's
-    compact-edge markings are its compact edges; and the offset read off
-    each edge's two new supports equals the target.
+    Everything runs on integer planes (see _cell_planes): the supports, the
+    offsets and the signs and values of each l - k, one integer dot per
+    point on config.integer_points; only the output heights become
+    Fractions.  The result is certified with no hull: p's cells pass the
+    volume half of the tiling certificate (see _cell_tops), and the
+    result's plane over each cell lies weakly above every lifted point and
+    touches exactly that cell's marks.  So the result induces exactly p's
+    cells, which puts it in p's open secondary cone, p's compact-edge
+    markings are its compact edges, and the offset read off each edge's two
+    new planes must equal the target.
     """
     config = p.config
     if config.dimension != 2 or any(
@@ -308,34 +394,40 @@ def realize_edge_lengths(
         raise InputError("beta dimension mismatch")
     if _on_some_diagonal(config, beta):
         raise InputError("beta lies on the affine hull of a diagonal")
-    values = _edge_offset(p, beta)
-    missing = [m for m in values if frozenset(m) not in target.lengths]
+    tops = _cell_tops(config, p.subdivision)
+    edges = _compact_edges(p, tops)
+    missing = [m for m in edges if frozenset(m) not in target.lengths]
     if missing:
         raise InputError(f"no target for edges {sorted(sorted(m) for m in missing)}")
-    eta = list(p.eta.values)
-    if values:
-        lam = min(
-            target.lengths[m] / v for m, (_, _, v) in values.items() if v > 0
-        ) / 2
-        eta = [lam * x for x in eta]
-        for marking, (k, l, v) in values.items():
-            _check(v > 0, "zero edge offset despite the diagonal check")
-            t = target.lengths[marking] / v - lam
-            _check(t > 0, "edge correction would not lengthen the edge")
-            # l - k, evaluated once per point
-            linear, constant = vsub(l.linear, k.linear), l.constant - k.constant
-            for i, a in enumerate(config.points):
-                d = vdot(linear, a) - constant
-                if d > 0:
-                    eta[i] += t * d
-    result = Lifting(tuple(eta))
-    s = induce_subdivision(config, result)
-    _check(s.key == p.subdivision.key, "correction left the secondary cone")
-    for marking in values:
-        _check(
-            _edge_supports(s.maximal, marking, beta)[2] == target.lengths[marking],
-            "edge target missed",
-        )
+    *heights, den = row = _int_row(p.eta.values)
+    planes = _cell_planes(config, tops, row)
+    if not edges:
+        return p.eta
+    values = _edge_offsets(config, planes, edges, den, beta)
+    _check(all(values.values()), "zero edge offset despite the diagonal check")
+    lam = min(target.lengths[m] / v for m, v in values.items()) / 2
+    # each height of the result is a sum over the columns of coefficient
+    # times column
+    coefficients, columns = [lam / den], [heights]
+    rows, _ = config.integer_points
+    for marking, (i, j) in edges.items():
+        t = target.lengths[marking] / values[marking] - lam
+        _check(t > 0, "edge correction would not lengthen the edge")
+        (nk, ok), (nl, ol) = planes[i], planes[j]
+        hk, hl = nk[-1], nl[-1]
+        # D hk hl (l - k)(a) = u . (L a, 1), one integer dot per point
+        u = [x * hl - y * hk for x, y in zip(nk[:-1], nl[:-1])] + [ol * hk - ok * hl]
+        coefficients.append(t / (den * hk * hl))
+        columns.append([max(0, _dot(u, r)) for r in rows])
+    common = lcm(*(c.denominator for c in coefficients))
+    weights = [c.numerator * (common // c.denominator) for c in coefficients]
+    # the result's heights over one common denominator, a working row as
+    # _cell_planes reads it
+    row = [_dot(weights, column) for column in zip(*columns)] + [common]
+    result = Lifting(tuple(Fraction(x, common) for x in row[:-1]))
+    achieved = _edge_offsets(config, _cell_planes(config, tops, row), edges, common, beta)
+    for marking in edges:
+        _check(achieved[marking] == target.lengths[marking], "edge target missed")
     return result
 
 

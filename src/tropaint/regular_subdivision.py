@@ -584,12 +584,37 @@ def _face_subdivision(t: Subdivision, cone: SecondaryCone, mask: int, sample):
     return Subdivision(t.config, maximal, witness=vector(sample))
 
 
+def _cell_tops(config: PointConfiguration, s: Subdivision) -> list[int]:
+    """s's maximal cells as bitmasks, in s.maximal's order, once the volume
+    half of the certificate that they tile config holds; raises
+    NoCertificateError otherwise.
+
+    The masks must be distinct, every cell full-dimensional (a cell of
+    volume 0 raises) and their scaled volumes must add up to the
+    configuration's.  Cells that a lifting induces have disjoint interiors,
+    so once the other half shows that one lifting induces every cell, the
+    volumes leave room for no other: secondary_cone's open cone and
+    multiplihedra's integer planes both rest on this.
+    """
+    tops = [sum(1 << i for i in mc.marks) for mc in s.maximal]
+    if len(set(tops)) != len(tops):
+        raise NoCertificateError("two maximal cells have the same marks")
+    total = 0
+    for mc, top in zip(s.maximal, tops):
+        vol = config.scaled_volume(top)
+        if not vol:
+            raise NoCertificateError(f"cell {sorted(mc.marks)} is not full-dimensional")
+        total += vol
+    if total != config.scaled_volume((1 << len(config.points)) - 1):
+        raise NoCertificateError("the cells' volumes do not add up to the configuration's")
+    return tops
+
+
 def secondary_cone(config: PointConfiguration, s: Subdivision) -> SecondaryCone:
     """H-representation of the liftings inducing s; raises when there are none.
 
-    First every cell must be full-dimensional, a cell of volume 0 raising
-    NoCertificateError, and the cells' volumes must add up to the
-    configuration's.  A triangulation's cone is then built in its local
+    First s must pass the volume half of the tiling certificate (see
+    _cell_tops).  A triangulation's cone is then built in its local
     folding form: no equalities, one strict per interior ridge and one per
     unused point, after a certificate that s is a triangulation of config
     (see _folding_stricts).  Any other subdivision gets, per maximal cell,
@@ -606,14 +631,7 @@ def secondary_cone(config: PointConfiguration, s: Subdivision) -> SecondaryCone:
     if s.config != config:
         raise InputError("the subdivision belongs to another configuration")
     n = len(config.points)
-    total = 0
-    for mc in s.maximal:
-        vol = config.scaled_volume(sum(1 << i for i in mc.marks))
-        if not vol:
-            raise NoCertificateError(f"cell {sorted(mc.marks)} is not full-dimensional")
-        total += vol
-    if total != config.scaled_volume((1 << n) - 1):
-        raise NoCertificateError("the cells' volumes do not add up to the configuration's")
+    _cell_tops(config, s)
     if is_triangulation(s):
         stricts = sorted(_folding_stricts(config, s))
         return _certify_cone((), stricts, n, s.witness, _flippable_rays(config, s, stricts))

@@ -133,9 +133,9 @@ faces by their sizes.
 
 The relative-interior sample of a dual cell and the vertex indices of a
 configuration were the methods TropicalCell.relint_sample and
-PointConfiguration.vertex_indices, and the vector sum vadd was
-geometry.vadd; only the tests called them, and they moved here as they
-were.
+PointConfiguration.vertex_indices, and the vector sum vadd and difference
+vsub were geometry.vadd and geometry.vsub; only the tests called them, and
+they moved here as they were.
 
 The unpruned lattice search backtracks over the same color classes in the
 same order as lattice.lattice_isomorphic, but checks a match only against
@@ -171,7 +171,6 @@ from tropaint.geometry import (
     matrix_rank,
     vector,
     vdot,
-    vsub,
 )
 from tropaint.multiplihedra import (
     SPLIT,
@@ -550,6 +549,10 @@ def vadd(u, v):
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
+def vsub(u, v):
+    return tuple(a - b for a, b in zip(u, v, strict=True))
+
+
 def _hyperplane_oracle(points):
     base = points[0]
     if len(points) == 1:
@@ -812,13 +815,27 @@ def realize_edge_lengths_sequential(p, beta, target, order=None):
     return tuple(eta)
 
 
+def edge_supports_oracle(maximal, marking, beta):
+    """The supports k, l of the two maximal cells whose marks contain a
+    compact edge's marking, in the order of maximal, and the edge's offset
+    at beta: the root-to-leaf difference of the two supports there,
+    unsigned, in Fractions."""
+    pair = [mc.support for mc in maximal if marking < mc.marks]
+    if len(pair) != 2:
+        raise InconsistencyError("compact edge not between exactly two maximal cells")
+    k, l = pair
+    beta = vector(beta)
+    value = (l.constant - vdot(l.linear, beta)) - (k.constant - vdot(k.linear, beta))
+    return k, l, abs(value)
+
+
 def on_some_diagonal_oracle(config, beta) -> bool:
     """Whether beta lies on the line through two points of the polygon that
-    share no boundary edge, by a Fraction 2 x 2 determinant per pair."""
+    share no boundary facet, by a Fraction 2 x 2 determinant per pair."""
     n = len(config.points)
-    boundary = {frozenset(f.members) for f in config.facets}
+    boundary = [f.members for f in config.facets]
     for i, j in combinations(range(n), 2):
-        if frozenset({i, j}) in boundary:
+        if any({i, j} <= f for f in boundary):
             continue
         a, b = config.points[i], config.points[j]
         det = (b[0] - a[0]) * (beta[1] - a[1]) - (b[1] - a[1]) * (beta[0] - a[0])

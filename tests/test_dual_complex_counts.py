@@ -1,9 +1,9 @@
 """Each lifting gets one dual complex: painting reads the complex it is
 given, the painted enumeration builds one per lifting it meets, edge-length
 realization corrects every edge from its input complex and certifies the
-result with one induced subdivision, no dual complex and no cone, the
+result on integer planes, with no hull, no dual complex and no cone, the
 painted-tree realization builds a tree's seed complex only when it corrects
-edge lengths and induces each realized lifting once, and the main-theorem
+edge lengths and induces no realized lifting, and the main-theorem
 check builds no hull and no dual complex beyond its two enumerations.  A dual
 complex builds one hull, in integers from the configuration's rows to the
 supports, seeded by one rank pass per configuration, and its cells read
@@ -53,12 +53,14 @@ def test_realize_edge_lengths_builds_no_dual_complex(calls_to):
     target = EdgeLengthTarget({m: F(5, k + 2) for k, m in enumerate(edges)})
     complexes = calls_to(tropical_dual.dual_complex)
     induced = calls_to(regular_subdivision.induce_subdivision)
+    hulls = calls_to(geometry._upper_hull)
     cones = calls_to(regular_subdivision.secondary_cone)
     realize_edge_lengths(p, beta, target)
-    # the postcondition's one hull, of the realized lifting, and no cone:
-    # inducing p's cells is membership in p's open secondary cone
+    # no hull and no cone: the realized lifting's plane over each of p's
+    # cells and the cells' volumes certify that it induces p's cells, which
+    # is membership in p's open secondary cone
     assert complexes == [] and cones == []
-    assert [caller for caller, _ in induced] == ["tropaint.multiplihedra"]
+    assert induced == [] and hulls == []
 
 
 def test_painted_enumeration_builds_one_dual_complex_per_lifting(calls_to):
@@ -79,9 +81,9 @@ def test_painted_tree_realization_builds_each_complex_once(calls_to):
     # 22 others return the seed itself; each realized lifting's root value is
     # read off a circuit, with no complex and no hull
     assert len(trees) == 67 and len(calls) == 45
-    # one hull per realized lifting: the certificate of realize_edge_lengths
-    realized = [args[1].values for caller, args in induced if caller == "tropaint.multiplihedra"]
-    assert len(realized) == len(set(realized)) == 45
+    # no hull of a realized lifting: realize_edge_lengths certifies on
+    # integer planes, so the only hulls are the 45 seed complexes'
+    assert [caller for caller, _ in induced] == ["tropaint.tropical_dual"] * 45
 
 
 def test_verify_main_theorem_builds_no_extended_hull(calls_to, monkeypatch):

@@ -31,7 +31,6 @@ from tropaint.geometry import (
     independent_rows,
     matrix_rank,
     vdot,
-    vsub,
 )
 from tropaint.multiplihedra import admissible_alpha, ngon_configuration
 from tropaint.painting_polytope import extend
@@ -60,6 +59,7 @@ from oracles import (
     primitive_vector,
     solve_square_oracle,
     upper_hull_facets_oracle,
+    vsub,
 )
 
 F = Fraction

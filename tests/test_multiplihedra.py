@@ -400,27 +400,40 @@ def test_realize_edge_lengths_rejects_inputs_off_its_domain():
         realize_edge_lengths(p, beta, target)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
-def test_on_some_diagonal_matches_fraction_oracle(m):
-    config = ngon_configuration(m)
+# a square and a pentagon with a point in the middle of a boundary edge, so
+# that one facet holds three collinear points
+SQUARE_MIDEDGE = [(0, 0), (1, 0), (2, 0), (2, 2), (0, 2)]
+PENTAGON_MIDEDGE = [(0, 0), (1, 0), (2, 0), (3, 2), (1, 3), (-1, 2)]
+
+
+@pytest.mark.parametrize(
+    "points",
+    [pytest.param(m, id=str(m)) for m in (2, 3, 4, 5, 6)]
+    + [
+        pytest.param(SQUARE_MIDEDGE, id="square_midedge"),
+        pytest.param(PENTAGON_MIDEDGE, id="pentagon_midedge"),
+    ],
+)
+def test_on_some_diagonal_matches_fraction_oracle(points):
+    config = ngon_configuration(points) if isinstance(points, int) else build_configuration(points)
     points = config.points
-    boundary = {frozenset(f.members) for f in config.facets}
-    rng = random.Random(m)
-    alpha = admissible_alpha(config)
-    cases = [(alpha, False)]
+    facets = [f.members for f in config.facets]
+    rng = random.Random(len(points) - 1)
+    cases = [(admissible_alpha(config), False)]
     for i in range(len(points)):
         for j in range(i + 1, len(points)):
             # a rational point on the line through a_i and a_j, inside the
-            # segment and beyond it
+            # segment and beyond it: a diagonal's unless a facet holds both
             for t in (Fraction(1, 3), Fraction(-5, 4)):
                 beta = tuple(a + t * (b - a) for a, b in zip(points[i], points[j]))
-                on_diagonal = frozenset({i, j}) not in boundary
+                on_diagonal = not any({i, j} <= f for f in facets)
                 cases.append((beta, on_diagonal or None))
     # seeded points around the polygon, on a grid fine enough to meet
     # diagonals now and then
+    xs, ys = [int(p[0]) for p in points], [int(p[1]) for p in points]
     for _ in range(300):
-        x = Fraction(rng.randint(-2, 2 * m + 2), rng.randint(1, 2))
-        y = Fraction(rng.randint(-2, m * m + 2), rng.randint(1, 2))
+        x = Fraction(rng.randint(2 * min(xs) - 2, 2 * max(xs) + 2), rng.randint(1, 2))
+        y = Fraction(rng.randint(2 * min(ys) - 2, max(ys) + 2), rng.randint(1, 2))
         cases.append(((x, y), None))
     hits = 0
     for beta, expected in cases:
@@ -430,7 +443,25 @@ def test_on_some_diagonal_matches_fraction_oracle(m):
             assert got == expected
         elif got:
             hits += 1
-    assert hits > 0 or m == 2  # the triangle has no diagonal
+    assert hits > 0 or len(points) == 3  # the triangle has no diagonal
+
+
+def test_realize_edge_lengths_with_beta_on_a_facet_of_three_points():
+    # beta = (3, 0) lies on the bottom facet's line, which holds a_0, a_1 and
+    # a_2, but on no diagonal's; a_1 is unmarked and the only compact edge
+    # is {2, 4}
+    config = build_configuration(SQUARE_MIDEDGE)
+    p, _ = dual_complex(config, [0, 3, 1, 5, 2])
+    beta = (Fraction(3), Fraction(0))
+    assert not _on_some_diagonal(config, beta)
+    ((marking, (_, _, offset)),) = _edge_offset(p, beta).items()
+    assert marking == frozenset({2, 4}) and offset == 1
+    target = EdgeLengthTarget({marking: Fraction(5, 3)})
+    eta = realize_edge_lengths(p, beta, target)
+    p2, _ = dual_complex(config, eta)
+    assert p2.subdivision.key == p.subdivision.key
+    assert {m: v for m, (_, _, v) in _edge_offset(p2, beta).items()} == target.lengths
+    assert eta.values == realize_edge_lengths_sequential(p, beta, target)
 
 
 @settings(deadline=None, max_examples=25)
@@ -470,7 +501,8 @@ def test_realize_edge_lengths_matches_sequential_oracle(m):
         )
         eta = realize_edge_lengths(p, beta, target)
         assert eta.values == realize_edge_lengths_sequential(p, beta, target)
-        # the library certifies by one induced hull; the cone is a second check
+        # the library certifies on the integer planes of p's cells with no
+        # hull; the cone is a second check
         assert secondary_cone(config, p.subdivision).contains_open(eta)
 
 
