@@ -23,6 +23,7 @@ from .errors import (
     ResourceCapError,
     VerificationError,
 )
+from .geometry import as_fraction
 from .multiplihedra import multiplihedron_lattice, verify_multiplihedron_theorem
 from .painting import PaintSpec, paint
 from .painting_polytope import verify_main_theorem
@@ -57,7 +58,7 @@ def _parse_bbox(raw):
     parts = raw.split(",")
     if len(parts) != 4:
         raise InputError("--bbox expects xmin,ymin,xmax,ymax")
-    return tuple(jsonio.parse_rational(p.strip()) for p in parts)
+    return tuple(as_fraction(p.strip()) for p in parts)
 
 
 def _require_alpha(alpha, path):
@@ -161,7 +162,7 @@ def cmd_paint(args):
     config, alpha = _read_input(args.input)
     alpha = _require_alpha(alpha, args.input)
     eta = _parse_eta(config, args.eta)
-    level = jsonio.parse_rational(args.level)
+    level = as_fraction(args.level)
     spec = PaintSpec.of(config, eta.values, level, alpha)
     p, _ = dual_complex(config, spec.eta)
     _cell_cap(len(p.cells), args.max_cells)

@@ -17,21 +17,6 @@ from .point_config import PointConfiguration, build_configuration
 from .regular_subdivision import is_triangulation
 
 
-def parse_rational(value) -> Fraction:
-    if isinstance(value, bool):
-        raise InputError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise InputError(f"not a rational: {value!r}") from None
-    raise InputError(
-        f"rationals must be integers or 'p/q' strings, got {value!r}"
-    )
-
-
 def rational_str(value: Fraction) -> str:
     return str(as_fraction(value))
 
@@ -43,7 +28,7 @@ def vector_json(v: Vec) -> list:
 def parse_vector(raw) -> Vec:
     if not isinstance(raw, list):
         raise InputError(f"expected a list of rationals, got {raw!r}")
-    return tuple(parse_rational(x) for x in raw)
+    return tuple(as_fraction(x) for x in raw)
 
 
 def loads(text: str):

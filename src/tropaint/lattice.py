@@ -43,12 +43,17 @@ class FaceLattice:
 
 
 def graded_lattice(ranks, covers, payload=None) -> FaceLattice:
-    """Validate and package a graded lattice: covers must raise rank by one,
-    every element but one top must lie below another, and every element of
-    nonzero rank above another, so rank 0 is the least rank and nonempty."""
+    """Validate and package a graded lattice: covers must name elements,
+    indices in range(len(ranks)), and raise rank by one, every element but
+    one top must lie below another, and every element of nonzero rank above
+    another, so rank 0 is the least rank and nonempty.  A payload holds one
+    object per element."""
     ranks = tuple(int(r) for r in ranks)
     covers = frozenset((int(i), int(j)) for i, j in covers)
     n = len(ranks)
+    outside = sorted(c for c in covers if not (0 <= c[0] < n and 0 <= c[1] < n))
+    if outside:
+        raise InconsistencyError(f"covers {outside} name no element of {n}")
     for i, j in covers:
         if ranks[j] != ranks[i] + 1:
             raise InconsistencyError(
@@ -60,9 +65,10 @@ def graded_lattice(ranks, covers, payload=None) -> FaceLattice:
     floating = sorted({k for k in range(n) if ranks[k]} - {j for _, j in covers})
     if floating:
         raise InconsistencyError(f"elements {floating} of nonzero rank lie above none")
-    if payload is None:
-        payload = tuple("" for _ in ranks)
-    return FaceLattice(ranks, covers, tuple(payload))
+    payload = ("",) * n if payload is None else tuple(payload)
+    if len(payload) != n:
+        raise InconsistencyError(f"a payload of {len(payload)} objects for {n} elements")
+    return FaceLattice(ranks, covers, payload)
 
 
 def _refined_colors(sides) -> list[list[int]]:

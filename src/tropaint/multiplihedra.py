@@ -345,7 +345,7 @@ def _edge_offset(p: TropicalComplex, beta: Vec):
     p.subdivision.maximal's order, and the edge's current offset at beta,
     read off the cells' integer planes as realize_edge_lengths reads them."""
     maximal = p.subdivision.maximal
-    tops = [sum(1 << i for i in mc.marks) for mc in maximal]
+    tops = p.subdivision.tops
     edges = _compact_edges(p, tops)
     row = _int_row(p.eta.values)
     offsets = _edge_offsets(p.config, _cell_planes(p.config, tops, row), edges, row[-1], beta)
@@ -479,18 +479,18 @@ def realize_painted_tree(t: PaintedTree, m: int) -> PaintSpec:
     config = ngon_configuration(m)
     alpha = admissible_alpha(config)
     s = _subdivision_of_shape(config, t.shape())
-    seed = secondary_cone(config, s).interior_point
+    seed = Lifting.of(config, secondary_cone(config, s).interior_point)
     root = _planar_tree(s)
     *fn, level = painting_constraint(config, root[0], alpha)
 
     def root_value(eta):
-        return sum(c * x for c, x in zip(fn, eta, strict=True)) / -level
+        return sum(c * x for c, x in zip(fn, eta.values, strict=True)) / -level
 
     state, children = t.encoding
     if state == SPLIT:
-        return PaintSpec(Lifting(seed), root_value(seed) + 1, alpha)
+        return PaintSpec(seed, root_value(seed) + 1, alpha)
     if all(c[0] == UNPAINTED for c in children):
-        return PaintSpec(Lifting(seed), root_value(seed), alpha)
+        return PaintSpec(seed, root_value(seed), alpha)
 
     p, _ = dual_complex(config, seed)
     _check(p.subdivision.key == s.key, "seed lifting realizes a different subdivision")
@@ -513,7 +513,7 @@ def realize_painted_tree(t: PaintedTree, m: int) -> PaintSpec:
 
     assign(root, children, 0)
     eta = realize_edge_lengths(p, alpha, EdgeLengthTarget(lengths))
-    return PaintSpec(eta, root_value(eta.values) - 1, alpha)
+    return PaintSpec(eta, root_value(eta) - 1, alpha)
 
 
 def _tree_shapes(m: int):

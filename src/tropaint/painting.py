@@ -51,8 +51,7 @@ class PaintSpec:
 
     @staticmethod
     def of(config: PointConfiguration, eta, c, alpha) -> "PaintSpec":
-        if not isinstance(eta, Lifting):
-            eta = Lifting.of(config, eta)
+        eta = Lifting.of(config, eta)
         alpha = vector(alpha)
         if len(alpha) != config.dimension:
             raise InputError("alpha dimension mismatch")
@@ -301,11 +300,11 @@ def enumerate_painted_complexes(
             for pattern in product((1, -1), repeat=len(fns)):
                 chamber = _lifted_cone(cone, zip(fns, pattern), None)
                 if chamber is not None:
-                    yield chamber
+                    yield t, chamber
 
     complexes: dict[Vec, TropicalComplex] = {}
 
-    def induce(point, _cone, _mask):
+    def induce(point, _t, _cone, _mask):
         painted = _paint_at(config, alpha, point, complexes)
         return painted.key(), painted
 

@@ -17,7 +17,6 @@ from math import gcd
 
 from .errors import InconsistencyError, InputError, NoCertificateError, ResourceCapError
 from .geometry import (
-    Vec,
     _circuit_dependence,
     _dot,
     _echelon,
@@ -30,7 +29,6 @@ from .geometry import (
     graded_closure,
     independent_rows,
     matrix_rank,
-    vector,
 )
 from .lattice import FaceLattice, graded_lattice
 from .point_config import PointConfiguration
@@ -90,7 +88,7 @@ class MarkedCell:
         return f"MarkedCell({sorted(self.marks)})"
 
 
-def _face_dims(config: PointConfiguration, tops: list[int]) -> dict[int, int]:
+def _face_dims(config: PointConfiguration, tops: tuple[int, ...]) -> dict[int, int]:
     """{mask: dimension} over every nonempty face of the maximal cells whose
     masks are tops, each face once, in the order the tops list them.
 
@@ -99,7 +97,7 @@ def _face_dims(config: PointConfiguration, tops: list[int]) -> dict[int, int]:
     the configuration's facet_masks, a face's dimension one less than its
     grade.
     """
-    outer = tops + list(config.facet_masks)
+    outer = tops + config.facet_masks
     simplex = config.dimension + 1
     dims: dict[int, int] = {}
     for top in tops:
@@ -122,12 +120,15 @@ class Subdivision:
 
     Identity is the set of maximal marked cells; two liftings in the same open
     secondary cone produce equal Subdivision values.  witness, when present,
-    is a lifting inducing the subdivision; it takes no part in identity.
-    Only induce_subdivision gives maximal cells with supports, and its own
-    lifting as the witness; of the subdivisions the enumerators give, that
-    is only the walk's seed.  The others carry a witness and no supports: a
-    flipped triangulation has its cone's interior point, and a coarser
-    subdivision read off a triangulation cone's face has the face sample.
+    is the heights of a lifting inducing the subdivision, for Lifting.of; it
+    takes no part in identity.  Only induce_subdivision gives maximal cells
+    with supports, and its own lifting's Fractions as the witness; of the
+    subdivisions the enumerators give, that is only the walk's seed.  The
+    others carry an int tuple as witness and no supports: a flipped
+    triangulation has its cone's ray sum, and a coarser subdivision read
+    off a triangulation cone's face has the face sample.  tops holds the
+    maximal cells' marks as bitmasks, which every reader of cell masks
+    shares.
 
     .cells is built on first access, with no geometry; dual_complex reads
     the same faces off _face_dims and leaves it unbuilt.  Maximal cells are
@@ -149,7 +150,7 @@ class Subdivision:
         self,
         config: PointConfiguration,
         maximal: tuple[MarkedCell, ...],
-        witness: Vec | None = None,
+        witness: tuple | None = None,
     ):
         self.config = config
         self.maximal = tuple(sorted(maximal, key=lambda c: sorted(c.marks)))
@@ -157,13 +158,18 @@ class Subdivision:
         self.witness = witness
         self._cells = None
 
+    @cached_property
+    def tops(self) -> tuple[int, ...]:
+        """The maximal cells' marks as bitmasks, bit i for point i, in maximal's order."""
+        return tuple(sum(1 << i for i in mc.marks) for mc in self.maximal)
+
     @property
     def cells(self) -> dict[frozenset[int], MarkedCell]:
         """Every cell, keyed by its marks, graded by _face_dims; each face
         becomes a frozenset once, when its MarkedCell is made."""
         if self._cells is None:
             points = self.config.points
-            dims = _face_dims(self.config, [sum(1 << i for i in mc.marks) for mc in self.maximal])
+            dims = _face_dims(self.config, self.tops)
             # in the order of their points, so each cell lists its vertices sorted
             vertex_marks = sorted(
                 (f.bit_length() - 1 for f in dims if f.bit_count() == 1), key=points.__getitem__
@@ -211,7 +217,7 @@ def induce_subdivision(config: PointConfiguration, eta: Lifting) -> Subdivision:
     lifted = [row[:-1] + (-h,) for row, h in zip(rows, heights)]
     hull = _upper_hull(lifted, config.spanning_simplex, scale, den)
     maximal = tuple(MarkedCell(mem, support=fn) for fn, mem in hull)
-    return Subdivision(config, maximal, witness=vector(eta.values))
+    return Subdivision(config, maximal, witness=eta.values)
 
 
 def is_triangulation(s: Subdivision) -> bool:
@@ -226,9 +232,10 @@ class SecondaryCone:
 
     Every constraint is a linear form with no constant, stored as the int
     tuple of its coefficients, primitive in every cone the builders make;
-    rays and the face and wall samples are int tuples too.  Only
-    interior_point holds Fractions, as the liftings that callers hand to
-    induce_subdivision and paint do.
+    rays and the face and wall samples are int tuples too.  interior_point
+    is the builder's witness, kept as given (a lifting's Fractions or a face
+    sample's ints), when it passes, and otherwise the int tuple of the ray
+    sum; Lifting.of turns either into a lifting.
 
     The closure (weak inequalities) is the union of the cones of all
     coarsenings.  A triangulation's cone, as secondary_cone builds it, is in
@@ -248,7 +255,7 @@ class SecondaryCone:
     equalities: tuple[tuple[int, ...], ...]
     stricts: tuple[tuple[int, ...], ...]
     ambient_dim: int
-    interior_point: Vec = field(compare=False)
+    interior_point: tuple = field(compare=False)
 
     def dim(self) -> int:
         return self.ambient_dim - matrix_rank(self.equalities)
@@ -387,34 +394,24 @@ def _certify_cone(equalities, stricts, dim: int, witness, rays=None) -> Secondar
     _flippable_rays), and the cone keeps them.
 
     witness, when given, becomes the interior point if an exact check puts it
-    in the open cone.  Otherwise the interior point is the sum of the given
-    rays or, when none are given, of those of _cone_rays, which decides
-    emptiness (see _ray_sum_cone).
+    in the open cone.  Otherwise the interior point is the int tuple that
+    sums the given rays or, when none are given, those of _cone_rays, which
+    decides emptiness.  Every strict is nonnegative on each ray and vanishes
+    on all of them only if it vanishes on the whole cone, so the exact check
+    that the ray sum lies in the open cone fails only on wrong rays.
     """
     cone = SecondaryCone(tuple(equalities), tuple(stricts), dim, witness)
-    if witness is not None and cone.contains_open(witness):
-        if rays is not None:
-            cone.__dict__["rays"] = rays  # fills the cached property
-        return cone
-    if rays is None:
+    passed = witness is not None and cone.contains_open(witness)
+    if rays is None and not passed:
         rays = _cone_rays(cone.equalities, cone.stricts, dim)
         if rays is None:
             return None
-    return _ray_sum_cone(cone.equalities, cone.stricts, dim, rays)
-
-
-def _ray_sum_cone(equalities, stricts, dim: int, rays) -> SecondaryCone:
-    """The cone with the sum of its canonical rays as interior point.  Every
-    strict is nonnegative on each ray and vanishes on all of them only if it
-    vanishes on the whole cone, so the exact check that the sum lies in the
-    open cone fails only on wrong rays.  Every cone certified without a
-    witness gets its interior point here.  The cone keeps the rays.
-    """
-    sample = tuple(Fraction(sum(column)) for column in zip((0,) * dim, *rays))
-    cone = SecondaryCone(equalities, stricts, dim, sample)
-    if not cone.contains_open(sample):
-        raise InconsistencyError("the ray sum of a cone misses its open cone")
-    cone.__dict__["rays"] = rays
+    if rays is not None:
+        cone.__dict__["rays"] = rays  # fills the cached property
+    if not passed:
+        object.__setattr__(cone, "interior_point", cone._ray_sum((1 << len(rays)) - 1))
+        if not cone.contains_open(cone.interior_point):
+            raise InconsistencyError("the ray sum of a cone misses its open cone")
     return cone
 
 
@@ -581,13 +578,13 @@ def _face_subdivision(t: Subdivision, cone: SecondaryCone, mask: int, sample):
     for k, part in enumerate(parts):
         merged.setdefault(find(k), []).extend(part)
     maximal = [MarkedCell(m[0] if len(m) == 1 else frozenset().union(*m)) for m in merged.values()]
-    return Subdivision(t.config, maximal, witness=vector(sample))
+    return Subdivision(t.config, maximal, witness=sample)
 
 
-def _cell_tops(config: PointConfiguration, s: Subdivision) -> list[int]:
-    """s's maximal cells as bitmasks, in s.maximal's order, once the volume
-    half of the certificate that they tile config holds; raises
-    NoCertificateError otherwise.
+def _cell_tops(config: PointConfiguration, s: Subdivision) -> tuple[int, ...]:
+    """s.tops, s's maximal cells as bitmasks, once the volume half of the
+    certificate that they tile config holds; raises NoCertificateError
+    otherwise.
 
     The masks must be distinct, every cell full-dimensional (a cell of
     volume 0 raises) and their scaled volumes must add up to the
@@ -596,7 +593,7 @@ def _cell_tops(config: PointConfiguration, s: Subdivision) -> list[int]:
     volumes leave room for no other: secondary_cone's open cone and
     multiplihedra's integer planes both rest on this.
     """
-    tops = [sum(1 << i for i in mc.marks) for mc in s.maximal]
+    tops = s.tops
     if len(set(tops)) != len(tops):
         raise NoCertificateError("two maximal cells have the same marks")
     total = 0
@@ -755,27 +752,28 @@ def _fan_lattice(
 ) -> FaceLattice:
     """The face lattice of a complete fan, read off its maximal cones' face masks.
 
-    found maps keys met so far to elements and keys samples to keys;
-    induce(sample, cone, mask) gives the (key, element) of a new sample, met
-    as the face of cone with ray mask mask.  Rays are canonical modulo the
-    lineality, so a face shared by two cones has one sample.  A face's rank,
-    the same in every cone, is its cone's top grade minus its own.  Two
-    faces one below the other lie in a common maximal cone, where the
-    coarser one's mask lies inside the finer one's; ranks rise strictly
-    along the order, so the coarser one covers the finer one exactly when
-    their grades differ by one.  The payload holds the elements, sorted
-    stably by sort_key, which keeps the discovery order of keys it does not
-    order."""
+    cones holds (triangulation, cone) pairs, each cone a maximal cone of the
+    fan over that triangulation.  found maps keys met so far to elements and
+    keys samples to keys; induce(sample, t, cone, mask) gives the (key,
+    element) of a new sample, met as the face of cone with ray mask mask.
+    Rays are canonical modulo the lineality, so a face shared by two cones
+    has one sample.  A face's rank, the same in every cone, is its cone's
+    top grade minus its own.  Two faces one below the other lie in a common
+    maximal cone, where the coarser one's mask lies inside the finer one's;
+    ranks rise strictly along the order, so the coarser one covers the finer
+    one exactly when their grades differ by one.  The payload holds the
+    elements, sorted stably by sort_key, which keeps the discovery order of
+    keys it does not order."""
     ranks: dict = {}
     covers = set()
-    for cone in cones:
+    for t, cone in cones:
         faces = cone.graded_faces()
         top = faces[-1][1]
         by_grade: dict[int, list] = {}
         for mask, grade, sample in faces:
             key = keys.get(sample)
             if key is None:
-                key, element = induce(sample, cone, mask)
+                key, element = induce(sample, t, cone, mask)
                 keys[sample] = key
                 if key not in found:
                     if len(found) >= max_count:
@@ -810,14 +808,13 @@ def enumerate_coherent_subdivisions(config: PointConfiguration, max_count=4096):
     found = {k: t for k, (t, _) in tris.items()}
     # each triangulation is its cone's top face, whose sample sums all rays
     keys = {cone._ray_sum((1 << len(cone.rays)) - 1): k for k, (_, cone) in tris.items()}
-    walked = {cone: t for t, cone in tris.values()}
 
-    def induce(sample, cone, mask):
-        s = _face_subdivision(walked[cone], cone, mask, sample)
+    def induce(sample, t, cone, mask):
+        s = _face_subdivision(t, cone, mask, sample)
         return s.key, s
 
     # the sort keys are lists of frozensets, which compare by inclusion: the
     # sort is not total, so most elements keep their discovery order, as the
     # goldens do
-    cones = [tris[k][1] for k in sorted(tris, key=sorted)]
+    cones = [tris[k] for k in sorted(tris, key=sorted)]
     return _fan_lattice(cones, found, keys, induce, sorted, max_count, "subdivisions")

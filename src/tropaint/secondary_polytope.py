@@ -38,8 +38,8 @@ def gkz_vector(config: PointConfiguration, t: Subdivision) -> GKZVector:
     _, scale = config.integer_points
     den = scale**config.dimension
     coords = [ZERO] * len(config.points)
-    for cell in t.maximal:
-        vol = Fraction(config.scaled_volume(sum(1 << i for i in cell.marks)), den)
+    for cell, top in zip(t.maximal, t.tops):
+        vol = Fraction(config.scaled_volume(top), den)
         if not vol:
             raise DegenerateInputError(f"cell {sorted(cell.marks)} is not full-dimensional")
         for i in cell.marks:

@@ -124,7 +124,7 @@ def dual_complex(config: PointConfiguration, eta) -> tuple[TropicalComplex, Subd
     if not isinstance(eta, Lifting):
         eta = Lifting.of(config, eta)
     s = induce_subdivision(config, eta)
-    tops = [sum(1 << i for i in mc.marks) for mc in s.maximal]
+    tops = s.tops
     slopes = sorted(zip((mc.support.linear for mc in s.maximal), tops))
     normals = sorted(zip((f.normal for f in config.facets), config.facet_masks))
     cells: dict[frozenset[int], TropicalCell] = {}

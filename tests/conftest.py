@@ -4,25 +4,30 @@ import sys
 
 import pytest
 
-from tropaint import regular_subdivision
+from tropaint import painting, regular_subdivision
 
 
 @pytest.fixture
 def fallback_certifications(monkeypatch):
     """Every cone certified without its witness, in order: the arguments
-    (equalities, stricts, dimension, rays) of each _ray_sum_cone call, by
-    which _certify_cone makes the ray sum the interior point whichever route
+    (equalities, stricts, dimension, witness, rays) of each _certify_cone
+    call whose cone takes the ray sum as interior point, whichever route
     found the rays: the kernels of _flippable_rays for a triangulation cone,
-    the hull of _cone_rays for any other.  Ray computations of already
-    certified cones are not counted."""
+    the hull of _cone_rays for any other.  Calls that find the open cone
+    empty, and ray computations of already certified cones, are not
+    counted."""
     calls = []
-    real = regular_subdivision._ray_sum_cone
+    real = regular_subdivision._certify_cone
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(equalities, stricts, dim, witness, rays=None):
+        cone = real(equalities, stricts, dim, witness, rays)
+        if cone is not None and cone.interior_point is not witness:
+            calls.append((equalities, stricts, dim, witness, rays))
+        return cone
 
-    monkeypatch.setattr(regular_subdivision, "_ray_sum_cone", counting)
+    # painting binds the name too, for its chambers and painting cones
+    for module in (regular_subdivision, painting):
+        monkeypatch.setattr(module, "_certify_cone", counting)
     return calls
 
 

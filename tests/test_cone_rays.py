@@ -6,8 +6,8 @@ nonempty.  A triangulation cone gets the same rays with no hull, from the
 kernels of its flippable stricts, on every walked triangulation of the
 goldens, the polygons, their extensions, the seeded corpus, a grid and a
 cube with its centre; it has no other route, and a failed kernel
-certificate raises.  Constraints, rays and samples are int tuples; only
-interior points are Fractions."""
+certificate raises.  Constraints, rays and samples are int tuples, and so is
+every interior point that is not a passing witness."""
 
 import random
 from fractions import Fraction
@@ -286,12 +286,30 @@ def _is_int_tuple(v) -> bool:
 
 
 def test_cones_keep_integers_from_constraint_to_sample(enumerated_cones):
+    """A cone certified without a witness that passes, as the chambers and
+    the flipped triangulations are, has its ray sum as interior point, an
+    int tuple; only a passing witness keeps the type it came with."""
     cones, chambers = enumerated_cones
     certified = [_certify_cone(*chamber, None) for chamber in chambers]
-    cones = cones + [cone for cone in certified if cone is not None]
+    certified = [cone for cone in certified if cone is not None]
+    assert all(_is_int_tuple(cone.interior_point) for cone in certified)
+    cones = cones + certified
+    ray_sums = 0
     for cone in cones:
         assert all(map(_is_int_tuple, cone.equalities + cone.stricts + cone.rays))
         assert all(_is_int_tuple(sample) for _, _, sample in cone.graded_faces())
         assert all(_is_int_tuple(fn) and _is_int_tuple(sample) for fn, sample in cone.walls())
-        assert all(type(x) is Fraction for x in cone.interior_point)
-    assert len(cones) == 263
+        point = cone.interior_point
+        assert _is_int_tuple(point) or all(type(x) is Fraction for x in point)
+        total = cone._ray_sum((1 << len(cone.rays)) - 1)
+        ray_sums += _is_int_tuple(point) and point == total
+        # no witness, or the origin, which every cone here has a strict to refuse
+        hrep = (cone.equalities, cone.stricts, cone.ambient_dim)
+        for witness in (None, (0,) * cone.ambient_dim):
+            again = _certify_cone(*hrep, witness)
+            assert _is_int_tuple(again.interior_point) and again.interior_point == total
+    # the ray sums: 145 flipped triangulation cones, the 12 coherent-subdivision
+    # cones of all but the seeds, whose face samples sum the same canonical
+    # rays, and 48 chambers; the 10 seeds and 45 painting cones keep their
+    # Fraction witnesses
+    assert len(cones) == 263 and ray_sums == 145 + 12 + 48

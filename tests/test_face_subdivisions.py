@@ -23,6 +23,7 @@ from tropaint.regular_subdivision import (
     Lifting,
     _face_subdivision,
     _folding_stricts,
+    enumerate_coherent_subdivisions,
     enumerate_regular_triangulations,
     induce_subdivision,
 )
@@ -82,6 +83,37 @@ def test_face_subdivisions_match_induced(config):
             new_marks += len(s.maximal) > 1 and any(mc.marks & unused for mc in s.maximal)
     if config == GRID:
         assert new_marks
+
+
+def _golden_and_polygon_extensions():
+    out = []
+    for name, config, alpha in [
+        ("quad", QUAD, (F(1, 3), F(1, 3))),
+        ("bipyramid", BIPYRAMID, (F(1, 2), F(1, 3), F(1, 2))),
+    ]:
+        out.append(pytest.param(config, id=name))
+        out.append(pytest.param(extend(config, alpha).extended, id=f"{name}-extended"))
+    for m in (3, 4, 5):
+        config = ngon_configuration(m)
+        extended = extend(config, admissible_alpha(config)).extended
+        out.append(pytest.param(extended, id=f"ngon{m}-extended"))
+    return out
+
+
+@pytest.mark.parametrize("config", _golden_and_polygon_extensions())
+def test_enumerated_witnesses_are_int_samples(config):
+    """Every enumerated subdivision but the seed, the one whose cells carry
+    supports, has an int tuple as witness: its cone's ray sum or its face
+    sample.  Each witness induces its subdivision."""
+    seeds = 0
+    for s in enumerate_coherent_subdivisions(config).payload:
+        if s.maximal[0].support is not None:
+            seeds += 1
+            assert all(type(x) is F for x in s.witness)
+        else:
+            assert type(s.witness) is tuple and all(type(x) is int for x in s.witness)
+        assert induce_subdivision(config, Lifting.of(config, s.witness)).key == s.key
+    assert seeds == 1
 
 
 @pytest.mark.parametrize("config", _inputs() + [pytest.param(CUBE, id="cube")])

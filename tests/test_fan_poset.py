@@ -110,4 +110,5 @@ def test_fan_poset_rejects_cones_that_rank_one_face_differently():
     first = _FakeCone([(0, 0, "a"), (1, 1, "b"), (3, 2, "c")])
     second = _FakeCone([(0, 0, "b"), (1, 1, "d"), (3, 2, "e")])
     with pytest.raises(errors.InconsistencyError, match="different ranks"):
-        _fan_lattice([first, second], {}, {}, lambda x, cone, mask: (x, x), None, 10, "faces")
+        pairs = [(None, first), (None, second)]
+        _fan_lattice(pairs, {}, {}, lambda x, t, cone, mask: (x, x), None, 10, "faces")

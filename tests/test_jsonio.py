@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from tropaint import jsonio, svgout
 from tropaint.errors import InputError
+from tropaint.geometry import as_fraction
 from tropaint.painting import PaintSpec, paint
 from tropaint.point_config import build_configuration
 from tropaint.regular_subdivision import Lifting
@@ -16,21 +17,27 @@ from tropaint.tropical_dual import dual_complex
 QUAD = build_configuration([(0, 0), (1, 0), (0, 1), (-1, 0), (-1, -1)])
 
 
+# JSON rationals, and the CLI's --level and --bbox, are parsed by as_fraction
+
+
 def test_parse_rational_accepts_ints_and_strings():
-    assert jsonio.parse_rational(3) == F(3)
-    assert jsonio.parse_rational("-5/7") == F(-5, 7)
-    assert jsonio.parse_rational("4") == F(4)
+    assert as_fraction(3) == F(3)
+    assert as_fraction("-5/7") == F(-5, 7)
+    assert as_fraction("4") == F(4)
+    assert jsonio.parse_vector([3, "-5/7"]) == (F(3), F(-5, 7))
 
 
 @pytest.mark.parametrize("bad", [0.5, True, False, None, [1], "a/b", "1/0", ""])
 def test_parse_rational_rejections(bad):
     with pytest.raises(InputError):
-        jsonio.parse_rational(bad)
+        as_fraction(bad)
+    with pytest.raises(InputError):
+        jsonio.parse_vector([bad])
 
 
 def test_rational_str_round_trip():
     for v in [F(0), F(3), F(-5, 7), F(22, 4)]:
-        assert jsonio.parse_rational(jsonio.rational_str(v)) == v
+        assert as_fraction(jsonio.rational_str(v)) == v
     assert jsonio.rational_str(3) == "3" and jsonio.rational_str(F(22, 4)) == "11/2"
     with pytest.raises(InputError):
         jsonio.rational_str(0.5)

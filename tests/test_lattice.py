@@ -60,6 +60,25 @@ def test_graded_lattice_refuses_an_element_of_positive_rank_above_none():
         graded_lattice([0, 1, 1, 2], [(0, 1), (1, 3), (2, 3)])
 
 
+@pytest.mark.parametrize(
+    "covers",
+    [[(0, 1), (0, -1)], [(0, 2)], [(-1, 1)]],
+    ids=["negative", "past-the-end", "negative-lower"],
+)
+def test_graded_lattice_refuses_covers_outside_its_elements(covers):
+    # (0, -1) would pass the rank check through ranks[-1] and give
+    # up_adjacency() the entry -1; (0, 2) would index past the ranks
+    with pytest.raises(InconsistencyError, match="name no element of 2"):
+        graded_lattice([0, 1], covers)
+
+
+@pytest.mark.parametrize("payload", [["a"], ["a", "b", "c"], []])
+def test_graded_lattice_refuses_a_payload_of_the_wrong_length(payload):
+    with pytest.raises(InconsistencyError, match="elements"):
+        graded_lattice([0, 1], [(0, 1)], payload)
+    assert graded_lattice([0, 1], [(0, 1)], ["a", "b"]).payload == ("a", "b")
+
+
 def test_chain_lattice_from_poset():
     _, _, covers = poset_oracle(3, [(0, 1), (1, 2), (0, 2)])
     lat = graded_lattice([0, 1, 2], covers)

@@ -30,6 +30,7 @@ from tropaint.painting import (
 )
 from tropaint.multiplihedra import admissible_alpha, ngon_configuration
 from tropaint.point_config import SignVector, build_configuration, sign_vector
+from tropaint.regular_subdivision import Lifting
 from tropaint.tropical_dual import dual_complex
 
 from oracles import minimal_and_maximal, paint_per_cell
@@ -169,6 +170,15 @@ def test_paint_rejects_foreign_lifting():
         spec = PaintSpec.of(QUAD, eta, c, ALPHA)
         with pytest.raises(InputError):
             paint(p, spec)
+
+
+@pytest.mark.parametrize(
+    "eta", [Lifting((F(1), F(2))), (F(1), F(2))], ids=["lifting", "tuple"]
+)
+def test_paint_spec_refuses_a_lifting_of_the_wrong_length(eta):
+    # QUAD has five points; a Lifting is checked as a plain tuple is
+    with pytest.raises(InputError, match="2 values for 5 points"):
+        PaintSpec.of(QUAD, eta, 0, ALPHA)
 
 
 def test_reconstruction_requires_total_vertex_colors():
